@@ -57,6 +57,7 @@ from .critical_line import (
     big_xi,
     phi_identity_check,
     refine_zero,
+    refine_zeros,
     scan_zeros,
     xi_completed,
 )

@@ -567,7 +567,3 @@ def lambda_many(field, s, k=1):
     """Lambda_F(s)^k = [prefactor / zeta_F(1-s)]^k, vectorized."""
     s = np.asarray(s, dtype=complex)
     return gamma_prefactor_many(field, s, k) / numerics.dedekind_zeta_many(1.0 - s, field) ** k
-
-
-def lambda_completed(field, s, k=1):
-    return complex(lambda_many(field, np.array([complex(s)]), k)[0])

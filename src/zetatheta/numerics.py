@@ -15,7 +15,7 @@ import cmath
 import math
 
 import numpy as np
-import scipy.special as _sp
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     ConvergenceError,
@@ -122,11 +122,15 @@ def digamma_real(x):
 
 
 def _hurwitz_core(s_arr, a, shift, depth):
-    """Euler-Maclaurin evaluation of zeta_H(s, a) for an array of s sharing one shift."""
-    n = np.arange(shift, dtype=float)[:, None] + a
-    terms = n ** (-s_arr[None, :])
-    head = terms.sum(axis=0)
-    base = float(shift) + a
+    """Euler-Maclaurin evaluation of zeta_H(s, a) for 1-d arrays of s and a sharing one shift.
+
+    Returns shape (len(a), len(s_arr)).
+    """
+    # the head runs along the last, contiguous axis, so numpy sums it pairwise
+    # whatever the number of points: a value does not depend on its chunk
+    n = np.arange(shift, dtype=float)[None, None, :] + a[:, None, None]
+    head = (n ** (-s_arr[None, :, None])).sum(axis=2)
+    base = float(shift) + a[:, None]
     bs = base ** (-s_arr)
     total = head + base * bs / (s_arr - 1.0) + 0.5 * bs
     # correction: sum_j B_2j/(2j)! (s)_{2j-1} base^{-s-2j+1}
@@ -142,11 +146,24 @@ def _hurwitz_core(s_arr, a, shift, depth):
     return total
 
 
+# Upper bound on shift * len(a) * points for one _hurwitz_core call: the head
+# matrix of a bank stays near 16 MiB however many points are evaluated.
+_HURWITZ_CHUNK_ELEMENTS = 2 ** 20
+
+
 def hurwitz_zeta_many(s, a, depth=12):
-    """Vectorized Hurwitz zeta over an array of s, scalar a in (0, 1]."""
+    """Vectorized Hurwitz zeta over an array of s, for a scalar a in (0, 1] or a 1-d bank of them.
+
+    A scalar a gives s.shape; a 1-d array a gives (len(a),) + s.shape.  All
+    values share one summation shift, set by the whole s array, and are
+    evaluated in chunks of points, so the result does not depend on the chunk
+    size.
+    """
     s = np.asarray(s, dtype=complex)
-    if not (0.0 < a <= 1.0):
-        raise DomainError("hurwitz_zeta requires a in (0, 1]")
+    a_arr = np.asarray(a, dtype=float)
+    bank = a_arr.reshape(-1)
+    if a_arr.ndim > 1 or not np.all((bank > 0.0) & (bank <= 1.0)):
+        raise DomainError("hurwitz_zeta requires a in (0, 1], as a scalar or a 1-d array")
     if not 1 <= depth <= len(_BERNOULLI):
         raise DomainError(f"Bernoulli depth must be in 1..{len(_BERNOULLI)}")
     if np.any(np.abs(s - 1.0) < 1e-12):
@@ -156,7 +173,12 @@ def hurwitz_zeta_many(s, a, depth=12):
     # balance the Euler-Maclaurin remainder (grows with |Im s|) against the
     # cancellation of the head sum for Re(s) < 0 (grows with the shift)
     shift = int(max(16.0, math.ceil(0.62 * im_max + 8.0 + 2.0 * max(0.0, -re_min))))
-    return _hurwitz_core(s.ravel(), a, shift, depth).reshape(s.shape)
+    flat = s.ravel()
+    out = np.empty((len(bank), len(flat)), dtype=complex)
+    chunk = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(bank))))
+    for lo in range(0, len(flat), chunk):
+        out[:, lo:lo + chunk] = _hurwitz_core(flat[lo:lo + chunk], bank, shift, depth)
+    return out.reshape(a_arr.shape + s.shape)
 
 
 def hurwitz_zeta(s, a=1.0, depth=12):
@@ -174,6 +196,31 @@ def riemann_zeta(s):
     return hurwitz_zeta(s, 1.0)
 
 
+def _l_factors(s, characters):
+    """[L(s, chi) for chi in characters] on an array of s away from s = 1.
+
+    One Hurwitz bank holds zeta_H(s, a/q) for every distinct (q, a) with
+    chi(a) != 0 over all the characters; each L-factor is then
+    q^(-s) * sum_a chi(a) zeta_H(s, a/q), summed in residue order.
+    """
+    slots = {}
+    for chi in characters:
+        for a in range(1, chi.modulus + 1):
+            if chi.value(a) != 0:
+                slots.setdefault((chi.modulus, a), len(slots))
+    bank = hurwitz_zeta_many(s, np.array([a / q for q, a in slots]))
+    factors = []
+    for chi in characters:
+        q = chi.modulus
+        total = np.zeros_like(s)
+        for a in range(1, q + 1):
+            v = chi.value(a)
+            if v != 0:
+                total = total + v * bank[slots[(q, a)]]
+        factors.append(q ** (-s) * total)
+    return factors
+
+
 def dirichlet_l(s, chi):
     """L(s, chi) via Hurwitz zeta: q^(-s) * sum_a chi(a) zeta_H(s, a/q).
 
@@ -187,24 +234,12 @@ def dirichlet_l(s, chi):
         raise PoleError("L(s, principal) has a pole at s = 1")
     if at_one:
         return -sum(chi.value(a) * digamma_real(a / q) for a in range(1, q + 1)) / q
-    total = 0.0 + 0.0j
-    for a in range(1, q + 1):
-        v = chi.value(a)
-        if v != 0:
-            total += v * hurwitz_zeta(s, a / q)
-    return q ** (-s) * total
+    return complex(dirichlet_l_many(np.array([s]), chi)[0])
 
 
 def dirichlet_l_many(s, chi):
     """Vectorized L(s, chi) over an array of s staying away from s = 1."""
-    s = np.asarray(s, dtype=complex)
-    q = chi.modulus
-    total = np.zeros_like(s)
-    for a in range(1, q + 1):
-        v = chi.value(a)
-        if v != 0:
-            total = total + v * hurwitz_zeta_many(s, a / q)
-    return q ** (-s) * total
+    return _l_factors(np.asarray(s, dtype=complex), (chi,))[0]
 
 
 def dedekind_zeta(s, field):
@@ -217,10 +252,7 @@ def dedekind_zeta(s, field):
     if abs(s - 1.0) < 1e-12:
         raise PoleError("Dedekind zeta pole at s = 1")
     if field.is_abelian:
-        out = 1.0 + 0.0j
-        for chi in field.characters:
-            out *= dirichlet_l(s, chi)
-        return out
+        return complex(dedekind_zeta_many(np.array([s]), field)[0])
     if s.real <= 1.5:
         raise UnsupportedFieldError(
             "coefficient-file field: Dedekind zeta only available for Re(s) > 1.5")
@@ -230,13 +262,13 @@ def dedekind_zeta(s, field):
 
 
 def dedekind_zeta_many(s, field):
-    """Vectorized abelian Dedekind zeta."""
+    """Vectorized abelian Dedekind zeta: one Hurwitz bank shared by all L-factors."""
     s = np.asarray(s, dtype=complex)
     if not field.is_abelian:
         raise UnsupportedFieldError("vectorized Dedekind zeta needs an abelian field")
     out = np.ones_like(s)
-    for chi in field.characters:
-        out = out * dirichlet_l_many(s, chi)
+    for factor in _l_factors(s, field.characters):
+        out = out * factor
     return out
 
 
@@ -247,7 +279,11 @@ def bessel_k(nu, z):
         raise DomainError("bessel_k undefined at z = 0")
     if z.real <= 0 and z.imag == 0:
         raise DomainError("bessel_k requires |Arg z| < pi")
-    out = complex(_sp.kv(nu, z))
+    # imported on first use: only the Koshliakov oracle needs K, and
+    # scipy.special would otherwise dominate the package's import time
+    import scipy.special
+
+    out = complex(scipy.special.kv(nu, z))
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise ConvergenceError(f"bessel_k({nu}, {z}) did not evaluate finitely")
     return out
@@ -288,8 +324,7 @@ class LineIntegralResult:
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return leggauss(n)
 
 
 def _panel_nodes(t_lo, t_hi, panel_count, nodes_per_panel):

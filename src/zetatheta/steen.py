@@ -336,19 +336,6 @@ def z_tail_bound(r1, r2, y):
     return _tail_constant(r1, r2) * _tail_shape(r1, r2, y)
 
 
-def z_tail_bound_complex(r1, r2, y):
-    """Decay majorant for complex kernel arguments inside the sector."""
-    ay = abs(y)
-    if ay <= 0:
-        raise DomainError("z_tail_bound needs y != 0")
-    d = r1 + 2 * r2
-    cosf = math.cos(2.0 * abs(cmath.phase(complex(y))) / d)
-    if cosf <= 0:
-        raise SectorError("argument outside the decaying sector")
-    decay = math.exp(-d * (ay / 2.0 ** r2) ** (2.0 / d) * cosf)
-    return 4.0 * _tail_constant(r1, r2) * ay ** (-(r1 + r2 - 1) / d) * decay
-
-
 def z_tail_bound_complex_many(r1, r2, abs_y, arg_y):
     """Vectorized decay majorant over an array of magnitudes at one fixed argument angle."""
     abs_y = np.asarray(abs_y, dtype=float)

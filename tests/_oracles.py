@@ -7,9 +7,16 @@ brute-force enumeration.  Slow and simple on purpose.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(n_nodes):
+    """Gauss-Legendre nodes and weights, computed once per node count (read-only)."""
+    return np.polynomial.legendre.leggauss(n_nodes)
 
 
 def hasse_zeta(s, n_terms=120):
@@ -32,7 +39,7 @@ def gamma_by_integral(s, t_max=80.0, n_nodes=4000):
     shift = 0
     while (s + shift).real < 3.0:
         shift += 1
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _leggauss(n_nodes)
     u_max = t_max ** 0.25
     u = 0.5 * u_max * (x + 1.0)
     wu = 0.5 * u_max * w
@@ -48,7 +55,7 @@ def bessel_k_integral(nu, z, t_max=None, n_nodes=6000):
     z = complex(z)
     if t_max is None:
         t_max = math.acosh(1.0 + 60.0 / z.real)
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _leggauss(n_nodes)
     t = 0.5 * t_max * (x + 1.0)
     wt = 0.5 * t_max * w
     vals = np.exp(-z * np.cosh(t)) * np.cosh(nu * t)

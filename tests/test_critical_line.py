@@ -145,6 +145,36 @@ class TestRefineZero:
             cl.refine_zero(field_q, (2.0, 3.0))
 
 
+class TestRefineZeros:
+    def test_lockstep_matches_one_at_a_time(self, field_cubic7):
+        brackets = cl.scan_zeros(field_cubic7, 0.0, 30.0, 0.02).brackets
+        assert len(brackets) > 10
+        batch = cl.refine_zeros(field_cubic7, brackets)
+        alone = [cl.refine_zero(field_cubic7, br) for br in brackets]
+        assert len(batch) == len(alone)
+        assert np.max(np.abs(batch - np.array(alone))) < 1e-12
+
+    def test_lost_bracket_is_named(self, field_q):
+        with pytest.raises(LostBracketError, match=r"\[2\.0, 3\.0\]"):
+            cl.refine_zeros(field_q, [(14.1, 14.2), (2.0, 3.0), (20.9, 21.1)])
+
+    def test_exact_zeros_end_early(self, field_q, monkeypatch):
+        # a stand-in Xi that vanishes exactly at t = 1 hits both early exits:
+        # an endpoint that is already a zero, and a midpoint that lands on one
+        monkeypatch.setattr(cl, "_xi_rescaled_many",
+                            lambda field, ts: np.asarray(ts, dtype=float) - 1.0)
+        out = cl.refine_zeros(field_q, [(1.0, 2.0), (0.5, 1.0), (0.0, 2.0), (0.3, 1.7)])
+        assert list(out[:3]) == [1.0, 1.0, 1.0]
+        assert abs(out[3] - 1.0) < 1e-9
+
+    def test_empty(self, field_q):
+        assert len(cl.refine_zeros(field_q, [])) == 0
+
+    def test_bad_bracket(self, field_q):
+        with pytest.raises(ValidationError):
+            cl.refine_zeros(field_q, [(14.1, 14.2), (3.0, 2.0)])
+
+
 class TestPhiIdentity:
     @pytest.mark.parametrize("z", [0.0, 0.25, 0.5, -0.3j])
     def test_quadratic(self, field_sqrt5, z):

@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zetatheta import fields as fd
 from zetatheta import numerics as nx
 from zetatheta.errors import (
     DomainError,
@@ -108,6 +110,25 @@ class TestHurwitzZeta:
         for s, v in zip(ss, vec):
             assert abs(v - nx.hurwitz_zeta(s, 0.3)) < 1e-10 * max(1.0, abs(v))
 
+    def test_bank_rows_match_single_a(self):
+        ss = np.array([[0.5 + 14j, -2 + 3j], [3.0 + 0j, 0.25 - 40j]])
+        bank_a = np.array([1.0, 0.3, 1.0 / 7.0])
+        bank = nx.hurwitz_zeta_many(ss, bank_a)
+        assert bank.shape == (3, 2, 2)
+        for row, a in zip(bank, bank_a):
+            assert np.array_equal(row, nx.hurwitz_zeta_many(ss, a))
+
+    def test_chunking_leaves_values_unchanged(self, monkeypatch):
+        ss = np.linspace(-2.0, 3.0, 37) + 1j * np.linspace(-90.0, 90.0, 37)
+        bank_a = np.array([1.0, 0.2, 0.4, 0.6, 0.8])
+        whole = nx.hurwitz_zeta_many(ss, bank_a)
+        monkeypatch.setattr(nx, "_HURWITZ_CHUNK_ELEMENTS", 1000)
+        assert np.array_equal(nx.hurwitz_zeta_many(ss, bank_a), whole)
+
+    def test_bank_domain(self):
+        with pytest.raises(DomainError):
+            nx.hurwitz_zeta_many(np.array([2.0]), np.array([0.5, 1.5]))
+
 
 class TestDirichletL:
     def test_principal_mod_one_is_zeta(self, field_q):
@@ -162,6 +183,48 @@ class TestDedekindZeta:
     def test_pole(self, field_sqrt5):
         with pytest.raises(PoleError):
             nx.dedekind_zeta(1.0, field_sqrt5)
+
+    @staticmethod
+    def _hurwitz_product(field, s, hurwitz):
+        # zeta_F as the product over characters of q^(-s) sum_a chi(a) zeta_H(s, a/q)
+        out = 1.0
+        for chi in field.characters:
+            q = chi.modulus
+            total = 0.0
+            for a in range(1, q + 1):
+                if chi.value(a) != 0:
+                    total = total + chi.value(a) * hurwitz(s, a / q)
+            out = out * q ** (-s) * total
+        return out
+
+    @pytest.mark.parametrize("name", ["Q", "sqrt5", "cubic7", "zeta5", "gauss"])
+    def test_shared_bank_matches_per_residue_sums(self, name):
+        field = fd.builtin_field(name)
+        rng = np.random.RandomState(23)
+        ss = rng.uniform(-2.0, 3.0, 40) + 1j * rng.uniform(-100.0, 100.0, 40)
+        ss = np.concatenate([ss, [3.0, -2.0 + 100j, 0.5 - 100j, 2.0 + 0.5j]])
+        # one Hurwitz call per residue over the whole array shares the shift
+        # that array sets, as the bank does
+        ref = self._hurwitz_product(field, ss, nx.hurwitz_zeta_many)
+        vec = nx.dedekind_zeta_many(ss, field)
+        assert np.max(np.abs(vec - ref) / np.abs(ref)) < 1e-13
+        # point by point: the scalar wrapper against scalar hurwitz_zeta
+        for s in ss:
+            ref = self._hurwitz_product(field, s, nx.hurwitz_zeta)
+            assert abs(nx.dedekind_zeta(s, field) - ref) < 1e-13 * abs(ref)
+
+    def test_high_grid_memory_is_bounded(self):
+        # a [0, 1000] line at step 0.2: the unchunked bank would need ~350 MB
+        field = fd.builtin_field("cubic7")
+        ss = 0.5 + 1j * np.linspace(0.0, 1000.0, 5001)
+        tracemalloc.start()
+        try:
+            vals = nx.dedekind_zeta_many(ss, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == ss.shape and np.all(np.isfinite(vals))
+        assert peak < 64 * 2 ** 20
 
 
 class TestBesselK:
