@@ -7,6 +7,7 @@ rows, 15-significant-digit scientific notation); diagnostics go to stderr.
 
 import argparse
 import os
+import re
 import sys
 
 from . import critical_line, fields, inverse_theta, theta
@@ -102,7 +103,7 @@ def _cmd_hlr_check(args):
     rows, failed = [], False
     for xs in args.x:
         x = float(xs)
-        rep = inverse_theta.hlr_check(x, zeros, tol=args.tol, n_smooth=args.n_smooth)
+        rep = inverse_theta.hlr_check(x, zeros, tol=args.tol)
         rows.append([_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real),
                      _sci(rep.residual), str(rep.zeros_used)])
         failed |= rep.residual > args.tol
@@ -180,7 +181,8 @@ def build_parser():
     q.add_argument("--x", action="append", required=True)
     q.add_argument("--zeros", required=True)
     q.add_argument("--tol", type=float, default=1e-4)
-    q.add_argument("--n-smooth", type=int, default=1_000_000)
+    q.add_argument("--n-smooth", type=int, default=None,
+                   help="deprecated; the sum is now exact")
     q.set_defaults(func=_cmd_hlr_check)
 
     q = sub.add_parser("dgv-check", help="Dixit-Gupta-Vatwani identity (Q and quadratic fields)")
@@ -205,10 +207,32 @@ def build_parser():
     return p
 
 
+def _attach_signed_values(argv):
+    """Rewrite `--x -0.5,0.3` as `--x=-0.5,0.3`.
+
+    argparse reads a separate token that starts with '-' and is not a plain
+    number (a complex `re,im` pair is not) as an option, not as a value.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in ("--x", "--z") and i + 1 < len(argv) \
+                and re.match(r"-[\d.]", argv[i + 1]):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(list(argv)))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

@@ -87,38 +87,39 @@ def write_zeros(path, zeros):
 # the L series (mu-weighted shifted kernels)
 # ---------------------------------------------------------------------------
 
-def _divisor_tail(m, kappa, n_from):
-    """Safe upper bound for sum_{n > N} d_m(n) / n^kappa, kappa >= 1.5."""
-    if n_from < 16:
-        n_from = 16
-    log_n = math.log(n_from)
-    density = log_n ** (m - 1) / math.factorial(m - 1)
-    return 4.0 * density * n_from ** (1.0 - kappa) / (kappa - 1.0)
+_EPS = 2.0 ** -52
+_taylor_cache = {}
 
 
-def _small_z_shape(kr1, kr2):
-    """Majorant data: |Z(y)| <= K * |y|^m0 * (1 + |log y|^p) for |y| <= 1/2.
+def _inverse_zeta_derivatives(field, k, m, count):
+    """[D_0, ..., D_{count-1}], D_i = d^i/ds^i zeta_F(s)^{-k} at s = 1 + m.
 
-    m0 is the leading left-pole location, p the log degree of its residue
-    polynomial; K folds the residue coefficients plus headroom for the
-    higher-order poles.
+    D_i = sum_n mu_{F,k}(n) (-log n)^i n^{-1-m}, read off Taylor coefficients
+    on a radius-1/2 circle.  1/zeta_F^k is analytic on Re(s) > 1 and its
+    nearest singularity (a zero of zeta_F, Re <= 1) lies at distance >= m from
+    the centre, so the 128-point ring rule is exact to rounding.
     """
-    m0 = 1 if kr2 >= 1 else 2
-    lead = steen._left_pole_polynomial(kr1, kr2, m0)
-    p = lead.degree
-    k_const = 3.0 * (1.0 + sum(abs(c) for c in lead.coeffs))
-    return m0, p, k_const
+    key = (field.cache_key, k, m, count)
+    if key not in _taylor_cache:
+        res = numerics.laurent_coefficients(
+            lambda s: 1.0 / numerics.dedekind_zeta_many(s, field) ** k,
+            1.0 + m, 0.5, count=count, lowest=0)
+        if not res.converged:
+            raise ConvergenceError(
+                f"Taylor data of 1/zeta_F^{k} at s = {1 + m} did not converge")
+        _taylor_cache[key] = res.coeffs * np.array([math.factorial(i) for i in range(count)])
+    return _taylor_cache[key]
 
 
-def l_series(field, k, x, tol=1e-7, n_max=10_000_000, _details=False):
-    """L_{F,-k}(x) = sum_n (mu_{F,k}(n)/n) Z_{k r1, k r2}(scale * sqrt(x) / n).
+def _recentred_coeffs(poly, log_alpha):
+    """b_i with P(log alpha + u) = sum_i b_i u^i."""
+    c = poly.coeffs
+    return [sum(c[j] * math.comb(j, i) * log_alpha ** (j - i) for j in range(i, len(c)))
+            for i in range(len(c))]
 
-    The kernel argument decreases in n, so the tail is controlled through the
-    ascending expansion of Z near 0 and the divisor-function majorant of
-    |mu_{F,k}|; if the certified remainder cannot reach `tol` by `n_max`
-    (leading kernel exponent 1, i.e. fields with complex embeddings) a
-    ConvergenceError carries the slow-convergence diagnosis.
-    """
+
+def _l_series_parts(field, k, x):
+    """(value, N0, certified bound) of L_{F,-k}(x); see l_series."""
     x = complex(x)
     if x == 0:
         raise DomainError("l_series undefined at x = 0")
@@ -129,49 +130,104 @@ def l_series(field, k, x, tol=1e-7, n_max=10_000_000, _details=False):
     scale = 2.0 ** kr2 * math.pi ** (k * d / 2.0) / field.disc ** (k / 2.0)
     alpha = scale * cmath.sqrt(x)
     a_abs = abs(alpha)
-    m_div = d * k
+    log_alpha = cmath.log(alpha)
 
-    # choose N so the certified absolute tail is below tol/2
-    m0, p_log, k_const = _small_z_shape(kr1, kr2)
-    bound_const = k_const * max(a_abs, 1e-30) ** m0
-    kappa = 1.0 + m0 - (0.1 if p_log else 0.0)
-    n_trunc = max(int(2 * a_abs) + 16, 64)
-    while True:
-        # log growth of |Z| along the tail: |log y| at the truncation point,
-        # plus log(n/N)^p <= 4^p (n/N)^0.1 charged to the exponent discount
-        log_factor = 1.0 + abs(math.log(a_abs / n_trunc)) ** p_log + \
-            (4.0 ** p_log if p_log else 0.0)
-        tail = bound_const * log_factor * _divisor_tail(m_div, kappa, n_trunc)
-        if tail < tol / 2.0:
-            break
-        if n_trunc >= n_max:
-            raise ConvergenceError(
-                f"l_series slow convergence: certified remainder {tail:.2e} > {tol / 2:g} "
-                f"at N = {n_max} (leading kernel exponent {m0})")
-        n_trunc = min(2 * n_trunc, n_max)
+    # N0 and M are fixed before summing.  Each tail order m below carries
+    # alpha^m (D - head) with D ~ 1 exact to rounding, while the true
+    # difference is about N0^{-m} (1 + log N0)^{k(r1+r2)}: M is the last m at
+    # which that still exceeds eps.  Further orders (and a stop rule on term
+    # size) would only add alpha^m-weighted rounding noise.
+    n0 = max(64, math.ceil(100.0 * a_abs))
+    log_n0 = math.log(n0)
+    n_logs = kr1 + kr2          # highest pole order of the kernel's gamma factors
+    m_top = 1
+    while float(n0) ** -(m_top + 1) * (1.0 + log_n0) ** n_logs >= _EPS:
+        m_top += 1
+    derivs = [_inverse_zeta_derivatives(field, k, m, n_logs) for m in range(1, m_top + 1)]
 
-    table = fields.moebius_coeffs(field, k, n_trunc)
-    mu = table.values
-    total = 0.0 + 0.0j
+    mu = fields.moebius_coeffs(field, k, n0).values[1:].astype(float)
+    ns = np.arange(1.0, n0 + 1.0)
+    head_terms = np.zeros(n0, dtype=complex)
+    quad_error = 0.0
     # large kernel arguments one by one through the quadrature route
-    n_quad = min(int(a_abs / 0.5) + 1, n_trunc)
+    # Z = Z~ - R0, whose node-doubling check holds Z~ to 1e-11 relative
+    n_quad = min(int(a_abs / 0.5) + 1, n0)
+    r0 = steen._r0_polynomial(kr1, kr2)
     for n in range(1, n_quad + 1):
-        if mu[n]:
-            total += (mu[n] / n) * steen.z_shifted(kr1, kr2, alpha / n, route="subtract",
-                                                   tol=1e-13)
-    # the rest via the vectorized ascending expansion, blocked by magnitude
-    if n_quad < n_trunc:
-        ns = np.nonzero(mu[n_quad + 1:n_trunc + 1])[0] + n_quad + 1
-        if len(ns):
-            ys = alpha / ns
-            big = np.abs(ys) > 0.05
-            for mask in (big, ~big):
-                if np.any(mask):
-                    zs = steen.z_small_series_many(kr1, kr2, ys[mask], tol=1e-15)
-                    total += complex(np.sum(mu[ns[mask]] / ns[mask] * zs))
+        if mu[n - 1]:
+            y = alpha / n
+            z = steen.z_shifted(kr1, kr2, y, route="subtract", tol=1e-13)
+            head_terms[n - 1] = (mu[n - 1] / n) * z
+            quad_error += 1e-11 * abs(mu[n - 1] / n * (z + r0(y)))
+    # the rest of the head via the vectorized ascending expansion, blocked by magnitude
+    rest = np.nonzero(mu[n_quad:])[0] + n_quad
+    ys = alpha / ns[rest]
+    big = np.abs(ys) > 0.05
+    for mask in (big, ~big):
+        if np.any(mask):
+            idx = rest[mask]
+            head_terms[idx] = mu[idx] / ns[idx] * steen.z_small_series_many(
+                kr1, kr2, ys[mask], tol=1e-15)
+
+    # tail n > N0: Z(y) = sum_m y^m P_m(log y) turns it into
+    # sum_m alpha^m sum_i b_{m,i} T_{m,i}, T_{m,i} = sum_{n > N0} mu(n) (-log n)^i n^{-1-m}
+    log_n = np.log(ns)
+    tail = 0.0 + 0.0j
+    tail_abs = 0.0
+    for m in range(1, m_top + 1):
+        poly = steen._left_pole_polynomial(kr1, kr2, m)
+        if poly.degree == 0 and poly.coeffs[0] == 0:
+            continue
+        # |zeta_F(s)^-k| <= zeta(Re s)^{dk} <= (Re s / (Re s - 1))^{dk} on the extraction circle
+        ring_max = ((m + 0.5) / (m - 0.5)) ** (d * k)
+        partial = mu * ns ** (-1.0 - m)
+        for i, b in enumerate(_recentred_coeffs(poly, log_alpha)):
+            weight = alpha ** m * b
+            tail += weight * (derivs[m - 1][i] - np.sum(partial))
+            tail_abs += abs(weight) * (math.factorial(i) * 2.0 ** i * ring_max
+                                       + float(np.sum(np.abs(partial))))
+            partial = partial * -log_n
+
+    # truncation after m = M, with |mu_{F,k}(n)| <= d_{dk}(n) and, for n > N0,
+    # L = log N0, a = (i+1)/L < m (Rankin):
+    #   sum_{n>N0} d_{dk}(n) (log n)^i n^{-1-m}
+    #     <= N0^{a-m} max_t t^i e^{-i t/L} zeta(1 + 1/L)^{dk} <= e N0^{-m} L^i (1 + L)^{dk}.
+    # The P_m coefficients fall factorially and |alpha|/N0 <= 1/100, so four
+    # more orders, doubled, majorize the rest.
+    truncation = 0.0
+    for m in range(m_top + 1, m_top + 5):
+        poly = steen._left_pole_polynomial(kr1, kr2, m)
+        for i, b in enumerate(_recentred_coeffs(poly, log_alpha)):
+            if (i + 1) / log_n0 >= m:
+                truncation = math.inf
+                continue
+            truncation += abs(alpha ** m * b) * math.e * n0 ** (-m) * log_n0 ** i \
+                * (1.0 + log_n0) ** (d * k)
+    bound = 2.0 * truncation + quad_error \
+        + 64.0 * _EPS * (float(np.sum(np.abs(head_terms))) + tail_abs)
+    return complex(np.sum(head_terms)) + tail, n0, bound
+
+
+def l_series(field, k, x, tol=1e-7, _details=False):
+    """L_{F,-k}(x) = sum_n (mu_{F,k}(n)/n) Z_{k r1, k r2}(scale * sqrt(x) / n).
+
+    Head plus exact tail: n <= N0 = max(64, ceil(100 |alpha|)) is summed
+    term by term (alpha = scale * sqrt(x)); for n > N0 the ascending
+    expansion of Z turns the tail into Taylor data of 1/zeta_F^k at
+    s = 1 + m, m = 1..M, less their head partial sums, with M the largest
+    m (at least 1) such that N0^{-m} (1 + log N0)^{k(r1+r2)} >= 2^-52.  The
+    sum always runs to rounding level; `tol` only bounds the certified
+    remainder (truncation plus rounding), and a bound above tol/2 raises
+    ConvergenceError.  Needs an abelian field (UnsupportedFieldError
+    otherwise).  With `_details`, returns (value, N0, bound).
+    """
+    value, n0, bound = _l_series_parts(field, k, x)
+    if bound > tol / 2.0:
+        raise ConvergenceError(
+            f"l_series certified remainder {bound:.2e} > {tol / 2:g} at N0 = {n0}")
     if _details:
-        return total, n_trunc, tail
-    return total
+        return value, n0, bound
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +380,6 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
 # Hardy-Littlewood-Ramanujan identity (F = Q, k = 1 in its classical variables)
 # ---------------------------------------------------------------------------
 
-def _smooth_weight(u):
-    """C^2 bump: 1 on [0, 1/2], quintic smoothstep down to 0 at 1."""
-    v = np.clip((np.asarray(u, dtype=float) - 0.5) * 2.0, 0.0, 1.0)
-    return 1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
-
-
-def smoothed_mu_exp_sum(x, n_smooth=1_000_000):
-    """sum mu(n)/n * exp(-x/n^2), Abel-stabilized with a smooth cutoff at n_smooth."""
-    if x <= 0:
-        raise DomainError("needs x > 0")
-    mu = fields.moebius_coeffs(fields.builtin_field("Q"), 1, n_smooth).values
-    n = np.arange(1, n_smooth + 1, dtype=float)
-    w = _smooth_weight(n / n_smooth)
-    return float(np.sum(mu[1:] / n * np.exp(-x / (n * n)) * w))
-
-
 _zeta_prime_cache = {}
 
 
@@ -350,35 +390,53 @@ def _zeta_prime_at_zero(gamma):
     return _zeta_prime_cache[key]
 
 
-def hlr_zero_term(x, zeros):
-    """(1/(2 sqrt(pi))) sum over zero pairs of (pi/sqrt(x))^rho Gamma((1-rho)/2)/zeta'(rho)."""
+def _hlr_zero_sum(x, zeros):
+    """(zero term, magnitude of its last included pair); see hlr_zero_term."""
+    if len(zeros) == 0:
+        raise ValidationError("the HLR zero term needs a nonempty zero list")
     base = math.pi / math.sqrt(x)
     total = 0.0
+    last = 0.0
     for g in zeros.gammas:
         rho = 0.5 + 1j * g
         term = base ** rho * numerics.complex_gamma((1.0 - rho) / 2.0) / _zeta_prime_at_zero(g)
-        total += 2.0 * term.real
-    return total / (2.0 * math.sqrt(math.pi))
+        pair = 2.0 * term.real / (2.0 * math.sqrt(math.pi))
+        total += pair
+        last = abs(pair)
+    return total, last
 
 
-def hlr_check(x, zeros, tol=1e-4, n_smooth=1_000_000):
+def hlr_zero_term(x, zeros):
+    """(1/(2 sqrt(pi))) sum over zero pairs of (pi/sqrt(x))^rho Gamma((1-rho)/2)/zeta'(rho)."""
+    return _hlr_zero_sum(x, zeros)[0]
+
+
+def hlr_check(x, zeros, tol=1e-4):
     """Check Eq-style identity: sum mu(n)/n e^{-x/n^2} against its reflected form.
 
-    lhs is the smoothed exponential Moebius sum; rhs is sqrt(pi/x) times the
-    reflected sum minus the zero term.  At the symmetric point x = pi the two
-    exponential sums cancel termwise and the residual reduces to the zero
-    term's own numerics.
+    Both exponential Moebius sums are exact: since sum mu(n)/n = 0,
+    sum mu(n)/n e^{-y/n^2} = (1/2) L_{Q,-1}(y/pi), which l_series sums to
+    rounding level.  A certified remainder of the two sums above tol/4
+    raises ConvergenceError.  rhs is sqrt(pi/x) times the reflected sum minus
+    the zero term.  At the symmetric point x = pi the two exponential sums
+    cancel termwise and the residual reduces to the zero term's own numerics.
     """
     if x <= 0:
         raise DomainError("hlr_check needs x > 0")
-    lhs = smoothed_mu_exp_sum(x, n_smooth)
-    reflected = smoothed_mu_exp_sum(math.pi ** 2 / x, n_smooth)
-    zterm = hlr_zero_term(x, zeros)
-    rhs = math.sqrt(math.pi / x) * reflected - zterm
+    rational = fields.builtin_field("Q")
+    direct, _, bound = _l_series_parts(rational, 1, x / math.pi)
+    reflected, _, bound_reflected = _l_series_parts(rational, 1, math.pi / x)
+    budget = 0.5 * (bound + math.sqrt(math.pi / x) * bound_reflected)
+    if budget > tol / 4.0:
+        raise ConvergenceError(
+            f"hlr_check certified remainder {budget:.2e} > {tol / 4:g}")
+    lhs = 0.5 * direct.real
+    zterm, zero_tail = _hlr_zero_sum(x, zeros)
+    rhs = math.sqrt(math.pi / x) * 0.5 * reflected.real - zterm
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return InverseReport(x=complex(x), lhs=complex(lhs), rhs=complex(rhs),
                          rel_error=rel, zeros_used=len(zeros),
-                         zero_tail_estimate=0.0)
+                         zero_tail_estimate=zero_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +488,14 @@ def dedekind_zeta_prime(field, gamma):
 
 
 def _dgv_zero_sum(field, alpha, zeros):
-    """sum over pairs of R_rho(alpha) = alpha^rho Gamma-form / zeta_F'(rho)."""
+    """sum over pairs of R_rho(alpha) = alpha^rho Gamma-form / zeta_F'(rho).
+
+    Returns (sum, magnitude of the last included pair).
+    """
+    if len(zeros) == 0:
+        raise ValidationError("the DGV zero sum needs a nonempty zero list")
     total = 0.0
+    last = 0.0
     for g in zeros.gammas:
         rho = 0.5 + 1j * g
         gam = 1.0 + 0.0j
@@ -441,7 +505,8 @@ def _dgv_zero_sum(field, alpha, zeros):
             gam *= numerics.complex_gamma(1.0 - rho) ** field.r2
         term = alpha ** rho * gam / dedekind_zeta_prime(field, g)
         total += 2.0 * term.real
-    return total
+        last = abs(2.0 * term.real)
+    return total, last
 
 
 def dgv_check(field, x, zeros, tol=1e-5):
@@ -464,10 +529,13 @@ def dgv_check(field, x, zeros, tol=1e-5):
     lhs = math.sqrt(alpha) * l_series(field, 1, x, tol=inner) \
         - math.sqrt(beta) * l_series(field, 1, 1.0 / x, tol=inner)
     r0p = _dgv_r0_polynomial(field)
+    z_alpha, tail_alpha = _dgv_zero_sum(field, alpha, zeros)
+    z_beta, tail_beta = _dgv_zero_sum(field, beta, zeros)
     rhs = r0p(alpha) / math.sqrt(alpha) - r0p(beta) / math.sqrt(beta) \
-        + 0.5 * (_dgv_zero_sum(field, alpha, zeros) / math.sqrt(alpha)
-                 - _dgv_zero_sum(field, beta, zeros) / math.sqrt(beta))
+        + 0.5 * (z_alpha / math.sqrt(alpha) - z_beta / math.sqrt(beta))
     rhs = complex(rhs)
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return InverseReport(x=complex(x), lhs=complex(lhs), rhs=rhs, rel_error=rel,
-                         zeros_used=len(zeros), zero_tail_estimate=0.0)
+                         zeros_used=len(zeros),
+                         zero_tail_estimate=0.5 * max(tail_alpha / math.sqrt(alpha),
+                                                      tail_beta / math.sqrt(beta)))

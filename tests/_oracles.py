@@ -3,7 +3,8 @@
 Everything here avoids the package's own evaluation routes: the zeta values
 come from the globally convergent Hasse series, gamma from a direct integral
 plus recurrence, Bessel K from its cosh integral, coefficient tables from
-brute-force enumeration.  Slow and simple on purpose.
+brute-force enumeration, the exponential Moebius sum from a smoothed cutoff.
+Slow and simple on purpose.
 """
 
 import cmath
@@ -118,3 +119,32 @@ def finite_difference(f, s, h=1e-4, order=1):
     if order == 2:
         return (f(s + h) + f(s - h) - 2.0 * f(s)) / (h * h)
     raise ValueError("order must be 1 or 2")
+
+
+def _smooth_weight(u):
+    """C^2 bump: 1 on [0, 1/2], quintic smoothstep down to 0 at 1."""
+    v = np.clip((np.asarray(u, dtype=float) - 0.5) * 2.0, 0.0, 1.0)
+    return 1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
+
+
+def moebius_sieve(n_max):
+    """mu(0..n_max) by a prime sieve (mu(0) = 0)."""
+    mu = np.ones(n_max + 1, dtype=np.int64)
+    mu[0] = 0
+    composite = np.zeros(n_max + 1, dtype=bool)
+    for p in range(2, n_max + 1):
+        if composite[p]:
+            continue
+        composite[2 * p::p] = True
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
+
+
+def smoothed_mu_exp_sum(x, n_smooth=1_000_000):
+    """sum mu(n)/n * exp(-x/n^2), Abel-stabilized with a smooth cutoff at n_smooth
+    (about 1e-5 off at n_smooth = 10^6)."""
+    mu = moebius_sieve(n_smooth)
+    n = np.arange(1, n_smooth + 1, dtype=float)
+    w = _smooth_weight(n / n_smooth)
+    return float(np.sum(mu[1:] / n * np.exp(-x / (n * n)) * w))

@@ -31,6 +31,11 @@ def field_zeta5():
 
 
 @pytest.fixture(scope="session")
+def field_gauss():
+    return fields.builtin_field("gauss")
+
+
+@pytest.fixture(scope="session")
 def riemann_zeros_reference():
     """First 30 zeta zero ordinates from the checked-in reference file."""
     return inverse_theta.load_zeros(os.path.join(DATA_DIR, "riemann_zeros_30.txt"),
@@ -51,3 +56,19 @@ def scanned_zeros_sqrt5(field_sqrt5):
     result = critical_line.scan_zeros(field_sqrt5, 0.0, 50.0, 0.02)
     return inverse_theta.ZeroList(gammas=tuple(result.refined),
                                   source="scanned", field_label="Q(sqrt5)")
+
+
+@pytest.fixture(scope="session")
+def scanned_zeros_gauss(field_gauss):
+    """Zeros of zeta_{Q(i)} on [0, 40] from the scanner."""
+    result = critical_line.scan_zeros(field_gauss, 0.0, 40.0, 0.02)
+    return inverse_theta.ZeroList(gammas=tuple(result.refined),
+                                  source="scanned", field_label="Q(i)")
+
+
+@pytest.fixture(scope="session")
+def scanned_zeros_cubic7(field_cubic7):
+    """Zeros of the cubic field of conductor 7 on [0, 30] from the scanner."""
+    result = critical_line.scan_zeros(field_cubic7, 0.0, 30.0, 0.02)
+    return inverse_theta.ZeroList(gammas=tuple(result.refined),
+                                  source="scanned", field_label="cubic7")

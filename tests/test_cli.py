@@ -159,6 +159,23 @@ class TestPhiCheck:
         assert code == 0
 
 
+class TestSignedValues:
+    # a value such as -0.5,0.3 is no plain negative number, so argparse
+    # would take it for an option
+    @pytest.mark.parametrize("argv", [
+        ("theta-check", "--field", "sqrt5", "--x", "-0.5,0.3"),
+        ("phi-check", "--field", "sqrt5", "--z", "-0.25,0.1"),
+    ])
+    def test_space_form_equals_equals_form(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        joined = argv[:-2] + (f"{argv[-2]}={argv[-1]}",)
+        code_eq, out_eq, _ = run(capsys, *joined)
+        assert code_eq == 0
+        assert out == out_eq
+        assert len(rows_of(out)[1]) == 1
+
+
 class TestOutputDiscipline:
     def test_stdout_is_tsv_only(self, capsys, tmp_path):
         emitted = tmp_path / "e.zeros"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,34 @@ import pytest
 from zetatheta import fields as fd
 from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
-from zetatheta.errors import DomainError, ParseError, ValidationError
+from zetatheta.errors import (
+    ConvergenceError,
+    DomainError,
+    ParseError,
+    UnsupportedFieldError,
+    ValidationError,
+)
+
+from _oracles import moebius_sieve, smoothed_mu_exp_sum
+
+
+def _mu_exp_sum_30_digits(y, n_head=2000):
+    """S(y) = sum mu(n)/n e^{-y/n^2} to 30 digits: an n <= n_head head plus
+    the Taylor tail sum_j (-y)^j/j! (1/zeta(1+2j) - head), using sum mu(n)/n = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        mu = moebius_sieve(n_head)
+        terms = [(mpmath.mpf(n), int(mu[n])) for n in range(1, n_head + 1) if mu[n]]
+        total = mpmath.fsum(m / n * (mpmath.exp(-y / n ** 2) - 1) for n, m in terms)
+        j = 1
+        while True:
+            head = mpmath.fsum(m / n ** (1 + 2 * j) for n, m in terms)
+            term = (-y) ** j / mpmath.factorial(j) * (1 / mpmath.zeta(1 + 2 * j) - head)
+            total += term
+            if j > 3 and abs(term) < mpmath.mpf(10) ** -32:
+                return total
+            j += 1
 
 
 class TestZeroList:
@@ -68,7 +96,7 @@ class TestLSeries:
         x = 30.0
         val = iv.l_series(field_q, 1, x, tol=1e-6)
         assert abs(val) < 0.05
-        assert abs(val - 2.0 * iv.smoothed_mu_exp_sum(math.pi * x)) < 1e-4
+        assert abs(val - 2.0 * smoothed_mu_exp_sum(math.pi * x)) < 1e-4
 
     def test_sector(self, field_q):
         from zetatheta.errors import SectorError
@@ -79,6 +107,31 @@ class TestLSeries:
         a = iv.l_series(field_sqrt5, 1, 2.0, tol=1e-5)
         b = iv.l_series(field_sqrt5, 1, 2.0, tol=1e-7)
         assert abs(a - b) < 1e-5
+
+    # pi/0.277 is the reflected HLR point y = pi^2/0.277, where a stop rule
+    # on term size once summed the tail's rounding noise into a 2.2e-5 error
+    @pytest.mark.parametrize("x", [0.25, 1.0, 4.0, 11.3, math.pi / 0.277])
+    def test_mpmath_oracle(self, field_q, x):
+        # L_{Q,-1}(x) = 2 sum mu(n)/n e^{-pi x/n^2}
+        ref = 2 * _mu_exp_sum_30_digits(math.pi * x)
+        val = iv.l_series(field_q, 1, x)
+        assert abs(val - complex(ref)) < 1e-12
+
+    def test_tol_bounds_remainder_only(self, field_q):
+        # tol never changes the sum; it only caps the certified remainder
+        val, n0, bound = iv.l_series(field_q, 2, 3.0, tol=1e-5, _details=True)
+        assert n0 == max(64, math.ceil(100 * math.pi * math.sqrt(3.0)))
+        assert 0 < bound < 1e-8
+        assert iv.l_series(field_q, 2, 3.0, tol=1e-9) == val
+        with pytest.raises(ConvergenceError):
+            iv.l_series(field_q, 2, 3.0, tol=bound)
+
+    def test_coefficient_file_field(self, tmp_path):
+        p = tmp_path / "q.coeffs"
+        p.write_text("".join(f"{n} 1\n" for n in range(1, 201)))
+        field = fd.make_field_from_coeffs(p, 1, 0, 1, label="Q-file")
+        with pytest.raises(UnsupportedFieldError):
+            iv.l_series(field, 1, 2.0)
 
 
 class TestR0Inverse:
@@ -172,6 +225,26 @@ class TestCheckInverseTheta:
         rep = iv.check_inverse_theta(field_sqrt5, 1, 2.0, scanned_zeros_sqrt5)
         assert rep.rel_error < 1e-5
 
+    @pytest.mark.parametrize("field_name,k,zeros_name", [
+        ("gauss", 1, "scanned_zeros_gauss"),
+        ("cubic7", 1, "scanned_zeros_cubic7"),
+        ("sqrt5", 2, "scanned_zeros_sqrt5"),
+    ])
+    def test_exact_tail_fields(self, request, field_name, k, zeros_name):
+        # the term-by-term tail could not certify these below 1e-7 by N = 10^7
+        field = fd.builtin_field(field_name)
+        zeros = request.getfixturevalue(zeros_name)
+        for x in (0.5, 2.0):
+            rep = iv.check_inverse_theta(field, k, x, zeros)
+            assert rep.rel_error < 1e-6, (field_name, k, x)
+            assert 0 < rep.zero_tail_estimate < 1e-20
+
+    def test_rational_k2_time(self, field_q, riemann_zeros_reference):
+        start = time.perf_counter()
+        rep = iv.check_inverse_theta(field_q, 2, 2.0, riemann_zeros_reference)
+        assert time.perf_counter() - start < 0.5
+        assert rep.rel_error < 1e-5
+
     def test_zero_count_stability(self, field_q, riemann_zeros_reference):
         a = iv.check_inverse_theta(field_q, 1, 4.0, riemann_zeros_reference.head(15))
         b = iv.check_inverse_theta(field_q, 1, 4.0, riemann_zeros_reference)
@@ -195,12 +268,27 @@ class TestHLR:
         with pytest.raises(DomainError):
             iv.hlr_check(-1.0, riemann_zeros_reference)
 
+    def test_exact_sums(self, riemann_zeros_reference):
+        rep = iv.hlr_check(1.0, riemann_zeros_reference)
+        assert rep.residual < 1e-9
+        assert rep.zero_tail_estimate == abs(
+            iv.hlr_zero_term(1.0, iv.ZeroList(gammas=riemann_zeros_reference.gammas[-1:])))
+        with pytest.raises(ConvergenceError):
+            iv.hlr_check(1.0, riemann_zeros_reference, tol=1e-18)
+
+    def test_empty_zero_list(self, field_sqrt5):
+        # without zeros the zero term and its tail estimate would be a silent 0
+        with pytest.raises(ValidationError):
+            iv.hlr_check(2.0, iv.ZeroList(gammas=()))
+        with pytest.raises(ValidationError):
+            iv.dgv_check(field_sqrt5, 2.0, iv.ZeroList(gammas=()))
+
     def test_u_inverse_specialization(self, field_q, riemann_zeros_reference):
         # the remark's simplification: U_{Q,-1}(x) = 2 sum mu(n)/n e^{-pi x/n^2}
         # (+ half the zero sum), using sum mu(n)/n = 0
         x = 2.0
         u = iv.u_inverse(field_q, 1, x, riemann_zeros_reference, tol=1e-8)
-        smoothed = iv.smoothed_mu_exp_sum(math.pi * x)
+        smoothed = smoothed_mu_exp_sum(math.pi * x)
         zs, _ = iv.zero_sum(field_q, 1, x, riemann_zeros_reference)
         assert abs(u - (2.0 * smoothed + 0.5 * zs)) < 1e-4
 
@@ -213,6 +301,7 @@ class TestDGV:
     def test_quadratic(self, field_sqrt5, scanned_zeros_sqrt5):
         rep = iv.dgv_check(field_sqrt5, 4.0, scanned_zeros_sqrt5)
         assert rep.residual < 1e-5
+        assert 0 < rep.zero_tail_estimate < 1e-20
 
     def test_rational_matches_hlr_content(self, field_q, riemann_zeros_reference):
         rep = iv.dgv_check(field_q, 4.0, riemann_zeros_reference)
