@@ -11,7 +11,7 @@ import re
 import sys
 
 from . import critical_line, fields, inverse_theta, theta
-from .errors import ConvergenceError, ZetaThetaError
+from .errors import ConvergenceError, ValidationError, ZetaThetaError
 
 
 def _sci(v):
@@ -64,9 +64,11 @@ def _cmd_field_info(args):
 
 def _cmd_theta_check(args):
     F = _resolve_field(args.field)
+    points = [_parse_complex(xs) for xs in args.x]
+    if -1.0 in points and args.k != 1:
+        raise ValidationError(f"x = -1 (exact evaluation) needs k = 1, got k = {args.k}")
     rows, failed = [], False
-    for xs in args.x:
-        x = _parse_complex(xs)
+    for x in points:
         if x == -1.0:
             # boundary form: Re + Im of the kernel sum against 2^r1 C_F
             rep = theta.exact_eval_check(F, tol=args.tol)
@@ -165,7 +167,7 @@ def build_parser():
     q.add_argument("--field", required=True)
     q.add_argument("--k", type=int, default=1)
     q.add_argument("--x", action="append", required=True, metavar="RE[,IM]",
-                   help="evaluation point; -1 routes to the exact boundary evaluation")
+                   help="evaluation point; -1 routes to the exact boundary evaluation (k = 1)")
     q.add_argument("--tol", type=float, default=1e-8)
     q.set_defaults(func=_cmd_theta_check)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, theta
+from . import fields, numerics, theta
 from .errors import (
     ConvergenceError,
     LostBracketError,
@@ -158,13 +158,7 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
         T = (math.log(1.0 / tol) + 25.0) / rate
 
     def lhs_sum(nodes_per_panel):
-        panels = max(10, int(T / 1.5))
-        edges = np.linspace(0.0, T, panels + 1)
-        xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
+        t, w = numerics._panel_nodes(0.0, T, max(10, int(T / 1.5)), nodes_per_panel)
         s = 0.5 + 1j * t
         xi = 0.5 * s * (s - 1.0) * fields.omega_many(field, s)
         integrand = xi / (t * t + 0.25) * np.cos(z * t)

@@ -343,17 +343,12 @@ _BUILTIN_FIELDS = {
         [principal_character(), kronecker_character(-4)], label="Q(i)"),
 }
 
-_field_instances = {}
-
-
 def builtin_field(name):
     """Named test fields: Q, sqrt5, cubic7, zeta5, gauss."""
     if name not in _BUILTIN_FIELDS:
         raise ValidationError(f"unknown builtin field {name!r}; "
                               f"choices: {sorted(_BUILTIN_FIELDS)}")
-    if name not in _field_instances:
-        _field_instances[name] = _BUILTIN_FIELDS[name]()
-    return _field_instances[name]
+    return numerics.memo(("builtin_field", name), _BUILTIN_FIELDS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +420,6 @@ def dirichlet_inverse(a):
     return inv
 
 
-_coeff_cache = {}
-
-
 def ideal_coeffs(field, n_max):
     """a_F(n) for n <= n_max: the number of integral ideals of norm n.
 
@@ -435,9 +427,11 @@ def ideal_coeffs(field, n_max):
     value sequences; imaginary parts must cancel and real parts must land on
     integers (drift beyond 1e-6 raises RoundingDriftError).
     """
-    key = (field.cache_key, "a", 1, n_max)
-    if key in _coeff_cache:
-        return _coeff_cache[key]
+    return numerics.memo(("ideal_coeffs", field.cache_key, n_max),
+                         lambda: _ideal_table(field, n_max))
+
+
+def _ideal_table(field, n_max):
     if not field.is_abelian:
         if n_max >= len(field.coefficients):
             raise ValidationError("coefficient file shorter than requested bound")
@@ -456,52 +450,44 @@ def ideal_coeffs(field, n_max):
             raise RoundingDriftError("negative ideal count")
     if vals[1] != 1:
         raise ValidationError("a(1) != 1")
-    table = CoefficientTable(bound=n_max, values=vals, k=1, kind="forward")
-    _coeff_cache[key] = table
-    return table
+    return CoefficientTable(bound=n_max, values=vals, k=1, kind="forward")
 
 
 def power_coeffs(field, k, n_max):
     """a_{F,k}(n): k-fold Dirichlet self-convolution of a_F."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    key = (field.cache_key, "a", k, n_max)
-    if key in _coeff_cache:
-        return _coeff_cache[key]
-    base = ideal_coeffs(field, n_max).values
-    vals = base.copy()
-    for _ in range(k - 1):
-        vals = dirichlet_convolve(vals, base)
-    table = CoefficientTable(bound=n_max, values=vals, k=k, kind="forward")
-    _coeff_cache[key] = table
-    return table
+    if k == 1:
+        return ideal_coeffs(field, n_max)
+
+    def compute():
+        base = ideal_coeffs(field, n_max).values
+        vals = base
+        for _ in range(k - 1):
+            vals = dirichlet_convolve(vals, base)
+        return CoefficientTable(bound=n_max, values=vals, k=k, kind="forward")
+    return numerics.memo(("power_coeffs", field.cache_key, k, n_max), compute)
 
 
 def moebius_coeffs(field, k, n_max):
     """mu_{F,k}(n): the Dirichlet inverse of a_{F,k}, i.e. coefficients of 1/zeta_F^k."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    key = (field.cache_key, "mu", k, n_max)
-    if key in _coeff_cache:
-        return _coeff_cache[key]
-    vals = dirichlet_inverse(power_coeffs(field, k, n_max).values)
-    table = CoefficientTable(bound=n_max, values=vals, k=k, kind="inverse")
-    _coeff_cache[key] = table
-    return table
+    return numerics.memo(("moebius_coeffs", field.cache_key, k, n_max), lambda: CoefficientTable(
+        bound=n_max, values=dirichlet_inverse(power_coeffs(field, k, n_max).values),
+        k=k, kind="inverse"))
 
 
 # ---------------------------------------------------------------------------
 # field constants and completed-zeta prefactors
 # ---------------------------------------------------------------------------
 
-_constant_cache = {}
-
-
 def residue_constant(field):
     """H_F = lim_{s->1} (s-1) zeta_F(s) = prod over non-principal chi of L(1, chi)."""
-    key = (field.cache_key, "H")
-    if key in _constant_cache:
-        return _constant_cache[key]
+    return numerics.memo(("residue_constant", field.cache_key), lambda: _residue_constant(field))
+
+
+def _residue_constant(field):
     if not field.is_abelian:
         raise ValidationError("residue_constant needs an abelian field")
     h = 1 + 0j
@@ -513,15 +499,15 @@ def residue_constant(field):
     h = float(h.real)
     if h <= 0:
         raise SignCheckError(f"H_F must be positive, got {h}")
-    _constant_cache[key] = h
     return h
 
 
 def laurent_constant(field):
     """C_F = lim_{s->0} zeta_F(s)/s^r, extracted on a radius-0.25 contour; negative."""
-    key = (field.cache_key, "C")
-    if key in _constant_cache:
-        return _constant_cache[key]
+    return numerics.memo(("laurent_constant", field.cache_key), lambda: _laurent_constant(field))
+
+
+def _laurent_constant(field):
     if not field.is_abelian:
         raise ValidationError("laurent_constant needs an abelian field")
     r = field.unit_rank
@@ -536,8 +522,12 @@ def laurent_constant(field):
     c = float(c.real)
     if c >= 0:
         raise SignCheckError(f"C_F must be negative, got {c}")
-    _constant_cache[key] = c
     return c
+
+
+def kernel_scale(field, k=1):
+    """2^{k r2} pi^{k d/2} / D^{k/2}; the theta sums evaluate their kernels at scale * n * sqrt(x)."""
+    return 2.0 ** (k * field.r2) * math.pi ** (k * field.degree / 2.0) / field.disc ** (k / 2.0)
 
 
 def gamma_prefactor_many(field, s, k=1):

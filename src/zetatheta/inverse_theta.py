@@ -88,7 +88,6 @@ def write_zeros(path, zeros):
 # ---------------------------------------------------------------------------
 
 _EPS = 2.0 ** -52
-_taylor_cache = {}
 
 
 def _inverse_zeta_derivatives(field, k, m, count):
@@ -99,16 +98,15 @@ def _inverse_zeta_derivatives(field, k, m, count):
     nearest singularity (a zero of zeta_F, Re <= 1) lies at distance >= m from
     the centre, so the 128-point ring rule is exact to rounding.
     """
-    key = (field.cache_key, k, m, count)
-    if key not in _taylor_cache:
+    def compute():
         res = numerics.laurent_coefficients(
             lambda s: 1.0 / numerics.dedekind_zeta_many(s, field) ** k,
             1.0 + m, 0.5, count=count, lowest=0)
         if not res.converged:
             raise ConvergenceError(
                 f"Taylor data of 1/zeta_F^{k} at s = {1 + m} did not converge")
-        _taylor_cache[key] = res.coeffs * np.array([math.factorial(i) for i in range(count)])
-    return _taylor_cache[key]
+        return res.coeffs * np.array([math.factorial(i) for i in range(count)])
+    return numerics.memo(("inverse_zeta_taylor", field.cache_key, k, m, count), compute)
 
 
 def _recentred_coeffs(poly, log_alpha):
@@ -127,8 +125,7 @@ def _l_series_parts(field, k, x):
     if abs(cmath.phase(x)) >= math.pi * d / 2.0 - 0.2:
         raise SectorError("x outside the theta sector")
     kr1, kr2 = k * field.r1, k * field.r2
-    scale = 2.0 ** kr2 * math.pi ** (k * d / 2.0) / field.disc ** (k / 2.0)
-    alpha = scale * cmath.sqrt(x)
+    alpha = fields.kernel_scale(field, k) * cmath.sqrt(x)
     a_abs = abs(alpha)
     log_alpha = cmath.log(alpha)
 
@@ -234,25 +231,10 @@ def l_series(field, k, x, tol=1e-7, _details=False):
 # residues of Lambda^k at s = 0, s = 1 and at the zeros
 # ---------------------------------------------------------------------------
 
-_r0_inv_cache = {}
-
-
 def r0_inverse_polynomial(field, k):
     """LogPolynomial P with Res_{s=0}[Lambda_F^k(s) x^{-s/2}] = P(log x); zero when r = 0."""
-    key = (field.cache_key, k)
-    if key not in _r0_inv_cache:
-        kr = k * field.unit_rank
-        if kr == 0:
-            poly = numerics.LogPolynomial(coeffs=(0.0 + 0.0j,))
-        else:
-            res = numerics.laurent_coefficients(
-                lambda s: fields.lambda_many(field, s, k), 0.0, 0.25, count=kr)
-            if not res.converged:
-                raise ConvergenceError("inverse R_0 contour did not converge")
-            principal = [res.coefficient(-m) for m in range(1, kr + 1)]
-            poly = numerics.residue_log_polynomial(principal, scale=0.5)
-        _r0_inv_cache[key] = poly
-    return _r0_inv_cache[key]
+    return numerics.memo(("r0_inverse", field.cache_key, k), lambda: numerics.residue_polynomial(
+        lambda s: fields.lambda_many(field, s, k), 0.0, k * field.unit_rank, scale=0.5))
 
 
 def r0_inverse(field, k, x):
@@ -266,44 +248,35 @@ def r0_inverse(field, k, x):
 def r1_inverse(field, k, x):
     """Residue at s = 1 of Lambda_F^k(s) x^{-s/2}, by an independent contour at s = 1."""
     x = complex(x)
-    kr = k * field.unit_rank
-    if kr == 0:
-        return 0.0 + 0.0j
-    res = numerics.laurent_coefficients(
-        lambda s: fields.lambda_many(field, s, k), 1.0, 0.25, count=kr)
-    if not res.converged:
-        raise ConvergenceError("inverse R_1 contour did not converge")
-    principal = [res.coefficient(-m) for m in range(1, kr + 1)]
-    poly = numerics.residue_log_polynomial(principal, scale=0.5)
+    poly = numerics.residue_polynomial(
+        lambda s: fields.lambda_many(field, s, k), 1.0, k * field.unit_rank, scale=0.5)
     return poly(x) / cmath.sqrt(x)
 
 
-_rho_cache = {}
-
-
 def _lambda_principal_at_zero(field, k, gamma, radius=0.05):
-    """Principal part of Lambda_F^k at rho = 1/2 + i gamma, with simplicity diagnostic."""
-    key = (field.cache_key, k, round(float(gamma), 9))
-    if key in _rho_cache:
-        return _rho_cache[key]
-    rho = 0.5 + 1j * float(gamma)
-    res = numerics.laurent_coefficients(
-        lambda s: fields.lambda_many(field, s, k), rho, radius, count=k + 1)
-    if not res.converged:
-        raise ConvergenceError(f"residue contour at gamma = {gamma} did not converge")
-    deepest = abs(res.coefficient(-(k + 1))) * radius
-    lead = abs(res.coefficient(-k))
-    if lead < 1e-12 and deepest > 1e-12:
-        raise ZeroNotSimpleError(
-            f"extraction at gamma = {gamma} looks like a pole of order > {k}")
-    if deepest > 1e-6 * max(lead, 1e-30):
-        raise ZeroNotSimpleError(
-            f"zero at gamma = {gamma} fails the simplicity diagnostic "
-            f"(|c_-(k+1)| * r / |c_-k| = {deepest / max(lead, 1e-300):.2e})")
-    principal = [res.coefficient(-m) for m in range(1, k + 1)]
-    poly = numerics.residue_log_polynomial(principal, scale=0.5)
-    _rho_cache[key] = (rho, poly)
-    return _rho_cache[key]
+    """Principal part of Lambda_F^k at rho = 1/2 + i gamma, with simplicity diagnostic.
+
+    Its own extraction rather than residue_polynomial: the diagnostic reads
+    c_{-(k+1)}, one order below the principal part.
+    """
+    def compute():
+        rho = 0.5 + 1j * float(gamma)
+        res = numerics.laurent_coefficients(
+            lambda s: fields.lambda_many(field, s, k), rho, radius, count=k + 1)
+        if not res.converged:
+            raise ConvergenceError(f"residue contour at gamma = {gamma} did not converge")
+        deepest = abs(res.coefficient(-(k + 1))) * radius
+        lead = abs(res.coefficient(-k))
+        if lead < 1e-12 and deepest > 1e-12:
+            raise ZeroNotSimpleError(
+                f"extraction at gamma = {gamma} looks like a pole of order > {k}")
+        if deepest > 1e-6 * max(lead, 1e-30):
+            raise ZeroNotSimpleError(
+                f"zero at gamma = {gamma} fails the simplicity diagnostic "
+                f"(|c_-(k+1)| * r / |c_-k| = {deepest / max(lead, 1e-300):.2e})")
+        principal = [res.coefficient(-m) for m in range(1, k + 1)]
+        return rho, numerics.residue_log_polynomial(principal, scale=0.5)
+    return numerics.memo(("lambda_at_zero", field.cache_key, k, round(float(gamma), 9)), compute)
 
 
 def r_rho(field, k, x, gamma):
@@ -380,14 +353,9 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
 # Hardy-Littlewood-Ramanujan identity (F = Q, k = 1 in its classical variables)
 # ---------------------------------------------------------------------------
 
-_zeta_prime_cache = {}
-
-
 def _zeta_prime_at_zero(gamma):
-    key = round(float(gamma), 9)
-    if key not in _zeta_prime_cache:
-        _zeta_prime_cache[key] = numerics.zeta_derivative(0.5 + 1j * float(gamma), 1)
-    return _zeta_prime_cache[key]
+    return numerics.memo(("zeta_prime_at_zero", round(float(gamma), 9)),
+                         lambda: numerics.zeta_derivative(0.5 + 1j * float(gamma), 1))
 
 
 def _hlr_zero_sum(x, zeros):
@@ -443,48 +411,31 @@ def hlr_check(x, zeros, tol=1e-4):
 # Dixit-Gupta-Vatwani identity (quadratic fields and Q)
 # ---------------------------------------------------------------------------
 
-_dgv_r0_cache = {}
-
-
 def _dgv_r0_polynomial(field):
     """LogPolynomial P with R_0(alpha) = P(log alpha) in the DGV normalization."""
-    key = field.cache_key
-    if key not in _dgv_r0_cache:
-        r = field.unit_rank
-        if r == 0:
-            poly = numerics.LogPolynomial(coeffs=(0.0 + 0.0j,))
-        else:
-            def h(s):
-                out = np.ones_like(s)
-                if field.r1:
-                    out = out * numerics.gamma_many((1.0 - s) / 2.0) ** field.r1
-                if field.r2:
-                    out = out * numerics.gamma_many(1.0 - s) ** field.r2
-                return out / numerics.dedekind_zeta_many(s, field)
+    def h(s):
+        out = np.ones_like(s)
+        if field.r1:
+            out = out * numerics.gamma_many((1.0 - s) / 2.0) ** field.r1
+        if field.r2:
+            out = out * numerics.gamma_many(1.0 - s) ** field.r2
+        return out / numerics.dedekind_zeta_many(s, field)
 
-            res = numerics.laurent_coefficients(h, 0.0, 0.25, count=r)
-            if not res.converged:
-                raise ConvergenceError("DGV R_0 contour did not converge")
-            principal = [res.coefficient(-m) for m in range(1, r + 1)]
-            poly = numerics.residue_log_polynomial(principal, scale=-1.0)
-        _dgv_r0_cache[key] = poly
-    return _dgv_r0_cache[key]
-
-
-_field_zeta_prime_cache = {}
+    return numerics.memo(("dgv_r0", field.cache_key), lambda: numerics.residue_polynomial(
+        h, 0.0, field.unit_rank, scale=-1.0))
 
 
 def dedekind_zeta_prime(field, gamma):
     """zeta_F'(1/2 + i gamma) by Taylor-coefficient extraction on a small circle."""
-    key = (field.cache_key, round(float(gamma), 9))
-    if key not in _field_zeta_prime_cache:
+    def compute():
         res = numerics.laurent_coefficients(
             lambda s: numerics.dedekind_zeta_many(s, field),
             0.5 + 1j * float(gamma), 0.05, count=1, lowest=1)
         if not res.converged:
             raise ConvergenceError("zeta_F' contour did not converge")
-        _field_zeta_prime_cache[key] = res.coefficient(1)
-    return _field_zeta_prime_cache[key]
+        return res.coefficient(1)
+    return numerics.memo(("dedekind_zeta_prime", field.cache_key, round(float(gamma), 9)),
+                         compute)
 
 
 def _dgv_zero_sum(field, alpha, zeros):
@@ -521,8 +472,7 @@ def dgv_check(field, x, zeros, tol=1e-5):
     x = float(x)
     if x <= 0:
         raise DomainError("dgv_check needs x > 0")
-    d = field.degree
-    scale = 2.0 ** field.r2 * math.pi ** (d / 2.0) / math.sqrt(field.disc)
+    scale = fields.kernel_scale(field)
     alpha = scale * math.sqrt(x)
     beta = scale / math.sqrt(x)
     inner = min(tol * 0.25, 1e-7)

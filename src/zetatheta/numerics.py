@@ -2,11 +2,12 @@
 
 Gamma and log-gamma (Lanczos), Hurwitz zeta (Euler-Maclaurin), Dirichlet L,
 Dedekind zeta, Bessel K, vertical-line quadrature and contour-based Laurent
-coefficient extraction.  Everything downstream (kernels, theta sums, zero
-scans) is built on the operations in this module.
+coefficient extraction, residue polynomials, and the package's one memo.
+Everything downstream (kernels, theta sums, zero scans) is built on the
+operations in this module.
 
-All functions are pure; vectorized variants take numpy arrays and are safe to
-call concurrently.
+All functions but `memo` are pure; vectorized variants take numpy arrays and
+are safe to call concurrently.
 """
 
 from dataclasses import dataclass
@@ -459,3 +460,39 @@ def residue_log_polynomial(principal, scale):
     for j in range(len(principal)):
         coeffs.append(principal[j] * (-scale) ** j / math.factorial(j))
     return LogPolynomial(coeffs=tuple(coeffs))
+
+
+def residue_polynomial(f, s0, order, scale, radius=0.25):
+    """Residue of f(s) * exp(-scale*(s-s0)*log x) at a pole of f of `order` at s0.
+
+    The principal part is extracted on a circle of `radius` about s0
+    (ConvergenceError if the extraction does not converge) and turned into a
+    LogPolynomial by residue_log_polynomial; order 0 gives the zero polynomial.
+    """
+    if order == 0:
+        return LogPolynomial(coeffs=(0.0 + 0.0j,))
+    res = laurent_coefficients(f, s0, radius, count=order)
+    if not res.converged:
+        raise ConvergenceError(f"principal part at s = {s0} did not converge")
+    return residue_log_polynomial([res.coefficient(-m) for m in range(1, order + 1)], scale)
+
+
+# ---------------------------------------------------------------------------
+# one memo for every derived quantity that is computed once per key
+# ---------------------------------------------------------------------------
+
+_MEMO = {}
+
+
+def memo(key, compute):
+    """compute() on the first call with `key`, the stored value after that.
+
+    key[0] names the quantity, the rest identifies it (usually starting with
+    field.cache_key).  If compute raises, nothing is stored.  There is no
+    size bound: the entries (fields, coefficient tables, constants, residue
+    polynomials) grow only with the distinct fields, orders, table sizes and
+    zeros a process asks for.
+    """
+    if key not in _MEMO:
+        _MEMO[key] = compute()
+    return _MEMO[key]

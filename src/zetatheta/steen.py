@@ -31,28 +31,35 @@ def _sector_rate(r1, r2, arg_x, margin=0.1):
     return rate
 
 
-def _refined_line_integral(f, c, T, panels, max_doublings=3):
-    """line_integral with panel doubling until the node-doubling check passes."""
-    res = numerics.line_integral(f, numerics.QuadratureSpec(
-        abscissa=c, half_height=T, panel_count=panels, nodes_per_panel=24))
-    for _ in range(max_doublings):
+def _mellin_barnes(f, c, log_x, n_gamma, rate, tol, t_offset=0.0):
+    """(1/2 pi i) int_(c) f(s) ds for an integrand of n_gamma gamma factors times x^{-s}.
+
+    The window |Im s| <= T runs until the integrand, decaying like
+    e^{-rate |Im s|}, is below tol, measured from c0 = max(c, 0) and widened
+    by `t_offset` when the integrand's mass sits off the real axis (complex
+    x).  The panel count comes from a phase estimate and is doubled up to
+    three times until the node-doubling check passes.
+    """
+    c0 = max(c, 0.0)
+    T = c0 + t_offset + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
+    freq = 0.5 * n_gamma * math.log(2.0 + c0 + T) + abs(log_x.imag) + abs(log_x.real)
+    panels = max(8, int(math.ceil(2.0 * T * freq / (2.0 * math.pi) / 6.0)))
+    for _ in range(4):
+        res = numerics.line_integral(f, numerics.QuadratureSpec(
+            abscissa=c, half_height=T, panel_count=panels, nodes_per_panel=24))
         if res.converged:
             break
         panels *= 2
-        res = numerics.line_integral(f, numerics.QuadratureSpec(
-            abscissa=c, half_height=T, panel_count=panels, nodes_per_panel=24))
     return res
 
 
-def _gamma_power_quadrature(r1, r2, log_x, c, rate, tol, t_offset=0.0):
-    """(1/2 pi i) int_(c) Gamma^r1(s/2) Gamma^r2(s) x^{-s} ds, c >= 2.
+def _gamma_power_integrand(r1, r2, log_x, c):
+    """s -> Gamma^r1(s/2) Gamma^r2(s) x^{-s} on the line Re(s) = c, for arrays of s.
 
-    Log-space integrand; panel count chosen from a phase estimate and then
-    verified by node doubling with panel escalation.  `t_offset` widens the
-    window when the integrand's mass sits off the real axis (complex x).
+    From c >= 1.1 on the product is assembled in log space, since single
+    gamma factors overflow long before the product does; at lower abscissae
+    the magnitudes are moderate and direct products are safe.
     """
-    T = c + t_offset + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
-
     if c >= 1.1:
         def f(s):
             lg = np.zeros_like(s)
@@ -62,20 +69,16 @@ def _gamma_power_quadrature(r1, r2, log_x, c, rate, tol, t_offset=0.0):
                 lg = lg + r2 * numerics.loggamma(s)
             lg = lg - s * log_x
             return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
-    else:
-        # low abscissa: magnitudes are moderate, direct products are safe
-        def f(s):
-            vals = np.exp(-s * log_x)
-            if r1:
-                vals = vals * numerics.gamma_many(s / 2.0) ** r1
-            if r2:
-                vals = vals * numerics.gamma_many(s) ** r2
-            return vals
+        return f
 
-    d = r1 + 2 * r2
-    freq = 0.5 * d * math.log(2.0 + c + T) + abs(log_x.imag) + abs(log_x.real)
-    panels = max(8, int(math.ceil(2.0 * T * freq / (2.0 * math.pi) / 6.0)))
-    return _refined_line_integral(f, c, T, panels)
+    def f(s):
+        vals = np.exp(-s * log_x)
+        if r1:
+            vals = vals * numerics.gamma_many(s / 2.0) ** r1
+        if r2:
+            vals = vals * numerics.gamma_many(s) ** r2
+        return vals
+    return f
 
 
 def steen_v(x, params, c=None, tol=1e-12):
@@ -100,7 +103,6 @@ def steen_v(x, params, c=None, tol=1e-12):
         c = max(c_min, 2.0, abs(x) ** (1.0 / n))
     elif c <= max(-a for a in params):
         raise DomainError("abscissa must lie right of every gamma pole")
-    T = c + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
 
     def f(s):
         lg = np.zeros_like(s)
@@ -109,9 +111,7 @@ def steen_v(x, params, c=None, tol=1e-12):
         lg = lg - s * log_x
         return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
 
-    freq = 0.5 * n * math.log(2.0 + c + T) + abs(log_x.imag) + abs(log_x.real)
-    panels = max(8, int(math.ceil(2.0 * T * freq / (2.0 * math.pi) / 6.0)))
-    return _refined_line_integral(f, c, T, panels).require("in steen_v")
+    return _mellin_barnes(f, c, log_x, n, rate, tol).require("in steen_v")
 
 
 def _saddle_point(r1, r2, x):
@@ -144,32 +144,19 @@ def z_tilde(r1, r2, x, c=None, tol=1e-12):
         c = min(max(2.0, saddle.real), 2000.0)
     elif c <= 0:
         raise DomainError("abscissa must be positive")
-    res = _gamma_power_quadrature(r1, r2, cmath.log(x), c, rate, tol,
-                                  t_offset=abs(saddle.imag))
-    return res.require("in z_tilde")
+    log_x = cmath.log(x)
+    return _mellin_barnes(_gamma_power_integrand(r1, r2, log_x, c), c, log_x, r1 + 2 * r2,
+                          rate, tol, t_offset=abs(saddle.imag)).require("in z_tilde")
 
 
-def gamma_power_principal_part(r1, r2, order=None):
-    """Principal-part coefficients [c_-1, c_-2, ...] of Gamma^r1(s/2) Gamma^r2(s) at s = 0."""
-    if order is None:
-        order = r1 + r2
-    res = numerics.laurent_coefficients(
-        lambda s: numerics.gamma_many(s / 2.0) ** r1 * numerics.gamma_many(s) ** r2,
-        0.0, 0.25, count=order)
-    if not res.converged:
-        raise ConvergenceError("gamma principal part extraction did not converge")
-    return [res.coefficient(-m) for m in range(1, order + 1)]
-
-
-_r0_poly_cache = {}
+def _gamma_power(r1, r2):
+    return lambda s: numerics.gamma_many(s / 2.0) ** r1 * numerics.gamma_many(s) ** r2
 
 
 def _r0_polynomial(r1, r2):
-    key = (r1, r2)
-    if key not in _r0_poly_cache:
-        principal = gamma_power_principal_part(r1, r2)
-        _r0_poly_cache[key] = numerics.residue_log_polynomial(principal, scale=1.0)
-    return _r0_poly_cache[key]
+    """LogPolynomial P with Res_{s=0}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = P(log x)."""
+    return numerics.memo(("gamma_power_r0", r1, r2), lambda: numerics.residue_polynomial(
+        _gamma_power(r1, r2), 0.0, r1 + r2, scale=1.0))
 
 
 def r0_gamma(r1, x):
@@ -210,47 +197,18 @@ def z_shifted(r1, r2, x, b=-0.5, route="auto", tol=1e-12):
         raise DomainError(f"unknown route {route!r}")
 
     log_x = cmath.log(x)
-
-    def f(s):
-        vals = np.ones_like(s)
-        if r1:
-            vals = vals * numerics.gamma_many(s / 2.0) ** r1
-        if r2:
-            vals = vals * numerics.gamma_many(s) ** r2
-        return vals * np.exp(-s * log_x)
-
-    T = (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
-    d = r1 + 2 * r2
-    freq = 0.5 * d * math.log(2.0 + T) + abs(log_x.imag) + abs(log_x.real)
-    panels = max(8, int(math.ceil(2.0 * T * freq / (2.0 * math.pi) / 6.0)))
-    return _refined_line_integral(f, b, T, panels).require("in z_shifted")
+    return _mellin_barnes(_gamma_power_integrand(r1, r2, log_x, b), b, log_x, r1 + 2 * r2,
+                          rate, tol).require("in z_shifted")
 
 
 # ---------------------------------------------------------------------------
 # ascending expansion of Z about x = 0 (residues at the left poles)
 # ---------------------------------------------------------------------------
 
-_left_pole_cache = {}
-
-
 def _left_pole_polynomial(r1, r2, m):
     """LogPolynomial P_m with Res_{s=-m}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = x^m P_m(log x)."""
-    key = (r1, r2, m)
-    if key in _left_pole_cache:
-        return _left_pole_cache[key]
-    order = r2 + (r1 if m % 2 == 0 else 0)
-    if order == 0:
-        poly = numerics.LogPolynomial(coeffs=(0.0 + 0.0j,))
-    else:
-        res = numerics.laurent_coefficients(
-            lambda s: numerics.gamma_many(s / 2.0) ** r1 * numerics.gamma_many(s) ** r2,
-            -float(m), 0.25, count=order)
-        if not res.converged:
-            raise ConvergenceError(f"left-pole extraction at s = -{m} did not converge")
-        principal = [res.coefficient(-j) for j in range(1, order + 1)]
-        poly = numerics.residue_log_polynomial(principal, scale=1.0)
-    _left_pole_cache[key] = poly
-    return poly
+    return numerics.memo(("gamma_power_left_pole", r1, r2, m), lambda: numerics.residue_polynomial(
+        _gamma_power(r1, r2), -float(m), r2 + (r1 if m % 2 == 0 else 0), scale=1.0))
 
 
 def z_small_series(r1, r2, x, tol=1e-14, m_max=80):
@@ -258,26 +216,14 @@ def z_small_series(r1, r2, x, tol=1e-14, m_max=80):
     x = complex(x)
     if x == 0:
         return 0.0 + 0.0j
-    logx = cmath.log(x)
-    total = 0.0 + 0.0j
-    small_run = 0
-    for m in range(1, m_max + 1):
-        poly = _left_pole_polynomial(r1, r2, m)
-        if poly.degree == 0 and poly.coeffs[0] == 0:
-            continue
-        term = x ** m * poly.eval_log(logx)
-        total += term
-        if abs(term) < tol * 0.01:
-            small_run += 1
-            if small_run >= 2:
-                return total
-        else:
-            small_run = 0
-    raise ConvergenceError(f"z_small_series needed more than {m_max} terms at |x| = {abs(x)}")
+    return complex(z_small_series_many(r1, r2, np.array([x]), tol=tol, m_max=m_max)[0])
 
 
 def z_small_series_many(r1, r2, xs, tol=1e-14, m_max=80):
-    """Vectorized z_small_series over an array of arguments with |x| <= ~1."""
+    """Vectorized z_small_series over an array of arguments with |x| <= ~1.
+
+    Stops after two consecutive orders whose largest term is below tol/100.
+    """
     xs = np.asarray(xs, dtype=complex)
     logx = np.log(xs)
     total = np.zeros_like(xs)
@@ -297,15 +243,13 @@ def z_small_series_many(r1, r2, xs, tol=1e-14, m_max=80):
                 return total
         else:
             small_run = 0
-    raise ConvergenceError("z_small_series_many did not converge")
+    raise ConvergenceError(f"z_small_series needed more than {m_max} terms "
+                           f"at |x| up to {float(np.max(np.abs(xs))):.3g}")
 
 
 # ---------------------------------------------------------------------------
 # tail bound for series truncation
 # ---------------------------------------------------------------------------
-
-_tail_const_cache = {}
-
 
 def _tail_shape(r1, r2, y):
     d = r1 + 2 * r2
@@ -314,19 +258,16 @@ def _tail_shape(r1, r2, y):
 
 def _tail_constant(r1, r2):
     """Calibrated constant: 4 * max over a log grid on [1, 50] of |Z~| / shape."""
-    key = (r1, r2)
-    if key in _tail_const_cache:
-        return _tail_const_cache[key]
-    worst = 0.0
-    for y in np.geomspace(1.0, 50.0, 30):
-        shape = _tail_shape(r1, r2, float(y))
-        if shape < 1e-300:
-            continue
-        ratio = abs(z_tilde(r1, r2, float(y), tol=1e-10)) / shape
-        worst = max(worst, ratio)
-    const = 4.0 * max(worst, 1e-3)
-    _tail_const_cache[key] = const
-    return const
+    def compute():
+        worst = 0.0
+        for y in np.geomspace(1.0, 50.0, 30):
+            shape = _tail_shape(r1, r2, float(y))
+            if shape < 1e-300:
+                continue
+            ratio = abs(z_tilde(r1, r2, float(y), tol=1e-10)) / shape
+            worst = max(worst, ratio)
+        return 4.0 * max(worst, 1e-3)
+    return numerics.memo(("z_tail_constant", r1, r2), compute)
 
 
 def z_tail_bound(r1, r2, y):

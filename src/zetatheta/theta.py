@@ -42,8 +42,7 @@ def _require_sector(field, x, margin=0.2):
 def _series_plan(field, k, x, tol, n_table_start=128, n_table_max=1 << 21):
     """Pick the truncation point and certified tail for the forward series."""
     kr1, kr2 = k * field.r1, k * field.r2
-    scale = 2.0 ** kr2 * math.pi ** (k * field.degree / 2.0) / field.disc ** (k / 2.0)
-    y1 = scale * cmath.sqrt(complex(x))
+    y1 = fields.kernel_scale(field, k) * cmath.sqrt(complex(x))
     arg_y = cmath.phase(y1)
     n_table = n_table_start
     while True:
@@ -78,8 +77,7 @@ def s_series(field, k, x, tol=1e-10, _details=False):
         raise DomainError("s_series undefined at x = 0")
     _require_sector(field, x)
     kr1, kr2 = k * field.r1, k * field.r2
-    scale = 2.0 ** kr2 * math.pi ** (k * field.degree / 2.0) / field.disc ** (k / 2.0)
-    y1 = scale * cmath.sqrt(x)
+    y1 = fields.kernel_scale(field, k) * cmath.sqrt(x)
     n_stop, table, tail = _series_plan(field, k, x, tol)
     total = 0.0 + 0.0j
     for n in range(1, n_stop + 1):
@@ -91,20 +89,10 @@ def s_series(field, k, x, tol=1e-10, _details=False):
     return total
 
 
-_r0_cache = {}
-
-
 def r0_theta_polynomial(field, k):
     """LogPolynomial P with Res_{s=0}[Omega_F^k(s) x^{-s/2}] = P(log x)."""
-    key = (field.cache_key, k)
-    if key not in _r0_cache:
-        res = numerics.laurent_coefficients(
-            lambda s: fields.omega_many(field, s, k), 0.0, 0.25, count=k)
-        if not res.converged:
-            raise ConvergenceError("R_0 contour did not converge")
-        principal = [res.coefficient(-m) for m in range(1, k + 1)]
-        _r0_cache[key] = numerics.residue_log_polynomial(principal, scale=0.5)
-    return _r0_cache[key]
+    return numerics.memo(("r0_theta", field.cache_key, k), lambda: numerics.residue_polynomial(
+        lambda s: fields.omega_many(field, s, k), 0.0, k, scale=0.5))
 
 
 def r0_theta(field, k, x):
@@ -115,21 +103,12 @@ def r0_theta(field, k, x):
     return r0_theta_polynomial(field, k)(x)
 
 
-_r1_cache = {}
-
-
 def r1_theta(field, k, x):
     """Residue at s = 1 of Omega_F^k(s) x^{-s/2}, by an independent contour at s = 1."""
     x = complex(x)
-    key = (field.cache_key, k)
-    if key not in _r1_cache:
-        res = numerics.laurent_coefficients(
-            lambda s: fields.omega_many(field, s, k), 1.0, 0.25, count=k)
-        if not res.converged:
-            raise ConvergenceError("R_1 contour did not converge")
-        principal = [res.coefficient(-m) for m in range(1, k + 1)]
-        _r1_cache[key] = numerics.residue_log_polynomial(principal, scale=0.5)
-    return _r1_cache[key](x) / cmath.sqrt(x)
+    poly = numerics.memo(("r1_theta", field.cache_key, k), lambda: numerics.residue_polynomial(
+        lambda s: fields.omega_many(field, s, k), 1.0, k, scale=0.5))
+    return poly(x) / cmath.sqrt(x)
 
 
 def w_theta(field, k, x, tol=1e-10):

@@ -82,6 +82,12 @@ class TestThetaCheck:
         assert rows[0][0] == "exact-eval"
         assert rows[0][6] == "boundary-form"
 
+    def test_exact_eval_needs_k1(self, capsys):
+        code, out, err = run(capsys, "theta-check", "--field", "cubic7", "--k", "2", "--x", "-1")
+        assert code == 2
+        assert out == ""
+        assert "needs k = 1" in err
+
     def test_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, "theta-check", "--field", "Q", "--x", "0")
         assert code == 2

@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from zetatheta import fields as fd
 from zetatheta import numerics as nx
 from zetatheta.errors import (
+    ConvergenceError,
     DomainError,
     PoleError,
     ValidationError,
@@ -363,3 +367,60 @@ class TestLogPolynomial:
         poly = nx.residue_log_polynomial([3.0, 1.0], scale=1.0)
         x = 2.0
         assert poly(x) == pytest.approx(3.0 - math.log(2.0))
+
+
+class TestResiduePolynomial:
+    def test_order_zero_is_zero_polynomial(self):
+        poly = nx.residue_polynomial(lambda s: 1.0 / s, 0.0, 0, scale=1.0)
+        assert poly.coeffs == (0.0 + 0.0j,)
+        assert poly(3.0) == 0
+
+    def test_gamma_squared_at_zero(self):
+        # Gamma(s)^2 = 1/s^2 - 2 gamma/s + ...: Res[Gamma(s)^2 x^{-s}] = -2 gamma - log x
+        poly = nx.residue_polynomial(lambda s: nx.gamma_many(s) ** 2, 0.0, 2, scale=1.0)
+        for x in (0.5, 2.0, 7.0):
+            assert poly(x) == pytest.approx(-2.0 * nx.EULER_GAMMA - math.log(x), abs=1e-12)
+
+    def test_pole_outside_circle_raises(self):
+        with pytest.raises(ConvergenceError):
+            nx.residue_polynomial(lambda s: 1.0 / (s - 0.2501), 0.0, 1, scale=1.0)
+
+
+class TestMemo:
+    def test_compute_runs_once_per_key(self):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return len(calls)
+
+        key = ("test_memo_once", object())
+        assert nx.memo(key, compute) == 1
+        assert nx.memo(key, compute) == 1
+        assert len(calls) == 1
+        assert nx.memo(("test_memo_once", object()), compute) == 2
+
+    def test_failed_compute_stores_nothing(self):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            raise ConvergenceError("no value")
+
+        key = ("test_memo_raise", object())
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                nx.memo(key, compute)
+        assert len(calls) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special is imported inside bessel_k only: importing the package
+    # must not pull scipy in (it would dominate the import time)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nx.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, zetatheta; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
