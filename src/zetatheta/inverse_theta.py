@@ -253,12 +253,14 @@ def r1_inverse(field, k, x):
     return poly(x) / cmath.sqrt(x)
 
 
-def _lambda_principal_at_zero(field, k, gamma, radius=0.05):
+def _lambda_principal_at_zero(field, k, gamma):
     """Principal part of Lambda_F^k at rho = 1/2 + i gamma, with simplicity diagnostic.
 
-    Its own extraction rather than residue_polynomial: the diagnostic reads
-    c_{-(k+1)}, one order below the principal part.
+    Its own extraction on a radius-0.05 circle rather than residue_polynomial:
+    the diagnostic reads c_{-(k+1)}, one order below the principal part.
     """
+    radius = 0.05
+
     def compute():
         rho = 0.5 + 1j * float(gamma)
         res = numerics.laurent_coefficients(

@@ -462,16 +462,16 @@ def residue_log_polynomial(principal, scale):
     return LogPolynomial(coeffs=tuple(coeffs))
 
 
-def residue_polynomial(f, s0, order, scale, radius=0.25):
+def residue_polynomial(f, s0, order, scale):
     """Residue of f(s) * exp(-scale*(s-s0)*log x) at a pole of f of `order` at s0.
 
-    The principal part is extracted on a circle of `radius` about s0
+    The principal part is extracted on a circle of radius 0.25 about s0
     (ConvergenceError if the extraction does not converge) and turned into a
     LogPolynomial by residue_log_polynomial; order 0 gives the zero polynomial.
     """
     if order == 0:
         return LogPolynomial(coeffs=(0.0 + 0.0j,))
-    res = laurent_coefficients(f, s0, radius, count=order)
+    res = laurent_coefficients(f, s0, 0.25, count=order)
     if not res.converged:
         raise ConvergenceError(f"principal part at s = {s0} did not converge")
     return residue_log_polynomial([res.coefficient(-m) for m in range(1, order + 1)], scale)

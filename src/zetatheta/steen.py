@@ -31,18 +31,21 @@ def _sector_rate(r1, r2, arg_x, margin=0.1):
     return rate
 
 
-def _mellin_barnes(f, c, log_x, n_gamma, rate, tol, t_offset=0.0):
-    """(1/2 pi i) int_(c) f(s) ds for an integrand of n_gamma gamma factors times x^{-s}.
+def _mellin_barnes(f, c, log_x, d, rate, tol, t_offset=0.0):
+    """(1/2 pi i) int_(c) f(s) ds for a gamma-product integrand f(s) times x^{-s}.
 
     The window |Im s| <= T runs until the integrand, decaying like
     e^{-rate |Im s|}, is below tol, measured from c0 = max(c, 0) and widened
     by `t_offset` when the integrand's mass sits off the real axis (complex
-    x).  The panel count comes from a phase estimate and is doubled up to
-    three times until the node-doubling check passes.
+    x).  The panel count comes from the phase estimate
+    freq = d/2 * log(2 + c0 + T) + |log x|_1, where d is the growth
+    coefficient of the gamma phase (the degree r1 + 2 r2 for the kernels,
+    the factor count n for steen_v); it is doubled up to three times until
+    the node-doubling check passes.
     """
     c0 = max(c, 0.0)
     T = c0 + t_offset + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
-    freq = 0.5 * n_gamma * math.log(2.0 + c0 + T) + abs(log_x.imag) + abs(log_x.real)
+    freq = 0.5 * d * math.log(2.0 + c0 + T) + abs(log_x.imag) + abs(log_x.real)
     panels = max(8, int(math.ceil(2.0 * T * freq / (2.0 * math.pi) / 6.0)))
     for _ in range(4):
         res = numerics.line_integral(f, numerics.QuadratureSpec(

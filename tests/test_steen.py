@@ -33,6 +33,11 @@ class TestSteenV:
         with pytest.raises(SectorError):
             st.steen_v(cmath.exp(1j * (math.pi / 2 - 0.01)), [0.0])
 
+    def test_abscissa_left_of_zero(self):
+        # V(x|5) = x^5 e^{-x}; a line left of 0 is allowed since the pole sits at -5
+        for c in [-3.0, -0.5]:
+            assert st.steen_v(2.0, [5.0], c=c) == pytest.approx(32.0 * math.exp(-2.0), rel=1e-12)
+
     def test_abscissa_guard(self):
         with pytest.raises(DomainError):
             st.steen_v(1.0, [-3.0], c=2.0)
