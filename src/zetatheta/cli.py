@@ -6,6 +6,7 @@ rows, 15-significant-digit scientific notation); diagnostics go to stderr.
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -30,12 +31,19 @@ def _resolve_field(spec_str):
             f"{spec_str!r} is neither a readable file nor a builtin field name")
 
 
+def _parse_real(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return v
+
+
 def _parse_complex(text):
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(_parse_real(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_parse_real(parts[0]), _parse_real(parts[1]))
     raise ValueError(f"expected re or re,im, got {text!r}")
 
 
@@ -43,7 +51,15 @@ def _parse_range(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected a,b, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _parse_real(parts[0]), _parse_real(parts[1])
+
+
+def _positive_float(text):
+    """argparse type of --tol and --step: a finite number > 0."""
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return v
 
 
 def _emit(columns, rows):
@@ -90,8 +106,7 @@ def _cmd_inverse_check(args):
     F = _resolve_field(args.field)
     zeros = inverse_theta.load_zeros(args.zeros)
     rows, failed = [], False
-    for xs in args.x:
-        x = _parse_complex(xs)
+    for x in [_parse_complex(xs) for xs in args.x]:
         rep = inverse_theta.check_inverse_theta(F, args.k, x, zeros, tol=args.tol)
         rows.append([_sci(x.real), _sci(x.imag), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
                      _sci(rep.rel_error), str(rep.zeros_used)])
@@ -103,8 +118,7 @@ def _cmd_inverse_check(args):
 def _cmd_hlr_check(args):
     zeros = inverse_theta.load_zeros(args.zeros)
     rows, failed = [], False
-    for xs in args.x:
-        x = float(xs)
+    for x in [_parse_real(xs) for xs in args.x]:
         rep = inverse_theta.hlr_check(x, zeros, tol=args.tol)
         rows.append([_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real),
                      _sci(rep.residual), str(rep.zeros_used)])
@@ -117,8 +131,7 @@ def _cmd_dgv_check(args):
     F = _resolve_field(args.field)
     zeros = inverse_theta.load_zeros(args.zeros)
     rows, failed = [], False
-    for xs in args.x:
-        x = float(xs)
+    for x in [_parse_real(xs) for xs in args.x]:
         rep = inverse_theta.dgv_check(F, x, zeros, tol=args.tol)
         rows.append([_sci(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
                      _sci(rep.residual), str(rep.zeros_used)])
@@ -142,8 +155,7 @@ def _cmd_zeros_scan(args):
 def _cmd_phi_check(args):
     F = _resolve_field(args.field)
     rows, failed = [], False
-    for zs in args.z:
-        z = _parse_complex(zs)
+    for z in [_parse_complex(zs) for zs in args.z]:
         rep = critical_line.phi_identity_check(F, z, tol=args.tol)
         rows.append([_sci(z.real), _sci(z.imag), _sci(rep.integral.real),
                      _sci(rep.theta_side.real), _sci(rep.residual)])
@@ -168,7 +180,7 @@ def build_parser():
     q.add_argument("--k", type=int, default=1)
     q.add_argument("--x", action="append", required=True, metavar="RE[,IM]",
                    help="evaluation point; -1 routes to the exact boundary evaluation (k = 1)")
-    q.add_argument("--tol", type=float, default=1e-8)
+    q.add_argument("--tol", type=_positive_float, default=1e-8)
     q.set_defaults(func=_cmd_theta_check)
 
     q = sub.add_parser("inverse-check", help="inverse theta relation U(1/x) = sqrt(x) U(x)")
@@ -176,13 +188,13 @@ def build_parser():
     q.add_argument("--k", type=int, default=1)
     q.add_argument("--x", action="append", required=True, metavar="RE[,IM]")
     q.add_argument("--zeros", required=True, help="zeros file (see zeros-scan --emit)")
-    q.add_argument("--tol", type=float, default=1e-5)
+    q.add_argument("--tol", type=_positive_float, default=1e-5)
     q.set_defaults(func=_cmd_inverse_check)
 
     q = sub.add_parser("hlr-check", help="Hardy-Littlewood-Ramanujan exponential identity")
     q.add_argument("--x", action="append", required=True)
     q.add_argument("--zeros", required=True)
-    q.add_argument("--tol", type=float, default=1e-4)
+    q.add_argument("--tol", type=_positive_float, default=1e-4)
     q.add_argument("--n-smooth", type=int, default=None,
                    help="deprecated; the sum is now exact")
     q.set_defaults(func=_cmd_hlr_check)
@@ -191,36 +203,37 @@ def build_parser():
     q.add_argument("--field", required=True)
     q.add_argument("--x", action="append", required=True)
     q.add_argument("--zeros", required=True)
-    q.add_argument("--tol", type=float, default=1e-5)
+    q.add_argument("--tol", type=_positive_float, default=1e-5)
     q.set_defaults(func=_cmd_dgv_check)
 
     q = sub.add_parser("zeros-scan", help="sign-change scan of Xi_F on the critical line")
     q.add_argument("--field", required=True)
     q.add_argument("--range", required=True, metavar="A,B")
-    q.add_argument("--step", type=float, default=0.02)
+    q.add_argument("--step", type=_positive_float, default=0.02)
     q.add_argument("--emit", help="write refined zeros to this file")
     q.set_defaults(func=_cmd_zeros_scan)
 
     q = sub.add_parser("phi-check", help="Phi integral identity between Xi and the theta side")
     q.add_argument("--field", required=True)
     q.add_argument("--z", action="append", required=True, metavar="RE[,IM]")
-    q.add_argument("--tol", type=float, default=1e-6)
+    q.add_argument("--tol", type=_positive_float, default=1e-6)
     q.set_defaults(func=_cmd_phi_check)
     return p
 
 
 def _attach_signed_values(argv):
-    """Rewrite `--x -0.5,0.3` as `--x=-0.5,0.3`.
+    """Rewrite `--x -0.5,0.3` as `--x=-0.5,0.3`, and likewise for every numeric option.
 
     argparse reads a separate token that starts with '-' and is not a plain
-    number (a complex `re,im` pair is not) as an option, not as a value.
+    number (a complex `re,im` pair is not, nor is `-inf`) as an option, not
+    as a value.
     """
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--x", "--z") and i + 1 < len(argv) \
-                and re.match(r"-[\d.]", argv[i + 1]):
+        if tok in ("--x", "--z", "--range", "--tol", "--step") and i + 1 < len(argv) \
+                and re.match(r"-([\d.]|inf|nan)", argv[i + 1], re.IGNORECASE):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -28,19 +28,21 @@ from .errors import (
 )
 
 
+def xi_many(field, s):
+    """xi_F(s) = (1/2) s (s-1) Omega_F(s) on an array of s; entire, symmetric under s -> 1-s."""
+    s = np.asarray(s, dtype=complex)
+    return 0.5 * s * (s - 1.0) * fields.omega_many(field, s)
+
+
 def xi_completed(field, s):
-    """xi_F(s) = (1/2) s (s-1) Omega_F(s); entire, symmetric under s -> 1-s."""
-    s = complex(s)
-    return 0.5 * s * (s - 1.0) * fields.omega(field, s)
+    """xi_F(s) at one point."""
+    return complex(xi_many(field, np.array([complex(s)]))[0])
 
 
 def _xi_rescaled_many(field, ts):
     """exp(pi d t / 4) * Xi_F(t) on an array of real t, with reality check."""
     ts = np.asarray(ts, dtype=float)
-    s = 0.5 + 1j * ts
-    vals = 0.5 * s * (s - 1.0) * fields.omega_many(field, s)
-    scale = np.exp(math.pi * field.degree * ts / 4.0)
-    vals = vals * scale
+    vals = xi_many(field, 0.5 + 1j * ts) * np.exp(math.pi * field.degree * ts / 4.0)
     bad = np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals.real))
     if np.any(bad):
         i = int(np.argmax(np.abs(vals.imag) / (1.0 + np.abs(vals.real))))
@@ -159,9 +161,7 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
 
     def lhs_sum(nodes_per_panel):
         t, w = numerics._panel_nodes(0.0, T, max(10, int(T / 1.5)), nodes_per_panel)
-        s = 0.5 + 1j * t
-        xi = 0.5 * s * (s - 1.0) * fields.omega_many(field, s)
-        integrand = xi / (t * t + 0.25) * np.cos(z * t)
+        integrand = xi_many(field, 0.5 + 1j * t) / (t * t + 0.25) * np.cos(z * t)
         return complex(np.sum(integrand * w))
 
     v1 = lhs_sum(16)

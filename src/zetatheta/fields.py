@@ -549,10 +549,6 @@ def omega_many(field, s, k=1):
     return gamma_prefactor_many(field, s, k) * numerics.dedekind_zeta_many(s, field) ** k
 
 
-def omega(field, s, k=1):
-    return complex(omega_many(field, np.array([complex(s)]), k)[0])
-
-
 def lambda_many(field, s, k=1):
     """Lambda_F(s)^k = [prefactor / zeta_F(1-s)]^k, vectorized."""
     s = np.asarray(s, dtype=complex)

@@ -83,20 +83,18 @@ def loggamma(z):
 
 
 def complex_gamma(s):
-    """Gamma(s) anywhere off the non-positive integers.
-
-    Reflection formula for Re(s) < 0.5, Lanczos otherwise.
-    """
+    """Gamma(s) anywhere off the non-positive integers: gamma_many at one point."""
     s = complex(s)
-    if s.real < 0.5:
-        if abs(s.imag) < 1e-12 and abs(s.real - round(s.real)) < 1e-12 and round(s.real) <= 0:
-            raise PoleError(f"gamma pole at s = {round(s.real)}")
-        return math.pi / (cmath.sin(math.pi * s) * complex_gamma(1.0 - s))
-    return cmath.exp(loggamma(s))
+    if s.real < 0.5 and abs(s.imag) < 1e-12 and abs(s.real - round(s.real)) < 1e-12:
+        raise PoleError(f"gamma pole at s = {round(s.real)}")
+    return complex(gamma_many(np.array([s]))[0])
 
 
 def gamma_many(s):
-    """Vectorized Gamma over an array with no entries at poles."""
+    """Vectorized Gamma over an array with no entries at poles.
+
+    Reflection formula for Re(s) < 0.5, Lanczos otherwise.
+    """
     s = np.asarray(s, dtype=complex)
     out = np.empty_like(s)
     right = s.real >= 0.5
@@ -122,7 +120,7 @@ def digamma_real(x):
     return acc + math.log(x) - 0.5 / x - tail
 
 
-def _hurwitz_core(s_arr, a, shift, depth):
+def _hurwitz_core(s_arr, a, shift):
     """Euler-Maclaurin evaluation of zeta_H(s, a) for 1-d arrays of s and a sharing one shift.
 
     Returns shape (len(a), len(s_arr)).
@@ -138,7 +136,7 @@ def _hurwitz_core(s_arr, a, shift, depth):
     poch = s_arr.copy()
     fac = 2.0
     power = bs / base
-    for j, b2j in enumerate(_BERNOULLI[:depth], start=1):
+    for j, b2j in enumerate(_BERNOULLI, start=1):
         total = total + (b2j / fac) * poch * power
         # update for next order: multiply pochhammer by (s+2j-1)(s+2j), factorial by (2j+1)(2j+2)
         poch = poch * (s_arr + (2 * j - 1)) * (s_arr + 2 * j)
@@ -152,7 +150,7 @@ def _hurwitz_core(s_arr, a, shift, depth):
 _HURWITZ_CHUNK_ELEMENTS = 2 ** 20
 
 
-def hurwitz_zeta_many(s, a, depth=12):
+def hurwitz_zeta_many(s, a):
     """Vectorized Hurwitz zeta over an array of s, for a scalar a in (0, 1] or a 1-d bank of them.
 
     A scalar a gives s.shape; a 1-d array a gives (len(a),) + s.shape.  All
@@ -165,8 +163,6 @@ def hurwitz_zeta_many(s, a, depth=12):
     bank = a_arr.reshape(-1)
     if a_arr.ndim > 1 or not np.all((bank > 0.0) & (bank <= 1.0)):
         raise DomainError("hurwitz_zeta requires a in (0, 1], as a scalar or a 1-d array")
-    if not 1 <= depth <= len(_BERNOULLI):
-        raise DomainError(f"Bernoulli depth must be in 1..{len(_BERNOULLI)}")
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("hurwitz zeta pole at s = 1")
     im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
@@ -178,23 +174,18 @@ def hurwitz_zeta_many(s, a, depth=12):
     out = np.empty((len(bank), len(flat)), dtype=complex)
     chunk = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(bank))))
     for lo in range(0, len(flat), chunk):
-        out[:, lo:lo + chunk] = _hurwitz_core(flat[lo:lo + chunk], bank, shift, depth)
+        out[:, lo:lo + chunk] = _hurwitz_core(flat[lo:lo + chunk], bank, shift)
     return out.reshape(a_arr.shape + s.shape)
 
 
-def hurwitz_zeta(s, a=1.0, depth=12):
+def hurwitz_zeta(s, a=1.0):
     """zeta_H(s, a) = sum_{n>=0} (n+a)^(-s), continued to all s != 1.
 
-    Euler-Maclaurin with configurable Bernoulli depth (default 12); the
-    summation shift grows with |Im s| so accuracy holds uniformly on
-    desk-scale strips (|Im s| <~ 100).
+    Euler-Maclaurin with the 12 Bernoulli terms B_2 .. B_24; the summation
+    shift grows with |Im s| so accuracy holds uniformly on desk-scale strips
+    (|Im s| <~ 100).
     """
-    return complex(hurwitz_zeta_many(np.array([complex(s)]), a, depth=depth)[0])
-
-
-def riemann_zeta(s):
-    """zeta(s) = zeta_H(s, 1)."""
-    return hurwitz_zeta(s, 1.0)
+    return complex(hurwitz_zeta_many(np.array([complex(s)]), a)[0])
 
 
 def _l_factors(s, characters):
@@ -317,11 +308,6 @@ class LineIntegralResult:
     doubling_delta: float
     converged: bool
 
-    def require(self, context=""):
-        if not self.converged:
-            raise ConvergenceError(f"line integral did not converge {context}".strip())
-        return self.value
-
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n):
@@ -370,7 +356,6 @@ def line_integral(f, spec):
 class LaurentResult:
     lowest: int
     coeffs: np.ndarray          # coeffs[i] multiplies (s - s0)**(lowest + i)
-    converged: bool
 
     def coefficient(self, power):
         return complex(self.coeffs[power - self.lowest])
@@ -399,7 +384,9 @@ def laurent_coefficients(f, s0, radius, count, lowest=None):
 
     Returns coefficients of (s-s0)**m for m = lowest .. lowest+count-1
     (default: the principal part c_{-count} .. c_{-1}).  Spectral accuracy is
-    certified by doubling the sample count from 64 to 128.
+    certified by doubling the sample count from 64 to 128: if that moves a
+    coefficient by more than 1e-11 of max(1, largest coefficient), it raises
+    ConvergenceError, so a returned result is a converged one.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -410,7 +397,11 @@ def laurent_coefficients(f, s0, radius, count, lowest=None):
     b = _laurent_pass(f, s0, radius, powers, 128)
     delta = float(np.max(np.abs(a - b)))
     scale = max(float(np.max(np.abs(b))), 1.0)
-    return LaurentResult(lowest=lowest, coeffs=b, converged=delta <= 1e-11 * scale)
+    if delta > 1e-11 * scale:
+        raise ConvergenceError(
+            f"Laurent coefficients about s0 = {s0} on radius {radius} did not converge: "
+            f"64 -> 128 samples moved them by {delta:.2e}")
+    return LaurentResult(lowest=lowest, coeffs=b)
 
 
 def zeta_derivative(s, order=1):
@@ -422,8 +413,6 @@ def zeta_derivative(s, order=1):
         raise PoleError("zeta_derivative too close to the pole at s = 1")
     res = laurent_coefficients(lambda z: hurwitz_zeta_many(z, 1.0), s, 0.05,
                                count=1, lowest=order)
-    if not res.converged:
-        raise ConvergenceError("zeta_derivative contour did not converge")
     return res.coefficient(order) * math.factorial(order)
 
 
@@ -466,14 +455,13 @@ def residue_polynomial(f, s0, order, scale):
     """Residue of f(s) * exp(-scale*(s-s0)*log x) at a pole of f of `order` at s0.
 
     The principal part is extracted on a circle of radius 0.25 about s0
-    (ConvergenceError if the extraction does not converge) and turned into a
-    LogPolynomial by residue_log_polynomial; order 0 gives the zero polynomial.
+    (laurent_coefficients raises if the extraction does not converge) and
+    turned into a LogPolynomial by residue_log_polynomial; order 0 gives the
+    zero polynomial.
     """
     if order == 0:
         return LogPolynomial(coeffs=(0.0 + 0.0j,))
     res = laurent_coefficients(f, s0, 0.25, count=order)
-    if not res.converged:
-        raise ConvergenceError(f"principal part at s = {s0} did not converge")
     return residue_log_polynomial([res.coefficient(-m) for m in range(1, order + 1)], scale)
 
 

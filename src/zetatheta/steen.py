@@ -20,11 +20,11 @@ from .errors import ConvergenceError, DomainError, SectorError
 _LOG_UNDERFLOW = -760.0
 
 
-def _sector_rate(r1, r2, arg_x, margin=0.1):
+def _sector_rate(r1, r2, arg_x):
     """Exponential decay rate of the integrand on a vertical line, with sector check."""
     d = r1 + 2 * r2
     rate = math.pi * d / 4.0 - abs(arg_x)
-    if rate < margin:
+    if rate < 0.1:
         raise SectorError(
             f"|Arg x| = {abs(arg_x):.4f} too close to the sector boundary "
             f"pi*{d}/4 = {math.pi * d / 4.0:.4f} for Z~_{{{r1},{r2}}}")
@@ -41,19 +41,20 @@ def _mellin_barnes(f, c, log_x, d, rate, tol, t_offset=0.0):
     freq = d/2 * log(2 + c0 + T) + |log x|_1, where d is the growth
     coefficient of the gamma phase (the degree r1 + 2 r2 for the kernels,
     the factor count n for steen_v); it is doubled up to three times until
-    the node-doubling check passes.
+    the node-doubling check passes, else ConvergenceError: the one verdict
+    on whether a Mellin-Barnes integral converged.
     """
     c0 = max(c, 0.0)
     T = c0 + t_offset + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
     freq = 0.5 * d * math.log(2.0 + c0 + T) + abs(log_x.imag) + abs(log_x.real)
     panels = max(8, int(math.ceil(2.0 * T * freq / (2.0 * math.pi) / 6.0)))
-    for _ in range(4):
+    for doubling in range(4):
         res = numerics.line_integral(f, numerics.QuadratureSpec(
-            abscissa=c, half_height=T, panel_count=panels, nodes_per_panel=24))
+            abscissa=c, half_height=T, panel_count=panels << doubling, nodes_per_panel=24))
         if res.converged:
-            break
-        panels *= 2
-    return res
+            return res.value
+    raise ConvergenceError(f"Mellin-Barnes integral on Re(s) = {c} did not converge with "
+                           f"{panels << 3} panels: node-doubling delta {res.doubling_delta:.2e}")
 
 
 def _gamma_power_integrand(r1, r2, log_x, c):
@@ -114,7 +115,7 @@ def steen_v(x, params, c=None, tol=1e-12):
         lg = lg - s * log_x
         return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
 
-    return _mellin_barnes(f, c, log_x, n, rate, tol).require("in steen_v")
+    return _mellin_barnes(f, c, log_x, n, rate, tol)
 
 
 def _saddle_point(r1, r2, x):
@@ -149,7 +150,7 @@ def z_tilde(r1, r2, x, c=None, tol=1e-12):
         raise DomainError("abscissa must be positive")
     log_x = cmath.log(x)
     return _mellin_barnes(_gamma_power_integrand(r1, r2, log_x, c), c, log_x, r1 + 2 * r2,
-                          rate, tol, t_offset=abs(saddle.imag)).require("in z_tilde")
+                          rate, tol, t_offset=abs(saddle.imag))
 
 
 def _gamma_power(r1, r2):
@@ -201,7 +202,7 @@ def z_shifted(r1, r2, x, b=-0.5, route="auto", tol=1e-12):
 
     log_x = cmath.log(x)
     return _mellin_barnes(_gamma_power_integrand(r1, r2, log_x, b), b, log_x, r1 + 2 * r2,
-                          rate, tol).require("in z_shifted")
+                          rate, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +215,25 @@ def _left_pole_polynomial(r1, r2, m):
         _gamma_power(r1, r2), -float(m), r2 + (r1 if m % 2 == 0 else 0), scale=1.0))
 
 
-def z_small_series(r1, r2, x, tol=1e-14, m_max=80):
+def z_small_series(r1, r2, x, tol=1e-14):
     """Z_{r1,r2}(x) for small |x| as sum_m x^m P_m(log x) over the left poles."""
     x = complex(x)
     if x == 0:
         return 0.0 + 0.0j
-    return complex(z_small_series_many(r1, r2, np.array([x]), tol=tol, m_max=m_max)[0])
+    return complex(z_small_series_many(r1, r2, np.array([x]), tol=tol)[0])
 
 
-def z_small_series_many(r1, r2, xs, tol=1e-14, m_max=80):
+def z_small_series_many(r1, r2, xs, tol=1e-14):
     """Vectorized z_small_series over an array of arguments with |x| <= ~1.
 
-    Stops after two consecutive orders whose largest term is below tol/100.
+    Stops after two consecutive orders whose largest term is below tol/100;
+    ConvergenceError if that takes more than 80 orders.
     """
     xs = np.asarray(xs, dtype=complex)
     logx = np.log(xs)
     total = np.zeros_like(xs)
     small_run = 0
+    m_max = 80
     for m in range(1, m_max + 1):
         poly = _left_pole_polynomial(r1, r2, m)
         if poly.degree == 0 and poly.coeffs[0] == 0:

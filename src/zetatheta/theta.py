@@ -32,19 +32,19 @@ class ThetaReport:
     converged: bool
 
 
-def _require_sector(field, x, margin=0.2):
+def _require_sector(field, x):
     d = field.degree
-    if abs(cmath.phase(complex(x))) >= math.pi * d / 2.0 - margin:
+    if abs(cmath.phase(complex(x))) >= math.pi * d / 2.0 - 0.2:
         raise SectorError(
-            f"|Arg x| must stay below pi*{d}/2 - {margin} for {field.label or 'field'}")
+            f"|Arg x| must stay below pi*{d}/2 - 0.2 for {field.label or 'field'}")
 
 
-def _series_plan(field, k, x, tol, n_table_start=128, n_table_max=1 << 21):
+def _series_plan(field, k, x, tol):
     """Pick the truncation point and certified tail for the forward series."""
     kr1, kr2 = k * field.r1, k * field.r2
     y1 = fields.kernel_scale(field, k) * cmath.sqrt(complex(x))
     arg_y = cmath.phase(y1)
-    n_table = n_table_start
+    n_table, n_table_max = 128, 1 << 21
     while True:
         table = fields.power_coeffs(field, k, n_table)
         vals = table.values[1:]

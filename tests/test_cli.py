@@ -4,6 +4,7 @@ import pytest
 
 from zetatheta import cli
 from zetatheta import inverse_theta as iv
+from zetatheta.errors import ValidationError
 
 SCI = re.compile(r"-?\d\.\d{14}e[+-]\d{2,3}$")
 
@@ -190,3 +191,55 @@ class TestOutputDiscipline:
         for line in out.strip().splitlines():
             assert "\t" in line
         assert "wrote" in err   # diagnostics on stderr
+
+
+class TestNonFiniteInput:
+    # each probe must be a usage error: exit 2, an `error:` line naming the
+    # value on stderr and nothing on stdout, never a traceback or exit 0/1
+    @pytest.mark.parametrize("argv, value", [
+        (("inverse-check", "--field", "Q", "--x", "4", "--tol", "nan"), "nan"),
+        (("hlr-check", "--x", "1", "--tol", "nan"), "nan"),
+        (("dgv-check", "--field", "Q", "--x", "4", "--tol", "nan"), "nan"),
+        (("dgv-check", "--field", "Q", "--x", "4", "--tol", "-inf"), "-inf"),
+        (("dgv-check", "--field", "Q", "--x", "4", "--tol", "0"), "0"),
+        (("theta-check", "--field", "Q", "--x", "nan"), "nan"),
+        (("theta-check", "--field", "Q", "--x", "2", "--x", "1,inf"), "inf"),
+        (("phi-check", "--field", "sqrt5", "--z", "nan"), "nan"),
+        (("dgv-check", "--field", "Q", "--x", "inf"), "inf"),
+        (("inverse-check", "--field", "Q", "--x", "nan"), "nan"),
+        (("hlr-check", "--x", "nan"), "nan"),
+        (("hlr-check", "--x", "-inf"), "-inf"),
+        (("zeros-scan", "--field", "Q", "--range", "0,inf"), "inf"),
+        (("zeros-scan", "--field", "Q", "--range", "0,30", "--step", "nan"), "nan"),
+        (("zeros-scan", "--field", "Q", "--range", "0,30", "--step", "-0.1"), "-0.1"),
+    ])
+    def test_rejected(self, capsys, zeros_file, argv, value):
+        if argv[0] in ("inverse-check", "hlr-check", "dgv-check"):
+            argv = argv + ("--zeros", zeros_file)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and repr(value) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_zeros_file_entry(self, capsys, tmp_path, entry):
+        p = tmp_path / "bad.zeros"
+        p.write_text(f"14.134725141735\n{entry}\n")
+        code, out, err = run(capsys, "hlr-check", "--x", "1", "--zeros", str(p))
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err and entry in err
+
+    def test_zero_list_rejects_non_finite(self):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                iv.ZeroList(gammas=(14.134725141735, bad))
+
+    def test_empty_zeros_file_message_is_neutral(self, capsys, tmp_path):
+        p = tmp_path / "empty.zeros"
+        p.write_text("# no zeros\n")
+        code, out, err = run(capsys, "hlr-check", "--x", "1", "--zeros", str(p))
+        assert code == 2
+        assert out == ""
+        assert "nonempty zero list" in err and "DGV" not in err

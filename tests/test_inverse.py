@@ -276,6 +276,18 @@ class TestHLR:
         with pytest.raises(ConvergenceError):
             iv.hlr_check(1.0, riemann_zeros_reference, tol=1e-18)
 
+    def test_zero_term_against_zeta_derivative(self, riemann_zeros_reference):
+        # the zero term reads zeta'(rho) from the DGV route (dedekind_zeta_prime
+        # of Q); this sum takes it from numerics.zeta_derivative instead
+        for x in (1.0, 3.7):
+            base = math.pi / math.sqrt(x)
+            ref = 0.0
+            for g in riemann_zeros_reference.gammas:
+                rho = 0.5 + 1j * g
+                term = base ** rho * nx.complex_gamma((1.0 - rho) / 2.0) / nx.zeta_derivative(rho)
+                ref += 2.0 * term.real / (2.0 * math.sqrt(math.pi))
+            assert abs(iv.hlr_zero_term(x, riemann_zeros_reference) - ref) <= 1e-13 * abs(ref)
+
     def test_empty_zero_list(self, field_sqrt5):
         # without zeros the zero term and its tail estimate would be a silent 0
         with pytest.raises(ValidationError):

@@ -1,0 +1,141 @@
+"""Snapshot of residuals and values, for diffing a refactor against its parent.
+
+Usage:
+
+    python tools/value_snapshot.py <src-dir> <out.json>
+    python tools/value_snapshot.py --diff <before.json> <after.json>
+
+The first form imports `zetatheta` from <src-dir> and writes every value as
+float hex (complex values as [re, im]), so two snapshots compare bit for bit.
+A value whose computation raises is recorded as the exception's type and
+message.  The second form lists each key whose value differs, with its
+relative change.  Zero lists come from this repository's `tests/data` and
+`perfbench/reference`, whichever source tree is imported.
+"""
+
+import json
+import math
+import os
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIELDS = ("Q", "sqrt5", "cubic7", "zeta5", "gauss")
+GAMMA_PAIRS = ((1, 0), (2, 0), (0, 1), (1, 1), (4, 0), (0, 2))
+
+
+def _hex(v):
+    v = complex(v)
+    return [v.real.hex(), v.imag.hex()]
+
+
+def _record(out, key, compute):
+    try:
+        value = compute()
+    except Exception as exc:   # recorded so that a new raise shows in the diff
+        out[key] = f"{type(exc).__name__}: {exc}"
+        return
+    if isinstance(value, tuple):
+        for i, v in enumerate(value):
+            out[f"{key}[{i}]"] = _hex(v)
+    else:
+        out[key] = _hex(value)
+
+
+def snapshot():
+    from zetatheta import critical_line as cl
+    from zetatheta import fields, inverse_theta as iv, numerics as nx, steen, theta
+
+    out = {}
+    zeros_q = iv.load_zeros(os.path.join(REPO, "tests", "data", "riemann_zeros_30.txt"))
+    zeros_sqrt5 = iv.load_zeros(os.path.join(REPO, "perfbench", "reference",
+                                              "sqrt5-inverse.zeros"))
+    for name in FIELDS:
+        F = fields.builtin_field(name)
+        _record(out, f"C_F/{name}", lambda: fields.laurent_constant(F))
+        _record(out, f"H_F/{name}", lambda: fields.residue_constant(F))
+        for k in (1, 2):
+            for x in (2.0, 0.7 + 0.3j):
+                _record(out, f"check_theta/{name}/k={k}/x={x}", lambda: (
+                    lambda r: (r.lhs, r.rhs))(theta.check_theta(F, k, x)))
+            _record(out, f"r1_theta/{name}/k={k}", lambda: theta.r1_theta(F, k, 1.7))
+        for t in (0.0, 3.5, 14.1):
+            _record(out, f"xi_completed/{name}/t={t}",
+                    lambda: cl.xi_completed(F, 0.5 + 1j * t))
+            _record(out, f"big_xi/{name}/t={t}", lambda: cl.big_xi(F, t))
+        _record(out, f"xi_completed/{name}/s=2+1i", lambda: cl.xi_completed(F, 2.0 + 1.0j))
+    for name in ("cubic7", "zeta5"):
+        _record(out, f"exact_eval_check/{name}", lambda: (
+            lambda r: (r.lhs, r.rhs))(theta.exact_eval_check(fields.builtin_field(name))))
+    for name, z in (("sqrt5", 0.5), ("cubic7", 0.25), ("Q", -0.3j), ("gauss", 0.0)):
+        _record(out, f"phi_identity_check/{name}/z={z}", lambda: (
+            lambda r: (r.integral, r.theta_side))(
+                cl.phi_identity_check(fields.builtin_field(name), z)))
+    for name, k, x, zeros in (("Q", 1, 4.0, zeros_q), ("Q", 2, 2.0, zeros_q),
+                              ("sqrt5", 1, 2.0, zeros_sqrt5)):
+        _record(out, f"check_inverse_theta/{name}/k={k}/x={x}", lambda: (
+            lambda r: (r.lhs, r.rhs))(
+                iv.check_inverse_theta(fields.builtin_field(name), k, x, zeros)))
+    for name, zeros in (("Q", zeros_q), ("sqrt5", zeros_sqrt5)):
+        _record(out, f"dgv_check/{name}/x=4", lambda: (lambda r: (r.lhs, r.rhs))(
+            iv.dgv_check(fields.builtin_field(name), 4.0, zeros)))
+    for x in (1.0, 3.0):
+        _record(out, f"hlr_check/x={x}", lambda: (lambda r: (r.lhs, r.rhs))(
+            iv.hlr_check(x, zeros_q)))
+    for x in (1.0, 3.7, math.pi):
+        _record(out, f"hlr_zero_term/x={x}", lambda: iv.hlr_zero_term(x, zeros_q))
+    for s in (0.25, 3.3 - 2.0j, -2.7 + 0.4j, -7.5, 0.5 + 30.0j):
+        _record(out, f"complex_gamma/s={s}", lambda: nx.complex_gamma(s))
+    for s, order in ((-2.0, 1), (0.0, 1), (3.0, 2), (0.5 + 14.134725141734693j, 1)):
+        _record(out, f"zeta_derivative/s={s}/order={order}",
+                lambda: nx.zeta_derivative(s, order))
+    for r1, r2 in GAMMA_PAIRS:
+        for x in (0.8, 3.0, 25.0, 2.0 + 1.5j):
+            _record(out, f"z_tilde/{r1},{r2}/x={x}", lambda: steen.z_tilde(r1, r2, x))
+        for x in (0.8, 3.0, 1.2 - 0.7j):
+            _record(out, f"z_shifted_direct/{r1},{r2}/x={x}",
+                    lambda: steen.z_shifted(r1, r2, x, route="direct"))
+    for x, params, c in ((2.0, (5.0,), None), (2.0, (5.0,), -3.0),
+                         (0.7, (1.0,), -0.5), (1.5, (2.0, 3.0), None)):
+        _record(out, f"steen_v/x={x}/a={params}/c={c}", lambda: steen.steen_v(x, params, c=c))
+    return out
+
+
+def diff(before, after):
+    """Lines naming each key that is missing on one side or whose value differs."""
+    lines = []
+    for key in sorted(set(before) | set(after)):
+        a, b = before.get(key), after.get(key)
+        if a == b:
+            continue
+        if isinstance(a, list) and isinstance(b, list):
+            va = complex(float.fromhex(a[0]), float.fromhex(a[1]))
+            vb = complex(float.fromhex(b[0]), float.fromhex(b[1]))
+            delta = abs(va - vb)
+            lines.append(f"{key}: abs {delta:.2e}, rel {delta / max(abs(va), 1e-300):.2e}")
+        else:
+            lines.append(f"{key}: {a!r} -> {b!r}")
+    return lines
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        with open(argv[1]) as fa, open(argv[2]) as fb:
+            before, after = json.load(fa), json.load(fb)
+        lines = diff(before, after)
+        print("\n".join(lines))
+        print(f"{len(after) - len(lines)} of {len(after)} values bit-identical")
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.abspath(argv[0]))
+    values = snapshot()
+    with open(argv[1], "w") as fh:
+        json.dump(values, fh, indent=0, sort_keys=True)
+    package = os.path.dirname(sys.modules["zetatheta"].__file__)
+    print(f"wrote {len(values)} values of {package} to {argv[1]}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
