@@ -99,7 +99,8 @@ def _inverse_zeta_derivatives(field, k, m, count):
     D_i = sum_n mu_{F,k}(n) (-log n)^i n^{-1-m}, read off Taylor coefficients
     on a radius-1/2 circle.  1/zeta_F^k is analytic on Re(s) > 1 and its
     nearest singularity (a zero of zeta_F, Re <= 1) lies at distance >= m from
-    the centre, so the 128-point ring rule is exact to rounding.
+    the centre, so the rule of laurent_coefficients' one 128-sample ring
+    (checked against its 64 even samples) is exact to rounding.
     """
     def compute():
         res = numerics.laurent_coefficients(
@@ -382,6 +383,8 @@ def hlr_check(x, zeros, tol=1e-4):
     """
     if x <= 0:
         raise DomainError("hlr_check needs x > 0")
+    if len(zeros) == 0:
+        raise ValidationError("the zero sum needs a nonempty zero list")
     rational = fields.builtin_field("Q")
     direct, _, bound = _l_series_parts(rational, 1, x / math.pi)
     reflected, _, bound_reflected = _l_series_parts(rational, 1, math.pi / x)
@@ -461,6 +464,8 @@ def dgv_check(field, x, zeros, tol=1e-5):
     x = float(x)
     if x <= 0:
         raise DomainError("dgv_check needs x > 0")
+    if len(zeros) == 0:
+        raise ValidationError("the zero sum needs a nonempty zero list")
     scale = fields.kernel_scale(field)
     alpha = scale * math.sqrt(x)
     beta = scale / math.sqrt(x)

@@ -295,6 +295,15 @@ class TestHLR:
         with pytest.raises(ValidationError):
             iv.dgv_check(field_sqrt5, 2.0, iv.ZeroList(gammas=()))
 
+    def test_empty_zero_list_rejected_before_series_work(self, field_sqrt5, monkeypatch):
+        def no_series(*args):
+            pytest.fail("a Moebius series was summed for an empty zero list")
+
+        monkeypatch.setattr(iv, "_l_series_parts", no_series)
+        for check in (lambda z: iv.hlr_check(2.0, z), lambda z: iv.dgv_check(field_sqrt5, 2.0, z)):
+            with pytest.raises(ValidationError, match="the zero sum needs a nonempty zero list"):
+                check(iv.ZeroList(gammas=()))
+
     def test_u_inverse_specialization(self, field_q, riemann_zeros_reference):
         # the remark's simplification: U_{Q,-1}(x) = 2 sum mu(n)/n e^{-pi x/n^2}
         # (+ half the zero sum), using sum mu(n)/n = 0

@@ -324,6 +324,42 @@ class TestLaurentCoefficients:
         with pytest.raises(ConvergenceError):
             nx.laurent_coefficients(lambda s: 1.0 / (s - 0.2501), 0.0, 0.25, count=1)
 
+    def test_one_evaluation_on_the_128_point_ring(self):
+        calls = []
+
+        def f(s):
+            calls.append(np.asarray(s).shape)
+            return nx.gamma_many(s)
+
+        nx.laurent_coefficients(f, 0.0, 0.25, count=2)
+        assert calls == [(128,)]
+
+    def test_coefficients_are_the_128_sample_means(self):
+        s0, radius, lowest, count = 0.5 + 2.0j, 0.3, -1, 4
+
+        def f(s):
+            return np.exp(s) / (s - s0)
+
+        theta = 2.0 * math.pi * (np.arange(128) + 0.5) / 128
+        ring = radius * np.exp(1j * theta)
+        vals = f(s0 + ring)
+        expected = [np.mean(vals * ring ** (-m)) for m in range(lowest, lowest + count)]
+        res = nx.laurent_coefficients(f, s0, radius, count=count, lowest=lowest)
+        assert res.coeffs.tolist() == expected
+
+    def test_aliasing_into_the_64_point_check(self):
+        # a degree-64 term aliases onto c_0 in the 64-point rule on the even
+        # samples but onto no extracted power in the 128-point rule
+        s0, radius = 0.3, 0.25
+
+        def planted(weight):
+            return lambda s: 1.0 / (s - s0) + weight * ((s - s0) / radius) ** 64
+
+        with pytest.raises(ConvergenceError):
+            nx.laurent_coefficients(planted(1e-9), s0, radius, count=2, lowest=-1)
+        res = nx.laurent_coefficients(planted(1e-14), s0, radius, count=2, lowest=-1)
+        assert res.residue == pytest.approx(1.0, abs=1e-13)
+
 
 class TestZetaDerivative:
     def test_at_minus_two(self):

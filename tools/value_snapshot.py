@@ -7,10 +7,14 @@ Usage:
 
 The first form imports `zetatheta` from <src-dir> and writes every value as
 float hex (complex values as [re, im]), so two snapshots compare bit for bit.
-A value whose computation raises is recorded as the exception's type and
-message.  The second form lists each key whose value differs, with its
-relative change.  Zero lists come from this repository's `tests/data` and
-`perfbench/reference`, whichever source tree is imported.
+Besides the checks' values it records the per-zero contour data they sum
+(zeta_F'(rho), the principal parts of Lambda_F^k at zeros, the Taylor data
+of 1/zeta_F^k), so a change in a contour shows at the datum itself.  A value
+whose computation raises is recorded as the exception's type and message.
+The second form lists each key whose value differs, with its relative
+change, and exits 1 when any does, so it can serve as a gate.  Zero lists
+come from this repository's `tests/data` and `perfbench/reference`,
+whichever source tree is imported.
 """
 
 import json
@@ -78,6 +82,17 @@ def snapshot():
     for name, zeros in (("Q", zeros_q), ("sqrt5", zeros_sqrt5)):
         _record(out, f"dgv_check/{name}/x=4", lambda: (lambda r: (r.lhs, r.rhs))(
             iv.dgv_check(fields.builtin_field(name), 4.0, zeros)))
+    # the per-zero contour data behind the zero sums and the l_series tails
+    for g in zeros_sqrt5.gammas[:5]:
+        _record(out, f"dedekind_zeta_prime/sqrt5/gamma={g}",
+                lambda: iv.dedekind_zeta_prime(fields.builtin_field("sqrt5"), g))
+    for name, k, zeros in (("sqrt5", 1, zeros_sqrt5), ("Q", 2, zeros_q)):
+        for g in zeros.gammas[:3]:
+            _record(out, f"lambda_principal_at_zero/{name}/k={k}/gamma={g}", lambda: tuple(
+                iv._lambda_principal_at_zero(fields.builtin_field(name), k, g)[1].coeffs))
+    for m in (1, 2, 3):
+        _record(out, f"inverse_zeta_derivatives/Q/k=2/m={m}", lambda: tuple(
+            iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, m, 2)))
     for x in (1.0, 3.0):
         _record(out, f"hlr_check/x={x}", lambda: (lambda r: (r.lhs, r.rhs))(
             iv.hlr_check(x, zeros_q)))
@@ -124,7 +139,7 @@ def main(argv):
         lines = diff(before, after)
         print("\n".join(lines))
         print(f"{len(after) - len(lines)} of {len(after)} values bit-identical")
-        return 0
+        return 1 if lines else 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
