@@ -257,38 +257,37 @@ def z_small_series_many(r1, r2, xs, tol=1e-14):
 # tail bound for series truncation
 # ---------------------------------------------------------------------------
 
-def _tail_shape(r1, r2, y):
-    d = r1 + 2 * r2
-    return y ** (-(r1 + r2 - 1) / d) * math.exp(-d * (y / 2.0 ** r2) ** (2.0 / d))
-
-
-def _tail_constant(r1, r2):
-    """Calibrated constant: 4 * max over a log grid on [1, 50] of |Z~| / shape."""
-    def compute():
-        worst = 0.0
-        for y in np.geomspace(1.0, 50.0, 30):
-            shape = _tail_shape(r1, r2, float(y))
-            if shape < 1e-300:
-                continue
-            ratio = abs(z_tilde(r1, r2, float(y), tol=1e-10)) / shape
-            worst = max(worst, ratio)
-        return 4.0 * max(worst, 1e-3)
-    return numerics.memo(("z_tail_constant", r1, r2), compute)
-
-
 def z_tail_bound(r1, r2, y):
-    """Majorant of |Z~_{r1,r2}(y)| for real y >= 1, for series truncation."""
+    """Majorant of Z~_{r1,r2}(y) for real y > 0: z_tail_bound_complex_many at angle 0."""
     if y <= 0:
         raise DomainError("z_tail_bound needs y > 0")
-    return _tail_constant(r1, r2) * _tail_shape(r1, r2, y)
+    return float(z_tail_bound_complex_many(r1, r2, [y], 0.0)[0])
 
 
 def z_tail_bound_complex_many(r1, r2, abs_y, arg_y):
-    """Vectorized decay majorant over an array of magnitudes at one fixed argument angle."""
-    abs_y = np.asarray(abs_y, dtype=float)
+    """Majorant of |Z~_{r1,r2}(|y| e^{i arg_y})| over an array of |y| at one angle.
+
+    Proven, with no quadrature.  Real Y > 0: Z~ is the multiplicative
+    convolution of r1 copies of 2 e^{-u^2} and r2 copies of e^{-u}, the
+    inverse Mellin transforms of Gamma(s/2) and Gamma(s), so it is positive
+    and decreasing, and for every c > 0
+        Z~(Y) Y^c / c <= int_0^Y Z~(u) u^{c-1} du <= G(c) = Gamma^r1(c/2) Gamma^r2(c),
+    that is Z~(Y) <= c G(c) Y^{-c}.  c is the saddle (2^{r1/2} Y)^{2/d},
+    clamped to c >= 1; any c > 0 gives a bound, so the choice sets only its
+    tightness (about sqrt(pi d c) times Z~).  Complex y with |arg y| < pi d/4:
+    rotate the variable of each factor with kernel e^{-u^p} by 2 arg_y/(d p);
+    its modulus is then the real kernel at v cos^{1/p}(2 arg_y/d), so
+    |Z~(y)| <= Z~(|y| cos^{d/2}(2 arg_y/d)), with equality for (1, 0).
+    """
     d = r1 + 2 * r2
     cosf = math.cos(2.0 * abs(arg_y) / d)
     if cosf <= 0:
         raise SectorError("argument outside the decaying sector")
-    decay = np.exp(-d * (abs_y / 2.0 ** r2) ** (2.0 / d) * cosf)
-    return 4.0 * _tail_constant(r1, r2) * abs_y ** (-(r1 + r2 - 1) / d) * decay
+    y = np.asarray(abs_y, dtype=float) * cosf ** (d / 2.0)
+    c = np.maximum(1.0, (2.0 ** (r1 / 2.0) * y) ** (2.0 / d))
+    log_bound = np.log(c) - c * np.log(y)
+    if r1:
+        log_bound = log_bound + r1 * numerics.loggamma(c / 2.0).real
+    if r2:
+        log_bound = log_bound + r2 * numerics.loggamma(c).real
+    return np.exp(log_bound)

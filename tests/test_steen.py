@@ -11,6 +11,8 @@ from zetatheta.errors import DomainError, SectorError
 import _oracles as oracle
 
 REAL_GRID = [0.5, 1.0, 2.0, 5.0]
+# the kernels (k r1, k r2) of the builtin fields at k = 1, 2
+BUILTIN_KERNELS = [(1, 0), (2, 0), (3, 0), (4, 0), (6, 0), (0, 1), (0, 2), (0, 4)]
 
 
 class TestSteenV:
@@ -155,6 +157,32 @@ class TestTailBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             st.z_tail_bound(1, 0, 0.0)
+
+    @pytest.mark.parametrize("r1,r2", BUILTIN_KERNELS + [(1, 1), (2, 1)])
+    def test_majorizes_kernel_complex(self, r1, r2):
+        d = r1 + 2 * r2
+        for frac in (0.0, 0.5, -0.5, 0.9, -0.9):
+            phi = frac * (math.pi * d / 4.0 - 0.15)
+            for abs_y in np.geomspace(1.0, 40.0, 12):
+                bound = st.z_tail_bound_complex_many(r1, r2, [abs_y], phi)[0]
+                val = abs(st.z_tilde(r1, r2, cmath.rect(abs_y, phi), tol=1e-14))
+                assert val <= bound, (abs_y, phi)
+
+    @pytest.mark.parametrize("r1,r2", BUILTIN_KERNELS)
+    def test_complex_bound_is_real_bound_at_contracted_modulus(self, r1, r2):
+        # step two of the proof: |Z~(y)| <= Z~(|y| cos^{d/2}(2 arg y / d))
+        d = r1 + 2 * r2
+        for phi in (0.3, -0.7, 0.9 * (math.pi * d / 4.0)):
+            for abs_y in (0.6, 3.0, 17.0):
+                bound = st.z_tail_bound_complex_many(r1, r2, [abs_y], phi)[0]
+                real = st.z_tail_bound(r1, r2, abs_y * math.cos(2.0 * phi / d) ** (d / 2.0))
+                assert bound == pytest.approx(real, rel=1e-14, abs=0.0)
+
+    def test_gaussian_ratio_is_stirling_sized(self):
+        # step one for (1, 0): c G(c) Y^{-c} over 2 e^{-y^2} is about sqrt(2 pi) y
+        for y in np.linspace(0.5, 26.0, 60):
+            ratio = st.z_tail_bound(1, 0, float(y)) / (2.0 * math.exp(-y * y))
+            assert 1.0 <= ratio <= 3.0 * max(1.0, y), y
 
 
 class TestDuplicationRemark:

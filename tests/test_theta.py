@@ -1,14 +1,18 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from zetatheta import fields as fd
 from zetatheta import numerics as nx
+from zetatheta import steen as st
 from zetatheta import theta as th
 from zetatheta.errors import DomainError, SectorError
 
 import _oracles as oracle
+
+BUILTIN = ["Q", "sqrt5", "cubic7", "zeta5", "gauss"]
 
 
 class TestDirectOracles:
@@ -68,6 +72,35 @@ class TestSSeries:
         from zetatheta.errors import CoefficientTableExhausted
         with pytest.raises(CoefficientTableExhausted):
             th.s_series(field_q, 1, 1e-13, tol=1e-10)
+
+
+class TestSeriesPlan:
+    """The truncation certificate of s_series: kernel majorant times coefficient majorant."""
+
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_plan_needs_no_quadrature(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tail certificate ran a quadrature")
+        monkeypatch.setattr(nx, "_MEMO", {})
+        monkeypatch.setattr(st, "z_tilde", refuse)
+        monkeypatch.setattr(nx, "line_integral", refuse)
+        field = fd.builtin_field(name)
+        for k in (1, 2):
+            for x in (0.3, 2.0, 0.7 + 0.3j):
+                n_stop, _, tail = th._series_plan(field, k, x, 1e-10)
+                assert n_stop >= 1 and tail < 5e-11
+        assert not [key for key in nx._MEMO if key[0] == "z_tail_constant"]
+
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_coefficient_majorant_holds(self, name):
+        # _series_plan reads c_maj = 1.5 max_{n <= 128} a(n)/sqrt(n) off its first
+        # table; this checks, without proving, that c_maj sqrt(n) >= a(n) up to 2^16
+        field = fd.builtin_field(name)
+        for k in (1, 2):
+            vals = fd.power_coeffs(field, k, 1 << 16).values[1:]
+            root_n = np.sqrt(np.arange(1, len(vals) + 1, dtype=float))
+            c_maj = 1.5 * float(np.max(vals[:128] / root_n[:128]))
+            assert np.all(vals <= c_maj * root_n), (name, k)
 
 
 class TestR0Theta:

@@ -9,14 +9,18 @@ The first form imports `zetatheta` from <src-dir> and writes every value as
 float hex (complex values as [re, im]), so two snapshots compare bit for bit.
 Besides the checks' values it records the per-zero contour data they sum
 (zeta_F'(rho), the principal parts of Lambda_F^k at zeros, the Taylor data
-of 1/zeta_F^k), so a change in a contour shows at the datum itself.  A value
-whose computation raises is recorded as the exception's type and message.
+of 1/zeta_F^k), so a change in a contour shows at the datum itself.  It
+also records where the forward theta series stops (n_stop and its certified
+tail) and the kernel majorant behind it, so a change in a truncation bound
+shows even when every checked value stays the same.  A value whose
+computation raises is recorded as the exception's type and message.
 The second form lists each key whose value differs, with its relative
 change, and exits 1 when any does, so it can serve as a gate.  Zero lists
 come from this repository's `tests/data` and `perfbench/reference`,
 whichever source tree is imported.
 """
 
+import cmath
 import json
 import math
 import os
@@ -25,6 +29,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIELDS = ("Q", "sqrt5", "cubic7", "zeta5", "gauss")
 GAMMA_PAIRS = ((1, 0), (2, 0), (0, 1), (1, 1), (4, 0), (0, 2))
+TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
+                     (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
 
 def _hex(v):
@@ -109,6 +115,17 @@ def snapshot():
         for x in (0.8, 3.0, 1.2 - 0.7j):
             _record(out, f"z_shifted_direct/{r1},{r2}/x={x}",
                     lambda: steen.z_shifted(r1, r2, x, route="direct"))
+    # where the forward theta series stops, and the kernel majorant that decides it
+    for name in FIELDS:
+        F = fields.builtin_field(name)
+        for k in (1, 2):
+            for label, x in (("0.3", 0.3), ("2.0", 2.0), ("0.7+0.3j", 0.7 + 0.3j),
+                             ("1.2e^1.2i", 1.2 * cmath.exp(1.2j))):
+                _record(out, f"series_plan/{name}/k={k}/x={label}", lambda: (
+                    lambda p: (p[0], p[2]))(theta._series_plan(F, k, x, 1e-10)))
+    for r1, r2, abs_y, arg_y in TAIL_BOUND_POINTS:
+        _record(out, f"z_tail_bound_complex_many/{r1},{r2}/|y|={abs_y}/arg={arg_y}",
+                lambda: steen.z_tail_bound_complex_many(r1, r2, [abs_y], arg_y)[0])
     for x, params, c in ((2.0, (5.0,), None), (2.0, (5.0,), -3.0),
                          (0.7, (1.0,), -0.5), (1.5, (2.0, 3.0), None)):
         _record(out, f"steen_v/x={x}/a={params}/c={c}", lambda: steen.steen_v(x, params, c=c))
