@@ -195,8 +195,6 @@ def build_parser():
     q.add_argument("--x", action="append", required=True)
     q.add_argument("--zeros", required=True)
     q.add_argument("--tol", type=_positive_float, default=1e-4)
-    q.add_argument("--n-smooth", type=int, default=None,
-                   help="deprecated; the sum is now exact")
     q.set_defaults(func=_cmd_hlr_check)
 
     q = sub.add_parser("dgv-check", help="Dixit-Gupta-Vatwani identity (Q and quadratic fields)")

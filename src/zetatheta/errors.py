@@ -56,7 +56,7 @@ class UnsupportedFieldError(ZetaThetaError):
 
 
 class ZeroNotSimpleError(ZetaThetaError):
-    """Contour extraction at a zeta zero detected a pole order above the simple-zero assumption."""
+    """The Taylor data of zeta_F at a listed zero shows a multiple zero (zeta_F'(rho) negligible)."""
 
 
 class RealityViolationError(ZetaThetaError):

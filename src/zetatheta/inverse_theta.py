@@ -2,11 +2,11 @@
 
 U(x) collects the Moebius-weighted shifted kernels, the residue of the
 inverse completed zeta at s = 0, and half the sum of residues at the
-non-trivial zeros; U(1/x) = sqrt(x) U(x) is equivalent to the functional
-equation of 1/zeta_F^k.  The classical Hardy-Littlewood-Ramanujan identity
-and the Dixit-Gupta-Vatwani identity are the F = Q and quadratic-field
-specializations, each checked through its own formulas; the HLR zero term is
-the DGV zero sum of Q.
+non-trivial zeros, each read off one memoized datum per zero (zeta_taylor);
+U(1/x) = sqrt(x) U(x) is equivalent to the functional equation of
+1/zeta_F^k.  The Hardy-Littlewood-Ramanujan and Dixit-Gupta-Vatwani
+identities are its F = Q and quadratic-field specializations, each checked
+through its own formulas; the HLR zero term is the DGV zero sum of Q.
 """
 
 import cmath
@@ -254,29 +254,44 @@ def r1_inverse(field, k, x):
     return poly(x) / cmath.sqrt(x)
 
 
-def _lambda_principal_at_zero(field, k, gamma):
-    """Principal part of Lambda_F^k at rho = 1/2 + i gamma, with simplicity diagnostic.
+def zeta_taylor(field, gamma, order):
+    """(c_0, ..., c_order), order >= 2: Taylor coefficients of zeta_F at rho = 1/2 + i gamma.
 
-    Its own extraction on a radius-0.05 circle rather than residue_polynomial:
-    the diagnostic reads c_{-(k+1)}, one order below the principal part.
+    Memoized per (field, exact gamma, order), from one radius-0.05 ring (zeta_F
+    is analytic there whatever zeros it holds).  Raises ZeroNotSimpleError if
+    |c_1| <= 1e-6 |c_2| r, ValidationError if |c_0| > 1e-6 |c_1| (not a zero).
     """
-    radius = 0.05
+    def compute():
+        c = numerics.laurent_coefficients(
+            lambda s: numerics.dedekind_zeta_many(s, field), 0.5 + 1j * float(gamma),
+            0.05, count=order + 1, lowest=0).coeffs
+        if abs(c[1]) <= 1e-6 * abs(c[2]) * 0.05:
+            raise ZeroNotSimpleError(f"zero at gamma = {gamma} is not simple")
+        if abs(c[0]) > 1e-6 * abs(c[1]):
+            raise ValidationError(f"gamma = {gamma} is not a zero of zeta_F: |zeta_F(rho)| "
+                                  f"= {abs(c[0]) / abs(c[1]):.1e} |zeta_F'(rho)|")
+        return tuple(complex(v) for v in c)
+    return numerics.memo(("zeta_taylor", field.cache_key, float(gamma), order), compute)
 
+
+def _lambda_principal_at_zero(field, k, gamma):
+    """(rho, residue polynomial) of Lambda_F^k at rho = 1/2 + i gamma, from zeta_taylor.
+
+    Schwarz reflection gives zeta_F(1 - rho - w) = w h(w), h_j = (-1)^(j+1)
+    conj(c_{j+1}), so Lambda_F^k(rho + w) = w^-k (p/h)^k with p the Taylor data
+    of the gamma prefactor (one gamma-only ring): c_{-m} is coefficient k - m.
+    """
     def compute():
         rho = 0.5 + 1j * float(gamma)
-        res = numerics.laurent_coefficients(
-            lambda s: fields.lambda_many(field, s, k), rho, radius, count=k + 1)
-        deepest = abs(res.coefficient(-(k + 1))) * radius
-        lead = abs(res.coefficient(-k))
-        if lead < 1e-12 and deepest > 1e-12:
-            raise ZeroNotSimpleError(
-                f"extraction at gamma = {gamma} looks like a pole of order > {k}")
-        if deepest > 1e-6 * max(lead, 1e-30):
-            raise ZeroNotSimpleError(
-                f"zero at gamma = {gamma} fails the simplicity diagnostic "
-                f"(|c_-(k+1)| * r / |c_-k| = {deepest / max(lead, 1e-300):.2e})")
-        principal = [res.coefficient(-m) for m in range(1, k + 1)]
-        return rho, numerics.residue_log_polynomial(principal, scale=0.5)
+        h = [(-1) ** (j + 1) * c.conjugate()
+             for j, c in enumerate(zeta_taylor(field, gamma, max(k, 2))[1:k + 1])]
+        p = numerics.laurent_coefficients(lambda s: fields.gamma_prefactor_many(field, s),
+                                          rho, 0.05, count=k, lowest=0).coeffs
+        q = []
+        for n in range(k):
+            q.append((complex(p[n]) - sum(h[j] * q[n - j] for j in range(1, n + 1))) / h[0])
+        power = np.polynomial.polynomial.polypow(q, k)[:k]
+        return rho, numerics.residue_log_polynomial([complex(v) for v in power[::-1]], scale=0.5)
     return numerics.memo(("lambda_at_zero", field.cache_key, k, float(gamma)), compute)
 
 
@@ -419,16 +434,6 @@ def _dgv_r0_polynomial(field):
         h, 0.0, field.unit_rank, scale=-1.0))
 
 
-def dedekind_zeta_prime(field, gamma):
-    """zeta_F'(1/2 + i gamma) by Taylor-coefficient extraction on a small circle."""
-    def compute():
-        return numerics.laurent_coefficients(
-            lambda s: numerics.dedekind_zeta_many(s, field),
-            0.5 + 1j * float(gamma), 0.05, count=1, lowest=1).coefficient(1)
-    return numerics.memo(("dedekind_zeta_prime", field.cache_key, float(gamma)),
-                         compute)
-
-
 def _dgv_zero_sum(field, alpha, zeros):
     """sum over pairs of R_rho(alpha) = alpha^rho Gamma-form / zeta_F'(rho).
 
@@ -446,7 +451,7 @@ def _dgv_zero_sum(field, alpha, zeros):
             gam *= numerics.complex_gamma((1.0 - rho) / 2.0) ** field.r1
         if field.r2:
             gam *= numerics.complex_gamma(1.0 - rho) ** field.r2
-        term = alpha ** rho * gam / dedekind_zeta_prime(field, g)
+        term = alpha ** rho * gam / zeta_taylor(field, g, 2)[1]
         total += 2.0 * term.real
         last = abs(2.0 * term.real)
     return total, last
@@ -456,7 +461,7 @@ def dgv_check(field, x, zeros, tol=1e-5):
     """Check the alpha/beta form of the inverse identity for Q or a quadratic field.
 
     The left side reuses the kernel machinery (l_series); the right side is
-    built from the DGV residue formulas with zeta_F' extracted independently,
+    built from the DGV residue formulas with zeta_F'(rho) read off zeta_taylor,
     so the comparison crosses two genuinely different evaluation routes.
     """
     if field.degree > 2:

@@ -43,6 +43,13 @@ def riemann_zeros_reference():
 
 
 @pytest.fixture(scope="session")
+def zeta5_zeros_reference():
+    """The 35 zero ordinates t <= 30 of zeta5, from the checked-in reference file."""
+    return inverse_theta.load_zeros(os.path.join(DATA_DIR, "zeta5_zeros_30.txt"),
+                                    field_label="zeta5")
+
+
+@pytest.fixture(scope="session")
 def scanned_zeros_q(field_q):
     """30 zeros of zeta produced by this package's own scanner."""
     result = critical_line.scan_zeros(field_q, 0.0, 102.0, 0.05)

@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -24,7 +25,6 @@ def rows_of(out):
 @pytest.fixture(scope="module")
 def zeros_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("zeros") / "riemann30.txt"
-    import os
     src = os.path.join(os.path.dirname(__file__), "data", "riemann_zeros_30.txt")
     p.write_text(open(src).read())
     return str(p)
@@ -138,11 +138,16 @@ class TestInverseAndIdentityChecks:
         assert float(rows[0][4]) < 1e-5
 
     def test_hlr(self, capsys, zeros_file):
-        code, out, _ = run(capsys, "hlr-check", "--x", "1", "--zeros", zeros_file,
-                           "--n-smooth", "200000")
+        code, out, _ = run(capsys, "hlr-check", "--x", "1", "--zeros", zeros_file)
         assert code == 0
         header, rows = rows_of(out)
         assert float(rows[0][3]) < 1e-4
+
+    def test_hlr_n_smooth_removed(self, capsys, zeros_file):
+        code, _, err = run(capsys, "hlr-check", "--x", "1", "--zeros", zeros_file,
+                           "--n-smooth", "200000")
+        assert code == 2
+        assert "--n-smooth" in err
 
     def test_hlr_missing_zeros(self, capsys):
         code, _, err = run(capsys, "hlr-check", "--x", "1", "--zeros", "/nonexistent")
@@ -152,6 +157,29 @@ class TestInverseAndIdentityChecks:
         code, out, _ = run(capsys, "dgv-check", "--field", "Q", "--x", "4",
                            "--zeros", zeros_file, "--tol", "1e-4")
         assert code == 0
+
+    def test_inverse_zeta5(self, capsys):
+        zeros = os.path.join(os.path.dirname(__file__), "data", "zeta5_zeros_30.txt")
+        code, out, err = run(capsys, "inverse-check", "--field", "zeta5", "--x", "2",
+                             "--zeros", zeros)
+        assert code == 0, err
+        assert float(rows_of(out)[1][0][4]) < 1e-12
+
+    @pytest.mark.parametrize("offset", [0.3, 1e-4])
+    @pytest.mark.parametrize("argv", [
+        ("inverse-check", "--field", "Q", "--x", "4"),
+        ("dgv-check", "--field", "Q", "--x", "4"),
+        ("hlr-check", "--x", "4"),
+    ])
+    def test_ordinate_off_a_zero(self, capsys, tmp_path, zeros_file, argv, offset):
+        gammas = list(iv.load_zeros(zeros_file).gammas)
+        gammas[4] += offset
+        moved = tmp_path / "moved.zeros"
+        iv.write_zeros(moved, gammas)
+        code, out, err = run(capsys, *argv, "--zeros", str(moved))
+        assert code == 2
+        assert out == ""
+        assert "is not a zero" in err
 
 
 class TestPhiCheck:

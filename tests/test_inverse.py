@@ -14,6 +14,7 @@ from zetatheta.errors import (
     ParseError,
     UnsupportedFieldError,
     ValidationError,
+    ZeroNotSimpleError,
 )
 
 from _oracles import moebius_sieve, smoothed_mu_exp_sum
@@ -186,6 +187,69 @@ class TestRRho:
         _, poly = iv._lambda_principal_at_zero(field_q, 2, g)
         assert poly.degree == 1
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_principal_part_against_mpmath(self, field_q, riemann_zeros_reference, k):
+        # the same series inversion at 40 digits, with zeta(1 - rho - w) read
+        # off mpmath.taylor directly rather than through Schwarz reflection
+        mpmath = pytest.importorskip("mpmath")
+        for g in riemann_zeros_reference.gammas[:8]:
+            with mpmath.workdps(40):
+                rho = mpmath.mpc(0.5, g)
+                d = mpmath.taylor(mpmath.zeta, 1 - rho, k)
+                h = [(-1) ** (j + 1) * d[j + 1] for j in range(k)]
+                p = mpmath.taylor(lambda s: mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2),
+                                  rho, k - 1)
+                q = []
+                for n in range(k):
+                    q.append((p[n] - mpmath.fsum(h[j] * q[n - j] for j in range(1, n + 1)))
+                             / h[0])
+                power = q
+                for _ in range(k - 1):
+                    power = [mpmath.fsum(power[j] * q[n - j] for j in range(n + 1))
+                             for n in range(k)]
+                ref = [complex(power[k - m] * mpmath.mpf(-0.5) ** (m - 1)
+                               / mpmath.factorial(m - 1)) for m in range(1, k + 1)]
+            _, poly = iv._lambda_principal_at_zero(field_q, k, g)
+            for got, want in zip(poly.coeffs, ref):
+                assert abs(got - want) <= 1e-12 * abs(want), (k, g)
+
+
+class TestZetaTaylor:
+    def test_derivative_matches_zeta_derivative(self, field_q, riemann_zeros_reference):
+        for g in riemann_zeros_reference.gammas[:3]:
+            c = iv.zeta_taylor(field_q, g, 2)
+            rho = 0.5 + 1j * g
+            assert abs(c[0]) < 1e-12
+            assert abs(c[1] - nx.zeta_derivative(rho, 1)) <= 1e-12 * abs(c[1])
+            assert abs(c[2] - nx.zeta_derivative(rho, 2) / 2.0) <= 1e-11 * abs(c[2])
+
+    def test_double_zero_is_not_simple(self, field_q, monkeypatch):
+        # a planted zeta_F with a double zero at rho: the datum must raise
+        rho = 0.5 + 20.0j
+        monkeypatch.setattr(nx, "_MEMO", {})
+        monkeypatch.setattr(nx, "dedekind_zeta_many", lambda s, field: (s - rho) ** 2 * (s + 3.0))
+        with pytest.raises(ZeroNotSimpleError, match="gamma = 20.0"):
+            iv.zeta_taylor(field_q, 20.0, 2)
+        with pytest.raises(ZeroNotSimpleError):
+            iv.r_rho(field_q, 1, 4.0, 20.0)
+
+    @pytest.mark.parametrize("offset", [0.3, 1e-4])
+    def test_listed_ordinate_off_a_zero_is_rejected(self, field_q, riemann_zeros_reference,
+                                                    offset):
+        gammas = list(riemann_zeros_reference.gammas)
+        gammas[4] += offset
+        moved = iv.ZeroList(gammas=tuple(gammas))
+        for check in (lambda: iv.check_inverse_theta(field_q, 1, 4.0, moved),
+                      lambda: iv.dgv_check(field_q, 4.0, moved),
+                      lambda: iv.hlr_check(4.0, moved)):
+            with pytest.raises(ValidationError, match=f"gamma = {gammas[4]} is not a zero"):
+                check()
+
+    def test_scanned_zeros_pass(self, field_sqrt5, scanned_zeros_sqrt5):
+        for g in scanned_zeros_sqrt5.gammas:
+            c = iv.zeta_taylor(field_sqrt5, g, 2)
+            assert abs(c[0]) <= 1e-8 * abs(c[1])
+
 
 class TestZeroSum:
     def test_reality(self, field_q, riemann_zeros_reference):
@@ -239,6 +303,13 @@ class TestCheckInverseTheta:
             assert rep.rel_error < 1e-6, (field_name, k, x)
             assert 0 < rep.zero_tail_estimate < 1e-20
 
+    def test_zeta5_close_zeros(self, field_zeta5, zeta5_zeros_reference):
+        # 14.11546 and 14.13473 lie 0.019 apart, inside one radius-0.05 circle
+        assert len(zeta5_zeros_reference) == 35
+        for x in (0.25, 2.0, 0.6 + 0.4j):
+            rep = iv.check_inverse_theta(field_zeta5, 1, x, zeta5_zeros_reference)
+            assert rep.rel_error < 1e-12, x
+
     def test_rational_k2_time(self, field_q, riemann_zeros_reference):
         start = time.perf_counter()
         rep = iv.check_inverse_theta(field_q, 2, 2.0, riemann_zeros_reference)
@@ -277,8 +348,8 @@ class TestHLR:
             iv.hlr_check(1.0, riemann_zeros_reference, tol=1e-18)
 
     def test_zero_term_against_zeta_derivative(self, riemann_zeros_reference):
-        # the zero term reads zeta'(rho) from the DGV route (dedekind_zeta_prime
-        # of Q); this sum takes it from numerics.zeta_derivative instead
+        # the zero term reads zeta'(rho) from the DGV route (zeta_taylor of Q);
+        # this sum takes it from numerics.zeta_derivative instead
         for x in (1.0, 3.7):
             base = math.pi / math.sqrt(x)
             ref = 0.0

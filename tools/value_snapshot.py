@@ -8,16 +8,16 @@ Usage:
 The first form imports `zetatheta` from <src-dir> and writes every value as
 float hex (complex values as [re, im]), so two snapshots compare bit for bit.
 Besides the checks' values it records the per-zero contour data they sum
-(zeta_F'(rho), the principal parts of Lambda_F^k at zeros, the Taylor data
-of 1/zeta_F^k), so a change in a contour shows at the datum itself.  It
-also records where the forward theta series stops (n_stop and its certified
-tail) and the kernel majorant behind it, so a change in a truncation bound
-shows even when every checked value stays the same.  A value whose
-computation raises is recorded as the exception's type and message.
-The second form lists each key whose value differs, with its relative
-change, and exits 1 when any does, so it can serve as a gate.  Zero lists
-come from this repository's `tests/data` and `perfbench/reference`,
-whichever source tree is imported.
+(zeta_F'(rho) off the Taylor data of zeta_F at a zero, the principal parts
+of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in a
+contour shows at the datum itself.  It also records where the forward theta
+series stops (n_stop and its certified tail) and the kernel majorant behind
+it, so a change in a truncation bound shows even when every checked value
+stays the same.  A value whose computation raises is recorded as the
+exception's type and message.  The second form lists each key whose value
+differs, with its relative change, and exits 1 when any does, so it can
+serve as a gate.  Zero lists come from this repository's `tests/data` and
+`perfbench/reference`, whichever source tree is imported.
 """
 
 import cmath
@@ -59,6 +59,8 @@ def snapshot():
     zeros_q = iv.load_zeros(os.path.join(REPO, "tests", "data", "riemann_zeros_30.txt"))
     zeros_sqrt5 = iv.load_zeros(os.path.join(REPO, "perfbench", "reference",
                                               "sqrt5-inverse.zeros"))
+    zeros_zeta5 = iv.load_zeros(os.path.join(REPO, "perfbench", "reference",
+                                              "zeta5-inverse.zeros"))
     for name in FIELDS:
         F = fields.builtin_field(name)
         _record(out, f"C_F/{name}", lambda: fields.laurent_constant(F))
@@ -91,9 +93,12 @@ def snapshot():
     # the per-zero contour data behind the zero sums and the l_series tails
     for g in zeros_sqrt5.gammas[:5]:
         _record(out, f"dedekind_zeta_prime/sqrt5/gamma={g}",
-                lambda: iv.dedekind_zeta_prime(fields.builtin_field("sqrt5"), g))
-    for name, k, zeros in (("sqrt5", 1, zeros_sqrt5), ("Q", 2, zeros_q)):
-        for g in zeros.gammas[:3]:
+                lambda: iv.zeta_taylor(fields.builtin_field("sqrt5"), g, 2)[1])
+    # zeta5's zeros at 14.11546 and 14.13473 share one radius-0.05 circle
+    close_pair = tuple(g for g in zeros_zeta5.gammas if 14.1 < g < 14.14)
+    for name, k, gammas in (("sqrt5", 1, zeros_sqrt5.gammas[:3]),
+                            ("Q", 2, zeros_q.gammas[:3]), ("zeta5", 1, close_pair)):
+        for g in gammas:
             _record(out, f"lambda_principal_at_zero/{name}/k={k}/gamma={g}", lambda: tuple(
                 iv._lambda_principal_at_zero(fields.builtin_field(name), k, g)[1].coeffs))
     for m in (1, 2, 3):
