@@ -28,10 +28,16 @@ from .errors import (
 )
 
 
+def _xi_scaled_many(field, s, log_scale):
+    """e^{log_scale} xi_F(s), the scale taken into the gamma prefactor's exponent."""
+    s = np.asarray(s, dtype=complex)
+    prefactor = np.exp(fields.log_gamma_prefactor_many(field, s) + log_scale)
+    return 0.5 * s * (s - 1.0) * (prefactor * numerics.dedekind_zeta_many(s, field))
+
+
 def xi_many(field, s):
     """xi_F(s) = (1/2) s (s-1) Omega_F(s) on an array of s; entire, symmetric under s -> 1-s."""
-    s = np.asarray(s, dtype=complex)
-    return 0.5 * s * (s - 1.0) * fields.omega_many(field, s)
+    return _xi_scaled_many(field, s, 0.0)
 
 
 def xi_completed(field, s):
@@ -40,9 +46,12 @@ def xi_completed(field, s):
 
 
 def _xi_rescaled_many(field, ts):
-    """exp(pi d t / 4) * Xi_F(t) on an array of real t, with reality check."""
+    """exp(pi d t / 4) * Xi_F(t) on an array of real t, with reality check.
+
+    The factor enters the gamma prefactor's exponent, so nothing underflows at height.
+    """
     ts = np.asarray(ts, dtype=float)
-    vals = xi_many(field, 0.5 + 1j * ts) * np.exp(math.pi * field.degree * ts / 4.0)
+    vals = _xi_scaled_many(field, 0.5 + 1j * ts, math.pi * field.degree * ts / 4.0)
     bad = np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals.real))
     if np.any(bad):
         i = int(np.argmax(np.abs(vals.imag) / (1.0 + np.abs(vals.real))))
@@ -168,8 +177,8 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
     v2 = lhs_sum(32)
     if abs(v2 - v1) > max(tol * 0.1, 1e-12):
         raise ConvergenceError(f"Phi integral did not settle: delta {abs(v2 - v1):.2e}")
-    x_theta = cmath.exp(-2.0 * z)
-    w_val = theta.w_theta(field, 1, x_theta, tol=min(tol * 1e-2, 1e-9))
+    # W at x = e^{-2z} on the sheet log x = -2z, which leaves the principal one at |Im z| > pi/2
+    w_val = theta._w_theta_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))
     c_term = 2.0 ** field.r1 * fields.laurent_constant(field) * \
         (cmath.exp(-z / 2.0) + cmath.exp(z / 2.0))
     rhs = -(math.pi / 2.0) * (cmath.exp(-z / 2.0) * w_val + c_term)

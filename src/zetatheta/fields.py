@@ -530,17 +530,16 @@ def kernel_scale(field, k=1):
     return 2.0 ** (k * field.r2) * math.pi ** (k * field.degree / 2.0) / field.disc ** (k / 2.0)
 
 
+def log_gamma_prefactor_many(field, s):
+    """log of (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s), vectorized, up to 2 pi i."""
+    s = np.asarray(s, dtype=complex)
+    q = field.disc / (4.0 ** field.r2 * math.pi ** field.degree)
+    return 0.5 * s * math.log(q) + numerics.log_gamma_factor(field.r1, field.r2, s)
+
+
 def gamma_prefactor_many(field, s, k=1):
     """[ (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s) ]^k, vectorized."""
-    s = np.asarray(s, dtype=complex)
-    d = field.degree
-    q = field.disc / (4.0 ** field.r2 * math.pi ** d)
-    out = np.exp(0.5 * s * math.log(q))
-    if field.r1:
-        out = out * numerics.gamma_many(s / 2.0) ** field.r1
-    if field.r2:
-        out = out * numerics.gamma_many(s) ** field.r2
-    return out ** k if k != 1 else out
+    return np.exp(k * log_gamma_prefactor_many(field, s))
 
 
 def omega_many(field, s, k=1):

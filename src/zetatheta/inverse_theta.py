@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, numerics, steen
+from . import fields, numerics, steen, theta
 from .errors import (
     ConvergenceError,
     DomainError,
     ParseError,
-    SectorError,
     ValidationError,
     ZeroNotSimpleError,
 )
@@ -122,9 +121,8 @@ def _l_series_parts(field, k, x):
     x = complex(x)
     if x == 0:
         raise DomainError("l_series undefined at x = 0")
+    theta._require_sector(field, cmath.log(x))
     d = field.degree
-    if abs(cmath.phase(x)) >= math.pi * d / 2.0 - 0.2:
-        raise SectorError("x outside the theta sector")
     kr1, kr2 = k * field.r1, k * field.r2
     alpha = fields.kernel_scale(field, k) * cmath.sqrt(x)
     a_abs = abs(alpha)
@@ -423,12 +421,8 @@ def hlr_check(x, zeros, tol=1e-4):
 def _dgv_r0_polynomial(field):
     """LogPolynomial P with R_0(alpha) = P(log alpha) in the DGV normalization."""
     def h(s):
-        out = np.ones_like(s)
-        if field.r1:
-            out = out * numerics.gamma_many((1.0 - s) / 2.0) ** field.r1
-        if field.r2:
-            out = out * numerics.gamma_many(1.0 - s) ** field.r2
-        return out / numerics.dedekind_zeta_many(s, field)
+        return np.exp(numerics.log_gamma_factor(field.r1, field.r2, 1.0 - s)) \
+            / numerics.dedekind_zeta_many(s, field)
 
     return numerics.memo(("dgv_r0", field.cache_key), lambda: numerics.residue_polynomial(
         h, 0.0, field.unit_rank, scale=-1.0))
@@ -446,11 +440,7 @@ def _dgv_zero_sum(field, alpha, zeros):
     last = 0.0
     for g in zeros.gammas:
         rho = 0.5 + 1j * g
-        gam = 1.0 + 0.0j
-        if field.r1:
-            gam *= numerics.complex_gamma((1.0 - rho) / 2.0) ** field.r1
-        if field.r2:
-            gam *= numerics.complex_gamma(1.0 - rho) ** field.r2
+        gam = cmath.exp(numerics.log_gamma_factor(field.r1, field.r2, 1.0 - rho))
         term = alpha ** rho * gam / zeta_taylor(field, g, 2)[1]
         total += 2.0 * term.real
         last = abs(2.0 * term.real)

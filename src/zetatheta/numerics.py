@@ -45,6 +45,7 @@ _LANCZOS_C = np.array([
 ])
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 # B_2 .. B_24, the Euler-Maclaurin depth used by hurwitz_zeta.
 _BERNOULLI = np.array([
@@ -64,22 +65,44 @@ _BERNOULLI = np.array([
 
 
 def loggamma(z):
-    """log Gamma(z) for Re(z) >= 0.5, scalar or array.
+    """log Gamma(z) on the whole plane off the poles, scalar or array.
 
-    The branch is whatever the principal logs of the Lanczos factors give;
-    it may differ from the continuous log-gamma by multiples of 2*pi*i, which
-    is harmless for the integer gamma powers this package exponentiates.
+    Lanczos for Re(z) >= 1/2.  Left of that, the reflection
+    log pi - log sin(pi z) - log Gamma(1 - z) with
+    log sin(pi z) = -i s pi z + log(s expm1(2 i s pi z) / 2i), s = 1 for
+    Im z >= 0 and -1 below, whose exponential never exceeds 1 in modulus, so
+    nothing overflows at any height.  One Lanczos pass serves both half-planes.  The branch may differ
+    from the continuous log-gamma by multiples of 2 pi i, which is harmless
+    for the integer gamma powers this package exponentiates.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real < 0.5 - 1e-12):
-        raise DomainError("loggamma requires Re(z) >= 0.5; use complex_gamma instead")
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    left = z.real < 0.5
     w = z - 1.0
+    if np.any(left):
+        w[left] = -z[left]      # Lanczos at 1 - z
     acc = np.full_like(z, _LANCZOS_C[0])
     for i in range(1, len(_LANCZOS_C)):
         acc = acc + _LANCZOS_C[i] / (w + i)
     t = w + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
-    return out if out.ndim else complex(out)
+    if np.any(left):
+        pz = math.pi * z[left]
+        sign = np.where(pz.imag < 0.0, -1.0, 1.0)
+        log_sin = -1j * sign * pz + np.log(sign * np.expm1(2j * sign * pz) / 2j)
+        out[left] = _LOG_PI - log_sin - out[left]
+    return out.reshape(shape) if shape else complex(out[0])
+
+
+def log_gamma_factor(r1, r2, s):
+    """r1 log Gamma(s/2) + r2 log Gamma(s), the gamma factor of Lambda_F in log space."""
+    s = np.asarray(s, dtype=complex)
+    out = np.zeros_like(s)
+    if r1:
+        out = out + r1 * loggamma(s / 2.0)
+    if r2:
+        out = out + r2 * loggamma(s)
+    return out
 
 
 def complex_gamma(s):
@@ -91,20 +114,8 @@ def complex_gamma(s):
 
 
 def gamma_many(s):
-    """Vectorized Gamma over an array with no entries at poles.
-
-    Reflection formula for Re(s) < 0.5, Lanczos otherwise.
-    """
-    s = np.asarray(s, dtype=complex)
-    out = np.empty_like(s)
-    right = s.real >= 0.5
-    if np.any(right):
-        out[right] = np.exp(loggamma(s[right]))
-    left = ~right
-    if np.any(left):
-        sl = s[left]
-        out[left] = math.pi / (np.sin(math.pi * sl) * np.exp(loggamma(1.0 - sl)))
-    return out
+    """Vectorized Gamma over an array with no entries at poles: exp(loggamma(s))."""
+    return np.exp(loggamma(np.asarray(s, dtype=complex)))
 
 
 def digamma_real(x):

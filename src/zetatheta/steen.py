@@ -60,28 +60,12 @@ def _mellin_barnes(f, c, log_x, d, rate, tol, t_offset=0.0):
 def _gamma_power_integrand(r1, r2, log_x, c):
     """s -> Gamma^r1(s/2) Gamma^r2(s) x^{-s} on the line Re(s) = c, for arrays of s.
 
-    From c >= 1.1 on the product is assembled in log space, since single
-    gamma factors overflow long before the product does; at lower abscissae
-    the magnitudes are moderate and direct products are safe.
+    Assembled in log space at every abscissa, since single gamma factors
+    overflow long before the product does.
     """
-    if c >= 1.1:
-        def f(s):
-            lg = np.zeros_like(s)
-            if r1:
-                lg = lg + r1 * numerics.loggamma(s / 2.0)
-            if r2:
-                lg = lg + r2 * numerics.loggamma(s)
-            lg = lg - s * log_x
-            return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
-        return f
-
     def f(s):
-        vals = np.exp(-s * log_x)
-        if r1:
-            vals = vals * numerics.gamma_many(s / 2.0) ** r1
-        if r2:
-            vals = vals * numerics.gamma_many(s) ** r2
-        return vals
+        lg = numerics.log_gamma_factor(r1, r2, s) - s * log_x
+        return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
     return f
 
 
@@ -154,7 +138,7 @@ def z_tilde(r1, r2, x, c=None, tol=1e-12):
 
 
 def _gamma_power(r1, r2):
-    return lambda s: numerics.gamma_many(s / 2.0) ** r1 * numerics.gamma_many(s) ** r2
+    return lambda s: np.exp(numerics.log_gamma_factor(r1, r2, s))
 
 
 def _r0_polynomial(r1, r2):
@@ -285,9 +269,4 @@ def z_tail_bound_complex_many(r1, r2, abs_y, arg_y):
         raise SectorError("argument outside the decaying sector")
     y = np.asarray(abs_y, dtype=float) * cosf ** (d / 2.0)
     c = np.maximum(1.0, (2.0 ** (r1 / 2.0) * y) ** (2.0 / d))
-    log_bound = np.log(c) - c * np.log(y)
-    if r1:
-        log_bound = log_bound + r1 * numerics.loggamma(c / 2.0).real
-    if r2:
-        log_bound = log_bound + r2 * numerics.loggamma(c).real
-    return np.exp(log_bound)
+    return np.exp(np.log(c) - c * np.log(y) + numerics.log_gamma_factor(r1, r2, c).real)

@@ -32,18 +32,19 @@ class ThetaReport:
     converged: bool
 
 
-def _require_sector(field, x):
+def _require_sector(field, log_x):
+    """SectorError unless |Im log x| < pi d/2 - 0.2: the sector of the theta kernels."""
     d = field.degree
-    if abs(cmath.phase(complex(x))) >= math.pi * d / 2.0 - 0.2:
+    if abs(log_x.imag) >= math.pi * d / 2.0 - 0.2:
         raise SectorError(
             f"|Arg x| must stay below pi*{d}/2 - 0.2 for {field.label or 'field'}")
 
 
-def _series_plan(field, k, x, tol):
-    """Pick the truncation point and certified tail for the forward series."""
+def _series_plan(field, k, log_x, tol):
+    """Pick the truncation point and certified tail for the forward series at x = e^{log_x}."""
     kr1, kr2 = k * field.r1, k * field.r2
-    y1 = fields.kernel_scale(field, k) * cmath.sqrt(complex(x))
-    arg_y = cmath.phase(y1)
+    abs_y1 = fields.kernel_scale(field, k) * math.exp(log_x.real / 2.0)
+    arg_y = log_x.imag / 2.0
     n_table, n_table_max = 128, 1 << 21
     while True:
         table = fields.power_coeffs(field, k, n_table)
@@ -51,8 +52,8 @@ def _series_plan(field, k, x, tol):
         n_idx = np.arange(1, n_table + 1, dtype=float)
         c_maj = 1.5 * float(np.max(vals / np.sqrt(n_idx)))
         bounds = c_maj * np.sqrt(n_idx) * \
-            steen.z_tail_bound_complex_many(kr1, kr2, abs(y1) * n_idx, arg_y)
-        usable = (abs(y1) * n_idx >= 1.5) & (bounds < tol / 10.0)
+            steen.z_tail_bound_complex_many(kr1, kr2, abs_y1 * n_idx, arg_y)
+        usable = (abs_y1 * n_idx >= 1.5) & (bounds < tol / 10.0)
         usable[:-1] &= bounds[1:] < bounds[:-1]
         for i in np.nonzero(usable[:-1])[0]:
             ratio = min(bounds[i + 1] / max(bounds[i], 1e-300), 0.95)
@@ -62,31 +63,38 @@ def _series_plan(field, k, x, tol):
         if n_table >= n_table_max:
             raise CoefficientTableExhausted(
                 f"series for {field.label} needs more than {n_table_max} coefficients "
-                f"at |x| = {abs(x):.3g}, tol = {tol:g}")
+                f"at |x| = {math.exp(log_x.real):.3g}, tol = {tol:g}")
         n_table *= 2
 
 
-def s_series(field, k, x, tol=1e-10, _details=False):
-    """S_{F,k}(x): sum over n of a_{F,k}(n) * Z~_{k r1, k r2}(scale * n * sqrt(x)).
-
-    Truncated where the kernel tail bound times the coefficient majorant
-    certifies the remainder below `tol`.
-    """
-    x = complex(x)
-    if x == 0:
-        raise DomainError("s_series undefined at x = 0")
-    _require_sector(field, x)
+def _s_series_log(field, k, log_x, tol):
+    """(S_{F,k}, n_stop, certified tail) at x = e^{log_x}, on the sheet log_x names."""
+    _require_sector(field, log_x)
     kr1, kr2 = k * field.r1, k * field.r2
-    y1 = fields.kernel_scale(field, k) * cmath.sqrt(x)
-    n_stop, table, tail = _series_plan(field, k, x, tol)
+    y1 = fields.kernel_scale(field, k) * cmath.exp(log_x / 2.0)
+    n_stop, table, tail = _series_plan(field, k, log_x, tol)
     total = 0.0 + 0.0j
     for n in range(1, n_stop + 1):
         a_n = table[n]
         if a_n:
             total += a_n * steen.z_tilde(kr1, kr2, y1 * n, tol=1e-13)
-    if _details:
-        return total, n_stop, tail
-    return total
+    return total, n_stop, tail
+
+
+def _log_of(x, name):
+    x = complex(x)
+    if x == 0:
+        raise DomainError(f"{name} undefined at x = 0")
+    return cmath.log(x)
+
+
+def s_series(field, k, x, tol=1e-10):
+    """S_{F,k}(x): sum over n of a_{F,k}(n) * Z~_{k r1, k r2}(scale * n * sqrt(x)).
+
+    Truncated where the kernel tail bound times the coefficient majorant
+    certifies the remainder below `tol`.  x is taken on the principal sheet.
+    """
+    return _s_series_log(field, k, _log_of(x, "s_series"), tol)[0]
 
 
 def r0_theta_polynomial(field, k):
@@ -111,26 +119,30 @@ def r1_theta(field, k, x):
     return poly(x) / cmath.sqrt(x)
 
 
+def _w_theta_log(field, k, log_x, tol):
+    """W_{F,k} at x = e^{log_x}, on the sheet log_x names."""
+    return _s_series_log(field, k, log_x, tol)[0] - r0_theta_polynomial(field, k).eval_log(log_x)
+
+
 def w_theta(field, k, x, tol=1e-10):
-    """W_{F,k}(x) = S_{F,k}(x) - R_0(x)."""
-    return s_series(field, k, x, tol=tol) - r0_theta(field, k, x)
+    """W_{F,k}(x) = S_{F,k}(x) - R_0(x), x on the principal sheet."""
+    return _w_theta_log(field, k, _log_of(x, "s_series"), tol)
 
 
 def check_theta(field, k, x, tol=1e-8):
-    """Verify W(1/x) = sqrt(x) W(x); returns both sides and the relative residual."""
-    x = complex(x)
-    if x == 0:
-        raise DomainError("check_theta undefined at x = 0")
-    _require_sector(field, x)
-    _require_sector(field, 1.0 / x)
+    """Verify W(1/x) = sqrt(x) W(x); returns both sides and the relative residual.
+
+    1/x is taken as log(1/x) = -log x, so both sides sit on the sheet of x.
+    """
+    log_x = _log_of(x, "check_theta")
     inner = min(tol * 1e-2, 1e-10)
-    s_x, n_x, tail_x = s_series(field, k, x, tol=inner, _details=True)
-    s_inv, n_inv, tail_inv = s_series(field, k, 1.0 / x, tol=inner, _details=True)
+    s_x, n_x, tail_x = _s_series_log(field, k, log_x, inner)
+    s_inv, n_inv, tail_inv = _s_series_log(field, k, -log_x, inner)
     r0 = r0_theta_polynomial(field, k)
-    lhs = s_inv - r0(1.0 / x)
-    rhs = cmath.sqrt(x) * (s_x - r0(x))
+    lhs = s_inv - r0.eval_log(-log_x)
+    rhs = cmath.exp(log_x / 2.0) * (s_x - r0.eval_log(log_x))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return ThetaReport(x=x, lhs=lhs, rhs=rhs, rel_error=rel,
+    return ThetaReport(x=complex(x), lhs=lhs, rhs=rhs, rel_error=rel,
                        terms_used=max(n_x, n_inv),
                        converged=(tail_x + tail_inv) < tol)
 

@@ -7,7 +7,7 @@ from zetatheta import critical_line as cl
 from zetatheta import fields as fd
 from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
-from zetatheta.errors import LostBracketError, SectorError, ValidationError
+from zetatheta.errors import LostBracketError, SectorError, ValidationError, ZetaThetaError
 
 
 class TestXiCompleted:
@@ -56,7 +56,25 @@ class TestBigXi:
         assert cl.big_xi(field_q, 0.0) > 0
 
 
+class TestXiAtHeight:
+    @pytest.mark.parametrize("name, t", [("zeta5", 242.0), ("cubic7", 322.0), ("Q", 735.0)])
+    def test_rescaled_xi_is_finite_and_nonzero(self, name, t):
+        # xi_F alone underflows to 0 here and e^{pi d t/4} overflows: the
+        # rescale has to happen inside the gamma prefactor's exponent
+        vals = cl._xi_rescaled_many(fd.builtin_field(name), [t])
+        assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
+
+
 class TestScanZeros:
+    def test_window_at_height_is_never_silently_empty(self, field_q):
+        # zeta has 8 zeros on [730, 740]: a scan may refuse the window with an
+        # error, but an empty zero list would be a silent omission
+        try:
+            res = cl.scan_zeros(field_q, 730.0, 740.0, 0.02)
+        except ZetaThetaError:
+            return
+        assert len(res.refined) >= 8
+
     def test_rational_field(self, field_q, riemann_zeros_reference):
         res = cl.scan_zeros(field_q, 0.0, 30.0, 0.05)
         assert len(res.refined) == 3
@@ -185,6 +203,15 @@ class TestPhiIdentity:
     def test_cubic(self, field_cubic7, z):
         rep = cl.phi_identity_check(field_cubic7, z)
         assert rep.residual < 1e-6
+
+    @pytest.mark.parametrize("name", ["cubic7", "zeta5"])
+    @pytest.mark.parametrize("frac", [0.75, -0.75, 0.9, -0.9])
+    @pytest.mark.parametrize("re", [0.0, 0.6])
+    def test_near_strip_edge(self, name, frac, re):
+        # |Im z| > pi/2 puts x = e^{-2z} past the principal sheet; W is read on log x = -2z
+        field = fd.builtin_field(name)
+        z = complex(re, frac * (math.pi * field.degree / 4.0 - 0.2))
+        assert cl.phi_identity_check(field, z).residual < 1e-6
 
     def test_sector_guard(self, field_sqrt5):
         with pytest.raises(SectorError):

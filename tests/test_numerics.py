@@ -65,9 +65,50 @@ class TestGamma:
         with pytest.raises(PoleError):
             nx.complex_gamma(-3.0)
 
-    def test_loggamma_rejects_left_halfplane(self):
-        with pytest.raises(DomainError):
-            nx.loggamma(0.2 + 1j)
+    def test_loggamma_whole_plane_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.RandomState(23)
+        points = []
+        # (Re range, |Im| bound, count): deep left, tall left, the critical strip
+        # of Gamma(s/2), and the Lanczos half-plane
+        for (re_lo, re_hi), im, count in (((-40.0, 0.5), 20.0, 400), ((-5.0, 0.5), 1000.0, 300),
+                                          ((0.2, 0.3), 1000.0, 200), ((0.5, 40.0), 1000.0, 200)):
+            box = []
+            while len(box) < count:
+                z = complex(rng.uniform(re_lo, re_hi), rng.uniform(-im, im))
+                if z.real < 0.5 and abs(z - min(0, round(z.real))) < 0.05:
+                    continue        # 0.05 away from the poles
+                box.append(z)
+            points += box
+        assert len(points) >= 1000
+        values = nx.loggamma(np.array(points))
+        for z, value in zip(points, values):
+            ref = complex(mpmath.loggamma(z))
+            delta = value - ref
+            # log-gamma is defined up to 2 pi i
+            delta = complex(delta.real, (delta.imag + math.pi) % (2.0 * math.pi) - math.pi)
+            assert abs(delta) <= 1e-14 * (1.0 + abs(ref)), z
+
+    def test_loggamma_scalar_returns_complex(self):
+        assert type(nx.loggamma(-2.5 + 1j)) is complex
+        assert type(nx.loggamma(3.0)) is complex
+
+    @pytest.mark.parametrize("s", [0.25 + 230j, 0.25 + 300j, 0.25 - 300j])
+    def test_gamma_many_at_height(self, s):
+        # the reflection through sin(pi s) overflowed here (|Im s| > 226)
+        mpmath = pytest.importorskip("mpmath")
+        value = complex(nx.gamma_many(np.array([s]))[0])
+        ref = complex(mpmath.gamma(s))
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    def test_log_gamma_factor_is_the_gamma_product(self):
+        s = np.array([0.3 + 2.0j, -1.7 + 0.5j, 4.2 - 9.0j, 0.5 + 40.0j])
+        for r1, r2 in ((1, 0), (0, 1), (2, 1), (3, 2)):
+            got = np.exp(nx.log_gamma_factor(r1, r2, s))
+            for si, g in zip(s, got):
+                ref = nx.complex_gamma(si / 2.0) ** r1 * nx.complex_gamma(si) ** r2
+                assert abs(g - ref) <= 1e-12 * abs(ref), (r1, r2, si)
 
 
 class TestHurwitzZeta:

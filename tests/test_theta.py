@@ -87,7 +87,7 @@ class TestSeriesPlan:
         field = fd.builtin_field(name)
         for k in (1, 2):
             for x in (0.3, 2.0, 0.7 + 0.3j):
-                n_stop, _, tail = th._series_plan(field, k, x, 1e-10)
+                n_stop, _, tail = th._series_plan(field, k, cmath.log(x), 1e-10)
                 assert n_stop >= 1 and tail < 5e-11
         assert not [key for key in nx._MEMO if key[0] == "z_tail_constant"]
 

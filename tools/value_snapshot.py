@@ -13,8 +13,10 @@ of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in a
 contour shows at the datum itself.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
 it, so a change in a truncation bound shows even when every checked value
-stays the same.  A value whose computation raises is recorded as the
-exception's type and message.  The second form lists each key whose value
+stays the same.  log-gamma far left and at height, the rescaled Xi_F at
+heights where xi_F alone underflows, and the Phi identity past
+|Im z| = pi/2 are recorded too.  A value whose computation raises is
+recorded as the exception's type and message.  The second form lists each key whose value
 differs, with its relative change, and exits 1 when any does, so it can
 serve as a gate.  Zero lists come from this repository's `tests/data` and
 `perfbench/reference`, whichever source tree is imported.
@@ -78,7 +80,12 @@ def snapshot():
     for name in ("cubic7", "zeta5"):
         _record(out, f"exact_eval_check/{name}", lambda: (
             lambda r: (r.lhs, r.rhs))(theta.exact_eval_check(fields.builtin_field(name))))
-    for name, z in (("sqrt5", 0.5), ("cubic7", 0.25), ("Q", -0.3j), ("gauss", 0.0)):
+    # 3/4 of the strip |Im z| < pi d/4 - 0.2 is past |Im z| = pi/2, where x = e^{-2z} leaves
+    # the principal sheet
+    edge = {name: 0.75j * (math.pi * fields.builtin_field(name).degree / 4.0 - 0.2)
+            for name in ("cubic7", "zeta5")}
+    for name, z in (("sqrt5", 0.5), ("cubic7", 0.25), ("Q", -0.3j), ("gauss", 0.0),
+                    ("cubic7", edge["cubic7"]), ("zeta5", edge["zeta5"])):
         _record(out, f"phi_identity_check/{name}/z={z}", lambda: (
             lambda r: (r.integral, r.theta_side))(
                 cl.phi_identity_check(fields.builtin_field(name), z)))
@@ -111,6 +118,12 @@ def snapshot():
         _record(out, f"hlr_zero_term/x={x}", lambda: iv.hlr_zero_term(x, zeros_q))
     for s in (0.25, 3.3 - 2.0j, -2.7 + 0.4j, -7.5, 0.5 + 30.0j):
         _record(out, f"complex_gamma/s={s}", lambda: nx.complex_gamma(s))
+    for z in (-7.5 + 3.0j, 0.25 + 300.0j, 0.25 - 300.0j, -30.3 + 0.2j):
+        _record(out, f"loggamma/z={z}", lambda: nx.loggamma(z))
+    # heights where xi_F alone underflows
+    for name, t in (("zeta5", 242.0), ("cubic7", 322.0), ("Q", 735.0)):
+        _record(out, f"xi_rescaled/{name}/t={t}",
+                lambda: cl._xi_rescaled_many(fields.builtin_field(name), [t])[0])
     for s, order in ((-2.0, 1), (0.0, 1), (3.0, 2), (0.5 + 14.134725141734693j, 1)):
         _record(out, f"zeta_derivative/s={s}/order={order}",
                 lambda: nx.zeta_derivative(s, order))
@@ -127,7 +140,7 @@ def snapshot():
             for label, x in (("0.3", 0.3), ("2.0", 2.0), ("0.7+0.3j", 0.7 + 0.3j),
                              ("1.2e^1.2i", 1.2 * cmath.exp(1.2j))):
                 _record(out, f"series_plan/{name}/k={k}/x={label}", lambda: (
-                    lambda p: (p[0], p[2]))(theta._series_plan(F, k, x, 1e-10)))
+                    lambda p: (p[0], p[2]))(theta._series_plan(F, k, cmath.log(x), 1e-10)))
     for r1, r2, abs_y, arg_y in TAIL_BOUND_POINTS:
         _record(out, f"z_tail_bound_complex_many/{r1},{r2}/|y|={abs_y}/arg={arg_y}",
                 lambda: steen.z_tail_bound_complex_many(r1, r2, [abs_y], arg_y)[0])
