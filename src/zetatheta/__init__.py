@@ -27,7 +27,7 @@ from .numerics import (
     line_integral,
     zeta_derivative,
 )
-from .steen import r0_gamma, steen_v, z_shifted, z_tail_bound, z_tilde
+from .steen import steen_v, z_shifted, z_tail_bound, z_tilde
 from .theta import (
     ThetaReport,
     check_theta,

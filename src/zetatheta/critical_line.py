@@ -45,13 +45,13 @@ def xi_completed(field, s):
     return complex(xi_many(field, np.array([complex(s)]))[0])
 
 
-def _xi_rescaled_many(field, ts):
-    """exp(pi d t / 4) * Xi_F(t) on an array of real t, with reality check.
+def _xi_real_many(field, ts, log_scale):
+    """e^{log_scale} Xi_F(t) on an array of real t, with the imaginary part checked and dropped.
 
-    The factor enters the gamma prefactor's exponent, so nothing underflows at height.
+    RealityViolationError where |Im| > 1e-9 (1 + |Re|), naming the worst t.
     """
     ts = np.asarray(ts, dtype=float)
-    vals = _xi_scaled_many(field, 0.5 + 1j * ts, math.pi * field.degree * ts / 4.0)
+    vals = _xi_scaled_many(field, 0.5 + 1j * ts, log_scale)
     bad = np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals.real))
     if np.any(bad):
         i = int(np.argmax(np.abs(vals.imag) / (1.0 + np.abs(vals.real))))
@@ -60,13 +60,18 @@ def _xi_rescaled_many(field, ts):
     return vals.real
 
 
+def _xi_rescaled_many(field, ts):
+    """exp(pi d t / 4) * Xi_F(t) on an array of real t, with reality check.
+
+    The factor enters the gamma prefactor's exponent, so nothing underflows at height.
+    """
+    ts = np.asarray(ts, dtype=float)
+    return _xi_real_many(field, ts, math.pi * field.degree * ts / 4.0)
+
+
 def big_xi(field, t):
     """Xi_F(t) = xi_F(1/2 + it); the imaginary part is checked and discarded."""
-    t = float(t)
-    v = xi_completed(field, 0.5 + 1j * t)
-    if abs(v.imag) > 1e-9 * (1.0 + abs(v.real)):
-        raise RealityViolationError(f"Xi_F({t}) came out non-real: {v}")
-    return v.real
+    return float(_xi_real_many(field, [float(t)], 0.0)[0])
 
 
 @dataclass(frozen=True)

@@ -143,27 +143,14 @@ def _l_series_parts(field, k, x):
 
     mu = fields.moebius_coeffs(field, k, n0).values[1:].astype(float)
     ns = np.arange(1.0, n0 + 1.0)
+    # the head in one kernel-array call; a quadrature entry is charged the
+    # 1e-11 |Z~| its node-doubling check holds
+    head = np.nonzero(mu)[0]
+    z, charge = steen.z_shifted_many(kr1, kr2, alpha / ns[head], tol=1e-13)
+    weights = mu[head] / ns[head]
     head_terms = np.zeros(n0, dtype=complex)
-    quad_error = 0.0
-    # large kernel arguments one by one through the quadrature route
-    # Z = Z~ - R0, whose node-doubling check holds Z~ to 1e-11 relative
-    n_quad = min(int(a_abs / 0.5) + 1, n0)
-    r0 = steen._r0_polynomial(kr1, kr2)
-    for n in range(1, n_quad + 1):
-        if mu[n - 1]:
-            y = alpha / n
-            z = steen.z_shifted(kr1, kr2, y, route="subtract", tol=1e-13)
-            head_terms[n - 1] = (mu[n - 1] / n) * z
-            quad_error += 1e-11 * abs(mu[n - 1] / n * (z + r0(y)))
-    # the rest of the head via the vectorized ascending expansion, blocked by magnitude
-    rest = np.nonzero(mu[n_quad:])[0] + n_quad
-    ys = alpha / ns[rest]
-    big = np.abs(ys) > 0.05
-    for mask in (big, ~big):
-        if np.any(mask):
-            idx = rest[mask]
-            head_terms[idx] = mu[idx] / ns[idx] * steen.z_small_series_many(
-                kr1, kr2, ys[mask], tol=1e-15)
+    head_terms[head] = weights * z
+    quad_error = float(np.sum(np.abs(weights) * charge))
 
     # tail n > N0: Z(y) = sum_m y^m P_m(log y) turns it into
     # sum_m alpha^m sum_i b_{m,i} T_{m,i}, T_{m,i} = sum_{n > N0} mu(n) (-log n)^i n^{-1-m}
@@ -204,7 +191,7 @@ def _l_series_parts(field, k, x):
     return complex(np.sum(head_terms)) + tail, n0, bound
 
 
-def l_series(field, k, x, tol=1e-7, _details=False):
+def l_series(field, k, x, tol=1e-7):
     """L_{F,-k}(x) = sum_n (mu_{F,k}(n)/n) Z_{k r1, k r2}(scale * sqrt(x) / n).
 
     Head plus exact tail: n <= N0 = max(64, ceil(100 |alpha|)) is summed
@@ -215,14 +202,12 @@ def l_series(field, k, x, tol=1e-7, _details=False):
     sum always runs to rounding level; `tol` only bounds the certified
     remainder (truncation plus rounding), and a bound above tol/2 raises
     ConvergenceError.  Needs an abelian field (UnsupportedFieldError
-    otherwise).  With `_details`, returns (value, N0, bound).
+    otherwise).
     """
     value, n0, bound = _l_series_parts(field, k, x)
     if bound > tol / 2.0:
         raise ConvergenceError(
             f"l_series certified remainder {bound:.2e} > {tol / 2:g} at N0 = {n0}")
-    if _details:
-        return value, n0, bound
     return value
 
 

@@ -21,13 +21,17 @@ _LOG_UNDERFLOW = -760.0
 
 
 def _sector_rate(r1, r2, arg_x):
-    """Exponential decay rate of the integrand on a vertical line, with sector check."""
+    """Exponential decay rate of Gamma^r1(s/2) Gamma^r2(s) x^{-s} on a vertical line.
+
+    SectorError when |Arg x| comes within 0.1 of pi d/4, d = r1 + 2 r2; with
+    r1 = 0, r2 = n it is the sector |Arg x| < pi n/2 of an n-factor steen_v.
+    """
     d = r1 + 2 * r2
     rate = math.pi * d / 4.0 - abs(arg_x)
     if rate < 0.1:
         raise SectorError(
             f"|Arg x| = {abs(arg_x):.4f} too close to the sector boundary "
-            f"pi*{d}/4 = {math.pi * d / 4.0:.4f} for Z~_{{{r1},{r2}}}")
+            f"pi*{d}/4 = {math.pi * d / 4.0:.4f}")
     return rate
 
 
@@ -81,10 +85,7 @@ def steen_v(x, params, c=None, tol=1e-12):
     n = len(params)
     if n < 1:
         raise DomainError("steen_v needs at least one gamma factor")
-    arg_x = cmath.phase(x)
-    rate = math.pi * n / 2.0 - abs(arg_x)
-    if rate < 0.1:
-        raise SectorError(f"|Arg x| = {abs(arg_x):.4f} outside the Steen sector pi*{n}/2")
+    rate = _sector_rate(0, n, cmath.phase(x))
     log_x = cmath.log(x)
     c_min = max(-a for a in params) + 1.6
     if c is None:
@@ -108,33 +109,81 @@ def _saddle_point(r1, r2, x):
     return (x * 2.0 ** (r1 / 2.0)) ** (2.0 / d)
 
 
-def z_tilde(r1, r2, x, c=None, tol=1e-12):
-    """Kernel Z~_{r1,r2}(x): inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s).
+def _kernel_on_line(r1, r2, x, c, tol, t_offset=0.0):
+    """Inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s) on the line Re(s) = c.
 
-    The line abscissa defaults to the real part of the integrand's saddle
-    (clamped to [2, 2000]) so relative accuracy survives into the
-    exponentially small tail; the window height covers the saddle's offset
-    along the line for complex arguments.
+    That is Z~_{r1,r2}(x) for c > 0 and Z = Z~ - Res_0 for -1 < c < 0, where
+    the line has crossed the pole at 0 and no other.  `t_offset` widens the
+    window by the offset of the integrand's mass along the line.
     """
+    if not (c > 0 or -1.0 < c < 0):
+        raise DomainError("abscissa must satisfy c > 0 or -1 < c < 0")
     x = complex(x)
-    if x == 0:
-        raise DomainError("z_tilde undefined at x = 0")
-    if r1 < 0 or r2 < 0 or r1 + r2 == 0:
-        raise DomainError("need r1, r2 >= 0 with r1 + r2 >= 1")
-    arg_x = cmath.phase(x)
-    rate = _sector_rate(r1, r2, arg_x)
-    if c is None and abs(x) <= 0.4:
-        # near 0 the value is residue-dominated; the ascending expansion is
-        # exact there while a vertical line would drown in cancellation
-        return _r0_polynomial(r1, r2)(x) + z_small_series(r1, r2, x, tol=tol)
-    saddle = _saddle_point(r1, r2, x)
-    if c is None:
-        c = min(max(2.0, saddle.real), 2000.0)
-    elif c <= 0:
-        raise DomainError("abscissa must be positive")
+    rate = _sector_rate(r1, r2, cmath.phase(x))
     log_x = cmath.log(x)
     return _mellin_barnes(_gamma_power_integrand(r1, r2, log_x, c), c, log_x, r1 + 2 * r2,
-                          rate, tol, t_offset=abs(saddle.imag))
+                          rate, tol, t_offset=t_offset)
+
+
+def _kernel_many(r1, r2, xs, tol, shifted):
+    """(Z~_{r1,r2}, or Z = Z~ - Res_0 when `shifted`, on an array; quadrature charge per entry).
+
+    The one route rule of the kernels.  Near 0 (|x| <= 0.4) the value is
+    residue-dominated: the ascending expansion is exact there while a vertical
+    line would drown in cancellation.  It runs in two magnitude blocks, since
+    its stop rule reads the largest term of a block.  Further out each entry
+    gets one line integral through the real part of the integrand's saddle
+    (clamped to [2, 2000]), so relative accuracy survives into the
+    exponentially small tail; the window covers the saddle's offset along the
+    line for complex x.  The charge is 1e-11 |Z~| where a quadrature ran (the
+    accuracy its node-doubling check holds) and 0 elsewhere.  The sector is
+    checked for the whole array before any work.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    if r1 < 0 or r2 < 0 or r1 + r2 == 0:
+        raise DomainError("need r1, r2 >= 0 with r1 + r2 >= 1")
+    if np.any(xs == 0):
+        raise DomainError("the kernels are undefined at x = 0")
+    _sector_rate(r1, r2, float(np.max(np.abs(np.angle(xs)), initial=0.0)))
+    values = np.zeros_like(xs)
+    charge = np.zeros(xs.shape)
+    abs_x = np.abs(xs)
+    near = abs_x <= 0.4
+    # Res_0 is read only where an entry needs it: its first read costs a contour
+    for block in (near & (abs_x > 0.05), abs_x <= 0.05):
+        if np.any(block):
+            values[block] = z_small_series_many(r1, r2, xs[block], tol=tol)
+            if not shifted:
+                r0 = _r0_polynomial(r1, r2)
+                values[block] += [r0(x) for x in xs[block]]
+    for i in np.nonzero(~near)[0]:
+        x = complex(xs[i])
+        saddle = _saddle_point(r1, r2, x)
+        z = _kernel_on_line(r1, r2, x, min(max(2.0, saddle.real), 2000.0), tol,
+                            t_offset=abs(saddle.imag))
+        charge[i] = 1e-11 * abs(z)
+        values[i] = z - _r0_polynomial(r1, r2)(x) if shifted else z
+    return values, charge
+
+
+def z_tilde_many(r1, r2, xs, tol=1e-12):
+    """Kernel Z~_{r1,r2} on an array: inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s)."""
+    return _kernel_many(r1, r2, xs, tol, shifted=False)[0]
+
+
+def z_tilde(r1, r2, x, tol=1e-12):
+    """Kernel Z~_{r1,r2}(x) at one point; see z_tilde_many."""
+    return complex(z_tilde_many(r1, r2, [x], tol)[0])
+
+
+def z_shifted_many(r1, r2, xs, tol=1e-12):
+    """(Z_{r1,r2} = Z~ - Res_0 on an array, quadrature charge per entry); see _kernel_many."""
+    return _kernel_many(r1, r2, xs, tol, shifted=True)
+
+
+def z_shifted(r1, r2, x, tol=1e-12):
+    """Kernel Z_{r1,r2}(x) = Z~(x) - Res_{s=0}, the transform on a line -1 < Re s < 0."""
+    return complex(z_shifted_many(r1, r2, [x], tol)[0][0])
 
 
 def _gamma_power(r1, r2):
@@ -145,48 +194,6 @@ def _r0_polynomial(r1, r2):
     """LogPolynomial P with Res_{s=0}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = P(log x)."""
     return numerics.memo(("gamma_power_r0", r1, r2), lambda: numerics.residue_polynomial(
         _gamma_power(r1, r2), 0.0, r1 + r2, scale=1.0))
-
-
-def r0_gamma(r1, x):
-    """Residue at s = 0 of Gamma^r1(s/2) x^{-s}: a degree r1-1 polynomial in log x."""
-    if r1 < 1:
-        raise DomainError("r0_gamma needs r1 >= 1")
-    x = complex(x)
-    if x == 0:
-        raise DomainError("r0_gamma undefined at x = 0")
-    return _r0_polynomial(r1, 0)(x)
-
-
-def r0_gamma_polynomial(r1):
-    return _r0_polynomial(r1, 0)
-
-
-def z_shifted(r1, r2, x, b=-0.5, route="auto", tol=1e-12):
-    """Kernel Z_{r1,r2}(x) on a line -1 < b < 0; equals Z~ minus the residue at 0.
-
-    route="subtract" computes Z~(x) - Res_0, route="direct" quadratures on
-    Re(s) = b, route="series" uses the ascending expansion (best for small
-    |x|), and "auto" picks by magnitude.
-    """
-    x = complex(x)
-    if x == 0:
-        raise DomainError("z_shifted undefined at x = 0")
-    if not -1.0 < b < 0.0:
-        raise DomainError("shift abscissa must satisfy -1 < b < 0")
-    arg_x = cmath.phase(x)
-    rate = _sector_rate(r1, r2, arg_x)
-    if route == "auto":
-        route = "series" if abs(x) <= 0.5 else "subtract"
-    if route == "series":
-        return z_small_series(r1, r2, x, tol=tol)
-    if route == "subtract":
-        return z_tilde(r1, r2, x, tol=tol) - _r0_polynomial(r1, r2)(x)
-    if route != "direct":
-        raise DomainError(f"unknown route {route!r}")
-
-    log_x = cmath.log(x)
-    return _mellin_barnes(_gamma_power_integrand(r1, r2, log_x, b), b, log_x, r1 + 2 * r2,
-                          rate, tol)
 
 
 # ---------------------------------------------------------------------------

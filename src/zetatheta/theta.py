@@ -29,7 +29,7 @@ class ThetaReport:
     rhs: complex            # sqrt(x) * W(x)
     rel_error: float
     terms_used: int
-    converged: bool
+    series_tail: float      # certified remainder of both truncated series
 
 
 def _require_sector(field, log_x):
@@ -73,11 +73,11 @@ def _s_series_log(field, k, log_x, tol):
     kr1, kr2 = k * field.r1, k * field.r2
     y1 = fields.kernel_scale(field, k) * cmath.exp(log_x / 2.0)
     n_stop, table, tail = _series_plan(field, k, log_x, tol)
+    ns = np.nonzero(table.values[1:n_stop + 1])[0] + 1
     total = 0.0 + 0.0j
-    for n in range(1, n_stop + 1):
-        a_n = table[n]
-        if a_n:
-            total += a_n * steen.z_tilde(kr1, kr2, y1 * n, tol=1e-13)
+    # summed in n order, one term at a time, so the value does not hang on numpy's summation
+    for n, z in zip(ns, steen.z_tilde_many(kr1, kr2, y1 * ns, tol=1e-13)):
+        total += table[n] * complex(z)
     return total, n_stop, tail
 
 
@@ -143,8 +143,7 @@ def check_theta(field, k, x, tol=1e-8):
     rhs = cmath.exp(log_x / 2.0) * (s_x - r0.eval_log(log_x))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return ThetaReport(x=complex(x), lhs=lhs, rhs=rhs, rel_error=rel,
-                       terms_used=max(n_x, n_inv),
-                       converged=(tail_x + tail_inv) < tol)
+                       terms_used=max(n_x, n_inv), series_tail=tail_x + tail_inv)
 
 
 @dataclass(frozen=True)

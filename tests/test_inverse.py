@@ -8,6 +8,7 @@ import pytest
 from zetatheta import fields as fd
 from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
+from zetatheta import steen as st
 from zetatheta.errors import (
     ConvergenceError,
     DomainError,
@@ -120,12 +121,33 @@ class TestLSeries:
 
     def test_tol_bounds_remainder_only(self, field_q):
         # tol never changes the sum; it only caps the certified remainder
-        val, n0, bound = iv.l_series(field_q, 2, 3.0, tol=1e-5, _details=True)
+        val, n0, bound = iv._l_series_parts(field_q, 2, 3.0)
         assert n0 == max(64, math.ceil(100 * math.pi * math.sqrt(3.0)))
         assert 0 < bound < 1e-8
         assert iv.l_series(field_q, 2, 3.0, tol=1e-9) == val
         with pytest.raises(ConvergenceError):
             iv.l_series(field_q, 2, 3.0, tol=bound)
+
+    def test_head_is_one_kernel_array_call(self, field_sqrt5, monkeypatch):
+        calls = []
+        kernel_many = st._kernel_many
+
+        def spy(r1, r2, xs, tol, shifted):
+            calls.append((r1, r2, xs, tol, shifted))
+            return kernel_many(r1, r2, xs, tol, shifted)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the head called the one-point kernel")
+        monkeypatch.setattr(st, "_kernel_many", spy)
+        monkeypatch.setattr(st, "z_shifted", refuse)
+        monkeypatch.setattr(st, "z_tilde", refuse)
+        value, n0, bound = iv._l_series_parts(field_sqrt5, 1, 2.0)
+        assert len(calls) == 1
+        r1, r2, xs, tol, shifted = calls[0]
+        assert (r1, r2, tol, shifted) == (2, 0, 1e-13, True)
+        mu = fd.moebius_coeffs(field_sqrt5, 1, n0).values[1:]
+        assert len(xs) == np.count_nonzero(mu) and np.max(np.abs(xs)) > 0.4
+        assert 0 < bound < 1e-9
 
     def test_coefficient_file_field(self, tmp_path):
         p = tmp_path / "q.coeffs"

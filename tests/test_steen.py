@@ -73,7 +73,7 @@ class TestZTilde:
     def test_path_independence(self):
         ref = 4.0 * nx.bessel_k(0, 2.0)
         for c in (0.8, 1.2, 2.0):
-            assert st.z_tilde(2, 0, 1.0, c=c) == pytest.approx(ref, rel=1e-10)
+            assert st._kernel_on_line(2, 0, 1.0, c, 1e-12) == pytest.approx(ref, rel=1e-10)
 
     def test_sector_error(self):
         with pytest.raises(SectorError):
@@ -92,24 +92,24 @@ class TestZTilde:
 class TestR0Gamma:
     def test_single_gamma(self):
         # Gamma(s/2) ~ 2/s at 0, so the residue is the constant 2
-        assert st.r0_gamma(1, 2.7) == pytest.approx(2.0, rel=1e-12)
-        assert st.r0_gamma(1, 0.3 + 1j) == pytest.approx(2.0, rel=1e-11)
+        assert st._r0_polynomial(1, 0)(2.7) == pytest.approx(2.0, rel=1e-12)
+        assert st._r0_polynomial(1, 0)(0.3 + 1j) == pytest.approx(2.0, rel=1e-11)
 
     def test_double_gamma_at_one(self):
         # s^2 Gamma^2(s/2) = 4 - 4 gamma s + ..., residue at x = 1 is -4 gamma
-        assert st.r0_gamma(2, 1.0) == pytest.approx(-4.0 * nx.EULER_GAMMA, rel=1e-11)
+        assert st._r0_polynomial(2, 0)(1.0) == pytest.approx(-4.0 * nx.EULER_GAMMA, rel=1e-11)
 
     def test_degree(self):
-        assert st.r0_gamma_polynomial(1).degree == 0
-        assert st.r0_gamma_polynomial(3).degree == 2
+        assert st._r0_polynomial(1, 0).degree == 0
+        assert st._r0_polynomial(3, 0).degree == 2
 
 
 class TestZShifted:
     def test_rational_closed_form(self):
         for x in REAL_GRID:
             ref = 2.0 * (math.exp(-x * x) - 1.0)
-            for route in ("subtract", "direct"):
-                assert st.z_shifted(1, 0, x, route=route) == pytest.approx(ref, rel=1e-10)
+            assert st.z_shifted(1, 0, x) == pytest.approx(ref, rel=1e-10)
+            assert st._kernel_on_line(1, 0, x, -0.5, 1e-12) == pytest.approx(ref, rel=1e-10)
 
     def test_small_argument_limit(self):
         v = st.z_shifted(1, 0, 1e-3)
@@ -119,16 +119,19 @@ class TestZShifted:
     def test_route_agreement(self):
         for (r1, r2) in [(1, 0), (2, 0), (0, 1), (1, 1), (3, 0)]:
             for x in (0.5, 1.0, 2.0):
-                a = st.z_shifted(r1, r2, x, route="subtract")
-                b = st.z_shifted(r1, r2, x, route="direct")
+                a = st.z_shifted(r1, r2, x)
+                b = st._kernel_on_line(r1, r2, x, -0.5, 1e-12)
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
                 if x <= 1.0:
                     c = st.z_small_series(r1, r2, x)
                     assert abs(a - c) < 1e-9 * max(1.0, abs(a))
 
     def test_shift_abscissa_domain(self):
+        # a line at or left of -1 has crossed more poles than the one at 0
         with pytest.raises(DomainError):
-            st.z_shifted(1, 0, 1.0, b=-1.5, route="direct")
+            st._kernel_on_line(1, 0, 1.0, -1.5, 1e-12)
+        with pytest.raises(DomainError):
+            st._kernel_on_line(1, 0, 1.0, 0.0, 1e-12)
 
     def test_subtract_equals_ztilde_minus_residue(self):
         for (r1, r2) in [(2, 0), (1, 1)]:
@@ -136,6 +139,39 @@ class TestZShifted:
             z = st.z_shifted(r1, r2, x)
             expected = st.z_tilde(r1, r2, x) - st._r0_polynomial(r1, r2)(x)
             assert abs(z - expected) < 1e-12
+
+
+class TestKernelMany:
+    """The one route rule: ascending series for |x| <= 0.4, a saddle-line quadrature beyond."""
+
+    # |x| <= 0.05, 0.05 < |x| <= 0.4 and |x| > 0.4, real and complex inside every sector
+    XS = [0.03, 0.02 + 0.01j, 0.2, 0.3 - 0.15j, 0.4, 0.45, 1.3, 2.0 + 0.9j, 0.9 - 0.5j]
+
+    @pytest.mark.parametrize("r1,r2", [(1, 0), (2, 0), (0, 1), (1, 1)])
+    def test_array_equals_one_point_wrappers(self, r1, r2):
+        xs = np.array(self.XS)
+        tilde = st.z_tilde_many(r1, r2, xs)
+        shifted, charge = st.z_shifted_many(r1, r2, xs)
+        for i, x in enumerate(self.XS):
+            assert tilde[i] == st.z_tilde(r1, r2, x)
+            assert shifted[i] == st.z_shifted(r1, r2, x)
+            assert charge[i] == (0.0 if abs(x) <= 0.4 else 1e-11 * abs(st.z_tilde(r1, r2, x)))
+
+    def test_sector_checked_before_any_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quadrature ran before the sector check")
+        monkeypatch.setattr(st, "_kernel_on_line", refuse)
+        xs = [1.3, 2.0, 0.9 * 1j]                # Arg = pi/2 > pi/4 for (1, 0)
+        with pytest.raises(SectorError):
+            st.z_tilde_many(1, 0, xs)
+        with pytest.raises(SectorError):
+            st.z_shifted_many(1, 0, xs)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            st.z_tilde_many(1, 0, [1.0, 0.0])
+        with pytest.raises(DomainError):
+            st.z_shifted_many(0, 0, [1.0])
 
 
 class TestTailBound:

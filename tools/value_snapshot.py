@@ -12,7 +12,8 @@ Besides the checks' values it records the per-zero contour data they sum
 of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in a
 contour shows at the datum itself.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
-it, so a change in a truncation bound shows even when every checked value
+it, and N0 and the certified bound of l_series, so a change in a
+truncation bound or a quadrature charge shows even when every checked value
 stays the same.  log-gamma far left and at height, the rescaled Xi_F at
 heights where xi_F alone underflows, and the Phi identity past
 |Im z| = pi/2 are recorded too.  A value whose computation raises is
@@ -132,7 +133,15 @@ def snapshot():
             _record(out, f"z_tilde/{r1},{r2}/x={x}", lambda: steen.z_tilde(r1, r2, x))
         for x in (0.8, 3.0, 1.2 - 0.7j):
             _record(out, f"z_shifted_direct/{r1},{r2}/x={x}",
-                    lambda: steen.z_shifted(r1, r2, x, route="direct"))
+                    lambda: steen._kernel_on_line(r1, r2, x, -0.5, 1e-12))
+    # z_shifted on both sides of the 0.4 series radius, and the l_series head's
+    # certified bound, which carries the quadrature charge of its kernel entries
+    for r1, r2 in ((1, 0), (2, 0)):
+        for x in (0.3, 0.45, 1.2 - 0.7j):
+            _record(out, f"z_shifted/{r1},{r2}/x={x}", lambda: steen.z_shifted(r1, r2, x))
+    for name, k, x in (("Q", 2, 3.0), ("sqrt5", 1, 2.0)):
+        _record(out, f"l_series_parts/{name}/k={k}/x={x}",
+                lambda: iv._l_series_parts(fields.builtin_field(name), k, x))
     # where the forward theta series stops, and the kernel majorant that decides it
     for name in FIELDS:
         F = fields.builtin_field(name)
