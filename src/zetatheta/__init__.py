@@ -29,7 +29,7 @@ from .numerics import (
 )
 from .steen import steen_v, z_shifted, z_tail_bound, z_tilde
 from .theta import (
-    ThetaReport,
+    Report,
     check_theta,
     exact_eval_check,
     jacobi_w1_direct,
@@ -39,7 +39,6 @@ from .theta import (
     w_theta,
 )
 from .inverse_theta import (
-    InverseReport,
     ZeroList,
     check_inverse_theta,
     dgv_check,

@@ -78,65 +78,66 @@ def _cmd_field_info(args):
     return 0
 
 
+def _checks(columns, points, check, row, tol):
+    """Emit one TSV row per point; 1 iff some report's residual exceeds tol, else 0."""
+    reports = [check(p) for p in points]
+    _emit(columns, [row(p, rep) for p, rep in zip(points, reports)])
+    return 1 if any(rep.residual > tol for rep in reports) else 0
+
+
 def _cmd_theta_check(args):
     F = _resolve_field(args.field)
     points = [_parse_complex(xs) for xs in args.x]
     if -1.0 in points and args.k != 1:
         raise ValidationError(f"x = -1 (exact evaluation) needs k = 1, got k = {args.k}")
-    rows, failed = [], False
-    for x in points:
+
+    def check(x):
+        if x == -1.0:
+            return theta.exact_eval_check(F, tol=args.tol)
+        return theta.check_theta(F, args.k, x, tol=args.tol)
+
+    def row(x, rep):
         if x == -1.0:
             # boundary form: Re + Im of the kernel sum against 2^r1 C_F
-            rep = theta.exact_eval_check(F, tol=args.tol)
-            rows.append(["exact-eval", _sci(x.real), _sci(x.imag),
-                         _sci(rep.lhs.real + rep.lhs.imag), _sci(rep.rhs),
-                         _sci(rep.boundary_residual), "boundary-form"])
-            failed |= rep.boundary_residual > args.tol
-        else:
-            rep = theta.check_theta(F, args.k, x, tol=args.tol)
-            rows.append(["theta", _sci(x.real), _sci(x.imag),
-                         _sci(abs(rep.lhs)), _sci(abs(rep.rhs)), _sci(rep.rel_error), "ok"])
-            failed |= rep.rel_error > args.tol
-    _emit(["check", "x_re", "x_im", "lhs", "rhs", "residual", "status"], rows)
-    return 1 if failed else 0
+            return ["exact-eval", _sci(x.real), _sci(x.imag), _sci(rep.lhs.real + rep.lhs.imag),
+                    _sci(rep.rhs), _sci(rep.residual), "boundary-form"]
+        return ["theta", _sci(x.real), _sci(x.imag), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
+                _sci(rep.residual), "ok"]
+
+    return _checks(["check", "x_re", "x_im", "lhs", "rhs", "residual", "status"],
+                   points, check, row, args.tol)
 
 
 def _cmd_inverse_check(args):
     F = _resolve_field(args.field)
     zeros = inverse_theta.load_zeros(args.zeros)
-    rows, failed = [], False
-    for x in [_parse_complex(xs) for xs in args.x]:
-        rep = inverse_theta.check_inverse_theta(F, args.k, x, zeros, tol=args.tol)
-        rows.append([_sci(x.real), _sci(x.imag), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
-                     _sci(rep.rel_error), str(rep.zeros_used)])
-        failed |= rep.rel_error > args.tol
-    _emit(["x_re", "x_im", "lhs", "rhs", "rel_error", "zeros"], rows)
-    return 1 if failed else 0
+    return _checks(
+        ["x_re", "x_im", "lhs", "rhs", "rel_error", "zeros"], [_parse_complex(xs) for xs in args.x],
+        lambda x: inverse_theta.check_inverse_theta(F, args.k, x, zeros, tol=args.tol),
+        lambda x, rep: [_sci(x.real), _sci(x.imag), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
+                        _sci(rep.residual), str(len(zeros))],
+        args.tol)
 
 
 def _cmd_hlr_check(args):
     zeros = inverse_theta.load_zeros(args.zeros)
-    rows, failed = [], False
-    for x in [_parse_real(xs) for xs in args.x]:
-        rep = inverse_theta.hlr_check(x, zeros, tol=args.tol)
-        rows.append([_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real),
-                     _sci(rep.residual), str(rep.zeros_used)])
-        failed |= rep.residual > args.tol
-    _emit(["x", "lhs", "rhs", "residual", "zeros"], rows)
-    return 1 if failed else 0
+    return _checks(
+        ["x", "lhs", "rhs", "residual", "zeros"], [_parse_real(xs) for xs in args.x],
+        lambda x: inverse_theta.hlr_check(x, zeros, tol=args.tol),
+        lambda x, rep: [_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real), _sci(rep.residual),
+                        str(len(zeros))],
+        args.tol)
 
 
 def _cmd_dgv_check(args):
     F = _resolve_field(args.field)
     zeros = inverse_theta.load_zeros(args.zeros)
-    rows, failed = [], False
-    for x in [_parse_real(xs) for xs in args.x]:
-        rep = inverse_theta.dgv_check(F, x, zeros, tol=args.tol)
-        rows.append([_sci(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
-                     _sci(rep.residual), str(rep.zeros_used)])
-        failed |= rep.residual > args.tol
-    _emit(["x", "lhs", "rhs", "residual", "zeros"], rows)
-    return 1 if failed else 0
+    return _checks(
+        ["x", "lhs", "rhs", "residual", "zeros"], [_parse_real(xs) for xs in args.x],
+        lambda x: inverse_theta.dgv_check(F, x, zeros, tol=args.tol),
+        lambda x, rep: [_sci(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)), _sci(rep.residual),
+                        str(len(zeros))],
+        args.tol)
 
 
 def _cmd_zeros_scan(args):
@@ -153,14 +154,13 @@ def _cmd_zeros_scan(args):
 
 def _cmd_phi_check(args):
     F = _resolve_field(args.field)
-    rows, failed = [], False
-    for z in [_parse_complex(zs) for zs in args.z]:
-        rep = critical_line.phi_identity_check(F, z, tol=args.tol)
-        rows.append([_sci(z.real), _sci(z.imag), _sci(rep.integral.real),
-                     _sci(rep.theta_side.real), _sci(rep.residual)])
-        failed |= rep.residual > args.tol
-    _emit(["z_re", "z_im", "integral", "theta_side", "residual"], rows)
-    return 1 if failed else 0
+    return _checks(
+        ["z_re", "z_im", "integral", "theta_side", "residual"],
+        [_parse_complex(zs) for zs in args.z],
+        lambda z: critical_line.phi_identity_check(F, z, tol=args.tol),
+        lambda z, rep: [_sci(z.real), _sci(z.imag), _sci(rep.lhs.real), _sci(rep.rhs.real),
+                        _sci(rep.residual)],
+        args.tol)
 
 
 def build_parser():

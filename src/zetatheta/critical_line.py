@@ -150,20 +150,14 @@ def scan_zeros(field, t_min, t_max, step):
                       range=(float(t_min), float(t_max)))
 
 
-@dataclass(frozen=True)
-class PhiReport:
-    z: complex
-    integral: complex        # int_0^T Xi(t)/(t^2+1/4) cos(zt) dt
-    theta_side: complex      # -(pi/2)[e^{-z/2} W(e^{-2z}) + 2^r1 C_F (e^{-z/2}+e^{z/2})]
-    residual: float
-    height: float
-
-
 def phi_identity_check(field, z, T=None, tol=1e-6):
     """Check the Phi integral identity tying Xi_F to the forward theta function.
 
-    Both sides are independently computable: the left by quadrature of
-    Xi_F(t)/(t^2 + 1/4) cos(zt), the right through the theta machinery.
+    Both sides are independently computable: lhs is the quadrature of
+    int_0^T Xi_F(t)/(t^2 + 1/4) cos(zt) dt, rhs the theta side
+    -(pi/2)[e^{-z/2} W(e^{-2z}) + 2^r1 C_F (e^{-z/2} + e^{z/2})].  The
+    residual is |lhs - rhs|; the budget's quadrature_delta is the change of
+    lhs under node doubling.
     """
     z = complex(z)
     d = field.degree
@@ -180,12 +174,13 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
 
     v1 = lhs_sum(16)
     v2 = lhs_sum(32)
-    if abs(v2 - v1) > max(tol * 0.1, 1e-12):
-        raise ConvergenceError(f"Phi integral did not settle: delta {abs(v2 - v1):.2e}")
+    delta = abs(v2 - v1)
+    if delta > max(tol * 0.1, 1e-12):
+        raise ConvergenceError(f"Phi integral did not settle: delta {delta:.2e}")
     # W at x = e^{-2z} on the sheet log x = -2z, which leaves the principal one at |Im z| > pi/2
     w_val = theta._w_theta_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))
     c_term = 2.0 ** field.r1 * fields.laurent_constant(field) * \
         (cmath.exp(-z / 2.0) + cmath.exp(z / 2.0))
     rhs = -(math.pi / 2.0) * (cmath.exp(-z / 2.0) * w_val + c_term)
-    return PhiReport(z=z, integral=v2, theta_side=rhs, residual=abs(v2 - rhs),
-                     height=float(T))
+    return theta.Report(lhs=v2, rhs=rhs, residual=abs(v2 - rhs),
+                        budget={"quadrature_delta": delta})

@@ -229,14 +229,6 @@ def r0_inverse(field, k, x):
     return r0_inverse_polynomial(field, k)(x)
 
 
-def r1_inverse(field, k, x):
-    """Residue at s = 1 of Lambda_F^k(s) x^{-s/2}, by an independent contour at s = 1."""
-    x = complex(x)
-    poly = numerics.residue_polynomial(
-        lambda s: fields.lambda_many(field, s, k), 1.0, k * field.unit_rank, scale=0.5)
-    return poly(x) / cmath.sqrt(x)
-
-
 def zeta_taylor(field, gamma, order):
     """(c_0, ..., c_order), order >= 2: Taylor coefficients of zeta_F at rho = 1/2 + i gamma.
 
@@ -313,39 +305,32 @@ def zero_sum(field, k, x, zeros):
     return total, last
 
 
+def _u_inverse_parts(field, k, x, zeros, tol):
+    """(U_{F,-k}(x), magnitude of the last zero pair); see u_inverse."""
+    zsum, last = zero_sum(field, k, x, zeros)
+    return l_series(field, k, x, tol=tol) + r0_inverse(field, k, x) + 0.5 * zsum, last
+
+
 def u_inverse(field, k, x, zeros, tol=1e-7):
     """U_{F,-k}(x) = L_{F,-k}(x) + R_0(x) + (1/2) sum_rho R_rho(x)."""
-    zsum, _ = zero_sum(field, k, x, zeros)
-    return l_series(field, k, x, tol=tol) + r0_inverse(field, k, x) + 0.5 * zsum
-
-
-@dataclass(frozen=True)
-class InverseReport:
-    x: complex
-    lhs: complex
-    rhs: complex
-    rel_error: float
-    zeros_used: int
-    zero_tail_estimate: float
-
-    @property
-    def residual(self):
-        return abs(self.lhs - self.rhs)
+    return _u_inverse_parts(field, k, x, zeros, tol)[0]
 
 
 def check_inverse_theta(field, k, x, zeros, tol=1e-6):
-    """Verify U(1/x) = sqrt(x) U(x) for 1/zeta_F^k."""
+    """Verify U(1/x) = sqrt(x) U(x) for 1/zeta_F^k.
+
+    lhs is U(1/x), rhs sqrt(x) U(x), and the residual is relative.  The
+    budget's zero_tail_estimate is the larger last-pair magnitude of the
+    two zero sums.
+    """
     x = complex(x)
     inner = min(tol * 0.25, 1e-7)
-    z_x, tail_x = zero_sum(field, k, x, zeros)
-    z_inv, tail_inv = zero_sum(field, k, 1.0 / x, zeros)
-    u_x = l_series(field, k, x, tol=inner) + r0_inverse(field, k, x) + 0.5 * z_x
-    u_inv = l_series(field, k, 1.0 / x, tol=inner) + r0_inverse(field, k, 1.0 / x) + 0.5 * z_inv
+    u_x, tail_x = _u_inverse_parts(field, k, x, zeros, inner)
+    u_inv, tail_inv = _u_inverse_parts(field, k, 1.0 / x, zeros, inner)
     rhs = cmath.sqrt(x) * u_x
     rel = abs(u_inv - rhs) / max(abs(u_inv), abs(rhs), 1e-30)
-    return InverseReport(x=x, lhs=u_inv, rhs=rhs, rel_error=rel,
-                         zeros_used=len(zeros),
-                         zero_tail_estimate=max(tail_x, tail_inv))
+    return theta.Report(lhs=u_inv, rhs=rhs, residual=rel,
+                        budget={"zero_tail_estimate": max(tail_x, tail_inv)})
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +363,9 @@ def hlr_check(x, zeros, tol=1e-4):
     raises ConvergenceError.  rhs is sqrt(pi/x) times the reflected sum minus
     the zero term.  At the symmetric point x = pi the two exponential sums
     cancel termwise and the residual reduces to the zero term's own numerics.
+    The residual is |lhs - rhs|; the budget holds the last zero pair's
+    magnitude (zero_tail_estimate) and the certified remainder of the two
+    sums (l_series_remainder).
     """
     if x <= 0:
         raise DomainError("hlr_check needs x > 0")
@@ -386,17 +374,16 @@ def hlr_check(x, zeros, tol=1e-4):
     rational = fields.builtin_field("Q")
     direct, _, bound = _l_series_parts(rational, 1, x / math.pi)
     reflected, _, bound_reflected = _l_series_parts(rational, 1, math.pi / x)
-    budget = 0.5 * (bound + math.sqrt(math.pi / x) * bound_reflected)
-    if budget > tol / 4.0:
+    remainder = 0.5 * (bound + math.sqrt(math.pi / x) * bound_reflected)
+    if remainder > tol / 4.0:
         raise ConvergenceError(
-            f"hlr_check certified remainder {budget:.2e} > {tol / 4:g}")
+            f"hlr_check certified remainder {remainder:.2e} > {tol / 4:g}")
     lhs = 0.5 * direct.real
     zterm, zero_tail = _hlr_zero_sum(x, zeros)
     rhs = math.sqrt(math.pi / x) * 0.5 * reflected.real - zterm
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return InverseReport(x=complex(x), lhs=complex(lhs), rhs=complex(rhs),
-                         rel_error=rel, zeros_used=len(zeros),
-                         zero_tail_estimate=zero_tail)
+    return theta.Report(lhs=complex(lhs), rhs=complex(rhs), residual=abs(lhs - rhs),
+                        budget={"zero_tail_estimate": zero_tail,
+                                "l_series_remainder": remainder})
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +425,7 @@ def dgv_check(field, x, zeros, tol=1e-5):
     The left side reuses the kernel machinery (l_series); the right side is
     built from the DGV residue formulas with zeta_F'(rho) read off zeta_taylor,
     so the comparison crosses two genuinely different evaluation routes.
+    The residual is |lhs - rhs|; the budget holds zero_tail_estimate.
     """
     if field.degree > 2:
         raise DomainError("dgv_check covers Q and quadratic fields")
@@ -457,9 +445,7 @@ def dgv_check(field, x, zeros, tol=1e-5):
     z_beta, tail_beta = _dgv_zero_sum(field, beta, zeros)
     rhs = r0p(alpha) / math.sqrt(alpha) - r0p(beta) / math.sqrt(beta) \
         + 0.5 * (z_alpha / math.sqrt(alpha) - z_beta / math.sqrt(beta))
-    rhs = complex(rhs)
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return InverseReport(x=complex(x), lhs=complex(lhs), rhs=rhs, rel_error=rel,
-                         zeros_used=len(zeros),
-                         zero_tail_estimate=0.5 * max(tail_alpha / math.sqrt(alpha),
-                                                      tail_beta / math.sqrt(beta)))
+    lhs, rhs = complex(lhs), complex(rhs)
+    return theta.Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
+                        budget={"zero_tail_estimate": 0.5 * max(tail_alpha / math.sqrt(alpha),
+                                                                 tail_beta / math.sqrt(beta))})

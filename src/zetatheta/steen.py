@@ -206,16 +206,8 @@ def _left_pole_polynomial(r1, r2, m):
         _gamma_power(r1, r2), -float(m), r2 + (r1 if m % 2 == 0 else 0), scale=1.0))
 
 
-def z_small_series(r1, r2, x, tol=1e-14):
-    """Z_{r1,r2}(x) for small |x| as sum_m x^m P_m(log x) over the left poles."""
-    x = complex(x)
-    if x == 0:
-        return 0.0 + 0.0j
-    return complex(z_small_series_many(r1, r2, np.array([x]), tol=tol)[0])
-
-
 def z_small_series_many(r1, r2, xs, tol=1e-14):
-    """Vectorized z_small_series over an array of arguments with |x| <= ~1.
+    """Z_{r1,r2}(x) = sum_m x^m P_m(log x) over the left poles, on an array of |x| <= ~1.
 
     Stops after two consecutive orders whose largest term is below tol/100;
     ConvergenceError if that takes more than 80 orders.

@@ -23,13 +23,12 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class ThetaReport:
-    x: complex
-    lhs: complex            # W(1/x)
-    rhs: complex            # sqrt(x) * W(x)
-    rel_error: float
-    terms_used: int
-    series_tail: float      # certified remainder of both truncated series
+class Report:
+    """What every check returns: both sides, the residual its tol judges, its error terms."""
+    lhs: complex
+    rhs: complex
+    residual: float
+    budget: dict            # error terms the check computed on the way, by name
 
 
 def _require_sector(field, log_x):
@@ -130,28 +129,20 @@ def w_theta(field, k, x, tol=1e-10):
 
 
 def check_theta(field, k, x, tol=1e-8):
-    """Verify W(1/x) = sqrt(x) W(x); returns both sides and the relative residual.
+    """Verify W(1/x) = sqrt(x) W(x): lhs W(1/x), rhs sqrt(x) W(x), relative residual.
 
     1/x is taken as log(1/x) = -log x, so both sides sit on the sheet of x.
+    The budget's series_tail is the certified remainder of both truncated series.
     """
     log_x = _log_of(x, "check_theta")
     inner = min(tol * 1e-2, 1e-10)
-    s_x, n_x, tail_x = _s_series_log(field, k, log_x, inner)
-    s_inv, n_inv, tail_inv = _s_series_log(field, k, -log_x, inner)
+    s_x, _, tail_x = _s_series_log(field, k, log_x, inner)
+    s_inv, _, tail_inv = _s_series_log(field, k, -log_x, inner)
     r0 = r0_theta_polynomial(field, k)
     lhs = s_inv - r0.eval_log(-log_x)
     rhs = cmath.exp(log_x / 2.0) * (s_x - r0.eval_log(log_x))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return ThetaReport(x=complex(x), lhs=lhs, rhs=rhs, rel_error=rel,
-                       terms_used=max(n_x, n_inv), series_tail=tail_x + tail_inv)
-
-
-@dataclass(frozen=True)
-class ExactEvalReport:
-    lhs: complex                # sum of a(n) Z~(scale * n * i), sqrt(-1) = +i
-    rhs: float                  # 2^r1 C_F
-    residual: float             # |lhs - rhs| (lhs keeps a genuine imaginary part)
-    boundary_residual: float    # |Re(lhs) + Im(lhs) - rhs|
+    return Report(lhs=lhs, rhs=rhs, residual=rel, budget={"series_tail": tail_x + tail_inv})
 
 
 def exact_eval_check(field, tol=1e-8):
@@ -160,19 +151,21 @@ def exact_eval_check(field, tol=1e-8):
     The two sides come from independent routes: saddle-line quadratures summed
     against the ideal counts, versus the Laurent constant of zeta_F at s = 0.
 
-    The sum itself is genuinely complex: with the principal branch, letting
-    x -> -1 from above in the theta relation gives conj(W(-1)) = i W(-1), so
-    the consequence of the relation is Re(lhs) + Im(lhs) = 2^r1 C_F (reported
-    as boundary_residual), not lhs = 2^r1 C_F (reported as residual).
+    lhs is the kernel sum of a(n) Z~(scale * n * i) on the sheet log x = i pi,
+    rhs is 2^r1 C_F.  The sum itself is genuinely complex: with the principal
+    branch, letting x -> -1 from above in the theta relation gives
+    conj(W(-1)) = i W(-1), so the consequence of the relation is
+    Re(lhs) + Im(lhs) = 2^r1 C_F, and the residual is that boundary form;
+    the flat distance |lhs - rhs| does not vanish.
     """
     if field.degree < 3:
         raise DomainError("exact evaluation needs a field of degree >= 3")
     if not field.is_abelian:
         raise DomainError("exact evaluation needs an abelian field")
-    lhs = s_series(field, 1, -1.0 + 0.0j, tol=tol)
+    lhs, _, tail = _s_series_log(field, 1, 1j * math.pi, tol)
     rhs = 2.0 ** field.r1 * fields.laurent_constant(field)
-    return ExactEvalReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
-                           boundary_residual=abs(lhs.real + lhs.imag - rhs))
+    return Report(lhs=lhs, rhs=rhs, residual=abs(lhs.real + lhs.imag - rhs),
+                  budget={"series_tail": tail})
 
 
 def jacobi_w1_direct(x, tol=1e-15):

@@ -4,7 +4,9 @@ Everything here avoids the package's own evaluation routes: the zeta values
 come from the globally convergent Hasse series, gamma from a direct integral
 plus recurrence, Bessel K from its cosh integral, coefficient tables from
 brute-force enumeration, the exponential Moebius sum from a smoothed cutoff.
-Slow and simple on purpose.
+Slow and simple on purpose.  One oracle, r1_inverse, does use the package's
+lambda_many and residue_polynomial, but on its own contour at s = 1, not the
+s = 0 contour that inverse_theta.r0_inverse reads.
 """
 
 import cmath
@@ -12,6 +14,8 @@ import functools
 import math
 
 import numpy as np
+
+from zetatheta import fields, numerics
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,3 +152,11 @@ def smoothed_mu_exp_sum(x, n_smooth=1_000_000):
     n = np.arange(1, n_smooth + 1, dtype=float)
     w = _smooth_weight(n / n_smooth)
     return float(np.sum(mu[1:] / n * np.exp(-x / (n * n)) * w))
+
+
+def r1_inverse(field, k, x):
+    """Residue at s = 1 of Lambda_F^k(s) x^{-s/2}, by its own contour at s = 1."""
+    x = complex(x)
+    poly = numerics.residue_polynomial(
+        lambda s: fields.lambda_many(field, s, k), 1.0, k * field.unit_rank, scale=0.5)
+    return poly(x) / cmath.sqrt(x)

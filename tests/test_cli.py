@@ -4,7 +4,9 @@ import re
 import pytest
 
 from zetatheta import cli
+from zetatheta import critical_line as cl
 from zetatheta import inverse_theta as iv
+from zetatheta import theta as th
 from zetatheta.errors import ValidationError
 
 SCI = re.compile(r"-?\d\.\d{14}e[+-]\d{2,3}$")
@@ -192,6 +194,29 @@ class TestPhiCheck:
     def test_imaginary_z(self, capsys):
         code, out, _ = run(capsys, "phi-check", "--field", "sqrt5", "--z", "0,-0.3")
         assert code == 0
+
+
+class TestExitCode:
+    # every check returns one Report, and its residual alone decides the exit code
+    @pytest.mark.parametrize("factor,expected", [(0.99, 0), (1.01, 1)])
+    @pytest.mark.parametrize("module,name,argv", [
+        (th, "check_theta", ("theta-check", "--field", "Q", "--x", "2")),
+        (th, "exact_eval_check", ("theta-check", "--field", "cubic7", "--x=-1")),
+        (iv, "check_inverse_theta", ("inverse-check", "--field", "Q", "--x", "2", "--zeros")),
+        (iv, "hlr_check", ("hlr-check", "--x", "2", "--zeros")),
+        (iv, "dgv_check", ("dgv-check", "--field", "Q", "--x", "2", "--zeros")),
+        (cl, "phi_identity_check", ("phi-check", "--field", "Q", "--z", "0.3")),
+    ])
+    def test_residual_against_tol(self, capsys, monkeypatch, zeros_file, module, name, argv,
+                                  factor, expected):
+        tol = 1e-6
+        report = th.Report(lhs=1.0 + 0.0j, rhs=1.0, residual=factor * tol, budget={})
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: report)
+        if argv[-1] == "--zeros":
+            argv += (zeros_file,)
+        code, out, err = run(capsys, *argv, "--tol", str(tol))
+        assert code == expected, err
+        assert len(rows_of(out)[1]) == 1
 
 
 class TestSignedValues:

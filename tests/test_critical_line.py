@@ -198,11 +198,13 @@ class TestPhiIdentity:
     def test_quadratic(self, field_sqrt5, z):
         rep = cl.phi_identity_check(field_sqrt5, z)
         assert rep.residual < 1e-6
+        assert 0 <= rep.budget["quadrature_delta"] <= max(0.1 * 1e-6, 1e-12)
 
     @pytest.mark.parametrize("z", [0.0, 0.25, 0.5, -0.3j])
     def test_cubic(self, field_cubic7, z):
         rep = cl.phi_identity_check(field_cubic7, z)
         assert rep.residual < 1e-6
+        assert 0 <= rep.budget["quadrature_delta"] <= max(0.1 * 1e-6, 1e-12)
 
     @pytest.mark.parametrize("name", ["cubic7", "zeta5"])
     @pytest.mark.parametrize("frac", [0.75, -0.75, 0.9, -0.9])

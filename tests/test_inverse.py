@@ -18,7 +18,7 @@ from zetatheta.errors import (
     ZeroNotSimpleError,
 )
 
-from _oracles import moebius_sieve, smoothed_mu_exp_sum
+from _oracles import moebius_sieve, r1_inverse, smoothed_mu_exp_sum
 
 
 def _mu_exp_sum_30_digits(y, n_head=2000):
@@ -296,20 +296,19 @@ class TestZeroSum:
 class TestCheckInverseTheta:
     def test_rational_k1(self, field_q, riemann_zeros_reference):
         rep = iv.check_inverse_theta(field_q, 1, 4.0, riemann_zeros_reference)
-        assert rep.rel_error < 1e-6
-        assert rep.zeros_used == 30
+        assert rep.residual < 1e-6
 
     def test_rational_k2_fixed_point(self, field_q, riemann_zeros_reference):
         rep = iv.check_inverse_theta(field_q, 2, 1.0, riemann_zeros_reference)
-        assert rep.rel_error < 1e-12   # identical sides; double poles must stay finite
+        assert rep.residual < 1e-12   # identical sides; double poles must stay finite
 
     def test_rational_k2(self, field_q, riemann_zeros_reference):
         rep = iv.check_inverse_theta(field_q, 2, 2.0, riemann_zeros_reference)
-        assert rep.rel_error < 1e-5
+        assert rep.residual < 1e-5
 
     def test_quadratic_with_scanned_zeros(self, field_sqrt5, scanned_zeros_sqrt5):
         rep = iv.check_inverse_theta(field_sqrt5, 1, 2.0, scanned_zeros_sqrt5)
-        assert rep.rel_error < 1e-5
+        assert rep.residual < 1e-5
 
     @pytest.mark.parametrize("field_name,k,zeros_name", [
         ("gauss", 1, "scanned_zeros_gauss"),
@@ -322,26 +321,26 @@ class TestCheckInverseTheta:
         zeros = request.getfixturevalue(zeros_name)
         for x in (0.5, 2.0):
             rep = iv.check_inverse_theta(field, k, x, zeros)
-            assert rep.rel_error < 1e-6, (field_name, k, x)
-            assert 0 < rep.zero_tail_estimate < 1e-20
+            assert rep.residual < 1e-6, (field_name, k, x)
+            assert 0 < rep.budget["zero_tail_estimate"] < 1e-20
 
     def test_zeta5_close_zeros(self, field_zeta5, zeta5_zeros_reference):
         # 14.11546 and 14.13473 lie 0.019 apart, inside one radius-0.05 circle
         assert len(zeta5_zeros_reference) == 35
         for x in (0.25, 2.0, 0.6 + 0.4j):
             rep = iv.check_inverse_theta(field_zeta5, 1, x, zeta5_zeros_reference)
-            assert rep.rel_error < 1e-12, x
+            assert rep.residual < 1e-12, x
 
     def test_rational_k2_time(self, field_q, riemann_zeros_reference):
         start = time.perf_counter()
         rep = iv.check_inverse_theta(field_q, 2, 2.0, riemann_zeros_reference)
         assert time.perf_counter() - start < 0.5
-        assert rep.rel_error < 1e-5
+        assert rep.residual < 1e-5
 
     def test_zero_count_stability(self, field_q, riemann_zeros_reference):
         a = iv.check_inverse_theta(field_q, 1, 4.0, riemann_zeros_reference.head(15))
         b = iv.check_inverse_theta(field_q, 1, 4.0, riemann_zeros_reference)
-        assert abs(a.residual - b.residual) < 1e-8
+        assert abs(abs(a.lhs - a.rhs) - abs(b.lhs - b.rhs)) < 1e-8
 
 
 class TestHLR:
@@ -364,8 +363,9 @@ class TestHLR:
     def test_exact_sums(self, riemann_zeros_reference):
         rep = iv.hlr_check(1.0, riemann_zeros_reference)
         assert rep.residual < 1e-9
-        assert rep.zero_tail_estimate == abs(
+        assert rep.budget["zero_tail_estimate"] == abs(
             iv.hlr_zero_term(1.0, iv.ZeroList(gammas=riemann_zeros_reference.gammas[-1:])))
+        assert rep.budget["l_series_remainder"] <= 1e-4 / 4
         with pytest.raises(ConvergenceError):
             iv.hlr_check(1.0, riemann_zeros_reference, tol=1e-18)
 
@@ -415,7 +415,7 @@ class TestDGV:
     def test_quadratic(self, field_sqrt5, scanned_zeros_sqrt5):
         rep = iv.dgv_check(field_sqrt5, 4.0, scanned_zeros_sqrt5)
         assert rep.residual < 1e-5
-        assert 0 < rep.zero_tail_estimate < 1e-20
+        assert 0 < rep.budget["zero_tail_estimate"] < 1e-20
 
     def test_rational_matches_hlr_content(self, field_q, riemann_zeros_reference):
         rep = iv.dgv_check(field_q, 4.0, riemann_zeros_reference)
@@ -431,6 +431,6 @@ class TestInverseResidueReflection:
         # Res_{s=1} Lambda^k(s) x^{-s/2} = -(1/sqrt(x)) R_0(1/x)
         for field, k in [(field_sqrt5, 1), (field_sqrt5, 2), (field_cubic7, 1)]:
             for x in (0.7, 2.0):
-                lhs = iv.r1_inverse(field, k, x)
+                lhs = r1_inverse(field, k, x)
                 rhs = -iv.r0_inverse(field, k, 1.0 / x) / cmath.sqrt(x)
                 assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs)), (field.label, k, x)

@@ -88,7 +88,7 @@ def snapshot():
     for name, z in (("sqrt5", 0.5), ("cubic7", 0.25), ("Q", -0.3j), ("gauss", 0.0),
                     ("cubic7", edge["cubic7"]), ("zeta5", edge["zeta5"])):
         _record(out, f"phi_identity_check/{name}/z={z}", lambda: (
-            lambda r: (r.integral, r.theta_side))(
+            lambda r: (r.lhs, r.rhs))(
                 cl.phi_identity_check(fields.builtin_field(name), z)))
     for name, k, x, zeros in (("Q", 1, 4.0, zeros_q), ("Q", 2, 2.0, zeros_q),
                               ("sqrt5", 1, 2.0, zeros_sqrt5)):
