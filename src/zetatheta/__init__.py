@@ -10,7 +10,6 @@ from .fields import (
     ideal_coeffs,
     laurent_constant,
     make_field_abelian,
-    make_field_from_coeffs,
     moebius_coeffs,
     power_coeffs,
     residue_constant,

@@ -79,8 +79,6 @@ class ScanResult:
     brackets: tuple          # (t_lo, t_hi) sign-change intervals
     refined: tuple           # zero ordinates, one per bracket
     residuals: tuple         # |rescaled Xi| at each refined ordinate
-    grid_step: float
-    range: tuple
 
 
 def refine_zeros(field, brackets, tol=1e-9):
@@ -146,8 +144,7 @@ def scan_zeros(field, t_min, t_max, step):
             warnings.warn(f"zeros at {a:.6f} and {b:.6f} closer than twice the "
                           f"scan step {step}; consider a finer grid", stacklevel=2)
     return ScanResult(brackets=tuple(brackets), refined=tuple(refined),
-                      residuals=tuple(residuals), grid_step=float(step),
-                      range=(float(t_min), float(t_max)))
+                      residuals=tuple(residuals))
 
 
 def phi_identity_check(field, z, T=None, tol=1e-6):
@@ -155,9 +152,11 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
 
     Both sides are independently computable: lhs is the quadrature of
     int_0^T Xi_F(t)/(t^2 + 1/4) cos(zt) dt, rhs the theta side
-    -(pi/2)[e^{-z/2} W(e^{-2z}) + 2^r1 C_F (e^{-z/2} + e^{z/2})].  The
-    residual is |lhs - rhs|; the budget's quadrature_delta is the change of
-    lhs under node doubling.
+    -(pi/2)[e^{-z/2} W(e^{-2z}) + 2^r1 C_F (e^{-z/2} + e^{z/2})].  At k = 1
+    R_0 is the constant 2^r1 C_F, so with W = S - R_0 the rhs is
+    -(pi/2)[e^{-z/2} S(e^{-2z}) + 2^r1 C_F e^{z/2}].  The residual is
+    |lhs - rhs|; the budget's quadrature_delta is the change of lhs under
+    node doubling.
     """
     z = complex(z)
     d = field.degree
@@ -177,10 +176,9 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
     delta = abs(v2 - v1)
     if delta > max(tol * 0.1, 1e-12):
         raise ConvergenceError(f"Phi integral did not settle: delta {delta:.2e}")
-    # W at x = e^{-2z} on the sheet log x = -2z, which leaves the principal one at |Im z| > pi/2
-    w_val = theta._w_theta_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))
-    c_term = 2.0 ** field.r1 * fields.laurent_constant(field) * \
-        (cmath.exp(-z / 2.0) + cmath.exp(z / 2.0))
-    rhs = -(math.pi / 2.0) * (cmath.exp(-z / 2.0) * w_val + c_term)
+    # S at x = e^{-2z} on the sheet log x = -2z, which leaves the principal one at |Im z| > pi/2
+    s_val = theta._s_series_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))[0]
+    r0 = 2.0 ** field.r1 * fields.laurent_constant(field)
+    rhs = -(math.pi / 2.0) * (cmath.exp(-z / 2.0) * s_val + r0 * cmath.exp(z / 2.0))
     return theta.Report(lhs=v2, rhs=rhs, residual=abs(v2 - rhs),
                         budget={"quadrature_delta": delta})

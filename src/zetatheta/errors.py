@@ -51,10 +51,6 @@ class SignCheckError(ZetaThetaError):
     """A quantity with a known sign came out with the wrong sign."""
 
 
-class UnsupportedFieldError(ZetaThetaError):
-    """Operation needs analytic continuation that file-backed fields do not have."""
-
-
 class ZeroNotSimpleError(ZetaThetaError):
     """The Taylor data of zeta_F at a listed zero shows a multiple zero (zeta_F'(rho) negligible)."""
 

@@ -1,16 +1,14 @@
 """Number fields as character lists, plus the arithmetic built on them.
 
-A field enters either as the list of Dirichlet characters whose L-functions
-multiply to its zeta function (abelian mode, full analytic continuation) or
-as a plain coefficient file (file mode, right half-plane only).  This module
-owns character arithmetic, the coefficient tables a(n) / a_k(n) / mu_k(n),
-the residue constant at s=1 and the leading Laurent constant at s=0, and the
+A field is the list of Dirichlet characters whose L-functions multiply to
+its zeta function, which gives zeta_F on the whole plane.  This module owns
+character arithmetic, the coefficient tables a(n) / a_k(n) / mu_k(n), the
+residue constant at s=1 and the leading Laurent constant at s=0, and the
 completed-zeta prefactors used by every contour in the package.
 """
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,14 +229,8 @@ class FieldDescriptor:
     r2: int
     degree: int
     disc: int
-    characters: tuple = None          # abelian mode
-    coeff_path: str = None            # file mode
-    coefficients: np.ndarray = None   # file mode: a(0..N), a(0) unused
+    characters: tuple
     label: str = ""
-
-    @property
-    def is_abelian(self):
-        return self.characters is not None
 
     @property
     def unit_rank(self):
@@ -246,14 +238,11 @@ class FieldDescriptor:
 
     @property
     def cache_key(self):
-        if self.is_abelian:
-            return (self.r1, self.r2, self.disc, tuple(c.key for c in self.characters))
-        return (self.r1, self.r2, self.disc, self.coeff_path)
+        return (self.r1, self.r2, self.disc, tuple(c.key for c in self.characters))
 
     def __repr__(self):
-        kind = "abelian" if self.is_abelian else "file"
         return (f"FieldDescriptor({self.label or '?'}: d={self.degree}, "
-                f"r1={self.r1}, r2={self.r2}, D={self.disc}, {kind})")
+                f"r1={self.r1}, r2={self.r2}, D={self.disc})")
 
 
 def make_field_abelian(characters, label=""):
@@ -288,36 +277,6 @@ def make_field_abelian(characters, label=""):
         disc *= c.conductor
     return FieldDescriptor(r1=r1, r2=r2, degree=d, disc=disc,
                            characters=chars, label=label)
-
-
-def make_field_from_coeffs(path, r1, r2, disc, label=""):
-    """Field backed by a `<n> <a_n>` coefficient file (strictly increasing n from 1)."""
-    values = [0]
-    expected = 1
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected `<n> <a_n>`", line=lineno)
-            try:
-                n, a_n = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("non-integer entry", line=lineno) from None
-            if n != expected:
-                raise ParseError(f"expected n = {expected}, got {n}", line=lineno)
-            values.append(a_n)
-            expected += 1
-    if len(values) < 2:
-        raise ParseError("coefficient file has no entries")
-    if values[1] != 1:
-        raise ValidationError("a(1) must be 1")
-    return FieldDescriptor(r1=r1, r2=r2, degree=r1 + 2 * r2, disc=disc,
-                           coeff_path=os.fspath(path),
-                           coefficients=np.array(values, dtype=np.int64),
-                           label=label)
 
 
 def _cubic7_characters():
@@ -423,33 +382,26 @@ def dirichlet_inverse(a):
 def ideal_coeffs(field, n_max):
     """a_F(n) for n <= n_max: the number of integral ideals of norm n.
 
-    For abelian fields this is the Dirichlet convolution of the character
-    value sequences; imaginary parts must cancel and real parts must land on
-    integers (drift beyond 1e-6 raises RoundingDriftError).
+    This is the Dirichlet convolution of the character value sequences;
+    imaginary parts must cancel and real parts must land on integers (drift
+    beyond 1e-6 raises RoundingDriftError).
     """
     return numerics.memo(("ideal_coeffs", field.cache_key, n_max),
                          lambda: _ideal_table(field, n_max))
 
 
 def _ideal_table(field, n_max):
-    if not field.is_abelian:
-        if n_max >= len(field.coefficients):
-            raise ValidationError("coefficient file shorter than requested bound")
-        vals = field.coefficients[:n_max + 1].copy()
-    else:
-        acc = field.characters[0].values_upto(n_max)
-        for chi in field.characters[1:]:
-            acc = dirichlet_convolve(acc, chi.values_upto(n_max))
-        drift = max(float(np.max(np.abs(acc[1:].imag))),
-                    float(np.max(np.abs(acc[1:].real - np.round(acc[1:].real)))))
-        if drift > 1e-6:
-            raise RoundingDriftError(f"ideal counts drifted {drift:.2e} from integers")
-        vals = np.round(acc.real).astype(np.int64)
-        vals[0] = 0
-        if np.any(vals[1:] < 0):
-            raise RoundingDriftError("negative ideal count")
-    if vals[1] != 1:
-        raise ValidationError("a(1) != 1")
+    acc = field.characters[0].values_upto(n_max)
+    for chi in field.characters[1:]:
+        acc = dirichlet_convolve(acc, chi.values_upto(n_max))
+    drift = max(float(np.max(np.abs(acc[1:].imag))),
+                float(np.max(np.abs(acc[1:].real - np.round(acc[1:].real)))))
+    if drift > 1e-6:
+        raise RoundingDriftError(f"ideal counts drifted {drift:.2e} from integers")
+    vals = np.round(acc.real).astype(np.int64)
+    vals[0] = 0
+    if np.any(vals[1:] < 0):
+        raise RoundingDriftError("negative ideal count")
     return CoefficientTable(bound=n_max, values=vals, k=1, kind="forward")
 
 
@@ -488,8 +440,6 @@ def residue_constant(field):
 
 
 def _residue_constant(field):
-    if not field.is_abelian:
-        raise ValidationError("residue_constant needs an abelian field")
     h = 1 + 0j
     for chi in field.characters:
         if not chi.is_principal:
@@ -508,8 +458,6 @@ def laurent_constant(field):
 
 
 def _laurent_constant(field):
-    if not field.is_abelian:
-        raise ValidationError("laurent_constant needs an abelian field")
     r = field.unit_rank
 
     def f(s):

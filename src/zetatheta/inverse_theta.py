@@ -31,13 +31,15 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ZeroList:
-    """Ascending positive imaginary parts of critical-line zeros."""
+    """Ascending positive imaginary parts of critical-line zeros, never empty."""
     gammas: tuple
     source: str = "unknown"
     field_label: str = ""
 
     def __post_init__(self):
         g = self.gammas
+        if not g:
+            raise ValidationError("the zero sum needs a nonempty zero list")
         bad = [v for v in g if not 0 < v < math.inf]
         if bad:
             raise ValidationError(f"zero ordinates must be positive and finite, got {bad[0]}")
@@ -201,8 +203,7 @@ def l_series(field, k, x, tol=1e-7):
     m (at least 1) such that N0^{-m} (1 + log N0)^{k(r1+r2)} >= 2^-52.  The
     sum always runs to rounding level; `tol` only bounds the certified
     remainder (truncation plus rounding), and a bound above tol/2 raises
-    ConvergenceError.  Needs an abelian field (UnsupportedFieldError
-    otherwise).
+    ConvergenceError.
     """
     value, n0, bound = _l_series_parts(field, k, x)
     if bound > tol / 2.0:
@@ -294,8 +295,6 @@ def zero_sum(field, k, x, zeros):
     Returns (sum, tail_estimate) with the tail estimated by the magnitude of
     the last included pair.
     """
-    if len(zeros) == 0:
-        raise ValidationError("zero_sum needs a nonempty zero list")
     total = 0.0 + 0.0j
     last = 0.0
     for g in zeros.gammas:
@@ -369,8 +368,6 @@ def hlr_check(x, zeros, tol=1e-4):
     """
     if x <= 0:
         raise DomainError("hlr_check needs x > 0")
-    if len(zeros) == 0:
-        raise ValidationError("the zero sum needs a nonempty zero list")
     rational = fields.builtin_field("Q")
     direct, _, bound = _l_series_parts(rational, 1, x / math.pi)
     reflected, _, bound_reflected = _l_series_parts(rational, 1, math.pi / x)
@@ -404,10 +401,8 @@ def _dgv_zero_sum(field, alpha, zeros):
     """sum over pairs of R_rho(alpha) = alpha^rho Gamma-form / zeta_F'(rho).
 
     Returns (sum, magnitude of the last included pair).  Also the HLR zero
-    term (F = Q), so the error message names no identity.
+    term (F = Q).
     """
-    if len(zeros) == 0:
-        raise ValidationError("the zero sum needs a nonempty zero list")
     total = 0.0
     last = 0.0
     for g in zeros.gammas:
@@ -432,8 +427,6 @@ def dgv_check(field, x, zeros, tol=1e-5):
     x = float(x)
     if x <= 0:
         raise DomainError("dgv_check needs x > 0")
-    if len(zeros) == 0:
-        raise ValidationError("the zero sum needs a nonempty zero list")
     scale = fields.kernel_scale(field)
     alpha = scale * math.sqrt(x)
     beta = scale / math.sqrt(x)

@@ -118,14 +118,10 @@ def r1_theta(field, k, x):
     return poly(x) / cmath.sqrt(x)
 
 
-def _w_theta_log(field, k, log_x, tol):
-    """W_{F,k} at x = e^{log_x}, on the sheet log_x names."""
-    return _s_series_log(field, k, log_x, tol)[0] - r0_theta_polynomial(field, k).eval_log(log_x)
-
-
 def w_theta(field, k, x, tol=1e-10):
     """W_{F,k}(x) = S_{F,k}(x) - R_0(x), x on the principal sheet."""
-    return _w_theta_log(field, k, _log_of(x, "s_series"), tol)
+    log_x = _log_of(x, "s_series")
+    return _s_series_log(field, k, log_x, tol)[0] - r0_theta_polynomial(field, k).eval_log(log_x)
 
 
 def check_theta(field, k, x, tol=1e-8):
@@ -160,8 +156,6 @@ def exact_eval_check(field, tol=1e-8):
     """
     if field.degree < 3:
         raise DomainError("exact evaluation needs a field of degree >= 3")
-    if not field.is_abelian:
-        raise DomainError("exact evaluation needs an abelian field")
     lhs, _, tail = _s_series_log(field, 1, 1j * math.pi, tol)
     rhs = 2.0 ** field.r1 * fields.laurent_constant(field)
     return Report(lhs=lhs, rhs=rhs, residual=abs(lhs.real + lhs.imag - rhs),

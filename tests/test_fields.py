@@ -157,39 +157,6 @@ class TestMakeFieldAbelian:
                                    fd.kronecker_character(-4)])
 
 
-class TestCoefficientFile:
-    def test_round_trip(self, tmp_path, field_sqrt5):
-        table = fd.ideal_coeffs(field_sqrt5, 50)
-        p = tmp_path / "sqrt5.an"
-        p.write_text("".join(f"{n} {table[n]}\n" for n in range(1, 51)))
-        F = fd.make_field_from_coeffs(p, r1=2, r2=0, disc=5)
-        assert not F.is_abelian
-        assert list(F.coefficients[1:6]) == [table[n] for n in range(1, 6)]
-        s = 3.0
-        abelian = nx.dedekind_zeta(s, field_sqrt5)
-        filed = nx.dedekind_zeta(s, F)
-        assert abs(abelian - filed) < 1e-4   # truncated at n = 50
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "empty.an"
-        p.write_text("")
-        with pytest.raises(ParseError):
-            fd.make_field_from_coeffs(p, 2, 0, 5)
-
-    def test_bad_leading_coefficient(self, tmp_path):
-        p = tmp_path / "bad.an"
-        p.write_text("1 2\n2 0\n")
-        with pytest.raises(ValidationError):
-            fd.make_field_from_coeffs(p, 2, 0, 5)
-
-    def test_non_consecutive(self, tmp_path):
-        p = tmp_path / "gap.an"
-        p.write_text("1 1\n3 0\n")
-        with pytest.raises(ParseError) as err:
-            fd.make_field_from_coeffs(p, 2, 0, 5)
-        assert err.value.line == 2
-
-
 class TestIdealCoeffs:
     def test_rational_all_ones(self, field_q):
         assert np.all(fd.ideal_coeffs(field_q, 100).values[1:] == 1)
@@ -207,13 +174,6 @@ class TestIdealCoeffs:
         assert table[29] == 3         # split: 29 = 1 mod 7
         assert table[113] == 3        # 113 = 1 mod 7
         assert table[2] == 0 and table[8] == 1   # inert prime, cube of its ideal
-
-    def test_file_mode_passthrough(self, tmp_path, field_sqrt5):
-        src = fd.ideal_coeffs(field_sqrt5, 30)
-        p = tmp_path / "c.an"
-        p.write_text("".join(f"{n} {src[n]}\n" for n in range(1, 31)))
-        F = fd.make_field_from_coeffs(p, 2, 0, 5)
-        assert np.all(fd.ideal_coeffs(F, 20).values == src.values[:21])
 
 
 class TestPowerCoeffs:

@@ -13,7 +13,6 @@ from zetatheta.errors import (
     ConvergenceError,
     DomainError,
     ParseError,
-    UnsupportedFieldError,
     ValidationError,
     ZeroNotSimpleError,
 )
@@ -61,13 +60,12 @@ class TestZeroList:
         with pytest.raises(ParseError):
             iv.load_zeros(p)
 
-    def test_empty_is_valid_but_unusable(self, tmp_path, field_q):
+    def test_comment_only_file_rejected(self, tmp_path):
+        # an empty list is refused where it is made, not by each zero sum
         p = tmp_path / "z.txt"
         p.write_text("# nothing\n")
-        zl = iv.load_zeros(p)
-        assert len(zl) == 0
-        with pytest.raises(ValidationError):
-            iv.zero_sum(field_q, 1, 1.0, zl)
+        with pytest.raises(ValidationError, match="the zero sum needs a nonempty zero list"):
+            iv.load_zeros(p)
 
     def test_write_round_trip(self, tmp_path, riemann_zeros_reference):
         p = tmp_path / "out.txt"
@@ -148,13 +146,6 @@ class TestLSeries:
         mu = fd.moebius_coeffs(field_sqrt5, 1, n0).values[1:]
         assert len(xs) == np.count_nonzero(mu) and np.max(np.abs(xs)) > 0.4
         assert 0 < bound < 1e-9
-
-    def test_coefficient_file_field(self, tmp_path):
-        p = tmp_path / "q.coeffs"
-        p.write_text("".join(f"{n} 1\n" for n in range(1, 201)))
-        field = fd.make_field_from_coeffs(p, 1, 0, 1, label="Q-file")
-        with pytest.raises(UnsupportedFieldError):
-            iv.l_series(field, 1, 2.0)
 
 
 class TestR0Inverse:

@@ -10,6 +10,7 @@ import pytest
 
 from zetatheta import fields as fd
 from zetatheta import numerics as nx
+from zetatheta import theta as th
 from zetatheta.errors import (
     ConvergenceError,
     DomainError,
@@ -296,6 +297,14 @@ class TestBesselK:
         with pytest.raises(DomainError):
             nx.bessel_k(0, -2.0)
 
+    def test_runs_without_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        assert nx.bessel_k(0, 1.0) == pytest.approx(0.42102443824070834, rel=1e-13)
+        x = 2.0
+        lhs = th.koshliakov_w2_direct(1.0 / x)
+        assert abs(lhs - math.sqrt(x) * th.koshliakov_w2_direct(x)) < 1e-9 * abs(lhs)
+
 
 class TestLineIntegral:
     def spec(self, c, T, panels=24, nodes=24):
@@ -491,8 +500,8 @@ class TestMemo:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.special is imported inside bessel_k only: importing the package
-    # must not pull scipy in (it would dominate the import time)
+    # numpy is the one runtime dependency: importing the package must not
+    # pull scipy in (it would dominate the import time)
     src = os.path.dirname(os.path.dirname(os.path.abspath(nx.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
