@@ -146,7 +146,7 @@ def _l_series_parts(field, k, x):
     mu = fields.moebius_coeffs(field, k, n0).values[1:].astype(float)
     ns = np.arange(1.0, n0 + 1.0)
     # the head in one kernel-array call; a quadrature entry is charged the
-    # 1e-11 |Z~| its node-doubling check holds
+    # 1e-11 |Z~| its step-halving check holds
     head = np.nonzero(mu)[0]
     z, charge = steen.z_shifted_many(kr1, kr2, alpha / ns[head], tol=1e-13)
     weights = mu[head] / ns[head]

@@ -15,7 +15,6 @@ import cmath
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     ConvergenceError,
@@ -293,19 +292,16 @@ def bessel_k(nu, z):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Vertical contour Re(s) = abscissa, |Im s| <= half_height, composite Gauss-Legendre."""
+    """Vertical contour Re(s) = abscissa, |Im s| <= half_height, trapezoid nodes at Im s = j step."""
     abscissa: float
     half_height: float
-    panel_count: int = 16
-    nodes_per_panel: int = 24
+    step: float
 
     def __post_init__(self):
         if not self.half_height > 0:
             raise ValidationError("half_height must be positive")
-        if self.panel_count < 1:
-            raise ValidationError("panel_count must be >= 1")
-        if self.nodes_per_panel < 4:
-            raise ValidationError("nodes_per_panel must be >= 4")
+        if not 0 < self.step <= self.half_height:
+            raise ValidationError("step must satisfy 0 < step <= half_height")
 
 
 @dataclass(frozen=True)
@@ -315,38 +311,104 @@ class LineIntegralResult:
     converged: bool
 
 
-def _panel_nodes(t_lo, t_hi, panel_count, nodes_per_panel):
-    edges = np.linspace(t_lo, t_hi, panel_count + 1)
-    x, w = memo(("gauss_legendre", nodes_per_panel), lambda: leggauss(nodes_per_panel))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+# Nodes of one integrand call of nested_trapezoid: the entries are grouped by
+# the slot of this width that their first node falls in, and an entry with
+# more nodes than that is a group of its own.
+_TRAPEZOID_CHUNK_NODES = 4096
+# Step halvings after the first pass: the finest step is 1/16 of the first.
+_TRAPEZOID_HALVINGS = 4
 
 
-def _line_sum(f, c, t_lo, t_hi, panel_count, nodes_per_panel):
-    t, w = _panel_nodes(t_lo, t_hi, panel_count, nodes_per_panel)
-    vals = f(c + 1j * t)
-    vals = np.asarray(vals, dtype=complex)
-    if np.any(~np.isfinite(vals)):
-        raise DomainError("integrand returned a non-finite value on the contour")
-    return complex(np.sum(vals * w)) / (2.0 * math.pi)
+def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0):
+    """int_{-T_i}^{T_i} g(t, i) dt for every entry i by one nested trapezoid rule.
+
+    Entry i starts with nodes t = j steps[i], |t| <= T_i, and each of up to
+    four halvings of the step adds the midpoints, so every node is evaluated
+    once.  With `even` the integrand is even in t: only t >= 0 is evaluated,
+    with half weight at t = 0, and the value is int_0^{T_i}.  `g(t, entry)`
+    gets a 1-d array of nodes and the entry of each; every call holds whole
+    entries and about _TRAPEZOID_CHUNK_NODES nodes.  An entry stops once two
+    successive levels differ by at most max(atol, rtol max(|value|, 1e-250)).
+    Each entry's nodes are summed over their own segment in one fixed order,
+    so its value does not depend on the other entries.  Returns arrays of
+    (values, last halving deltas, converged flags).
+    """
+    T = np.asarray(half_heights, dtype=float)
+    h = np.asarray(steps, dtype=float)
+    if not np.all((h > 0) & (h <= T)):
+        raise ValidationError("steps must satisfy 0 < step <= half_height")
+    values = np.zeros(len(T), dtype=complex)
+    totals = np.zeros(len(T), dtype=complex)      # sum of g over every node so far
+    deltas = np.full(len(T), np.inf)
+    converged = np.zeros(len(T), dtype=bool)
+    live = np.arange(len(T))
+    for level in range(_TRAPEZOID_HALVINGS + 1):
+        step = h[live] / 2.0 ** level
+        top = np.floor(T[live] / step).astype(np.int64)     # the largest j with j step <= T
+        if level == 0:
+            counts = top + 1 if even else 2 * top + 1
+        else:                                               # the odd j, the new midpoints
+            counts = (top + 1) // 2 if even else 2 * ((top + 1) // 2)
+        starts = np.cumsum(counts) - counts
+        slot = starts // _TRAPEZOID_CHUNK_NODES
+        big = counts > _TRAPEZOID_CHUNK_NODES
+        first = np.ones(len(live), dtype=bool)
+        first[1:] = (slot[1:] != slot[:-1]) | big[1:] | big[:-1]
+        bounds = np.append(np.flatnonzero(first), len(live))
+        sums = np.empty(len(live), dtype=complex)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            cnt = counts[a:b]
+            seg = starts[a:b] - starts[a]
+            k = np.arange(seg[-1] + cnt[-1]) - np.repeat(seg, cnt)
+            if level == 0:
+                j = k if even else k - np.repeat(top[a:b], cnt)
+            else:
+                j = 2 * k + 1 if even else 2 * k - np.repeat(cnt - 1, cnt)
+            vals = np.asarray(g(j * np.repeat(step[a:b], cnt), np.repeat(live[a:b], cnt)),
+                              dtype=complex)
+            if np.any(~np.isfinite(vals)):
+                raise DomainError("integrand returned a non-finite value on the contour")
+            if even and level == 0:
+                vals[seg] *= 0.5
+            sums[a:b] = np.add.reduceat(vals, seg)
+        totals[live] += sums
+        new = step * totals[live]
+        if level:
+            deltas[live] = np.abs(new - values[live])
+            converged[live] = deltas[live] <= np.maximum(
+                atol, rtol * np.maximum(np.abs(new), 1e-250))
+        values[live] = new
+        live = live[~converged[live]]
+        if not len(live):
+            break
+    return values, deltas, converged
+
+
+def line_integral_many(f, abscissae, half_heights, steps):
+    """(1/2 pi i) int f(s, i) ds over each vertical segment i of a batch.
+
+    Segment i is Re(s) = abscissae[i], |Im s| <= half_heights[i], integrated
+    by nested_trapezoid from the step steps[i]; `f(s, entry)` gets a 1-d
+    array of points and the entry of each.  Returns arrays of (values,
+    halving deltas, converged flags); converged means the last halving moved
+    the value by at most 1e-11 relative.
+    """
+    c = np.asarray(abscissae, dtype=float)
+    values, deltas, converged = nested_trapezoid(
+        lambda t, entry: f(c[entry] + 1j * t, entry), half_heights, steps)
+    return values / (2.0 * math.pi), deltas / (2.0 * math.pi), converged
 
 
 def line_integral(f, spec):
-    """(1/2 pi i) * integral of f over the vertical segment of `spec`.
+    """(1/2 pi i) * integral of f over the vertical segment of `spec`: line_integral_many for one entry.
 
-    `f` must accept a numpy array of complex points.  The result carries a
-    node-doubling delta; `converged` means the doubling changed the value by
-    less than 1e-11 relative.
+    `f` must accept a numpy array of complex points.  `doubling_delta` is
+    the change of the last step halving, which doubles the nodes.
     """
-    c, T = spec.abscissa, spec.half_height
-    v1 = _line_sum(f, c, -T, T, spec.panel_count, spec.nodes_per_panel)
-    v2 = _line_sum(f, c, -T, T, spec.panel_count, 2 * spec.nodes_per_panel)
-    delta = abs(v2 - v1)
-    scale = max(abs(v2), 1e-250)
-    return LineIntegralResult(value=v2, doubling_delta=delta, converged=delta <= 1e-11 * scale)
+    values, deltas, converged = line_integral_many(
+        lambda s, entry: f(s), [spec.abscissa], [spec.half_height], [spec.step])
+    return LineIntegralResult(value=complex(values[0]), doubling_delta=float(deltas[0]),
+                              converged=bool(converged[0]))
 
 
 # ---------------------------------------------------------------------------

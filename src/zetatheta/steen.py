@@ -4,7 +4,10 @@ The kernels are inverse Mellin transforms of gamma-power products evaluated
 on vertical lines.  The quadrature line is moved to the (approximate) saddle
 of the integrand so the values stay accurate in a relative sense even deep in
 the exponentially small regime; the integrand is assembled in log space since
-individual gamma factors overflow long before the product does.
+individual gamma factors overflow long before the product does.  Every
+line integral is one nested trapezoid rule (numerics.line_integral_many),
+and the quadrature entries of a kernel array share each of its step
+halvings.
 """
 
 import cmath
@@ -21,56 +24,50 @@ _LOG_UNDERFLOW = -760.0
 
 
 def _sector_rate(r1, r2, arg_x):
-    """Exponential decay rate of Gamma^r1(s/2) Gamma^r2(s) x^{-s} on a vertical line.
+    """Exponential decay rate of Gamma^r1(s/2) Gamma^r2(s) x^{-s} on a vertical line, per Arg x.
 
-    SectorError when |Arg x| comes within 0.1 of pi d/4, d = r1 + 2 r2; with
-    r1 = 0, r2 = n it is the sector |Arg x| < pi n/2 of an n-factor steen_v.
+    SectorError when any |Arg x| comes within 0.1 of pi d/4, d = r1 + 2 r2;
+    with r1 = 0, r2 = n it is the sector |Arg x| < pi n/2 of an n-factor
+    steen_v.
     """
     d = r1 + 2 * r2
-    rate = math.pi * d / 4.0 - abs(arg_x)
-    if rate < 0.1:
+    worst = float(np.max(np.abs(arg_x), initial=0.0))
+    if math.pi * d / 4.0 - worst < 0.1:
         raise SectorError(
-            f"|Arg x| = {abs(arg_x):.4f} too close to the sector boundary "
+            f"|Arg x| = {worst:.4f} too close to the sector boundary "
             f"pi*{d}/4 = {math.pi * d / 4.0:.4f}")
-    return rate
+    return math.pi * d / 4.0 - np.abs(arg_x)
 
 
-def _mellin_barnes(f, c, log_x, d, rate, tol, t_offset=0.0):
-    """(1/2 pi i) int_(c) f(s) ds for a gamma-product integrand f(s) times x^{-s}.
+def _mellin_barnes(f, c, log_x, d, rate, gap, tol, t_offset):
+    """(1/2 pi i) int_(c_i) f(s, i) ds for each entry i of a batch of gamma-product integrands times x_i^{-s}.
 
-    The window |Im s| <= T runs until the integrand, decaying like
+    c and log_x are arrays over the entries; rate, gap and t_offset are
+    arrays like them or scalars for all.  The window |Im s| <= T runs until the integrand, decaying like
     e^{-rate |Im s|}, is below tol, measured from c0 = max(c, 0) and widened
     by `t_offset` when the integrand's mass sits off the real axis (complex
-    x).  The panel count comes from the phase estimate
-    freq = d/2 * log(2 + c0 + T) + |log x|_1, where d is the growth
-    coefficient of the gamma phase (the degree r1 + 2 r2 for the kernels,
-    the factor count n for steen_v); it is doubled up to three times until
-    the node-doubling check passes, else ConvergenceError: the one verdict
-    on whether a Mellin-Barnes integral converged.
+    x).  One nested trapezoid rule (numerics.line_integral_many) integrates
+    all entries at once.  Its first step is the smallest of T/32,
+    1.5 pi/freq and 2 pi gap/30.  freq = d/2 log(2 + c0 + T) + |log x|_1 is
+    the phase estimate, where d is the growth coefficient of the gamma phase
+    (the degree r1 + 2 r2 for the kernels, the factor count n for steen_v).
+    `gap` is the distance from the line to the nearest gamma pole: the
+    step-h sum errs by alias terms of size about e^{-2 pi gap/h}.  An entry
+    that has not converged after the last step halving raises
+    ConvergenceError: the one verdict on whether a Mellin-Barnes integral
+    converged.
     """
-    c0 = max(c, 0.0)
+    c0 = np.maximum(c, 0.0)
     T = c0 + t_offset + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
-    freq = 0.5 * d * math.log(2.0 + c0 + T) + abs(log_x.imag) + abs(log_x.real)
-    panels = max(8, int(math.ceil(2.0 * T * freq / (2.0 * math.pi) / 6.0)))
-    for doubling in range(4):
-        res = numerics.line_integral(f, numerics.QuadratureSpec(
-            abscissa=c, half_height=T, panel_count=panels << doubling, nodes_per_panel=24))
-        if res.converged:
-            return res.value
-    raise ConvergenceError(f"Mellin-Barnes integral on Re(s) = {c} did not converge with "
-                           f"{panels << 3} panels: node-doubling delta {res.doubling_delta:.2e}")
-
-
-def _gamma_power_integrand(r1, r2, log_x, c):
-    """s -> Gamma^r1(s/2) Gamma^r2(s) x^{-s} on the line Re(s) = c, for arrays of s.
-
-    Assembled in log space at every abscissa, since single gamma factors
-    overflow long before the product does.
-    """
-    def f(s):
-        lg = numerics.log_gamma_factor(r1, r2, s) - s * log_x
-        return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
-    return f
+    freq = 0.5 * d * np.log(2.0 + c0 + T) + np.abs(log_x.imag) + np.abs(log_x.real)
+    step = np.minimum(np.minimum(T / 32.0, 1.5 * math.pi / freq), 2.0 * math.pi * gap / 30.0)
+    values, deltas, converged = numerics.line_integral_many(f, c, T, step)
+    if not np.all(converged):
+        i = int(np.argmin(converged))
+        raise ConvergenceError(f"Mellin-Barnes integral on Re(s) = {c[i]} did not converge in "
+                               f"{numerics._TRAPEZOID_HALVINGS} step halvings: "
+                               f"halving delta {deltas[i]:.2e}")
+    return values
 
 
 def steen_v(x, params, c=None, tol=1e-12):
@@ -87,20 +84,21 @@ def steen_v(x, params, c=None, tol=1e-12):
         raise DomainError("steen_v needs at least one gamma factor")
     rate = _sector_rate(0, n, cmath.phase(x))
     log_x = cmath.log(x)
-    c_min = max(-a for a in params) + 1.6
+    pole = max(-a for a in params)
     if c is None:
-        c = max(c_min, 2.0, abs(x) ** (1.0 / n))
-    elif c <= max(-a for a in params):
+        c = max(pole + 1.6, 2.0, abs(x) ** (1.0 / n))
+    elif c <= pole:
         raise DomainError("abscissa must lie right of every gamma pole")
 
-    def f(s):
+    def f(s, entry):
         lg = np.zeros_like(s)
         for a in params:
             lg = lg + numerics.loggamma(s + a)
         lg = lg - s * log_x
         return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
 
-    return _mellin_barnes(f, c, log_x, n, rate, tol)
+    return complex(_mellin_barnes(f, np.array([float(c)]), np.array([log_x]), n, rate,
+                                  c - pole, tol, 0.0)[0])
 
 
 def _saddle_point(r1, r2, x):
@@ -109,20 +107,33 @@ def _saddle_point(r1, r2, x):
     return (x * 2.0 ** (r1 / 2.0)) ** (2.0 / d)
 
 
-def _kernel_on_line(r1, r2, x, c, tol, t_offset=0.0):
-    """Inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s) on the line Re(s) = c.
+def _kernel_lines(r1, r2, xs, c, tol, t_offset):
+    """Inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s) at each xs[i] on the line Re(s) = c[i].
 
     That is Z~_{r1,r2}(x) for c > 0 and Z = Z~ - Res_0 for -1 < c < 0, where
-    the line has crossed the pole at 0 and no other.  `t_offset` widens the
-    window by the offset of the integrand's mass along the line.
+    the line has crossed the pole at 0 and no other.  `t_offset` widens each
+    window by the offset of the integrand's mass along the line.  All entries
+    go through one _mellin_barnes call, so log_gamma_factor runs once per
+    chunk of nodes per step halving.
     """
-    if not (c > 0 or -1.0 < c < 0):
+    c = np.asarray(c, dtype=float)
+    if not np.all((c > 0) | ((-1.0 < c) & (c < 0))):
         raise DomainError("abscissa must satisfy c > 0 or -1 < c < 0")
-    x = complex(x)
-    rate = _sector_rate(r1, r2, cmath.phase(x))
-    log_x = cmath.log(x)
-    return _mellin_barnes(_gamma_power_integrand(r1, r2, log_x, c), c, log_x, r1 + 2 * r2,
-                          rate, tol, t_offset=t_offset)
+    xs = np.asarray(xs, dtype=complex)
+    rate = _sector_rate(r1, r2, np.angle(xs))
+    log_x = np.log(xs)
+    gap = np.where(c > 0, c, np.minimum(-c, 1.0 + c))
+
+    def f(s, entry):
+        lg = numerics.log_gamma_factor(r1, r2, s) - s * log_x[entry]
+        return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
+
+    return _mellin_barnes(f, c, log_x, r1 + 2 * r2, rate, gap, tol, t_offset)
+
+
+def _kernel_on_line(r1, r2, x, c, tol, t_offset=0.0):
+    """_kernel_lines at one point: Z~ for c > 0, Z for -1 < c < 0."""
+    return complex(_kernel_lines(r1, r2, [x], [c], tol, [t_offset])[0])
 
 
 def _kernel_many(r1, r2, xs, tol, shifted):
@@ -132,19 +143,20 @@ def _kernel_many(r1, r2, xs, tol, shifted):
     residue-dominated: the ascending expansion is exact there while a vertical
     line would drown in cancellation.  It runs in two magnitude blocks, since
     its stop rule reads the largest term of a block.  Further out each entry
-    gets one line integral through the real part of the integrand's saddle
+    gets a line integral through the real part of the integrand's saddle
     (clamped to [2, 2000]), so relative accuracy survives into the
     exponentially small tail; the window covers the saddle's offset along the
-    line for complex x.  The charge is 1e-11 |Z~| where a quadrature ran (the
-    accuracy its node-doubling check holds) and 0 elsewhere.  The sector is
-    checked for the whole array before any work.
+    line for complex x.  All those lines are integrated together, one
+    _kernel_lines call per array.  The charge is 1e-11 |Z~| where a
+    quadrature ran (the accuracy its step-halving check holds) and 0
+    elsewhere.  The sector is checked for the whole array before any work.
     """
     xs = np.asarray(xs, dtype=complex)
     if r1 < 0 or r2 < 0 or r1 + r2 == 0:
         raise DomainError("need r1, r2 >= 0 with r1 + r2 >= 1")
     if np.any(xs == 0):
         raise DomainError("the kernels are undefined at x = 0")
-    _sector_rate(r1, r2, float(np.max(np.abs(np.angle(xs)), initial=0.0)))
+    _sector_rate(r1, r2, np.angle(xs))
     values = np.zeros_like(xs)
     charge = np.zeros(xs.shape)
     abs_x = np.abs(xs)
@@ -156,13 +168,16 @@ def _kernel_many(r1, r2, xs, tol, shifted):
             if not shifted:
                 r0 = _r0_polynomial(r1, r2)
                 values[block] += [r0(x) for x in xs[block]]
-    for i in np.nonzero(~near)[0]:
-        x = complex(xs[i])
-        saddle = _saddle_point(r1, r2, x)
-        z = _kernel_on_line(r1, r2, x, min(max(2.0, saddle.real), 2000.0), tol,
-                            t_offset=abs(saddle.imag))
-        charge[i] = 1e-11 * abs(z)
-        values[i] = z - _r0_polynomial(r1, r2)(x) if shifted else z
+    far = np.nonzero(~near)[0]
+    if len(far):
+        saddle = _saddle_point(r1, r2, xs[far])
+        z = _kernel_lines(r1, r2, xs[far], np.clip(saddle.real, 2.0, 2000.0), tol,
+                          np.abs(saddle.imag))
+        charge[far] = [1e-11 * abs(complex(v)) for v in z]
+        if shifted:
+            r0 = _r0_polynomial(r1, r2)
+            z = z - [r0(x) for x in xs[far]]
+        values[far] = z
     return values, charge
 
 

@@ -170,8 +170,7 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
         # quadrature node-doubling stability on the closed-form cases
         for x in (1.0, 2.0):
-            spec = nx.QuadratureSpec(abscissa=1.0, half_height=40.0,
-                                     panel_count=24, nodes_per_panel=24)
+            spec = nx.QuadratureSpec(abscissa=1.0, half_height=40.0, step=0.25)
             res = nx.line_integral(lambda s: nx.gamma_many(s) * np.exp(-s * math.log(x)),
                                    spec)
             assert res.doubling_delta < 1e-11 * abs(res.value)

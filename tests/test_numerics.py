@@ -307,9 +307,8 @@ class TestBesselK:
 
 
 class TestLineIntegral:
-    def spec(self, c, T, panels=24, nodes=24):
-        return nx.QuadratureSpec(abscissa=c, half_height=T,
-                                 panel_count=panels, nodes_per_panel=nodes)
+    def spec(self, c, T, step=0.25):
+        return nx.QuadratureSpec(abscissa=c, half_height=T, step=step)
 
     def test_exponential_kernel(self):
         for x, expected in [(1.0, math.exp(-1.0)), (2.0, math.exp(-2.0))]:
@@ -330,11 +329,10 @@ class TestLineIntegral:
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
-            nx.QuadratureSpec(abscissa=1.0, half_height=-1.0)
-        with pytest.raises(ValidationError):
-            nx.QuadratureSpec(abscissa=1.0, half_height=1.0, panel_count=0)
-        with pytest.raises(ValidationError):
-            nx.QuadratureSpec(abscissa=1.0, half_height=1.0, nodes_per_panel=2)
+            nx.QuadratureSpec(abscissa=1.0, half_height=-1.0, step=0.25)
+        for step in (0.0, -0.25, 1.5):
+            with pytest.raises(ValidationError):
+                nx.QuadratureSpec(abscissa=1.0, half_height=1.0, step=step)
 
     def test_nan_integrand_rejected(self):
         f = lambda s: np.full_like(s, np.nan)

@@ -59,6 +59,28 @@ class TestZTilde:
             assert st.z_tilde(2, 0, x) == pytest.approx(4.0 * nx.bessel_k(0, 2.0 * x),
                                                         rel=1e-11)
 
+    @pytest.mark.parametrize("r1,r2", [(1, 0), (2, 0), (0, 1), (0, 2)])
+    def test_closed_forms_across_the_sector(self, r1, r2):
+        # the 1e-11 relative charge of a quadrature entry, out to |x| = 100 and
+        # 0.9 of the sector; below the normal double range the value must be too
+        mpmath = pytest.importorskip("mpmath")
+        closed = {(1, 0): lambda x: 2 * mpmath.exp(-x * x),
+                  (2, 0): lambda x: 4 * mpmath.besselk(0, 2 * x),
+                  (0, 1): lambda x: mpmath.exp(-x),
+                  (0, 2): lambda x: 2 * mpmath.besselk(0, 2 * mpmath.sqrt(x))}[(r1, r2)]
+        d = r1 + 2 * r2
+        with mpmath.workdps(30):
+            for frac in (0.0, 0.5, -0.5, 0.9, -0.9):
+                for abs_x in np.geomspace(0.45, 100.0, 15):
+                    x = cmath.rect(abs_x, frac * (math.pi * d / 4.0 - 0.1))
+                    v = st.z_tilde(r1, r2, x)
+                    ref = closed(mpmath.mpc(x.real, x.imag))
+                    if abs(ref) < 1e-300:
+                        assert abs(v) < 1e-300, (abs_x, frac)
+                    else:
+                        assert abs(mpmath.mpc(v.real, v.imag) - ref) <= 1e-11 * abs(ref), \
+                            (abs_x, frac)
+
     def test_complex_rays(self):
         # arguments on Arg x = +-(pi d / 4 - 0.2)
         for (r1, r2), closed in [((1, 0), lambda x: 2.0 * cmath.exp(-x * x)),
@@ -160,12 +182,31 @@ class TestKernelMany:
     def test_sector_checked_before_any_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a quadrature ran before the sector check")
-        monkeypatch.setattr(st, "_kernel_on_line", refuse)
+        monkeypatch.setattr(nx, "line_integral_many", refuse)
         xs = [1.3, 2.0, 0.9 * 1j]                # Arg = pi/2 > pi/4 for (1, 0)
         with pytest.raises(SectorError):
             st.z_tilde_many(1, 0, xs)
         with pytest.raises(SectorError):
             st.z_shifted_many(1, 0, xs)
+
+    @pytest.mark.parametrize("r1,r2", [(2, 1), (0, 4)])
+    def test_quadrature_work_is_per_chunk(self, r1, r2, monkeypatch):
+        # all quadrature entries share each step halving: log_gamma_factor runs
+        # once per chunk of nodes and level, not once or twice per entry
+        calls = []
+        log_gamma_factor = nx.log_gamma_factor
+
+        def spy(r1, r2, s):
+            calls.append(np.size(s))
+            return log_gamma_factor(r1, r2, s)
+
+        monkeypatch.setattr(nx, "log_gamma_factor", spy)
+        for n in (40, 80):
+            xs = np.geomspace(0.45, 30.0, n) * np.exp(0.3j * np.linspace(-1.0, 1.0, n))
+            calls.clear()
+            st.z_tilde_many(r1, r2, xs)
+            chunks = math.ceil(sum(calls) / nx._TRAPEZOID_CHUNK_NODES)
+            assert len(calls) <= 5 * chunks, (n, len(calls), chunks)
 
     def test_domain(self):
         with pytest.raises(DomainError):
