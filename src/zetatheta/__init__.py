@@ -16,23 +16,16 @@ from .fields import (
 )
 from .numerics import (
     LogPolynomial,
-    QuadratureSpec,
-    bessel_k,
-    complex_gamma,
     dedekind_zeta,
     dirichlet_l,
     hurwitz_zeta,
     laurent_coefficients,
-    line_integral,
-    zeta_derivative,
 )
 from .steen import steen_v, z_shifted, z_tail_bound, z_tilde
 from .theta import (
     Report,
     check_theta,
     exact_eval_check,
-    jacobi_w1_direct,
-    koshliakov_w2_direct,
     r0_theta,
     s_series,
     w_theta,

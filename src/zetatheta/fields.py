@@ -405,10 +405,15 @@ def _ideal_table(field, n_max):
     return CoefficientTable(bound=n_max, values=vals, k=1, kind="forward")
 
 
-def power_coeffs(field, k, n_max):
-    """a_{F,k}(n): k-fold Dirichlet self-convolution of a_F."""
+def require_k(k):
+    """ValidationError unless the power k of zeta_F is at least 1."""
     if k < 1:
         raise ValidationError("k must be >= 1")
+
+
+def power_coeffs(field, k, n_max):
+    """a_{F,k}(n): k-fold Dirichlet self-convolution of a_F."""
+    require_k(k)
     if k == 1:
         return ideal_coeffs(field, n_max)
 
@@ -423,8 +428,7 @@ def power_coeffs(field, k, n_max):
 
 def moebius_coeffs(field, k, n_max):
     """mu_{F,k}(n): the Dirichlet inverse of a_{F,k}, i.e. coefficients of 1/zeta_F^k."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    require_k(k)
     return numerics.memo(("moebius_coeffs", field.cache_key, k, n_max), lambda: CoefficientTable(
         bound=n_max, values=dirichlet_inverse(power_coeffs(field, k, n_max).values),
         k=k, kind="inverse"))

@@ -120,6 +120,7 @@ def _recentred_coeffs(poly, log_alpha):
 
 def _l_series_parts(field, k, x):
     """(value, N0, certified bound) of L_{F,-k}(x); see l_series."""
+    fields.require_k(k)
     x = complex(x)
     if x == 0:
         raise DomainError("l_series undefined at x = 0")
@@ -276,6 +277,7 @@ def r_rho(field, k, x, gamma):
 
     Returns R_rho(x) + R_conj(rho)(x); real for real positive x.
     """
+    fields.require_k(k)
     x = complex(x)
     if x == 0:
         raise DomainError("r_rho undefined at x = 0")
@@ -295,6 +297,7 @@ def zero_sum(field, k, x, zeros):
     Returns (sum, tail_estimate) with the tail estimated by the magnitude of
     the last included pair.
     """
+    fields.require_k(k)
     total = 0.0 + 0.0j
     last = 0.0
     for g in zeros.gammas:

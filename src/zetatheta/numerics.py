@@ -1,8 +1,10 @@
 """Complex-plane special-function backbone.
 
-Gamma and log-gamma (Lanczos), Hurwitz zeta (Euler-Maclaurin), Dirichlet L,
-Dedekind zeta, Bessel K, vertical-line quadrature and contour-based Laurent
-coefficient extraction, residue polynomials, and the package's one memo.
+Log-gamma on the whole plane (Lanczos) and the gamma factor of Lambda_F in
+log space, Hurwitz zeta (Euler-Maclaurin), Dirichlet L, Dedekind zeta,
+vertical-line quadrature (one nested trapezoid rule over a batch of lines),
+contour-based Laurent coefficient extraction, residue polynomials, and the
+package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
 operations in this module.
 
@@ -23,8 +25,6 @@ from .errors import (
     SingularityOnCircleError,
     ValidationError,
 )
-
-EULER_GAMMA = 0.5772156649015328606
 
 # Lanczos rational approximation, g = 7 with 9 coefficients: ~13 significant
 # digits in double precision over the right half-plane.
@@ -100,19 +100,6 @@ def log_gamma_factor(r1, r2, s):
     if r2:
         out = out + r2 * loggamma(s)
     return out
-
-
-def complex_gamma(s):
-    """Gamma(s) anywhere off the non-positive integers: gamma_many at one point."""
-    s = complex(s)
-    if s.real < 0.5 and abs(s.imag) < 1e-12 and abs(s.real - round(s.real)) < 1e-12:
-        raise PoleError(f"gamma pole at s = {round(s.real)}")
-    return complex(gamma_many(np.array([s]))[0])
-
-
-def gamma_many(s):
-    """Vectorized Gamma over an array with no entries at poles: exp(loggamma(s))."""
-    return np.exp(loggamma(np.asarray(s, dtype=complex)))
 
 
 def digamma_real(x):
@@ -259,57 +246,9 @@ def dedekind_zeta_many(s, field):
     return out
 
 
-def bessel_k(nu, z):
-    """Modified Bessel K_nu(z) for real order and Re z > 0.
-
-    K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt by the trapezoid rule.  The
-    integrand is even and analytic on |Im t| < pi/2 - |arg z|, so the step
-    pi (pi/2 - |arg z|)/(40 + Re z + |nu|) leaves an error near
-    e^{-2 (40 + Re z + |nu|)}; the cut-off acosh(1 + (40 + |nu|)/Re z) drops
-    terms below e^{-40 - |nu|} times the one at t = 0.  The terms cancel by
-    about (|z|/Re z)^|nu|, so rounding is ~1e-14 relative for |nu| <= 2 and
-    |arg z| <= pi/2 - 0.2, but 2e-10 at nu = 5, arg z = pi/2 - 0.1.  The
-    integral diverges for Re z <= 0.
-    """
-    z = complex(z)
-    if not z.real > 0:
-        raise DomainError("bessel_k requires Re z > 0")
-    nu = abs(float(nu))
-    step = math.pi * (math.pi / 2.0 - abs(cmath.phase(z))) / (40.0 + z.real + nu)
-    t = np.arange(0.0, math.acosh(1.0 + (40.0 + nu) / z.real) + step, step)
-    # e^{-z} e^{-z (cosh t - 1)}: the exponent stays small where the terms are large
-    vals = np.exp(-2.0 * z * np.sinh(t / 2.0) ** 2) * np.cosh(nu * t)
-    vals[0] *= 0.5
-    out = cmath.exp(-z) * step * complex(np.sum(vals))
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise ConvergenceError(f"bessel_k({nu}, {z}) did not evaluate finitely")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # vertical-line quadrature
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Vertical contour Re(s) = abscissa, |Im s| <= half_height, trapezoid nodes at Im s = j step."""
-    abscissa: float
-    half_height: float
-    step: float
-
-    def __post_init__(self):
-        if not self.half_height > 0:
-            raise ValidationError("half_height must be positive")
-        if not 0 < self.step <= self.half_height:
-            raise ValidationError("step must satisfy 0 < step <= half_height")
-
-
-@dataclass(frozen=True)
-class LineIntegralResult:
-    value: complex
-    doubling_delta: float
-    converged: bool
-
 
 # Nodes of one integrand call of nested_trapezoid: the entries are grouped by
 # the slot of this width that their first node falls in, and an entry with
@@ -399,18 +338,6 @@ def line_integral_many(f, abscissae, half_heights, steps):
     return values / (2.0 * math.pi), deltas / (2.0 * math.pi), converged
 
 
-def line_integral(f, spec):
-    """(1/2 pi i) * integral of f over the vertical segment of `spec`: line_integral_many for one entry.
-
-    `f` must accept a numpy array of complex points.  `doubling_delta` is
-    the change of the last step halving, which doubles the nodes.
-    """
-    values, deltas, converged = line_integral_many(
-        lambda s, entry: f(s), [spec.abscissa], [spec.half_height], [spec.step])
-    return LineIntegralResult(value=complex(values[0]), doubling_delta=float(deltas[0]),
-                              converged=bool(converged[0]))
-
-
 # ---------------------------------------------------------------------------
 # contour-based Laurent coefficients
 # ---------------------------------------------------------------------------
@@ -460,18 +387,6 @@ def laurent_coefficients(f, s0, radius, count, lowest=None):
             f"Laurent coefficients about s0 = {s0} on radius {radius} did not converge: "
             f"64 -> 128 samples moved them by {delta:.2e}")
     return LaurentResult(lowest=lowest, coeffs=b)
-
-
-def zeta_derivative(s, order=1):
-    """zeta'(s) or zeta''(s) by Taylor-coefficient extraction on a radius-0.05 circle."""
-    s = complex(s)
-    if order not in (1, 2):
-        raise ValidationError("order must be 1 or 2")
-    if abs(s - 1.0) < 0.1:
-        raise PoleError("zeta_derivative too close to the pole at s = 1")
-    res = laurent_coefficients(lambda z: hurwitz_zeta_many(z, 1.0), s, 0.05,
-                               count=1, lowest=order)
-    return res.coefficient(order) * math.factorial(order)
 
 
 # ---------------------------------------------------------------------------

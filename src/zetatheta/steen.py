@@ -131,11 +131,6 @@ def _kernel_lines(r1, r2, xs, c, tol, t_offset):
     return _mellin_barnes(f, c, log_x, r1 + 2 * r2, rate, gap, tol, t_offset)
 
 
-def _kernel_on_line(r1, r2, x, c, tol, t_offset=0.0):
-    """_kernel_lines at one point: Z~ for c > 0, Z for -1 < c < 0."""
-    return complex(_kernel_lines(r1, r2, [x], [c], tol, [t_offset])[0])
-
-
 def _kernel_many(r1, r2, xs, tol, shifted):
     """(Z~_{r1,r2}, or Z = Z~ - Res_0 when `shifted`, on an array; quadrature charge per entry).
 

@@ -16,7 +16,6 @@ import numpy as np
 from . import fields, numerics, steen
 from .errors import (
     CoefficientTableExhausted,
-    ConvergenceError,
     DomainError,
     SectorError,
 )
@@ -104,23 +103,12 @@ def r0_theta_polynomial(field, k):
 
 def r0_theta(field, k, x):
     """Residue at s = 0 of Omega_F^k(s) x^{-s/2}; for k = 1 it is 2^r1 C_F."""
-    x = complex(x)
-    if x == 0:
-        raise DomainError("r0_theta undefined at x = 0")
-    return r0_theta_polynomial(field, k)(x)
-
-
-def r1_theta(field, k, x):
-    """Residue at s = 1 of Omega_F^k(s) x^{-s/2}, by an independent contour at s = 1."""
-    x = complex(x)
-    poly = numerics.memo(("r1_theta", field.cache_key, k), lambda: numerics.residue_polynomial(
-        lambda s: fields.omega_many(field, s, k), 1.0, k, scale=0.5))
-    return poly(x) / cmath.sqrt(x)
+    return r0_theta_polynomial(field, k).eval_log(_log_of(x, "r0_theta"))
 
 
 def w_theta(field, k, x, tol=1e-10):
     """W_{F,k}(x) = S_{F,k}(x) - R_0(x), x on the principal sheet."""
-    log_x = _log_of(x, "s_series")
+    log_x = _log_of(x, "w_theta")
     return _s_series_log(field, k, log_x, tol)[0] - r0_theta_polynomial(field, k).eval_log(log_x)
 
 
@@ -160,42 +148,3 @@ def exact_eval_check(field, tol=1e-8):
     rhs = 2.0 ** field.r1 * fields.laurent_constant(field)
     return Report(lhs=lhs, rhs=rhs, residual=abs(lhs.real + lhs.imag - rhs),
                   budget={"series_tail": tail})
-
-
-def jacobi_w1_direct(x, tol=1e-15):
-    """W_1(x) = 1 + 2 sum e^{-pi n^2 x} by direct summation (oracle for F = Q, k = 1)."""
-    x = complex(x)
-    if x.real <= 0:
-        raise DomainError("jacobi_w1_direct needs Re(x) > 0")
-    total = 1.0 + 0.0j
-    n = 1
-    while True:
-        term = 2.0 * cmath.exp(-math.pi * n * n * x)
-        total += term
-        if abs(term) < tol and n >= 3:
-            return total
-        n += 1
-        if n > 10000:
-            raise ConvergenceError("jacobi series did not reach tolerance")
-
-
-def koshliakov_w2_direct(x, tol=1e-13):
-    """W_2(x) = gamma - log(4 pi) + log sqrt(x) + 4 sum d(n) K_0(2 n pi sqrt(x)).
-
-    Direct-series oracle for F = Q, k = 2.
-    """
-    x = complex(x)
-    if x == 0 or (x.real <= 0 and x.imag == 0):
-        raise DomainError("koshliakov_w2_direct needs x off (-inf, 0]")
-    rx = cmath.sqrt(x)
-    total = numerics.EULER_GAMMA - math.log(4.0 * math.pi) + cmath.log(rx)
-    table = fields.power_coeffs(fields.builtin_field("Q"), 2, 256)
-    n = 1
-    while True:
-        term = 4.0 * table[n] * numerics.bessel_k(0, 2.0 * n * math.pi * rx)
-        total += term
-        if abs(term) < tol and n >= 3:
-            return total
-        n += 1
-        if n > 255:
-            raise ConvergenceError("koshliakov series did not reach tolerance")

@@ -1,12 +1,14 @@
 """Independent reference implementations used only by the tests.
 
-Everything here avoids the package's own evaluation routes: the zeta values
-come from the globally convergent Hasse series, gamma from a direct integral
-plus recurrence, Bessel K from its cosh integral, coefficient tables from
-brute-force enumeration, the exponential Moebius sum from a smoothed cutoff.
-Slow and simple on purpose.  One oracle, r1_inverse, does use the package's
-lambda_many and residue_polynomial, but on its own contour at s = 1, not the
-s = 0 contour that inverse_theta.r0_inverse reads.
+Most avoid the package's own evaluation routes: zeta from the Hasse series,
+gamma_by_integral from the defining integral, Bessel K from its cosh
+integral, W_1 and W_2 from their direct series, coefficient tables from
+brute-force enumeration, the Moebius sum from a smoothed cutoff.  Slow and
+simple on purpose.  Four read the package: gamma is exp(numerics.loggamma),
+zeta_derivative reads hurwitz_zeta_many's Taylor data off
+laurent_coefficients, and r1_theta/r1_inverse run residue_polynomial on
+omega_many/lambda_many, but on their own contour at s = 1, not the s = 0
+one that theta.r0_theta and inverse_theta.r0_inverse read.
 """
 
 import cmath
@@ -16,6 +18,9 @@ import math
 import numpy as np
 
 from zetatheta import fields, numerics
+from zetatheta.errors import ConvergenceError, DomainError, PoleError, ValidationError
+
+EULER_GAMMA = 0.5772156649015328606
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,6 +40,16 @@ def hasse_zeta(s, n_terms=120):
             inner += (-1) ** k * math.comb(n, k) * (k + 1) ** (-s)
         total += inner / 2.0 ** (n + 1)
     return total / (1.0 - 2.0 ** (1.0 - s))
+
+
+def gamma(s):
+    """Gamma(s) = exp(numerics.loggamma(s)), scalar or array, off the non-positive integers."""
+    z = np.asarray(s, dtype=complex)
+    pole = (z.real < 0.5) & (np.abs(z.imag) < 1e-12) & (np.abs(z.real - np.round(z.real)) < 1e-12)
+    if np.any(pole):
+        raise PoleError(f"gamma pole at s = {int(np.round(z[pole][0].real))}")
+    out = np.exp(numerics.loggamma(z.reshape(-1))).reshape(z.shape)
+    return complex(out) if z.ndim == 0 else out
 
 
 def gamma_by_integral(s, t_max=80.0, n_nodes=4000):
@@ -65,6 +80,28 @@ def bessel_k_integral(nu, z, t_max=None, n_nodes=6000):
     wt = 0.5 * t_max * w
     vals = np.exp(-z * np.cosh(t)) * np.cosh(nu * t)
     return complex(np.sum(vals * wt))
+
+
+def bessel_k(nu, z):
+    """K_nu(z), real nu, Re z > 0: the trapezoid rule on int_0^inf e^{-z cosh t} cosh(nu t) dt.
+
+    The step pi (pi/2 - |arg z|)/(40 + Re z + |nu|) and the cut-off
+    acosh(1 + (40 + |nu|)/Re z) hold ~1e-14 relative for |nu| <= 2 and
+    |arg z| <= pi/2 - 0.2; cancellation gives 2e-10 at nu = 5, arg z = pi/2 - 0.1.
+    """
+    z = complex(z)
+    if not z.real > 0:
+        raise DomainError("bessel_k requires Re z > 0")
+    nu = abs(float(nu))
+    step = math.pi * (math.pi / 2.0 - abs(cmath.phase(z))) / (40.0 + z.real + nu)
+    t = np.arange(0.0, math.acosh(1.0 + (40.0 + nu) / z.real) + step, step)
+    # e^{-z} e^{-z (cosh t - 1)}: the exponent stays small where the terms are large
+    vals = np.exp(-2.0 * z * np.sinh(t / 2.0) ** 2) * np.cosh(nu * t)
+    vals[0] *= 0.5
+    out = cmath.exp(-z) * step * complex(np.sum(vals))
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise ConvergenceError(f"bessel_k({nu}, {z}) did not evaluate finitely")
+    return out
 
 
 def brute_hurwitz(s, a, n_terms=2_000_000):
@@ -110,10 +147,47 @@ def brute_dirichlet_inverse(a_vals, n_max):
     return inv
 
 
-def jacobi_theta_w1(x, n_terms=60):
-    """1 + 2 sum e^{-pi n^2 x}, direct."""
+def _direct_series(total, term, tol, n_max, name):
+    """total + sum_{n >= 1} term(n), stopped at the first |term(n)| < tol with n >= 3."""
+    for n in range(1, n_max + 1):
+        t = term(n)
+        total += t
+        if abs(t) < tol and n >= 3:
+            return total
+    raise ConvergenceError(f"{name} series did not reach tolerance")
+
+
+def jacobi_theta_w1(x, tol=1e-15):
+    """W_1(x) = 1 + 2 sum e^{-pi n^2 x} by direct summation (F = Q, k = 1)."""
     x = complex(x)
-    return 1.0 + 2.0 * sum(cmath.exp(-math.pi * n * n * x) for n in range(1, n_terms))
+    if x.real <= 0:
+        raise DomainError("jacobi_theta_w1 needs Re(x) > 0")
+    return _direct_series(1.0 + 0.0j, lambda n: 2.0 * cmath.exp(-math.pi * n * n * x),
+                          tol, 10000, "jacobi")
+
+
+def koshliakov_theta_w2(x, tol=1e-13):
+    """W_2(x) = gamma - log(4 pi) + log sqrt(x) + 4 sum d(n) K_0(2 n pi sqrt(x)) (F = Q, k = 2)."""
+    x = complex(x)
+    if x == 0 or (x.real <= 0 and x.imag == 0):
+        raise DomainError("koshliakov_theta_w2 needs x off (-inf, 0]")
+    rx = cmath.sqrt(x)
+    table = fields.power_coeffs(fields.builtin_field("Q"), 2, 256)
+    return _direct_series(EULER_GAMMA - math.log(4.0 * math.pi) + cmath.log(rx),
+                          lambda n: 4.0 * table[n] * bessel_k(0, 2.0 * n * math.pi * rx),
+                          tol, 255, "koshliakov")
+
+
+def zeta_derivative(s, order=1):
+    """zeta'(s) or zeta''(s) by Taylor-coefficient extraction on a radius-0.05 circle."""
+    s = complex(s)
+    if order not in (1, 2):
+        raise ValidationError("order must be 1 or 2")
+    if abs(s - 1.0) < 0.1:
+        raise PoleError("zeta_derivative too close to the pole at s = 1")
+    res = numerics.laurent_coefficients(lambda z: numerics.hurwitz_zeta_many(z, 1.0), s, 0.05,
+                                        count=1, lowest=order)
+    return res.coefficient(order) * math.factorial(order)
 
 
 def finite_difference(f, s, h=1e-4, order=1):
@@ -159,4 +233,12 @@ def r1_inverse(field, k, x):
     x = complex(x)
     poly = numerics.residue_polynomial(
         lambda s: fields.lambda_many(field, s, k), 1.0, k * field.unit_rank, scale=0.5)
+    return poly(x) / cmath.sqrt(x)
+
+
+def r1_theta(field, k, x):
+    """Residue at s = 1 of Omega_F^k(s) x^{-s/2}, by its own contour at s = 1."""
+    x = complex(x)
+    poly = numerics.residue_polynomial(
+        lambda s: fields.omega_many(field, s, k), 1.0, k, scale=0.5)
     return poly(x) / cmath.sqrt(x)

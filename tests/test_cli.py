@@ -139,6 +139,13 @@ class TestInverseAndIdentityChecks:
         header, rows = rows_of(out)
         assert float(rows[0][4]) < 1e-5
 
+    def test_inverse_k0_names_k(self, capsys, zeros_file):
+        code, out, err = run(capsys, "inverse-check", "--field", "Q", "--k", "0",
+                             "--x", "4", "--zeros", zeros_file)
+        assert code == 2
+        assert out == ""
+        assert "k must be >= 1" in err
+
     def test_hlr(self, capsys, zeros_file):
         code, out, _ = run(capsys, "hlr-check", "--x", "1", "--zeros", zeros_file)
         assert code == 0

@@ -9,11 +9,13 @@ from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
 from zetatheta.errors import LostBracketError, SectorError, ValidationError, ZetaThetaError
 
+import _oracles as oracle
+
 
 class TestXiCompleted:
     def test_value_at_center(self, field_q):
         # xi(1/2) = -(1/8) pi^{-1/4} Gamma(1/4) zeta(1/2), positive
-        ref = -0.125 * math.pi ** -0.25 * nx.complex_gamma(0.25).real \
+        ref = -0.125 * math.pi ** -0.25 * oracle.gamma(0.25).real \
             * nx.hurwitz_zeta(0.5).real
         assert abs(ref - 0.4971207781883141) < 1e-12
         assert cl.xi_completed(field_q, 0.5) == pytest.approx(ref, rel=1e-11)
@@ -32,7 +34,7 @@ class TestXiCompleted:
         table = fd.ideal_coeffs(field_sqrt5, 4000)
         n = np.arange(1, 4001, dtype=float)
         zeta2 = float(np.sum(table.values[1:] / n ** 2))
-        pref = (5.0 / math.pi ** 2) ** 1.0 * nx.complex_gamma(1.0).real ** 2
+        pref = (5.0 / math.pi ** 2) ** 1.0 * oracle.gamma(1.0).real ** 2
         ref = 0.5 * 2.0 * 1.0 * pref * zeta2
         assert cl.xi_completed(field_sqrt5, 2.0).real == pytest.approx(ref, rel=1e-4)
 
@@ -111,7 +113,7 @@ class TestScanZeros:
             out = []
             for t in ts:
                 s = 0.5 + 1j * float(t)
-                v = (5.0 / math.pi) ** (s / 2.0) * nx.complex_gamma(s / 2.0) \
+                v = (5.0 / math.pi) ** (s / 2.0) * oracle.gamma(s / 2.0) \
                     * nx.dirichlet_l(s, chi)
                 out.append(v.real * math.exp(math.pi * float(t) / 4.0))
             return out

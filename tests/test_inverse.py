@@ -17,7 +17,7 @@ from zetatheta.errors import (
     ZeroNotSimpleError,
 )
 
-from _oracles import moebius_sieve, r1_inverse, smoothed_mu_exp_sum
+from _oracles import gamma, moebius_sieve, r1_inverse, smoothed_mu_exp_sum, zeta_derivative
 
 
 def _mu_exp_sum_30_digits(y, n_head=2000):
@@ -177,7 +177,7 @@ class TestRRho:
         for x in (1.0, 4.0):
             pair = iv.r_rho(field_q, 1, x, g)
             pref = fd.gamma_prefactor_many(field_q, np.array([rho]), 1)[0]
-            res = -pref / nx.zeta_derivative(1.0 - rho, 1)
+            res = -pref / zeta_derivative(1.0 - rho, 1)
             direct = x ** (-rho / 2.0) * res
             assert abs(pair - 2.0 * direct.real) < 1e-12
 
@@ -233,8 +233,8 @@ class TestZetaTaylor:
             c = iv.zeta_taylor(field_q, g, 2)
             rho = 0.5 + 1j * g
             assert abs(c[0]) < 1e-12
-            assert abs(c[1] - nx.zeta_derivative(rho, 1)) <= 1e-12 * abs(c[1])
-            assert abs(c[2] - nx.zeta_derivative(rho, 2) / 2.0) <= 1e-11 * abs(c[2])
+            assert abs(c[1] - zeta_derivative(rho, 1)) <= 1e-12 * abs(c[1])
+            assert abs(c[2] - zeta_derivative(rho, 2) / 2.0) <= 1e-11 * abs(c[2])
 
     def test_double_zero_is_not_simple(self, field_q, monkeypatch):
         # a planted zeta_F with a double zero at rho: the datum must raise
@@ -285,6 +285,18 @@ class TestZeroSum:
 
 
 class TestCheckInverseTheta:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_named(self, field_q, riemann_zeros_reference, k):
+        # the forward side's message, not the contour's "count must be >= 1"
+        zeros = riemann_zeros_reference
+        for call in (lambda: iv.l_series(field_q, k, 2.0),
+                     lambda: iv.u_inverse(field_q, k, 2.0, zeros),
+                     lambda: iv.r_rho(field_q, k, 2.0, zeros.gammas[0]),
+                     lambda: iv.zero_sum(field_q, k, 2.0, zeros),
+                     lambda: iv.check_inverse_theta(field_q, k, 2.0, zeros)):
+            with pytest.raises(ValidationError, match="k must be >= 1"):
+                call()
+
     def test_rational_k1(self, field_q, riemann_zeros_reference):
         rep = iv.check_inverse_theta(field_q, 1, 4.0, riemann_zeros_reference)
         assert rep.residual < 1e-6
@@ -362,13 +374,13 @@ class TestHLR:
 
     def test_zero_term_against_zeta_derivative(self, riemann_zeros_reference):
         # the zero term reads zeta'(rho) from the DGV route (zeta_taylor of Q);
-        # this sum takes it from numerics.zeta_derivative instead
+        # this sum takes it from the zeta_derivative oracle instead
         for x in (1.0, 3.7):
             base = math.pi / math.sqrt(x)
             ref = 0.0
             for g in riemann_zeros_reference.gammas:
                 rho = 0.5 + 1j * g
-                term = base ** rho * nx.complex_gamma((1.0 - rho) / 2.0) / nx.zeta_derivative(rho)
+                term = base ** rho * gamma((1.0 - rho) / 2.0) / zeta_derivative(rho)
                 ref += 2.0 * term.real / (2.0 * math.sqrt(math.pi))
             assert abs(iv.hlr_zero_term(x, riemann_zeros_reference) - ref) <= 1e-13 * abs(ref)
 

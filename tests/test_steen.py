@@ -56,7 +56,7 @@ class TestZTilde:
 
     def test_bessel_closed_form(self):
         for x in REAL_GRID:
-            assert st.z_tilde(2, 0, x) == pytest.approx(4.0 * nx.bessel_k(0, 2.0 * x),
+            assert st.z_tilde(2, 0, x) == pytest.approx(4.0 * oracle.bessel_k(0, 2.0 * x),
                                                         rel=1e-11)
 
     @pytest.mark.parametrize("r1,r2", [(1, 0), (2, 0), (0, 1), (0, 2)])
@@ -85,7 +85,7 @@ class TestZTilde:
         # arguments on Arg x = +-(pi d / 4 - 0.2)
         for (r1, r2), closed in [((1, 0), lambda x: 2.0 * cmath.exp(-x * x)),
                                  ((0, 1), lambda x: cmath.exp(-x)),
-                                 ((2, 0), lambda x: 4.0 * nx.bessel_k(0, 2.0 * x))]:
+                                 ((2, 0), lambda x: 4.0 * oracle.bessel_k(0, 2.0 * x))]:
             d = r1 + 2 * r2
             for sgn in (1.0, -1.0):
                 x = 1.2 * cmath.exp(sgn * 1j * (math.pi * d / 4.0 - 0.2))
@@ -93,9 +93,10 @@ class TestZTilde:
                 assert abs(v - closed(x)) < 1e-10 * abs(closed(x))
 
     def test_path_independence(self):
-        ref = 4.0 * nx.bessel_k(0, 2.0)
+        ref = 4.0 * oracle.bessel_k(0, 2.0)
         for c in (0.8, 1.2, 2.0):
-            assert st._kernel_on_line(2, 0, 1.0, c, 1e-12) == pytest.approx(ref, rel=1e-10)
+            assert st._kernel_lines(2, 0, [1.0], [c], 1e-12, [0.0])[0] == \
+                pytest.approx(ref, rel=1e-10)
 
     def test_sector_error(self):
         with pytest.raises(SectorError):
@@ -119,7 +120,7 @@ class TestR0Gamma:
 
     def test_double_gamma_at_one(self):
         # s^2 Gamma^2(s/2) = 4 - 4 gamma s + ..., residue at x = 1 is -4 gamma
-        assert st._r0_polynomial(2, 0)(1.0) == pytest.approx(-4.0 * nx.EULER_GAMMA, rel=1e-11)
+        assert st._r0_polynomial(2, 0)(1.0) == pytest.approx(-4.0 * oracle.EULER_GAMMA, rel=1e-11)
 
     def test_degree(self):
         assert st._r0_polynomial(1, 0).degree == 0
@@ -131,7 +132,7 @@ class TestZShifted:
         for x in REAL_GRID:
             ref = 2.0 * (math.exp(-x * x) - 1.0)
             assert st.z_shifted(1, 0, x) == pytest.approx(ref, rel=1e-10)
-            assert st._kernel_on_line(1, 0, x, -0.5, 1e-12) == pytest.approx(ref, rel=1e-10)
+            assert st._kernel_lines(1, 0, [x], [-0.5], 1e-12, [0.0])[0] == pytest.approx(ref, rel=1e-10)
 
     def test_small_argument_limit(self):
         v = st.z_shifted(1, 0, 1e-3)
@@ -142,7 +143,7 @@ class TestZShifted:
         for (r1, r2) in [(1, 0), (2, 0), (0, 1), (1, 1), (3, 0)]:
             for x in (0.5, 1.0, 2.0):
                 a = st.z_shifted(r1, r2, x)
-                b = st._kernel_on_line(r1, r2, x, -0.5, 1e-12)
+                b = st._kernel_lines(r1, r2, [x], [-0.5], 1e-12, [0.0])[0]
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
                 if x <= 1.0:
                     c = complex(st.z_small_series_many(r1, r2, [x])[0])
@@ -151,9 +152,9 @@ class TestZShifted:
     def test_shift_abscissa_domain(self):
         # a line at or left of -1 has crossed more poles than the one at 0
         with pytest.raises(DomainError):
-            st._kernel_on_line(1, 0, 1.0, -1.5, 1e-12)
+            st._kernel_lines(1, 0, [1.0], [-1.5], 1e-12, [0.0])[0]
         with pytest.raises(DomainError):
-            st._kernel_on_line(1, 0, 1.0, 0.0, 1e-12)
+            st._kernel_lines(1, 0, [1.0], [0.0], 1e-12, [0.0])[0]
 
     def test_subtract_equals_ztilde_minus_residue(self):
         for (r1, r2) in [(2, 0), (1, 1)]:
@@ -229,7 +230,7 @@ class TestTailBound:
         assert st.z_tail_bound(1, 0, y) >= 2.0 * math.exp(-y * y)
 
     def test_bessel_comparison(self):
-        assert st.z_tail_bound(2, 0, 10.0) >= abs(4.0 * nx.bessel_k(0, 20.0))
+        assert st.z_tail_bound(2, 0, 10.0) >= abs(4.0 * oracle.bessel_k(0, 20.0))
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -20,7 +20,8 @@ heights where xi_F alone underflows, and the Phi identity past
 recorded as the exception's type and message.  The second form lists each key whose value
 differs, with its relative change, and exits 1 when any does, so it can
 serve as a gate.  Zero lists come from this repository's `tests/data` and
-`perfbench/reference`, whichever source tree is imported.
+`perfbench/reference`, and gamma, zeta' and the theta-side R_1 from the
+oracles in its `tests/_oracles.py`, whichever source tree is imported.
 """
 
 import cmath
@@ -57,6 +58,8 @@ def _record(out, key, compute):
 def snapshot():
     from zetatheta import critical_line as cl
     from zetatheta import fields, inverse_theta as iv, numerics as nx, steen, theta
+    sys.path.insert(0, os.path.join(REPO, "tests"))
+    import _oracles as oracle
 
     out = {}
     zeros_q = iv.load_zeros(os.path.join(REPO, "tests", "data", "riemann_zeros_30.txt"))
@@ -72,7 +75,7 @@ def snapshot():
             for x in (2.0, 0.7 + 0.3j):
                 _record(out, f"check_theta/{name}/k={k}/x={x}", lambda: (
                     lambda r: (r.lhs, r.rhs))(theta.check_theta(F, k, x)))
-            _record(out, f"r1_theta/{name}/k={k}", lambda: theta.r1_theta(F, k, 1.7))
+            _record(out, f"r1_theta/{name}/k={k}", lambda: oracle.r1_theta(F, k, 1.7))
         for t in (0.0, 3.5, 14.1):
             _record(out, f"xi_completed/{name}/t={t}",
                     lambda: cl.xi_completed(F, 0.5 + 1j * t))
@@ -118,7 +121,7 @@ def snapshot():
     for x in (1.0, 3.7, math.pi):
         _record(out, f"hlr_zero_term/x={x}", lambda: iv.hlr_zero_term(x, zeros_q))
     for s in (0.25, 3.3 - 2.0j, -2.7 + 0.4j, -7.5, 0.5 + 30.0j):
-        _record(out, f"complex_gamma/s={s}", lambda: nx.complex_gamma(s))
+        _record(out, f"gamma/s={s}", lambda: oracle.gamma(s))
     for z in (-7.5 + 3.0j, 0.25 + 300.0j, 0.25 - 300.0j, -30.3 + 0.2j):
         _record(out, f"loggamma/z={z}", lambda: nx.loggamma(z))
     # heights where xi_F alone underflows
@@ -127,13 +130,13 @@ def snapshot():
                 lambda: cl._xi_rescaled_many(fields.builtin_field(name), [t])[0])
     for s, order in ((-2.0, 1), (0.0, 1), (3.0, 2), (0.5 + 14.134725141734693j, 1)):
         _record(out, f"zeta_derivative/s={s}/order={order}",
-                lambda: nx.zeta_derivative(s, order))
+                lambda: oracle.zeta_derivative(s, order))
     for r1, r2 in GAMMA_PAIRS:
         for x in (0.8, 3.0, 25.0, 2.0 + 1.5j):
             _record(out, f"z_tilde/{r1},{r2}/x={x}", lambda: steen.z_tilde(r1, r2, x))
         for x in (0.8, 3.0, 1.2 - 0.7j):
             _record(out, f"z_shifted_direct/{r1},{r2}/x={x}",
-                    lambda: steen._kernel_on_line(r1, r2, x, -0.5, 1e-12))
+                    lambda: steen._kernel_lines(r1, r2, [x], [-0.5], 1e-12, [0.0])[0])
     # z_shifted on both sides of the 0.4 series radius, and the l_series head's
     # certified bound, which carries the quadrature charge of its kernel entries
     for r1, r2 in ((1, 0), (2, 0)):
