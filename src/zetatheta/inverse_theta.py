@@ -2,11 +2,12 @@
 
 U(x) collects the Moebius-weighted shifted kernels, the residue of the
 inverse completed zeta at s = 0, and half the sum of residues at the
-non-trivial zeros, each read off one memoized datum per zero (zeta_taylor);
-U(1/x) = sqrt(x) U(x) is equivalent to the functional equation of
-1/zeta_F^k.  The Hardy-Littlewood-Ramanujan and Dixit-Gupta-Vatwani
-identities are its F = Q and quadratic-field specializations, each checked
-through its own formulas; the HLR zero term is the DGV zero sum of Q.
+non-trivial zeros, each read off one memoized datum per zero (zeta_taylor;
+a whole zero list shares one ring call); U(1/x) = sqrt(x) U(x) is
+equivalent to the functional equation of 1/zeta_F^k.  The
+Hardy-Littlewood-Ramanujan and Dixit-Gupta-Vatwani identities are its F = Q
+and quadratic-field specializations, each checked through its own formulas;
+the HLR zero term is the DGV zero sum of Q.
 """
 
 import cmath
@@ -94,21 +95,26 @@ def write_zeros(path, zeros):
 _EPS = 2.0 ** -52
 
 
-def _inverse_zeta_derivatives(field, k, m, count):
-    """[D_0, ..., D_{count-1}], D_i = d^i/ds^i zeta_F(s)^{-k} at s = 1 + m.
+def _inverse_zeta_derivatives(field, k, m_top, count):
+    """[D_1, ..., D_{m_top}], D_m[i] = d^i/ds^i zeta_F(s)^{-k} at s = 1 + m, i < count.
 
-    D_i = sum_n mu_{F,k}(n) (-log n)^i n^{-1-m}, read off Taylor coefficients
-    on a radius-1/2 circle.  1/zeta_F^k is analytic on Re(s) > 1 and its
-    nearest singularity (a zero of zeta_F, Re <= 1) lies at distance >= m from
-    the centre, so the rule of laurent_coefficients' one 128-sample ring
-    (checked against its 64 even samples) is exact to rounding.
+    D_m[i] = sum_n mu_{F,k}(n) (-log n)^i n^{-1-m}, read off Taylor
+    coefficients on radius-1/2 circles, memoized per m; the orders not yet
+    stored share one laurent_coefficients_many call.  1/zeta_F^k is analytic
+    on Re(s) > 1 and its nearest singularity (a zero of zeta_F, Re <= 1)
+    lies at distance >= m from the centre, so each 128-sample ring (checked
+    against its 64 even samples) is exact to rounding.  All rings share one
+    Hurwitz shift, so a value does not depend on which orders were computed
+    with it.
     """
-    def compute():
-        res = numerics.laurent_coefficients(
+    def compute(missing):
+        rings = numerics.laurent_coefficients_many(
             lambda s: 1.0 / numerics.dedekind_zeta_many(s, field) ** k,
-            1.0 + m, 0.5, count=count, lowest=0)
-        return res.coeffs * np.array([math.factorial(i) for i in range(count)])
-    return numerics.memo(("inverse_zeta_taylor", field.cache_key, k, m, count), compute)
+            [1.0 + key[3] for key in missing], 0.5, count=count, lowest=0)
+        factorials = np.array([math.factorial(i) for i in range(count)])
+        return [ring.coeffs * factorials for ring in rings]
+    return numerics.memo_many([("inverse_zeta_taylor", field.cache_key, k, m, count)
+                               for m in range(1, m_top + 1)], compute)
 
 
 def _recentred_coeffs(poly, log_alpha):
@@ -142,7 +148,7 @@ def _l_series_parts(field, k, x):
     m_top = 1
     while float(n0) ** -(m_top + 1) * (1.0 + log_n0) ** n_logs >= _EPS:
         m_top += 1
-    derivs = [_inverse_zeta_derivatives(field, k, m, n_logs) for m in range(1, m_top + 1)]
+    derivs = _inverse_zeta_derivatives(field, k, m_top, n_logs)
 
     mu = fields.moebius_coeffs(field, k, n0).values[1:].astype(float)
     ns = np.arange(1.0, n0 + 1.0)
@@ -231,45 +237,102 @@ def r0_inverse(field, k, x):
     return r0_inverse_polynomial(field, k)(x)
 
 
+# The Taylor ring about a zero, and the circle its majorant is taken on.
+_ZERO_RING_RADIUS = 0.07
+_ZERO_MAJORANT_RADIUS = 0.4
+
+
+def zeta_taylor_many(field, gammas, order):
+    """One LaurentResult per gamma: Taylor data c_0..c_order of zeta_F at rho = 1/2 + i gamma.
+
+    Memoized per (field, exact gamma, order); the zeros not yet stored share
+    one laurent_coefficients_many call, so one Hurwitz bank serves a whole
+    zero list.  zeta_F is analytic on every disc about rho (whatever zeros it
+    holds), and numerics.dedekind_zeta_majorant bounds it by a proven M on
+    the radius-0.4 circle.  So the trapezoid alias theorem bounds the error
+    of each c_m on a ring of radius r = 0.07 and N samples by
+    M 0.4^-m q^N/(1 - q^N), q = r/0.4, and the ring takes the smallest N in
+    16, 32, 64, 128 that holds it below 1e-13.  That is N = 32 for the
+    builtin fields up to t = 100 (zeta5 up to t = 38, then 64); a ring the
+    majorant cannot size falls back to 128 samples checked against their 64
+    even ones.  Each result carries its bound as `alias_bound`.  Sample
+    rounding reaches c_2 as r^-2 N^-1/2, so at r = 0.07 a 32-sample ring
+    rounds like a 128-sample ring of radius 0.05.  The batch shares one Hurwitz
+    shift, set by its highest zero, so a zero's data moves by rounding
+    (about 1e-13 relative) with the list that first computed it.  Raises
+    ZeroNotSimpleError if |c_1| <= 1e-6 |c_2| r, ValidationError if
+    |c_0| > 1e-6 |c_1| (not a zero), naming the first such gamma of the list.
+    """
+    def compute(missing):
+        rhos = [0.5 + 1j * key[2] for key in missing]
+        bound = numerics.dedekind_zeta_majorant(field, rhos, _ZERO_MAJORANT_RADIUS)
+        rings = numerics.laurent_coefficients_many(
+            lambda s: numerics.dedekind_zeta_many(s, field), rhos, _ZERO_RING_RADIUS,
+            count=order + 1, lowest=0, majorant=(_ZERO_MAJORANT_RADIUS, bound))
+        for key, ring in zip(missing, rings):
+            gamma, c = key[2], ring.coeffs
+            if abs(c[1]) <= 1e-6 * abs(c[2]) * _ZERO_RING_RADIUS:
+                raise ZeroNotSimpleError(f"zero at gamma = {gamma} is not simple")
+            if abs(c[0]) > 1e-6 * abs(c[1]):
+                raise ValidationError(f"gamma = {gamma} is not a zero of zeta_F: |zeta_F(rho)| "
+                                      f"= {abs(c[0]) / abs(c[1]):.1e} |zeta_F'(rho)|")
+        return rings
+    return numerics.memo_many([("zeta_taylor", field.cache_key, float(g), order)
+                               for g in gammas], compute)
+
+
 def zeta_taylor(field, gamma, order):
     """(c_0, ..., c_order), order >= 2: Taylor coefficients of zeta_F at rho = 1/2 + i gamma.
 
-    Memoized per (field, exact gamma, order), from one radius-0.05 ring (zeta_F
-    is analytic there whatever zeros it holds).  Raises ZeroNotSimpleError if
-    |c_1| <= 1e-6 |c_2| r, ValidationError if |c_0| > 1e-6 |c_1| (not a zero).
+    zeta_taylor_many at one zero: a 32-sample ring of radius 0.07 whose
+    alias error the majorant of |zeta_F| on the radius-0.4 circle proves
+    below 1e-13 (trapezoid alias theorem), or the datum of gamma that a zero
+    list stored first.  Raises ZeroNotSimpleError or ValidationError
+    as zeta_taylor_many does.
     """
-    def compute():
-        c = numerics.laurent_coefficients(
-            lambda s: numerics.dedekind_zeta_many(s, field), 0.5 + 1j * float(gamma),
-            0.05, count=order + 1, lowest=0).coeffs
-        if abs(c[1]) <= 1e-6 * abs(c[2]) * 0.05:
-            raise ZeroNotSimpleError(f"zero at gamma = {gamma} is not simple")
-        if abs(c[0]) > 1e-6 * abs(c[1]):
-            raise ValidationError(f"gamma = {gamma} is not a zero of zeta_F: |zeta_F(rho)| "
-                                  f"= {abs(c[0]) / abs(c[1]):.1e} |zeta_F'(rho)|")
-        return tuple(complex(v) for v in c)
-    return numerics.memo(("zeta_taylor", field.cache_key, float(gamma), order), compute)
+    return tuple(complex(v) for v in zeta_taylor_many(field, [gamma], order)[0].coeffs)
+
+
+def _contour_alias(field, gammas, order):
+    """The largest proven alias bound of the zero rings; inf if a ring is checked only."""
+    return max(ring.alias_bound for ring in zeta_taylor_many(field, gammas, order))
+
+
+def _lambda_principal_many(field, k, gammas):
+    """[(rho, residue polynomial) of Lambda_F^k at rho = 1/2 + i gamma for each gamma].
+
+    Schwarz reflection gives zeta_F(1 - rho - w) = w h(w), h_j = (-1)^(j+1)
+    conj(c_{j+1}) from zeta_taylor_many, so Lambda_F^k(rho + w) = w^-k (p/h)^k
+    with p the Taylor data of the gamma prefactor: c_{-m} is coefficient
+    k - m.  Memoized per zero; the gamma-only rings of the zeros not yet
+    stored (128 samples each, checked) share one call.
+    """
+    def compute(missing):
+        new = [key[3] for key in missing]
+        rhos = [0.5 + 1j * g for g in new]
+        taylor = zeta_taylor_many(field, new, max(k, 2))
+        prefactor = numerics.laurent_coefficients_many(
+            lambda s: fields.gamma_prefactor_many(field, s), rhos, _ZERO_RING_RADIUS,
+            count=k, lowest=0)
+        out = []
+        for rho, ring, p in zip(rhos, taylor, prefactor):
+            h = [(-1) ** (j + 1) * complex(c).conjugate()
+                 for j, c in enumerate(ring.coeffs[1:k + 1])]
+            q = []
+            for n in range(k):
+                q.append((complex(p.coeffs[n]) - sum(h[j] * q[n - j] for j in range(1, n + 1)))
+                         / h[0])
+            power = np.polynomial.polynomial.polypow(q, k)[:k]
+            out.append((rho, numerics.residue_log_polynomial([complex(v) for v in power[::-1]],
+                                                             scale=0.5)))
+        return out
+    return numerics.memo_many([("lambda_at_zero", field.cache_key, k, float(g)) for g in gammas],
+                              compute)
 
 
 def _lambda_principal_at_zero(field, k, gamma):
-    """(rho, residue polynomial) of Lambda_F^k at rho = 1/2 + i gamma, from zeta_taylor.
-
-    Schwarz reflection gives zeta_F(1 - rho - w) = w h(w), h_j = (-1)^(j+1)
-    conj(c_{j+1}), so Lambda_F^k(rho + w) = w^-k (p/h)^k with p the Taylor data
-    of the gamma prefactor (one gamma-only ring): c_{-m} is coefficient k - m.
-    """
-    def compute():
-        rho = 0.5 + 1j * float(gamma)
-        h = [(-1) ** (j + 1) * c.conjugate()
-             for j, c in enumerate(zeta_taylor(field, gamma, max(k, 2))[1:k + 1])]
-        p = numerics.laurent_coefficients(lambda s: fields.gamma_prefactor_many(field, s),
-                                          rho, 0.05, count=k, lowest=0).coeffs
-        q = []
-        for n in range(k):
-            q.append((complex(p[n]) - sum(h[j] * q[n - j] for j in range(1, n + 1))) / h[0])
-        power = np.polynomial.polynomial.polypow(q, k)[:k]
-        return rho, numerics.residue_log_polynomial([complex(v) for v in power[::-1]], scale=0.5)
-    return numerics.memo(("lambda_at_zero", field.cache_key, k, float(gamma)), compute)
+    """(rho, residue polynomial) of Lambda_F^k at rho = 1/2 + i gamma: one zero of the batch."""
+    return _lambda_principal_many(field, k, [gamma])[0]
 
 
 def r_rho(field, k, x, gamma):
@@ -295,9 +358,11 @@ def zero_sum(field, k, x, zeros):
     """Sum of conjugate-pair residues over the listed zeros, ascending gamma.
 
     Returns (sum, tail_estimate) with the tail estimated by the magnitude of
-    the last included pair.
+    the last included pair.  The principal parts of the whole list come from
+    one ring call, and each r_rho then reads its own.
     """
     fields.require_k(k)
+    _lambda_principal_many(field, k, zeros.gammas)
     total = 0.0 + 0.0j
     last = 0.0
     for g in zeros.gammas:
@@ -323,7 +388,8 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
 
     lhs is U(1/x), rhs sqrt(x) U(x), and the residual is relative.  The
     budget's zero_tail_estimate is the larger last-pair magnitude of the
-    two zero sums.
+    two zero sums, and contour_alias the largest proven alias bound of the
+    zero rings (zeta_taylor_many).
     """
     x = complex(x)
     inner = min(tol * 0.25, 1e-7)
@@ -332,7 +398,8 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
     rhs = cmath.sqrt(x) * u_x
     rel = abs(u_inv - rhs) / max(abs(u_inv), abs(rhs), 1e-30)
     return theta.Report(lhs=u_inv, rhs=rhs, residual=rel,
-                        budget={"zero_tail_estimate": max(tail_x, tail_inv)})
+                        budget={"zero_tail_estimate": max(tail_x, tail_inv),
+                                "contour_alias": _contour_alias(field, zeros.gammas, max(k, 2))})
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +433,9 @@ def hlr_check(x, zeros, tol=1e-4):
     the zero term.  At the symmetric point x = pi the two exponential sums
     cancel termwise and the residual reduces to the zero term's own numerics.
     The residual is |lhs - rhs|; the budget holds the last zero pair's
-    magnitude (zero_tail_estimate) and the certified remainder of the two
-    sums (l_series_remainder).
+    magnitude (zero_tail_estimate), the certified remainder of the two sums
+    (l_series_remainder) and the largest proven alias bound of the zero
+    rings (contour_alias).
     """
     if x <= 0:
         raise DomainError("hlr_check needs x > 0")
@@ -383,7 +451,8 @@ def hlr_check(x, zeros, tol=1e-4):
     rhs = math.sqrt(math.pi / x) * 0.5 * reflected.real - zterm
     return theta.Report(lhs=complex(lhs), rhs=complex(rhs), residual=abs(lhs - rhs),
                         budget={"zero_tail_estimate": zero_tail,
-                                "l_series_remainder": remainder})
+                                "l_series_remainder": remainder,
+                                "contour_alias": _contour_alias(rational, zeros.gammas, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +473,14 @@ def _dgv_zero_sum(field, alpha, zeros):
     """sum over pairs of R_rho(alpha) = alpha^rho Gamma-form / zeta_F'(rho).
 
     Returns (sum, magnitude of the last included pair).  Also the HLR zero
-    term (F = Q).
+    term (F = Q).  One zeta_taylor_many call, one log_gamma_factor call and
+    one exponential serve the whole list.
     """
-    total = 0.0
-    last = 0.0
-    for g in zeros.gammas:
-        rho = 0.5 + 1j * g
-        gam = cmath.exp(numerics.log_gamma_factor(field.r1, field.r2, 1.0 - rho))
-        term = alpha ** rho * gam / zeta_taylor(field, g, 2)[1]
-        total += 2.0 * term.real
-        last = abs(2.0 * term.real)
-    return total, last
+    derivative = np.array([ring.coeffs[1] for ring in zeta_taylor_many(field, zeros.gammas, 2)])
+    rho = 0.5 + 1j * np.array(zeros.gammas)
+    log_num = rho * math.log(alpha) + numerics.log_gamma_factor(field.r1, field.r2, 1.0 - rho)
+    pairs = 2.0 * (np.exp(log_num) / derivative).real
+    return float(np.sum(pairs)), abs(float(pairs[-1]))
 
 
 def dgv_check(field, x, zeros, tol=1e-5):
@@ -423,7 +489,8 @@ def dgv_check(field, x, zeros, tol=1e-5):
     The left side reuses the kernel machinery (l_series); the right side is
     built from the DGV residue formulas with zeta_F'(rho) read off zeta_taylor,
     so the comparison crosses two genuinely different evaluation routes.
-    The residual is |lhs - rhs|; the budget holds zero_tail_estimate.
+    The residual is |lhs - rhs|; the budget holds zero_tail_estimate and
+    contour_alias, the largest proven alias bound of the zero rings.
     """
     if field.degree > 2:
         raise DomainError("dgv_check covers Q and quadratic fields")
@@ -444,4 +511,5 @@ def dgv_check(field, x, zeros, tol=1e-5):
     lhs, rhs = complex(lhs), complex(rhs)
     return theta.Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                         budget={"zero_tail_estimate": 0.5 * max(tail_alpha / math.sqrt(alpha),
-                                                                 tail_beta / math.sqrt(beta))})
+                                                                 tail_beta / math.sqrt(beta)),
+                                "contour_alias": _contour_alias(field, zeros.gammas, 2)})

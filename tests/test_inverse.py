@@ -264,6 +264,100 @@ class TestZetaTaylor:
             assert abs(c[0]) <= 1e-8 * abs(c[1])
 
 
+class TestZeroRings:
+    """One ring call per zero list, each ring sized by the alias theorem."""
+
+    @pytest.fixture(params=["Q", "zeta5"])
+    def field_and_zeros(self, request, riemann_zeros_reference, zeta5_zeros_reference):
+        zeros = {"Q": riemann_zeros_reference, "zeta5": zeta5_zeros_reference}[request.param]
+        return fd.builtin_field(request.param), zeros
+
+    def test_majorant_bounds_zeta_on_the_outer_circle(self, field_and_zeros):
+        field, zeros = field_and_zeros
+        rhos = 0.5 + 1j * np.array(zeros.gammas)
+        bound = nx.dedekind_zeta_majorant(field, rhos, iv._ZERO_MAJORANT_RADIUS)
+        circle = iv._ZERO_MAJORANT_RADIUS * np.exp(2j * math.pi * np.arange(256) / 256)
+        for rho, m in zip(rhos, bound):
+            assert np.max(np.abs(nx.dedekind_zeta_many(rho + circle, field))) <= m
+
+    def test_rule_picks_32_within_the_bound_of_a_128_ring(self, field_and_zeros):
+        # the two rings sample zeta_F at different points, each with its own
+        # rounding: about 1e-13 of the largest sample at these heights, which
+        # a coefficient c_m carries times r^-m
+        field, zeros = field_and_zeros
+        r = iv._ZERO_RING_RADIUS
+        rings = iv.zeta_taylor_many(field, zeros.gammas, 2)
+        assert {ring.samples for ring in rings} == {32}
+        f = lambda s: nx.dedekind_zeta_many(s, field)
+        for g, ring in zip(zeros.gammas, rings):
+            assert 0 < ring.alias_bound <= 1e-13
+            ref = nx.laurent_coefficients(f, 0.5 + 1j * g, r, count=3, lowest=0)
+            theta = 2.0 * math.pi * (np.arange(128) + 0.5) / 128
+            largest = np.max(np.abs(f(0.5 + 1j * g + r * np.exp(1j * theta))))
+            allowed = ring.alias_bound + 1e-12 * largest * r ** -np.arange(3.0)
+            assert np.all(np.abs(ring.coeffs - ref.coeffs) <= allowed), g
+
+    def test_derivative_against_mpmath(self, field_q, riemann_zeros_reference):
+        mpmath = pytest.importorskip("mpmath")
+        for g in riemann_zeros_reference.gammas[:10]:
+            want = complex(mpmath.zeta(mpmath.mpc(0.5, g), derivative=1))
+            assert abs(iv.zeta_taylor(field_q, g, 2)[1] - want) <= 1e-12 * abs(want), g
+
+    def test_one_ring_call_per_list(self, field_sqrt5, scanned_zeros_sqrt5, monkeypatch):
+        calls = []
+        real = nx.dedekind_zeta_many
+
+        def counting(s, field):
+            calls.append(np.size(s))
+            return real(s, field)
+
+        monkeypatch.setattr(nx, "dedekind_zeta_many", counting)
+        counts = []
+        for zeros in (scanned_zeros_sqrt5.head(5), scanned_zeros_sqrt5):
+            monkeypatch.setattr(nx, "_MEMO", {})
+            calls.clear()
+            iv.dgv_check(field_sqrt5, 2.0, zeros)
+            counts.append(len(calls))
+        assert len(scanned_zeros_sqrt5) > 5 and counts[0] == counts[1] <= 5
+
+    def test_one_zero_alone_agrees_with_its_batch(self, field_sqrt5, scanned_zeros_sqrt5,
+                                                  monkeypatch):
+        monkeypatch.setattr(nx, "_MEMO", {})
+        batch = [ring.coeffs for ring in iv.zeta_taylor_many(field_sqrt5,
+                                                             scanned_zeros_sqrt5.gammas, 2)]
+        for g, c in zip(scanned_zeros_sqrt5.gammas, batch):
+            monkeypatch.setattr(nx, "_MEMO", {})
+            alone = np.array(iv.zeta_taylor(field_sqrt5, g, 2))
+            assert np.max(np.abs(alone - c)) <= 1e-13 * np.max(np.abs(c)), g
+
+    def test_dgv_zero_sum_is_one_pass_per_list(self, field_q, riemann_zeros_reference,
+                                               monkeypatch):
+        calls = []
+        real = nx.log_gamma_factor
+
+        def counting(r1, r2, s):
+            calls.append(np.size(s))
+            return real(r1, r2, s)
+
+        monkeypatch.setattr(nx, "log_gamma_factor", counting)
+        iv._dgv_zero_sum(field_q, 1.3, riemann_zeros_reference)
+        assert calls == [len(riemann_zeros_reference)]
+
+    def test_checks_report_the_alias_bound(self, field_q, field_sqrt5, riemann_zeros_reference,
+                                           scanned_zeros_sqrt5):
+        def largest(field, zeros):
+            return max(ring.alias_bound for ring in iv.zeta_taylor_many(field, zeros.gammas, 2))
+
+        q_bound = largest(field_q, riemann_zeros_reference)
+        assert 0 < q_bound <= 1e-13
+        for rep, bound in ((iv.check_inverse_theta(field_q, 2, 2.0, riemann_zeros_reference),
+                            q_bound),
+                           (iv.hlr_check(2.0, riemann_zeros_reference), q_bound),
+                           (iv.dgv_check(field_sqrt5, 2.0, scanned_zeros_sqrt5),
+                            largest(field_sqrt5, scanned_zeros_sqrt5))):
+            assert rep.budget["contour_alias"] == bound
+
+
 class TestZeroSum:
     def test_reality(self, field_q, riemann_zeros_reference):
         total, _ = iv.zero_sum(field_q, 1, 4.0, riemann_zeros_reference)

@@ -412,6 +412,82 @@ class TestLaurentCoefficients:
         assert res.residue == pytest.approx(1.0, abs=1e-13)
 
 
+class TestLaurentCoefficientsMany:
+    def test_each_centre_equals_its_own_ring(self):
+        # one f call for all centres, and each result bit-equal to its one-centre call
+        centres = [0.3 + 1.0j, -0.2, 2.0 - 0.5j]
+        calls = []
+
+        def f(s):
+            calls.append(np.asarray(s).shape)
+            return np.exp(s) / (s - 0.25)
+
+        many = nx.laurent_coefficients_many(f, centres, 0.2, count=3, lowest=-1)
+        assert calls == [(3 * 128,)]
+        for s0, res in zip(centres, many):
+            one = nx.laurent_coefficients(f, s0, 0.2, count=3, lowest=-1)
+            assert res.coeffs.tolist() == one.coeffs.tolist()
+            assert (res.samples, res.alias_bound) == (128, math.inf)
+
+    def test_each_centre_keeps_its_own_verdict(self):
+        # the 64- and 128-sample rules about 0 differ by about (0.25/(1/3))^64 = 1e-8
+        # (the pole at 1/3), above 1e-11 of that centre's scale but below 1e-11 of
+        # the coefficient near 1e6 about 3, which must not loosen it
+        f = lambda s: 1.0 / (s - 1.0 / 3.0) + 1e6 * np.exp(5.0 * (s - 3.0))
+        nx.laurent_coefficients_many(f, [3.0], 0.25, count=2, lowest=-1)
+        with pytest.raises(ConvergenceError, match="s0 = 0.0 "):
+            nx.laurent_coefficients_many(f, [3.0, 0.0], 0.25, count=2, lowest=-1)
+
+    def test_majorant_sizes_the_ring(self):
+        # exp is entire with |exp| <= e^{Re s0 + R} on |s - s0| = R
+        s0 = np.array([0.5 + 20.0j, -1.0, 10.0 + 1.0j])
+        outer = 1.0
+        rings = nx.laurent_coefficients_many(
+            np.exp, s0, 0.1, count=4, lowest=0, majorant=(outer, np.exp(s0.real + outer)))
+        for c, res in zip(s0, rings):
+            q = 0.1 / outer
+            bound = math.exp(c.real + outer) * q ** res.samples / (1.0 - q ** res.samples)
+            assert res.alias_bound == pytest.approx(bound, rel=1e-12) and bound <= 1e-13
+            # the next smaller ring could not have proven 1e-13
+            half = res.samples // 2
+            assert res.samples == 16 or \
+                math.exp(c.real + outer) * q ** half / (1.0 - q ** half) > 1e-13
+            exact = np.exp(c) / np.array([math.factorial(m) for m in range(4)])
+            assert np.all(np.abs(res.coeffs - exact)
+                          <= res.alias_bound + 1e-15 * np.exp(c.real + 0.1) * 0.1 ** -np.arange(4))
+        assert [r.samples for r in rings] == [16, 16, 32]
+
+    def test_majorant_too_weak_falls_back_to_the_checked_ring(self):
+        res = nx.laurent_coefficients_many(np.exp, [0.0], 0.25, count=2, lowest=0,
+                                           majorant=(0.3, 1e30))[0]
+        assert (res.samples, res.alias_bound) == (128, math.inf)
+        checked = nx.laurent_coefficients(np.exp, 0.0, 0.25, count=2, lowest=0)
+        assert res.coeffs.tolist() == checked.coeffs.tolist()
+
+    def test_majorant_needs_a_taylor_ring_inside_it(self):
+        for lowest, outer in ((-1, 1.0), (0, 0.25)):
+            with pytest.raises(ValidationError):
+                nx.laurent_coefficients_many(np.exp, [0.0], 0.25, count=2, lowest=lowest,
+                                             majorant=(outer, 10.0))
+
+
+class TestDedekindZetaMajorant:
+    def test_refuses_circles_it_cannot_bound(self):
+        field = fd.builtin_field("Q")
+        for centre, radius in ((0.3 + 5.0j, 0.4), (1.2, 0.3)):
+            with pytest.raises(DomainError):
+                nx.dedekind_zeta_majorant(field, [centre], radius)
+
+    @pytest.mark.parametrize("name", ["Q", "sqrt5", "cubic7", "zeta5", "gauss"])
+    def test_bounds_zeta_on_its_circle(self, name):
+        field = fd.builtin_field(name)
+        centres = np.array([2.5, 0.5 + 3.0j, 0.5 + 30.0j, 0.7 - 60.0j])
+        bound = nx.dedekind_zeta_majorant(field, centres, 0.4)
+        ring = 0.4 * np.exp(2j * math.pi * np.arange(512) / 512)
+        for c, m in zip(centres, bound):
+            assert np.max(np.abs(nx.dedekind_zeta_many(c + ring, field))) <= m
+
+
 class TestZetaDerivative:
     def test_at_minus_two(self):
         # classical: zeta'(-2) = -zeta(3)/(4 pi^2); finite-difference oracle on Hasse

@@ -10,7 +10,8 @@ float hex (complex values as [re, im]), so two snapshots compare bit for bit.
 Besides the checks' values it records the per-zero contour data they sum
 (zeta_F'(rho) off the Taylor data of zeta_F at a zero, the principal parts
 of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in a
-contour shows at the datum itself.  It also records where the forward theta
+contour shows at the datum itself, and each zero ring's sample count N and
+proven alias bound.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
 it, and N0 and the certified bound of l_series, so a change in a
 truncation bound or a quadrature charge shows even when every checked value
@@ -105,6 +106,11 @@ def snapshot():
     for g in zeros_sqrt5.gammas[:5]:
         _record(out, f"dedekind_zeta_prime/sqrt5/gamma={g}",
                 lambda: iv.zeta_taylor(fields.builtin_field("sqrt5"), g, 2)[1])
+    # each zero ring's sample count and proven alias bound, for every listed zero
+    for name, zeros in (("Q", zeros_q), ("sqrt5", zeros_sqrt5), ("zeta5", zeros_zeta5)):
+        for g, ring in zip(zeros.gammas, iv.zeta_taylor_many(fields.builtin_field(name),
+                                                             zeros.gammas, 2)):
+            _record(out, f"zero_ring/{name}/gamma={g}", lambda: (ring.samples, ring.alias_bound))
     # zeta5's zeros at 14.11546 and 14.13473 share one radius-0.05 circle
     close_pair = tuple(g for g in zeros_zeta5.gammas if 14.1 < g < 14.14)
     for name, k, gammas in (("sqrt5", 1, zeros_sqrt5.gammas[:3]),
@@ -114,7 +120,7 @@ def snapshot():
                 iv._lambda_principal_at_zero(fields.builtin_field(name), k, g)[1].coeffs))
     for m in (1, 2, 3):
         _record(out, f"inverse_zeta_derivatives/Q/k=2/m={m}", lambda: tuple(
-            iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, m, 2)))
+            iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1]))
     for x in (1.0, 3.0):
         _record(out, f"hlr_check/x={x}", lambda: (lambda r: (r.lhs, r.rhs))(
             iv.hlr_check(x, zeros_q)))
