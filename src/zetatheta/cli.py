@@ -1,8 +1,17 @@
 """Command-line surface: every checker as a subcommand with TSV output.
 
-Exit codes: 0 all checks passed, 1 a numeric check exceeded its tolerance,
-2 input or usage error.  stdout carries data only (header line plus TSV
-rows, 15-significant-digit scientific notation); diagnostics go to stderr.
+Each subcommand is declared once, in `COMMANDS`: its name and help, its
+options, and the function that runs it.  An option that several subcommands
+take is declared once, in `OPTIONS`, and every value is parsed and validated
+by its `type=` function, which names the value when it refuses it.  A check
+subcommand declares its default `--tol`, its TSV columns, the check of one
+point and the row of its report.  The parser is built from these
+declarations once, when the module is imported, and `main` reuses it.
+
+Exit codes: 0 all checks passed, 1 some residual is above its tolerance or
+is not a number, 2 input or usage error.  stdout carries data only (header
+line plus TSV rows, 15-significant-digit scientific notation); diagnostics
+go to stderr.
 """
 
 import argparse
@@ -31,35 +40,37 @@ def _resolve_field(spec_str):
             f"{spec_str!r} is neither a readable file nor a builtin field name")
 
 
-def _parse_real(text):
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {text!r}")
+def _real(text, valid=math.isfinite, expected="a finite number"):
+    """argparse type: a float v with valid(v)."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not valid(v):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return v
 
 
-def _parse_complex(text):
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(_parse_real(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(_parse_real(parts[0]), _parse_real(parts[1]))
-    raise ValueError(f"expected re or re,im, got {text!r}")
-
-
-def _parse_range(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected a,b, got {text!r}")
-    return _parse_real(parts[0]), _parse_real(parts[1])
-
-
-def _positive_float(text):
+def _positive(text):
     """argparse type of --tol and --step: a finite number > 0."""
-    v = float(text)
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return v
+    return _real(text, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+
+
+def _reals(text, counts, expected):
+    parts = text.split(",")
+    if len(parts) not in counts:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return [_real(part) for part in parts]
+
+
+def _complex(text):
+    """argparse type of --x and --z: re or re,im."""
+    return complex(*_reals(text, (1, 2), "re or re,im"))
+
+
+def _range(text):
+    """argparse type of --range: a,b."""
+    return tuple(_reals(text, (2,), "a,b"))
 
 
 def _emit(columns, rows):
@@ -68,154 +79,131 @@ def _emit(columns, rows):
         print("\t".join(row))
 
 
-def _cmd_field_info(args):
-    F = _resolve_field(args.field_file)
-    h = fields.residue_constant(F)
-    c = fields.laurent_constant(F)
+def _xy(z):
+    return [_sci(z.real), _sci(z.imag)]
+
+
+def _field_info(a):
+    F = a.field
     _emit(["field", "r1", "r2", "degree", "disc", "H_F", "C_F"],
-          [[F.label or args.field_file, str(F.r1), str(F.r2), str(F.degree),
-            str(F.disc), _sci(h), _sci(c)]])
+          [[F.label, str(F.r1), str(F.r2), str(F.degree), str(F.disc),
+            _sci(fields.residue_constant(F)), _sci(fields.laurent_constant(F))]])
     return 0
 
 
-def _checks(columns, points, check, row, tol):
-    """Emit one TSV row per point; 1 iff some report's residual exceeds tol, else 0."""
-    reports = [check(p) for p in points]
-    _emit(columns, [row(p, rep) for p, rep in zip(points, reports)])
-    return 1 if any(rep.residual > tol for rep in reports) else 0
-
-
-def _cmd_theta_check(args):
-    F = _resolve_field(args.field)
-    points = [_parse_complex(xs) for xs in args.x]
-    if -1.0 in points and args.k != 1:
-        raise ValidationError(f"x = -1 (exact evaluation) needs k = 1, got k = {args.k}")
-
-    def check(x):
-        if x == -1.0:
-            return theta.exact_eval_check(F, tol=args.tol)
-        return theta.check_theta(F, args.k, x, tol=args.tol)
-
-    def row(x, rep):
-        if x == -1.0:
-            # boundary form: Re + Im of the kernel sum against 2^r1 C_F
-            return ["exact-eval", _sci(x.real), _sci(x.imag), _sci(rep.lhs.real + rep.lhs.imag),
-                    _sci(rep.rhs), _sci(rep.residual), "boundary-form"]
-        return ["theta", _sci(x.real), _sci(x.imag), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
-                _sci(rep.residual), "ok"]
-
-    return _checks(["check", "x_re", "x_im", "lhs", "rhs", "residual", "status"],
-                   points, check, row, args.tol)
-
-
-def _cmd_inverse_check(args):
-    F = _resolve_field(args.field)
-    zeros = inverse_theta.load_zeros(args.zeros)
-    return _checks(
-        ["x_re", "x_im", "lhs", "rhs", "rel_error", "zeros"], [_parse_complex(xs) for xs in args.x],
-        lambda x: inverse_theta.check_inverse_theta(F, args.k, x, zeros, tol=args.tol),
-        lambda x, rep: [_sci(x.real), _sci(x.imag), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
-                        _sci(rep.residual), str(len(zeros))],
-        args.tol)
-
-
-def _cmd_hlr_check(args):
-    zeros = inverse_theta.load_zeros(args.zeros)
-    return _checks(
-        ["x", "lhs", "rhs", "residual", "zeros"], [_parse_real(xs) for xs in args.x],
-        lambda x: inverse_theta.hlr_check(x, zeros, tol=args.tol),
-        lambda x, rep: [_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real), _sci(rep.residual),
-                        str(len(zeros))],
-        args.tol)
-
-
-def _cmd_dgv_check(args):
-    F = _resolve_field(args.field)
-    zeros = inverse_theta.load_zeros(args.zeros)
-    return _checks(
-        ["x", "lhs", "rhs", "residual", "zeros"], [_parse_real(xs) for xs in args.x],
-        lambda x: inverse_theta.dgv_check(F, x, zeros, tol=args.tol),
-        lambda x, rep: [_sci(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)), _sci(rep.residual),
-                        str(len(zeros))],
-        args.tol)
-
-
-def _cmd_zeros_scan(args):
-    F = _resolve_field(args.field)
-    lo, hi = _parse_range(args.range)
-    result = critical_line.scan_zeros(F, lo, hi, args.step)
-    rows = [[f"{g:.12f}", _sci(r)] for g, r in zip(result.refined, result.residuals)]
-    _emit(["gamma", "xi_residual"], rows)
-    if args.emit:
-        inverse_theta.write_zeros(args.emit, result.refined)
-        print(f"wrote {len(result.refined)} zeros to {args.emit}", file=sys.stderr)
+def _zeros_scan(a):
+    result = critical_line.scan_zeros(a.field, *a.range, a.step)
+    _emit(["gamma", "xi_residual"],
+          [[f"{g:.12f}", _sci(r)] for g, r in zip(result.refined, result.residuals)])
+    if a.emit:
+        inverse_theta.write_zeros(a.emit, result.refined)
+        print(f"wrote {len(result.refined)} zeros to {a.emit}", file=sys.stderr)
     return 0
 
 
-def _cmd_phi_check(args):
-    F = _resolve_field(args.field)
-    return _checks(
-        ["z_re", "z_im", "integral", "theta_side", "residual"],
-        [_parse_complex(zs) for zs in args.z],
-        lambda z: critical_line.phi_identity_check(F, z, tol=args.tol),
-        lambda z, rep: [_sci(z.real), _sci(z.imag), _sci(rep.lhs.real), _sci(rep.rhs.real),
-                        _sci(rep.residual)],
-        args.tol)
+def _check(columns, point, row):
+    """Run of a check subcommand: a TSV row per point, once every point's report is in.
+
+    The exit code is 0 iff every residual is <= --tol, so a NaN residual fails.
+    """
+    def run(a):
+        reports = [point(a, p) for p in a.points]
+        _emit(columns, [row(a, p, rep) for p, rep in zip(a.points, reports)])
+        return 0 if all(rep.residual <= a.tol for rep in reports) else 1
+    return run
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
+def _theta_point(a, x):
+    if x != -1.0:
+        return theta.check_theta(a.field, a.k, x, tol=a.tol)
+    if a.k != 1:
+        raise ValidationError(f"x = -1 (exact evaluation) needs k = 1, got k = {a.k}")
+    return theta.exact_eval_check(a.field, tol=a.tol)
+
+
+def _theta_row(a, x, rep):
+    if x == -1.0:
+        # boundary form: Re + Im of the kernel sum against 2^r1 C_F
+        return ["exact-eval", *_xy(x), _sci(rep.lhs.real + rep.lhs.imag), _sci(rep.rhs),
+                _sci(rep.residual), "boundary-form"]
+    return ["theta", *_xy(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)), _sci(rep.residual), "ok"]
+
+
+# the options that several subcommands take; the points of a check go to `points`
+OPTIONS = {
+    "--field": dict(required=True),
+    "--k": dict(type=int, default=1),
+    "--x": dict(type=_complex, action="append", required=True, dest="points",
+                metavar="RE[,IM]"),
+    "--zeros": dict(required=True),
+    "--tol": dict(type=_positive),
+}
+_REAL_X = dict(type=_real, metavar="X")
+
+# name, help, options (flag -> what it adds to or changes in OPTIONS), run
+COMMANDS = (
+    ("field-info", "signature, discriminant and constants of a field",
+     {"field": dict(metavar="field_file", help="character file path or builtin name "
+                                               "(Q, sqrt5, cubic7, zeta5, gauss)")},
+     _field_info),
+    ("theta-check", "forward theta relation W(1/x) = sqrt(x) W(x)",
+     {"--field": {}, "--k": {},
+      "--x": dict(help="evaluation point; -1 routes to the exact boundary evaluation (k = 1)"),
+      "--tol": dict(default=1e-8)},
+     _check(["check", "x_re", "x_im", "lhs", "rhs", "residual", "status"],
+            _theta_point, _theta_row)),
+    ("inverse-check", "inverse theta relation U(1/x) = sqrt(x) U(x)",
+     {"--field": {}, "--k": {}, "--x": {},
+      "--zeros": dict(help="zeros file (see zeros-scan --emit)"), "--tol": dict(default=1e-5)},
+     _check(["x_re", "x_im", "lhs", "rhs", "rel_error", "zeros"],
+            lambda a, x: inverse_theta.check_inverse_theta(a.field, a.k, x, a.zeros, tol=a.tol),
+            lambda a, x, rep: [*_xy(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
+                               _sci(rep.residual), str(len(a.zeros))])),
+    ("hlr-check", "Hardy-Littlewood-Ramanujan exponential identity",
+     {"--x": _REAL_X, "--zeros": {}, "--tol": dict(default=1e-4)},
+     _check(["x", "lhs", "rhs", "residual", "zeros"],
+            lambda a, x: inverse_theta.hlr_check(x, a.zeros, tol=a.tol),
+            lambda a, x, rep: [_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real),
+                               _sci(rep.residual), str(len(a.zeros))])),
+    ("dgv-check", "Dixit-Gupta-Vatwani identity (Q and quadratic fields)",
+     {"--field": {}, "--x": _REAL_X, "--zeros": {}, "--tol": dict(default=1e-5)},
+     _check(["x", "lhs", "rhs", "residual", "zeros"],
+            lambda a, x: inverse_theta.dgv_check(a.field, x, a.zeros, tol=a.tol),
+            lambda a, x, rep: [_sci(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
+                               _sci(rep.residual), str(len(a.zeros))])),
+    ("zeros-scan", "sign-change scan of Xi_F on the critical line",
+     {"--field": {}, "--range": dict(type=_range, required=True, metavar="A,B"),
+      "--step": dict(type=_positive, default=0.02),
+      "--emit": dict(help="write refined zeros to this file")},
+     _zeros_scan),
+    ("phi-check", "Phi integral identity between Xi and the theta side",
+     {"--field": {}, "--z": OPTIONS["--x"], "--tol": dict(default=1e-6)},
+     _check(["z_re", "z_im", "integral", "theta_side", "residual"],
+            lambda a, z: critical_line.phi_identity_check(a.field, z, tol=a.tol),
+            lambda a, z, rep: [*_xy(z), _sci(rep.lhs.real), _sci(rep.rhs.real),
+                               _sci(rep.residual)])),
+)
+
+
+def _build_parser():
+    """The parser of COMMANDS, and the flags of every option that has a `type=`."""
+    parser = argparse.ArgumentParser(
         prog="zetatheta",
         description="Numerical checks of theta relations and critical-line zeros "
                     "for Dedekind zeta functions of abelian number fields.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+    numeric = set()
+    for name, help_text, options, run in COMMANDS:
+        q = sub.add_parser(name, help=help_text)
+        for flag, changes in options.items():
+            action = q.add_argument(flag, **{**OPTIONS.get(flag, {}), **changes})
+            if action.type is not None:
+                numeric.update(action.option_strings)
+        q.set_defaults(func=run)
+    return parser, frozenset(numeric)
 
-    q = sub.add_parser("field-info", help="signature, discriminant and constants of a field")
-    q.add_argument("field_file", help="character file path or builtin name (Q, sqrt5, cubic7, zeta5, gauss)")
-    q.set_defaults(func=_cmd_field_info)
 
-    q = sub.add_parser("theta-check", help="forward theta relation W(1/x) = sqrt(x) W(x)")
-    q.add_argument("--field", required=True)
-    q.add_argument("--k", type=int, default=1)
-    q.add_argument("--x", action="append", required=True, metavar="RE[,IM]",
-                   help="evaluation point; -1 routes to the exact boundary evaluation (k = 1)")
-    q.add_argument("--tol", type=_positive_float, default=1e-8)
-    q.set_defaults(func=_cmd_theta_check)
-
-    q = sub.add_parser("inverse-check", help="inverse theta relation U(1/x) = sqrt(x) U(x)")
-    q.add_argument("--field", required=True)
-    q.add_argument("--k", type=int, default=1)
-    q.add_argument("--x", action="append", required=True, metavar="RE[,IM]")
-    q.add_argument("--zeros", required=True, help="zeros file (see zeros-scan --emit)")
-    q.add_argument("--tol", type=_positive_float, default=1e-5)
-    q.set_defaults(func=_cmd_inverse_check)
-
-    q = sub.add_parser("hlr-check", help="Hardy-Littlewood-Ramanujan exponential identity")
-    q.add_argument("--x", action="append", required=True)
-    q.add_argument("--zeros", required=True)
-    q.add_argument("--tol", type=_positive_float, default=1e-4)
-    q.set_defaults(func=_cmd_hlr_check)
-
-    q = sub.add_parser("dgv-check", help="Dixit-Gupta-Vatwani identity (Q and quadratic fields)")
-    q.add_argument("--field", required=True)
-    q.add_argument("--x", action="append", required=True)
-    q.add_argument("--zeros", required=True)
-    q.add_argument("--tol", type=_positive_float, default=1e-5)
-    q.set_defaults(func=_cmd_dgv_check)
-
-    q = sub.add_parser("zeros-scan", help="sign-change scan of Xi_F on the critical line")
-    q.add_argument("--field", required=True)
-    q.add_argument("--range", required=True, metavar="A,B")
-    q.add_argument("--step", type=_positive_float, default=0.02)
-    q.add_argument("--emit", help="write refined zeros to this file")
-    q.set_defaults(func=_cmd_zeros_scan)
-
-    q = sub.add_parser("phi-check", help="Phi integral identity between Xi and the theta side")
-    q.add_argument("--field", required=True)
-    q.add_argument("--z", action="append", required=True, metavar="RE[,IM]")
-    q.add_argument("--tol", type=_positive_float, default=1e-6)
-    q.set_defaults(func=_cmd_phi_check)
-    return p
+PARSER, _NUMERIC = _build_parser()
 
 
 def _attach_signed_values(argv):
@@ -226,29 +214,25 @@ def _attach_signed_values(argv):
     as a value.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--x", "--z", "--range", "--tol", "--step") and i + 1 < len(argv) \
-                and re.match(r"-([\d.]|inf|nan)", argv[i + 1], re.IGNORECASE):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _NUMERIC and re.match(r"-([\d.]|inf|nan)", tok, re.IGNORECASE):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None):
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_signed_values(list(argv)))
+        args = PARSER.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
     try:
+        if "field" in args:
+            args.field = _resolve_field(args.field)
+        if "zeros" in args:
+            args.zeros = inverse_theta.load_zeros(args.zeros)
         return args.func(args)
     except ConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -316,11 +316,8 @@ def builtin_field(name):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """values[n] for 1 <= n <= bound; kind 'forward' (a_k) or 'inverse' (mu_k)."""
-    bound: int
+    """values[n] for 1 <= n <= N: a_{F,k}(n) or mu_{F,k}(n)."""
     values: np.ndarray
-    k: int
-    kind: str
 
     def __getitem__(self, n):
         return int(self.values[n])
@@ -402,7 +399,7 @@ def _ideal_table(field, n_max):
     vals[0] = 0
     if np.any(vals[1:] < 0):
         raise RoundingDriftError("negative ideal count")
-    return CoefficientTable(bound=n_max, values=vals, k=1, kind="forward")
+    return CoefficientTable(values=vals)
 
 
 def require_k(k):
@@ -422,7 +419,7 @@ def power_coeffs(field, k, n_max):
         vals = base
         for _ in range(k - 1):
             vals = dirichlet_convolve(vals, base)
-        return CoefficientTable(bound=n_max, values=vals, k=k, kind="forward")
+        return CoefficientTable(values=vals)
     return numerics.memo(("power_coeffs", field.cache_key, k, n_max), compute)
 
 
@@ -430,8 +427,7 @@ def moebius_coeffs(field, k, n_max):
     """mu_{F,k}(n): the Dirichlet inverse of a_{F,k}, i.e. coefficients of 1/zeta_F^k."""
     require_k(k)
     return numerics.memo(("moebius_coeffs", field.cache_key, k, n_max), lambda: CoefficientTable(
-        bound=n_max, values=dirichlet_inverse(power_coeffs(field, k, n_max).values),
-        k=k, kind="inverse"))
+        values=dirichlet_inverse(power_coeffs(field, k, n_max).values)))
 
 
 # ---------------------------------------------------------------------------

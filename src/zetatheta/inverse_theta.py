@@ -34,8 +34,6 @@ from .errors import (
 class ZeroList:
     """Ascending positive imaginary parts of critical-line zeros, never empty."""
     gammas: tuple
-    source: str = "unknown"
-    field_label: str = ""
 
     def __post_init__(self):
         g = self.gammas
@@ -54,11 +52,10 @@ class ZeroList:
         return len(self.gammas)
 
     def head(self, count):
-        return ZeroList(gammas=self.gammas[:count], source=self.source,
-                        field_label=self.field_label)
+        return ZeroList(gammas=self.gammas[:count])
 
 
-def load_zeros(path, field_label=""):
+def load_zeros(path):
     """Read a zeros file: one ascending positive decimal per line, `#` comments."""
     gammas = []
     with open(path) as fh:
@@ -76,7 +73,7 @@ def load_zeros(path, field_label=""):
                 raise ParseError(f"zero ordinate must be positive and finite: {val}",
                                  line=lineno)
             gammas.append(val)
-    return ZeroList(gammas=tuple(gammas), source=str(path), field_label=field_label)
+    return ZeroList(gammas=tuple(gammas))
 
 
 def write_zeros(path, zeros):
@@ -84,7 +81,7 @@ def write_zeros(path, zeros):
     gammas = zeros.gammas if isinstance(zeros, ZeroList) else tuple(zeros)
     with open(path, "w") as fh:
         for g in gammas:
-            fh.write(f"{g:.12f}\n".rstrip("\n") + "\n")
+            fh.write(f"{g:.12f}\n")
     return path
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 
@@ -22,6 +23,12 @@ def rows_of(out):
     lines = [ln for ln in out.strip().splitlines() if ln]
     header = lines[0].split("\t")
     return header, [ln.split("\t") for ln in lines[1:]]
+
+
+def subcommands():
+    """name -> subparser, read from the parser that cli.main uses."""
+    return next(a for a in cli.PARSER._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +212,7 @@ class TestPhiCheck:
 
 class TestExitCode:
     # every check returns one Report, and its residual alone decides the exit code
-    @pytest.mark.parametrize("factor,expected", [(0.99, 0), (1.01, 1)])
+    @pytest.mark.parametrize("factor,expected", [(0.99, 0), (1.01, 1), (float("nan"), 1)])
     @pytest.mark.parametrize("module,name,argv", [
         (th, "check_theta", ("theta-check", "--field", "Q", "--x", "2")),
         (th, "exact_eval_check", ("theta-check", "--field", "cubic7", "--x=-1")),
@@ -241,6 +248,47 @@ class TestSignedValues:
         assert code_eq == 0
         assert out == out_eq
         assert len(rows_of(out)[1]) == 1
+
+
+class TestParser:
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            code, _, err = run(capsys, "field-info", "Q")
+            assert code == 0, err
+        assert built == []
+
+    @pytest.mark.parametrize("name", sorted(subcommands()))
+    def test_help(self, capsys, name):
+        code, out, err = run(capsys, name, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: zetatheta {name}")
+        assert err == ""
+
+    # every option with a type= parser, read from the parser itself, takes a
+    # value that starts with '-' in the space form too
+    @pytest.mark.parametrize("name,flag", sorted(
+        (name, flag) for name, sub in subcommands().items() for action in sub._actions
+        if action.type is not None for flag in action.option_strings))
+    def test_signed_value_reaches_type(self, capsys, monkeypatch, name, flag):
+        action = next(a for a in subcommands()[name]._actions if flag in a.option_strings)
+        seen = []
+
+        def refuse(text):
+            seen.append(text)
+            raise argparse.ArgumentTypeError(f"refused {text!r}")
+        monkeypatch.setattr(action, "type", refuse)
+        code, out, err = run(capsys, name, flag, "-1,2")
+        assert code == 2
+        assert seen == ["-1,2"]
+        assert "expected one argument" not in err
+        assert out == ""
 
 
 class TestOutputDiscipline:
