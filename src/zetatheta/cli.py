@@ -29,15 +29,16 @@ def _sci(v):
 
 
 def _resolve_field(spec_str):
+    """The builtin field of that name, else the field of the character file at that path."""
+    try:
+        return fields.builtin_field(spec_str)
+    except ValidationError:
+        pass
     if os.path.exists(spec_str):
         chars = fields.parse_character_file(spec_str)
         label = os.path.splitext(os.path.basename(spec_str))[0]
         return fields.make_field_abelian(chars, label=label)
-    try:
-        return fields.builtin_field(spec_str)
-    except ZetaThetaError:
-        raise ZetaThetaError(
-            f"{spec_str!r} is neither a readable file nor a builtin field name")
+    raise ZetaThetaError(f"{spec_str!r} is neither a readable file nor a builtin field name")
 
 
 def _real(text, valid=math.isfinite, expected="a finite number"):

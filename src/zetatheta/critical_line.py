@@ -159,7 +159,8 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
     [0, T] with half weight at t = 0 (numerics.nested_trapezoid), from the
     step 1/4 that the poles at t = +-i/2 allow, halved until two levels
     differ by at most max(0.1 tol, 1e-12); the budget's quadrature_delta is
-    that last difference.
+    that last difference, and its kernel_quadrature the proven quadrature
+    error of the terms of S (see theta._s_series_log).
     """
     z = complex(z)
     d = field.degree
@@ -178,8 +179,9 @@ def phi_identity_check(field, z, T=None, tol=1e-6):
     if not converged[0]:
         raise ConvergenceError(f"Phi integral did not settle: delta {delta:.2e}")
     # S at x = e^{-2z} on the sheet log x = -2z, which leaves the principal one at |Im z| > pi/2
-    s_val = theta._s_series_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))[0]
+    s_val, _, series = theta._s_series_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))
     r0 = 2.0 ** field.r1 * fields.laurent_constant(field)
     rhs = -(math.pi / 2.0) * (cmath.exp(-z / 2.0) * s_val + r0 * cmath.exp(z / 2.0))
     return theta.Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
-                        budget={"quadrature_delta": delta})
+                        budget={"quadrature_delta": delta,
+                                "kernel_quadrature": series["kernel_quadrature"]})

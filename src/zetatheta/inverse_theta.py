@@ -146,11 +146,12 @@ def _l_series_parts(field, k, x):
     while float(n0) ** -(m_top + 1) * (1.0 + log_n0) ** n_logs >= _EPS:
         m_top += 1
     derivs = _inverse_zeta_derivatives(field, k, m_top, n_logs)
+    polys = steen._left_pole_polynomials(kr1, kr2, 1, m_top + 4)
 
     mu = fields.moebius_coeffs(field, k, n0).values[1:].astype(float)
     ns = np.arange(1.0, n0 + 1.0)
     # the head in one kernel-array call; a quadrature entry is charged the
-    # 1e-11 |Z~| its step-halving check holds
+    # proven error of its line, alias terms plus window
     head = np.nonzero(mu)[0]
     z, charge = steen.z_shifted_many(kr1, kr2, alpha / ns[head], tol=1e-13)
     weights = mu[head] / ns[head]
@@ -164,7 +165,7 @@ def _l_series_parts(field, k, x):
     tail = 0.0 + 0.0j
     tail_abs = 0.0
     for m in range(1, m_top + 1):
-        poly = steen._left_pole_polynomial(kr1, kr2, m)
+        poly = polys[m - 1]
         if poly.degree == 0 and poly.coeffs[0] == 0:
             continue
         # |zeta_F(s)^-k| <= zeta(Re s)^{dk} <= (Re s / (Re s - 1))^{dk} on the extraction circle
@@ -185,8 +186,7 @@ def _l_series_parts(field, k, x):
     # more orders, doubled, majorize the rest.
     truncation = 0.0
     for m in range(m_top + 1, m_top + 5):
-        poly = steen._left_pole_polynomial(kr1, kr2, m)
-        for i, b in enumerate(_recentred_coeffs(poly, log_alpha)):
+        for i, b in enumerate(_recentred_coeffs(polys[m - 1], log_alpha)):
             if (i + 1) / log_n0 >= m:
                 truncation = math.inf
                 continue

@@ -296,7 +296,7 @@ _TRAPEZOID_CHUNK_NODES = 4096
 _TRAPEZOID_HALVINGS = 4
 
 
-def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0):
+def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0, error=None):
     """int_{-T_i}^{T_i} g(t, i) dt for every entry i by one nested trapezoid rule.
 
     Entry i starts with nodes t = j steps[i], |t| <= T_i, and each of up to
@@ -304,11 +304,16 @@ def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0):
     once.  With `even` the integrand is even in t: only t >= 0 is evaluated,
     with half weight at t = 0, and the value is int_0^{T_i}.  `g(t, entry)`
     gets a 1-d array of nodes and the entry of each; every call holds whole
-    entries and about _TRAPEZOID_CHUNK_NODES nodes.  An entry stops once two
-    successive levels differ by at most max(atol, rtol max(|value|, 1e-250)).
-    Each entry's nodes are summed over their own segment in one fixed order,
-    so its value does not depend on the other entries.  Returns arrays of
-    (values, last halving deltas, converged flags).
+    entries and about _TRAPEZOID_CHUNK_NODES nodes.
+
+    An entry stops once its error is at most max(atol, rtol max(|value|,
+    1e-250)).  The error is the caller's `error(entries, steps)`, the proven
+    error of those entries' sums at those steps, read from the first level
+    on, so a proven entry is halved only where its bound asks for it;
+    without a callback it is the halving delta, the difference of two
+    successive levels.  Each entry's nodes are summed over their own segment
+    in one fixed order, so its value does not depend on the other entries.
+    Returns arrays of (values, last errors, converged flags).
     """
     T = np.asarray(half_heights, dtype=float)
     h = np.asarray(steps, dtype=float)
@@ -316,7 +321,7 @@ def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0):
         raise ValidationError("steps must satisfy 0 < step <= half_height")
     values = np.zeros(len(T), dtype=complex)
     totals = np.zeros(len(T), dtype=complex)      # sum of g over every node so far
-    deltas = np.full(len(T), np.inf)
+    errors = np.full(len(T), np.inf)
     converged = np.zeros(len(T), dtype=bool)
     live = np.arange(len(T))
     for level in range(_TRAPEZOID_HALVINGS + 1):
@@ -350,30 +355,34 @@ def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0):
             sums[a:b] = np.add.reduceat(vals, seg)
         totals[live] += sums
         new = step * totals[live]
-        if level:
-            deltas[live] = np.abs(new - values[live])
-            converged[live] = deltas[live] <= np.maximum(
-                atol, rtol * np.maximum(np.abs(new), 1e-250))
+        if error is not None:
+            errors[live] = error(live, step)
+        elif level:
+            errors[live] = np.abs(new - values[live])
+        converged[live] = errors[live] <= np.maximum(atol, rtol * np.maximum(np.abs(new), 1e-250))
         values[live] = new
         live = live[~converged[live]]
         if not len(live):
             break
-    return values, deltas, converged
+    return values, errors, converged
 
 
-def line_integral_many(f, abscissae, half_heights, steps):
+def line_integral_many(f, abscissae, half_heights, steps, error=None):
     """(1/2 pi i) int f(s, i) ds over each vertical segment i of a batch.
 
     Segment i is Re(s) = abscissae[i], |Im s| <= half_heights[i], integrated
     by nested_trapezoid from the step steps[i]; `f(s, entry)` gets a 1-d
-    array of points and the entry of each.  Returns arrays of (values,
-    halving deltas, converged flags); converged means the last halving moved
-    the value by at most 1e-11 relative.
+    array of points and the entry of each.  `error(entries, steps)`, if
+    given, is the proven error of those entries' values at those steps, and
+    is the stop rule; else the halving delta is.  Returns arrays of (values,
+    errors, converged flags); converged means the error is at most 1e-11
+    relative.
     """
     c = np.asarray(abscissae, dtype=float)
-    values, deltas, converged = nested_trapezoid(
-        lambda t, entry: f(c[entry] + 1j * t, entry), half_heights, steps)
-    return values / (2.0 * math.pi), deltas / (2.0 * math.pi), converged
+    scaled = None if error is None else lambda entry, step: 2.0 * math.pi * error(entry, step)
+    values, errors, converged = nested_trapezoid(
+        lambda t, entry: f(c[entry] + 1j * t, entry), half_heights, steps, error=scaled)
+    return values / (2.0 * math.pi), errors / (2.0 * math.pi), converged
 
 
 # ---------------------------------------------------------------------------

@@ -66,17 +66,23 @@ def _series_plan(field, k, log_x, tol):
 
 
 def _s_series_log(field, k, log_x, tol):
-    """(S_{F,k}, n_stop, certified tail) at x = e^{log_x}, on the sheet log_x names."""
+    """(S_{F,k}, n_stop, error terms) at x = e^{log_x}, on the sheet log_x names.
+
+    The error terms are series_tail, the certified remainder past n_stop, and
+    kernel_quadrature, sum_n |a(n)| times the proven quadrature error of Z~(y n).
+    """
     _require_sector(field, log_x)
     kr1, kr2 = k * field.r1, k * field.r2
     y1 = fields.kernel_scale(field, k) * cmath.exp(log_x / 2.0)
     n_stop, table, tail = _series_plan(field, k, log_x, tol)
     ns = np.nonzero(table.values[1:n_stop + 1])[0] + 1
+    z, charge = steen._kernel_many(kr1, kr2, y1 * ns, 1e-13, shifted=False)
     total = 0.0 + 0.0j
     # summed in n order, one term at a time, so the value does not hang on numpy's summation
-    for n, z in zip(ns, steen.z_tilde_many(kr1, kr2, y1 * ns, tol=1e-13)):
-        total += table[n] * complex(z)
-    return total, n_stop, tail
+    for n, zn in zip(ns, z):
+        total += table[n] * complex(zn)
+    quadrature = float(np.sum(np.abs(table.values[ns]) * charge))
+    return total, n_stop, {"series_tail": tail, "kernel_quadrature": quadrature}
 
 
 def _log_of(x, name):
@@ -116,17 +122,19 @@ def check_theta(field, k, x, tol=1e-8):
     """Verify W(1/x) = sqrt(x) W(x): lhs W(1/x), rhs sqrt(x) W(x), relative residual.
 
     1/x is taken as log(1/x) = -log x, so both sides sit on the sheet of x.
-    The budget's series_tail is the certified remainder of both truncated series.
+    The budget's series_tail is the certified remainder of both truncated
+    series and kernel_quadrature the proven quadrature error of their terms.
     """
     log_x = _log_of(x, "check_theta")
     inner = min(tol * 1e-2, 1e-10)
-    s_x, _, tail_x = _s_series_log(field, k, log_x, inner)
-    s_inv, _, tail_inv = _s_series_log(field, k, -log_x, inner)
+    s_x, _, budget_x = _s_series_log(field, k, log_x, inner)
+    s_inv, _, budget_inv = _s_series_log(field, k, -log_x, inner)
     r0 = r0_theta_polynomial(field, k)
     lhs = s_inv - r0.eval_log(-log_x)
     rhs = cmath.exp(log_x / 2.0) * (s_x - r0.eval_log(log_x))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return Report(lhs=lhs, rhs=rhs, residual=rel, budget={"series_tail": tail_x + tail_inv})
+    return Report(lhs=lhs, rhs=rhs, residual=rel,
+                  budget={key: budget_x[key] + budget_inv[key] for key in budget_x})
 
 
 def exact_eval_check(field, tol=1e-8):
@@ -140,11 +148,11 @@ def exact_eval_check(field, tol=1e-8):
     branch, letting x -> -1 from above in the theta relation gives
     conj(W(-1)) = i W(-1), so the consequence of the relation is
     Re(lhs) + Im(lhs) = 2^r1 C_F, and the residual is that boundary form;
-    the flat distance |lhs - rhs| does not vanish.
+    the flat distance |lhs - rhs| does not vanish.  The budget holds the
+    series' series_tail and kernel_quadrature (see _s_series_log).
     """
     if field.degree < 3:
         raise DomainError("exact evaluation needs a field of degree >= 3")
-    lhs, _, tail = _s_series_log(field, 1, 1j * math.pi, tol)
+    lhs, _, budget = _s_series_log(field, 1, 1j * math.pi, tol)
     rhs = 2.0 ** field.r1 * fields.laurent_constant(field)
-    return Report(lhs=lhs, rhs=rhs, residual=abs(lhs.real + lhs.imag - rhs),
-                  budget={"series_tail": tail})
+    return Report(lhs=lhs, rhs=rhs, residual=abs(lhs.real + lhs.imag - rhs), budget=budget)

@@ -52,7 +52,7 @@ def gamma(s):
     return complex(out) if z.ndim == 0 else out
 
 
-def gamma_by_integral(s, t_max=80.0, n_nodes=4000):
+def gamma_by_integral(s, t_max=80.0, n_nodes=800):
     """Gamma(s) for Re(s) > 0: recurrence into Re(s) >= 3, then Gauss-Legendre
     on the defining integral with t = u^4 (smooths the endpoint)."""
     s = complex(s)
@@ -70,7 +70,7 @@ def gamma_by_integral(s, t_max=80.0, n_nodes=4000):
     return out
 
 
-def bessel_k_integral(nu, z, t_max=None, n_nodes=6000):
+def bessel_k_integral(nu, z, t_max=None, n_nodes=800):
     """K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt for Re(z) > 0."""
     z = complex(z)
     if t_max is None:

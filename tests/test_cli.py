@@ -76,6 +76,14 @@ class TestFieldInfo:
         assert code == 2
         assert "neither" in err
 
+    def test_builtin_name_wins_over_a_file(self, capsys, tmp_path, monkeypatch):
+        # a file named like a builtin field in the working directory does not shadow it
+        (tmp_path / "Q").write_text("char oops\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "field-info", "Q")
+        assert code == 0
+        assert rows_of(out)[1][0][:5] == ["Q", "1", "0", "1", "1"]
+
 
 class TestThetaCheck:
     def test_rational(self, capsys):

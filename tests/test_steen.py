@@ -61,8 +61,9 @@ class TestZTilde:
 
     @pytest.mark.parametrize("r1,r2", [(1, 0), (2, 0), (0, 1), (0, 2)])
     def test_closed_forms_across_the_sector(self, r1, r2):
-        # the 1e-11 relative charge of a quadrature entry, out to |x| = 100 and
-        # 0.9 of the sector; below the normal double range the value must be too
+        # 1e-11 relative, where a quadrature entry's proven error would halve it,
+        # out to |x| = 100 and 0.9 of the sector; below the normal double range
+        # the value must be too
         mpmath = pytest.importorskip("mpmath")
         closed = {(1, 0): lambda x: 2 * mpmath.exp(-x * x),
                   (2, 0): lambda x: 4 * mpmath.besselk(0, 2 * x),
@@ -110,6 +111,65 @@ class TestZTilde:
     def test_domain(self):
         with pytest.raises(DomainError):
             st.z_tilde(1, 0, 0.0)
+
+
+CLOSED_FORMS = {(1, 0): lambda mp, x: 2 * mp.exp(-x * x),
+                (2, 0): lambda mp, x: 4 * mp.besselk(0, 2 * x),
+                (0, 1): lambda mp, x: mp.exp(-x),
+                (0, 2): lambda mp, x: 2 * mp.besselk(0, 2 * mp.sqrt(x))}
+
+
+class TestProvenQuadrature:
+    """A kernel line's charge is a proven bound: alias terms by Poisson summation, window by Stirling."""
+
+    # the last digits of a line's value rest on log-gamma and exp in log space, not
+    # on the quadrature: 1.25e-12 relative where the integrand's modulus on the
+    # line sums to ~700 |Z~| ((0, 2) at |x| = 0.45, 0.9 of the sector)
+    ROUNDING = 2e-12
+
+    @staticmethod
+    def grid(r1, r2):
+        # TestZTilde's grid: 0, +-0.5 and +-0.9 of the sector, |x| in [0.45, 100]
+        d = r1 + 2 * r2
+        return np.array([cmath.rect(a, f * (math.pi * d / 4.0 - 0.1))
+                         for f in (0.0, 0.5, -0.5, 0.9, -0.9) for a in np.geomspace(0.45, 100.0, 15)])
+
+    @pytest.mark.parametrize("r1,r2", sorted(CLOSED_FORMS))
+    def test_charge_bounds_the_error(self, r1, r2):
+        mpmath = pytest.importorskip("mpmath")
+        xs = self.grid(r1, r2)
+        with mpmath.workdps(30):
+            refs = [CLOSED_FORMS[(r1, r2)](mpmath, mpmath.mpc(x.real, x.imag)) for x in xs]
+            values, charge = st._kernel_many(r1, r2, xs, 1e-12, shifted=False)
+            for x, v, ch, ref in zip(xs, values, charge, refs):
+                if abs(ref) < 1e-300:             # below the double range: 0
+                    assert abs(v) < 1e-300, x
+                    continue
+                err = abs(mpmath.mpc(v.real, v.imag) - ref)
+                assert err <= ch + self.ROUNDING * abs(ref), (x, float(err / abs(ref)), ch)
+
+    @pytest.mark.parametrize("r1,r2", sorted(CLOSED_FORMS))
+    def test_bound_holds_at_coarse_steps(self, r1, r2):
+        # plans for 1e-2 .. 1e-8 of |Z~|: the error shows, far above the rounding
+        mpmath = pytest.importorskip("mpmath")
+        xs = self.grid(r1, r2)
+        ratios = []
+        with mpmath.workdps(30):
+            refs = [CLOSED_FORMS[(r1, r2)](mpmath, mpmath.mpc(x.real, x.imag)) for x in xs]
+            for target in (1e-2, 1e-4, 1e-6, 1e-8):
+                live, c, T, h, error = st._line_plan(r1, r2, xs, target)
+                sums = nx.line_integral_many(st._kernel_integrand(r1, r2, np.log(xs[live])), c, T, h,
+                                             error=lambda entry, step: np.zeros(len(entry)))[0]
+                bounds = error(np.arange(len(live)), h)
+                for i, v, bound in zip(live, sums, bounds):
+                    x, ref = xs[i], refs[i]
+                    if abs(ref) < 1e-290:
+                        continue
+                    err = float(abs(mpmath.mpc(v.real, v.imag) - ref))
+                    assert err <= bound, (target, x, err, bound)
+                    ratios.append(err / bound)
+        print(f"({r1},{r2}) error/bound over {len(ratios)} entries: median "
+              f"{np.median(ratios):.2f}, max {max(ratios):.2f}")
 
 
 class TestR0Gamma:
@@ -178,7 +238,9 @@ class TestKernelMany:
         for i, x in enumerate(self.XS):
             assert tilde[i] == st.z_tilde(r1, r2, x)
             assert shifted[i] == st.z_shifted(r1, r2, x)
-            assert charge[i] == (0.0 if abs(x) <= 0.4 else 1e-11 * abs(st.z_tilde(r1, r2, x)))
+            # the proven quadrature error: 0 on the series, per entry on a line
+            assert charge[i] == st.z_shifted_many(r1, r2, [x])[1][0]
+            assert (charge[i] == 0.0) == (abs(x) <= 0.4)
 
     def test_sector_checked_before_any_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -208,6 +270,20 @@ class TestKernelMany:
             st.z_tilde_many(r1, r2, xs)
             chunks = math.ceil(sum(calls) / nx._TRAPEZOID_CHUNK_NODES)
             assert len(calls) <= 5 * chunks, (n, len(calls), chunks)
+
+    @pytest.mark.parametrize("r1,r2,most", [(1, 0, 20000), (2, 1, 6000)])
+    def test_one_proven_level_of_nodes(self, r1, r2, most, monkeypatch):
+        # the step-halving rule took 93,876 and 11,354 nodes here
+        nodes = []
+        log_gamma_factor = nx.log_gamma_factor
+
+        def spy(r1, r2, s):
+            nodes.append(np.size(s))
+            return log_gamma_factor(r1, r2, s)
+
+        monkeypatch.setattr(nx, "log_gamma_factor", spy)
+        st.z_tilde_many(r1, r2, np.geomspace(0.45, 30.0, 40) * np.exp(0.3j * np.linspace(-1.0, 1.0, 40)))
+        assert sum(nodes) <= most
 
     def test_domain(self):
         with pytest.raises(DomainError):

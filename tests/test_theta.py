@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zetatheta import critical_line as cl
 from zetatheta import fields as fd
 from zetatheta import numerics as nx
 from zetatheta import steen as st
@@ -103,8 +104,9 @@ class TestSeriesPlan:
         monkeypatch.setattr(st, "_kernel_many", spy)
         total, n_stop, _ = th._s_series_log(field_sqrt5, 1, cmath.log(0.7 + 0.3j), 1e-10)
         assert len(calls) == 1 and n_stop > 1
-        # the sequential sum of a(n) Z~(y n) over the nonzero a(n), n <= n_stop
-        y1 = fd.kernel_scale(field_sqrt5, 1) * cmath.sqrt(0.7 + 0.3j)
+        # the sequential sum of a(n) Z~(y n) over the nonzero a(n), n <= n_stop, at the
+        # series' own y = scale e^{log x/2}: Z~ at cmath.sqrt's y, one ulp away, differs by 7e-15
+        y1 = fd.kernel_scale(field_sqrt5, 1) * cmath.exp(cmath.log(0.7 + 0.3j) / 2.0)
         ref = sum(fd.power_coeffs(field_sqrt5, 1, n_stop)[n] * st.z_tilde(2, 0, y1 * n, tol=1e-13)
                   for n in range(1, n_stop + 1))
         assert abs(total - ref) <= 1e-15 * abs(ref)
@@ -235,3 +237,17 @@ class TestExactEvaluation:
     def test_cubic_literal_equality(self, field_cubic7):
         rep = th.exact_eval_check(field_cubic7, tol=1e-9)
         assert abs(rep.lhs - rep.rhs) < 1e-6
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_forward_checks_report_kernel_quadrature(name):
+    # sum_n |a(n)| times each kernel entry's proven quadrature error, next to the other terms
+    field = fd.builtin_field(name)
+    reports = [(th.check_theta(field, 1, 0.8 + 0.3j), "series_tail")]
+    if field.degree >= 3:
+        reports.append((th.exact_eval_check(field), "series_tail"))
+    reports.append((cl.phi_identity_check(field, 0.3), "quadrature_delta"))
+    for rep, other in reports:
+        quadrature = rep.budget["kernel_quadrature"]
+        assert math.isfinite(quadrature) and quadrature >= 0.0
+        assert rep.residual <= rep.budget[other] + quadrature + 1e-12
