@@ -4,11 +4,11 @@ Xi_F(t) = xi_F(1/2 + it) is real and even, so its sign changes locate the
 non-trivial zeros of zeta_F on the critical line.  The scanner works on an
 exponentially rescaled copy of Xi (a positive factor, so the sign pattern is
 untouched) to keep magnitudes in a sane range, brackets every sign change on
-a grid, and refines all brackets by bisection in lockstep: each halving step
-is one array evaluation of Xi over the brackets still open, so a scan at the
-default step makes about 28 Xi calls in all, not about 27 per zero.  The
-Phi integral ties the Xi profile back to the forward theta function,
-crossing the whole stack.
+a grid, and refines all brackets by ITP steps in lockstep: each step is one
+array evaluation of Xi over the brackets still open, and the grid values
+seed the bracket ends, so a width-5 scan at the default step makes 9 or 10
+Xi calls in all.  The Phi integral ties the Xi profile back to the forward
+theta function, crossing the whole stack.
 """
 
 import cmath
@@ -81,12 +81,70 @@ class ScanResult:
     residuals: tuple         # |rescaled Xi| at each refined ordinate
 
 
-def refine_zeros(field, brackets, tol=1e-9):
-    """Bisect sign-change brackets of the rescaled Xi, all in lockstep, down to width `tol`.
+_ORDINATE_TOL = 1e-9
 
-    Each halving step is one Xi evaluation over the brackets still open.  A
-    bracket ends at an endpoint or midpoint where Xi is exactly zero, or at
-    the midpoint of its last interval once that is no wider than `tol`.
+
+def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol):
+    """Zero ordinates of the rescaled Xi in brackets whose end values f_lo, f_hi differ in sign.
+
+    The lockstep ITP steps of refine_zeros: kappa1 = 0.2/(b0 - a0),
+    kappa2 = 2, n0 = 1 and epsilon = tol/4 (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020).  The tol/8 inset only moves a trial point toward the
+    midpoint, so ITP's worst case still holds; without it, a regula falsi
+    point that lands on the root to about 1e-15 is evaluated again at every
+    step until the projection moves it.
+    """
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    width = hi - lo
+    kappa1 = 0.2 / width
+    n_max = np.ceil(np.log2(width / (0.5 * tol))) + 1.0
+    out = np.empty(len(lo))
+    done = np.zeros(len(lo), dtype=bool)
+    step = 0
+    live = np.nonzero(width > 0.5 * tol)[0]
+    while len(live):
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        w = b - a
+        mid = 0.5 * (a + b)
+        x_f = a + w * (fa / (fa - fb))
+        sigma = np.sign(mid - x_f)
+        delta = kappa1[live] * w * w
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        r = 0.25 * tol * 2.0 ** (n_max[live] - step) - 0.5 * w
+        x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
+        x = np.clip(x, a + 0.125 * tol, b - 0.125 * tol)
+        f_x = _xi_rescaled_many(field, x)
+        hit = f_x == 0.0
+        out[live[hit]], done[live[hit]] = x[hit], True
+        right = np.sign(f_x) == np.sign(fa)
+        lo[live[right]], f_lo[live[right]] = x[right], f_x[right]
+        left = ~right & ~hit
+        hi[live[left]], f_hi[live[left]] = x[left], f_x[left]
+        step += 1
+        # n_max steps leave at most tol/2 in exact arithmetic; the cap keeps a
+        # width that rounding leaves an ulp above it from taking one more
+        live = np.nonzero(~done & (hi - lo > 0.5 * tol) & (step < n_max))[0]
+    out[~done] = lo[~done] + (hi - lo)[~done] * (f_lo / (f_lo - f_hi))[~done]
+    return out
+
+
+def refine_zeros(field, brackets, tol=_ORDINATE_TOL):
+    """Refine sign-change brackets of the rescaled Xi, all in lockstep, to within tol/2 of a zero.
+
+    The ends of every bracket are evaluated in one Xi call.  A bracket whose
+    end is an exact zero returns that end; LostBracketError names the first
+    bracket with no sign change across it.  The rest take ITP steps
+    (interpolate, truncate, project), each one Xi evaluation over the
+    brackets still open.  A bracket [a, b] of initial width w0 tries its
+    regula falsi point, moved toward the midpoint by 0.2 (b - a)^2 / w0 and
+    then projected close enough to the midpoint that the bracket stays no
+    wider than bisection with one spare step would leave it.  Two guards:
+    every trial point stays at least tol/8 inside its bracket, and a bracket
+    stops once it is at most tol/2 wide (or at an exact zero).  It returns
+    the regula falsi point of its last bracket, so the ordinate lies within
+    tol/2 of a sign change, and it takes at most
+    ceil(log2(w0 / (tol/2))) + 1 steps whatever the function; on a smooth Xi
+    it converges superlinearly, in 6 to 8 steps from w0 = 0.02 at tol = 1e-9.
     Returns the ordinates as an array, in bracket order.
     """
     lo = np.array([float(b[0]) for b in brackets])
@@ -97,36 +155,28 @@ def refine_zeros(field, brackets, tol=1e-9):
         return lo
     f_ends = _xi_rescaled_many(field, np.concatenate([lo, hi]))
     f_lo, f_hi = f_ends[:len(lo)], f_ends[len(lo):]
-    out = np.empty(len(lo))
-    done = np.zeros(len(lo), dtype=bool)
-    for i in range(len(lo)):
-        if f_lo[i] == 0.0:
-            out[i], done[i] = lo[i], True
-        elif f_hi[i] == 0.0:
-            out[i], done[i] = hi[i], True
-        elif f_lo[i] * f_hi[i] > 0:
-            raise LostBracketError(f"no sign change across [{lo[i]}, {hi[i]}]")
-    live = np.nonzero(~done & (hi - lo > tol))[0]
-    while len(live):
-        mid = 0.5 * (lo[live] + hi[live])
-        f_mid = _xi_rescaled_many(field, mid)
-        hit = f_mid == 0.0
-        out[live[hit]], done[live[hit]] = mid[hit], True
-        left = f_lo[live] * f_mid < 0
-        hi[live[left]] = mid[left]
-        lo[live[~left]], f_lo[live[~left]] = mid[~left], f_mid[~left]
-        live = np.nonzero(~done & (hi - lo > tol))[0]
-    out[~done] = 0.5 * (lo[~done] + hi[~done])
+    signs = np.sign(f_lo) * np.sign(f_hi)
+    lost = np.nonzero(~(signs <= 0))[0]     # a NaN end is no sign change either
+    if len(lost):
+        i = lost[0]
+        raise LostBracketError(f"no sign change across [{lo[i]}, {hi[i]}]")
+    out = np.where(f_lo == 0.0, lo, hi)
+    open_ = signs < 0
+    out[open_] = _itp_lockstep(field, lo[open_], hi[open_], f_lo[open_], f_hi[open_], tol)
     return out
 
 
-def refine_zero(field, bracket, tol=1e-9):
-    """Bisect one sign-change bracket of the rescaled Xi down to width `tol`."""
+def refine_zero(field, bracket, tol=_ORDINATE_TOL):
+    """Refine one sign-change bracket of the rescaled Xi to within tol/2 of a zero (refine_zeros)."""
     return float(refine_zeros(field, [bracket], tol)[0])
 
 
 def scan_zeros(field, t_min, t_max, step):
-    """Bracket and refine every sign change of Xi_F on [t_min, t_max]."""
+    """Bracket and refine every sign change of Xi_F on [t_min, t_max].
+
+    The grid values at the bracket ends seed the ITP steps of refine_zeros,
+    so no end is evaluated twice.
+    """
     if not (0 <= t_min < t_max):
         raise ValidationError("need 0 <= t_min < t_max")
     if step <= 0:
@@ -137,7 +187,8 @@ def scan_zeros(field, t_min, t_max, step):
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     brackets = [(float(ts[i]), float(ts[i + 1])) for i in flips]
-    refined = [float(g) for g in refine_zeros(field, brackets)]
+    refined = [float(g) for g in _itp_lockstep(field, ts[flips], ts[flips + 1],
+                                               vals[flips], vals[flips + 1], _ORDINATE_TOL)]
     residuals = [float(r) for r in np.abs(_xi_rescaled_many(field, refined))]
     for a, b in zip(refined, refined[1:]):
         if b - a < 2.0 * step:

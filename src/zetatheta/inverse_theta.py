@@ -77,11 +77,14 @@ def load_zeros(path):
 
 
 def write_zeros(path, zeros):
-    """Write gammas in the zeros-file format (ASCII decimals, LF, round-trip safe)."""
+    """Write gammas in the zeros-file format (ASCII decimals, LF), round-trip safe.
+
+    Each gamma is written as its repr, so load_zeros reads back the same float.
+    """
     gammas = zeros.gammas if isinstance(zeros, ZeroList) else tuple(zeros)
     with open(path, "w") as fh:
         for g in gammas:
-            fh.write(f"{g:.12f}\n")
+            fh.write(f"{float(g)!r}\n")
     return path
 
 
@@ -255,8 +258,11 @@ def zeta_taylor_many(field, gammas, order):
     even ones.  Each result carries its bound as `alias_bound`.  Sample
     rounding reaches c_2 as r^-2 N^-1/2, so at r = 0.07 a 32-sample ring
     rounds like a 128-sample ring of radius 0.05.  The batch shares one Hurwitz
-    shift, set by its highest zero, so a zero's data moves by rounding
-    (about 1e-13 relative) with the list that first computed it.  Raises
+    shift, set by its highest zero, so a zero's data moves by rounding with
+    the list that first computed it: c_m by at most r^-m times the mean
+    change of its samples, measured up to 1.2e-13 relative in c_1 and
+    2.7e-13 in c_2 on the scanned zeros of Q (t < 102), sqrt5 (t < 50) and
+    zeta5 (t < 30).  Raises
     ZeroNotSimpleError if |c_1| <= 1e-6 |c_2| r, ValidationError if
     |c_0| > 1e-6 |c_1| (not a zero), naming the first such gamma of the list.
     """

@@ -150,6 +150,31 @@ class TestScanZeros:
         with pytest.warns(UserWarning):
             cl.scan_zeros(field_sqrt5, 20.5, 23.0, 0.65)
 
+    @pytest.mark.parametrize("name, t_min", [("Q", 100.0), ("sqrt5", 40.0), ("gauss", 30.0),
+                                             ("cubic7", 10.0), ("zeta5", 18.0)])
+    def test_few_xi_calls_per_scan(self, name, t_min, monkeypatch):
+        # one call for the grid, one for the residuals, and the lockstep ITP
+        # steps in between
+        calls = []
+        real = cl._xi_rescaled_many
+
+        def counting(field, ts):
+            calls.append(np.size(ts))
+            return real(field, ts)
+
+        monkeypatch.setattr(cl, "_xi_rescaled_many", counting)
+        res = cl.scan_zeros(fd.builtin_field(name), t_min, t_min + 5.0, 0.02)
+        assert len(res.refined) >= 1 and len(calls) <= 10
+
+    @pytest.mark.parametrize("name, step", [("Q", 0.05), ("zeta5", 0.0025)])
+    def test_ordinates_match_the_reference(self, name, step, riemann_zeros_reference,
+                                           zeta5_zeros_reference):
+        # zeta5's zeros at 29.70278 and 29.70791 need a step below half their gap
+        ref = {"Q": riemann_zeros_reference, "zeta5": zeta5_zeros_reference}[name].gammas
+        res = cl.scan_zeros(fd.builtin_field(name), 0.0, ref[-1] + 0.5, step)
+        assert len(res.refined) == len(ref)
+        assert np.max(np.abs(np.array(res.refined) - ref)) <= 1e-12
+
 
 class TestRefineZero:
     def test_first_zero(self, field_q):
@@ -180,12 +205,44 @@ class TestRefineZeros:
 
     def test_exact_zeros_end_early(self, field_q, monkeypatch):
         # a stand-in Xi that vanishes exactly at t = 1 hits both early exits:
-        # an endpoint that is already a zero, and a midpoint that lands on one
+        # an endpoint that is already a zero, and a trial point that lands on one
         monkeypatch.setattr(cl, "_xi_rescaled_many",
                             lambda field, ts: np.asarray(ts, dtype=float) - 1.0)
         out = cl.refine_zeros(field_q, [(1.0, 2.0), (0.5, 1.0), (0.0, 2.0), (0.3, 1.7)])
         assert list(out[:3]) == [1.0, 1.0, 1.0]
         assert abs(out[3] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kernel", [
+        np.cbrt,
+        lambda u: np.tanh(1e7 * u),
+        lambda u: np.sign(u) * np.abs(u) ** 0.02,
+        lambda u: u ** 3,
+        lambda u: np.where(u > 0, 1e6 * u, u),
+    ], ids=["cbrt", "tanh", "power-0.02", "cube", "kink"])
+    def test_worst_case_on_non_smooth_stand_ins(self, field_q, kernel, monkeypatch):
+        # where regula falsi gains nothing, ITP still takes at most bisection's
+        # step count plus one, evaluates no point twice, and stops within tol/2
+        # of the sign change
+        tol = 1e-9
+        lo = np.arange(12.0)
+        widths = np.array([0.02, 0.7, 0.02, 0.35] * 3)
+        fractions = np.array([0.5, 0.01, 0.9, 1e-8, 0.3, 0.999, 0.62, 0.25,
+                              1.0 - 1e-9, 0.77, 0.05, 0.4])
+        centres = lo + fractions * widths
+        seen = []
+
+        def stand_in(field, ts):
+            ts = np.asarray(ts, dtype=float)
+            seen.extend(ts.tolist())
+            return kernel(ts - centres[np.searchsorted(lo, ts, side="right") - 1])
+
+        monkeypatch.setattr(cl, "_xi_rescaled_many", stand_in)
+        out = cl.refine_zeros(field_q, list(zip(lo, lo + widths)), tol)
+        assert np.all(np.abs(out - centres) <= tol / 2)
+        assert len(set(seen)) == len(seen)
+        points = np.array(seen)
+        steps = [np.count_nonzero((points > a) & (points < a + w)) for a, w in zip(lo, widths)]
+        assert np.all(steps <= np.ceil(np.log2(widths / (tol / 2))) + 1)
 
     def test_empty(self, field_q):
         assert len(cl.refine_zeros(field_q, [])) == 0
@@ -229,5 +286,4 @@ class TestEmitRoundTrip:
         iv.write_zeros(p, res.refined)
         back = iv.load_zeros(p)
         assert len(back) == len(res.refined)
-        for a, b in zip(back.gammas, res.refined):
-            assert abs(a - b) < 1e-11
+        assert back.gammas == res.refined

@@ -16,7 +16,8 @@ series stops (n_stop and its certified tail) and the kernel majorant behind
 it, and N0 and the certified bound of l_series, so a change in a
 truncation bound or a quadrature charge shows even when every checked value
 stays the same.  log-gamma far left and at height, the rescaled Xi_F at
-heights where xi_F alone underflows, and the Phi identity past
+heights where xi_F alone underflows, the ordinates and residuals of one
+zeros-scan window per builtin field, and the Phi identity past
 |Im z| = pi/2 are recorded too.  A value whose computation raises is
 recorded as the exception's type and message.  The second form lists each key whose value
 differs, with its relative change, and exits 1 when any does, so it can
@@ -34,6 +35,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIELDS = ("Q", "sqrt5", "cubic7", "zeta5", "gauss")
 GAMMA_PAIRS = ((1, 0), (2, 0), (0, 1), (1, 1), (4, 0), (0, 2))
+SCAN_WINDOWS = (("Q", 100.0), ("sqrt5", 40.0), ("gauss", 30.0), ("cubic7", 10.0),
+                ("zeta5", 18.0))
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
@@ -130,6 +133,12 @@ def snapshot():
         _record(out, f"gamma/s={s}", lambda: oracle.gamma(s))
     for z in (-7.5 + 3.0j, 0.25 + 300.0j, 0.25 - 300.0j, -30.3 + 0.2j):
         _record(out, f"loggamma/z={z}", lambda: nx.loggamma(z))
+    # one width-5 zeros-scan window per field at the default step: the ordinates, then
+    # the residuals
+    for name, a in SCAN_WINDOWS:
+        _record(out, f"scan_zeros/{name}/[{a},{a + 5.0}]", lambda: (
+            lambda r: r.refined + r.residuals)(
+                cl.scan_zeros(fields.builtin_field(name), a, a + 5.0, 0.02)))
     # heights where xi_F alone underflows
     for name, t in (("zeta5", 242.0), ("cubic7", 322.0), ("Q", 735.0)):
         _record(out, f"xi_rescaled/{name}/t={t}",
