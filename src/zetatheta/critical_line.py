@@ -28,11 +28,28 @@ from .errors import (
 )
 
 
-def _xi_scaled_many(field, s, log_scale):
-    """e^{log_scale} xi_F(s), the scale taken into the gamma prefactor's exponent."""
+def _xi_scaled_many(field, s, log_scale, return_error=False):
+    """e^{log_scale} xi_F(s), the scale taken into the gamma prefactor's exponent.
+
+    With return_error, also returns a bound on each value's error:
+    |s (s-1)/2| times the prefactor's modulus times zeta_F's error bound
+    (numerics._dedekind_zeta_and_error), plus |value| times the prefactor's
+    relative error, which is its exponent's absolute error: the loggamma
+    allowance numerics._LOGGAMMA_ERROR per gamma factor, and 8 eps times
+    |log prefactor| + |log_scale| + 1 for the rounding of the exponent and
+    of the products (which also covers loggamma's error at height).
+    """
     s = np.asarray(s, dtype=complex)
-    prefactor = np.exp(fields.log_gamma_prefactor_many(field, s) + log_scale)
-    return 0.5 * s * (s - 1.0) * (prefactor * numerics.dedekind_zeta_many(s, field))
+    log_prefactor = fields.log_gamma_prefactor_many(field, s)
+    prefactor = np.exp(log_prefactor + log_scale)
+    polynomial = 0.5 * s * (s - 1.0)
+    if not return_error:
+        return polynomial * (prefactor * numerics.dedekind_zeta_many(s, field))
+    zeta, zeta_error = numerics._dedekind_zeta_and_error(s, field)
+    vals = polynomial * (prefactor * zeta)
+    exponent_error = (field.r1 + field.r2) * numerics._LOGGAMMA_ERROR \
+        + 8.0 * numerics._EPS * (np.abs(log_prefactor) + np.abs(log_scale) + 1.0)
+    return vals, np.abs(polynomial * prefactor) * zeta_error + np.abs(vals) * exponent_error
 
 
 def xi_many(field, s):
@@ -48,15 +65,17 @@ def xi_completed(field, s):
 def _xi_real_many(field, ts, log_scale):
     """e^{log_scale} Xi_F(t) on an array of real t, with the imaginary part checked and dropped.
 
-    RealityViolationError where |Im| > 1e-9 (1 + |Re|), naming the worst t.
+    Xi_F is real on the real line, so the imaginary part of a value is its
+    error alone: RealityViolationError where |Im| exceeds the value's error
+    bound (_xi_scaled_many), naming the worst t.
     """
     ts = np.asarray(ts, dtype=float)
-    vals = _xi_scaled_many(field, 0.5 + 1j * ts, log_scale)
-    bad = np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals.real))
-    if np.any(bad):
-        i = int(np.argmax(np.abs(vals.imag) / (1.0 + np.abs(vals.real))))
+    vals, error = _xi_scaled_many(field, 0.5 + 1j * ts, log_scale, return_error=True)
+    if np.any(np.abs(vals.imag) > error):
+        i = int(np.argmax(np.abs(vals.imag) / np.maximum(error, 1e-300)))
         raise RealityViolationError(
-            f"Xi_F(t) imaginary part too large at t = {ts.flat[i]}: {vals.flat[i]}")
+            f"Xi_F(t) imaginary part too large at t = {ts.flat[i]}: {vals.flat[i]}, "
+            f"error bound {error.flat[i]:.3g}")
     return vals.real
 
 

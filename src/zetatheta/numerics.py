@@ -1,10 +1,10 @@
 """Complex-plane special-function backbone.
 
 Log-gamma on the whole plane (Lanczos) and the gamma factor of Lambda_F in
-log space, Hurwitz zeta (Euler-Maclaurin), Dirichlet L, Dedekind zeta,
-vertical-line quadrature (one nested trapezoid rule over a batch of lines),
-contour-based Laurent coefficient extraction, residue polynomials, and the
-package's one memo.
+log space, Hurwitz zeta (Euler-Maclaurin), Dirichlet L, Dedekind zeta (with
+an error bound on request), vertical-line quadrature (one nested trapezoid
+rule over a batch of lines), contour-based Laurent coefficient extraction,
+residue polynomials, and the package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
 operations in this module.
 
@@ -41,6 +41,13 @@ _LANCZOS_C = np.array([
     1.5056327351493116e-7,
 ])
 
+# Allowance for the absolute error of one loggamma value, measured against
+# mpmath, not proven: at most 5.1e-13 for |Im z| <= 400 on Re z = 1/4, 1/2
+# and 3/4.  Above that the error grows like eps |loggamma(z)| (3.7e-12 for
+# |Im z| <= 1500, 2.9e-11 for |Im z| <= 10^4), which a caller covers with a
+# rounding term in |loggamma|.
+_LOGGAMMA_ERROR = 1e-12
+_EPS = float(np.finfo(float).eps)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
@@ -140,6 +147,63 @@ def _hurwitz_core(s_arr, a, shift):
     return total
 
 
+def _hurwitz_shift(s):
+    """The Euler-Maclaurin summation shift hurwitz_zeta_many uses for the whole array s."""
+    im_max = float(np.abs(s.imag).max()) if s.size else 0.0
+    re_min = float(s.real.min()) if s.size else 0.0
+    # balance the Euler-Maclaurin remainder (grows with |Im s|) against the
+    # cancellation of the head sum for Re(s) < 0 (grows with the shift)
+    return int(max(16.0, math.ceil(0.62 * im_max + 8.0 + 2.0 * max(0.0, -re_min))))
+
+
+def _hurwitz_bounds(s, a_min, shift):
+    """(M, E) over a nonempty array s: for every s and every a in [a_min, 1], sum |terms| <= M, error <= E.
+
+    The terms are those _hurwitz_core sums at this shift N: the head
+    (n + a)^(-s), n < N, and the tail at base = N + a.  Over the batch take
+    sigma in [sigma_lo, sigma_hi] and |s| <= S.  The head's moduli sum to at
+    most max(a_min^-sigma, 1) + max(1, N^-sigma) + int_1^N x^-sigma_lo dx.
+    With |B_2j|/(2j)! <= (pi^2/3) (2 pi)^(-2j) and |(s)_(2j-1)| <=
+    (S + 22)^(2j-1), the Bernoulli terms sum to at most (pi/6) base^-sigma
+    rho / (1 - rho^2), rho = (S + 22) / (2 pi (N + a_min)).  Rounding: each
+    term is a complex power exp(-s log x) whose phase errs by about
+    eps S |log x|, so each is taken to err by at most eps (S (1 + |log a_min|
+    + log(N + 1)) + log2 N + 30) relative, the sums' own rounding included;
+    this part is a model of numpy's complex power, checked against mpmath,
+    not proven.
+    Truncation: the remainder after B_24 is at most 4 |(s)_24| (2 pi)^-24
+    base^(-sigma-23) / (sigma + 23) (Johansson, Numer. Algorithms 69 (2015),
+    Thm 1), with |(s)_24| <= (S + 11.5)^24 by the AM-GM inequality.  Both
+    are infinite where rho >= 1 or sigma_lo <= -23.  The bounds are batch
+    wide, like the shift.
+    """
+    order = 2 * len(_BERNOULLI)
+    sig_lo, sig_hi = float(s.real.min()), float(s.real.max())
+    size = float(np.abs(s).max())
+    lo, hi = shift + a_min, shift + 1.0           # the range of base over the bank
+    rho = (size + order - 2.0) / (2.0 * math.pi * lo)
+    if rho >= 1.0 or sig_lo + order - 1.0 <= 0.0:
+        return math.inf, math.inf
+
+    def peak(x):                                  # max of x^-sigma over the batch
+        try:
+            return max(x ** -sig_lo, x ** -sig_hi)
+        except OverflowError:
+            return math.inf
+
+    u = (1.0 - sig_lo) * math.log(shift)
+    head = math.log(shift) * (math.expm1(u) / u if u else 1.0) + max(peak(a_min), 1.0) \
+        + max(1.0, peak(shift))
+    top = max(peak(lo), peak(hi))
+    tail = top * (hi / float(np.abs(s - 1.0).min()) + 0.5
+                  + (math.pi / 6.0) * rho / (1.0 - rho * rho))
+    remainder = 4.0 * hi * top * ((size + 0.5 * order - 0.5) / (2.0 * math.pi * lo)) ** order \
+        / (sig_lo + order - 1.0)
+    majorant = head + tail
+    rounding = _EPS * (size * (1.0 + abs(math.log(a_min)) + math.log(hi)) + math.log2(shift) + 30.0)
+    return majorant, rounding * majorant + remainder
+
+
 # Upper bound on shift * len(a) * points for one _hurwitz_core call: the head
 # matrix of a bank stays near 1 MiB however many points are evaluated.
 _HURWITZ_CHUNK_ELEMENTS = 2 ** 16
@@ -160,11 +224,7 @@ def hurwitz_zeta_many(s, a):
         raise DomainError("hurwitz_zeta requires a in (0, 1], as a scalar or a 1-d array")
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("hurwitz zeta pole at s = 1")
-    im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    re_min = float(np.min(s.real)) if s.size else 0.0
-    # balance the Euler-Maclaurin remainder (grows with |Im s|) against the
-    # cancellation of the head sum for Re(s) < 0 (grows with the shift)
-    shift = int(max(16.0, math.ceil(0.62 * im_max + 8.0 + 2.0 * max(0.0, -re_min))))
+    shift = _hurwitz_shift(s)
     flat = s.ravel()
     out = np.empty((len(bank), len(flat)), dtype=complex)
     chunk = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(bank))))
@@ -183,29 +243,41 @@ def hurwitz_zeta(s, a=1.0):
     return complex(hurwitz_zeta_many(np.array([complex(s)]), a)[0])
 
 
-def _l_factors(s, characters):
+def _l_factors(s, characters, return_error=False):
     """[L(s, chi) for chi in characters] on an array of s away from s = 1.
 
     One Hurwitz bank holds zeta_H(s, a/q) for every distinct (q, a) with
     chi(a) != 0 over all the characters; each L-factor is then
-    q^(-s) * sum_a chi(a) zeta_H(s, a/q), summed in residue order.
+    q^(-s) * sum_a chi(a) zeta_H(s, a/q), summed in residue order.  With
+    return_error, also returns a bound on each factor's error over the whole
+    batch, from the bank's bounds (M, E) (_hurwitz_bounds):
+    q^-sigma_lo n_chi (E + eps (q + 6 + S log q) M), n_chi the number of
+    residues with chi(a) != 0 and S the largest |s|, which covers the bank's
+    errors, the sum's rounding and the phase of q^(-s).
     """
-    slots = {}
-    for chi in characters:
-        for a in range(1, chi.modulus + 1):
-            if chi.value(a) != 0:
-                slots.setdefault((chi.modulus, a), len(slots))
-    bank = hurwitz_zeta_many(s, np.array([a / q for q, a in slots]))
-    factors = []
+    slots, rows = {}, []
     for chi in characters:
         q = chi.modulus
+        rows.append([(slots.setdefault((q, a), len(slots)), v)
+                     for a, v in ((a, chi.value(a)) for a in range(1, q + 1)) if v != 0])
+    a_bank = np.array([a / q for q, a in slots])
+    bank = hurwitz_zeta_many(s, a_bank)
+    factors = []
+    for chi, row in zip(characters, rows):
         total = np.zeros_like(s)
-        for a in range(1, q + 1):
-            v = chi.value(a)
-            if v != 0:
-                total = total + v * bank[slots[(q, a)]]
-        factors.append(q ** (-s) * total)
-    return factors
+        for slot, v in row:
+            total = total + v * bank[slot]
+        factors.append(chi.modulus ** (-s) * total)
+    if not return_error:
+        return factors
+    if not s.size:
+        return factors, [0.0] * len(factors)
+    majorant, error = _hurwitz_bounds(s, float(np.min(a_bank)), _hurwitz_shift(s))
+    sig_lo, size = float(s.real.min()), float(np.abs(s).max())
+    errors = [len(row) * chi.modulus ** -sig_lo
+              * (error + _EPS * (chi.modulus + 6.0 + size * math.log(chi.modulus)) * majorant)
+              for chi, row in zip(characters, rows)]
+    return factors, errors
 
 
 def dirichlet_l(s, chi):
@@ -244,6 +316,28 @@ def dedekind_zeta_many(s, field):
     for factor in _l_factors(s, field.characters):
         out = out * factor
     return out
+
+
+def _dedekind_zeta_and_error(s, field):
+    """(dedekind_zeta_many(s, field), a bound on the error of each value).
+
+    The bound is first order: each factor's error bound (_l_factors) times
+    the moduli of the other factors, summed over the factors, plus the
+    product's rounding.
+    """
+    s = np.asarray(s, dtype=complex)
+    factors, errors = _l_factors(s, field.characters, return_error=True)
+    out = np.ones_like(s)
+    for factor in factors:
+        out = out * factor
+    moduli = [np.abs(factor) for factor in factors]
+    error = _EPS * len(factors) * np.abs(out)
+    for i, e in enumerate(errors):
+        for j, m in enumerate(moduli):
+            if j != i:
+                e = e * m
+        error = error + e
+    return out, error
 
 
 def dedekind_zeta_majorant(field, centres, radius):

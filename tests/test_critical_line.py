@@ -7,7 +7,13 @@ from zetatheta import critical_line as cl
 from zetatheta import fields as fd
 from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
-from zetatheta.errors import LostBracketError, SectorError, ValidationError, ZetaThetaError
+from zetatheta.errors import (
+    LostBracketError,
+    RealityViolationError,
+    SectorError,
+    ValidationError,
+    ZetaThetaError,
+)
 
 import _oracles as oracle
 
@@ -65,6 +71,65 @@ class TestXiAtHeight:
         # rescale has to happen inside the gamma prefactor's exponent
         vals = cl._xi_rescaled_many(fd.builtin_field(name), [t])
         assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
+
+
+def _xi_rescaled_mpmath(mpmath, field, t):
+    """exp(pi d t / 4) Xi_F(t) by mpmath, and the modulus of its factor beside zeta_F."""
+    s = mpmath.mpc(0.5, t)
+    zeta = mpmath.mpf(1)
+    for chi in field.characters:
+        zeta *= mpmath.dirichlet(s, [chi.value(a) for a in range(chi.modulus)])
+    q = field.disc / (4 ** field.r2 * mpmath.pi ** field.degree)
+    outer = mpmath.exp(mpmath.pi * field.degree * t / 4) * s * (s - 1) / 2 \
+        * q ** (s / 2) * mpmath.gamma(s / 2) ** field.r1 * mpmath.gamma(s) ** field.r2
+    return complex(outer * zeta), float(abs(outer))
+
+
+class TestRealityCheck:
+    @pytest.mark.parametrize("name, t", [("Q", 141.1237074027586), ("Q", 730.42),
+                                         ("sqrt5", 111.87), ("gauss", 84.7317),
+                                         ("cubic7", 46.09), ("zeta5", 241.19)])
+    def test_error_bound_holds_against_mpmath(self, name, t):
+        # the bound the reality check reads, against 30 digits, at points
+        # where the absolute floor 1e-9 (1 + |Re|) raised or was marginal
+        mpmath = pytest.importorskip("mpmath")
+        field = fd.builtin_field(name)
+        ts = t + np.array([0.0, 1e-3, 0.5])
+        vals, bound = cl._xi_scaled_many(field, 0.5 + 1j * ts, math.pi * field.degree * ts / 4.0,
+                                         return_error=True)
+        assert np.array_equal(vals.real, cl._xi_rescaled_many(field, ts))
+        with mpmath.workdps(30):
+            for ti, v, b in zip(ts, vals, bound):
+                ref, outer = _xi_rescaled_mpmath(mpmath, field, ti)
+                assert abs(v - ref) <= b, (ti, abs(v - ref), b)
+                assert b <= 1e-8 * (outer + abs(ref)), (ti, b)
+
+    def test_window_that_raised_at_a_trial_point(self, field_q):
+        # ITP's trial point t = 141.1237074027586 read Im = 1.002e-9 here,
+        # over the absolute floor; the bound there is about 1e-7
+        mpmath = pytest.importorskip("mpmath")
+        res = cl.scan_zeros(field_q, 139.635, 144.635, 0.02)
+        first, last = int(mpmath.nzeros(139.635)) + 1, int(mpmath.nzeros(144.635))
+        ref = [float(mpmath.zetazero(n).imag) for n in range(first, last + 1)]
+        assert len(res.refined) == len(ref) == 3
+        assert np.max(np.abs(np.array(res.refined) - ref)) <= 1e-12
+
+    def test_height_where_the_floor_raised(self, field_q):
+        # defect op 12: the absolute floor raised at t = 276.45
+        mpmath = pytest.importorskip("mpmath")
+        res = cl.scan_zeros(field_q, 276.0, 281.0, 0.02)
+        ref = [float(mpmath.zetazero(n).imag)
+               for n in range(int(mpmath.nzeros(276.0)) + 1, int(mpmath.nzeros(281.0)) + 1)]
+        assert len(res.refined) == len(ref)
+        assert np.max(np.abs(np.array(res.refined) - ref)) <= 1e-10
+
+    def test_wrong_phase_is_refused(self, field_q, monkeypatch):
+        # a prefactor off by the phase e^{1e-9 i}: the floor 1e-9 (1 + |Re|)
+        # let it pass, the error bound does not
+        real = fd.log_gamma_prefactor_many
+        monkeypatch.setattr(fd, "log_gamma_prefactor_many", lambda field, s: real(field, s) + 1e-9j)
+        with pytest.raises(RealityViolationError):
+            cl.scan_zeros(field_q, 20.0, 25.0, 0.02)
 
 
 class TestScanZeros:

@@ -258,6 +258,22 @@ class TestDedekindZeta:
             ref = self._hurwitz_product(field, s, nx.hurwitz_zeta)
             assert abs(nx.dedekind_zeta(s, field) - ref) < 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("name", ["Q", "sqrt5", "cubic7", "zeta5", "gauss"])
+    def test_error_bound_holds_against_mpmath(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        field = fd.builtin_field(name)
+        for sigma, t in ((0.5, 3.0), (0.5, 141.0), (2.0, 20.0), (-1.5, 20.0)):
+            ss = sigma + 1j * (t + np.array([0.0, 1.1]))
+            vals, bound = nx._dedekind_zeta_and_error(ss, field)
+            assert np.array_equal(vals, nx.dedekind_zeta_many(ss, field))
+            with mpmath.workdps(25):
+                for s, v, b in zip(ss, vals, bound):
+                    ref = complex(mpmath.fprod(
+                        mpmath.dirichlet(s, [chi.value(a) for a in range(chi.modulus)])
+                        for chi in field.characters))
+                    assert abs(v - ref) <= b, (s, abs(v - ref), b)
+                    assert b <= 1e-8 * (1.0 + abs(ref)), (s, b)
+
     def test_high_grid_memory_is_bounded(self):
         # a [0, 1000] line at step 0.2: the unchunked bank would need ~350 MB
         field = fd.builtin_field("cubic7")
