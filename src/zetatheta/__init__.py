@@ -21,7 +21,7 @@ from .numerics import (
     hurwitz_zeta,
     laurent_coefficients,
 )
-from .steen import steen_v, z_shifted, z_tail_bound, z_tilde
+from .steen import z_shifted, z_tail_bound, z_tilde
 from .theta import (
     Report,
     check_theta,

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, numerics, theta
+from . import fields, numerics, steen, theta
 from .errors import (
     ConvergenceError,
+    DomainError,
     LostBracketError,
     RealityViolationError,
     SectorError,
@@ -217,41 +218,116 @@ def scan_zeros(field, t_min, t_max, step):
                       residuals=tuple(residuals))
 
 
-def phi_identity_check(field, z, T=None, tol=1e-6):
+# zeta(3/2), the constant of Rademacher's bound at eta = 1/2; the Phi plan's alias line
+# Re s = 1/2 + _PHI_STRIP, inside the strip of analyticity; the cells summing its integral.
+_ZETA_THREE_HALVES = 2.6123753486854883
+_PHI_STRIP = 31.0 / 64.0
+_PHI_CELL = 0.125
+
+
+def _log_omega_bound(field, sigma, lo, hi):
+    """log of a bound on |Omega_F(sigma + iu)| over 0 <= lo <= u <= hi, for 0 < sigma <= 3/2.
+
+    The exact-phase Stirling bound of the prefactor (steen._log_integrand_up)
+    times Rademacher's bound (Math. Z. 72 (1959)) at eta = 1/2:
+    |zeta_F(s)| <= 3 |(1 + s)/(1 - s)| (D (|1 + s|/2 pi)^d)^e zeta(3/2)^d,
+    e = (3/2 - sigma)/2.  Its falling parts are taken at lo and its rising
+    one at hi; past u it falls at least at the rate (d/2) atan(u/sigma) - d e/u.
+    """
+    d, s_lo, s_hi = field.degree, sigma + 1j * lo, sigma + 1j * hi
+    log_abs_x = -0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** d))
+    return steen._log_integrand_up(field.r1, field.r2, sigma, lo, log_abs_x, 0.0) \
+        + np.log(3.0 * np.abs((1.0 + s_lo) / (1.0 - s_lo))) + d * math.log(_ZETA_THREE_HALVES) \
+        + (0.75 - 0.5 * sigma) * (math.log(field.disc) + d * np.log(np.abs(1.0 + s_hi) / (2.0 * math.pi)))
+
+
+def _phi_plan(field, z, target):
+    """(n, h, error) of the Phi integral's even trapezoid rule on the nodes jh, j = 0..n.
+
+    f(t) = Xi_F(t)/(t^2 + 1/4) cos(zt) = -Omega_F(1/2 + it) cos(zt)/2 is
+    analytic in |Im t| < 1/2, where s = 1/2 + it misses the poles s = 0, 1.
+    By Poisson summation the even sum h (f(0)/2 + sum_{j>=1} f(jh)) errs from
+    int_0^inf f by at most M/(e^{2 pi a/h} - 1), a = _PHI_STRIP, where
+    M >= int_0^inf |Omega_F(1/2 + a + iu)| cosh(|Im z| u + |Re z| a) du
+    bounds int_R |f(u +- ia)| du: the functional equation and conjugate
+    symmetry take both edges to the line Re s = 1/2 + a, and |cos w| <=
+    cosh(Im w) (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1).  The
+    nodes past nh add h sum_{j>n} |f(jh)|.  Both read _log_omega_bound,
+    whose log with the cosh falls past u at least at the rate
+    (d/2) atan(u/sigma) - |Im z| - d e/u.  M sums cells of width _PHI_CELL
+    up to U = 6 d/(pi d/4 - |Im z|), past which that rate is above 7/8 of
+    pi d/4 - |Im z|, and bounds the rest by the rate.  h makes the alias
+    term target/2, and n is the smallest count that leaves the nodes past
+    nh within target/4; error is the sum of the two terms.  SectorError
+    unless |Im z| < pi d/4 - 0.2.
+    """
+    d, y = field.degree, abs(z.imag)
+    if math.pi * d / 4.0 - y < 0.2:
+        raise SectorError(f"|Im z| must stay below pi*{d}/4 - 0.2")
+
+    def log_bound(sigma, lo, hi, shift):
+        return _log_omega_bound(field, sigma, lo, hi) + np.logaddexp(y * hi + shift, -y * hi - shift) \
+            - math.log(2.0)
+
+    def rate(sigma, u):
+        return 0.5 * d * np.arctan(u / sigma) - y - d * (0.75 - 0.5 * sigma) / u
+
+    sigma, shift = 0.5 + _PHI_STRIP, abs(z.real) * _PHI_STRIP
+    cells = np.arange(0.0, 6.0 * d / (math.pi * d / 4.0 - y), _PHI_CELL)
+    end = cells[-1] + _PHI_CELL
+    log_m = np.logaddexp(
+        math.log(_PHI_CELL) + np.logaddexp.reduce(log_bound(sigma, cells, cells + _PHI_CELL, shift)),
+        log_bound(sigma, end, end, shift) - math.log(rate(sigma, end)))
+    h = 2.0 * math.pi * _PHI_STRIP / np.logaddexp(0.0, log_m - math.log(target / 2.0))
+
+    def log_window(last):
+        """log of (h/2) sum_{j>=1} |Omega_F(1/2 + i u_j)| cosh(|Im z| u_j), u_j = last + jh."""
+        kappa = rate(0.5, last)
+        return np.where(kappa > 0.0, np.log(0.5 * h) + log_bound(0.5, last, last, 0.0)
+                        - steen._log_expm1(np.maximum(kappa, 1e-300) * h), np.inf)
+
+    grid = np.arange(0.5, 2000.0, 0.5)
+    fits = log_window(grid) <= math.log(target / 4.0)
+    if not fits.any():
+        raise ConvergenceError(f"no Phi window up to t = {grid[-1]} is proven at z = {z}")
+    n = math.ceil(grid[np.argmax(fits)] / h)
+    alias = log_m - steen._log_expm1(2.0 * math.pi * _PHI_STRIP / h)
+    return n, float(h), float(np.exp(np.logaddexp(alias, log_window(n * h))))
+
+
+def phi_identity_check(field, z, tol=1e-6):
     """Check the Phi integral identity tying Xi_F to the forward theta function.
 
     Both sides are independently computable: lhs is the quadrature of
-    int_0^T Xi_F(t)/(t^2 + 1/4) cos(zt) dt, rhs the theta side
+    int_0^inf Xi_F(t)/(t^2 + 1/4) cos(zt) dt, rhs the theta side
     -(pi/2)[e^{-z/2} W(e^{-2z}) + 2^r1 C_F (e^{-z/2} + e^{z/2})].  At k = 1
     R_0 is the constant 2^r1 C_F, so with W = S - R_0 the rhs is
     -(pi/2)[e^{-z/2} S(e^{-2z}) + 2^r1 C_F e^{z/2}].  The residual is
     |lhs - rhs|.  The integrand is even in t, so lhs is the trapezoid rule on
-    [0, T] with half weight at t = 0 (numerics.nested_trapezoid), from the
-    step 1/4 that the poles at t = +-i/2 allow, halved until two levels
-    differ by at most max(0.1 tol, 1e-12); the budget's quadrature_delta is
-    that last difference, and its kernel_quadrature the proven quadrature
-    error of the terms of S (see theta._s_series_log).
+    the nodes jh, j = 0..n, with half weight at t = 0, whose step and window
+    _phi_plan proves to err by at most min(1e-3 tol, 1e-12): the budget's
+    quadrature_error.  The budget also holds the series' series_tail and
+    kernel_quadrature (see theta._s_series_log) times (pi/2)|e^{-z/2}|, as
+    they enter the rhs, and the rounding: (n + 1) eps for the sum and
+    numerics._LOGGAMMA_ERROR per gamma factor for each value, times
+    h sum_j |f(jh)|.
     """
     z = complex(z)
-    d = field.degree
-    rate = math.pi * d / 4.0 - abs(z.imag)
-    if rate < 0.2:
-        raise SectorError(f"|Im z| must stay below pi*{d}/4 - 0.2")
-    if T is None:
-        T = (math.log(1.0 / tol) + 25.0) / rate
-
-    def integrand(t, entry):
-        return xi_many(field, 0.5 + 1j * t) / (t * t + 0.25) * np.cos(z * t)
-
-    values, deltas, converged = numerics.nested_trapezoid(
-        integrand, [T], [0.25], even=True, rtol=0.0, atol=max(tol * 0.1, 1e-12))
-    lhs, delta = complex(values[0]), float(deltas[0])
-    if not converged[0]:
-        raise ConvergenceError(f"Phi integral did not settle: delta {delta:.2e}")
+    n, h, quadrature = _phi_plan(field, z, min(1e-3 * tol, 1e-12))
+    t = h * np.arange(n + 1)
+    vals = xi_many(field, 0.5 + 1j * t) / (t * t + 0.25) * np.cos(z * t)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("the Phi integrand is not finite on its nodes")
+    vals[0] *= 0.5
+    lhs = complex(h * np.sum(vals))
     # S at x = e^{-2z} on the sheet log x = -2z, which leaves the principal one at |Im z| > pi/2
     s_val, _, series = theta._s_series_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))
     r0 = 2.0 ** field.r1 * fields.laurent_constant(field)
     rhs = -(math.pi / 2.0) * (cmath.exp(-z / 2.0) * s_val + r0 * cmath.exp(z / 2.0))
+    scale = (math.pi / 2.0) * abs(cmath.exp(-z / 2.0))
+    rounding = ((n + 1) * numerics._EPS + (field.r1 + field.r2) * numerics._LOGGAMMA_ERROR) \
+        * h * float(np.sum(np.abs(vals)))
     return theta.Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
-                        budget={"quadrature_delta": delta,
-                                "kernel_quadrature": series["kernel_quadrature"]})
+                        budget={"quadrature_error": quadrature, "rounding": rounding,
+                                "series_tail": scale * series["series_tail"],
+                                "kernel_quadrature": scale * series["kernel_quadrature"]})

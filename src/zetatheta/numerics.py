@@ -3,7 +3,8 @@
 Log-gamma on the whole plane (Lanczos) and the gamma factor of Lambda_F in
 log space, Hurwitz zeta (Euler-Maclaurin), Dirichlet L, Dedekind zeta (with
 an error bound on request), vertical-line quadrature (one nested trapezoid
-rule over a batch of lines), contour-based Laurent coefficient extraction,
+rule over a batch of lines, stopped by the caller's proven error),
+contour-based Laurent coefficient extraction,
 residue polynomials, and the package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
 operations in this module.
@@ -390,23 +391,20 @@ _TRAPEZOID_CHUNK_NODES = 4096
 _TRAPEZOID_HALVINGS = 4
 
 
-def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0, error=None):
+def nested_trapezoid(g, half_heights, steps, error):
     """int_{-T_i}^{T_i} g(t, i) dt for every entry i by one nested trapezoid rule.
 
     Entry i starts with nodes t = j steps[i], |t| <= T_i, and each of up to
     four halvings of the step adds the midpoints, so every node is evaluated
-    once.  With `even` the integrand is even in t: only t >= 0 is evaluated,
-    with half weight at t = 0, and the value is int_0^{T_i}.  `g(t, entry)`
-    gets a 1-d array of nodes and the entry of each; every call holds whole
-    entries and about _TRAPEZOID_CHUNK_NODES nodes.
+    once.  `g(t, entry)` gets a 1-d array of nodes and the entry of each;
+    every call holds whole entries and about _TRAPEZOID_CHUNK_NODES nodes.
 
-    An entry stops once its error is at most max(atol, rtol max(|value|,
-    1e-250)).  The error is the caller's `error(entries, steps)`, the proven
+    An entry stops once its error is at most 1e-11 max(|value|, 1e-250).
+    The error is the caller's `error(entries, steps)`, the proven
     error of those entries' sums at those steps, read from the first level
-    on, so a proven entry is halved only where its bound asks for it;
-    without a callback it is the halving delta, the difference of two
-    successive levels.  Each entry's nodes are summed over their own segment
-    in one fixed order, so its value does not depend on the other entries.
+    on, so an entry is halved only where its bound asks for it.  Each
+    entry's nodes are summed over their own segment in one fixed order, so
+    its value does not depend on the other entries.
     Returns arrays of (values, last errors, converged flags).
     """
     T = np.asarray(half_heights, dtype=float)
@@ -421,10 +419,8 @@ def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0, e
     for level in range(_TRAPEZOID_HALVINGS + 1):
         step = h[live] / 2.0 ** level
         top = np.floor(T[live] / step).astype(np.int64)     # the largest j with j step <= T
-        if level == 0:
-            counts = top + 1 if even else 2 * top + 1
-        else:                                               # the odd j, the new midpoints
-            counts = (top + 1) // 2 if even else 2 * ((top + 1) // 2)
+        # every j at the first level, the odd j (the new midpoints) after it
+        counts = 2 * top + 1 if level == 0 else 2 * ((top + 1) // 2)
         starts = np.cumsum(counts) - counts
         slot = starts // _TRAPEZOID_CHUNK_NODES
         big = counts > _TRAPEZOID_CHUNK_NODES
@@ -436,24 +432,16 @@ def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0, e
             cnt = counts[a:b]
             seg = starts[a:b] - starts[a]
             k = np.arange(seg[-1] + cnt[-1]) - np.repeat(seg, cnt)
-            if level == 0:
-                j = k if even else k - np.repeat(top[a:b], cnt)
-            else:
-                j = 2 * k + 1 if even else 2 * k - np.repeat(cnt - 1, cnt)
+            j = k - np.repeat(top[a:b], cnt) if level == 0 else 2 * k - np.repeat(cnt - 1, cnt)
             vals = np.asarray(g(j * np.repeat(step[a:b], cnt), np.repeat(live[a:b], cnt)),
                               dtype=complex)
             if np.any(~np.isfinite(vals)):
                 raise DomainError("integrand returned a non-finite value on the contour")
-            if even and level == 0:
-                vals[seg] *= 0.5
             sums[a:b] = np.add.reduceat(vals, seg)
         totals[live] += sums
         new = step * totals[live]
-        if error is not None:
-            errors[live] = error(live, step)
-        elif level:
-            errors[live] = np.abs(new - values[live])
-        converged[live] = errors[live] <= np.maximum(atol, rtol * np.maximum(np.abs(new), 1e-250))
+        errors[live] = error(live, step)
+        converged[live] = errors[live] <= 1e-11 * np.maximum(np.abs(new), 1e-250)
         values[live] = new
         live = live[~converged[live]]
         if not len(live):
@@ -461,21 +449,20 @@ def nested_trapezoid(g, half_heights, steps, even=False, rtol=1e-11, atol=0.0, e
     return values, errors, converged
 
 
-def line_integral_many(f, abscissae, half_heights, steps, error=None):
+def line_integral_many(f, abscissae, half_heights, steps, error):
     """(1/2 pi i) int f(s, i) ds over each vertical segment i of a batch.
 
     Segment i is Re(s) = abscissae[i], |Im s| <= half_heights[i], integrated
     by nested_trapezoid from the step steps[i]; `f(s, entry)` gets a 1-d
-    array of points and the entry of each.  `error(entries, steps)`, if
-    given, is the proven error of those entries' values at those steps, and
-    is the stop rule; else the halving delta is.  Returns arrays of (values,
-    errors, converged flags); converged means the error is at most 1e-11
-    relative.
+    array of points and the entry of each.  `error(entries, steps)` is the
+    proven error of those entries' values at those steps, and is the stop
+    rule.  Returns arrays of (values, errors, converged flags); converged
+    means the error is at most 1e-11 relative.
     """
     c = np.asarray(abscissae, dtype=float)
-    scaled = None if error is None else lambda entry, step: 2.0 * math.pi * error(entry, step)
     values, errors, converged = nested_trapezoid(
-        lambda t, entry: f(c[entry] + 1j * t, entry), half_heights, steps, error=scaled)
+        lambda t, entry: f(c[entry] + 1j * t, entry), half_heights, steps,
+        lambda entry, step: 2.0 * math.pi * error(entry, step))
     return values / (2.0 * math.pi), errors / (2.0 * math.pi), converged
 
 

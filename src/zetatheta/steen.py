@@ -9,11 +9,9 @@ line integral is one nested trapezoid rule (numerics.line_integral_many).
 A kernel line takes its step and window from a proven error bound, the
 trapezoid alias identity plus a Stirling tail (_line_plan), so one level of
 nodes usually settles it and each value carries its proven quadrature
-error; steen_v and _kernel_lines' lines are checked by step halving.  The
-quadrature entries of a kernel array share each level of nodes.
+error.  The quadrature entries of a kernel array share each level of nodes.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -29,9 +27,7 @@ _LOG_UNDERFLOW = -760.0
 def _sector_rate(r1, r2, arg_x):
     """Exponential decay rate of Gamma^r1(s/2) Gamma^r2(s) x^{-s} on a vertical line, per Arg x.
 
-    SectorError when any |Arg x| comes within 0.1 of pi d/4, d = r1 + 2 r2;
-    with r1 = 0, r2 = n it is the sector |Arg x| < pi n/2 of an n-factor
-    steen_v.
+    SectorError when any |Arg x| comes within 0.1 of pi d/4, d = r1 + 2 r2.
     """
     d = r1 + 2 * r2
     worst = float(np.max(np.abs(arg_x), initial=0.0))
@@ -42,15 +38,15 @@ def _sector_rate(r1, r2, arg_x):
     return math.pi * d / 4.0 - np.abs(arg_x)
 
 
-def _mellin_barnes(f, c, T, step, error=None):
+def _mellin_barnes(f, c, T, step, error):
     """((1/2 pi i) int_(c_i) f(s, i) ds, its error) for each entry i of a batch of integrands.
 
     One nested trapezoid rule (numerics.line_integral_many) integrates all
     entries at once on |Im s| <= T[i] from the first step step[i].  Its stop
-    rule is the proven error `error(entries, steps)` where the caller has
-    one, else the halving delta.  An entry that has not met it after the
-    last step halving raises ConvergenceError: the one verdict on whether a
-    Mellin-Barnes integral converged.
+    rule is the proven error `error(entries, steps)`, 1e-11 of each value.
+    An entry that has not met it after the last step halving raises
+    ConvergenceError: the one verdict on whether a Mellin-Barnes integral
+    converged.
     """
     values, errors, converged = numerics.line_integral_many(f, c, T, step, error)
     if not np.all(converged):
@@ -59,57 +55,6 @@ def _mellin_barnes(f, c, T, step, error=None):
                                f"{numerics._TRAPEZOID_HALVINGS} step halvings: "
                                f"error {errors[i]:.2e}")
     return values, errors
-
-
-def _halving_plan(c, log_x, d, rate, gap, tol, t_offset):
-    """(T, first step) of lines checked by step halving: steen_v and _kernel_lines.
-
-    The window |Im s| <= T runs until the integrand, decaying like
-    e^{-rate |Im s|}, is below tol, measured from c0 = max(c, 0) and widened
-    by `t_offset` when the integrand's mass sits off the real axis (complex
-    x).  The first step is the smallest of T/32, 1.5 pi/freq and
-    2 pi gap/30.  freq = d/2 log(2 + c0 + T) + |log x|_1 is the phase
-    estimate, where d is the growth coefficient of the gamma phase (the
-    degree r1 + 2 r2 for the kernels, the factor count n for steen_v).
-    `gap` is the distance from the line to the nearest gamma pole: the
-    step-h sum errs by alias terms of size about e^{-2 pi gap/h}.
-    """
-    c0 = np.maximum(c, 0.0)
-    T = c0 + t_offset + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
-    freq = 0.5 * d * np.log(2.0 + c0 + T) + np.abs(log_x.imag) + np.abs(log_x.real)
-    return T, np.minimum(np.minimum(T / 32.0, 1.5 * math.pi / freq), 2.0 * math.pi * gap / 30.0)
-
-
-def steen_v(x, params, c=None, tol=1e-12):
-    """V(x | a_1..a_n) = (1/2 pi i) int_(c) prod Gamma(s + a_j) x^{-s} ds.
-
-    Requires |Arg x| < pi*n/2 with a 0.1 margin and c to the right of every
-    pole of the gamma factors.  The line is checked by step halving.
-    """
-    x = complex(x)
-    if x == 0:
-        raise DomainError("steen_v undefined at x = 0")
-    n = len(params)
-    if n < 1:
-        raise DomainError("steen_v needs at least one gamma factor")
-    rate = _sector_rate(0, n, cmath.phase(x))
-    log_x = cmath.log(x)
-    pole = max(-a for a in params)
-    if c is None:
-        c = max(pole + 1.6, 2.0, abs(x) ** (1.0 / n))
-    elif c <= pole:
-        raise DomainError("abscissa must lie right of every gamma pole")
-
-    def f(s, entry):
-        lg = np.zeros_like(s)
-        for a in params:
-            lg = lg + numerics.loggamma(s + a)
-        lg = lg - s * log_x
-        return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
-
-    c = np.array([float(c)])
-    T, step = _halving_plan(c, np.array([log_x]), n, rate, c - pole, tol, 0.0)
-    return complex(_mellin_barnes(f, c, T, step)[0][0])
 
 
 def _saddle_point(r1, r2, x):
@@ -124,26 +69,6 @@ def _kernel_integrand(r1, r2, log_x):
         lg = numerics.log_gamma_factor(r1, r2, s) - s * log_x[entry]
         return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
     return f
-
-
-def _kernel_lines(r1, r2, xs, c, tol, t_offset):
-    """Inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s) at each xs[i] on the line Re(s) = c[i].
-
-    That is Z~_{r1,r2}(x) for c > 0 and Z = Z~ - Res_0 for -1 < c < 0, where
-    the line has crossed the pole at 0 and no other: any such line, checked
-    by step halving, with `t_offset` widening each window by the offset of
-    the integrand's mass along the line.  All entries go through one
-    _mellin_barnes call.  The kernels themselves run on _line_plan's lines.
-    """
-    c = np.asarray(c, dtype=float)
-    if not np.all((c > 0) | ((-1.0 < c) & (c < 0))):
-        raise DomainError("abscissa must satisfy c > 0 or -1 < c < 0")
-    xs = np.asarray(xs, dtype=complex)
-    rate = _sector_rate(r1, r2, np.angle(xs))
-    log_x = np.log(xs)
-    gap = np.where(c > 0, c, np.minimum(-c, 1.0 + c))
-    T, step = _halving_plan(c, log_x, r1 + 2 * r2, rate, gap, tol, t_offset)
-    return _mellin_barnes(_kernel_integrand(r1, r2, log_x), c, T, step)[0]
 
 
 # ---------------------------------------------------------------------------

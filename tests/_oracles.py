@@ -4,11 +4,14 @@ Most avoid the package's own evaluation routes: zeta from the Hasse series,
 gamma_by_integral from the defining integral, Bessel K from its cosh
 integral, W_1 and W_2 from their direct series, coefficient tables from
 brute-force enumeration, the Moebius sum from a smoothed cutoff.  Slow and
-simple on purpose.  Four read the package: gamma is exp(numerics.loggamma),
+simple on purpose.  Some read the package: gamma is exp(numerics.loggamma),
 zeta_derivative reads hurwitz_zeta_many's Taylor data off
 laurent_coefficients, and r1_theta/r1_inverse run residue_polynomial on
 omega_many/lambda_many, but on their own contour at s = 1, not the s = 0
-one that theta.r0_theta and inverse_theta.r0_inverse read.
+one that theta.r0_theta and inverse_theta.r0_inverse read.  steen_v and
+kernel_lines integrate on lines of their own choosing (any abscissa, the
+line left of the pole at 0 included), checked by step halving
+(halving_line_integral) in place of the kernels' proven plan.
 """
 
 import cmath
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from zetatheta import fields, numerics
+from zetatheta import fields, numerics, steen
 from zetatheta.errors import ConvergenceError, DomainError, PoleError, ValidationError
 
 EULER_GAMMA = 0.5772156649015328606
@@ -242,3 +245,104 @@ def r1_theta(field, k, x):
     poly = numerics.residue_polynomial(
         lambda s: fields.omega_many(field, s, k), 1.0, k, scale=0.5)
     return poly(x) / cmath.sqrt(x)
+
+
+def halving_line_integral(f, abscissae, half_heights, steps):
+    """(1/2 pi i) int f(s, i) ds on each vertical segment i, by step halving.
+
+    Each entry starts at step steps[i] on |Im s| <= half_heights[i] and is
+    halved until two successive levels differ by at most 1e-11 of the
+    newer, up to numerics._TRAPEZOID_HALVINGS times, else ConvergenceError.
+    Each level comes from one numerics.nested_trapezoid call whose error
+    callback stops every entry exactly there, so a value is bit for bit the
+    level's trapezoid sum.
+    """
+    c = np.asarray(abscissae, dtype=float)
+    h = np.asarray(steps, dtype=float)
+
+    def g(t, entry):
+        return f(c[entry] + 1j * t, entry)
+
+    def stop_at(level):
+        return lambda entry, step: np.where(step == h[entry] / 2.0 ** level, 0.0, np.inf)
+
+    sums = np.array([numerics.nested_trapezoid(g, half_heights, h, stop_at(level))[0]
+                     for level in range(numerics._TRAPEZOID_HALVINGS + 1)])
+    deltas = np.abs(sums[1:] - sums[:-1])
+    settled = deltas <= 1e-11 * np.maximum(np.abs(sums[1:]), 1e-250)
+    if not np.all(settled.any(axis=0)):
+        i = int(np.argmin(settled.any(axis=0)))
+        raise ConvergenceError(f"Mellin-Barnes integral on Re(s) = {c[i]} did not converge in "
+                               f"{numerics._TRAPEZOID_HALVINGS} step halvings: "
+                               f"error {deltas[-1, i] / (2.0 * math.pi):.2e}")
+    return sums[np.argmax(settled, axis=0) + 1, np.arange(len(c))] / (2.0 * math.pi)
+
+
+def halving_plan(c, log_x, d, rate, gap, tol, t_offset):
+    """(T, first step) of a line checked by step halving.
+
+    The window |Im s| <= T runs until the integrand, decaying like
+    e^{-rate |Im s|}, is below tol, measured from c0 = max(c, 0) and widened
+    by `t_offset` when the integrand's mass sits off the real axis (complex
+    x).  The first step is the smallest of T/32, 1.5 pi/freq and
+    2 pi gap/30.  freq = d/2 log(2 + c0 + T) + |log x|_1 is the phase
+    estimate, where d is the growth coefficient of the gamma phase (the
+    degree r1 + 2 r2 for the kernels, the factor count n for steen_v).
+    `gap` is the distance from the line to the nearest gamma pole: the
+    step-h sum errs by alias terms of size about e^{-2 pi gap/h}.
+    """
+    c0 = np.maximum(c, 0.0)
+    T = c0 + t_offset + (math.log(1.0 / max(tol, 1e-16)) + 25.0) / rate
+    freq = 0.5 * d * np.log(2.0 + c0 + T) + np.abs(log_x.imag) + np.abs(log_x.real)
+    return T, np.minimum(np.minimum(T / 32.0, 1.5 * math.pi / freq), 2.0 * math.pi * gap / 30.0)
+
+
+def steen_v(x, params, c=None, tol=1e-12):
+    """V(x | a_1..a_n) = (1/2 pi i) int_(c) prod Gamma(s + a_j) x^{-s} ds.
+
+    Requires |Arg x| < pi*n/2 with a 0.1 margin and c to the right of every
+    pole of the gamma factors.  The line is checked by step halving.
+    """
+    x = complex(x)
+    if x == 0:
+        raise DomainError("steen_v undefined at x = 0")
+    n = len(params)
+    if n < 1:
+        raise DomainError("steen_v needs at least one gamma factor")
+    rate = steen._sector_rate(0, n, cmath.phase(x))
+    log_x = cmath.log(x)
+    pole = max(-a for a in params)
+    if c is None:
+        c = max(pole + 1.6, 2.0, abs(x) ** (1.0 / n))
+    elif c <= pole:
+        raise DomainError("abscissa must lie right of every gamma pole")
+
+    def f(s, entry):
+        lg = np.zeros_like(s)
+        for a in params:
+            lg = lg + numerics.loggamma(s + a)
+        lg = lg - s * log_x
+        return np.where(lg.real < steen._LOG_UNDERFLOW, 0.0, np.exp(lg))
+
+    c = np.array([float(c)])
+    T, step = halving_plan(c, np.array([log_x]), n, rate, c - pole, tol, 0.0)
+    return complex(halving_line_integral(f, c, T, step)[0])
+
+
+def kernel_lines(r1, r2, xs, c, tol, t_offset):
+    """Inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s) at each xs[i] on the line Re(s) = c[i].
+
+    That is Z~_{r1,r2}(x) for c > 0 and Z = Z~ - Res_0 for -1 < c < 0, where
+    the line has crossed the pole at 0 and no other: any such line, checked
+    by step halving, with `t_offset` widening each window by the offset of
+    the integrand's mass along the line.
+    """
+    c = np.asarray(c, dtype=float)
+    if not np.all((c > 0) | ((-1.0 < c) & (c < 0))):
+        raise DomainError("abscissa must satisfy c > 0 or -1 < c < 0")
+    xs = np.asarray(xs, dtype=complex)
+    rate = steen._sector_rate(r1, r2, np.angle(xs))
+    log_x = np.log(xs)
+    gap = np.where(c > 0, c, np.minimum(-c, 1.0 + c))
+    T, step = halving_plan(c, log_x, r1 + 2 * r2, rate, gap, tol, t_offset)
+    return halving_line_integral(steen._kernel_integrand(r1, r2, log_x), c, T, step)

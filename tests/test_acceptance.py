@@ -168,8 +168,11 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                     lhs = oracle.r1_inverse(field, 1, x)
                     rhs = -iv.r0_inverse(field, 1, 1.0 / x) / cmath.sqrt(x)
                     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
-        # quadrature node-doubling stability on the closed-form cases
+        # one proven quadrature level on the closed-form cases: Gamma(s) x^{-s} is the
+        # (0, 1) kernel e^{-x}, whose saddle line steen._line_plan proves
         for x in (1.0, 2.0):
-            values, deltas, _ = nx.line_integral_many(
-                lambda s, entry: oracle.gamma(s) * np.exp(-s * math.log(x)), [1.0], [40.0], [0.25])
-            assert deltas[0] < 1e-11 * abs(values[0])
+            _, c, T, h, error = st._line_plan(0, 1, np.array([complex(x)]))
+            values, errors, _ = nx.line_integral_many(
+                lambda s, entry: oracle.gamma(s) * np.exp(-s * math.log(x)), c, T, h, error)
+            assert errors[0] <= 1e-11 * abs(values[0])
+            assert abs(values[0] - math.exp(-x)) <= errors[0] + 1e-13 * math.exp(-x)

@@ -17,6 +17,8 @@ from zetatheta.errors import (
 
 import _oracles as oracle
 
+BUILTIN = ["Q", "sqrt5", "cubic7", "zeta5", "gauss"]
+
 
 class TestXiCompleted:
     def test_value_at_center(self, field_q):
@@ -317,18 +319,24 @@ class TestRefineZeros:
             cl.refine_zeros(field_q, [(14.1, 14.2), (3.0, 2.0)])
 
 
+def strip_points(field):
+    """z = 0.3 and two points at 0.9 of the strip |Im z| < pi d/4 - 0.2, one with Re z = 0.6."""
+    strip = math.pi * field.degree / 4.0 - 0.2
+    return [0.3, complex(0.6, 0.9 * strip), complex(0.0, -0.9 * strip)]
+
+
 class TestPhiIdentity:
     @pytest.mark.parametrize("z", [0.0, 0.25, 0.5, -0.3j])
     def test_quadratic(self, field_sqrt5, z):
         rep = cl.phi_identity_check(field_sqrt5, z)
         assert rep.residual < 1e-6
-        assert 0 <= rep.budget["quadrature_delta"] <= max(0.1 * 1e-6, 1e-12)
+        assert rep.residual <= sum(rep.budget.values())
 
     @pytest.mark.parametrize("z", [0.0, 0.25, 0.5, -0.3j])
     def test_cubic(self, field_cubic7, z):
         rep = cl.phi_identity_check(field_cubic7, z)
         assert rep.residual < 1e-6
-        assert 0 <= rep.budget["quadrature_delta"] <= max(0.1 * 1e-6, 1e-12)
+        assert rep.residual <= sum(rep.budget.values())
 
     @pytest.mark.parametrize("name", ["cubic7", "zeta5"])
     @pytest.mark.parametrize("frac", [0.75, -0.75, 0.9, -0.9])
@@ -342,6 +350,65 @@ class TestPhiIdentity:
     def test_sector_guard(self, field_sqrt5):
         with pytest.raises(SectorError):
             cl.phi_identity_check(field_sqrt5, 2.0j)
+
+    # Xi nodes per call of the step-halving rule this plan replaced, which stopped at
+    # h = 1/16 on the window (log(1/tol) + 25)/(pi d/4 - |Im z|): at z = 0.3 and at
+    # z = 0.9i (pi d/4 - 0.2)
+    HALVING_NODES = {"Q": (791, 2403), "sqrt5": (396, 1843), "gauss": (396, 1843),
+                     "cubic7": (264, 1495), "zeta5": (198, 1257)}
+
+    @pytest.mark.parametrize("name", sorted(HALVING_NODES))
+    def test_no_more_nodes_than_halving(self, name, monkeypatch):
+        field = fd.builtin_field(name)
+        nodes = []
+        xi_many = cl.xi_many
+
+        def spy(field, s):
+            nodes.append(np.size(s))
+            return xi_many(field, s)
+
+        monkeypatch.setattr(cl, "xi_many", spy)
+        strip = math.pi * field.degree / 4.0 - 0.2
+        for z, most in zip((0.3, 0.9j * strip), self.HALVING_NODES[name]):
+            nodes.clear()
+            cl.phi_identity_check(field, z)
+            assert sum(nodes) <= most, (z, sum(nodes))
+
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_bound_holds_at_coarse_targets(self, name):
+        # plans for 1e-3 .. 1e-9: the quadrature error shows, far above the rhs's own
+        # budget, and stays within the proven bound
+        field = fd.builtin_field(name)
+        ratios = []
+        for z in strip_points(field):
+            rep = cl.phi_identity_check(field, z)
+            rhs_budget = rep.budget["series_tail"] + rep.budget["kernel_quadrature"]
+            for target in (1e-3, 1e-5, 1e-7, 1e-9):
+                n, h, bound = cl._phi_plan(field, complex(z), target)
+                assert bound <= target
+                t = h * np.arange(n + 1)
+                vals = cl.xi_many(field, 0.5 + 1j * t) / (t * t + 0.25) * np.cos(z * t)
+                vals[0] *= 0.5
+                err = abs(h * np.sum(vals) - rep.rhs)
+                assert err <= bound + rhs_budget, (z, target, err, bound, rhs_budget)
+                ratios.append(err / (bound + rhs_budget))
+        print(f"{name} error/bound over {len(ratios)} plans: median {np.median(ratios):.2e}, "
+              f"max {max(ratios):.2e}")
+
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_omega_bound_holds(self, name):
+        # Stirling times Rademacher's bound, against Omega_F on the lines the plan reads:
+        # at points, and over the alias line's cells
+        field = fd.builtin_field(name)
+        for sigma in (0.5, 0.75, 0.5 + cl._PHI_STRIP):
+            u = np.linspace(0.0, 200.0, 541)
+            omega = np.abs(fd.omega_many(field, sigma + 1j * u))
+            assert np.all(np.log(omega) <= cl._log_omega_bound(field, sigma, u, u))
+        sigma, lo = 0.5 + cl._PHI_STRIP, np.arange(0.0, 20.0, cl._PHI_CELL)
+        for frac in (0.0, 0.5, 1.0):
+            u = lo + frac * cl._PHI_CELL
+            omega = np.abs(fd.omega_many(field, sigma + 1j * u))
+            assert np.all(np.log(omega) <= cl._log_omega_bound(field, sigma, lo, lo + cl._PHI_CELL))
 
 
 class TestEmitRoundTrip:

@@ -17,13 +17,15 @@ it, and N0 and the certified bound of l_series, so a change in a
 truncation bound or a quadrature charge shows even when every checked value
 stays the same.  log-gamma far left and at height, the rescaled Xi_F at
 heights where xi_F alone underflows, the ordinates and residuals of one
-zeros-scan window per builtin field, and the Phi identity past
-|Im z| = pi/2 are recorded too.  A value whose computation raises is
+zeros-scan window per builtin field, the Phi identity past
+|Im z| = pi/2, and the Phi integral's proven plan (window, step and
+error) per builtin field are recorded too.  A value whose computation raises is
 recorded as the exception's type and message.  The second form lists each key whose value
 differs, with its relative change, and exits 1 when any does, so it can
 serve as a gate.  Zero lists come from this repository's `tests/data` and
-`perfbench/reference`, and gamma, zeta' and the theta-side R_1 from the
-oracles in its `tests/_oracles.py`, whichever source tree is imported.
+`perfbench/reference`, and gamma, zeta', the theta-side R_1, V and the
+kernel on a line left of 0 from the oracles in its `tests/_oracles.py`,
+whichever source tree is imported.
 """
 
 import cmath
@@ -97,6 +99,13 @@ def snapshot():
         _record(out, f"phi_identity_check/{name}/z={z}", lambda: (
             lambda r: (r.lhs, r.rhs))(
                 cl.phi_identity_check(fields.builtin_field(name), z)))
+    # Phi's proven plan at z = 0.3 and at 0.9 of the strip: the window T = nh, the step h
+    # and the proven quadrature error
+    for name in FIELDS:
+        F = fields.builtin_field(name)
+        for z in (0.3, 0.9j * (math.pi * F.degree / 4.0 - 0.2)):
+            _record(out, f"phi_plan/{name}/z={z}", lambda: (
+                lambda p: (p[0] * p[1], p[1], p[2]))(cl._phi_plan(F, complex(z), 1e-12)))
     for name, k, x, zeros in (("Q", 1, 4.0, zeros_q), ("Q", 2, 2.0, zeros_q),
                               ("sqrt5", 1, 2.0, zeros_sqrt5)):
         _record(out, f"check_inverse_theta/{name}/k={k}/x={x}", lambda: (
@@ -151,7 +160,7 @@ def snapshot():
             _record(out, f"z_tilde/{r1},{r2}/x={x}", lambda: steen.z_tilde(r1, r2, x))
         for x in (0.8, 3.0, 1.2 - 0.7j):
             _record(out, f"z_shifted_direct/{r1},{r2}/x={x}",
-                    lambda: steen._kernel_lines(r1, r2, [x], [-0.5], 1e-12, [0.0])[0])
+                    lambda: oracle.kernel_lines(r1, r2, [x], [-0.5], 1e-12, [0.0])[0])
     # z_shifted on both sides of the 0.4 series radius, and the l_series head's
     # certified bound, which carries the quadrature charge of its kernel entries
     for r1, r2 in ((1, 0), (2, 0)):
@@ -173,7 +182,7 @@ def snapshot():
                 lambda: steen.z_tail_bound_complex_many(r1, r2, [abs_y], arg_y)[0])
     for x, params, c in ((2.0, (5.0,), None), (2.0, (5.0,), -3.0),
                          (0.7, (1.0,), -0.5), (1.5, (2.0, 3.0), None)):
-        _record(out, f"steen_v/x={x}/a={params}/c={c}", lambda: steen.steen_v(x, params, c=c))
+        _record(out, f"steen_v/x={x}/a={params}/c={c}", lambda: oracle.steen_v(x, params, c=c))
     return out
 
 
