@@ -237,49 +237,34 @@ def r0_inverse(field, k, x):
     return r0_inverse_polynomial(field, k)(x)
 
 
-# The Taylor ring about a zero, and the circle its majorant is taken on.
-_ZERO_RING_RADIUS = 0.07
-_ZERO_MAJORANT_RADIUS = 0.4
+# ZeroNotSimpleError's threshold: |c_1| <= 1e-6 |c_2| times this length.
+_SIMPLE_ZERO_SCALE = 0.07
 
 
 def zeta_taylor_many(field, gammas, order):
-    """One LaurentResult per gamma: Taylor data c_0..c_order of zeta_F at rho = 1/2 + i gamma.
+    """One numerics.Jet per gamma: Taylor data c_0..c_order of zeta_F at rho = 1/2 + i gamma.
 
     Memoized per (field, exact gamma, order); the zeros not yet stored share
-    one laurent_coefficients_many call, so one Hurwitz bank serves a whole
-    zero list.  zeta_F is analytic on every disc about rho (whatever zeros it
-    holds), and numerics.dedekind_zeta_majorant bounds it by a proven M on
-    the radius-0.4 circle.  So the trapezoid alias theorem bounds the error
-    of each c_m on a ring of radius r = 0.07 and N samples by
-    M 0.4^-m q^N/(1 - q^N), q = r/0.4, and the ring takes the smallest N in
-    16, 32, 64, 128 that holds it below 1e-13.  That is N = 32 for the
-    builtin fields up to t = 100 (zeta5 up to t = 38, then 64); a ring the
-    majorant cannot size falls back to 128 samples checked against their 64
-    even ones.  Each result carries its bound as `alias_bound`.  Sample
-    rounding reaches c_2 as r^-2 N^-1/2, so at r = 0.07 a 32-sample ring
-    rounds like a 128-sample ring of radius 0.05.  The batch shares one Hurwitz
-    shift, set by its highest zero, so a zero's data moves by rounding with
-    the list that first computed it: c_m by at most r^-m times the mean
-    change of its samples, measured up to 1.2e-13 relative in c_1 and
-    2.7e-13 in c_2 on the scanned zeros of Q (t < 102), sqrt5 (t < 50) and
-    zeta5 (t < 30).  Raises
-    ZeroNotSimpleError if |c_1| <= 1e-6 |c_2| r, ValidationError if
-    |c_0| > 1e-6 |c_1| (not a zero), naming the first such gamma of the list.
+    one numerics.dedekind_zeta_jet call, so one Hurwitz jet bank serves a
+    whole zero list.  Each coefficient carries its proven error (`err`):
+    the bank's Euler-Maclaurin remainder and rounding on the radius-1/2
+    discs about the zeros, over 2^-m for c_m (Cauchy), carried through the
+    L-factors.  The batch shares one Hurwitz shift, set by its highest
+    zero, so a zero's data moves by rounding with the list that first
+    computed it, within both errors.  Raises ZeroNotSimpleError if
+    |c_1| <= 1e-6 |c_2| 0.07, ValidationError if |c_0| > 1e-6 |c_1| (not a
+    zero), naming the first such gamma of the list.
     """
     def compute(missing):
-        rhos = [0.5 + 1j * key[2] for key in missing]
-        bound = numerics.dedekind_zeta_majorant(field, rhos, _ZERO_MAJORANT_RADIUS)
-        rings = numerics.laurent_coefficients_many(
-            lambda s: numerics.dedekind_zeta_many(s, field), rhos, _ZERO_RING_RADIUS,
-            count=order + 1, lowest=0, majorant=(_ZERO_MAJORANT_RADIUS, bound))
-        for key, ring in zip(missing, rings):
-            gamma, c = key[2], ring.coeffs
-            if abs(c[1]) <= 1e-6 * abs(c[2]) * _ZERO_RING_RADIUS:
+        jet = numerics.dedekind_zeta_jet(field, [0.5 + 1j * key[2] for key in missing], order + 1)
+        for key, c in zip(missing, jet.coeffs):
+            gamma = key[2]
+            if abs(c[1]) <= 1e-6 * abs(c[2]) * _SIMPLE_ZERO_SCALE:
                 raise ZeroNotSimpleError(f"zero at gamma = {gamma} is not simple")
             if abs(c[0]) > 1e-6 * abs(c[1]):
                 raise ValidationError(f"gamma = {gamma} is not a zero of zeta_F: |zeta_F(rho)| "
                                       f"= {abs(c[0]) / abs(c[1]):.1e} |zeta_F'(rho)|")
-        return rings
+        return [numerics.Jet(c, e) for c, e in zip(jet.coeffs, jet.err)]
     return numerics.memo_many([("zeta_taylor", field.cache_key, float(g), order)
                                for g in gammas], compute)
 
@@ -287,18 +272,16 @@ def zeta_taylor_many(field, gammas, order):
 def zeta_taylor(field, gamma, order):
     """(c_0, ..., c_order), order >= 2: Taylor coefficients of zeta_F at rho = 1/2 + i gamma.
 
-    zeta_taylor_many at one zero: a 32-sample ring of radius 0.07 whose
-    alias error the majorant of |zeta_F| on the radius-0.4 circle proves
-    below 1e-13 (trapezoid alias theorem), or the datum of gamma that a zero
-    list stored first.  Raises ZeroNotSimpleError or ValidationError
-    as zeta_taylor_many does.
+    zeta_taylor_many at one zero, or the datum of gamma that a zero list
+    stored first.  Raises ZeroNotSimpleError or ValidationError as
+    zeta_taylor_many does.
     """
     return tuple(complex(v) for v in zeta_taylor_many(field, [gamma], order)[0].coeffs)
 
 
-def _contour_alias(field, gammas, order):
-    """The largest proven alias bound of the zero rings; inf if a ring is checked only."""
-    return max(ring.alias_bound for ring in zeta_taylor_many(field, gammas, order))
+def _taylor_error(field, gammas, order):
+    """The largest proven error of the zero jets' coefficients c_0..c_order."""
+    return max(float(np.max(jet.err)) for jet in zeta_taylor_many(field, gammas, order))
 
 
 def _lambda_principal_many(field, k, gammas):
@@ -315,7 +298,7 @@ def _lambda_principal_many(field, k, gammas):
         rhos = [0.5 + 1j * g for g in new]
         taylor = zeta_taylor_many(field, new, max(k, 2))
         prefactor = numerics.laurent_coefficients_many(
-            lambda s: fields.gamma_prefactor_many(field, s), rhos, _ZERO_RING_RADIUS,
+            lambda s: fields.gamma_prefactor_many(field, s), rhos, 0.07,
             count=k, lowest=0)
         out = []
         for rho, ring, p in zip(rhos, taylor, prefactor):
@@ -391,8 +374,8 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
 
     lhs is U(1/x), rhs sqrt(x) U(x), and the residual is relative.  The
     budget's zero_tail_estimate is the larger last-pair magnitude of the
-    two zero sums, and contour_alias the largest proven alias bound of the
-    zero rings (zeta_taylor_many).
+    two zero sums, and taylor_error the largest proven error of the zero
+    jets' coefficients (zeta_taylor_many).
     """
     x = complex(x)
     inner = min(tol * 0.25, 1e-7)
@@ -402,7 +385,7 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
     rel = abs(u_inv - rhs) / max(abs(u_inv), abs(rhs), 1e-30)
     return theta.Report(lhs=u_inv, rhs=rhs, residual=rel,
                         budget={"zero_tail_estimate": max(tail_x, tail_inv),
-                                "contour_alias": _contour_alias(field, zeros.gammas, max(k, 2))})
+                                "taylor_error": _taylor_error(field, zeros.gammas, max(k, 2))})
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +420,8 @@ def hlr_check(x, zeros, tol=1e-4):
     cancel termwise and the residual reduces to the zero term's own numerics.
     The residual is |lhs - rhs|; the budget holds the last zero pair's
     magnitude (zero_tail_estimate), the certified remainder of the two sums
-    (l_series_remainder) and the largest proven alias bound of the zero
-    rings (contour_alias).
+    (l_series_remainder) and the largest proven error of the zero jets'
+    coefficients (taylor_error).
     """
     if x <= 0:
         raise DomainError("hlr_check needs x > 0")
@@ -455,7 +438,7 @@ def hlr_check(x, zeros, tol=1e-4):
     return theta.Report(lhs=complex(lhs), rhs=complex(rhs), residual=abs(lhs - rhs),
                         budget={"zero_tail_estimate": zero_tail,
                                 "l_series_remainder": remainder,
-                                "contour_alias": _contour_alias(rational, zeros.gammas, 2)})
+                                "taylor_error": _taylor_error(rational, zeros.gammas, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +462,7 @@ def _dgv_zero_sum(field, alpha, zeros):
     term (F = Q).  One zeta_taylor_many call, one log_gamma_factor call and
     one exponential serve the whole list.
     """
-    derivative = np.array([ring.coeffs[1] for ring in zeta_taylor_many(field, zeros.gammas, 2)])
+    derivative = np.array([jet.coeffs[1] for jet in zeta_taylor_many(field, zeros.gammas, 2)])
     rho = 0.5 + 1j * np.array(zeros.gammas)
     log_num = rho * math.log(alpha) + numerics.log_gamma_factor(field.r1, field.r2, 1.0 - rho)
     pairs = 2.0 * (np.exp(log_num) / derivative).real
@@ -493,7 +476,7 @@ def dgv_check(field, x, zeros, tol=1e-5):
     built from the DGV residue formulas with zeta_F'(rho) read off zeta_taylor,
     so the comparison crosses two genuinely different evaluation routes.
     The residual is |lhs - rhs|; the budget holds zero_tail_estimate and
-    contour_alias, the largest proven alias bound of the zero rings.
+    taylor_error, the largest proven error of the zero jets' coefficients.
     """
     if field.degree > 2:
         raise DomainError("dgv_check covers Q and quadratic fields")
@@ -515,4 +498,4 @@ def dgv_check(field, x, zeros, tol=1e-5):
     return theta.Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                         budget={"zero_tail_estimate": 0.5 * max(tail_alpha / math.sqrt(alpha),
                                                                  tail_beta / math.sqrt(beta)),
-                                "contour_alias": _contour_alias(field, zeros.gammas, 2)})
+                                "taylor_error": _taylor_error(field, zeros.gammas, 2)})

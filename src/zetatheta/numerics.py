@@ -110,19 +110,6 @@ def log_gamma_factor(r1, r2, s):
     return out
 
 
-def digamma_real(x):
-    """psi(x) for real x > 0 (used by L(1, chi))."""
-    if x <= 0:
-        raise DomainError("digamma_real requires x > 0")
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
-    return acc + math.log(x) - 0.5 / x - tail
-
-
 def _hurwitz_core(s_arr, a, shift):
     """Euler-Maclaurin evaluation of zeta_H(s, a) for 1-d arrays of s and a sharing one shift.
 
@@ -293,7 +280,8 @@ def dirichlet_l(s, chi):
     if chi.is_principal and at_one:
         raise PoleError("L(s, principal) has a pole at s = 1")
     if at_one:
-        return -sum(chi.value(a) * digamma_real(a / q) for a in range(1, q + 1)) / q
+        return -complex(np.dot([chi.value(a) for a in range(1, q + 1)],
+                               digamma(np.arange(1, q + 1) / q))) / q
     return complex(dirichlet_l_many(np.array([s]), chi)[0])
 
 
@@ -341,42 +329,278 @@ def _dedekind_zeta_and_error(s, field):
     return out, error
 
 
-def dedekind_zeta_majorant(field, centres, radius):
-    """M >= |zeta_F(s)| on each circle |s - s0| = radius, for circles in Re s > 0 missing s = 1.
+# ---------------------------------------------------------------------------
+# Taylor jets: truncated power series, each coefficient with a proven error
+# ---------------------------------------------------------------------------
 
-    Euler-Maclaurin to first order gives, for sigma = Re s > 0 and K >= 1,
-    |zeta_H(s, a)| <= sum_{n<K} (n+a)^-sigma + (K+a)^(1-sigma)/|s-1|
-    + (K+a)^-sigma/2 + |s| (K+a)^-sigma/(2 sigma), each term taken here at
-    its worst point of the circle, with K = ceil(max |s|/2), about where the
-    last two terms balance.  Then |L(s, chi)| <= q^-sigma sum_a |zeta_H(s, a/q)|
-    over chi(a) != 0, and zeta_F is the product of its L-factors.
-    """
-    c = np.asarray(centres, dtype=complex).reshape(-1)
-    lo = c.real - radius                    # the smallest sigma on the circle
-    hi = c.real + radius
-    near = np.abs(c - 1.0) - radius         # the smallest |s - 1|
-    if np.any(lo <= 0.0) or np.any(near <= 0.0):
-        raise DomainError("the majorant needs circles inside Re s > 0 that miss s = 1")
-    far = np.abs(c) + radius                # the largest |s|
-    big_k = np.maximum(1.0, np.ceil(far / 2.0))
-    n = np.arange(int(np.max(big_k)), dtype=float)
-    hurwitz = {}
-    for chi in field.characters:
-        q = chi.modulus
-        for a in range(1, q + 1):
-            if chi.value(a) != 0 and (q, a) not in hurwitz:
-                base = n[None, :] + a / q
-                head = np.maximum(base ** -lo[:, None], base ** -hi[:, None])
-                head = np.where(n[None, :] < big_k[:, None], head, 0.0).sum(axis=1)
-                end = big_k + a / q
-                hurwitz[(q, a)] = head + end ** (1.0 - lo) / near + end ** -lo / 2.0 \
-                    + far * end ** -lo / (2.0 * lo)
-    out = np.ones(len(c))
-    for chi in field.characters:
-        q = chi.modulus
-        out = out * float(q) ** -lo * sum(hurwitz[(q, a)] for a in range(1, q + 1)
-                                          if chi.value(a) != 0)
+def _series_mul(a, b):
+    """Cauchy product of coefficient arrays (powers on the last axis), truncated to the shorter."""
+    n = min(a.shape[-1], b.shape[-1])
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n,),
+                   dtype=np.result_type(a, b))
+    for j in range(n):
+        out[..., j:] += a[..., j:j + 1] * b[..., :n - j]
     return out
+
+
+@dataclass(frozen=True)
+class Jet:
+    """sum_j coeffs[..., j] e^(lowest + j): a truncated Laurent series in e = s - s0 about each centre.
+
+    The leading axes run over the centres, the last over the powers.
+    err[..., j] bounds the error of coeffs[..., j].  Every operation carries
+    it to first order (a product errs by |a| err_b + err_a |b|, as series)
+    and adds its own rounding, (count + 4) eps times the same operation on
+    the moduli: a model of the float arithmetic, like the Hurwitz rounding
+    term, not a proof.
+    """
+    coeffs: np.ndarray
+    err: np.ndarray
+    lowest: int = 0
+
+    def coefficient(self, power):
+        return self.coeffs[..., power - self.lowest]
+
+    def principal(self):
+        """[c_-1, c_-2, .., c_lowest] along the last axis; empty when lowest >= 0."""
+        return self.coeffs[..., max(-self.lowest, 0) - 1::-1][..., :max(-self.lowest, 0)]
+
+    def _rounding(self, moduli):
+        return (moduli.shape[-1] + 4) * _EPS * moduli
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):           # a number per centre
+            other = np.asarray(other)[..., None]
+            coeffs = self.coeffs * other
+            return Jet(coeffs, self.err * np.abs(other) + 2.0 * _EPS * np.abs(coeffs), self.lowest)
+        a, b = np.abs(self.coeffs), np.abs(other.coeffs)
+        moduli = _series_mul(a, b)
+        return Jet(_series_mul(self.coeffs, other.coeffs),
+                   _series_mul(a, other.err) + _series_mul(self.err, b) + self._rounding(moduli),
+                   self.lowest + other.lowest)
+
+    def __pow__(self, k):
+        """The k-th power, k >= 1, by repeated products."""
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+    def reciprocal(self):
+        """1/f, for a jet whose leading coefficient is nonzero."""
+        a = self.coeffs
+        q = np.empty(a.shape, dtype=np.result_type(a, float))
+        q[..., 0] = 1.0 / a[..., 0]
+        for n in range(1, a.shape[-1]):
+            q[..., n] = -np.sum(a[..., 1:n + 1] * q[..., n - 1::-1], axis=-1) * q[..., 0]
+        square = _series_mul(np.abs(q), np.abs(q))
+        return Jet(q, _series_mul(square, self.err + self._rounding(np.abs(a))), -self.lowest)
+
+    def exp(self):
+        """exp(f), for a Taylor jet (lowest 0)."""
+        a = self.coeffs
+        e = np.empty_like(a)
+        e[..., 0] = np.exp(a[..., 0])
+        for n in range(1, a.shape[-1]):
+            e[..., n] = np.sum(np.arange(1, n + 1) * a[..., 1:n + 1] * e[..., n - 1::-1], axis=-1) / n
+        moduli = np.abs(e)
+        return Jet(e, _series_mul(moduli, self.err + self._rounding(np.abs(a))) + 2.0 * _EPS * moduli)
+
+    def shift(self, power):
+        """The jet times e^power."""
+        return Jet(self.coeffs, self.err, self.lowest + power)
+
+
+def _hurwitz_jet(s0, a, shift, count):
+    """Taylor coefficients of zeta_H(s0 + e, a), e^0 .. e^(count-1), by _hurwitz_core's sum.
+
+    For 1-d arrays s0 (away from s = 1) and a; shape (len(a), len(s0), count).
+    Each term of the Euler-Maclaurin sum at this shift is expanded in e:
+    (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!, and 1/(s - 1)
+    and the Pochhammer factors are jets.
+    """
+    log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
+    term = np.exp(s0[None, :, None] * log_n)
+    head = np.empty((len(a), len(s0), count), dtype=complex)
+    for j in range(count):
+        head[..., j] = term.sum(axis=2)
+        term = term * (log_n / (j + 1))
+    powers = np.arange(count)
+    base = (shift + a)[:, None, None]
+    decay = np.exp(-s0[None, :, None] * np.log(base)) * (-np.log(base)) ** powers \
+        / np.cumprod(np.maximum(powers, 1))                  # base^-(s0 + e)
+    correction = base * (-1.0) ** powers / (s0[:, None] - 1.0) ** (powers + 1)
+    correction[..., 0] += 0.5
+    poch = np.zeros((len(s0), count + 1), dtype=complex)     # (s0 + e)_(2j-1), one spare power
+    poch[:, 0], poch[:, 1] = s0, 1.0
+    fac = 2.0
+    for j, b2j in enumerate(_BERNOULLI, start=1):
+        correction = correction + (b2j / fac) * poch[:, :count] * base ** (1.0 - 2 * j)
+        for c in (s0 + (2 * j - 1), s0 + 2 * j):
+            poch = poch * c[:, None] + np.concatenate([np.zeros((len(s0), 1)), poch[:, :-1]], axis=1)
+        fac *= (2 * j + 1) * (2 * j + 2)
+    return head + _series_mul(decay, correction)
+
+
+def _character_bank(characters):
+    """(a_bank, rows): the distinct a/q with chi(a) != 0, and per character its (slot, chi(a)) list."""
+    slots, rows = {}, []
+    for chi in characters:
+        q = chi.modulus
+        rows.append([(slots.setdefault((q, a), len(slots)), v)
+                     for a, v in ((a, chi.value(a)) for a in range(1, q + 1)) if v != 0])
+    return np.array([a / q for q, a in slots]), rows
+
+
+# The radius of the discs about the centres on which a jet's error is proven.
+_JET_RADIUS = 0.5
+
+
+def dedekind_zeta_jet(field, centres, count):
+    """Jet of zeta_F about every centre: count coefficients, each with a proven error.
+
+    One Hurwitz jet bank serves all centres and L-factors, at the shift
+    hurwitz_zeta_many would take on the discs |s - s0| <= r = 1/2, which
+    must miss s = 1.  _hurwitz_bounds bounds the error E of each
+    zeta_H(s, a) on those discs, Euler-Maclaurin remainder plus rounding, so
+    by Cauchy coefficient j of the bank errs by at most E r^-j; the L-factors
+    and their product carry it on (Jet).  About s0 = 0 every L-factor of an
+    even non-principal character has a trivial zero: its constant
+    coefficient is dropped, so the jet starts at e^r, r the unit rank.
+    """
+    s0 = np.asarray(centres, dtype=complex).reshape(-1)
+    radius = _JET_RADIUS
+    at_zero = int(not np.any(s0))
+    size, near = np.abs(s0), np.abs(s0 - 1.0)
+    if np.any(near <= radius):
+        raise DomainError("a jet's disc about its centre must miss s = 1")
+    disc = np.concatenate([s0 - radius, s0 + radius,
+                           s0 + radius * np.where(size > 0, s0 / np.maximum(size, 1e-300), 1.0),
+                           s0 - radius * (s0 - 1.0) / near])
+    a_bank, rows = _character_bank(field.characters)
+    shift = _hurwitz_shift(disc)
+    _, error = _hurwitz_bounds(disc, float(np.min(a_bank)), shift)
+    powers = np.arange(count + at_zero)
+    bank = _hurwitz_jet(s0, a_bank, shift, count + at_zero)
+    out = None
+    for chi, row in zip(field.characters, rows):
+        log_q = math.log(chi.modulus)
+        total = sum(v * bank[slot] for slot, v in row)
+        q_jet = np.exp(-s0 * log_q)[:, None] * (-log_q) ** powers / np.cumprod(np.maximum(powers, 1))
+        factor = Jet(q_jet, _EPS * (6.0 + size * log_q)[:, None] * np.abs(q_jet)) \
+            * Jet(total, np.broadcast_to(len(row) * error * radius ** -powers, total.shape))
+        if at_zero and not chi.is_odd and not chi.is_principal:
+            factor = Jet(factor.coeffs[..., 1:], factor.err[..., 1:], 1)
+        out = factor if out is None else out * factor
+    return out
+
+
+# Euler's constant; psi(1/2) = -gamma - 2 log 2.
+_EULER_GAMMA = 0.5772156649015329
+
+
+def gamma_jet(twice_b, scale, count):
+    """Laurent jet of Gamma(b + scale e) about every half-integer b = twice_b/2 <= 1.
+
+    From log Gamma(b0 + e) = log Gamma(b0) + psi(b0) e + sum_{k>=2} c_k zeta(k) (-e)^k/k,
+    c_k = 1 at b0 = 1 and 2^k - 1 at b0 = 1/2, and the recurrence
+    Gamma(b + e) = Gamma(b0 + e)/prod (b + i + e) down to b = b0 - n: each
+    factor with b + i < 0 adds sum_k |b + i|^-k e^k/k to the exponent, and the
+    one with b + i = 0 is the pole 1/e.  The jet starts at e^-1 when any b
+    is a pole (the others then have an exact 0 there) and holds count
+    coefficients.  zeta(k) carries hurwitz_zeta_many's proven error; the
+    rest is rounding.
+    """
+    tb = np.asarray(twice_b).reshape(-1)
+    if np.any(tb > 2):
+        raise DomainError("gamma_jet needs b <= 1")
+    half = tb % 2 == 1
+    steps = np.where(half, 1 - tb, 2 - tb) // 2                 # b0 - b
+    pole = ~half & (steps > 0)
+    lowest = -1 if np.any(pole) else 0
+    k = np.arange(1, count)
+    # sum of |b + i|^-k over the nonzero factors: 1, 2, .. (b0 = 1) or 1/2, 3/2, .. (b0 = 1/2)
+    top = int(steps.max()) + 1
+    grid = np.arange(1, top, dtype=float)[:, None] - 0.5 * np.array([0.0, 1.0])[None, :]
+    sums = np.concatenate([np.zeros((1, 2, len(k))),
+                           np.cumsum(grid[..., None] ** -k, axis=0)])
+    logs = np.concatenate([np.zeros((1, 2)), np.cumsum(np.log(grid), axis=0)])
+    n_factors = np.where(half, steps, np.maximum(steps - 1, 0))
+    zeta = hurwitz_zeta_many(k[1:].astype(float), 1.0).real if len(k) > 1 else np.zeros(0)
+    zeta_err = _hurwitz_bounds(k[1:].astype(complex), 1.0, _hurwitz_shift(k[1:].astype(complex)))[1] \
+        if len(k) > 1 else 0.0
+    weight = np.where(half[:, None], 2.0 ** k - 1.0, 1.0)
+    exponent = np.zeros((len(tb), len(k) + 1))
+    exponent[:, 1] = -_EULER_GAMMA - np.where(half, 2.0 * math.log(2.0), 0.0)
+    exponent[:, 2:] = weight[:, 1:] * zeta * (-1.0) ** k[1:] / k[1:]
+    exponent[:, 1:] += sums[n_factors, half.astype(int)] / k
+    exponent[:, 0] = np.where(half, 0.5 * _LOG_PI, 0.0) - logs[n_factors, half.astype(int)]
+    err = (len(k) + 5) * _EPS * np.abs(exponent)
+    err[:, 2:] += weight[:, 1:] * zeta_err / k[1:]
+    exponent[:, 1:] *= scale ** k
+    err[:, 1:] *= abs(scale) ** k
+    jet = Jet(exponent, err).exp() * ((-1.0) ** n_factors / np.where(pole, scale, 1.0))
+    if lowest == 0:
+        return jet
+    regular = ~pole[:, None]
+    pad = np.zeros((len(tb), 1))
+    return Jet(np.where(regular, np.concatenate([pad, jet.coeffs[:, :-1]], 1), jet.coeffs),
+               np.where(regular, np.concatenate([pad, jet.err[:, :-1]], 1), jet.err), -1)
+
+
+def gamma_factor_jet(r1, r2, points, sign, count):
+    """Jet of Gamma^r1(s/2) Gamma^r2(s) about s = p + sign e, for integer points p <= 1."""
+    p = np.asarray(points).reshape(-1)
+    out = None
+    for power, jet in ((r1, lambda: gamma_jet(p, 0.5 * sign, count)),
+                       (r2, lambda: gamma_jet(2 * p, float(sign), count))):
+        if power:
+            out = jet() ** power if out is None else out * jet() ** power
+    return out
+
+
+def _log_gamma_jet(z, count):
+    """Jet of log Gamma(z + e) - log Gamma(z) about complex z, Re z > 0: coefficient j is psi^(j-1)(z)/j!.
+
+    The recurrence moves z to w = z + n, Re w >= 10, where Stirling's series
+    with B_2 .. B_22 is differentiated term by term: psi(w + e) =
+    log(w + e) - 1/(2(w + e)) - sum_k B_2k/(2k) (w + e)^-2k.  On the disc
+    |e| <= 1 its remainder in log Gamma is at most
+    2^12 |B_24|/(24 * 23 (|w| - 1)^23) (DLMF 5.11(ii), sec(ph/2)^2 <= 2), so
+    coefficient j errs by that much (Cauchy) plus (count + 4) eps times the
+    sum of its terms' moduli.
+    """
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if np.any(z.real <= 0.0):
+        raise DomainError("the log-gamma jet needs Re z > 0")
+    steps = np.ceil(np.maximum(0.0, 10.0 - z.real))
+    w = (z + steps)[:, None, None]
+    i = np.arange(count - 1)[None, :, None]          # the power of psi's coefficient
+    two_k = 2.0 * np.arange(1, len(_BERNOULLI))[None, None, :]
+    binom = np.exp(loggamma(two_k + i) - loggamma(two_k) - loggamma(i + 1.0)).real
+    terms = [np.where(i == 0, np.log(w), (-1.0) ** (i + 1) / np.maximum(i, 1) / w ** i),
+             -0.5 * (-1.0) ** i / w ** (i + 1),
+             -(_BERNOULLI[:-1] / two_k * (-1.0) ** i * binom / w ** (two_k + i)).sum(axis=2,
+                                                                                   keepdims=True)]
+    moduli = sum(np.abs(t) for t in terms)
+    psi = sum(terms)
+    for n in range(int(steps.max())):                # psi(z + e) = psi(z + n + e) - sum 1/(z + n' + e)
+        live = (n < steps)[:, None, None]
+        term = (-1.0) ** i / (z[:, None, None] + n) ** (i + 1)
+        psi = psi - np.where(live, term, 0.0)
+        moduli = moduli + np.where(live, np.abs(term), 0.0)
+    j = np.arange(1, count)
+    remainder = 2.0 ** 12 * abs(_BERNOULLI[-1]) / (24.0 * 23.0 * (np.abs(w[:, 0, 0]) - 1.0) ** 23)
+    coeffs = np.zeros((len(z), count), dtype=complex)
+    err = np.zeros((len(z), count))
+    coeffs[:, 1:] = psi[..., 0] / j
+    err[:, 1:] = remainder[:, None] + (count + 4) * _EPS * moduli[..., 0] / j
+    return Jet(coeffs, err)
+
+
+def digamma(z):
+    """psi(z) on an array of complex z with Re z > 0: coefficient 1 of _log_gamma_jet."""
+    return _log_gamma_jet(z, 2).coeffs[:, 1]
 
 
 # ---------------------------------------------------------------------------

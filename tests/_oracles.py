@@ -4,11 +4,14 @@ Most avoid the package's own evaluation routes: zeta from the Hasse series,
 gamma_by_integral from the defining integral, Bessel K from its cosh
 integral, W_1 and W_2 from their direct series, coefficient tables from
 brute-force enumeration, the Moebius sum from a smoothed cutoff.  Slow and
-simple on purpose.  Some read the package: gamma is exp(numerics.loggamma),
-zeta_derivative reads hurwitz_zeta_many's Taylor data off
-laurent_coefficients, and r1_theta/r1_inverse run residue_polynomial on
-omega_many/lambda_many, but on their own contour at s = 1, not the s = 0
-one that theta.r0_theta and inverse_theta.r0_inverse read.  steen_v and
+simple on purpose.  laurent_coefficients reads Laurent data off a sampled
+ring of 128 points, checked against its 64 even ones: the reference the
+package's Taylor jets are compared against.  Some read the package: gamma
+is exp(numerics.loggamma), zeta_derivative reads hurwitz_zeta_many's Taylor
+data off laurent_coefficients, and r1_theta/r1_inverse run
+residue_polynomial on omega_many/lambda_many at s = 1, where the package
+reads no Laurent data (theta.r0_theta and inverse_theta.r0_inverse read
+jets at s = 0).  steen_v and
 kernel_lines integrate on lines of their own choosing (any abscissa, the
 line left of the pole at 0 included), checked by step halving
 (halving_line_integral) in place of the kernels' proven plan.
@@ -17,6 +20,7 @@ line left of the pole at 0 included), checked by step halving
 import cmath
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,6 +185,59 @@ def koshliakov_theta_w2(x, tol=1e-13):
                           tol, 255, "koshliakov")
 
 
+@dataclass(frozen=True)
+class LaurentResult:
+    lowest: int
+    coeffs: np.ndarray          # coeffs[i] multiplies (s - s0)**(lowest + i)
+
+    def coefficient(self, power):
+        return complex(self.coeffs[power - self.lowest])
+
+    @property
+    def residue(self):
+        return self.coefficient(-1)
+
+
+def laurent_coefficients(f, s0, radius, count, lowest=None):
+    """Laurent coefficients of f about s0 by the trapezoid rule on a ring of 128 samples.
+
+    Returns the coefficients of (s - s0)**m for m = lowest .. lowest+count-1
+    (default: the principal part c_{-count} .. c_{-1}), the means over the
+    samples at theta_j = 2 pi (j + 1/2)/128.  The even samples are a 64-point
+    ring turned by a quarter step; if that rule differs from the 128-point one
+    by more than 1e-11 of max(1, the largest coefficient), ConvergenceError.
+    """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    if lowest is None:
+        lowest = -count
+    ring = radius * np.exp(1j * (2.0 * math.pi * (np.arange(128) + 0.5) / 128))
+    vals = np.asarray(f(s0 + ring), dtype=complex)
+    if np.any(~np.isfinite(vals)) or np.max(np.abs(vals)) > 1e250:
+        raise DomainError("non-finite or overflowing sample on the extraction circle")
+    terms = [vals * ring ** (-m) for m in range(lowest, lowest + count)]
+    coeffs = np.array([np.mean(t) for t in terms])
+    delta = max(abs(np.mean(t[::2]) - c) for t, c in zip(terms, coeffs))
+    if delta > 1e-11 * max(1.0, float(np.max(np.abs(coeffs)))):
+        raise ConvergenceError(
+            f"Laurent coefficients about s0 = {s0} on radius {radius} did not converge: "
+            f"64 -> 128 samples moved them by {delta:.2e}")
+    return LaurentResult(lowest=lowest, coeffs=coeffs)
+
+
+def residue_polynomial(f, s0, order, scale):
+    """Residue of f(s) * exp(-scale*(s-s0)*log x) at a pole of f of `order` at s0.
+
+    The principal part comes from laurent_coefficients on a radius-0.25
+    circle, turned into a LogPolynomial by numerics.residue_log_polynomial;
+    order 0 gives the zero polynomial.
+    """
+    if order == 0:
+        return numerics.LogPolynomial(coeffs=(0.0 + 0.0j,))
+    res = laurent_coefficients(f, s0, 0.25, count=order)
+    return numerics.residue_log_polynomial([res.coefficient(-m) for m in range(1, order + 1)], scale)
+
+
 def zeta_derivative(s, order=1):
     """zeta'(s) or zeta''(s) by Taylor-coefficient extraction on a radius-0.05 circle."""
     s = complex(s)
@@ -188,7 +245,7 @@ def zeta_derivative(s, order=1):
         raise ValidationError("order must be 1 or 2")
     if abs(s - 1.0) < 0.1:
         raise PoleError("zeta_derivative too close to the pole at s = 1")
-    res = numerics.laurent_coefficients(lambda z: numerics.hurwitz_zeta_many(z, 1.0), s, 0.05,
+    res = laurent_coefficients(lambda z: numerics.hurwitz_zeta_many(z, 1.0), s, 0.05,
                                         count=1, lowest=order)
     return res.coefficient(order) * math.factorial(order)
 
@@ -234,7 +291,7 @@ def smoothed_mu_exp_sum(x, n_smooth=1_000_000):
 def r1_inverse(field, k, x):
     """Residue at s = 1 of Lambda_F^k(s) x^{-s/2}, by its own contour at s = 1."""
     x = complex(x)
-    poly = numerics.residue_polynomial(
+    poly = residue_polynomial(
         lambda s: fields.lambda_many(field, s, k), 1.0, k * field.unit_rank, scale=0.5)
     return poly(x) / cmath.sqrt(x)
 
@@ -242,7 +299,7 @@ def r1_inverse(field, k, x):
 def r1_theta(field, k, x):
     """Residue at s = 1 of Omega_F^k(s) x^{-s/2}, by its own contour at s = 1."""
     x = complex(x)
-    poly = numerics.residue_polynomial(
+    poly = residue_polynomial(
         lambda s: fields.omega_many(field, s, k), 1.0, k, scale=0.5)
     return poly(x) / cmath.sqrt(x)
 

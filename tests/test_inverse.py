@@ -237,10 +237,16 @@ class TestZetaTaylor:
             assert abs(c[2] - zeta_derivative(rho, 2) / 2.0) <= 1e-11 * abs(c[2])
 
     def test_double_zero_is_not_simple(self, field_q, monkeypatch):
-        # a planted zeta_F with a double zero at rho: the datum must raise
+        # a planted zeta_F = (s - rho)^2 (s + 3) with a double zero at rho: the datum must raise
         rho = 0.5 + 20.0j
+
+        def planted(field, centres, count):
+            coeffs = np.zeros((len(centres), count), dtype=complex)
+            coeffs[:, 2], coeffs[:, 3:4] = rho + 3.0, 1.0
+            return nx.Jet(coeffs, np.zeros(coeffs.shape))
+
         monkeypatch.setattr(nx, "_MEMO", {})
-        monkeypatch.setattr(nx, "dedekind_zeta_many", lambda s, field: (s - rho) ** 2 * (s + 3.0))
+        monkeypatch.setattr(nx, "dedekind_zeta_jet", planted)
         with pytest.raises(ZeroNotSimpleError, match="gamma = 20.0"):
             iv.zeta_taylor(field_q, 20.0, 2)
         with pytest.raises(ZeroNotSimpleError):

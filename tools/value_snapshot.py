@@ -6,12 +6,16 @@ Usage:
     python tools/value_snapshot.py --diff <before.json> <after.json>
 
 The first form imports `zetatheta` from <src-dir> and writes every value as
-float hex (complex values as [re, im]), so two snapshots compare bit for bit.
-Besides the checks' values it records the per-zero contour data they sum
-(zeta_F'(rho) off the Taylor data of zeta_F at a zero, the principal parts
-of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in a
-contour shows at the datum itself, and each zero ring's sample count N and
-proven alias bound.  It also records where the forward theta
+float hex, [re, im, scale], so two snapshots compare bit for bit.  The scale
+is the absolute size the value is a rounding error of: |value| for most
+keys, and for a check's two sides the largest term they are summed from
+(the theta series and R_0, the Moebius series, R_0 and the zero sum), so a
+side that is a small difference of large terms does not read rounding as a
+move.  Besides the checks' values it records the per-zero Taylor data they
+sum (zeta_F'(rho) off the Taylor jet of zeta_F at a zero, the principal
+parts of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change
+in a datum shows at the datum itself, and the proven error of each zero's
+jet coefficients c_0 .. c_2.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
 it, and N0 and the certified bound of l_series, so a change in a
 truncation bound or a quadrature charge shows even when every checked value
@@ -21,8 +25,8 @@ zeros-scan window per builtin field, the Phi identity past
 |Im z| = pi/2, and the Phi integral's proven plan (window, step and
 error) per builtin field are recorded too.  A value whose computation raises is
 recorded as the exception's type and message.  The second form lists each key whose value
-differs, with its relative change, and exits 1 when any does, so it can
-serve as a gate.  Zero lists come from this repository's `tests/data` and
+differs, with its absolute change and its scale, and exits 1 when any does,
+so it can serve as a gate.  Zero lists come from this repository's `tests/data` and
 `perfbench/reference`, and gamma, zeta', the theta-side R_1, V and the
 kernel on a line left of 0 from the oracles in its `tests/_oracles.py`,
 whichever source tree is imported.
@@ -43,22 +47,37 @@ TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
 
-def _hex(v):
+def _hex(v, scale=None):
     v = complex(v)
-    return [v.real.hex(), v.imag.hex()]
+    return [v.real.hex(), v.imag.hex(), float(abs(v) if scale is None else scale).hex()]
 
 
-def _record(out, key, compute):
+def _record(out, key, compute, scale=None):
+    """Record compute() under key, each component of a tuple under key[i].
+
+    `scale`, if given, returns the largest |term| the value is summed from,
+    recorded as the scale of every component; otherwise each component's
+    scale is its own modulus.
+    """
     try:
         value = compute()
+        size = None if scale is None else scale()
     except Exception as exc:   # recorded so that a new raise shows in the diff
         out[key] = f"{type(exc).__name__}: {exc}"
         return
     if isinstance(value, tuple):
         for i, v in enumerate(value):
-            out[f"{key}[{i}]"] = _hex(v)
+            out[f"{key}[{i}]"] = _hex(v, size)
     else:
-        out[key] = _hex(value)
+        out[key] = _hex(value, size)
+
+
+def _sides(report):
+    return report.lhs, report.rhs
+
+
+def _largest(*terms):
+    return max(abs(complex(t)) for t in terms)
 
 
 def snapshot():
@@ -79,8 +98,12 @@ def snapshot():
         _record(out, f"H_F/{name}", lambda: fields.residue_constant(F))
         for k in (1, 2):
             for x in (2.0, 0.7 + 0.3j):
-                _record(out, f"check_theta/{name}/k={k}/x={x}", lambda: (
-                    lambda r: (r.lhs, r.rhs))(theta.check_theta(F, k, x)))
+                # W = S - R_0 on both sides, the right one times sqrt(x)
+                _record(out, f"check_theta/{name}/k={k}/x={x}",
+                        lambda: _sides(theta.check_theta(F, k, x)),
+                        lambda: _largest(*(w * f(F, k, y) for w, y in ((1.0, 1.0 / x),
+                                                                       (cmath.sqrt(x), x))
+                                           for f in (theta.s_series, theta.r0_theta))))
             _record(out, f"r1_theta/{name}/k={k}", lambda: oracle.r1_theta(F, k, 1.7))
         for t in (0.0, 3.5, 14.1):
             _record(out, f"xi_completed/{name}/t={t}",
@@ -108,21 +131,31 @@ def snapshot():
                 lambda p: (p[0] * p[1], p[1], p[2]))(cl._phi_plan(F, complex(z), 1e-12)))
     for name, k, x, zeros in (("Q", 1, 4.0, zeros_q), ("Q", 2, 2.0, zeros_q),
                               ("sqrt5", 1, 2.0, zeros_sqrt5)):
-        _record(out, f"check_inverse_theta/{name}/k={k}/x={x}", lambda: (
-            lambda r: (r.lhs, r.rhs))(
-                iv.check_inverse_theta(fields.builtin_field(name), k, x, zeros)))
+        F = fields.builtin_field(name)
+        # U = L + R_0 + (1/2) zero sum on both sides, the right one times sqrt(x)
+        _record(out, f"check_inverse_theta/{name}/k={k}/x={x}",
+                lambda: _sides(iv.check_inverse_theta(F, k, x, zeros)),
+                lambda: _largest(*(w * t for w, y in ((1.0, 1.0 / x), (math.sqrt(x), x))
+                                   for t in (iv.l_series(F, k, y, tol=1e-7), iv.r0_inverse(F, k, y),
+                                             0.5 * iv.zero_sum(F, k, y, zeros)[0]))))
     for name, zeros in (("Q", zeros_q), ("sqrt5", zeros_sqrt5)):
-        _record(out, f"dgv_check/{name}/x=4", lambda: (lambda r: (r.lhs, r.rhs))(
-            iv.dgv_check(fields.builtin_field(name), 4.0, zeros)))
+        F = fields.builtin_field(name)
+        alpha, beta = fields.kernel_scale(F) * 2.0, fields.kernel_scale(F) / 2.0
+        # each side is a difference of its alpha and beta terms
+        _record(out, f"dgv_check/{name}/x=4", lambda: _sides(iv.dgv_check(F, 4.0, zeros)),
+                lambda: _largest(*(t for a, y in ((alpha, 4.0), (beta, 0.25)) for t in (
+                    math.sqrt(a) * iv.l_series(F, 1, y, tol=1e-7),
+                    iv._dgv_r0_polynomial(F)(a) / math.sqrt(a),
+                    0.5 * iv._dgv_zero_sum(F, a, zeros)[0] / math.sqrt(a)))))
     # the per-zero contour data behind the zero sums and the l_series tails
     for g in zeros_sqrt5.gammas[:5]:
         _record(out, f"dedekind_zeta_prime/sqrt5/gamma={g}",
                 lambda: iv.zeta_taylor(fields.builtin_field("sqrt5"), g, 2)[1])
-    # each zero ring's sample count and proven alias bound, for every listed zero
+    # the proven error of each zero's jet coefficients c_0 .. c_2, for every listed zero
     for name, zeros in (("Q", zeros_q), ("sqrt5", zeros_sqrt5), ("zeta5", zeros_zeta5)):
-        for g, ring in zip(zeros.gammas, iv.zeta_taylor_many(fields.builtin_field(name),
-                                                             zeros.gammas, 2)):
-            _record(out, f"zero_ring/{name}/gamma={g}", lambda: (ring.samples, ring.alias_bound))
+        for g, jet in zip(zeros.gammas, iv.zeta_taylor_many(fields.builtin_field(name),
+                                                            zeros.gammas, 2)):
+            _record(out, f"zero_jet_error/{name}/gamma={g}", lambda: tuple(jet.err))
     # zeta5's zeros at 14.11546 and 14.13473 share one radius-0.05 circle
     close_pair = tuple(g for g in zeros_zeta5.gammas if 14.1 < g < 14.14)
     for name, k, gammas in (("sqrt5", 1, zeros_sqrt5.gammas[:3]),
@@ -134,10 +167,20 @@ def snapshot():
         _record(out, f"inverse_zeta_derivatives/Q/k=2/m={m}", lambda: tuple(
             iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1]))
     for x in (1.0, 3.0):
-        _record(out, f"hlr_check/x={x}", lambda: (lambda r: (r.lhs, r.rhs))(
-            iv.hlr_check(x, zeros_q)))
+        # the two Moebius series and the zero term
+        _record(out, f"hlr_check/x={x}", lambda: _sides(iv.hlr_check(x, zeros_q)),
+                lambda: _largest(0.5 * iv.l_series(fields.builtin_field("Q"), 1, x / math.pi),
+                                 0.5 * math.sqrt(math.pi / x)
+                                 * iv.l_series(fields.builtin_field("Q"), 1, math.pi / x),
+                                 iv.hlr_zero_term(x, zeros_q)))
     for x in (1.0, 3.7, math.pi):
-        _record(out, f"hlr_zero_term/x={x}", lambda: iv.hlr_zero_term(x, zeros_q))
+        # each pair is 2 Re of its summand, the first summand the largest
+        _record(out, f"hlr_zero_term/x={x}", lambda: iv.hlr_zero_term(x, zeros_q),
+                lambda: _largest(cmath.exp(
+                    (0.5 + 1j * zeros_q.gammas[0]) * math.log(math.pi / math.sqrt(x))
+                    + nx.loggamma(0.25 - 0.5j * zeros_q.gammas[0]))
+                    / iv.zeta_taylor(fields.builtin_field("Q"), zeros_q.gammas[0], 2)[1]
+                    / math.sqrt(math.pi)))
     for s in (0.25, 3.3 - 2.0j, -2.7 + 0.4j, -7.5, 0.5 + 30.0j):
         _record(out, f"gamma/s={s}", lambda: oracle.gamma(s))
     for z in (-7.5 + 3.0j, 0.25 + 300.0j, 0.25 - 300.0j, -30.3 + 0.2j):
@@ -187,18 +230,23 @@ def snapshot():
 
 
 def diff(before, after):
-    """Lines naming each key that is missing on one side or whose value differs."""
+    """Lines naming each key that is missing on one side or whose value differs.
+
+    A value that moved is listed with its absolute change, the larger of its
+    two recorded scales, and the change in units of that scale.
+    """
     lines = []
     for key in sorted(set(before) | set(after)):
         a, b = before.get(key), after.get(key)
-        if a == b:
-            continue
         if isinstance(a, list) and isinstance(b, list):
-            va = complex(float.fromhex(a[0]), float.fromhex(a[1]))
-            vb = complex(float.fromhex(b[0]), float.fromhex(b[1]))
+            if a[:2] == b[:2]:
+                continue
+            va, vb = (complex(float.fromhex(v[0]), float.fromhex(v[1])) for v in (a, b))
             delta = abs(va - vb)
-            lines.append(f"{key}: abs {delta:.2e}, rel {delta / max(abs(va), 1e-300):.2e}")
-        else:
+            scale = max(float.fromhex(a[2]), float.fromhex(b[2]))
+            lines.append(f"{key}: abs {delta:.2e}, scale {scale:.2e}, "
+                         f"{delta / max(scale, 1e-300):.2e} of scale")
+        elif a != b:
             lines.append(f"{key}: {a!r} -> {b!r}")
     return lines
 
