@@ -96,23 +96,19 @@ _EPS = 2.0 ** -52
 
 
 def _inverse_zeta_derivatives(field, k, m_top, count):
-    """[D_1, ..., D_{m_top}], D_m[i] = d^i/ds^i zeta_F(s)^{-k} at s = 1 + m, i < count.
+    """[J_1, ..., J_{m_top}]: numerics.Jet of zeta_F(s)^{-k} about s = 1 + m, count coefficients.
 
-    D_m[i] = sum_n mu_{F,k}(n) (-log n)^i n^{-1-m}, read off Taylor
-    coefficients on radius-1/2 circles, memoized per m; the orders not yet
-    stored share one laurent_coefficients_many call.  1/zeta_F^k is analytic
-    on Re(s) > 1 and its nearest singularity (a zero of zeta_F, Re <= 1)
-    lies at distance >= m from the centre, so each 128-sample ring (checked
-    against its 64 even samples) is exact to rounding.  All rings share one
-    Hurwitz shift, so a value does not depend on which orders were computed
-    with it.
+    D_m[i] = d^i/ds^i zeta_F^{-k}(1 + m) = i! J_m.coeffs[i]
+    = sum_n mu_{F,k}(n) (-log n)^i n^{-1-m}, each with its proven error
+    i! J_m.err[i]: the jet of zeta_F (numerics.dedekind_zeta_jet), its
+    reciprocal and its k-th power, on the radius-1/2 discs about 1 + m,
+    where 1/zeta_F^k is analytic.  Memoized per m; the orders not yet
+    stored share one jet call, so one Hurwitz shift.
     """
     def compute(missing):
-        rings = numerics.laurent_coefficients_many(
-            lambda s: 1.0 / numerics.dedekind_zeta_many(s, field) ** k,
-            [1.0 + key[3] for key in missing], 0.5, count=count, lowest=0)
-        factorials = np.array([math.factorial(i) for i in range(count)])
-        return [ring.coeffs * factorials for ring in rings]
+        jet = numerics.dedekind_zeta_jet(field, [1.0 + key[3] for key in missing],
+                                         count).reciprocal() ** k
+        return [numerics.Jet(c, e) for c, e in zip(jet.coeffs, jet.err)]
     return numerics.memo_many([("inverse_zeta_taylor", field.cache_key, k, m, count)
                                for m in range(1, m_top + 1)], compute)
 
@@ -166,19 +162,20 @@ def _l_series_parts(field, k, x):
     # sum_m alpha^m sum_i b_{m,i} T_{m,i}, T_{m,i} = sum_{n > N0} mu(n) (-log n)^i n^{-1-m}
     log_n = np.log(ns)
     tail = 0.0 + 0.0j
-    tail_abs = 0.0
+    tail_abs = 0.0          # sum of |weight| (|D| + its error + sum |partial|), for the rounding
+    jet_error = 0.0         # sum of |weight| times the proven error of D
     for m in range(1, m_top + 1):
         poly = polys[m - 1]
         if poly.degree == 0 and poly.coeffs[0] == 0:
             continue
-        # |zeta_F(s)^-k| <= zeta(Re s)^{dk} <= (Re s / (Re s - 1))^{dk} on the extraction circle
-        ring_max = ((m + 0.5) / (m - 0.5)) ** (d * k)
         partial = mu * ns ** (-1.0 - m)
         for i, b in enumerate(_recentred_coeffs(poly, log_alpha)):
             weight = alpha ** m * b
-            tail += weight * (derivs[m - 1][i] - np.sum(partial))
-            tail_abs += abs(weight) * (math.factorial(i) * 2.0 ** i * ring_max
-                                       + float(np.sum(np.abs(partial))))
+            scale = math.factorial(i)
+            value, error = derivs[m - 1].coeffs[i] * scale, derivs[m - 1].err[i] * scale
+            tail += weight * (value - np.sum(partial))
+            tail_abs += abs(weight) * (abs(value) + error + float(np.sum(np.abs(partial))))
+            jet_error += abs(weight) * error
             partial = partial * -log_n
 
     # truncation after m = M, with |mu_{F,k}(n)| <= d_{dk}(n) and, for n > N0,
@@ -195,7 +192,7 @@ def _l_series_parts(field, k, x):
                 continue
             truncation += abs(alpha ** m * b) * math.e * n0 ** (-m) * log_n0 ** i \
                 * (1.0 + log_n0) ** (d * k)
-    bound = 2.0 * truncation + quad_error \
+    bound = 2.0 * truncation + quad_error + jet_error \
         + 64.0 * _EPS * (float(np.sum(np.abs(head_terms))) + tail_abs)
     return complex(np.sum(head_terms)) + tail, n0, bound
 
@@ -209,8 +206,8 @@ def l_series(field, k, x, tol=1e-7):
     s = 1 + m, m = 1..M, less their head partial sums, with M the largest
     m (at least 1) such that N0^{-m} (1 + log N0)^{k(r1+r2)} >= 2^-52.  The
     sum always runs to rounding level; `tol` only bounds the certified
-    remainder (truncation plus rounding), and a bound above tol/2 raises
-    ConvergenceError.
+    remainder (truncation, the proven error of the Taylor data, and
+    rounding), and a bound above tol/2 raises ConvergenceError.
     """
     value, n0, bound = _l_series_parts(field, k, x)
     if bound > tol / 2.0:

@@ -474,12 +474,19 @@ def dedekind_zeta_jet(field, centres, count):
     size, near = np.abs(s0), np.abs(s0 - 1.0)
     if np.any(near <= radius):
         raise DomainError("a jet's disc about its centre must miss s = 1")
-    disc = np.concatenate([s0 - radius, s0 + radius,
-                           s0 + radius * np.where(size > 0, s0 / np.maximum(size, 1e-300), 1.0),
-                           s0 - radius * (s0 - 1.0) / near])
+    # points of each disc with its extremes of Re s, |s| and |s - 1|
+    disc = np.stack([s0 - radius, s0 + radius,
+                     s0 + radius * np.where(size > 0, s0 / np.maximum(size, 1e-300), 1.0),
+                     s0 - radius * (s0 - 1.0) / near], axis=1)
     a_bank, rows = _character_bank(field.characters)
     shift = _hurwitz_shift(disc)
-    _, error = _hurwitz_bounds(disc, float(np.min(a_bank)), shift)
+    # one bound per abscissa and modulus: the head term a^-sigma, a >= 1/q, would
+    # make a bound over the whole batch loose at large sigma
+    error = {q: np.empty(len(s0)) for q in {chi.modulus for chi in field.characters}}
+    for sigma in set(s0.real.tolist()):
+        group = s0.real == sigma
+        for q, e in error.items():
+            e[group] = _hurwitz_bounds(disc[group].ravel(), 1.0 / q, shift)[1]
     powers = np.arange(count + at_zero)
     bank = _hurwitz_jet(s0, a_bank, shift, count + at_zero)
     out = None
@@ -488,7 +495,7 @@ def dedekind_zeta_jet(field, centres, count):
         total = sum(v * bank[slot] for slot, v in row)
         q_jet = np.exp(-s0 * log_q)[:, None] * (-log_q) ** powers / np.cumprod(np.maximum(powers, 1))
         factor = Jet(q_jet, _EPS * (6.0 + size * log_q)[:, None] * np.abs(q_jet)) \
-            * Jet(total, np.broadcast_to(len(row) * error * radius ** -powers, total.shape))
+            * Jet(total, len(row) * error[chi.modulus][:, None] * radius ** -powers)
         if at_zero and not chi.is_odd and not chi.is_principal:
             factor = Jet(factor.coeffs[..., 1:], factor.err[..., 1:], 1)
         out = factor if out is None else out * factor

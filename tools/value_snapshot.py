@@ -80,6 +80,13 @@ def _largest(*terms):
     return max(abs(complex(t)) for t in terms)
 
 
+def _derivatives(data):
+    """D[i] = i! c_i off a Taylor jet; data stored as derivatives are returned as they are."""
+    if not hasattr(data, "coeffs"):
+        return tuple(data)
+    return tuple(c * math.factorial(i) for i, c in enumerate(data.coeffs))
+
+
 def snapshot():
     from zetatheta import critical_line as cl
     from zetatheta import fields, inverse_theta as iv, numerics as nx, steen, theta
@@ -164,7 +171,7 @@ def snapshot():
             _record(out, f"lambda_principal_at_zero/{name}/k={k}/gamma={g}", lambda: tuple(
                 iv._lambda_principal_at_zero(fields.builtin_field(name), k, g)[1].coeffs))
     for m in (1, 2, 3):
-        _record(out, f"inverse_zeta_derivatives/Q/k=2/m={m}", lambda: tuple(
+        _record(out, f"inverse_zeta_derivatives/Q/k=2/m={m}", lambda: _derivatives(
             iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1]))
     for x in (1.0, 3.0):
         # the two Moebius series and the zero term
