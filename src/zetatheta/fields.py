@@ -490,6 +490,29 @@ def gamma_prefactor_many(field, s, k=1):
     return np.exp(k * log_gamma_prefactor_many(field, s))
 
 
+def gamma_prefactor_jet(field, centres, count):
+    """numerics.Jet of gamma_prefactor_many about complex centres with Re s > 0.
+
+    The exp of the jet of its log: log_gamma_prefactor_many at the centre
+    (error: the allowance numerics._LOGGAMMA_ERROR per gamma factor plus
+    8 eps |log|), (1/2) log(D/(4^r2 pi^d)) e, and the log-gamma jets of
+    s/2 and s (numerics._log_gamma_jet).
+    """
+    s0 = np.asarray(centres, dtype=complex).reshape(-1)
+    log = log_gamma_prefactor_many(field, s0)
+    coeffs = np.zeros((len(s0), count), dtype=complex)
+    err = np.zeros((len(s0), count))
+    coeffs[:, 0] = log
+    err[:, 0] = (field.r1 + field.r2) * numerics._LOGGAMMA_ERROR + 8.0 * numerics._EPS * np.abs(log)
+    coeffs[:, 1:2] += 0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** field.degree))
+    for power, z, scale in ((field.r1, s0 / 2.0, 0.5), (field.r2, s0, 1.0)):
+        if power:
+            jet = numerics._log_gamma_jet(z, count)
+            coeffs += power * jet.coeffs * scale ** np.arange(count)
+            err += power * jet.err * scale ** np.arange(count)
+    return numerics.Jet(coeffs, err).exp()
+
+
 def omega_many(field, s, k=1):
     """Omega_F(s)^k = [prefactor * zeta_F(s)]^k, vectorized off the poles."""
     s = np.asarray(s, dtype=complex)

@@ -286,29 +286,20 @@ def _lambda_principal_many(field, k, gammas):
 
     Schwarz reflection gives zeta_F(1 - rho - w) = w h(w), h_j = (-1)^(j+1)
     conj(c_{j+1}) from zeta_taylor_many, so Lambda_F^k(rho + w) = w^-k (p/h)^k
-    with p the Taylor data of the gamma prefactor: c_{-m} is coefficient
-    k - m.  Memoized per zero; the gamma-only rings of the zeros not yet
-    stored (128 samples each, checked) share one call.
+    with p the jet of the gamma prefactor (fields.gamma_prefactor_jet): c_-m
+    is coefficient k - m.  Memoized per zero; the zeros not yet stored share
+    one prefactor jet call.
     """
     def compute(missing):
         new = [key[3] for key in missing]
         rhos = [0.5 + 1j * g for g in new]
         taylor = zeta_taylor_many(field, new, max(k, 2))
-        prefactor = numerics.laurent_coefficients_many(
-            lambda s: fields.gamma_prefactor_many(field, s), rhos, 0.07,
-            count=k, lowest=0)
-        out = []
-        for rho, ring, p in zip(rhos, taylor, prefactor):
-            h = [(-1) ** (j + 1) * complex(c).conjugate()
-                 for j, c in enumerate(ring.coeffs[1:k + 1])]
-            q = []
-            for n in range(k):
-                q.append((complex(p.coeffs[n]) - sum(h[j] * q[n - j] for j in range(1, n + 1)))
-                         / h[0])
-            power = np.polynomial.polynomial.polypow(q, k)[:k]
-            out.append((rho, numerics.residue_log_polynomial([complex(v) for v in power[::-1]],
-                                                             scale=0.5)))
-        return out
+        sign = (-1.0) ** np.arange(1, k + 1)
+        h = numerics.Jet(np.array([sign * np.conj(jet.coeffs[1:k + 1]) for jet in taylor]),
+                         np.array([jet.err[1:k + 1] for jet in taylor]))
+        power = (fields.gamma_prefactor_jet(field, rhos, k) * h.reciprocal()) ** k
+        return [(rho, numerics.residue_log_polynomial([complex(v) for v in principal], scale=0.5))
+                for rho, principal in zip(rhos, power.shift(-k).principal())]
     return numerics.memo_many([("lambda_at_zero", field.cache_key, k, float(g)) for g in gammas],
                               compute)
 
