@@ -524,31 +524,31 @@ def gamma_jet(twice_b, scale, count):
     half = tb % 2 == 1
     steps = np.where(half, 1 - tb, 2 - tb) // 2                 # b0 - b
     pole = ~half & (steps > 0)
-    lowest = -1 if np.any(pole) else 0
     k = np.arange(1, count)
-    # sum of |b + i|^-k over the nonzero factors: 1, 2, .. (b0 = 1) or 1/2, 3/2, .. (b0 = 1/2)
-    top = int(steps.max()) + 1
-    grid = np.arange(1, top, dtype=float)[:, None] - 0.5 * np.array([0.0, 1.0])[None, :]
-    sums = np.concatenate([np.zeros((1, 2, len(k))),
-                           np.cumsum(grid[..., None] ** -k, axis=0)])
+    # sums of |b + i|^-k and log |b + i| over the nonzero factors, whose |b + i|
+    # run 1, 2, .. (b0 = 1) or 1/2, 3/2, .. (b0 = 1/2)
+    grid = np.arange(1, int(steps.max()) + 1, dtype=float)[:, None] - np.array([0.0, 0.5])
+    sums = np.concatenate([np.zeros((1, 2, len(k))), np.cumsum(grid[..., None] ** -k, axis=0)])
     logs = np.concatenate([np.zeros((1, 2)), np.cumsum(np.log(grid), axis=0)])
-    n_factors = np.where(half, steps, np.maximum(steps - 1, 0))
-    zeta = hurwitz_zeta_many(k[1:].astype(float), 1.0).real if len(k) > 1 else np.zeros(0)
-    zeta_err = _hurwitz_bounds(k[1:].astype(complex), 1.0, _hurwitz_shift(k[1:].astype(complex)))[1] \
-        if len(k) > 1 else 0.0
-    weight = np.where(half[:, None], 2.0 ** k - 1.0, 1.0)
-    exponent = np.zeros((len(tb), len(k) + 1))
-    exponent[:, 1] = -_EULER_GAMMA - np.where(half, 2.0 * math.log(2.0), 0.0)
-    exponent[:, 2:] = weight[:, 1:] * zeta * (-1.0) ** k[1:] / k[1:]
-    exponent[:, 1:] += sums[n_factors, half.astype(int)] / k
-    exponent[:, 0] = np.where(half, 0.5 * _LOG_PI, 0.0) - logs[n_factors, half.astype(int)]
-    err = (len(k) + 5) * _EPS * np.abs(exponent)
-    err[:, 2:] += weight[:, 1:] * zeta_err / k[1:]
+    n_factors, column = np.where(half, steps, np.maximum(steps - 1, 0)), half.astype(int)
+    two_up = k[1:].astype(complex)                          # zeta(k), k >= 2, with its error
+    zeta = hurwitz_zeta_many(two_up, 1.0).real
+    zeta_err = _hurwitz_bounds(two_up, 1.0, _hurwitz_shift(two_up))[1] if len(two_up) else 0.0
+    weight = np.where(half[:, None], 2.0 ** k[1:] - 1.0, 1.0) * (-1.0) ** k[1:] / k[1:]
+    exponent = np.zeros((len(tb), count))
+    exponent[:, 0] = np.where(half, 0.5 * _LOG_PI, 0.0) - logs[n_factors, column]
+    exponent[:, 1:2] = (-_EULER_GAMMA - np.where(half, 2.0 * math.log(2.0), 0.0))[:, None]
+    exponent[:, 2:] = weight * zeta
+    exponent[:, 1:] += sums[n_factors, column] / k
+    err = (count + 4) * _EPS * np.abs(exponent)
+    err[:, 2:] += np.abs(weight) * zeta_err
     exponent[:, 1:] *= scale ** k
     err[:, 1:] *= abs(scale) ** k
     jet = Jet(exponent, err).exp() * ((-1.0) ** n_factors / np.where(pole, scale, 1.0))
-    if lowest == 0:
+    if not np.any(pole):
         return jet
+    if np.all(pole):
+        return jet.shift(-1)
     regular = ~pole[:, None]
     pad = np.zeros((len(tb), 1))
     return Jet(np.where(regular, np.concatenate([pad, jet.coeffs[:, :-1]], 1), jet.coeffs),

@@ -264,7 +264,7 @@ def _kernel_many(r1, r2, xs, tol, shifted):
     charge = np.zeros(xs.shape)
     abs_x = np.abs(xs)
     near = abs_x <= 0.4
-    # Res_0 is read only where an entry needs it: its first read costs a contour
+    # Res_0 is read only where an entry needs it
     for block in (near & (abs_x > 0.05), abs_x <= 0.05):
         if np.any(block):
             values[block] = z_small_series_many(r1, r2, xs[block], tol=tol)
@@ -305,31 +305,26 @@ def z_shifted(r1, r2, x, tol=1e-12):
     return complex(z_shifted_many(r1, r2, [x], tol)[0][0])
 
 
-def _gamma_power(r1, r2):
-    return lambda s: np.exp(numerics.log_gamma_factor(r1, r2, s))
-
-
 def _r0_polynomial(r1, r2):
-    """LogPolynomial P with Res_{s=0}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = P(log x)."""
-    return numerics.memo(("gamma_power_r0", r1, r2), lambda: numerics.residue_polynomial(
-        _gamma_power(r1, r2), 0.0, r1 + r2, scale=1.0))
+    """LogPolynomial P with Res_{s=0}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = P(log x): P_0 below."""
+    return _left_pole_polynomials(r1, r2, 0, 0)[0]
 
 
 # ---------------------------------------------------------------------------
 # ascending expansion of Z about x = 0 (residues at the left poles)
 # ---------------------------------------------------------------------------
 
-# Orders of one ring call of z_small_series_many, whose stop order is not known in advance.
+# Orders of one jet call of z_small_series_many, whose stop order is not known in advance.
 _LEFT_POLE_BLOCK = 8
 
 
 def _left_pole_polynomials(r1, r2, m_lo, m_hi):
     """[P_m for m = m_lo .. m_hi], Res_{s=-m}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = x^m P_m(log x).
 
-    Memoized per m; the orders not yet stored share one 128-sample ring call
-    (laurent_coefficients_many), each checked against its 64 even samples.
-    The samples are elementwise, so a P_m does not depend on which orders
-    were extracted with it, and each keeps exactly its own pole order
+    Memoized per m; the orders not yet stored share one
+    numerics.gamma_factor_jet call, the Laurent jets of Gamma at the
+    half-integers (elementwise, so a P_m does not depend on which orders
+    were computed with it).  Each keeps exactly its own pole order
     r2 + (r1 if m is even), read off the shared principal parts.
     """
     def order(m):
@@ -340,12 +335,10 @@ def _left_pole_polynomials(r1, r2, m_lo, m_hi):
         polys = {m: numerics.LogPolynomial(coeffs=(0.0 + 0.0j,)) for m in ms}
         poles = [m for m in ms if order(m)]
         if poles:
-            rings = numerics.laurent_coefficients_many(
-                _gamma_power(r1, r2), [-float(m) for m in poles], 0.25,
-                count=max(order(m) for m in poles))
-            for m, ring in zip(poles, rings):
+            jet = numerics.gamma_factor_jet(r1, r2, -np.array(poles), 1, r1 + r2)
+            for m, principal in zip(poles, jet.principal()):
                 polys[m] = numerics.residue_log_polynomial(
-                    [ring.coefficient(-j) for j in range(1, order(m) + 1)], 1.0)
+                    [complex(c) for c in principal[:order(m)]], 1.0)
         return [polys[m] for m in ms]
     return numerics.memo_many([("gamma_power_left_pole", r1, r2, m)
                                for m in range(m_lo, m_hi + 1)], compute)
@@ -356,7 +349,7 @@ def z_small_series_many(r1, r2, xs, tol=1e-14):
 
     Stops after two consecutive orders whose largest term is below tol/100;
     ConvergenceError if that takes more than 80 orders.  The P_m are read in
-    blocks of _LEFT_POLE_BLOCK orders, one ring call per block not yet stored.
+    blocks of _LEFT_POLE_BLOCK orders, one jet call per block not yet stored.
     """
     xs = np.asarray(xs, dtype=complex)
     logx = np.log(xs)
