@@ -453,18 +453,12 @@ def _residue_constant(field):
 
 
 def laurent_constant(field):
-    """C_F = lim_{s->0} zeta_F(s)/s^r, extracted on a radius-0.25 contour; negative."""
+    """C_F = lim_{s->0} zeta_F(s)/s^r, the leading coefficient of zeta_F's jet about 0; negative."""
     return numerics.memo(("laurent_constant", field.cache_key), lambda: _laurent_constant(field))
 
 
 def _laurent_constant(field):
-    r = field.unit_rank
-
-    def f(s):
-        return numerics.dedekind_zeta_many(s, field) / s ** r
-
-    res = numerics.laurent_coefficients(f, 0.0, 0.25, count=1, lowest=0)
-    c = res.coefficient(0)
+    c = complex(numerics.dedekind_zeta_jet(field, [0.0], 1).coeffs[0, 0])
     if abs(c.imag) > 1e-9 * max(abs(c.real), 1e-30):
         raise RoundingDriftError(f"C_F came out non-real: {c}")
     c = float(c.real)
@@ -511,6 +505,19 @@ def gamma_prefactor_jet(field, centres, count):
             coeffs += power * jet.coeffs * scale ** np.arange(count)
             err += power * jet.err * scale ** np.arange(count)
     return numerics.Jet(coeffs, err).exp()
+
+
+def prefactor_jet(field, point, sign, count):
+    """numerics.Jet of gamma_prefactor_many about s = point + sign e, for point 0 or 1 and sign +-1.
+
+    (D/(4^r2 pi^d))^{s/2} as the exp of its exponent's jet, times
+    numerics.gamma_factor_jet; at s = 0 it starts at e^-(r1 + r2).
+    """
+    half_log_q = 0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** field.degree))
+    exponent = np.zeros((1, count))
+    exponent[0, 0], exponent[0, 1:2] = point * half_log_q, sign * half_log_q
+    return numerics.Jet(exponent, 4.0 * numerics._EPS * np.abs(exponent)).exp() \
+        * numerics.gamma_factor_jet(field.r1, field.r2, [point], sign, count)
 
 
 def omega_many(field, s, k=1):

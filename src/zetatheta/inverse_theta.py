@@ -220,10 +220,28 @@ def l_series(field, k, x, tol=1e-7):
 # residues of Lambda^k at s = 0, s = 1 and at the zeros
 # ---------------------------------------------------------------------------
 
+def _zero_residue_polynomial(field, k, numerator, scale):
+    """residue_log_polynomial of (numerator/zeta_F)^k at s = 0; the zero polynomial when r = 0.
+
+    numerator(n) is the numerator's jet about 0 with n coefficients.
+    zeta_F's jet about 0 starts at e^r, r the unit rank (its trivial
+    zeros), so the pole has order k r.
+    """
+    order = k * field.unit_rank
+    if not order:
+        return numerics.LogPolynomial(coeffs=(0.0 + 0.0j,))
+    jet = (numerator(order) * numerics.dedekind_zeta_jet(field, [0.0], order).reciprocal()) ** k
+    return numerics.residue_log_polynomial(jet.principal()[0], scale)
+
+
 def r0_inverse_polynomial(field, k):
-    """LogPolynomial P with Res_{s=0}[Lambda_F^k(s) x^{-s/2}] = P(log x); zero when r = 0."""
-    return numerics.memo(("r0_inverse", field.cache_key, k), lambda: numerics.residue_polynomial(
-        lambda s: fields.lambda_many(field, s, k), 0.0, k * field.unit_rank, scale=0.5))
+    """LogPolynomial P with Res_{s=0}[Lambda_F^k(s) x^{-s/2}] = P(log x); zero when r = 0.
+
+    By the functional equation Lambda_F(s) = prefactor(1 - s)/zeta_F(s),
+    read off the jets of both about 0 (fields.prefactor_jet).
+    """
+    return numerics.memo(("r0_inverse", field.cache_key, k), lambda: _zero_residue_polynomial(
+        field, k, lambda n: fields.prefactor_jet(field, 1, -1, n), 0.5))
 
 
 def r0_inverse(field, k, x):
@@ -434,13 +452,13 @@ def hlr_check(x, zeros, tol=1e-4):
 # ---------------------------------------------------------------------------
 
 def _dgv_r0_polynomial(field):
-    """LogPolynomial P with R_0(alpha) = P(log alpha) in the DGV normalization."""
-    def h(s):
-        return np.exp(numerics.log_gamma_factor(field.r1, field.r2, 1.0 - s)) \
-            / numerics.dedekind_zeta_many(s, field)
+    """LogPolynomial P with R_0(alpha) = P(log alpha) in the DGV normalization.
 
-    return numerics.memo(("dgv_r0", field.cache_key), lambda: numerics.residue_polynomial(
-        h, 0.0, field.unit_rank, scale=-1.0))
+    The residue at s = 0 of Gamma^r1((1-s)/2) Gamma^r2(1-s)/zeta_F(s)
+    alpha^s, from the jets of both about 0.
+    """
+    return numerics.memo(("dgv_r0", field.cache_key), lambda: _zero_residue_polynomial(
+        field, 1, lambda n: numerics.gamma_factor_jet(field.r1, field.r2, [1], -1, n), -1.0))
 
 
 def _dgv_zero_sum(field, alpha, zeros):

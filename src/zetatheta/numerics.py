@@ -846,7 +846,7 @@ def residue_log_polynomial(principal, scale):
     """
     coeffs = []
     for j in range(len(principal)):
-        coeffs.append(principal[j] * (-scale) ** j / math.factorial(j))
+        coeffs.append(complex(principal[j]) * (-scale) ** j / math.factorial(j))
     return LogPolynomial(coeffs=tuple(coeffs))
 
 

@@ -102,9 +102,16 @@ def s_series(field, k, x, tol=1e-10):
 
 
 def r0_theta_polynomial(field, k):
-    """LogPolynomial P with Res_{s=0}[Omega_F^k(s) x^{-s/2}] = P(log x)."""
-    return numerics.memo(("r0_theta", field.cache_key, k), lambda: numerics.residue_polynomial(
-        lambda s: fields.omega_many(field, s, k), 0.0, k, scale=0.5))
+    """LogPolynomial P with Res_{s=0}[Omega_F^k(s) x^{-s/2}] = P(log x).
+
+    Omega_F, the prefactor times zeta_F, has a simple pole at s = 0: the
+    principal part of the k-th power of the product of their jets about 0
+    (fields.prefactor_jet, numerics.dedekind_zeta_jet).
+    """
+    def compute():
+        omega = fields.prefactor_jet(field, 0, 1, k) * numerics.dedekind_zeta_jet(field, [0.0], k)
+        return numerics.residue_log_polynomial((omega ** k).principal()[0], scale=0.5)
+    return numerics.memo(("r0_theta", field.cache_key, k), compute)
 
 
 def r0_theta(field, k, x):
