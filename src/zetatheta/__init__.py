@@ -19,7 +19,6 @@ from .numerics import (
     dedekind_zeta,
     dirichlet_l,
     hurwitz_zeta,
-    laurent_coefficients,
 )
 from .steen import z_shifted, z_tail_bound, z_tilde
 from .theta import (

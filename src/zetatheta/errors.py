@@ -21,10 +21,6 @@ class ConvergenceError(ZetaThetaError):
     """A quadrature or series failed its convergence certificate."""
 
 
-class SingularityOnCircleError(ZetaThetaError):
-    """Contour samples blew up; a singularity sits on or near the extraction circle."""
-
-
 class ValidationError(ZetaThetaError):
     """Structurally invalid input data."""
 

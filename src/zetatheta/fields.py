@@ -4,7 +4,7 @@ A field is the list of Dirichlet characters whose L-functions multiply to
 its zeta function, which gives zeta_F on the whole plane.  This module owns
 character arithmetic, the coefficient tables a(n) / a_k(n) / mu_k(n), the
 residue constant at s=1 and the leading Laurent constant at s=0, and the
-completed-zeta prefactors used by every contour in the package.
+completed-zeta prefactors and their Taylor jets.
 """
 
 import cmath
@@ -484,40 +484,14 @@ def gamma_prefactor_many(field, s, k=1):
     return np.exp(k * log_gamma_prefactor_many(field, s))
 
 
-def gamma_prefactor_jet(field, centres, count):
-    """numerics.Jet of gamma_prefactor_many about complex centres with Re s > 0.
-
-    The exp of the jet of its log: log_gamma_prefactor_many at the centre
-    (error: the allowance numerics._LOGGAMMA_ERROR per gamma factor plus
-    8 eps |log|), (1/2) log(D/(4^r2 pi^d)) e, and the log-gamma jets of
-    s/2 and s (numerics._log_gamma_jet).
-    """
+def prefactor_jet(field, centres, sign, count):
+    """numerics.Jet of gamma_prefactor_many about each s = s0 + sign e; at s0 = 0 from e^-(r1 + r2)."""
     s0 = np.asarray(centres, dtype=complex).reshape(-1)
-    log = log_gamma_prefactor_many(field, s0)
-    coeffs = np.zeros((len(s0), count), dtype=complex)
-    err = np.zeros((len(s0), count))
-    coeffs[:, 0] = log
-    err[:, 0] = (field.r1 + field.r2) * numerics._LOGGAMMA_ERROR + 8.0 * numerics._EPS * np.abs(log)
-    coeffs[:, 1:2] += 0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** field.degree))
-    for power, z, scale in ((field.r1, s0 / 2.0, 0.5), (field.r2, s0, 1.0)):
-        if power:
-            jet = numerics._log_gamma_jet(z, count)
-            coeffs += power * jet.coeffs * scale ** np.arange(count)
-            err += power * jet.err * scale ** np.arange(count)
-    return numerics.Jet(coeffs, err).exp()
-
-
-def prefactor_jet(field, point, sign, count):
-    """numerics.Jet of gamma_prefactor_many about s = point + sign e, for point 0 or 1 and sign +-1.
-
-    (D/(4^r2 pi^d))^{s/2} as the exp of its exponent's jet, times
-    numerics.gamma_factor_jet; at s = 0 it starts at e^-(r1 + r2).
-    """
     half_log_q = 0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** field.degree))
-    exponent = np.zeros((1, count))
-    exponent[0, 0], exponent[0, 1:2] = point * half_log_q, sign * half_log_q
+    exponent = np.zeros((len(s0), count), dtype=complex)
+    exponent[:, 0], exponent[:, 1:2] = s0 * half_log_q, sign * half_log_q
     return numerics.Jet(exponent, 4.0 * numerics._EPS * np.abs(exponent)).exp() \
-        * numerics.gamma_factor_jet(field.r1, field.r2, [point], sign, count)
+        * numerics.gamma_factor_jet(field.r1, field.r2, s0, sign, count)
 
 
 def omega_many(field, s, k=1):

@@ -2,8 +2,10 @@
 
 U(x) collects the Moebius-weighted shifted kernels, the residue of the
 inverse completed zeta at s = 0, and half the sum of residues at the
-non-trivial zeros, each read off one memoized datum per zero (zeta_taylor;
-a whole zero list shares one ring call); U(1/x) = sqrt(x) U(x) is
+non-trivial zeros.  Every residue reads Taylor jets (numerics.Jet) with
+proven coefficient errors: one memoized jet of zeta_F per zero (a zero list
+shares one jet call), those of 1/zeta_F^k at s = 1 + m for the Moebius
+tails, and those at s = 0.  U(1/x) = sqrt(x) U(x) is
 equivalent to the functional equation of 1/zeta_F^k.  The
 Hardy-Littlewood-Ramanujan and Dixit-Gupta-Vatwani identities are its F = Q
 and quadratic-field specializations, each checked through its own formulas;
@@ -98,12 +100,10 @@ _EPS = 2.0 ** -52
 def _inverse_zeta_derivatives(field, k, m_top, count):
     """[J_1, ..., J_{m_top}]: numerics.Jet of zeta_F(s)^{-k} about s = 1 + m, count coefficients.
 
-    D_m[i] = d^i/ds^i zeta_F^{-k}(1 + m) = i! J_m.coeffs[i]
-    = sum_n mu_{F,k}(n) (-log n)^i n^{-1-m}, each with its proven error
-    i! J_m.err[i]: the jet of zeta_F (numerics.dedekind_zeta_jet), its
-    reciprocal and its k-th power, on the radius-1/2 discs about 1 + m,
-    where 1/zeta_F^k is analytic.  Memoized per m; the orders not yet
-    stored share one jet call, so one Hurwitz shift.
+    D_m[i] = d^i/ds^i zeta_F^{-k}(1 + m) = sum_n mu_{F,k}(n) (-log n)^i
+    n^{-1-m} = i! J_m.coeffs[i], with proven error i! J_m.err[i]: the
+    reciprocal of numerics.dedekind_zeta_jet, to the k.  Memoized per m;
+    the orders not yet stored share one jet call, so one Hurwitz shift.
     """
     def compute(missing):
         jet = numerics.dedekind_zeta_jet(field, [1.0 + key[3] for key in missing],
@@ -171,8 +171,7 @@ def _l_series_parts(field, k, x):
         partial = mu * ns ** (-1.0 - m)
         for i, b in enumerate(_recentred_coeffs(poly, log_alpha)):
             weight = alpha ** m * b
-            scale = math.factorial(i)
-            value, error = derivs[m - 1].coeffs[i] * scale, derivs[m - 1].err[i] * scale
+            value, error = (math.factorial(i) * v[i] for v in (derivs[m - 1].coeffs, derivs[m - 1].err))
             tail += weight * (value - np.sum(partial))
             tail_abs += abs(weight) * (abs(value) + error + float(np.sum(np.abs(partial))))
             jet_error += abs(weight) * error
@@ -220,28 +219,17 @@ def l_series(field, k, x, tol=1e-7):
 # residues of Lambda^k at s = 0, s = 1 and at the zeros
 # ---------------------------------------------------------------------------
 
-def _zero_residue_polynomial(field, k, numerator, scale):
-    """residue_log_polynomial of (numerator/zeta_F)^k at s = 0; the zero polynomial when r = 0.
-
-    numerator(n) is the numerator's jet about 0 with n coefficients.
-    zeta_F's jet about 0 starts at e^r, r the unit rank (its trivial
-    zeros), so the pole has order k r.
-    """
-    order = k * field.unit_rank
-    if not order:
-        return numerics.LogPolynomial(coeffs=(0.0 + 0.0j,))
-    jet = (numerator(order) * numerics.dedekind_zeta_jet(field, [0.0], order).reciprocal()) ** k
-    return numerics.residue_log_polynomial(jet.principal()[0], scale)
-
-
 def r0_inverse_polynomial(field, k):
     """LogPolynomial P with Res_{s=0}[Lambda_F^k(s) x^{-s/2}] = P(log x); zero when r = 0.
 
-    By the functional equation Lambda_F(s) = prefactor(1 - s)/zeta_F(s),
-    read off the jets of both about 0 (fields.prefactor_jet).
+    By the functional equation Lambda_F(s) = prefactor(1 - s)/zeta_F(s), whose
+    jet about 0 starts at e^-r (the trivial zeros of zeta_F, r the unit rank).
     """
-    return numerics.memo(("r0_inverse", field.cache_key, k), lambda: _zero_residue_polynomial(
-        field, k, lambda n: fields.prefactor_jet(field, 1, -1, n), 0.5))
+    def jet(n):
+        return (fields.prefactor_jet(field, [1], -1, n)
+                * numerics.dedekind_zeta_jet(field, [0.0], n).reciprocal()) ** k
+    return numerics.memo(("r0_inverse", field.cache_key, k),
+                         lambda: numerics.jet_residue_polynomial(k * field.unit_rank, jet, 0.5))
 
 
 def r0_inverse(field, k, x):
@@ -252,29 +240,20 @@ def r0_inverse(field, k, x):
     return r0_inverse_polynomial(field, k)(x)
 
 
-# ZeroNotSimpleError's threshold: |c_1| <= 1e-6 |c_2| times this length.
-_SIMPLE_ZERO_SCALE = 0.07
-
-
 def zeta_taylor_many(field, gammas, order):
     """One numerics.Jet per gamma: Taylor data c_0..c_order of zeta_F at rho = 1/2 + i gamma.
 
     Memoized per (field, exact gamma, order); the zeros not yet stored share
-    one numerics.dedekind_zeta_jet call, so one Hurwitz jet bank serves a
-    whole zero list.  Each coefficient carries its proven error (`err`):
-    the bank's Euler-Maclaurin remainder and rounding on the radius-1/2
-    discs about the zeros, over 2^-m for c_m (Cauchy), carried through the
-    L-factors.  The batch shares one Hurwitz shift, set by its highest
-    zero, so a zero's data moves by rounding with the list that first
-    computed it, within both errors.  Raises ZeroNotSimpleError if
-    |c_1| <= 1e-6 |c_2| 0.07, ValidationError if |c_0| > 1e-6 |c_1| (not a
-    zero), naming the first such gamma of the list.
+    one numerics.dedekind_zeta_jet call, whose one Hurwitz shift is set by
+    the highest zero, so a zero's data moves by rounding, within the proven
+    errors (`err`), with the list that first computed it.  Raises
+    ZeroNotSimpleError if |c_1| <= 1e-6 |c_2| 0.07, ValidationError if
+    |c_0| > 1e-6 |c_1| (not a zero), naming the first such gamma.
     """
     def compute(missing):
         jet = numerics.dedekind_zeta_jet(field, [0.5 + 1j * key[2] for key in missing], order + 1)
-        for key, c in zip(missing, jet.coeffs):
-            gamma = key[2]
-            if abs(c[1]) <= 1e-6 * abs(c[2]) * _SIMPLE_ZERO_SCALE:
+        for gamma, c in zip([key[2] for key in missing], jet.coeffs):
+            if abs(c[1]) <= 1e-6 * abs(c[2]) * 0.07:
                 raise ZeroNotSimpleError(f"zero at gamma = {gamma} is not simple")
             if abs(c[0]) > 1e-6 * abs(c[1]):
                 raise ValidationError(f"gamma = {gamma} is not a zero of zeta_F: |zeta_F(rho)| "
@@ -287,9 +266,7 @@ def zeta_taylor_many(field, gammas, order):
 def zeta_taylor(field, gamma, order):
     """(c_0, ..., c_order), order >= 2: Taylor coefficients of zeta_F at rho = 1/2 + i gamma.
 
-    zeta_taylor_many at one zero, or the datum of gamma that a zero list
-    stored first.  Raises ZeroNotSimpleError or ValidationError as
-    zeta_taylor_many does.
+    zeta_taylor_many at one zero, or the datum a zero list stored first.
     """
     return tuple(complex(v) for v in zeta_taylor_many(field, [gamma], order)[0].coeffs)
 
@@ -304,7 +281,7 @@ def _lambda_principal_many(field, k, gammas):
 
     Schwarz reflection gives zeta_F(1 - rho - w) = w h(w), h_j = (-1)^(j+1)
     conj(c_{j+1}) from zeta_taylor_many, so Lambda_F^k(rho + w) = w^-k (p/h)^k
-    with p the jet of the gamma prefactor (fields.gamma_prefactor_jet): c_-m
+    with p the jet of the gamma prefactor (fields.prefactor_jet): c_-m
     is coefficient k - m.  Memoized per zero; the zeros not yet stored share
     one prefactor jet call.
     """
@@ -315,8 +292,8 @@ def _lambda_principal_many(field, k, gammas):
         sign = (-1.0) ** np.arange(1, k + 1)
         h = numerics.Jet(np.array([sign * np.conj(jet.coeffs[1:k + 1]) for jet in taylor]),
                          np.array([jet.err[1:k + 1] for jet in taylor]))
-        power = (fields.gamma_prefactor_jet(field, rhos, k) * h.reciprocal()) ** k
-        return [(rho, numerics.residue_log_polynomial([complex(v) for v in principal], scale=0.5))
+        power = (fields.prefactor_jet(field, rhos, 1, k) * h.reciprocal()) ** k
+        return [(rho, numerics.residue_log_polynomial(principal, 0.5))
                 for rho, principal in zip(rhos, power.shift(-k).principal())]
     return numerics.memo_many([("lambda_at_zero", field.cache_key, k, float(g)) for g in gammas],
                               compute)
@@ -351,7 +328,7 @@ def zero_sum(field, k, x, zeros):
 
     Returns (sum, tail_estimate) with the tail estimated by the magnitude of
     the last included pair.  The principal parts of the whole list come from
-    one ring call, and each r_rho then reads its own.
+    one jet call, and each r_rho then reads its own.
     """
     fields.require_k(k)
     _lambda_principal_many(field, k, zeros.gammas)
@@ -457,8 +434,9 @@ def _dgv_r0_polynomial(field):
     The residue at s = 0 of Gamma^r1((1-s)/2) Gamma^r2(1-s)/zeta_F(s)
     alpha^s, from the jets of both about 0.
     """
-    return numerics.memo(("dgv_r0", field.cache_key), lambda: _zero_residue_polynomial(
-        field, 1, lambda n: numerics.gamma_factor_jet(field.r1, field.r2, [1], -1, n), -1.0))
+    return numerics.memo(("dgv_r0", field.cache_key), lambda: numerics.jet_residue_polynomial(
+        field.unit_rank, lambda n: numerics.gamma_factor_jet(field.r1, field.r2, [1], -1, n)
+        * numerics.dedekind_zeta_jet(field, [0.0], n).reciprocal(), -1.0))
 
 
 def _dgv_zero_sum(field, alpha, zeros):

@@ -2,10 +2,10 @@
 
 Log-gamma on the whole plane (Lanczos) and the gamma factor of Lambda_F in
 log space, Hurwitz zeta (Euler-Maclaurin), Dirichlet L, Dedekind zeta (with
-an error bound on request), vertical-line quadrature (one nested trapezoid
-rule over a batch of lines, stopped by the caller's proven error),
-contour-based Laurent coefficient extraction,
-residue polynomials, and the package's one memo.
+an error bound on request), Taylor jets of zeta_F and Gamma whose
+coefficients carry proven errors, vertical-line quadrature (one nested
+trapezoid rule over a batch of lines, stopped by the caller's proven
+error), residue polynomials, and the package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
 operations in this module.
 
@@ -19,13 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    PoleError,
-    SingularityOnCircleError,
-    ValidationError,
-)
+from .errors import DomainError, PoleError, ValidationError
 
 # Lanczos rational approximation, g = 7 with 9 coefficients: ~13 significant
 # digits in double precision over the right half-plane.
@@ -231,6 +225,16 @@ def hurwitz_zeta(s, a=1.0):
     return complex(hurwitz_zeta_many(np.array([complex(s)]), a)[0])
 
 
+def _character_bank(characters):
+    """(a_bank, rows): the distinct a/q with chi(a) != 0, and per character its (slot, chi(a)) list."""
+    slots, rows = {}, []
+    for chi in characters:
+        q = chi.modulus
+        rows.append([(slots.setdefault((q, a), len(slots)), v)
+                     for a, v in ((a, chi.value(a)) for a in range(1, q + 1)) if v != 0])
+    return np.array([a / q for q, a in slots]), rows
+
+
 def _l_factors(s, characters, return_error=False):
     """[L(s, chi) for chi in characters] on an array of s away from s = 1.
 
@@ -243,12 +247,7 @@ def _l_factors(s, characters, return_error=False):
     residues with chi(a) != 0 and S the largest |s|, which covers the bank's
     errors, the sum's rounding and the phase of q^(-s).
     """
-    slots, rows = {}, []
-    for chi in characters:
-        q = chi.modulus
-        rows.append([(slots.setdefault((q, a), len(slots)), v)
-                     for a, v in ((a, chi.value(a)) for a in range(1, q + 1)) if v != 0])
-    a_bank = np.array([a / q for q, a in slots])
+    a_bank, rows = _character_bank(characters)
     bank = hurwitz_zeta_many(s, a_bank)
     factors = []
     for chi, row in zip(characters, rows):
@@ -345,21 +344,17 @@ def _series_mul(a, b):
 
 @dataclass(frozen=True)
 class Jet:
-    """sum_j coeffs[..., j] e^(lowest + j): a truncated Laurent series in e = s - s0 about each centre.
+    """sum_j coeffs[..., j] e^(lowest + j), e = s - s0: a truncated Laurent series per centre.
 
-    The leading axes run over the centres, the last over the powers.
+    The leading axes run over the centres, the last over the powers;
     err[..., j] bounds the error of coeffs[..., j].  Every operation carries
     it to first order (a product errs by |a| err_b + err_a |b|, as series)
-    and adds its own rounding, (count + 4) eps times the same operation on
-    the moduli: a model of the float arithmetic, like the Hurwitz rounding
-    term, not a proof.
+    plus its rounding, (count + 4) eps times the operation on the moduli: a
+    model of the float arithmetic, like the Hurwitz rounding term.
     """
     coeffs: np.ndarray
     err: np.ndarray
     lowest: int = 0
-
-    def coefficient(self, power):
-        return self.coeffs[..., power - self.lowest]
 
     def principal(self):
         """[c_-1, c_-2, .., c_lowest] along the last axis; empty when lowest >= 0."""
@@ -369,10 +364,6 @@ class Jet:
         return (moduli.shape[-1] + 4) * _EPS * moduli
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):           # a number per centre
-            other = np.asarray(other)[..., None]
-            coeffs = self.coeffs * other
-            return Jet(coeffs, self.err * np.abs(other) + 2.0 * _EPS * np.abs(coeffs), self.lowest)
         a, b = np.abs(self.coeffs), np.abs(other.coeffs)
         moduli = _series_mul(a, b)
         return Jet(_series_mul(self.coeffs, other.coeffs),
@@ -381,10 +372,7 @@ class Jet:
 
     def __pow__(self, k):
         """The k-th power, k >= 1, by repeated products."""
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        return self if k == 1 else self * self ** (k - 1)
 
     def reciprocal(self):
         """1/f, for a jet whose leading coefficient is nonzero."""
@@ -412,12 +400,11 @@ class Jet:
 
 
 def _hurwitz_jet(s0, a, shift, count):
-    """Taylor coefficients of zeta_H(s0 + e, a), e^0 .. e^(count-1), by _hurwitz_core's sum.
+    """Coefficients e^0 .. e^(count-1) of zeta_H(s0 + e, a), shape (len(a), len(s0), count).
 
-    For 1-d arrays s0 (away from s = 1) and a; shape (len(a), len(s0), count).
-    Each term of the Euler-Maclaurin sum at this shift is expanded in e:
-    (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!, and 1/(s - 1)
-    and the Pochhammer factors are jets.
+    _hurwitz_core's sum at this shift, each term a jet in e:
+    (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!, 1/(s - 1)
+    and the Pochhammer factors.
     """
     log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
     term = np.exp(s0[None, :, None] * log_n)
@@ -442,46 +429,29 @@ def _hurwitz_jet(s0, a, shift, count):
     return head + _series_mul(decay, correction)
 
 
-def _character_bank(characters):
-    """(a_bank, rows): the distinct a/q with chi(a) != 0, and per character its (slot, chi(a)) list."""
-    slots, rows = {}, []
-    for chi in characters:
-        q = chi.modulus
-        rows.append([(slots.setdefault((q, a), len(slots)), v)
-                     for a, v in ((a, chi.value(a)) for a in range(1, q + 1)) if v != 0])
-    return np.array([a / q for q, a in slots]), rows
-
-
-# The radius of the discs about the centres on which a jet's error is proven.
-_JET_RADIUS = 0.5
-
-
 def dedekind_zeta_jet(field, centres, count):
     """Jet of zeta_F about every centre: count coefficients, each with a proven error.
 
     One Hurwitz jet bank serves all centres and L-factors, at the shift
-    hurwitz_zeta_many would take on the discs |s - s0| <= r = 1/2, which
-    must miss s = 1.  _hurwitz_bounds bounds the error E of each
-    zeta_H(s, a) on those discs, Euler-Maclaurin remainder plus rounding, so
-    by Cauchy coefficient j of the bank errs by at most E r^-j; the L-factors
-    and their product carry it on (Jet).  About s0 = 0 every L-factor of an
-    even non-principal character has a trivial zero: its constant
-    coefficient is dropped, so the jet starts at e^r, r the unit rank.
+    hurwitz_zeta_many would take on the discs |s - s0| <= r = 1/2 (which
+    must miss s = 1).  _hurwitz_bounds bounds the error E of zeta_H(s, a) on
+    them, so by Cauchy coefficient j errs by at most E r^-j.  About s0 = 0
+    the L-factor of an even non-principal character has a trivial zero: its
+    constant coefficient is dropped, so the jet starts at e^r, r the unit rank.
     """
     s0 = np.asarray(centres, dtype=complex).reshape(-1)
-    radius = _JET_RADIUS
+    radius = 0.5
     at_zero = int(not np.any(s0))
     size, near = np.abs(s0), np.abs(s0 - 1.0)
     if np.any(near <= radius):
         raise DomainError("a jet's disc about its centre must miss s = 1")
-    # points of each disc with its extremes of Re s, |s| and |s - 1|
+    # each disc's extremes of Re s, |s| and |s - 1|; one bound per abscissa and modulus,
+    # as the head term a^-sigma, a >= 1/q, makes one over the batch loose at large sigma
     disc = np.stack([s0 - radius, s0 + radius,
                      s0 + radius * np.where(size > 0, s0 / np.maximum(size, 1e-300), 1.0),
                      s0 - radius * (s0 - 1.0) / near], axis=1)
     a_bank, rows = _character_bank(field.characters)
     shift = _hurwitz_shift(disc)
-    # one bound per abscissa and modulus: the head term a^-sigma, a >= 1/q, would
-    # make a bound over the whole batch loose at large sigma
     error = {q: np.empty(len(s0)) for q in {chi.modulus for chi in field.characters}}
     for sigma in set(s0.real.tolist()):
         group = s0.real == sigma
@@ -499,115 +469,73 @@ def dedekind_zeta_jet(field, centres, count):
         if at_zero and not chi.is_odd and not chi.is_principal:
             factor = Jet(factor.coeffs[..., 1:], factor.err[..., 1:], 1)
         out = factor if out is None else out * factor
-    return out
-
-
-# Euler's constant; psi(1/2) = -gamma - 2 log 2.
-_EULER_GAMMA = 0.5772156649015329
-
-
-def gamma_jet(twice_b, scale, count):
-    """Laurent jet of Gamma(b + scale e) about every half-integer b = twice_b/2 <= 1.
-
-    From log Gamma(b0 + e) = log Gamma(b0) + psi(b0) e + sum_{k>=2} c_k zeta(k) (-e)^k/k,
-    c_k = 1 at b0 = 1 and 2^k - 1 at b0 = 1/2, and the recurrence
-    Gamma(b + e) = Gamma(b0 + e)/prod (b + i + e) down to b = b0 - n: each
-    factor with b + i < 0 adds sum_k |b + i|^-k e^k/k to the exponent, and the
-    one with b + i = 0 is the pole 1/e.  The jet starts at e^-1 when any b
-    is a pole (the others then have an exact 0 there) and holds count
-    coefficients.  zeta(k) carries hurwitz_zeta_many's proven error; the
-    rest is rounding.
-    """
-    tb = np.asarray(twice_b).reshape(-1)
-    if np.any(tb > 2):
-        raise DomainError("gamma_jet needs b <= 1")
-    half = tb % 2 == 1
-    steps = np.where(half, 1 - tb, 2 - tb) // 2                 # b0 - b
-    pole = ~half & (steps > 0)
-    k = np.arange(1, count)
-    # sums of |b + i|^-k and log |b + i| over the nonzero factors, whose |b + i|
-    # run 1, 2, .. (b0 = 1) or 1/2, 3/2, .. (b0 = 1/2)
-    grid = np.arange(1, int(steps.max()) + 1, dtype=float)[:, None] - np.array([0.0, 0.5])
-    sums = np.concatenate([np.zeros((1, 2, len(k))), np.cumsum(grid[..., None] ** -k, axis=0)])
-    logs = np.concatenate([np.zeros((1, 2)), np.cumsum(np.log(grid), axis=0)])
-    n_factors, column = np.where(half, steps, np.maximum(steps - 1, 0)), half.astype(int)
-    two_up = k[1:].astype(complex)                          # zeta(k), k >= 2, with its error
-    zeta = hurwitz_zeta_many(two_up, 1.0).real
-    zeta_err = _hurwitz_bounds(two_up, 1.0, _hurwitz_shift(two_up))[1] if len(two_up) else 0.0
-    weight = np.where(half[:, None], 2.0 ** k[1:] - 1.0, 1.0) * (-1.0) ** k[1:] / k[1:]
-    exponent = np.zeros((len(tb), count))
-    exponent[:, 0] = np.where(half, 0.5 * _LOG_PI, 0.0) - logs[n_factors, column]
-    exponent[:, 1:2] = (-_EULER_GAMMA - np.where(half, 2.0 * math.log(2.0), 0.0))[:, None]
-    exponent[:, 2:] = weight * zeta
-    exponent[:, 1:] += sums[n_factors, column] / k
-    err = (count + 4) * _EPS * np.abs(exponent)
-    err[:, 2:] += np.abs(weight) * zeta_err
-    exponent[:, 1:] *= scale ** k
-    err[:, 1:] *= abs(scale) ** k
-    jet = Jet(exponent, err).exp() * ((-1.0) ** n_factors / np.where(pole, scale, 1.0))
-    if not np.any(pole):
-        return jet
-    if np.all(pole):
-        return jet.shift(-1)
-    regular = ~pole[:, None]
-    pad = np.zeros((len(tb), 1))
-    return Jet(np.where(regular, np.concatenate([pad, jet.coeffs[:, :-1]], 1), jet.coeffs),
-               np.where(regular, np.concatenate([pad, jet.err[:, :-1]], 1), jet.err), -1)
-
-
-def gamma_factor_jet(r1, r2, points, sign, count):
-    """Jet of Gamma^r1(s/2) Gamma^r2(s) about s = p + sign e, for integer points p <= 1."""
-    p = np.asarray(points).reshape(-1)
-    out = None
-    for power, jet in ((r1, lambda: gamma_jet(p, 0.5 * sign, count)),
-                       (r2, lambda: gamma_jet(2 * p, float(sign), count))):
-        if power:
-            out = jet() ** power if out is None else out * jet() ** power
-    return out
+    return Jet(out.coeffs[..., :count], out.err[..., :count], out.lowest)
 
 
 def _log_gamma_jet(z, count):
-    """Jet of log Gamma(z + e) - log Gamma(z) about complex z, Re z > 0: coefficient j is psi^(j-1)(z)/j!.
+    """(Jet of log Gamma(z + e), less the log e of a pole; the poles) about every complex z.
 
-    The recurrence moves z to w = z + n, Re w >= 10, where Stirling's series
-    with B_2 .. B_22 is differentiated term by term: psi(w + e) =
-    log(w + e) - 1/(2(w + e)) - sum_k B_2k/(2k) (w + e)^-2k.  On the disc
-    |e| <= 1 its remainder in log Gamma is at most
-    2^12 |B_24|/(24 * 23 (|w| - 1)^23) (DLMF 5.11(ii), sec(ph/2)^2 <= 2), so
-    coefficient j errs by that much (Cauchy) plus (count + 4) eps times the
-    sum of its terms' moduli.
+    Gamma(z + e) = Gamma(w + e)/prod_{i<n} (z + i + e), w = z + n with
+    Re w >= 10: loggamma(w), then Stirling's series differentiated term by
+    term, psi(w + e) = log(w + e) - 1/(2(w + e)) - sum_k B_2k/(2k) (w + e)^-2k
+    over B_2 .. B_22, less the jets of log(z + i + e); a factor z + i = 0 is a
+    pole, its 1/e left to the caller.  Errors: _LOGGAMMA_ERROR in the
+    constant; Stirling's remainder, <= 2^12 |B_24|/(552 (|w| - 1)^23) on
+    |e| <= 1 (DLMF 5.11(ii)), in the others (Cauchy); and (count + 4) eps
+    times the sum of the terms' moduli.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    if np.any(z.real <= 0.0):
-        raise DomainError("the log-gamma jet needs Re z > 0")
-    steps = np.ceil(np.maximum(0.0, 10.0 - z.real))
-    w = (z + steps)[:, None, None]
-    i = np.arange(count - 1)[None, :, None]          # the power of psi's coefficient
-    two_k = 2.0 * np.arange(1, len(_BERNOULLI))[None, None, :]
+    steps = np.ceil(np.maximum(0.0, 10.0 - z.real)).astype(int)
+    w = (z + steps)[:, None]
+    factors = z[:, None] + np.arange(steps.max())
+    pole = factors == 0                               # z = 0, -1, ..: always within the steps
+    live = (np.arange(steps.max()) < steps[:, None]) & ~pole
+    factors = np.where(live, factors, 1.0)
+    i = np.arange(count - 1)[None, :]                # psi's power; log Gamma's is i + 1
+    two_k = 2.0 * np.arange(1, len(_BERNOULLI))[:, None, None]
     binom = np.exp(loggamma(two_k + i) - loggamma(two_k) - loggamma(i + 1.0)).real
-    terms = [np.where(i == 0, np.log(w), (-1.0) ** (i + 1) / np.maximum(i, 1) / w ** i),
+    terms = [np.where(i == 0, np.log(w), -(-1.0) ** i / np.maximum(i, 1) / w ** i),
              -0.5 * (-1.0) ** i / w ** (i + 1),
-             -(_BERNOULLI[:-1] / two_k * (-1.0) ** i * binom / w ** (two_k + i)).sum(axis=2,
-                                                                                   keepdims=True)]
-    moduli = sum(np.abs(t) for t in terms)
-    psi = sum(terms)
-    for n in range(int(steps.max())):                # psi(z + e) = psi(z + n + e) - sum 1/(z + n' + e)
-        live = (n < steps)[:, None, None]
-        term = (-1.0) ** i / (z[:, None, None] + n) ** (i + 1)
-        psi = psi - np.where(live, term, 0.0)
-        moduli = moduli + np.where(live, np.abs(term), 0.0)
-    j = np.arange(1, count)
-    remainder = 2.0 ** 12 * abs(_BERNOULLI[-1]) / (24.0 * 23.0 * (np.abs(w[:, 0, 0]) - 1.0) ** 23)
-    coeffs = np.zeros((len(z), count), dtype=complex)
-    err = np.zeros((len(z), count))
-    coeffs[:, 1:] = psi[..., 0] / j
-    err[:, 1:] = remainder[:, None] + (count + 4) * _EPS * moduli[..., 0] / j
-    return Jet(coeffs, err)
+             -(_BERNOULLI[:-1, None, None] / two_k * (-1.0) ** i * binom / w ** (two_k + i)).sum(0),
+             -(live[..., None] * (-1.0) ** i / factors[..., None] ** (i + 1)).sum(1)]
+    const = loggamma(w) - np.log(factors).sum(1, keepdims=True)
+    remainder = 2.0 ** 12 * abs(_BERNOULLI[-1]) / (552.0 * (np.abs(w) - 1.0) ** 23)
+    return Jet(np.concatenate([const, sum(terms) / (i + 1)], axis=1),
+               np.concatenate([_LOGGAMMA_ERROR + (steps.max() + 4) * _EPS * np.abs(const), remainder
+                               + (count + 4) * _EPS * sum(np.abs(t) for t in terms) / (i + 1)], axis=1)), \
+        pole.any(axis=1)
+
+
+def gamma_jet(z, scale, count):
+    """Laurent jet of Gamma(z + scale e) about every complex z (_log_gamma_jet), count coefficients.
+
+    Where any z is a pole it starts at e^-1, the others with an exact 0 there.
+    """
+    log, pole = _log_gamma_jet(z, count)
+    powers = scale ** np.arange(count)
+    coeffs = log.coeffs * powers
+    coeffs[:, 0] -= np.where(pole, np.log(complex(scale)), 0.0)     # the pole's 1/(scale e)
+    jet = Jet(coeffs, log.err * np.abs(powers)).exp()
+    if not np.any(pole):
+        return jet
+    moved = ~pole[:, None] & (np.arange(count) > 0)     # a regular entry, behind an exact 0
+    return Jet(*(np.where(moved, np.roll(a, 1, 1), a * pole[:, None]) for a in (jet.coeffs, jet.err)), -1)
+
+
+def gamma_factor_jet(r1, r2, centres, sign, count):
+    """Jet of Gamma^r1(s/2) Gamma^r2(s) about s = s0 + sign e, for every centre s0."""
+    s0 = np.asarray(centres, dtype=complex).reshape(-1)
+    out = None
+    for power, z, scale in ((r1, s0 / 2.0, 0.5 * sign), (r2, s0, float(sign))):
+        if power:
+            jet = gamma_jet(z, scale, count) ** power
+            out = jet if out is None else out * jet
+    return out
 
 
 def digamma(z):
-    """psi(z) on an array of complex z with Re z > 0: coefficient 1 of _log_gamma_jet."""
-    return _log_gamma_jet(z, 2).coeffs[:, 1]
+    """psi(z) on an array of complex z off the poles: coefficient 1 of _log_gamma_jet."""
+    return _log_gamma_jet(z, 2)[0].coeffs[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -698,124 +626,6 @@ def line_integral_many(f, abscissae, half_heights, steps, error):
 
 
 # ---------------------------------------------------------------------------
-# contour-based Laurent coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LaurentResult:
-    lowest: int
-    coeffs: np.ndarray          # coeffs[i] multiplies (s - s0)**(lowest + i)
-    samples: int = 128          # points on the ring
-    alias_bound: float = math.inf   # proven error of every coefficient; inf if checked only
-
-    def coefficient(self, power):
-        return complex(self.coeffs[power - self.lowest])
-
-    @property
-    def residue(self):
-        return self.coefficient(-1)
-
-
-# Ring sizes a majorant may prove, and the alias bound each coefficient must meet.
-_RING_SAMPLES = (16, 32, 64, 128)
-_ALIAS_TOL = 1e-13
-
-
-def laurent_coefficients_many(f, centres, radius, count, lowest=None, majorant=None):
-    """Laurent coefficients of f about every centre by trapezoidal contour quadrature.
-
-    Returns one LaurentResult per centre, with the coefficients of (s-s0)**m
-    for m = lowest .. lowest+count-1 (default: the principal part
-    c_{-count} .. c_{-1}): the means over a ring of N samples at
-    theta_j = 2 pi (j + 1/2)/N about it.  f is evaluated once, on the rings
-    of all centres together.
-
-    A majorant (R, M), with R > radius and M >= |f| on |s - s0| = R (a
-    scalar or one value per centre), asserts that f is analytic on that
-    disc, and needs lowest >= 0.  Then |c_n| <= M R^-n (Cauchy), and the
-    N-point rule errs in c_m by sum_{j>=1} c_{m+jN} radius^{jN}, at most
-    M R^-m q^N/(1 - q^N) with q = radius/R (the alias theorem of the
-    trapezoid rule; Trefethen & Weideman, SIAM Rev. 56 (2014)).  N is the
-    smallest of 16, 32, 64, 128 at which that bound is <= 1e-13 for every
-    extracted c_m, and the result carries the bound as `alias_bound`;
-    nothing is checked, since nothing needs to be.
-
-    Without a majorant, or where no N <= 128 reaches 1e-13, N = 128 and the
-    ring checks itself: its even samples are a 64-point ring turned by a
-    quarter step, and if that rule differs from the 128-point one by more
-    than 1e-11 of max(1, the centre's largest coefficient),
-    ConvergenceError is raised for the first such centre, so a returned
-    result is a converged one.
-    """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    if lowest is None:
-        lowest = -count
-    centres = list(centres)
-    s0 = np.asarray(centres, dtype=complex).reshape(-1)
-    samples = np.full(len(s0), 128)
-    alias = np.full(len(s0), np.inf)
-    if majorant is not None:
-        outer, bound = majorant
-        if lowest < 0 or not outer > radius:
-            raise ValidationError("a majorant needs lowest >= 0 and its radius > the ring's")
-        worst = np.broadcast_to(np.asarray(bound, dtype=float), s0.shape) \
-            * max(outer ** -float(lowest), outer ** -float(lowest + count - 1))
-        sizes = np.array(_RING_SAMPLES)
-        qn = (radius / outer) ** sizes[:, None]
-        err = worst[None, :] * qn / (1.0 - qn)
-        ok = err <= _ALIAS_TOL
-        proven = ok.any(axis=0)
-        first = np.argmax(ok, axis=0)[proven]
-        samples[proven] = sizes[first]
-        alias[proven] = err[first, np.flatnonzero(proven)]
-    # not np.unique, which imports numpy.ma: 27 ms and 2.5 MiB in a cold process
-    groups = [(n, np.flatnonzero(samples == n)) for n in sorted(set(samples.tolist()))]
-    rings = [radius * np.exp(1j * (2.0 * math.pi * (np.arange(n) + 0.5) / n)) for n, _ in groups]
-    vals = np.asarray(f(np.concatenate([(s0[idx, None] + ring).ravel()
-                                        for (_, idx), ring in zip(groups, rings)])),
-                      dtype=complex)
-    if np.any(~np.isfinite(vals)):
-        raise SingularityOnCircleError("non-finite sample on extraction circle")
-    if np.max(np.abs(vals)) > 1e250:
-        raise SingularityOnCircleError("samples exceed overflow threshold; singularity on circle?")
-    results = [None] * len(s0)
-    failed = []
-    start = 0
-    for (n, idx), ring in zip(groups, rings):
-        v = vals[start:start + n * len(idx)].reshape(len(idx), n)
-        start += n * len(idx)
-        terms = [v * ring ** (-m) for m in range(lowest, lowest + count)]
-        b = np.array([np.mean(t, axis=1) for t in terms])
-        if n == 128:
-            a = np.array([np.mean(t[:, ::2], axis=1) for t in terms])
-            delta = np.max(np.abs(a - b), axis=0)
-            scale = np.maximum(np.max(np.abs(b), axis=0), 1.0)
-            bad = (delta > 1e-11 * scale) & np.isinf(alias[idx])
-            failed += list(zip(idx[bad], delta[bad]))
-        for j, i in enumerate(idx):
-            results[i] = LaurentResult(lowest=lowest, coeffs=b[:, j].copy(), samples=int(n),
-                                       alias_bound=float(alias[i]))
-    if failed:
-        i, delta = min(failed)
-        raise ConvergenceError(
-            f"Laurent coefficients about s0 = {centres[i]} on radius {radius} did not converge: "
-            f"64 -> 128 samples moved them by {delta:.2e}")
-    return results
-
-
-def laurent_coefficients(f, s0, radius, count, lowest=None):
-    """Laurent coefficients of f about s0: laurent_coefficients_many at one centre.
-
-    There is no majorant here, so this is one ring of 128 samples, checked
-    against its 64 even samples.  A caller that can bound |f| on a larger
-    circle calls laurent_coefficients_many instead: by the trapezoid alias
-    theorem the bound then proves the ring's error and picks its size.
-    """
-    return laurent_coefficients_many(f, [s0], radius, count, lowest)[0]
-
-
-# ---------------------------------------------------------------------------
 # residue terms as polynomials in log x
 # ---------------------------------------------------------------------------
 
@@ -838,6 +648,13 @@ class LogPolynomial:
         return self.eval_log(cmath.log(complex(x)))
 
 
+def jet_residue_polynomial(order, jet, scale):
+    """residue_log_polynomial of jet(order), a one-centre Jet with a pole of `order`; zero if 0."""
+    if not order:
+        return LogPolynomial(coeffs=(0.0 + 0.0j,))
+    return residue_log_polynomial(jet(order).principal()[0], scale)
+
+
 def residue_log_polynomial(principal, scale):
     """Residue of f(s) * exp(-scale*(s-s0)*log x) as a LogPolynomial in log x.
 
@@ -848,20 +665,6 @@ def residue_log_polynomial(principal, scale):
     for j in range(len(principal)):
         coeffs.append(complex(principal[j]) * (-scale) ** j / math.factorial(j))
     return LogPolynomial(coeffs=tuple(coeffs))
-
-
-def residue_polynomial(f, s0, order, scale):
-    """Residue of f(s) * exp(-scale*(s-s0)*log x) at a pole of f of `order` at s0.
-
-    The principal part is extracted on a circle of radius 0.25 about s0
-    (laurent_coefficients raises if the extraction does not converge) and
-    turned into a LogPolynomial by residue_log_polynomial; order 0 gives the
-    zero polynomial.
-    """
-    if order == 0:
-        return LogPolynomial(coeffs=(0.0 + 0.0j,))
-    res = laurent_coefficients(f, s0, 0.25, count=order)
-    return residue_log_polynomial([res.coefficient(-m) for m in range(1, order + 1)], scale)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ A kernel line takes its step and window from a proven error bound, the
 trapezoid alias identity plus a Stirling tail (_line_plan), so one level of
 nodes usually settles it and each value carries its proven quadrature
 error.  The quadrature entries of a kernel array share each level of nodes.
+Near 0 the ascending series reads the principal parts of the gamma power at
+s = -m off Gamma's Laurent jets (numerics.gamma_factor_jet).
 """
 
 import math
@@ -322,10 +324,9 @@ def _left_pole_polynomials(r1, r2, m_lo, m_hi):
     """[P_m for m = m_lo .. m_hi], Res_{s=-m}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = x^m P_m(log x).
 
     Memoized per m; the orders not yet stored share one
-    numerics.gamma_factor_jet call, the Laurent jets of Gamma at the
-    half-integers (elementwise, so a P_m does not depend on which orders
-    were computed with it).  Each keeps exactly its own pole order
-    r2 + (r1 if m is even), read off the shared principal parts.
+    numerics.gamma_factor_jet call, elementwise, so a P_m does not depend on
+    which orders were computed with it.  Each keeps exactly its own pole
+    order r2 + (r1 if m is even), read off the shared principal parts.
     """
     def order(m):
         return r2 + (r1 if m % 2 == 0 else 0)
@@ -337,8 +338,7 @@ def _left_pole_polynomials(r1, r2, m_lo, m_hi):
         if poles:
             jet = numerics.gamma_factor_jet(r1, r2, -np.array(poles), 1, r1 + r2)
             for m, principal in zip(poles, jet.principal()):
-                polys[m] = numerics.residue_log_polynomial(
-                    [complex(c) for c in principal[:order(m)]], 1.0)
+                polys[m] = numerics.residue_log_polynomial(principal[:order(m)], 1.0)
         return [polys[m] for m in ms]
     return numerics.memo_many([("gamma_power_left_pole", r1, r2, m)
                                for m in range(m_lo, m_hi + 1)], compute)

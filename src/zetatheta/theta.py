@@ -104,14 +104,12 @@ def s_series(field, k, x, tol=1e-10):
 def r0_theta_polynomial(field, k):
     """LogPolynomial P with Res_{s=0}[Omega_F^k(s) x^{-s/2}] = P(log x).
 
-    Omega_F, the prefactor times zeta_F, has a simple pole at s = 0: the
-    principal part of the k-th power of the product of their jets about 0
-    (fields.prefactor_jet, numerics.dedekind_zeta_jet).
+    Omega_F has a simple pole at s = 0; its jet there is that of the prefactor
+    (fields.prefactor_jet) times that of zeta_F (numerics.dedekind_zeta_jet).
     """
-    def compute():
-        omega = fields.prefactor_jet(field, 0, 1, k) * numerics.dedekind_zeta_jet(field, [0.0], k)
-        return numerics.residue_log_polynomial((omega ** k).principal()[0], scale=0.5)
-    return numerics.memo(("r0_theta", field.cache_key, k), compute)
+    return numerics.memo(("r0_theta", field.cache_key, k), lambda: numerics.jet_residue_polynomial(
+        k, lambda n: (fields.prefactor_jet(field, [0], 1, n)
+                      * numerics.dedekind_zeta_jet(field, [0.0], n)) ** k, 0.5))
 
 
 def r0_theta(field, k, x):

@@ -9,6 +9,8 @@ is asserted at the stated tolerance instead and passes.
 
 import cmath
 import math
+import os
+import re
 import time
 from contextlib import contextmanager
 
@@ -168,6 +170,17 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                     lhs = oracle.r1_inverse(field, 1, x)
                     rhs = -iv.r0_inverse(field, 1, 1.0 / x) / cmath.sqrt(x)
                     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
+        # no sampled ring in src/: every Taylor or Laurent datum comes from a jet
+        src = os.path.dirname(os.path.abspath(nx.__file__))
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as fh:
+                    text = fh.read()
+                assert not re.search(r"\blaurent_coefficients\s*\(", text), name
+                assert not re.search(r"def (laurent_coefficients_many|dedekind_zeta_majorant)\b",
+                                     text), name
+        assert not any(hasattr(nx, n) for n in ("laurent_coefficients", "laurent_coefficients_many",
+                                                "dedekind_zeta_majorant", "LaurentResult"))
         # one proven quadrature level on the closed-form cases: Gamma(s) x^{-s} is the
         # (0, 1) kernel e^{-x}, whose saddle line steen._line_plan proves
         for x in (1.0, 2.0):

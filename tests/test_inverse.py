@@ -17,6 +17,7 @@ from zetatheta.errors import (
     ZeroNotSimpleError,
 )
 
+import _oracles as oracle
 from _oracles import gamma, moebius_sieve, r1_inverse, smoothed_mu_exp_sum, zeta_derivative
 
 
@@ -271,37 +272,26 @@ class TestZetaTaylor:
 
 
 class TestZeroRings:
-    """One ring call per zero list, each ring sized by the alias theorem."""
+    """One Hurwitz jet call per zero list, each coefficient with a proven error."""
 
     @pytest.fixture(params=["Q", "zeta5"])
     def field_and_zeros(self, request, riemann_zeros_reference, zeta5_zeros_reference):
         zeros = {"Q": riemann_zeros_reference, "zeta5": zeta5_zeros_reference}[request.param]
         return fd.builtin_field(request.param), zeros
 
-    def test_majorant_bounds_zeta_on_the_outer_circle(self, field_and_zeros):
+    def test_jet_within_its_error_of_a_128_ring(self, field_and_zeros):
+        # the oracle ring samples zeta_F with its own rounding, about 1e-13 of
+        # its largest sample at these heights, which c_m carries times r^-m
         field, zeros = field_and_zeros
-        rhos = 0.5 + 1j * np.array(zeros.gammas)
-        bound = nx.dedekind_zeta_majorant(field, rhos, iv._ZERO_MAJORANT_RADIUS)
-        circle = iv._ZERO_MAJORANT_RADIUS * np.exp(2j * math.pi * np.arange(256) / 256)
-        for rho, m in zip(rhos, bound):
-            assert np.max(np.abs(nx.dedekind_zeta_many(rho + circle, field))) <= m
-
-    def test_rule_picks_32_within_the_bound_of_a_128_ring(self, field_and_zeros):
-        # the two rings sample zeta_F at different points, each with its own
-        # rounding: about 1e-13 of the largest sample at these heights, which
-        # a coefficient c_m carries times r^-m
-        field, zeros = field_and_zeros
-        r = iv._ZERO_RING_RADIUS
-        rings = iv.zeta_taylor_many(field, zeros.gammas, 2)
-        assert {ring.samples for ring in rings} == {32}
+        r = 0.07
         f = lambda s: nx.dedekind_zeta_many(s, field)
-        for g, ring in zip(zeros.gammas, rings):
-            assert 0 < ring.alias_bound <= 1e-13
-            ref = nx.laurent_coefficients(f, 0.5 + 1j * g, r, count=3, lowest=0)
+        for g, jet in zip(zeros.gammas, iv.zeta_taylor_many(field, zeros.gammas, 2)):
+            assert np.all(jet.err > 0)
+            ref = oracle.laurent_coefficients(f, 0.5 + 1j * g, r, count=3, lowest=0)
             theta = 2.0 * math.pi * (np.arange(128) + 0.5) / 128
             largest = np.max(np.abs(f(0.5 + 1j * g + r * np.exp(1j * theta))))
-            allowed = ring.alias_bound + 1e-12 * largest * r ** -np.arange(3.0)
-            assert np.all(np.abs(ring.coeffs - ref.coeffs) <= allowed), g
+            allowed = jet.err + 1e-12 * largest * r ** -np.arange(3.0)
+            assert np.all(np.abs(jet.coeffs - ref.coeffs) <= allowed), g
 
     def test_derivative_against_mpmath(self, field_q, riemann_zeros_reference):
         mpmath = pytest.importorskip("mpmath")
@@ -309,45 +299,35 @@ class TestZeroRings:
             want = complex(mpmath.zeta(mpmath.mpc(0.5, g), derivative=1))
             assert abs(iv.zeta_taylor(field_q, g, 2)[1] - want) <= 1e-12 * abs(want), g
 
-    def test_one_ring_call_per_list(self, field_sqrt5, scanned_zeros_sqrt5, monkeypatch):
+    def test_one_hurwitz_jet_call_per_list(self, field_sqrt5, scanned_zeros_sqrt5, monkeypatch):
         calls = []
-        real = nx.dedekind_zeta_many
+        real = nx._hurwitz_jet
 
-        def counting(s, field):
-            calls.append(np.size(s))
-            return real(s, field)
+        def counting(s0, a, shift, count):
+            calls.append(bool(np.all(s0.real == 0.5)))      # a call about zeros
+            return real(s0, a, shift, count)
 
-        monkeypatch.setattr(nx, "dedekind_zeta_many", counting)
+        monkeypatch.setattr(nx, "_hurwitz_jet", counting)
         counts = []
         for zeros in (scanned_zeros_sqrt5.head(5), scanned_zeros_sqrt5):
             monkeypatch.setattr(nx, "_MEMO", {})
             calls.clear()
             iv.dgv_check(field_sqrt5, 2.0, zeros)
-            counts.append(len(calls))
-        assert len(scanned_zeros_sqrt5) > 5 and counts[0] == counts[1] <= 5
+            counts.append(sum(calls))
+        # the other calls are about s = 0 (R_0) and s = 1 + m (the l_series tails)
+        assert len(scanned_zeros_sqrt5) > 5 and counts == [1, 1]
 
     def test_one_zero_alone_agrees_with_its_batch(self, field_sqrt5, scanned_zeros_sqrt5,
                                                   monkeypatch):
         # a batch shares one Hurwitz shift, set by its highest zero, so a zero's
-        # samples round differently alone.  On the same ring points, c_m moves by
-        # at most r^-m times the mean of that sample difference, and each ring's
-        # alias error comes on top
+        # data round differently alone, within the proven errors of both
         field, gammas = field_sqrt5, scanned_zeros_sqrt5.gammas
-        r = iv._ZERO_RING_RADIUS
         monkeypatch.setattr(nx, "_MEMO", {})
         batch = iv.zeta_taylor_many(field, gammas, 2)
-        n = batch[0].samples
-        ring = r * np.exp(1j * (2.0 * math.pi * (np.arange(n) + 0.5) / n))
-        points = (0.5 + 1j * np.array(gammas))[:, None] + ring
-        together = nx.dedekind_zeta_many(points.ravel(), field).reshape(points.shape)
-        for g, in_batch, pts, f_batch in zip(gammas, batch, points, together):
+        for g, in_batch in zip(gammas, batch):
             monkeypatch.setattr(nx, "_MEMO", {})
             alone = iv.zeta_taylor_many(field, [g], 2)[0]
-            assert in_batch.samples == alone.samples == n, g
-            f_alone = nx.dedekind_zeta_many(pts, field)
-            allowed = r ** -np.arange(3.0) * np.mean(np.abs(f_batch - f_alone)) \
-                + in_batch.alias_bound + alone.alias_bound
-            assert np.all(np.abs(alone.coeffs - in_batch.coeffs) <= allowed), g
+            assert np.all(np.abs(alone.coeffs - in_batch.coeffs) <= alone.err + in_batch.err), g
 
     def test_dgv_zero_sum_is_one_pass_per_list(self, field_q, riemann_zeros_reference,
                                                monkeypatch):
@@ -362,19 +342,21 @@ class TestZeroRings:
         iv._dgv_zero_sum(field_q, 1.3, riemann_zeros_reference)
         assert calls == [len(riemann_zeros_reference)]
 
-    def test_checks_report_the_alias_bound(self, field_q, field_sqrt5, riemann_zeros_reference,
-                                           scanned_zeros_sqrt5):
-        def largest(field, zeros):
-            return max(ring.alias_bound for ring in iv.zeta_taylor_many(field, zeros.gammas, 2))
+    def test_checks_report_the_taylor_error(self, field_q, field_sqrt5, riemann_zeros_reference,
+                                            scanned_zeros_sqrt5):
+        def largest(field, zeros, order):
+            return max(float(np.max(jet.err))
+                       for jet in iv.zeta_taylor_many(field, zeros.gammas, order))
 
-        q_bound = largest(field_q, riemann_zeros_reference)
-        assert 0 < q_bound <= 1e-13
+        q_bound = largest(field_q, riemann_zeros_reference, 2)
+        assert 0 < q_bound <= 1e-10
         for rep, bound in ((iv.check_inverse_theta(field_q, 2, 2.0, riemann_zeros_reference),
                             q_bound),
                            (iv.hlr_check(2.0, riemann_zeros_reference), q_bound),
                            (iv.dgv_check(field_sqrt5, 2.0, scanned_zeros_sqrt5),
-                            largest(field_sqrt5, scanned_zeros_sqrt5))):
-            assert rep.budget["contour_alias"] == bound
+                            largest(field_sqrt5, scanned_zeros_sqrt5, 2))):
+            assert rep.budget["taylor_error"] == bound
+            assert "contour_alias" not in rep.budget
 
 
 class TestZeroSum:
