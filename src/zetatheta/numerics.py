@@ -365,9 +365,9 @@ class Jet:
 
     def __mul__(self, other):
         a, b = np.abs(self.coeffs), np.abs(other.coeffs)
-        moduli = _series_mul(a, b)
+        rounding = (min(a.shape[-1], b.shape[-1]) + 4) * _EPS
         return Jet(_series_mul(self.coeffs, other.coeffs),
-                   _series_mul(a, other.err) + _series_mul(self.err, b) + self._rounding(moduli),
+                   _series_mul(a, other.err + rounding * b) + _series_mul(self.err, b),
                    self.lowest + other.lowest)
 
     def __pow__(self, k):
@@ -493,17 +493,16 @@ def _log_gamma_jet(z, count):
     factors = np.where(live, factors, 1.0)
     i = np.arange(count - 1)[None, :]                # psi's power; log Gamma's is i + 1
     two_k = 2.0 * np.arange(1, len(_BERNOULLI))[:, None, None]
-    binom = np.exp(loggamma(two_k + i) - loggamma(two_k) - loggamma(i + 1.0)).real
+    binom = np.array([[math.comb(int(k) + j - 1, j) for j in range(count - 1)] for k in two_k.flat])
     terms = [np.where(i == 0, np.log(w), -(-1.0) ** i / np.maximum(i, 1) / w ** i),
              -0.5 * (-1.0) ** i / w ** (i + 1),
-             -(_BERNOULLI[:-1, None, None] / two_k * (-1.0) ** i * binom / w ** (two_k + i)).sum(0),
+             -(_BERNOULLI[:-1, None, None] / two_k * (-1.0) ** i * binom[:, None] / w ** (two_k + i)).sum(0),
              -(live[..., None] * (-1.0) ** i / factors[..., None] ** (i + 1)).sum(1)]
     const = loggamma(w) - np.log(factors).sum(1, keepdims=True)
     remainder = 2.0 ** 12 * abs(_BERNOULLI[-1]) / (552.0 * (np.abs(w) - 1.0) ** 23)
-    return Jet(np.concatenate([const, sum(terms) / (i + 1)], axis=1),
-               np.concatenate([_LOGGAMMA_ERROR + (steps.max() + 4) * _EPS * np.abs(const), remainder
-                               + (count + 4) * _EPS * sum(np.abs(t) for t in terms) / (i + 1)], axis=1)), \
-        pole.any(axis=1)
+    err = np.concatenate([_LOGGAMMA_ERROR + (steps.max() + 4) * _EPS * np.abs(const),
+                          remainder + (count + 4) * _EPS * sum(np.abs(t) for t in terms) / (i + 1)], 1)
+    return Jet(np.concatenate([const, sum(terms) / (i + 1)], 1), err), pole.any(axis=1)
 
 
 def gamma_jet(z, scale, count):
@@ -519,7 +518,8 @@ def gamma_jet(z, scale, count):
     if not np.any(pole):
         return jet
     moved = ~pole[:, None] & (np.arange(count) > 0)     # a regular entry, behind an exact 0
-    return Jet(*(np.where(moved, np.roll(a, 1, 1), a * pole[:, None]) for a in (jet.coeffs, jet.err)), -1)
+    return Jet(*(np.where(moved, np.roll(a, 1, 1), a * pole[:, None])
+                 for a in (jet.coeffs, jet.err)), -1)
 
 
 def gamma_factor_jet(r1, r2, centres, sign, count):
