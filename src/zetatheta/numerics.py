@@ -418,13 +418,13 @@ def _hurwitz_jet(s0, a, shift, count):
         / np.cumprod(np.maximum(powers, 1))                  # base^-(s0 + e)
     correction = base * (-1.0) ** powers / (s0[:, None] - 1.0) ** (powers + 1)
     correction[..., 0] += 0.5
-    poch = np.zeros((len(s0), count + 1), dtype=complex)     # (s0 + e)_(2j-1), one spare power
-    poch[:, 0], poch[:, 1] = s0, 1.0
+    poch = np.zeros((len(s0), count + 1), dtype=complex)     # 0, then (s0 + e)_(2j-1)
+    poch[:, 1], poch[:, 2:3] = s0, 1.0
     fac = 2.0
     for j, b2j in enumerate(_BERNOULLI, start=1):
-        correction = correction + (b2j / fac) * poch[:, :count] * base ** (1.0 - 2 * j)
+        correction = correction + (b2j / fac) * poch[:, 1:] * base ** (1.0 - 2 * j)
         for c in (s0 + (2 * j - 1), s0 + 2 * j):
-            poch = poch * c[:, None] + np.concatenate([np.zeros((len(s0), 1)), poch[:, :-1]], axis=1)
+            poch[:, 1:] = poch[:, 1:] * c[:, None] + poch[:, :-1]
         fac *= (2 * j + 1) * (2 * j + 2)
     return head + _series_mul(decay, correction)
 
@@ -505,21 +505,22 @@ def _log_gamma_jet(z, count):
     return Jet(np.concatenate([const, sum(terms) / (i + 1)], 1), err), pole.any(axis=1)
 
 
-def gamma_jet(z, scale, count):
-    """Laurent jet of Gamma(z + scale e) about every complex z (_log_gamma_jet), count coefficients.
+def gamma_jet(z, scale, count, power=1):
+    """Laurent jet of Gamma(z + scale e)^power about every complex z, count coefficients.
 
-    Where any z is a pole it starts at e^-1, the others with an exact 0 there.
+    The exp of power times _log_gamma_jet.  Where any z is a pole it starts
+    at e^-power, the other entries behind exact 0s.
     """
     log, pole = _log_gamma_jet(z, count)
     powers = scale ** np.arange(count)
-    coeffs = log.coeffs * powers
-    coeffs[:, 0] -= np.where(pole, np.log(complex(scale)), 0.0)     # the pole's 1/(scale e)
-    jet = Jet(coeffs, log.err * np.abs(powers)).exp()
+    coeffs = power * log.coeffs * powers
+    coeffs[:, 0] -= np.where(pole, power * np.log(complex(scale)), 0.0)    # (scale e)^-power
+    jet = Jet(coeffs, power * log.err * np.abs(powers)).exp()
     if not np.any(pole):
         return jet
-    moved = ~pole[:, None] & (np.arange(count) > 0)     # a regular entry, behind an exact 0
-    return Jet(*(np.where(moved, np.roll(a, 1, 1), a * pole[:, None])
-                 for a in (jet.coeffs, jet.err)), -1)
+    moved = ~pole[:, None] & (np.arange(count) >= power)    # a regular entry, behind exact 0s
+    return Jet(*(np.where(moved, np.roll(a, power, 1), a * pole[:, None])
+                 for a in (jet.coeffs, jet.err)), -power)
 
 
 def gamma_factor_jet(r1, r2, centres, sign, count):
@@ -528,7 +529,7 @@ def gamma_factor_jet(r1, r2, centres, sign, count):
     out = None
     for power, z, scale in ((r1, s0 / 2.0, 0.5 * sign), (r2, s0, float(sign))):
         if power:
-            jet = gamma_jet(z, scale, count) ** power
+            jet = gamma_jet(z, scale, count, power)
             out = jet if out is None else out * jet
     return out
 
