@@ -4,9 +4,9 @@ Most avoid the package's own evaluation routes: zeta from the Hasse series,
 gamma_by_integral from the defining integral, Bessel K from its cosh
 integral, W_1 and W_2 from their direct series, coefficient tables from
 brute-force enumeration, the Moebius sum from a smoothed cutoff.  Slow and
-simple on purpose.  laurent_coefficients reads Laurent data off a sampled
-ring of 128 points, checked against its 64 even ones: the reference the
-package's Taylor jets are compared against.  Some read the package: gamma
+simple on purpose.  laurent_coefficients(_many) reads Laurent data off
+sampled rings of 128 points, each checked against its 64 even ones: the
+reference the package's Taylor jets are compared against.  Some read the package: gamma
 is exp(numerics.loggamma), zeta_derivative reads hurwitz_zeta_many's Taylor
 data off laurent_coefficients, and r1_theta/r1_inverse run
 residue_polynomial on omega_many/lambda_many at s = 1, where the package
@@ -198,31 +198,43 @@ class LaurentResult:
         return self.coefficient(-1)
 
 
-def laurent_coefficients(f, s0, radius, count, lowest=None):
-    """Laurent coefficients of f about s0 by the trapezoid rule on a ring of 128 samples.
+def laurent_coefficients_many(f, centres, radius, count, lowest=None):
+    """Laurent coefficients of f about every centre by the trapezoid rule on rings of 128 samples.
 
-    Returns the coefficients of (s - s0)**m for m = lowest .. lowest+count-1
-    (default: the principal part c_{-count} .. c_{-1}), the means over the
-    samples at theta_j = 2 pi (j + 1/2)/128.  The even samples are a 64-point
-    ring turned by a quarter step; if that rule differs from the 128-point one
-    by more than 1e-11 of max(1, the largest coefficient), ConvergenceError.
+    Returns one LaurentResult per centre, with the coefficients of
+    (s - s0)**m for m = lowest .. lowest+count-1 (default: the principal part
+    c_{-count} .. c_{-1}): the means over the samples at theta_j =
+    2 pi (j + 1/2)/128 about it.  f is evaluated once, on the rings of all
+    centres together.  The even samples are a 64-point ring turned by a
+    quarter step; if that rule differs from the 128-point one by more than
+    1e-11 of max(1, the centre's largest coefficient), ConvergenceError names
+    the first such centre.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
     if lowest is None:
         lowest = -count
+    centres = list(centres)
+    s0 = np.asarray(centres, dtype=complex).reshape(-1)
     ring = radius * np.exp(1j * (2.0 * math.pi * (np.arange(128) + 0.5) / 128))
-    vals = np.asarray(f(s0 + ring), dtype=complex)
+    vals = np.asarray(f((s0[:, None] + ring).ravel()), dtype=complex).reshape(len(s0), 128)
     if np.any(~np.isfinite(vals)) or np.max(np.abs(vals)) > 1e250:
         raise DomainError("non-finite or overflowing sample on the extraction circle")
     terms = [vals * ring ** (-m) for m in range(lowest, lowest + count)]
-    coeffs = np.array([np.mean(t) for t in terms])
-    delta = max(abs(np.mean(t[::2]) - c) for t, c in zip(terms, coeffs))
-    if delta > 1e-11 * max(1.0, float(np.max(np.abs(coeffs)))):
+    coeffs = np.array([np.mean(t, axis=1) for t in terms])
+    delta = np.max(np.abs(np.array([np.mean(t[:, ::2], axis=1) for t in terms]) - coeffs), axis=0)
+    bad = np.flatnonzero(delta > 1e-11 * np.maximum(np.max(np.abs(coeffs), axis=0), 1.0))
+    if bad.size:
+        i = int(bad[0])
         raise ConvergenceError(
-            f"Laurent coefficients about s0 = {s0} on radius {radius} did not converge: "
-            f"64 -> 128 samples moved them by {delta:.2e}")
-    return LaurentResult(lowest=lowest, coeffs=coeffs)
+            f"Laurent coefficients about s0 = {centres[i]} on radius {radius} did not converge: "
+            f"64 -> 128 samples moved them by {delta[i]:.2e}")
+    return [LaurentResult(lowest=lowest, coeffs=coeffs[:, j].copy()) for j in range(len(s0))]
+
+
+def laurent_coefficients(f, s0, radius, count, lowest=None):
+    """Laurent coefficients of f about s0: laurent_coefficients_many at one centre."""
+    return laurent_coefficients_many(f, [s0], radius, count, lowest)[0]
 
 
 def residue_polynomial(f, s0, order, scale):

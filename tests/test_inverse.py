@@ -285,9 +285,11 @@ class TestZeroRings:
         field, zeros = field_and_zeros
         r = 0.07
         f = lambda s: nx.dedekind_zeta_many(s, field)
-        for g, jet in zip(zeros.gammas, iv.zeta_taylor_many(field, zeros.gammas, 2)):
+        refs = oracle.laurent_coefficients_many(f, [0.5 + 1j * g for g in zeros.gammas], r,
+                                                count=3, lowest=0)
+        jets = iv.zeta_taylor_many(field, zeros.gammas, 2)
+        for g, jet, ref in zip(zeros.gammas, jets, refs):
             assert np.all(jet.err > 0)
-            ref = oracle.laurent_coefficients(f, 0.5 + 1j * g, r, count=3, lowest=0)
             theta = 2.0 * math.pi * (np.arange(128) + 0.5) / 128
             largest = np.max(np.abs(f(0.5 + 1j * g + r * np.exp(1j * theta))))
             allowed = jet.err + 1e-12 * largest * r ** -np.arange(3.0)
@@ -298,6 +300,23 @@ class TestZeroRings:
         for g in riemann_zeros_reference.gammas[:10]:
             want = complex(mpmath.zeta(mpmath.mpc(0.5, g), derivative=1))
             assert abs(iv.zeta_taylor(field_q, g, 2)[1] - want) <= 1e-12 * abs(want), g
+
+    def test_one_ring_call_per_list(self, field_sqrt5, scanned_zeros_sqrt5, monkeypatch):
+        calls = []
+        real = nx.dedekind_zeta_many
+
+        def counting(s, field):
+            calls.append(np.size(s))
+            return real(s, field)
+
+        monkeypatch.setattr(nx, "dedekind_zeta_many", counting)
+        counts = []
+        for zeros in (scanned_zeros_sqrt5.head(5), scanned_zeros_sqrt5):
+            monkeypatch.setattr(nx, "_MEMO", {})
+            calls.clear()
+            iv.dgv_check(field_sqrt5, 2.0, zeros)
+            counts.append(len(calls))
+        assert len(scanned_zeros_sqrt5) > 5 and counts[0] == counts[1] <= 5
 
     def test_one_hurwitz_jet_call_per_list(self, field_sqrt5, scanned_zeros_sqrt5, monkeypatch):
         calls = []

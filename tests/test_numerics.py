@@ -448,6 +448,33 @@ class TestLaurentCoefficients:
         assert res.residue == pytest.approx(1.0, abs=1e-13)
 
 
+class TestLaurentCoefficientsMany:
+    def test_each_centre_equals_its_own_ring(self):
+        # one f call for all centres, and each result bit-equal to its one-centre call
+        centres = [0.3 + 1.0j, -0.2, 2.0 - 0.5j]
+        calls = []
+
+        def f(s):
+            calls.append(np.asarray(s).shape)
+            return np.exp(s) / (s - 0.25)
+
+        many = oracle.laurent_coefficients_many(f, centres, 0.2, count=3, lowest=-1)
+        assert calls == [(3 * 128,)]
+        for s0, res in zip(centres, many):
+            one = oracle.laurent_coefficients(f, s0, 0.2, count=3, lowest=-1)
+            assert res.coeffs.tolist() == one.coeffs.tolist()
+            assert res.lowest == one.lowest == -1
+
+    def test_each_centre_keeps_its_own_verdict(self):
+        # the 64- and 128-sample rules about 0 differ by about (0.25/(1/3))^64 = 1e-8
+        # (the pole at 1/3), above 1e-11 of that centre's scale but below 1e-11 of
+        # the coefficient near 1e6 about 3, which must not loosen it
+        f = lambda s: 1.0 / (s - 1.0 / 3.0) + 1e6 * np.exp(5.0 * (s - 3.0))
+        oracle.laurent_coefficients_many(f, [3.0], 0.25, count=2, lowest=-1)
+        with pytest.raises(ConvergenceError, match="s0 = 0.0 "):
+            oracle.laurent_coefficients_many(f, [3.0, 0.0], 0.25, count=2, lowest=-1)
+
+
 class TestZetaDerivative:
     def test_at_minus_two(self):
         # classical: zeta'(-2) = -zeta(3)/(4 pi^2); finite-difference oracle on Hasse
