@@ -29,23 +29,20 @@ from .errors import (
 )
 
 
-def _xi_scaled_many(field, s, log_scale, return_error=False):
-    """e^{log_scale} xi_F(s), the scale taken into the gamma prefactor's exponent.
+def _xi_scaled_many(field, s, log_scale):
+    """(e^{log_scale} xi_F(s), its error bound), the scale taken into the gamma prefactor's exponent.
 
-    With return_error, also returns a bound on each value's error:
-    |s (s-1)/2| times the prefactor's modulus times zeta_F's error bound
-    (numerics._dedekind_zeta_and_error), plus |value| times the prefactor's
-    relative error, which is its exponent's absolute error: the loggamma
-    allowance numerics._LOGGAMMA_ERROR per gamma factor, and 8 eps times
-    |log prefactor| + |log_scale| + 1 for the rounding of the exponent and
-    of the products (which also covers loggamma's error at height).
+    The bound is |s (s-1)/2| times the prefactor's modulus times zeta_F's
+    error bound (numerics._dedekind_zeta_and_error), plus |value| times the
+    prefactor's relative error, which is its exponent's absolute error: the
+    loggamma allowance numerics._LOGGAMMA_ERROR per gamma factor, and 8 eps
+    times |log prefactor| + |log_scale| + 1 for the rounding of the exponent
+    and of the products (which also covers loggamma's error at height).
     """
     s = np.asarray(s, dtype=complex)
     log_prefactor = fields.log_gamma_prefactor_many(field, s)
     prefactor = np.exp(log_prefactor + log_scale)
     polynomial = 0.5 * s * (s - 1.0)
-    if not return_error:
-        return polynomial * (prefactor * numerics.dedekind_zeta_many(s, field))
     zeta, zeta_error = numerics._dedekind_zeta_and_error(s, field)
     vals = polynomial * (prefactor * zeta)
     exponent_error = (field.r1 + field.r2) * numerics._LOGGAMMA_ERROR \
@@ -55,7 +52,7 @@ def _xi_scaled_many(field, s, log_scale, return_error=False):
 
 def xi_many(field, s):
     """xi_F(s) = (1/2) s (s-1) Omega_F(s) on an array of s; entire, symmetric under s -> 1-s."""
-    return _xi_scaled_many(field, s, 0.0)
+    return _xi_scaled_many(field, s, 0.0)[0]
 
 
 def xi_completed(field, s):
@@ -71,7 +68,7 @@ def _xi_real_many(field, ts, log_scale):
     bound (_xi_scaled_many), naming the worst t.
     """
     ts = np.asarray(ts, dtype=float)
-    vals, error = _xi_scaled_many(field, 0.5 + 1j * ts, log_scale, return_error=True)
+    vals, error = _xi_scaled_many(field, 0.5 + 1j * ts, log_scale)
     if np.any(np.abs(vals.imag) > error):
         i = int(np.argmax(np.abs(vals.imag) / np.maximum(error, 1e-300)))
         raise RealityViolationError(

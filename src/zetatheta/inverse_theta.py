@@ -94,9 +94,6 @@ def write_zeros(path, zeros):
 # the L series (mu-weighted shifted kernels)
 # ---------------------------------------------------------------------------
 
-_EPS = 2.0 ** -52
-
-
 def _inverse_zeta_derivatives(field, k, m_top, count):
     """[J_1, ..., J_{m_top}]: numerics.Jet of zeta_F(s)^{-k} about s = 1 + m, count coefficients.
 
@@ -142,7 +139,7 @@ def _l_series_parts(field, k, x):
     log_n0 = math.log(n0)
     n_logs = kr1 + kr2          # highest pole order of the kernel's gamma factors
     m_top = 1
-    while float(n0) ** -(m_top + 1) * (1.0 + log_n0) ** n_logs >= _EPS:
+    while float(n0) ** -(m_top + 1) * (1.0 + log_n0) ** n_logs >= numerics._EPS:
         m_top += 1
     derivs = _inverse_zeta_derivatives(field, k, m_top, n_logs)
     polys = steen._left_pole_polynomials(kr1, kr2, 1, m_top + 4)
@@ -192,7 +189,7 @@ def _l_series_parts(field, k, x):
             truncation += abs(alpha ** m * b) * math.e * n0 ** (-m) * log_n0 ** i \
                 * (1.0 + log_n0) ** (d * k)
     bound = 2.0 * truncation + quad_error + jet_error \
-        + 64.0 * _EPS * (float(np.sum(np.abs(head_terms))) + tail_abs)
+        + 64.0 * numerics._EPS * (float(np.sum(np.abs(head_terms))) + tail_abs)
     return complex(np.sum(head_terms)) + tail, n0, bound
 
 

@@ -2,10 +2,10 @@
 
 Log-gamma on the whole plane (Lanczos) and the gamma factor of Lambda_F in
 log space, Hurwitz zeta (Euler-Maclaurin), Dirichlet L, Dedekind zeta (with
-an error bound on request), Taylor jets of zeta_F and Gamma whose
-coefficients carry proven errors, vertical-line quadrature (one nested
-trapezoid rule over a batch of lines, stopped by the caller's proven
-error), residue polynomials, and the package's one memo.
+its error bound), Taylor jets of zeta_F and Gamma whose coefficients carry
+proven errors, vertical-line quadrature (one trapezoid level over a batch of
+lines, on the steps and windows the caller proves), residue polynomials, and
+the package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
 operations in this module.
 
@@ -104,31 +104,6 @@ def log_gamma_factor(r1, r2, s):
     return out
 
 
-def _hurwitz_core(s_arr, a, shift):
-    """Euler-Maclaurin evaluation of zeta_H(s, a) for 1-d arrays of s and a sharing one shift.
-
-    Returns shape (len(a), len(s_arr)).
-    """
-    # the head runs along the last, contiguous axis, so numpy sums it pairwise
-    # whatever the number of points: a value does not depend on its chunk
-    n = np.arange(shift, dtype=float)[None, None, :] + a[:, None, None]
-    head = (n ** (-s_arr[None, :, None])).sum(axis=2)
-    base = float(shift) + a[:, None]
-    bs = base ** (-s_arr)
-    total = head + base * bs / (s_arr - 1.0) + 0.5 * bs
-    # correction: sum_j B_2j/(2j)! (s)_{2j-1} base^{-s-2j+1}
-    poch = s_arr.copy()
-    fac = 2.0
-    power = bs / base
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        total = total + (b2j / fac) * poch * power
-        # update for next order: multiply pochhammer by (s+2j-1)(s+2j), factorial by (2j+1)(2j+2)
-        poch = poch * (s_arr + (2 * j - 1)) * (s_arr + 2 * j)
-        fac *= (2 * j + 1) * (2 * j + 2)
-        power = power / (base * base)
-    return total
-
-
 def _hurwitz_shift(s):
     """The Euler-Maclaurin summation shift hurwitz_zeta_many uses for the whole array s."""
     im_max = float(np.abs(s.imag).max()) if s.size else 0.0
@@ -141,7 +116,7 @@ def _hurwitz_shift(s):
 def _hurwitz_bounds(s, a_min, shift):
     """(M, E) over a nonempty array s: for every s and every a in [a_min, 1], sum |terms| <= M, error <= E.
 
-    The terms are those _hurwitz_core sums at this shift N: the head
+    The terms are those _hurwitz_jet sums at this shift N: the head
     (n + a)^(-s), n < N, and the tail at base = N + a.  Over the batch take
     sigma in [sigma_lo, sigma_hi] and |s| <= S.  The head's moduli sum to at
     most max(a_min^-sigma, 1) + max(1, N^-sigma) + int_1^N x^-sigma_lo dx.
@@ -151,8 +126,8 @@ def _hurwitz_bounds(s, a_min, shift):
     term is a complex power exp(-s log x) whose phase errs by about
     eps S |log x|, so each is taken to err by at most eps (S (1 + |log a_min|
     + log(N + 1)) + log2 N + 30) relative, the sums' own rounding included;
-    this part is a model of numpy's complex power, checked against mpmath,
-    not proven.
+    this part is a model of exp(-s log x) in floating point, checked against
+    mpmath, not proven.
     Truncation: the remainder after B_24 is at most 4 |(s)_24| (2 pi)^-24
     base^(-sigma-23) / (sigma + 23) (Johansson, Numer. Algorithms 69 (2015),
     Thm 1), with |(s)_24| <= (S + 11.5)^24 by the AM-GM inequality.  Both
@@ -186,8 +161,9 @@ def _hurwitz_bounds(s, a_min, shift):
     return majorant, rounding * majorant + remainder
 
 
-# Upper bound on shift * len(a) * points for one _hurwitz_core call: the head
-# matrix of a bank stays near 1 MiB however many points are evaluated.
+# Upper bound on shift * len(a) * points for one _hurwitz_jet call of
+# hurwitz_zeta_many: the head matrix of a bank stays near 1 MiB however many
+# points are evaluated.
 _HURWITZ_CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -195,9 +171,9 @@ def hurwitz_zeta_many(s, a):
     """Vectorized Hurwitz zeta over an array of s, for a scalar a in (0, 1] or a 1-d bank of them.
 
     A scalar a gives s.shape; a 1-d array a gives (len(a),) + s.shape.  All
-    values share one summation shift, set by the whole s array, and are
-    evaluated in chunks of points, so the result does not depend on the chunk
-    size.
+    values share one summation shift, set by the whole s array, and are the
+    constant coefficients of _hurwitz_jet, evaluated in chunks of points, so
+    the result does not depend on the chunk size.
     """
     s = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
@@ -211,7 +187,7 @@ def hurwitz_zeta_many(s, a):
     out = np.empty((len(bank), len(flat)), dtype=complex)
     chunk = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(bank))))
     for lo in range(0, len(flat), chunk):
-        out[:, lo:lo + chunk] = _hurwitz_core(flat[lo:lo + chunk], bank, shift)
+        out[:, lo:lo + chunk] = _hurwitz_jet(flat[lo:lo + chunk], bank, shift, 1)[..., 0]
     return out.reshape(a_arr.shape + s.shape)
 
 
@@ -235,17 +211,16 @@ def _character_bank(characters):
     return np.array([a / q for q, a in slots]), rows
 
 
-def _l_factors(s, characters, return_error=False):
-    """[L(s, chi) for chi in characters] on an array of s away from s = 1.
+def _l_factors(s, characters):
+    """([L(s, chi) for chi in characters], their error bounds) on an array of s away from s = 1.
 
     One Hurwitz bank holds zeta_H(s, a/q) for every distinct (q, a) with
     chi(a) != 0 over all the characters; each L-factor is then
-    q^(-s) * sum_a chi(a) zeta_H(s, a/q), summed in residue order.  With
-    return_error, also returns a bound on each factor's error over the whole
-    batch, from the bank's bounds (M, E) (_hurwitz_bounds):
-    q^-sigma_lo n_chi (E + eps (q + 6 + S log q) M), n_chi the number of
-    residues with chi(a) != 0 and S the largest |s|, which covers the bank's
-    errors, the sum's rounding and the phase of q^(-s).
+    q^(-s) * sum_a chi(a) zeta_H(s, a/q), summed in residue order.  Each
+    factor's error is bounded over the whole batch from the bank's bounds
+    (M, E) (_hurwitz_bounds): q^-sigma_lo n_chi (E + eps (q + 6 + S log q) M),
+    n_chi the number of residues with chi(a) != 0 and S the largest |s|,
+    which covers the bank's errors, the sum's rounding and the phase of q^(-s).
     """
     a_bank, rows = _character_bank(characters)
     bank = hurwitz_zeta_many(s, a_bank)
@@ -255,8 +230,6 @@ def _l_factors(s, characters, return_error=False):
         for slot, v in row:
             total = total + v * bank[slot]
         factors.append(chi.modulus ** (-s) * total)
-    if not return_error:
-        return factors
     if not s.size:
         return factors, [0.0] * len(factors)
     majorant, error = _hurwitz_bounds(s, float(np.min(a_bank)), _hurwitz_shift(s))
@@ -286,7 +259,7 @@ def dirichlet_l(s, chi):
 
 def dirichlet_l_many(s, chi):
     """Vectorized L(s, chi) over an array of s staying away from s = 1."""
-    return _l_factors(np.asarray(s, dtype=complex), (chi,))[0]
+    return _l_factors(np.asarray(s, dtype=complex), (chi,))[0][0]
 
 
 def dedekind_zeta(s, field):
@@ -299,22 +272,18 @@ def dedekind_zeta(s, field):
 
 def dedekind_zeta_many(s, field):
     """Vectorized Dedekind zeta: one Hurwitz bank shared by all L-factors."""
-    s = np.asarray(s, dtype=complex)
-    out = np.ones_like(s)
-    for factor in _l_factors(s, field.characters):
-        out = out * factor
-    return out
+    return _dedekind_zeta_and_error(s, field)[0]
 
 
 def _dedekind_zeta_and_error(s, field):
-    """(dedekind_zeta_many(s, field), a bound on the error of each value).
+    """(zeta_F on an array of s, a bound on the error of each value).
 
     The bound is first order: each factor's error bound (_l_factors) times
     the moduli of the other factors, summed over the factors, plus the
     product's rounding.
     """
     s = np.asarray(s, dtype=complex)
-    factors, errors = _l_factors(s, field.characters, return_error=True)
+    factors, errors = _l_factors(s, field.characters)
     out = np.ones_like(s)
     for factor in factors:
         out = out * factor
@@ -402,16 +371,21 @@ class Jet:
 def _hurwitz_jet(s0, a, shift, count):
     """Coefficients e^0 .. e^(count-1) of zeta_H(s0 + e, a), shape (len(a), len(s0), count).
 
-    _hurwitz_core's sum at this shift, each term a jet in e:
-    (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!, 1/(s - 1)
-    and the Pochhammer factors.
+    The Euler-Maclaurin sum at this shift with B_2 .. B_24, each term a jet
+    in e: (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!,
+    1/(s - 1) and the Pochhammer factors.  log(n + a) is taken once per
+    bank.  The head runs along the last, contiguous axis, so numpy sums it
+    pairwise whatever the number of points: a value does not depend on its
+    chunk.
     """
     log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
-    term = np.exp(s0[None, :, None] * log_n)
+    term = s0[None, :, None] * log_n
+    np.exp(term, out=term)
     head = np.empty((len(a), len(s0), count), dtype=complex)
     for j in range(count):
+        if j:
+            term = term * (log_n / j)
         head[..., j] = term.sum(axis=2)
-        term = term * (log_n / (j + 1))
     powers = np.arange(count)
     base = (shift + a)[:, None, None]
     decay = np.exp(-s0[None, :, None] * np.log(base)) * (-np.log(base)) ** powers \
@@ -543,87 +517,47 @@ def digamma(z):
 # vertical-line quadrature
 # ---------------------------------------------------------------------------
 
-# Nodes of one integrand call of nested_trapezoid: the entries are grouped by
-# the slot of this width that their first node falls in, and an entry with
+# Nodes of one integrand call of line_integral_many: the entries are grouped
+# by the slot of this width that their first node falls in, and an entry with
 # more nodes than that is a group of its own.
 _TRAPEZOID_CHUNK_NODES = 4096
-# Step halvings after the first pass: the finest step is 1/16 of the first.
-_TRAPEZOID_HALVINGS = 4
 
 
-def nested_trapezoid(g, half_heights, steps, error):
-    """int_{-T_i}^{T_i} g(t, i) dt for every entry i by one nested trapezoid rule.
+def line_integral_many(f, abscissae, half_heights, steps):
+    """(1/2 pi i) int f(s, i) ds over each vertical segment i of a batch, by the trapezoid rule.
 
-    Entry i starts with nodes t = j steps[i], |t| <= T_i, and each of up to
-    four halvings of the step adds the midpoints, so every node is evaluated
-    once.  `g(t, entry)` gets a 1-d array of nodes and the entry of each;
-    every call holds whole entries and about _TRAPEZOID_CHUNK_NODES nodes.
-
-    An entry stops once its error is at most 1e-11 max(|value|, 1e-250).
-    The error is the caller's `error(entries, steps)`, the proven
-    error of those entries' sums at those steps, read from the first level
-    on, so an entry is halved only where its bound asks for it.  Each
-    entry's nodes are summed over their own segment in one fixed order, so
-    its value does not depend on the other entries.
-    Returns arrays of (values, last errors, converged flags).
+    Segment i is Re(s) = abscissae[i], |Im s| <= half_heights[i], summed on
+    the nodes Im s = j steps[i], |j steps[i]| <= half_heights[i]; the caller
+    proves the step and window.  `f(s, entry)` gets a 1-d array of points
+    and the entry of each; every call holds whole entries and about
+    _TRAPEZOID_CHUNK_NODES nodes.  Each entry's nodes are summed over their
+    own segment in one fixed order, so its value does not depend on the
+    other entries.
     """
+    c = np.asarray(abscissae, dtype=float)
     T = np.asarray(half_heights, dtype=float)
     h = np.asarray(steps, dtype=float)
     if not np.all((h > 0) & (h <= T)):
         raise ValidationError("steps must satisfy 0 < step <= half_height")
-    values = np.zeros(len(T), dtype=complex)
-    totals = np.zeros(len(T), dtype=complex)      # sum of g over every node so far
-    errors = np.full(len(T), np.inf)
-    converged = np.zeros(len(T), dtype=bool)
-    live = np.arange(len(T))
-    for level in range(_TRAPEZOID_HALVINGS + 1):
-        step = h[live] / 2.0 ** level
-        top = np.floor(T[live] / step).astype(np.int64)     # the largest j with j step <= T
-        # every j at the first level, the odd j (the new midpoints) after it
-        counts = 2 * top + 1 if level == 0 else 2 * ((top + 1) // 2)
-        starts = np.cumsum(counts) - counts
-        slot = starts // _TRAPEZOID_CHUNK_NODES
-        big = counts > _TRAPEZOID_CHUNK_NODES
-        first = np.ones(len(live), dtype=bool)
-        first[1:] = (slot[1:] != slot[:-1]) | big[1:] | big[:-1]
-        bounds = np.append(np.flatnonzero(first), len(live))
-        sums = np.empty(len(live), dtype=complex)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            cnt = counts[a:b]
-            seg = starts[a:b] - starts[a]
-            k = np.arange(seg[-1] + cnt[-1]) - np.repeat(seg, cnt)
-            j = k - np.repeat(top[a:b], cnt) if level == 0 else 2 * k - np.repeat(cnt - 1, cnt)
-            vals = np.asarray(g(j * np.repeat(step[a:b], cnt), np.repeat(live[a:b], cnt)),
-                              dtype=complex)
-            if np.any(~np.isfinite(vals)):
-                raise DomainError("integrand returned a non-finite value on the contour")
-            sums[a:b] = np.add.reduceat(vals, seg)
-        totals[live] += sums
-        new = step * totals[live]
-        errors[live] = error(live, step)
-        converged[live] = errors[live] <= 1e-11 * np.maximum(np.abs(new), 1e-250)
-        values[live] = new
-        live = live[~converged[live]]
-        if not len(live):
-            break
-    return values, errors, converged
-
-
-def line_integral_many(f, abscissae, half_heights, steps, error):
-    """(1/2 pi i) int f(s, i) ds over each vertical segment i of a batch.
-
-    Segment i is Re(s) = abscissae[i], |Im s| <= half_heights[i], integrated
-    by nested_trapezoid from the step steps[i]; `f(s, entry)` gets a 1-d
-    array of points and the entry of each.  `error(entries, steps)` is the
-    proven error of those entries' values at those steps, and is the stop
-    rule.  Returns arrays of (values, errors, converged flags); converged
-    means the error is at most 1e-11 relative.
-    """
-    c = np.asarray(abscissae, dtype=float)
-    values, errors, converged = nested_trapezoid(
-        lambda t, entry: f(c[entry] + 1j * t, entry), half_heights, steps,
-        lambda entry, step: 2.0 * math.pi * error(entry, step))
-    return values / (2.0 * math.pi), errors / (2.0 * math.pi), converged
+    top = np.floor(T / h).astype(np.int64)          # the largest j with j step <= T
+    counts = 2 * top + 1
+    starts = np.cumsum(counts) - counts
+    slot = starts // _TRAPEZOID_CHUNK_NODES
+    big = counts > _TRAPEZOID_CHUNK_NODES
+    first = np.ones(len(T), dtype=bool)
+    first[1:] = (slot[1:] != slot[:-1]) | big[1:] | big[:-1]
+    bounds = np.append(np.flatnonzero(first), len(T))
+    sums = np.empty(len(T), dtype=complex)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        cnt = counts[a:b]
+        seg = starts[a:b] - starts[a]
+        entry = np.repeat(np.arange(a, b), cnt)
+        j = np.arange(seg[-1] + cnt[-1]) - np.repeat(seg + top[a:b], cnt)
+        vals = np.asarray(f(c[entry] + 1j * (j * h[entry]), entry), dtype=complex)
+        if np.any(~np.isfinite(vals)):
+            raise DomainError("integrand returned a non-finite value on the contour")
+        sums[a:b] = np.add.reduceat(vals, seg)
+    return h * sums / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ on vertical lines.  The quadrature line is moved to the (approximate) saddle
 of the integrand so the values stay accurate in a relative sense even deep in
 the exponentially small regime; the integrand is assembled in log space since
 individual gamma factors overflow long before the product does.  Every
-line integral is one nested trapezoid rule (numerics.line_integral_many).
-A kernel line takes its step and window from a proven error bound, the
-trapezoid alias identity plus a Stirling tail (_line_plan), so one level of
-nodes usually settles it and each value carries its proven quadrature
-error.  The quadrature entries of a kernel array share each level of nodes.
+kernel line is one trapezoid level (numerics.line_integral_many) whose
+step and window come from a proven error bound, the trapezoid alias
+identity plus a Stirling tail (_line_plan), so each value carries its
+proven quadrature error.  The quadrature entries of a kernel array share
+one pass over their nodes.
 Near 0 the ascending series reads the principal parts of the gamma power at
 s = -m off Gamma's Laurent jets (numerics.gamma_factor_jet).
 """
@@ -41,22 +41,21 @@ def _sector_rate(r1, r2, arg_x):
 
 
 def _mellin_barnes(f, c, T, step, error):
-    """((1/2 pi i) int_(c_i) f(s, i) ds, its error) for each entry i of a batch of integrands.
+    """(1/2 pi i) int_(c_i) f(s, i) ds for each entry i of a batch of integrands.
 
-    One nested trapezoid rule (numerics.line_integral_many) integrates all
-    entries at once on |Im s| <= T[i] from the first step step[i].  Its stop
-    rule is the proven error `error(entries, steps)`, 1e-11 of each value.
-    An entry that has not met it after the last step halving raises
+    One trapezoid level (numerics.line_integral_many) integrates all entries
+    at once on |Im s| <= T[i] at the step step[i], whose proven error is
+    error[i].  An entry whose error exceeds 1e-11 of its value raises
     ConvergenceError: the one verdict on whether a Mellin-Barnes integral
     converged.
     """
-    values, errors, converged = numerics.line_integral_many(f, c, T, step, error)
-    if not np.all(converged):
-        i = int(np.argmin(converged))
-        raise ConvergenceError(f"Mellin-Barnes integral on Re(s) = {c[i]} did not converge in "
-                               f"{numerics._TRAPEZOID_HALVINGS} step halvings: "
-                               f"error {errors[i]:.2e}")
-    return values, errors
+    values = numerics.line_integral_many(f, c, T, step)
+    loose = error > 1e-11 * np.maximum(np.abs(values), 1e-250)
+    if np.any(loose):
+        i = int(np.argmax(loose))
+        raise ConvergenceError(f"Mellin-Barnes integral on Re(s) = {c[i]}: proven error "
+                               f"{error[i]:.2e} exceeds 1e-11 of |value| = {abs(values[i]):.2e}")
+    return values
 
 
 def _saddle_point(r1, r2, x):
@@ -78,7 +77,7 @@ def _kernel_integrand(r1, r2, log_x):
 # ---------------------------------------------------------------------------
 
 # The plan puts each entry's proven error at this much of its estimated
-# |Z~|, a hundredth of the 1e-11 at which nested_trapezoid halves the entry.
+# |Z~|, a hundredth of the 1e-11 at which _mellin_barnes refuses the entry.
 _PLAN_RTOL = 1e-13
 # Trial abscissae of the alias majorants, in units of the line's c: the
 # k >= 1 terms are bounded at c (1 + a), the k <= -1 terms at c (1 - b).
@@ -151,10 +150,10 @@ def _log_window_error(r1, r2, c, log_abs_x, arg_x, last, step):
 def _line_plan(r1, r2, xs, rtol=_PLAN_RTOL):
     """Proven trapezoid plan of the saddle line of each x: (live, c, T, h, error).
 
-    `live` indexes the entries above the underflow cut, and c, T, h and
-    error(entries, steps) run over those: the line Re s = c, the real part
-    of the saddle clamped to [2, 2000], the window |t| <= T, the first step
-    h, and a proven bound on the error of the step sum.
+    `live` indexes the entries above the underflow cut, and the arrays c, T,
+    h and error run over those: the line Re s = c, the real part of the
+    saddle clamped to [2, 2000], the window |t| <= T, the step h, and a
+    proven bound on the error of the step sum.
 
     By Poisson summation the step-h trapezoid sum over the whole line is
     exactly Z~(x) + sum_{k != 0} e^{2 pi k c/h} Z~(x e^{2 pi k/h}).  The
@@ -223,19 +222,9 @@ def _line_plan(r1, r2, xs, rtol=_PLAN_RTOL):
     pick = np.argmax(windows <= budget, axis=1)          # the last trial, `top`, fits
     T = (trials[rows, pick] + 0.5) * h
 
-    def log_alias(entry, step):
-        return np.logaddexp(log_a1[entry] - _log_expm1(2.0 * math.pi * (c1[entry] - c[entry]) / step),
-                            log_a2[entry] - _log_expm1(2.0 * math.pi * (c[entry] - c2[entry]) / step))
-
-    first = np.exp(np.logaddexp(log_alias(rows, h), windows[rows, pick]))
-
-    def error(entry, step):
-        if np.array_equal(step, h[entry]):
-            return first[entry]
-        last = np.floor(T[entry] / step) * step       # the outermost node, as nested_trapezoid has it
-        return np.exp(np.logaddexp(log_alias(entry, step), _log_window_error(
-            r1, r2, c[entry], log_x.real[entry], log_x.imag[entry], last, step)))
-
+    log_alias = np.logaddexp(log_a1 - _log_expm1(2.0 * math.pi * (c1 - c) / h),
+                             log_a2 - _log_expm1(2.0 * math.pi * (c - c2) / h))
+    error = np.exp(np.logaddexp(log_alias, windows[rows, pick]))
     return live, c, T, h, error
 
 
@@ -250,10 +239,9 @@ def _kernel_many(r1, r2, xs, tol, shifted):
     integrand's saddle, so relative accuracy survives into the exponentially
     small tail.  One _line_plan sizes every line and one level of nodes is
     evaluated; an entry whose proven error, alias terms plus window, exceeds
-    1e-11 of its value is halved, with ConvergenceError after the fourth
-    halving.  Its charge is that proven error.  An entry whose majorant is
-    below the underflow cut is 0 with no node evaluated; its charge is 0, the
-    majorant rounded.  `tol` steers the ascending series only.  The sector
+    1e-11 of its value raises ConvergenceError (_mellin_barnes).  Its charge
+    is that proven error.  An entry whose majorant is below the underflow cut
+    is 0 with no node evaluated; its charge is 0, the majorant rounded.  `tol` steers the ascending series only.  The sector
     is checked for the whole array before any work.
     """
     xs = np.asarray(xs, dtype=complex)
@@ -278,8 +266,8 @@ def _kernel_many(r1, r2, xs, tol, shifted):
         live, c, T, h, error = _line_plan(r1, r2, xs[far])
         z = np.zeros(len(far), dtype=complex)
         if len(live):
-            z[live], charge[far[live]] = _mellin_barnes(
-                _kernel_integrand(r1, r2, np.log(xs[far[live]])), c, T, h, error)
+            z[live] = _mellin_barnes(_kernel_integrand(r1, r2, np.log(xs[far[live]])), c, T, h, error)
+            charge[far[live]] = error
         if shifted:
             r0 = _r0_polynomial(r1, r2)
             z = z - [r0(x) for x in xs[far]]

@@ -265,8 +265,7 @@ class TestDedekindZeta:
         field = fd.builtin_field(name)
         for sigma, t in ((0.5, 3.0), (0.5, 141.0), (2.0, 20.0), (-1.5, 20.0)):
             ss = sigma + 1j * (t + np.array([0.0, 1.1]))
-            vals, bound = nx._dedekind_zeta_and_error(ss, field)
-            assert np.array_equal(vals, nx.dedekind_zeta_many(ss, field))
+            vals, bound = nx.dedekind_zeta_many(ss, field), nx._dedekind_zeta_and_error(ss, field)[1]
             with mpmath.workdps(25):
                 for s, v, b in zip(ss, vals, bound):
                     ref = complex(mpmath.fprod(
@@ -329,38 +328,37 @@ class TestLineIntegral:
 
     @staticmethod
     def line(f, r1, r2, x):
-        """(value, proven error, converged) of line_integral_many on _line_plan's line for Z~_{r1,r2}(x).
+        """(value, proven error) of line_integral_many on _line_plan's line for Z~_{r1,r2}(x).
 
         Gamma(s) x^{-s} is the (0, 1) kernel e^{-x}, Gamma(s)^2 x^{-s} the (0, 2)
         kernel 2 K_0(2 sqrt x), so the plan's proven error holds for them.
         """
         _, c, T, h, error = st._line_plan(r1, r2, np.array([complex(x)]))
-        values, errors, converged = nx.line_integral_many(lambda s, entry: f(s), c, T, h, error)
-        return complex(values[0]), float(errors[0]), bool(converged[0])
+        values = nx.line_integral_many(lambda s, entry: f(s), c, T, h)
+        return complex(values[0]), float(error[0])
 
     @staticmethod
     def raw_line(f, c, T, step):
-        return nx.line_integral_many(lambda s, entry: f(s), [c], [T], [step],
-                                     lambda entry, step: np.zeros(len(entry)))
+        return nx.line_integral_many(lambda s, entry: f(s), [c], [T], [step])
 
     def test_exponential_kernel(self):
         for x, expected in [(1.0, math.exp(-1.0)), (2.0, math.exp(-2.0))]:
             f = lambda s: oracle.gamma(s) * np.exp(-s * math.log(x))
-            value, error, converged = self.line(f, 0, 1, x)
-            assert converged
+            value, error = self.line(f, 0, 1, x)
+            assert error <= 1e-11 * abs(value)
             assert abs(value - expected) <= error + self.ROUNDING * expected
 
     def test_bessel_kernel(self):
         f = lambda s: oracle.gamma(s) ** 2
-        value, error, _ = self.line(f, 0, 2, 1.0)
+        value, error = self.line(f, 0, 2, 1.0)
         expected = 2.0 * oracle.bessel_k(0, 2.0)
         assert abs(value - expected) <= error + self.ROUNDING * abs(expected)
 
     def test_node_doubling_stability(self):
         # one proven level: the error is at most 1e-11 of the value, no halving delta needed
         f = lambda s: oracle.gamma(s)
-        value, error, converged = self.line(f, 0, 1, 1.0)
-        assert converged and error <= 1e-11 * abs(value)
+        value, error = self.line(f, 0, 1, 1.0)
+        assert error <= 1e-11 * abs(value)
         assert abs(value - math.exp(-1.0)) <= error + self.ROUNDING * abs(value)
 
     def test_spec_validation(self):

@@ -86,7 +86,7 @@ class TestSeriesPlan:
         monkeypatch.setattr(nx, "_MEMO", {})
         monkeypatch.setattr(st, "z_tilde", refuse)
         monkeypatch.setattr(st, "_kernel_many", refuse)
-        monkeypatch.setattr(nx, "nested_trapezoid", refuse)
+        monkeypatch.setattr(nx, "line_integral_many", refuse)
         field = fd.builtin_field(name)
         for k in (1, 2):
             for x in (0.3, 2.0, 0.7 + 0.3j):

@@ -17,10 +17,12 @@ parts of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change
 in a datum shows at the datum itself, and the proven error of each zero's
 jet coefficients c_0 .. c_2.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
-it, and N0 and the certified bound of l_series, so a change in a
-truncation bound or a quadrature charge shows even when every checked value
-stays the same.  log-gamma far left and at height, the rescaled Xi_F at
-heights where xi_F alone underflows, the ordinates and residuals of one
+it, N0 and the certified bound of l_series, and the largest proven error
+of a kernel line's plan relative to its value per gamma power, so a change
+in a truncation bound, a quadrature charge or a plan's distance from its
+refusal shows even when every checked value stays the same.  log-gamma
+far left and at height, the rescaled Xi_F at heights where xi_F alone
+underflows, the ordinates and residuals of one
 zeros-scan window per builtin field, the Phi identity past
 |Im z| = pi/2, and the Phi integral's proven plan (window, step and
 error) per builtin field are recorded too.  A value whose computation raises is
@@ -43,6 +45,9 @@ FIELDS = ("Q", "sqrt5", "cubic7", "zeta5", "gauss")
 GAMMA_PAIRS = ((1, 0), (2, 0), (0, 1), (1, 1), (4, 0), (0, 2))
 SCAN_WINDOWS = (("Q", 100.0), ("sqrt5", 40.0), ("gauss", 30.0), ("cubic7", 10.0),
                 ("zeta5", 18.0))
+# the (k r1, k r2) of the builtin fields and two mixed pairs, whose kernel-line plans
+# are recorded by their margin
+PLAN_MARGIN_PAIRS = ((1, 0), (2, 0), (4, 0), (0, 1), (0, 2), (3, 0), (6, 0), (0, 4), (2, 1), (1, 1))
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
@@ -85,6 +90,16 @@ def _derivatives(data):
     if not hasattr(data, "coeffs"):
         return tuple(data)
     return tuple(c * math.factorial(i) for i, c in enumerate(data.coeffs))
+
+
+def _plan_margin(steen, nx, r1, r2):
+    """max proven error / |value| of the kernel lines of (r1, r2) on a 12 x 7 grid of x."""
+    import numpy as np
+    edge = min(math.pi * (r1 + 2 * r2) / 4.0 - 0.1, math.pi)
+    xs = (np.geomspace(0.41, 1e4, 12)[:, None] * np.exp(1j * np.linspace(-edge, edge, 7))).ravel()
+    live, c, T, h, error = steen._line_plan(r1, r2, xs)
+    values = np.abs(nx.line_integral_many(steen._kernel_integrand(r1, r2, np.log(xs[live])), c, T, h))
+    return float(np.max(error / np.maximum(values, 1e-300)))
 
 
 def snapshot():
@@ -230,6 +245,11 @@ def snapshot():
     for r1, r2, abs_y, arg_y in TAIL_BOUND_POINTS:
         _record(out, f"z_tail_bound_complex_many/{r1},{r2}/|y|={abs_y}/arg={arg_y}",
                 lambda: steen.z_tail_bound_complex_many(r1, r2, [abs_y], arg_y)[0])
+    # the largest proven error / |value| of steen._line_plan's level of nodes over
+    # |x| in [0.41, 1e4] and |Arg x| up to 0.1 inside the sector edge, so a plan that
+    # drifts toward the 1e-11 refusal of steen._mellin_barnes shows
+    for r1, r2 in PLAN_MARGIN_PAIRS:
+        _record(out, f"kernel_plan_margin/{r1},{r2}", lambda: _plan_margin(steen, nx, r1, r2))
     for x, params, c in ((2.0, (5.0,), None), (2.0, (5.0,), -3.0),
                          (0.7, (1.0,), -0.5), (1.5, (2.0, 3.0), None)):
         _record(out, f"steen_v/x={x}/a={params}/c={c}", lambda: oracle.steen_v(x, params, c=c))
