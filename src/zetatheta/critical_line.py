@@ -5,10 +5,12 @@ non-trivial zeros of zeta_F on the critical line.  The scanner works on an
 exponentially rescaled copy of Xi (a positive factor, so the sign pattern is
 untouched) to keep magnitudes in a sane range, brackets every sign change on
 a grid, and refines all brackets by ITP steps in lockstep: each step is one
-array evaluation of Xi over the brackets still open, and the grid values
-seed the bracket ends, so a width-5 scan at the default step makes 9 or 10
-Xi calls in all.  The Phi integral ties the Xi profile back to the forward
-theta function, crossing the whole stack.
+array evaluation of Xi at ITP's point and three companion points per bracket
+still open.  The grid values seed the bracket ends, and the cubic through
+four of them a guess of each zero, so a bracket closes in 2 or 3 steps and
+a width-5 scan at the default step makes 4 to 6 Xi calls in all.  The Phi
+integral ties the Xi profile back to the forward theta function, crossing
+the whole stack.
 """
 
 import cmath
@@ -101,17 +103,25 @@ class ScanResult:
 _ORDINATE_TOL = 1e-9
 
 
-def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol):
+def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
     """Zero ordinates of the rescaled Xi in brackets whose end values f_lo, f_hi differ in sign.
 
     The lockstep ITP steps of refine_zeros: kappa1 = 0.2/(b0 - a0),
     kappa2 = 2, n0 = 1 and epsilon = tol/4 (Oliveira & Takahashi, ACM TOMS
-    47(1), 2020).  The tol/8 inset only moves a trial point toward the
-    midpoint, so ITP's worst case still holds; without it, a regula falsi
-    point that lands on the root to about 1e-15 is evaluated again at every
-    step until the projection moves it.
+    47(1), 2020).  Each step evaluates, per bracket, ITP's point and the
+    companion points g - r, g and g + r of a guess g of radius r >= tol/4, all
+    of them in one Xi call over the unique points.  The new bracket is the
+    narrowest sign change among its ends and these points; ITP's point is
+    one of them, so it is no wider than the bracket ITP alone would leave and
+    ITP's worst case still holds.  A point where Xi is 0 ends its bracket.
+    The next guess is the new bracket's regula falsi point, of radius
+    2m min(1, m/w) for a guess that moved by m and a bracket of width w.
+    Every point stays at least tol/8 inside its bracket: without the inset,
+    a point that lands on the root to about 1e-15 is evaluated again at
+    every step until the projection moves it.
     """
-    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    lo, hi, f_lo, f_hi, guess, radius = (np.array(v, dtype=float)
+                                         for v in (lo, hi, f_lo, f_hi, guess, radius))
     width = hi - lo
     kappa1 = 0.2 / width
     n_max = np.ceil(np.log2(width / (0.5 * tol))) + 1.0
@@ -120,7 +130,7 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol):
     step = 0
     live = np.nonzero(width > 0.5 * tol)[0]
     while len(live):
-        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        a, b, fa, fb, g = lo[live], hi[live], f_lo[live], f_hi[live], guess[live]
         w = b - a
         mid = 0.5 * (a + b)
         x_f = a + w * (fa / (fa - fb))
@@ -129,14 +139,27 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol):
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         r = 0.25 * tol * 2.0 ** (n_max[live] - step) - 0.5 * w
         x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
-        x = np.clip(x, a + 0.125 * tol, b - 0.125 * tol)
-        f_x = _xi_rescaled_many(field, x)
-        hit = f_x == 0.0
-        out[live[hit]], done[live[hit]] = x[hit], True
-        right = np.sign(f_x) == np.sign(fa)
-        lo[live[right]], f_lo[live[right]] = x[right], f_x[right]
-        left = ~right & ~hit
-        hi[live[left]], f_hi[live[left]] = x[left], f_x[left]
+        r_g = np.maximum(radius[live], 0.25 * tol)
+        points = np.clip(np.column_stack([x, g - r_g, g, g + r_g]),
+                         (a + 0.125 * tol)[:, None], (b - 0.125 * tol)[:, None])
+        unique, inverse = np.unique(points, return_inverse=True)
+        f_points = _xi_rescaled_many(field, unique)[inverse.reshape(points.shape)]
+        hit = f_points == 0.0
+        ended = hit.any(axis=1)
+        out[live[ended]] = points[ended, np.argmax(hit[ended], axis=1)]
+        done[live[ended]] = True
+        ts = np.column_stack([a, points, b])
+        order = np.argsort(ts, axis=1)
+        ts = np.take_along_axis(ts, order, axis=1)
+        fs = np.take_along_axis(np.column_stack([fa, f_points, fb]), order, axis=1)
+        change = np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) < 0
+        rows = np.nonzero(~ended)[0]
+        j = np.argmin(np.where(change, ts[:, 1:] - ts[:, :-1], np.inf), axis=1)[rows]
+        i = live[rows]
+        lo[i], hi[i], f_lo[i], f_hi[i] = ts[rows, j], ts[rows, j + 1], fs[rows, j], fs[rows, j + 1]
+        guess[i] = lo[i] + (hi[i] - lo[i]) * (f_lo[i] / (f_lo[i] - f_hi[i]))
+        move = np.abs(guess[i] - g[rows])
+        radius[i] = 2.0 * move * np.minimum(1.0, move / (hi[i] - lo[i]))
         step += 1
         # n_max steps leave at most tol/2 in exact arithmetic; the cap keeps a
         # width that rounding leaves an ulp above it from taking one more
@@ -155,14 +178,16 @@ def refine_zeros(field, brackets, tol=_ORDINATE_TOL):
     brackets still open.  A bracket [a, b] of initial width w0 tries its
     regula falsi point, moved toward the midpoint by 0.2 (b - a)^2 / w0 and
     then projected close enough to the midpoint that the bracket stays no
-    wider than bisection with one spare step would leave it.  Two guards:
+    wider than bisection with one spare step would leave it; beside it each
+    step tries three companion points around a guess, at first the regula
+    falsi point of [a, b] with radius w0/8 (_itp_lockstep).  Two guards:
     every trial point stays at least tol/8 inside its bracket, and a bracket
     stops once it is at most tol/2 wide (or at an exact zero).  It returns
     the regula falsi point of its last bracket, so the ordinate lies within
     tol/2 of a sign change, and it takes at most
     ceil(log2(w0 / (tol/2))) + 1 steps whatever the function; on a smooth Xi
-    it converges superlinearly, in 6 to 8 steps from w0 = 0.02 at tol = 1e-9.
-    Returns the ordinates as an array, in bracket order.
+    it converges superlinearly.  Returns the ordinates as an array, in
+    bracket order.
     """
     lo = np.array([float(b[0]) for b in brackets])
     hi = np.array([float(b[1]) for b in brackets])
@@ -179,7 +204,9 @@ def refine_zeros(field, brackets, tol=_ORDINATE_TOL):
         raise LostBracketError(f"no sign change across [{lo[i]}, {hi[i]}]")
     out = np.where(f_lo == 0.0, lo, hi)
     open_ = signs < 0
-    out[open_] = _itp_lockstep(field, lo[open_], hi[open_], f_lo[open_], f_hi[open_], tol)
+    lo, hi, f_lo, f_hi = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
+    out[open_] = _itp_lockstep(field, lo, hi, f_lo, f_hi, tol,
+                               lo + (hi - lo) * (f_lo / (f_lo - f_hi)), (hi - lo) / 8.0)
     return out
 
 
@@ -188,11 +215,40 @@ def refine_zero(field, bracket, tol=_ORDINATE_TOL):
     return float(refine_zeros(field, [bracket], tol)[0])
 
 
+def _grid_seeds(ts, vals, flips):
+    """A guess and a radius for the zero in each sign-change cell [t_i, t_{i+1}] of an even grid.
+
+    The guess is the root in the cell of the cubic through the values at
+    t_{i-1} .. t_{i+2}, by Newton steps from the regula falsi point kept in
+    the cell, and its radius twice the distance to the root of the quadratic
+    through t_i .. t_{i+2}.  A cell at either end of the grid takes the regula
+    falsi point, of radius an eighth of the cell.
+    """
+    w = ts[flips + 1] - ts[flips]
+    u = vals[flips] / (vals[flips] - vals[flips + 1])
+    guess, radius = ts[flips] + w * u, w / 8.0
+    inner = np.nonzero((flips >= 1) & (flips + 2 < len(ts)))[0]
+    y_m, y_0, y_1, y_2 = (vals[flips[inner] + k] for k in (-1, 0, 1, 2))
+    q_2 = 0.5 * (y_0 - 2.0 * y_1 + y_2)
+    # the coefficients of u^0 .. u^3, u = (t - t_i)/w, of the cubic and of the quadratic
+    c = np.array([[y_0, y_0], [(y_1 - y_m / 3.0) - (0.5 * y_0 + y_2 / 6.0), y_1 - y_0 - q_2],
+                  [0.5 * (y_m + y_1) - y_0, q_2], [0.5 * (y_0 - y_1) + (y_2 - y_m) / 6.0, 0.0 * y_0]])
+    v = np.array([u[inner], u[inner]])
+    for _ in range(4):
+        slope = c[1] + v * (2.0 * c[2] + 3.0 * v * c[3])
+        v = np.clip(v - (c[0] + v * (c[1] + v * (c[2] + v * c[3])))
+                    / np.where(slope == 0.0, np.inf, slope), 0.0, 1.0)
+    guess[inner] = ts[flips[inner]] + w[inner] * v[0]
+    radius[inner] = 2.0 * w[inner] * np.abs(v[0] - v[1])
+    return guess, radius
+
+
 def scan_zeros(field, t_min, t_max, step):
     """Bracket and refine every sign change of Xi_F on [t_min, t_max].
 
     The grid values at the bracket ends seed the ITP steps of refine_zeros,
-    so no end is evaluated twice.
+    so no end is evaluated twice, and the grid's cubic seeds the guess of
+    each zero (_grid_seeds).
     """
     if not (0 <= t_min < t_max):
         raise ValidationError("need 0 <= t_min < t_max")
@@ -204,8 +260,9 @@ def scan_zeros(field, t_min, t_max, step):
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     brackets = [(float(ts[i]), float(ts[i + 1])) for i in flips]
-    refined = [float(g) for g in _itp_lockstep(field, ts[flips], ts[flips + 1],
-                                               vals[flips], vals[flips + 1], _ORDINATE_TOL)]
+    refined = [float(g) for g in _itp_lockstep(field, ts[flips], ts[flips + 1], vals[flips],
+                                               vals[flips + 1], _ORDINATE_TOL,
+                                               *_grid_seeds(ts, vals, flips))]
     residuals = [float(r) for r in np.abs(_xi_rescaled_many(field, refined))]
     for a, b in zip(refined, refined[1:]):
         if b - a < 2.0 * step:

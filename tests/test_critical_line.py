@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from zetatheta.errors import (
 import _oracles as oracle
 
 BUILTIN = ["Q", "sqrt5", "cubic7", "zeta5", "gauss"]
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "reference")
 
 
 class TestXiCompleted:
@@ -219,8 +222,8 @@ class TestScanZeros:
     @pytest.mark.parametrize("name, t_min", [("Q", 100.0), ("sqrt5", 40.0), ("gauss", 30.0),
                                              ("cubic7", 10.0), ("zeta5", 18.0)])
     def test_few_xi_calls_per_scan(self, name, t_min, monkeypatch):
-        # one call for the grid, one for the residuals, and the lockstep ITP
-        # steps in between
+        # one call for the grid, one for the residuals, and in between the
+        # lockstep steps, which the grid's cubic seeds close in 2 or 3
         calls = []
         real = cl._xi_rescaled_many
 
@@ -230,7 +233,7 @@ class TestScanZeros:
 
         monkeypatch.setattr(cl, "_xi_rescaled_many", counting)
         res = cl.scan_zeros(fd.builtin_field(name), t_min, t_min + 5.0, 0.02)
-        assert len(res.refined) >= 1 and len(calls) <= 10
+        assert len(res.refined) >= 1 and len(calls) <= 6
 
     @pytest.mark.parametrize("name, step", [("Q", 0.05), ("zeta5", 0.0025)])
     def test_ordinates_match_the_reference(self, name, step, riemann_zeros_reference,
@@ -240,6 +243,25 @@ class TestScanZeros:
         res = cl.scan_zeros(fd.builtin_field(name), 0.0, ref[-1] + 0.5, step)
         assert len(res.refined) == len(ref)
         assert np.max(np.abs(np.array(res.refined) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("t_min, t_max, gamma", [(14.125, 19.125, 0), (16.03, 21.03, 1)],
+                             ids=["first-cell", "last-cell"])
+    def test_zero_in_an_end_cell(self, field_q, riemann_zeros_reference, t_min, t_max, gamma):
+        # no grid value past the cell for the cubic seed: the regula falsi seed
+        res = cl.scan_zeros(field_q, t_min, t_max, 0.02)
+        assert len(res.refined) == 1
+        assert res.brackets[0][0] == t_min or res.brackets[0][1] == t_max
+        assert abs(res.refined[0] - riemann_zeros_reference.gammas[gamma]) <= 1e-12
+
+    def test_every_zero_of_zeta_up_to_1000(self, field_q):
+        ref = iv.load_zeros(os.path.join(REFERENCE, "Q.zeros")).gammas
+        ref = np.array([g for g in ref if g <= 1000.0])
+        res = cl.scan_zeros(field_q, 0.0, 1000.0, 0.02)
+        assert len(ref) == len(res.refined) == 649
+        assert np.max(np.abs(np.array(res.refined) - ref)) <= 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 300, 649):
+            assert abs(res.refined[n - 1] - float(mpmath.zetazero(n).imag)) <= 1e-12
 
 
 class TestRefineZero:
@@ -286,28 +308,33 @@ class TestRefineZeros:
         lambda u: np.where(u > 0, 1e6 * u, u),
     ], ids=["cbrt", "tanh", "power-0.02", "cube", "kink"])
     def test_worst_case_on_non_smooth_stand_ins(self, field_q, kernel, monkeypatch):
-        # where regula falsi gains nothing, ITP still takes at most bisection's
-        # step count plus one, evaluates no point twice, and stops within tol/2
-        # of the sign change
+        # where regula falsi and the companion points gain nothing, ITP still
+        # takes at most bisection's step count plus one, with at most 4 points
+        # per bracket in each step, evaluates no point twice, and stops within
+        # tol/2 of the sign change
         tol = 1e-9
         lo = np.arange(12.0)
         widths = np.array([0.02, 0.7, 0.02, 0.35] * 3)
         fractions = np.array([0.5, 0.01, 0.9, 1e-8, 0.3, 0.999, 0.62, 0.25,
                               1.0 - 1e-9, 0.77, 0.05, 0.4])
         centres = lo + fractions * widths
-        seen = []
+        seen, calls = [], []
 
         def stand_in(field, ts):
             ts = np.asarray(ts, dtype=float)
             seen.extend(ts.tolist())
+            calls.append(ts)
             return kernel(ts - centres[np.searchsorted(lo, ts, side="right") - 1])
 
         monkeypatch.setattr(cl, "_xi_rescaled_many", stand_in)
         out = cl.refine_zeros(field_q, list(zip(lo, lo + widths)), tol)
         assert np.all(np.abs(out - centres) <= tol / 2)
         assert len(set(seen)) == len(seen)
-        points = np.array(seen)
-        steps = [np.count_nonzero((points > a) & (points < a + w)) for a, w in zip(lo, widths)]
+        # the points strictly inside each bracket, per Xi call
+        inside = np.array([[np.count_nonzero((ts > a) & (ts < a + w)) for a, w in zip(lo, widths)]
+                           for ts in calls])
+        assert np.all(inside <= 4)
+        steps = np.count_nonzero(inside, axis=0)
         assert np.all(steps <= np.ceil(np.log2(widths / (tol / 2))) + 1)
 
     def test_empty(self, field_q):

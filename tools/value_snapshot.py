@@ -22,8 +22,8 @@ of a kernel line's plan relative to its value per gamma power, so a change
 in a truncation bound, a quadrature charge or a plan's distance from its
 refusal shows even when every checked value stays the same.  log-gamma
 far left and at height, the rescaled Xi_F at heights where xi_F alone
-underflows, the ordinates and residuals of one
-zeros-scan window per builtin field, the Phi identity past
+underflows, the ordinates and residuals of one zeros-scan window per
+builtin field and the number of Xi calls it makes, the Phi identity past
 |Im z| = pi/2, and the Phi integral's proven plan (window, step and
 error) per builtin field are recorded too.  A value whose computation raises is
 recorded as the exception's type and message.  The second form lists each key whose value
@@ -208,11 +208,16 @@ def snapshot():
     for z in (-7.5 + 3.0j, 0.25 + 300.0j, 0.25 - 300.0j, -30.3 + 0.2j):
         _record(out, f"loggamma/z={z}", lambda: nx.loggamma(z))
     # one width-5 zeros-scan window per field at the default step: the ordinates, then
-    # the residuals
+    # the residuals, and the number of Xi calls the scan made
+    xi_rescaled_many = cl._xi_rescaled_many
     for name, a in SCAN_WINDOWS:
+        calls = []
+        cl._xi_rescaled_many = lambda field, ts: calls.append(1) or xi_rescaled_many(field, ts)
         _record(out, f"scan_zeros/{name}/[{a},{a + 5.0}]", lambda: (
             lambda r: r.refined + r.residuals)(
                 cl.scan_zeros(fields.builtin_field(name), a, a + 5.0, 0.02)))
+        cl._xi_rescaled_many = xi_rescaled_many
+        _record(out, f"scan_xi_calls/{name}", lambda: len(calls))
     # heights where xi_F alone underflows
     for name, t in (("zeta5", 242.0), ("cubic7", 322.0), ("Q", 735.0)):
         _record(out, f"xi_rescaled/{name}/t={t}",
