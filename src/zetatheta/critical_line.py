@@ -37,18 +37,17 @@ def _xi_scaled_many(field, s, log_scale):
     The bound is |s (s-1)/2| times the prefactor's modulus times zeta_F's
     error bound (numerics._dedekind_zeta_and_error), plus |value| times the
     prefactor's relative error, which is its exponent's absolute error: the
-    loggamma allowance numerics._LOGGAMMA_ERROR per gamma factor, and 8 eps
-    times |log prefactor| + |log_scale| + 1 for the rounding of the exponent
-    and of the products (which also covers loggamma's error at height).
+    gamma factor's error bound (numerics._log_gamma_factor_and_error), and
+    8 eps times |log prefactor| + |log_scale| + 1 for the rounding of the
+    exponent and of the products.
     """
     s = np.asarray(s, dtype=complex)
-    log_prefactor = fields.log_gamma_prefactor_many(field, s)
+    log_prefactor, gamma_error = fields._log_gamma_prefactor_and_error(field, s)
     prefactor = np.exp(log_prefactor + log_scale)
     polynomial = 0.5 * s * (s - 1.0)
     zeta, zeta_error = numerics._dedekind_zeta_and_error(s, field)
     vals = polynomial * (prefactor * zeta)
-    exponent_error = (field.r1 + field.r2) * numerics._LOGGAMMA_ERROR \
-        + 8.0 * numerics._EPS * (np.abs(log_prefactor) + np.abs(log_scale) + 1.0)
+    exponent_error = gamma_error + 8.0 * numerics._EPS * (np.abs(log_prefactor) + np.abs(log_scale) + 1.0)
     return vals, np.abs(polynomial * prefactor) * zeta_error + np.abs(vals) * exponent_error
 
 
@@ -362,25 +361,25 @@ def phi_identity_check(field, z, tol=1e-6):
     _phi_plan proves to err by at most min(1e-3 tol, 1e-12): the budget's
     quadrature_error.  The budget also holds the series' series_tail and
     kernel_quadrature (see theta._s_series_log) times (pi/2)|e^{-z/2}|, as
-    they enter the rhs, and the rounding: (n + 1) eps for the sum and
-    numerics._LOGGAMMA_ERROR per gamma factor for each value, times
-    h sum_j |f(jh)|.
+    they enter the rhs, and the rounding: (n + 1) eps times h sum_j |f(jh)|
+    for the sum, plus h times each Xi value's error bound (_xi_scaled_many)
+    times its weight cos(zt)/(t^2 + 1/4).
     """
     z = complex(z)
     n, h, quadrature = _phi_plan(field, z, min(1e-3 * tol, 1e-12))
     t = h * np.arange(n + 1)
-    vals = xi_many(field, 0.5 + 1j * t) / (t * t + 0.25) * np.cos(z * t)
+    weight = np.cos(z * t) / (t * t + 0.25) * np.where(t > 0.0, 1.0, 0.5)     # half weight at t = 0
+    xi, xi_error = _xi_scaled_many(field, 0.5 + 1j * t, 0.0)
+    vals = xi * weight
     if not np.all(np.isfinite(vals)):
         raise DomainError("the Phi integrand is not finite on its nodes")
-    vals[0] *= 0.5
     lhs = complex(h * np.sum(vals))
     # S at x = e^{-2z} on the sheet log x = -2z, which leaves the principal one at |Im z| > pi/2
     s_val, _, series = theta._s_series_log(field, 1, -2.0 * z, min(tol * 1e-2, 1e-9))
     r0 = 2.0 ** field.r1 * fields.laurent_constant(field)
     rhs = -(math.pi / 2.0) * (cmath.exp(-z / 2.0) * s_val + r0 * cmath.exp(z / 2.0))
     scale = (math.pi / 2.0) * abs(cmath.exp(-z / 2.0))
-    rounding = ((n + 1) * numerics._EPS + (field.r1 + field.r2) * numerics._LOGGAMMA_ERROR) \
-        * h * float(np.sum(np.abs(vals)))
+    rounding = h * float(np.sum((n + 1) * numerics._EPS * np.abs(vals) + xi_error * np.abs(weight)))
     return theta.Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                         budget={"quadrature_error": quadrature, "rounding": rounding,
                                 "series_tail": scale * series["series_tail"],

@@ -472,35 +472,18 @@ def kernel_scale(field, k=1):
     return 2.0 ** (k * field.r2) * math.pi ** (k * field.degree / 2.0) / field.disc ** (k / 2.0)
 
 
-def log_gamma_prefactor_many(field, s):
-    """log of (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s), vectorized, up to 2 pi i."""
-    s = np.asarray(s, dtype=complex)
+def _log_gamma_prefactor_and_error(field, s):
+    """(log of (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s) up to 2 pi i, its gamma factor's error)."""
     q = field.disc / (4.0 ** field.r2 * math.pi ** field.degree)
-    return 0.5 * s * math.log(q) + numerics.log_gamma_factor(field.r1, field.r2, s)
-
-
-def gamma_prefactor_many(field, s, k=1):
-    """[ (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s) ]^k, vectorized."""
-    return np.exp(k * log_gamma_prefactor_many(field, s))
+    log_gamma, error = numerics._log_gamma_factor_and_error(field.r1, field.r2, s)
+    return 0.5 * s * math.log(q) + log_gamma, error
 
 
 def prefactor_jet(field, centres, sign, count):
-    """numerics.Jet of gamma_prefactor_many about each s = s0 + sign e; at s0 = 0 from e^-(r1 + r2)."""
+    """numerics.Jet of the gamma prefactor about each s = s0 + sign e; at s0 = 0 from e^-(r1 + r2)."""
     s0 = np.asarray(centres, dtype=complex).reshape(-1)
     half_log_q = 0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** field.degree))
     exponent = np.zeros((len(s0), count), dtype=complex)
     exponent[:, 0], exponent[:, 1:2] = s0 * half_log_q, sign * half_log_q
     return numerics.Jet(exponent, 4.0 * numerics._EPS * np.abs(exponent)).exp() \
         * numerics.gamma_factor_jet(field.r1, field.r2, s0, sign, count)
-
-
-def omega_many(field, s, k=1):
-    """Omega_F(s)^k = [prefactor * zeta_F(s)]^k, vectorized off the poles."""
-    s = np.asarray(s, dtype=complex)
-    return gamma_prefactor_many(field, s, k) * numerics.dedekind_zeta_many(s, field) ** k
-
-
-def lambda_many(field, s, k=1):
-    """Lambda_F(s)^k = [prefactor / zeta_F(1-s)]^k, vectorized."""
-    s = np.asarray(s, dtype=complex)
-    return gamma_prefactor_many(field, s, k) / numerics.dedekind_zeta_many(1.0 - s, field) ** k

@@ -1,11 +1,11 @@
 """Complex-plane special-function backbone.
 
-Log-gamma on the whole plane (Lanczos) and the gamma factor of Lambda_F in
-log space, Hurwitz zeta (Euler-Maclaurin), Dirichlet L, Dedekind zeta (with
-its error bound), Taylor jets of zeta_F and Gamma whose coefficients carry
-proven errors, vertical-line quadrature (one trapezoid level over a batch of
-lines, on the steps and windows the caller proves), residue polynomials, and
-the package's one memo.
+Log-gamma on the whole plane (Stirling after the recurrence) with its error
+bound and the gamma factor of Lambda_F in log space, Hurwitz zeta
+(Euler-Maclaurin), Dirichlet L, Dedekind zeta (with its error bound), Taylor
+jets of zeta_F and Gamma whose coefficients carry proven errors, vertical-line
+quadrature (one trapezoid level over a batch of lines, on the steps and
+windows the caller proves), residue polynomials, and the package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
 operations in this module.
 
@@ -21,27 +21,6 @@ import numpy as np
 
 from .errors import DomainError, PoleError, ValidationError
 
-# Lanczos rational approximation, g = 7 with 9 coefficients: ~13 significant
-# digits in double precision over the right half-plane.
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-# Allowance for the absolute error of one loggamma value, measured against
-# mpmath, not proven: at most 5.1e-13 for |Im z| <= 400 on Re z = 1/4, 1/2
-# and 3/4.  Above that the error grows like eps |loggamma(z)| (3.7e-12 for
-# |Im z| <= 1500, 2.9e-11 for |Im z| <= 10^4), which a caller covers with a
-# rounding term in |loggamma|.
-_LOGGAMMA_ERROR = 1e-12
 _EPS = float(np.finfo(float).eps)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
@@ -61,47 +40,84 @@ _BERNOULLI = np.array([
     854513.0 / 138.0,
     -236364091.0 / 2730.0,
 ])
+# Stirling's coefficients B_2k / (2k (2k - 1)), k = 1 .. 12.
+_STIRLING = _BERNOULLI / (np.arange(2, 25, 2) * np.arange(1, 24, 2))
+# log Gamma shifts |z| < 6 to Re w >= 6: there |B_24|/(552 w^23), the last remainder, is eps on the real axis.
+_STIRLING_RADIUS = 6.0
+
+
+def _loggamma_and_error(z):
+    """(log Gamma(z) on an array of z off the poles, a bound on each value's error).
+
+    Left of Re z = 1/2, the reflection log pi - log sin(pi z) - log Gamma(u),
+    u = 1 - z, with log sin(pi z) = -i s pi z + log(s expm1(2 i s pi r)/2i),
+    r = z - k exact for the integer k nearest Re z and s = 1 for Im z >= 0, -1
+    below: nothing overflows at any height, and the poles keep their relative
+    accuracy.  Right of it, u = z.  Then Stirling's series after the
+    recurrence, w = u + n, n = 0 if |u| >= 6 and else the least with Re w >= 6:
+    log Gamma(u) = (u - 1/2)(log w - 1) + log(2 pi)/2 - 1/2 - n
+                   + sum_{k<K} B_2k/(2k (2k-1) w^(2k-1)) - log prod_{i<n} (u + i)/w,
+    K <= 12 the fewest terms whose remainder bound over the batch is below eps.
+    The error bound is that remainder, at most |B_2K| sec^2K(ph w/2) /
+    (2K (2K-1) |w|^(2K-1)) (DLMF 5.11(ii)), plus 8 eps times a bound on the
+    terms' moduli (for the reflection |log sin| and |2 pi r|/|expm1|): a model
+    of the float arithmetic like the Hurwitz rounding term.  The branch is the
+    continuous one on every point checked against mpmath; it could differ by
+    2 pi i, which the integer gamma powers this package exponentiates ignore.
+    """
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    left = z.real < 0.5
+    u = np.where(left, 1.0 - z, z)
+    size = modulus = np.abs(u)
+    n, w, log_q, shift = 0.0, u, 0.0, size < _STIRLING_RADIUS
+    if np.any(shift):
+        n = np.where(shift, np.ceil(_STIRLING_RADIUS - u.real), 0.0)
+        w, log_q = u + n, np.zeros_like(u)
+        i = np.arange(n.max())
+        log_q[shift] = np.log(np.where(i < n[shift, None], (u[shift, None] + i) / w[shift, None], 1.0).prod(1))
+        size = np.abs(w)
+    sec2 = 2.0 * size / (size + w.real)                     # sec^2(ph w / 2)
+    lo, top = (float(size.min()), float(sec2.max())) if z.size else (np.inf, 1.0)
+    m = next((j for j in range(1, 11) if abs(_STIRLING[j]) * top ** (j + 1) / lo ** (2 * j + 1) <= _EPS), 11)
+    inv, log_w = 1.0 / w, np.log(w)
+    square, series = inv * inv, _STIRLING[m - 1]
+    for c in _STIRLING[:m - 1][::-1]:
+        series = series * square + c
+    out = (u - 0.5) * (log_w - 1.0) + (_HALF_LOG_TWO_PI - 0.5 - n) - log_q + series * inv
+    error = abs(_STIRLING[m]) * sec2 ** (m + 1) / size ** (2 * m + 1) \
+        + 8.0 * _EPS * ((modulus + 1.5) * (np.abs(log_w) + 1.0) + n + np.abs(log_q))
+    if np.any(left):
+        zl = z[left]
+        spi = (1j * math.pi) * np.copysign(1.0, zl.imag)    # i s pi
+        x = 2.0 * spi * (zl - np.round(zl.real))
+        e = np.expm1(x)
+        log_sin = np.log(e * spi / (-2.0 * math.pi)) - spi * zl
+        out[left] = _LOG_PI - log_sin - out[left]
+        error[left] += 8.0 * _EPS * (np.abs(log_sin) + np.abs(x / e))
+    return out.reshape(shape), error.reshape(shape)
 
 
 def loggamma(z):
-    """log Gamma(z) on the whole plane off the poles, scalar or array.
+    """log Gamma(z) on the whole plane off the poles, scalar or array: the values of _loggamma_and_error."""
+    out = _loggamma_and_error(z)[0]
+    return out if out.ndim else complex(out)
 
-    Lanczos for Re(z) >= 1/2.  Left of that, the reflection
-    log pi - log sin(pi z) - log Gamma(1 - z) with
-    log sin(pi z) = -i s pi z + log(s expm1(2 i s pi z) / 2i), s = 1 for
-    Im z >= 0 and -1 below, whose exponential never exceeds 1 in modulus, so
-    nothing overflows at any height.  One Lanczos pass serves both half-planes.  The branch may differ
-    from the continuous log-gamma by multiples of 2 pi i, which is harmless
-    for the integer gamma powers this package exponentiates.
-    """
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=complex).ravel()
-    left = z.real < 0.5
-    w = z - 1.0
-    if np.any(left):
-        w[left] = -z[left]      # Lanczos at 1 - z
-    acc = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    out = _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
-    if np.any(left):
-        pz = math.pi * z[left]
-        sign = np.where(pz.imag < 0.0, -1.0, 1.0)
-        log_sin = -1j * sign * pz + np.log(sign * np.expm1(2j * sign * pz) / 2j)
-        out[left] = _LOG_PI - log_sin - out[left]
-    return out.reshape(shape) if shape else complex(out[0])
+
+def _log_gamma_factor_and_error(r1, r2, s):
+    """(r1 log Gamma(s/2) + r2 log Gamma(s), a bound on its error), from _loggamma_and_error."""
+    s = np.asarray(s, dtype=complex)
+    out = error = 0.0                                        # r1 + r2 >= 1
+    for power, z in ((r1, s / 2.0), (r2, s)):
+        if power:
+            value, e = _loggamma_and_error(z)
+            out, error = out + power * value, error + power * e
+    return out, error
 
 
 def log_gamma_factor(r1, r2, s):
     """r1 log Gamma(s/2) + r2 log Gamma(s), the gamma factor of Lambda_F in log space."""
-    s = np.asarray(s, dtype=complex)
-    out = np.zeros_like(s)
-    if r1:
-        out = out + r1 * loggamma(s / 2.0)
-    if r2:
-        out = out + r2 * loggamma(s)
-    return out
+    return _log_gamma_factor_and_error(r1, r2, s)[0]
 
 
 def _hurwitz_shift(s):
@@ -194,9 +210,9 @@ def hurwitz_zeta_many(s, a):
 def hurwitz_zeta(s, a=1.0):
     """zeta_H(s, a) = sum_{n>=0} (n+a)^(-s), continued to all s != 1.
 
-    Euler-Maclaurin with the 12 Bernoulli terms B_2 .. B_24; the summation
-    shift grows with |Im s| so accuracy holds uniformly on desk-scale strips
-    (|Im s| <~ 100).
+    Euler-Maclaurin with B_2 .. B_24 at a shift that grows with |Im s|, so the
+    remainder stays below the rounding at every height (_hurwitz_bounds): Q's
+    zeros at t = 10^4 come out within 3.6e-12.
     """
     return complex(hurwitz_zeta_many(np.array([complex(s)]), a)[0])
 
@@ -450,11 +466,11 @@ def _log_gamma_jet(z, count):
     """(Jet of log Gamma(z + e), less the log e of a pole; the poles) about every complex z.
 
     Gamma(z + e) = Gamma(w + e)/prod_{i<n} (z + i + e), w = z + n with
-    Re w >= 10: loggamma(w), then Stirling's series differentiated term by
-    term, psi(w + e) = log(w + e) - 1/(2(w + e)) - sum_k B_2k/(2k) (w + e)^-2k
+    Re w >= 10: _loggamma_and_error(w), then Stirling's series differentiated
+    term by term, psi(w + e) = log(w + e) - 1/(2(w + e)) - sum_k B_2k/(2k) (w + e)^-2k
     over B_2 .. B_22, less the jets of log(z + i + e); a factor z + i = 0 is a
-    pole, its 1/e left to the caller.  Errors: _LOGGAMMA_ERROR in the
-    constant; Stirling's remainder, <= 2^12 |B_24|/(552 (|w| - 1)^23) on
+    pole, its 1/e left to the caller.  Errors: _loggamma_and_error's bound in
+    the constant; Stirling's remainder, <= 2^12 |B_24|/(552 (|w| - 1)^23) on
     |e| <= 1 (DLMF 5.11(ii)), in the others (Cauchy); and (count + 4) eps
     times the sum of the terms' moduli.
     """
@@ -472,9 +488,10 @@ def _log_gamma_jet(z, count):
              -0.5 * (-1.0) ** i / w ** (i + 1),
              -(_BERNOULLI[:-1, None, None] / two_k * (-1.0) ** i * binom[:, None] / w ** (two_k + i)).sum(0),
              -(live[..., None] * (-1.0) ** i / factors[..., None] ** (i + 1)).sum(1)]
-    const = loggamma(w) - np.log(factors).sum(1, keepdims=True)
+    const, const_err = _loggamma_and_error(w)
+    const = const - np.log(factors).sum(1, keepdims=True)
     remainder = 2.0 ** 12 * abs(_BERNOULLI[-1]) / (552.0 * (np.abs(w) - 1.0) ** 23)
-    err = np.concatenate([_LOGGAMMA_ERROR + (steps.max() + 4) * _EPS * np.abs(const),
+    err = np.concatenate([const_err + (steps.max() + 4) * _EPS * np.abs(const),
                           remainder + (count + 4) * _EPS * sum(np.abs(t) for t in terms) / (i + 1)], 1)
     return Jet(np.concatenate([const, sum(terms) / (i + 1)], 1), err), pole.any(axis=1)
 

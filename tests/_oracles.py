@@ -9,7 +9,8 @@ sampled rings of 128 points, each checked against its 64 even ones: the
 reference the package's Taylor jets are compared against.  Some read the package: gamma
 is exp(numerics.loggamma), zeta_derivative reads hurwitz_zeta_many's Taylor
 data off laurent_coefficients, and r1_theta/r1_inverse run
-residue_polynomial on omega_many/lambda_many at s = 1, where the package
+residue_polynomial on omega_many/lambda_many (the package's gamma prefactor
+times zeta_F^k or 1/zeta_F(1 - s)^k) at s = 1, where the package
 reads no Laurent data (theta.r0_theta and inverse_theta.r0_inverse read
 jets at s = 0).  steen_v and
 kernel_lines integrate on lines of their own choosing (any abscissa, the
@@ -300,11 +301,28 @@ def smoothed_mu_exp_sum(x, n_smooth=1_000_000):
     return float(np.sum(mu[1:] / n * np.exp(-x / (n * n)) * w))
 
 
+def gamma_prefactor_many(field, s, k=1):
+    """[ (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s) ]^k, vectorized."""
+    return np.exp(k * fields._log_gamma_prefactor_and_error(field, s)[0])
+
+
+def omega_many(field, s, k=1):
+    """Omega_F(s)^k = [prefactor * zeta_F(s)]^k, vectorized off the poles."""
+    s = np.asarray(s, dtype=complex)
+    return gamma_prefactor_many(field, s, k) * numerics.dedekind_zeta_many(s, field) ** k
+
+
+def lambda_many(field, s, k=1):
+    """Lambda_F(s)^k = [prefactor / zeta_F(1-s)]^k, vectorized."""
+    s = np.asarray(s, dtype=complex)
+    return gamma_prefactor_many(field, s, k) / numerics.dedekind_zeta_many(1.0 - s, field) ** k
+
+
 def r1_inverse(field, k, x):
     """Residue at s = 1 of Lambda_F^k(s) x^{-s/2}, by its own contour at s = 1."""
     x = complex(x)
     poly = residue_polynomial(
-        lambda s: fields.lambda_many(field, s, k), 1.0, k * field.unit_rank, scale=0.5)
+        lambda s: lambda_many(field, s, k), 1.0, k * field.unit_rank, scale=0.5)
     return poly(x) / cmath.sqrt(x)
 
 
@@ -312,7 +330,7 @@ def r1_theta(field, k, x):
     """Residue at s = 1 of Omega_F^k(s) x^{-s/2}, by its own contour at s = 1."""
     x = complex(x)
     poly = residue_polynomial(
-        lambda s: fields.omega_many(field, s, k), 1.0, k, scale=0.5)
+        lambda s: omega_many(field, s, k), 1.0, k, scale=0.5)
     return poly(x) / cmath.sqrt(x)
 
 

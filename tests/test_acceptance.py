@@ -177,6 +177,8 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                 with open(os.path.join(src, name)) as fh:
                     text = fh.read()
                 assert not re.search(r"\blaurent_coefficients\s*\(", text), name
+                # one log-gamma, with a proven error: no Lanczos and no measured allowance
+                assert not re.search(r"_LANCZOS_G|_LANCZOS_C|_LOGGAMMA_ERROR", text), name
                 assert not re.search(r"def (laurent_coefficients_many|dedekind_zeta_majorant)\b",
                                      text), name
                 # one trapezoid level per line and one Euler-Maclaurin sum: no step

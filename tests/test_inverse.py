@@ -177,7 +177,7 @@ class TestRRho:
         rho = 0.5 + 1j * g
         for x in (1.0, 4.0):
             pair = iv.r_rho(field_q, 1, x, g)
-            pref = fd.gamma_prefactor_many(field_q, np.array([rho]), 1)[0]
+            pref = oracle.gamma_prefactor_many(field_q, np.array([rho]), 1)[0]
             res = -pref / zeta_derivative(1.0 - rho, 1)
             direct = x ** (-rho / 2.0) * res
             assert abs(pair - 2.0 * direct.real) < 1e-12

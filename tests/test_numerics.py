@@ -71,7 +71,7 @@ class TestGamma:
         rng = np.random.RandomState(23)
         points = []
         # (Re range, |Im| bound, count): deep left, tall left, the critical strip
-        # of Gamma(s/2), and the Lanczos half-plane
+        # of Gamma(s/2), and the right half-plane
         for (re_lo, re_hi), im, count in (((-40.0, 0.5), 20.0, 400), ((-5.0, 0.5), 1000.0, 300),
                                           ((0.2, 0.3), 1000.0, 200), ((0.5, 40.0), 1000.0, 200)):
             box = []
@@ -89,6 +89,27 @@ class TestGamma:
             # log-gamma is defined up to 2 pi i
             delta = complex(delta.real, (delta.imag + math.pi) % (2.0 * math.pi) - math.pi)
             assert abs(delta) <= 1e-14 * (1.0 + abs(ref)), z
+
+    def test_loggamma_error_bound_against_mpmath(self):
+        # the proven error of every value, up to |Im z| = 10^4 in both half-planes, next to
+        # the poles on the left and at z = 1 and 2, where log Gamma cancels to 0
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.RandomState(29)
+        points = [complex(rng.uniform(re_lo, re_hi), rng.uniform(-im, im))
+                  for (re_lo, re_hi), im in (((-40.0, 0.5), 30.0), ((-3.0, 0.5), 1e4),
+                                             ((0.5, 3.0), 1e4), ((0.5, 60.0), 60.0))
+                  for _ in range(150)]
+        points += [complex(-m + d) for m in range(0, 40, 3) for d in (1e-9, -1e-4, 3e-3j, 0.01 - 0.02j)]
+        points += [complex(c + d) for c in (1, 2) for d in (1e-12, -1e-6, 1e-4j, 0.03 + 0.01j)]
+        points += [0.5 + 6.0j, 0.25 + 1e4j, 0.75 - 1e4j, 30.0 + 1e4j]
+        values, errors = nx._loggamma_and_error(np.array(points))
+        with mpmath.workdps(30):
+            for z, value, error in zip(points, values, errors):
+                delta = value - complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+                # log-gamma is defined up to 2 pi i
+                delta = complex(delta.real, (delta.imag + math.pi) % (2.0 * math.pi) - math.pi)
+                assert abs(delta) <= error, (z, abs(delta), error)
+        assert np.all(nx.loggamma(np.array(points)) == values)
 
     def test_loggamma_scalar_returns_complex(self):
         assert type(nx.loggamma(-2.5 + 1j)) is complex

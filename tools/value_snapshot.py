@@ -20,14 +20,14 @@ series stops (n_stop and its certified tail) and the kernel majorant behind
 it, N0 and the certified bound of l_series, and the largest proven error
 of a kernel line's plan relative to its value per gamma power, so a change
 in a truncation bound, a quadrature charge or a plan's distance from its
-refusal shows even when every checked value stays the same.  log-gamma
-far left and at height, the rescaled Xi_F at heights where xi_F alone
-underflows, the ordinates and residuals of one zeros-scan window per
-builtin field and the number of Xi calls it makes, the Phi identity past
-|Im z| = pi/2, and the Phi integral's proven plan (window, step and
-error) per builtin field are recorded too.  A value whose computation raises is
-recorded as the exception's type and message.  The second form lists each key whose value
-differs, with its absolute change and its scale, and exits 1 when any does,
+refusal shows even when every checked value stays the same.  log-gamma far
+left and at height with its proven error, the rescaled Xi_F at heights
+where xi_F alone underflows, the ordinates and residuals of one zeros-scan
+window per builtin field and the number of Xi calls it makes, the Phi
+identity past |Im z| = pi/2, and the Phi integral's proven plan (window,
+step and error) per builtin field are recorded too.  A value whose
+computation raises is recorded as the exception's type and message.  The
+second form lists each key whose value differs, with its absolute change and its scale, and exits 1 when any does,
 so it can serve as a gate.  Zero lists come from this repository's `tests/data` and
 `perfbench/reference`, and gamma, zeta', the theta-side R_1, V and the
 kernel on a line left of 0 from the oracles in its `tests/_oracles.py`,
@@ -207,6 +207,7 @@ def snapshot():
         _record(out, f"gamma/s={s}", lambda: oracle.gamma(s))
     for z in (-7.5 + 3.0j, 0.25 + 300.0j, 0.25 - 300.0j, -30.3 + 0.2j):
         _record(out, f"loggamma/z={z}", lambda: nx.loggamma(z))
+        _record(out, f"loggamma_error/z={z}", lambda: nx._loggamma_and_error(z)[1])
     # one width-5 zeros-scan window per field at the default step: the ordinates, then
     # the residuals, and the number of Xi calls the scan made
     xi_rescaled_many = cl._xi_rescaled_many
