@@ -4,8 +4,8 @@ Each subcommand is declared once, in `COMMANDS`: its name and help, its
 options, and the function that runs it.  An option that several subcommands
 take is declared once, in `OPTIONS`, and every value is parsed and validated
 by its `type=` function, which names the value when it refuses it.  A check
-subcommand declares its default `--tol`, its TSV columns, the check of one
-point and the row of its report.  The parser is built from these
+subcommand declares its default `--tol`, its TSV columns, the checks of its
+points and the row of a report.  The parser is built from these
 declarations once, when the module is imported, and `main` reuses it.
 
 Exit codes: 0 all checks passed, 1 some residual is above its tolerance or
@@ -102,24 +102,25 @@ def _zeros_scan(a):
     return 0
 
 
-def _check(columns, point, row):
-    """Run of a check subcommand: a TSV row per point, once every point's report is in.
+def _check(columns, points, row):
+    """Run of a check subcommand: a TSV row per point, once points(a), its reports, are in.
 
     The exit code is 0 iff every residual is <= --tol, so a NaN residual fails.
     """
     def run(a):
-        reports = [point(a, p) for p in a.points]
+        reports = points(a)
         _emit(columns, [row(a, p, rep) for p, rep in zip(a.points, reports)])
         return 0 if all(rep.residual <= a.tol for rep in reports) else 1
     return run
 
 
-def _theta_point(a, x):
-    if x != -1.0:
-        return theta.check_theta(a.field, a.k, x, tol=a.tol)
-    if a.k != 1:
+def _theta_points(a):
+    """One check_theta_many call for every x != -1; x = -1 is the exact evaluation."""
+    if -1.0 in a.points and a.k != 1:
         raise ValidationError(f"x = -1 (exact evaluation) needs k = 1, got k = {a.k}")
-    return theta.exact_eval_check(a.field, tol=a.tol)
+    xs = [x for x in a.points if x != -1.0]
+    reports = iter(theta.check_theta_many(a.field, a.k, xs, a.tol) if xs else ())
+    return [theta.exact_eval_check(a.field, a.tol) if x == -1.0 else next(reports) for x in a.points]
 
 
 def _theta_row(a, x, rep):
@@ -152,24 +153,25 @@ COMMANDS = (
       "--x": dict(help="evaluation point; -1 routes to the exact boundary evaluation (k = 1)"),
       "--tol": dict(default=1e-8)},
      _check(["check", "x_re", "x_im", "lhs", "rhs", "residual", "status"],
-            _theta_point, _theta_row)),
+            _theta_points, _theta_row)),
     ("inverse-check", "inverse theta relation U(1/x) = sqrt(x) U(x)",
      {"--field": {}, "--k": {}, "--x": {},
       "--zeros": dict(help="zeros file (see zeros-scan --emit)"), "--tol": dict(default=1e-5)},
      _check(["x_re", "x_im", "lhs", "rhs", "rel_error", "zeros"],
-            lambda a, x: inverse_theta.check_inverse_theta(a.field, a.k, x, a.zeros, tol=a.tol),
+            lambda a: [inverse_theta.check_inverse_theta(a.field, a.k, x, a.zeros, tol=a.tol)
+                       for x in a.points],
             lambda a, x, rep: [*_xy(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
                                _sci(rep.residual), str(len(a.zeros))])),
     ("hlr-check", "Hardy-Littlewood-Ramanujan exponential identity",
      {"--x": _REAL_X, "--zeros": {}, "--tol": dict(default=1e-4)},
      _check(["x", "lhs", "rhs", "residual", "zeros"],
-            lambda a, x: inverse_theta.hlr_check(x, a.zeros, tol=a.tol),
+            lambda a: [inverse_theta.hlr_check(x, a.zeros, tol=a.tol) for x in a.points],
             lambda a, x, rep: [_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real),
                                _sci(rep.residual), str(len(a.zeros))])),
     ("dgv-check", "Dixit-Gupta-Vatwani identity (Q and quadratic fields)",
      {"--field": {}, "--x": _REAL_X, "--zeros": {}, "--tol": dict(default=1e-5)},
      _check(["x", "lhs", "rhs", "residual", "zeros"],
-            lambda a, x: inverse_theta.dgv_check(a.field, x, a.zeros, tol=a.tol),
+            lambda a: [inverse_theta.dgv_check(a.field, x, a.zeros, tol=a.tol) for x in a.points],
             lambda a, x, rep: [_sci(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
                                _sci(rep.residual), str(len(a.zeros))])),
     ("zeros-scan", "sign-change scan of Xi_F on the critical line",
@@ -180,7 +182,7 @@ COMMANDS = (
     ("phi-check", "Phi integral identity between Xi and the theta side",
      {"--field": {}, "--z": OPTIONS["--x"], "--tol": dict(default=1e-6)},
      _check(["z_re", "z_im", "integral", "theta_side", "residual"],
-            lambda a, z: critical_line.phi_identity_check(a.field, z, tol=a.tol),
+            lambda a: [critical_line.phi_identity_check(a.field, z, tol=a.tol) for z in a.points],
             lambda a, z, rep: [*_xy(z), _sci(rep.lhs.real), _sci(rep.rhs.real),
                                _sci(rep.residual)])),
 )

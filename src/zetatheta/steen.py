@@ -379,16 +379,16 @@ def z_tail_bound(r1, r2, y):
 def z_tail_bound_complex_many(r1, r2, abs_y, arg_y):
     """Majorant of |Z~_{r1,r2}(|y| e^{i arg_y})| over an array of |y| at one angle.
 
-    Proven, with no quadrature.  Real Y > 0: Z~ is the multiplicative
-    convolution of r1 copies of 2 e^{-u^2} and r2 copies of e^{-u}, the
-    inverse Mellin transforms of Gamma(s/2) and Gamma(s), so it is positive
-    and decreasing, and for every c > 0
+    Proven, with no quadrature.  Real Y > 0: Z~ is the multiplicative convolution
+    of r1 copies of 2 e^{-u^2} and r2 copies of e^{-u}, the inverse Mellin transforms
+    of Gamma(s/2) and Gamma(s), so it is positive and decreasing, and for every c > 0
         Z~(Y) Y^c / c <= int_0^Y Z~(u) u^{c-1} du <= G(c) = Gamma^r1(c/2) Gamma^r2(c),
-    that is Z~(Y) <= c G(c) Y^{-c}.  c is the saddle (2^{r1/2} Y)^{2/d},
-    clamped to c >= 1; any c > 0 gives a bound, so the choice sets only its
-    tightness (about sqrt(pi d c) times Z~).  Complex y with |arg y| < pi d/4:
-    rotate the variable of each factor with kernel e^{-u^p} by 2 arg_y/(d p);
-    its modulus is then the real kernel at v cos^{1/p}(2 arg_y/d), so
+    that is Z~(Y) <= c G(c) Y^{-c}, with G(c) read as Binet's bound, no log-gamma
+    evaluation (_log_gamma_factor_up, at most exp(r1/(6c) + r2/(12c)) G(c)).  c is
+    the saddle (2^{r1/2} Y)^{2/d}, clamped to c >= 1; any c > 0 gives a bound, so the
+    choice sets only its tightness (about sqrt(pi d c) times Z~).  Complex y with
+    |arg y| < pi d/4: rotate the variable of each factor with kernel e^{-u^p} by
+    2 arg_y/(d p); its modulus is then the real kernel at v cos^{1/p}(2 arg_y/d), so
     |Z~(y)| <= Z~(|y| cos^{d/2}(2 arg_y/d)), with equality for (1, 0).
     """
     d = r1 + 2 * r2
@@ -397,4 +397,4 @@ def z_tail_bound_complex_many(r1, r2, abs_y, arg_y):
         raise SectorError("argument outside the decaying sector")
     y = np.asarray(abs_y, dtype=float) * cosf ** (d / 2.0)
     c = np.maximum(1.0, (2.0 ** (r1 / 2.0) * y) ** (2.0 / d))
-    return np.exp(np.log(c) - c * np.log(y) + numerics.log_gamma_factor(r1, r2, c).real)
+    return np.exp(np.log(c) - c * np.log(y) + _log_gamma_factor_up(r1, r2, c))

@@ -40,6 +40,7 @@ def _require_sector(field, log_x):
 
 def _series_plan(field, k, log_x, tol):
     """Pick the truncation point and certified tail for the forward series at x = e^{log_x}."""
+    _require_sector(field, log_x)
     kr1, kr2 = k * field.r1, k * field.r2
     abs_y1 = fields.kernel_scale(field, k) * math.exp(log_x.real / 2.0)
     arg_y = log_x.imag / 2.0
@@ -65,24 +66,29 @@ def _series_plan(field, k, log_x, tol):
         n_table *= 2
 
 
-def _s_series_log(field, k, log_x, tol):
-    """(S_{F,k}, n_stop, error terms) at x = e^{log_x}, on the sheet log_x names.
+def _s_series_many(field, k, log_xs, tol):
+    """Yield (S_{F,k}, n_stop, error terms) at x = e^{log_x}, on the sheet log_x names, per log_x.
 
-    The error terms are series_tail, the certified remainder past n_stop, and
-    kernel_quadrature, sum_n |a(n)| times the proven quadrature error of Z~(y n).
+    Each sheet has its own _series_plan; the kernel entries of all sheets are one
+    steen._kernel_many call.  The error terms are series_tail, the certified remainder
+    past n_stop, and kernel_quadrature, sum_n |a(n)| times the proven error of Z~(y n).
     """
-    _require_sector(field, log_x)
-    kr1, kr2 = k * field.r1, k * field.r2
-    y1 = fields.kernel_scale(field, k) * cmath.exp(log_x / 2.0)
-    n_stop, table, tail = _series_plan(field, k, log_x, tol)
-    ns = np.nonzero(table.values[1:n_stop + 1])[0] + 1
-    z, charge = steen._kernel_many(kr1, kr2, y1 * ns, 1e-13, shifted=False)
-    total = 0.0 + 0.0j
-    # summed in n order, one term at a time, so the value does not hang on numpy's summation
-    for n, zn in zip(ns, z):
-        total += table[n] * complex(zn)
-    quadrature = float(np.sum(np.abs(table.values[ns]) * charge))
-    return total, n_stop, {"series_tail": tail, "kernel_quadrature": quadrature}
+    plans = [_series_plan(field, k, log_x, tol) for log_x in log_xs]
+    ns = [np.nonzero(table.values[1:n_stop + 1])[0] + 1 for n_stop, table, _ in plans]
+    ys = [fields.kernel_scale(field, k) * cmath.exp(log_x / 2.0) * n for log_x, n in zip(log_xs, ns)]
+    z, charge = steen._kernel_many(k * field.r1, k * field.r2, np.concatenate(ys), 1e-13, shifted=False)
+    cut = np.cumsum([len(n) for n in ns])[:-1]
+    for (n_stop, table, tail), n, zs, qs in zip(plans, ns, np.split(z, cut), np.split(charge, cut)):
+        total = 0.0 + 0.0j
+        # summed in n order, one term at a time, so the value does not hang on numpy's summation
+        for m, zm in zip(n, zs):
+            total += table[m] * complex(zm)
+        yield total, n_stop, {"series_tail": tail,
+                              "kernel_quadrature": float(np.sum(np.abs(table.values[n]) * qs))}
+
+
+def _s_series_log(field, k, log_x, tol):
+    return next(_s_series_many(field, k, [log_x], tol))
 
 
 def _log_of(x, name):
@@ -123,23 +129,27 @@ def w_theta(field, k, x, tol=1e-10):
     return _s_series_log(field, k, log_x, tol)[0] - r0_theta_polynomial(field, k).eval_log(log_x)
 
 
-def check_theta(field, k, x, tol=1e-8):
-    """Verify W(1/x) = sqrt(x) W(x): lhs W(1/x), rhs sqrt(x) W(x), relative residual.
+def check_theta_many(field, k, xs, tol=1e-8):
+    """Verify W(1/x) = sqrt(x) W(x) per x: lhs W(1/x), rhs sqrt(x) W(x), relative residual.
 
-    1/x is taken as log(1/x) = -log x, so both sides sit on the sheet of x.
-    The budget's series_tail is the certified remainder of both truncated
-    series and kernel_quadrature the proven quadrature error of their terms.
+    1/x is log(1/x) = -log x, on the sheet of x; the series at every x and 1/x are one
+    _s_series_many call.  The budget's terms are those of the two series of an x summed.
     """
-    log_x = _log_of(x, "check_theta")
-    inner = min(tol * 1e-2, 1e-10)
-    s_x, _, budget_x = _s_series_log(field, k, log_x, inner)
-    s_inv, _, budget_inv = _s_series_log(field, k, -log_x, inner)
+    log_xs = [_log_of(x, "check_theta") for x in xs]
+    series = list(_s_series_many(field, k, [s for log_x in log_xs for s in (log_x, -log_x)],
+                                 min(tol * 1e-2, 1e-10)))
     r0 = r0_theta_polynomial(field, k)
-    lhs = s_inv - r0.eval_log(-log_x)
-    rhs = cmath.exp(log_x / 2.0) * (s_x - r0.eval_log(log_x))
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return Report(lhs=lhs, rhs=rhs, residual=rel,
-                  budget={key: budget_x[key] + budget_inv[key] for key in budget_x})
+    reports = []
+    for log_x, (s_x, _, budget_x), (s_inv, _, budget_inv) in zip(log_xs, series[::2], series[1::2]):
+        lhs, rhs = s_inv - r0.eval_log(-log_x), cmath.exp(log_x / 2.0) * (s_x - r0.eval_log(log_x))
+        reports.append(Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30),
+                              budget={key: budget_x[key] + budget_inv[key] for key in budget_x}))
+    return reports
+
+
+def check_theta(field, k, x, tol=1e-8):
+    """check_theta_many at the one point x."""
+    return check_theta_many(field, k, [x], tol)[0]
 
 
 def exact_eval_check(field, tol=1e-8):
@@ -154,7 +164,7 @@ def exact_eval_check(field, tol=1e-8):
     conj(W(-1)) = i W(-1), so the consequence of the relation is
     Re(lhs) + Im(lhs) = 2^r1 C_F, and the residual is that boundary form;
     the flat distance |lhs - rhs| does not vanish.  The budget holds the
-    series' series_tail and kernel_quadrature (see _s_series_log).
+    series' series_tail and kernel_quadrature (see _s_series_many).
     """
     if field.degree < 3:
         raise DomainError("exact evaluation needs a field of degree >= 3")

@@ -222,7 +222,7 @@ class TestExitCode:
     # every check returns one Report, and its residual alone decides the exit code
     @pytest.mark.parametrize("factor,expected", [(0.99, 0), (1.01, 1), (float("nan"), 1)])
     @pytest.mark.parametrize("module,name,argv", [
-        (th, "check_theta", ("theta-check", "--field", "Q", "--x", "2")),
+        (th, "check_theta_many", ("theta-check", "--field", "Q", "--x", "2")),
         (th, "exact_eval_check", ("theta-check", "--field", "cubic7", "--x=-1")),
         (iv, "check_inverse_theta", ("inverse-check", "--field", "Q", "--x", "2", "--zeros")),
         (iv, "hlr_check", ("hlr-check", "--x", "2", "--zeros")),
@@ -233,7 +233,12 @@ class TestExitCode:
                                   factor, expected):
         tol = 1e-6
         report = th.Report(lhs=1.0 + 0.0j, rhs=1.0, residual=factor * tol, budget={})
-        monkeypatch.setattr(module, name, lambda *args, **kwargs: report)
+        if name == "check_theta_many":
+            # a theta-check makes one call for all its x, which returns a report per x
+            monkeypatch.setattr(module, name,
+                                lambda field, k, xs, *args, **kwargs: [report] * len(xs))
+        else:
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: report)
         if argv[-1] == "--zeros":
             argv += (zeros_file,)
         code, out, err = run(capsys, *argv, "--tol", str(tol))

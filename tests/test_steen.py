@@ -363,6 +363,31 @@ class TestTailBound:
                 real = st.z_tail_bound(r1, r2, abs_y * math.cos(2.0 * phi / d) ** (d / 2.0))
                 assert bound == pytest.approx(real, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("r1,r2", TestProvenQuadrature.MARGIN_PAIRS)
+    def test_binet_majorant_against_mpmath(self, r1, r2):
+        # the majorant reads G(c) as Binet's bound: log Gamma(u) plus a remainder in
+        # (0, 1/(12 u)) at u = c/2 and u = c, so c G(c) Y^{-c} <= bound <= that times
+        # exp(r1/(6c) + r2/(12c)), with G from 30-digit Gamma
+        mpmath = pytest.importorskip("mpmath")
+        d = r1 + 2 * r2
+        abs_y = np.geomspace(0.5, 1e3, 25)
+        compared = 0
+        with mpmath.workdps(30):
+            for frac in (0.0, 0.45, -0.9):
+                arg_y = frac * (math.pi * d / 4.0 - 0.1)
+                bounds = st.z_tail_bound_complex_many(r1, r2, abs_y, arg_y)
+                ys = abs_y * math.cos(2.0 * abs(arg_y) / d) ** (d / 2.0)
+                cs = np.maximum(1.0, (2.0 ** (r1 / 2.0) * ys) ** (2.0 / d))
+                for bound, y, c in zip(bounds, ys, cs):
+                    c = mpmath.mpf(float(c))
+                    exact = c * mpmath.gamma(c / 2) ** r1 * mpmath.gamma(c) ** r2 * mpmath.mpf(float(y)) ** -c
+                    if exact < 1e-290:          # below the double range the bound reads 0
+                        continue
+                    compared += 1
+                    assert exact <= bound <= exact * mpmath.exp(r1 / (6 * c) + r2 / (12 * c)), \
+                        (float(y), arg_y, float(bound / exact))
+        assert compared >= 25
+
     def test_gaussian_ratio_is_stirling_sized(self):
         # step one for (1, 0): c G(c) Y^{-c} over 2 e^{-y^2} is about sqrt(2 pi) y
         for y in np.linspace(0.5, 26.0, 60):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zetatheta import cli
 from zetatheta import critical_line as cl
 from zetatheta import fields as fd
 from zetatheta import numerics as nx
@@ -200,6 +201,43 @@ class TestCheckTheta:
     def test_zero_rejected(self, field_q):
         with pytest.raises(DomainError):
             th.check_theta(field_q, 1, 0.0)
+
+
+class TestCheckThetaMany:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_equals_scalar_calls(self, name, k):
+        # |x| <= 0.05 and 0.05 < |x| <= 0.4 (the two ascending-series blocks), a complex x
+        # 0.05 inside the sector edge, and |x| > 1, all in one call
+        field = fd.builtin_field(name)
+        edge = math.pi * field.degree / 2.0 - 0.25
+        xs = [0.04, 0.3, 1.3 * cmath.exp(1j * edge), 2.5, 0.02 + 0.01j, 0.35, 30.0]
+        for x, rep in zip(xs, th.check_theta_many(field, k, xs), strict=True):
+            one = th.check_theta(field, k, x)
+            assert (rep.lhs, rep.rhs, rep.residual, rep.budget) == \
+                (one.lhs, one.rhs, one.residual, one.budget), x
+
+    @pytest.mark.parametrize("argv,calls", [
+        (("theta-check", "--field", "cubic7", "--k", "2", "--x", "0.04", "--x", "0.7,0.3",
+          "--x", "2.5"), 1),
+        (("phi-check", "--field", "zeta5", "--z", "0.25"), 1),
+        # x = -1 is the exact evaluation's own series, between the rows of the others
+        (("theta-check", "--field", "cubic7", "--x", "2", "--x=-1", "--x", "0.5"), 2),
+    ])
+    def test_one_kernel_call_per_op(self, argv, calls, monkeypatch, capsys):
+        seen = []
+        kernel_many = st._kernel_many
+
+        def spy(*args, **kwargs):
+            seen.append(1)
+            return kernel_many(*args, **kwargs)
+        monkeypatch.setattr(st, "_kernel_many", spy)
+        assert cli.main(list(argv)) == 0
+        assert len(seen) == calls
+        rows = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        if argv[0] == "theta-check":
+            assert rows == ["exact-eval" if "--x=-1" == a else "theta"
+                            for a in argv if a.startswith("--x")]
 
 
 class TestResidueReflection:

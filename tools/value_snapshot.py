@@ -11,10 +11,12 @@ is the absolute size the value is a rounding error of: |value| for most
 keys, and for a check's two sides the largest term they are summed from
 (the theta series and R_0, the Moebius series, R_0 and the zero sum), so a
 side that is a small difference of large terms does not read rounding as a
-move.  Besides the checks' values it records the per-zero Taylor data they
-sum (zeta_F'(rho) off the Taylor jet of zeta_F at a zero, the principal
-parts of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change
-in a datum shows at the datum itself, and the proven error of each zero's
+move.  The theta relation is recorded both one x at a time (`check_theta`)
+and for three x in one call of its vector twin (`check_theta_many`).
+Besides the checks' values it records the per-zero Taylor data they sum
+(zeta_F'(rho) off the Taylor jet of zeta_F at a zero, the principal parts
+of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in
+a datum shows at the datum itself, and the proven error of each zero's
 jet coefficients c_0 .. c_2.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
 it, N0 and the certified bound of l_series, and the largest proven error
@@ -48,6 +50,9 @@ SCAN_WINDOWS = (("Q", 100.0), ("sqrt5", 40.0), ("gauss", 30.0), ("cubic7", 10.0)
 # the (k r1, k r2) of the builtin fields and two mixed pairs, whose kernel-line plans
 # are recorded by their margin
 PLAN_MARGIN_PAIRS = ((1, 0), (2, 0), (4, 0), (0, 1), (0, 2), (3, 0), (6, 0), (0, 4), (2, 1), (1, 1))
+# the points of one check_theta_many call per builtin field and k: |x| < 0.05, a
+# complex x and |x| > 1
+THETA_MANY_XS = (0.04, 0.7 + 0.3j, 2.5)
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
@@ -126,6 +131,13 @@ def snapshot():
                         lambda: _largest(*(w * f(F, k, y) for w, y in ((1.0, 1.0 / x),
                                                                        (cmath.sqrt(x), x))
                                            for f in (theta.s_series, theta.r0_theta))))
+            # the vector twin: the series of all three x and their inverses in one kernel pass
+            _record(out, f"check_theta_many/{name}/k={k}",
+                    lambda: tuple(v for rep in theta.check_theta_many(F, k, THETA_MANY_XS)
+                                  for v in _sides(rep)),
+                    lambda: _largest(*(w * f(F, k, y) for x in THETA_MANY_XS
+                                       for w, y in ((1.0, 1.0 / x), (cmath.sqrt(x), x))
+                                       for f in (theta.s_series, theta.r0_theta))))
             _record(out, f"r1_theta/{name}/k={k}", lambda: oracle.r1_theta(F, k, 1.7))
         for t in (0.0, 3.5, 14.1):
             _record(out, f"xi_completed/{name}/t={t}",
