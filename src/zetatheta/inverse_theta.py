@@ -146,10 +146,10 @@ def _l_series_parts(field, k, x):
 
     mu = fields.moebius_coeffs(field, k, n0).values[1:].astype(float)
     ns = np.arange(1.0, n0 + 1.0)
-    # the head in one kernel-array call; a quadrature entry is charged the
-    # proven error of its line, alias terms plus window
+    # the head in one kernel-array call; each entry is charged its proven error,
+    # a line's alias terms plus window or the ascending series' remainder
     head = np.nonzero(mu)[0]
-    z, charge = steen.z_shifted_many(kr1, kr2, alpha / ns[head], tol=1e-13)
+    z, charge = steen.z_shifted_many(kr1, kr2, alpha / ns[head])
     weights = mu[head] / ns[head]
     head_terms = np.zeros(n0, dtype=complex)
     head_terms[head] = weights * z
@@ -202,8 +202,9 @@ def l_series(field, k, x, tol=1e-7):
     s = 1 + m, m = 1..M, less their head partial sums, with M the largest
     m (at least 1) such that N0^{-m} (1 + log N0)^{k(r1+r2)} >= 2^-52.  The
     sum always runs to rounding level; `tol` only bounds the certified
-    remainder (truncation, the proven error of the Taylor data, and
-    rounding), and a bound above tol/2 raises ConvergenceError.
+    remainder (truncation, the head kernels' charges, the proven error of
+    the Taylor data, and rounding), and a bound above tol/2 raises
+    ConvergenceError.
     """
     value, n0, bound = _l_series_parts(field, k, x)
     if bound > tol / 2.0:

@@ -57,7 +57,7 @@ def _loggamma_and_error(z):
     recurrence, w = u + n, n = 0 if |u| >= 6 and else the least with Re w >= 6:
     log Gamma(u) = (u - 1/2)(log w - 1) + log(2 pi)/2 - 1/2 - n
                    + sum_{k<K} B_2k/(2k (2k-1) w^(2k-1)) - log prod_{i<n} (u + i)/w,
-    K <= 12 the fewest terms whose remainder bound over the batch is below eps.
+    K = 12 at every z, so no value depends on the rest of the array.
     The error bound is that remainder, at most |B_2K| sec^2K(ph w/2) /
     (2K (2K-1) |w|^(2K-1)) (DLMF 5.11(ii)), plus 8 eps times a bound on the
     terms' moduli (for the reflection |log sin| and |2 pi r|/|expm1|): a model
@@ -78,14 +78,12 @@ def _loggamma_and_error(z):
         log_q[shift] = np.log(np.where(i < n[shift, None], (u[shift, None] + i) / w[shift, None], 1.0).prod(1))
         size = np.abs(w)
     sec2 = 2.0 * size / (size + w.real)                     # sec^2(ph w / 2)
-    lo, top = (float(size.min()), float(sec2.max())) if z.size else (np.inf, 1.0)
-    m = next((j for j in range(1, 11) if abs(_STIRLING[j]) * top ** (j + 1) / lo ** (2 * j + 1) <= _EPS), 11)
     inv, log_w = 1.0 / w, np.log(w)
-    square, series = inv * inv, _STIRLING[m - 1]
-    for c in _STIRLING[:m - 1][::-1]:
+    square, series = inv * inv, _STIRLING[10]
+    for c in _STIRLING[9::-1]:
         series = series * square + c
     out = (u - 0.5) * (log_w - 1.0) + (_HALF_LOG_TWO_PI - 0.5 - n) - log_q + series * inv
-    error = abs(_STIRLING[m]) * sec2 ** (m + 1) / size ** (2 * m + 1) \
+    error = abs(_STIRLING[11]) * sec2 ** 12 / size ** 23 \
         + 8.0 * _EPS * ((modulus + 1.5) * (np.abs(log_w) + 1.0) + n + np.abs(log_q))
     if np.any(left):
         zl = z[left]
@@ -583,8 +581,9 @@ def line_integral_many(f, abscissae, half_heights, steps):
 
 @dataclass(frozen=True)
 class LogPolynomial:
-    """Polynomial in log(x); coeffs[j] multiplies (log x)**j."""
+    """Polynomial in log(x); coeffs[j] multiplies (log x)**j, err[j] bounds its error (empty: not tracked)."""
     coeffs: tuple
+    err: tuple = ()
 
     @property
     def degree(self):
@@ -607,16 +606,18 @@ def jet_residue_polynomial(order, jet, scale):
     return residue_log_polynomial(jet(order).principal()[0], scale)
 
 
-def residue_log_polynomial(principal, scale):
+def residue_log_polynomial(principal, scale, err=()):
     """Residue of f(s) * exp(-scale*(s-s0)*log x) as a LogPolynomial in log x.
 
     `principal` lists the principal-part coefficients [c_{-1}, c_{-2}, ...]
-    of f at s0.  The residue is sum_m c_{-m} (-scale*log x)^{m-1}/(m-1)!.
+    of f at s0, `err` bounds on their errors if known.  The residue is
+    sum_m c_{-m} (-scale*log x)^{m-1}/(m-1)!.
     """
     coeffs = []
     for j in range(len(principal)):
         coeffs.append(complex(principal[j]) * (-scale) ** j / math.factorial(j))
-    return LogPolynomial(coeffs=tuple(coeffs))
+    return LogPolynomial(coeffs=tuple(coeffs),
+                         err=tuple(float(e) * abs(scale) ** j / math.factorial(j) for j, e in enumerate(err)))
 
 
 # ---------------------------------------------------------------------------

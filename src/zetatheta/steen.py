@@ -58,12 +58,6 @@ def _mellin_barnes(f, c, T, step, error):
     return values
 
 
-def _saddle_point(r1, r2, x):
-    """Approximate saddle of Gamma^r1(s/2) Gamma^r2(s) x^{-s} (complex for complex x)."""
-    d = r1 + 2 * r2
-    return (x * 2.0 ** (r1 / 2.0)) ** (2.0 / d)
-
-
 def _kernel_integrand(r1, r2, log_x):
     """f(s, entry) = Gamma^r1(s/2) Gamma^r2(s) x_entry^{-s}, assembled in log space."""
     def f(s, entry):
@@ -183,7 +177,7 @@ def _line_plan(r1, r2, xs, rtol=_PLAN_RTOL):
     c_cut = np.maximum(1.0, np.exp((log_y + 0.5 * r1 * math.log(2.0)) * (2.0 / d)))
     live = np.flatnonzero(log_majorant(c_cut, log_y) >= _LOG_UNDERFLOW)
     log_x, log_y = log_x[live], log_y[live]
-    saddle = _saddle_point(r1, r2, xs[live])
+    saddle = (xs[live] * 2.0 ** (r1 / 2.0)) ** (2.0 / d)      # approximate saddle of the integrand
     c = np.clip(saddle.real, 2.0, 2000.0)
 
     # |Z~(x)| ~ |e^{Phi(s*)}| / sqrt(2 pi |Phi''(s*)|), Phi'' ~ d/(2 s*); log Gamma(z)
@@ -228,21 +222,18 @@ def _line_plan(r1, r2, xs, rtol=_PLAN_RTOL):
     return live, c, T, h, error
 
 
-def _kernel_many(r1, r2, xs, tol, shifted):
-    """(Z~_{r1,r2}, or Z = Z~ - Res_0 when `shifted`, on an array; proven quadrature error per entry).
+def _kernel_many(r1, r2, xs, shifted):
+    """(Z~_{r1,r2}, or Z = Z~ - Res_0 when `shifted`, on an array; proven error per entry).
 
-    The one route rule of the kernels.  Near 0 (|x| <= 0.4) the value is
-    residue-dominated: the ascending expansion is exact there while a vertical
-    line would drown in cancellation.  It runs in two magnitude blocks, since
-    its stop rule reads the largest term of a block, and its charge is 0.
-    Further out each entry gets a line integral through the real part of the
-    integrand's saddle, so relative accuracy survives into the exponentially
-    small tail.  One _line_plan sizes every line and one level of nodes is
-    evaluated; an entry whose proven error, alias terms plus window, exceeds
-    1e-11 of its value raises ConvergenceError (_mellin_barnes).  Its charge
-    is that proven error.  An entry whose majorant is below the underflow cut
-    is 0 with no node evaluated; its charge is 0, the majorant rounded.  `tol` steers the ascending series only.  The sector
-    is checked for the whole array before any work.
+    The one route rule of the kernels.  Near 0 (|x| <= 0.4) the ascending series is exact
+    while a vertical line would drown in cancellation; its charge is z_small_series_many's
+    bound.  Further out each entry gets a line integral through the real part of the
+    integrand's saddle, so relative accuracy survives into the exponentially small tail.
+    One _line_plan sizes every line and one level of nodes is evaluated; an entry whose
+    proven error, alias terms plus window, exceeds 1e-11 of its value raises
+    ConvergenceError (_mellin_barnes).  Its charge is that proven error; below the
+    underflow cut it is 0 with no node evaluated (the majorant rounded).  The sector is
+    checked for the whole array before any work.
     """
     xs = np.asarray(xs, dtype=complex)
     if r1 < 0 or r2 < 0 or r1 + r2 == 0:
@@ -250,17 +241,14 @@ def _kernel_many(r1, r2, xs, tol, shifted):
     if np.any(xs == 0):
         raise DomainError("the kernels are undefined at x = 0")
     _sector_rate(r1, r2, np.angle(xs))
-    values = np.zeros_like(xs)
-    charge = np.zeros(xs.shape)
-    abs_x = np.abs(xs)
-    near = abs_x <= 0.4
+    values, charge = np.zeros_like(xs), np.zeros(xs.shape)
+    near = np.abs(xs) <= 0.4
     # Res_0 is read only where an entry needs it
-    for block in (near & (abs_x > 0.05), abs_x <= 0.05):
-        if np.any(block):
-            values[block] = z_small_series_many(r1, r2, xs[block], tol=tol)
-            if not shifted:
-                r0 = _r0_polynomial(r1, r2)
-                values[block] += [r0(x) for x in xs[block]]
+    if np.any(near):
+        values[near], charge[near] = z_small_series_many(r1, r2, xs[near])
+        if not shifted:
+            r0 = _r0_polynomial(r1, r2)
+            values[near] += [r0(x) for x in xs[near]]
     far = np.nonzero(~near)[0]
     if len(far):
         live, c, T, h, error = _line_plan(r1, r2, xs[far])
@@ -275,24 +263,24 @@ def _kernel_many(r1, r2, xs, tol, shifted):
     return values, charge
 
 
-def z_tilde_many(r1, r2, xs, tol=1e-12):
+def z_tilde_many(r1, r2, xs):
     """Kernel Z~_{r1,r2} on an array: inverse Mellin transform of Gamma^r1(s/2) Gamma^r2(s)."""
-    return _kernel_many(r1, r2, xs, tol, shifted=False)[0]
+    return _kernel_many(r1, r2, xs, shifted=False)[0]
 
 
-def z_tilde(r1, r2, x, tol=1e-12):
+def z_tilde(r1, r2, x):
     """Kernel Z~_{r1,r2}(x) at one point; see z_tilde_many."""
-    return complex(z_tilde_many(r1, r2, [x], tol)[0])
+    return complex(z_tilde_many(r1, r2, [x])[0])
 
 
-def z_shifted_many(r1, r2, xs, tol=1e-12):
-    """(Z_{r1,r2} = Z~ - Res_0 on an array, quadrature charge per entry); see _kernel_many."""
-    return _kernel_many(r1, r2, xs, tol, shifted=True)
+def z_shifted_many(r1, r2, xs):
+    """(Z_{r1,r2} = Z~ - Res_0 on an array, truncation charge per entry); see _kernel_many."""
+    return _kernel_many(r1, r2, xs, shifted=True)
 
 
-def z_shifted(r1, r2, x, tol=1e-12):
+def z_shifted(r1, r2, x):
     """Kernel Z_{r1,r2}(x) = Z~(x) - Res_{s=0}, the transform on a line -1 < Re s < 0."""
-    return complex(z_shifted_many(r1, r2, [x], tol)[0][0])
+    return complex(z_shifted_many(r1, r2, [x])[0][0])
 
 
 def _r0_polynomial(r1, r2):
@@ -303,10 +291,6 @@ def _r0_polynomial(r1, r2):
 # ---------------------------------------------------------------------------
 # ascending expansion of Z about x = 0 (residues at the left poles)
 # ---------------------------------------------------------------------------
-
-# Orders of one jet call of z_small_series_many, whose stop order is not known in advance.
-_LEFT_POLE_BLOCK = 8
-
 
 def _left_pole_polynomials(r1, r2, m_lo, m_hi):
     """[P_m for m = m_lo .. m_hi], Res_{s=-m}[Gamma^r1(s/2) Gamma^r2(s) x^{-s}] = x^m P_m(log x).
@@ -325,44 +309,60 @@ def _left_pole_polynomials(r1, r2, m_lo, m_hi):
         poles = [m for m in ms if order(m)]
         if poles:
             jet = numerics.gamma_factor_jet(r1, r2, -np.array(poles), 1, r1 + r2)
-            for m, principal in zip(poles, jet.principal()):
-                polys[m] = numerics.residue_log_polynomial(principal[:order(m)], 1.0)
+            bounds = numerics.Jet(jet.err, jet.err, jet.lowest).principal()    # sliced like the parts
+            for m, principal, err in zip(poles, jet.principal(), bounds):
+                polys[m] = numerics.residue_log_polynomial(principal[:order(m)], 1.0, err[:order(m)])
         return [polys[m] for m in ms]
     return numerics.memo_many([("gamma_power_left_pole", r1, r2, m)
                                for m in range(m_lo, m_hi + 1)], compute)
 
 
-def z_small_series_many(r1, r2, xs, tol=1e-14):
-    """Z_{r1,r2}(x) = sum_m x^m P_m(log x) over the left poles, on an array of |x| <= ~1.
+# log Gamma(M/2 + 5/4) and log Gamma(M + 3/2) for the orders M = 0 .. 80 the ascending series may take
+_SERIES_LOG_GAMMA = np.array([[math.lgamma(m / 2.0 + 1.25), math.lgamma(m + 1.5)] for m in range(81)])
 
-    Stops after two consecutive orders whose largest term is below tol/100;
-    ConvergenceError if that takes more than 80 orders.  The P_m are read in
-    blocks of _LEFT_POLE_BLOCK orders, one jet call per block not yet stored.
+
+def z_small_series_many(r1, r2, xs):
+    """(Z_{r1,r2}(x) = sum_m x^m P_m(log x) over the left poles, a proven bound on each error).
+
+    The remainder after order M is the Mellin-Barnes integral on Re s = -M - 1/2.  There
+    the reflection formula and |Gamma(a + it)| >= Gamma(a) cosh(pi t)^(-1/2), a >= 1/2,
+    give |Gamma(s)| <= pi sqrt(2) e^{-pi|t|/2}/Gamma(M + 3/2) and |Gamma(s/2)| <=
+    2 pi e^{-pi|t|/4}/Gamma(M/2 + 5/4), so with kappa = pi d/4 and theta = arg x it is at most
+        B_M = |x|^(M+1/2) 2^(r1 + r2/2) pi^(r1+r2-1) kappa
+              / ((kappa^2 - theta^2) Gamma(M/2 + 5/4)^r1 Gamma(M + 3/2)^r2).
+    Each entry stops at its own least M with B_M <= eps |x|^m0, below the rounding of the
+    first term (m0 its order; bisection, as B_M then falls with M), so no value depends on
+    the rest of the array; its charge is B_M, the P_m's coefficient errors (Jet.err) and
+    (M + r1 + r2 + 4) eps times the terms' moduli.  One _left_pole_polynomials call reads every order up to
+    the largest M; more than 80 orders raise ConvergenceError first.
     """
     xs = np.asarray(xs, dtype=complex)
     logx = np.log(xs)
-    total = np.zeros_like(xs)
-    small_run = 0
-    m_max = 80
-    for m in range(1, m_max + 1):
-        if m % _LEFT_POLE_BLOCK == 1:
-            block = _left_pole_polynomials(r1, r2, m, m + _LEFT_POLE_BLOCK - 1)
-        poly = block[(m - 1) % _LEFT_POLE_BLOCK]
+    kappa, rate = math.pi * (r1 + 2 * r2) / 4.0, _sector_rate(r1, r2, logx.imag)   # kappa - |theta|
+    entry = np.log(2.0 ** (r1 + r2 / 2) * math.pi ** (r1 + r2 - 1) * kappa / (rate * (2 * kappa - rate)))
+    target = math.log(numerics._EPS) + (1 if r2 else 2) * logx.real
+
+    def log_bound(m):
+        return (m + 0.5) * logx.real + entry - r1 * _SERIES_LOG_GAMMA[m, 0] - r2 * _SERIES_LOG_GAMMA[m, 1]
+    lo, stop = np.zeros(len(xs), dtype=int), np.full(len(xs), 80)
+    if np.any(log_bound(stop) > target):
+        raise ConvergenceError(f"z_small_series needs over 80 orders at |x| up to {np.max(np.abs(xs)):.3g}")
+    for _ in range(7):                                       # 80 orders, halved 7 times
+        mid = (lo + stop) // 2
+        fits = log_bound(mid) <= target
+        lo, stop = np.where(fits, lo, mid), np.where(fits, mid, stop)
+    total, charge = np.zeros_like(xs), np.exp(log_bound(stop))
+    abs_x, abs_log, rounding = np.abs(xs), np.abs(logx), (stop + r1 + r2 + 4) * numerics._EPS
+    for m, poly in enumerate(_left_pole_polynomials(r1, r2, 1, int(stop.max(initial=0))), 1):
         if poly.degree == 0 and poly.coeffs[0] == 0:
             continue
-        acc = np.zeros_like(xs)
-        for cco in reversed(poly.coeffs):
-            acc = acc * logx + cco
-        term = xs ** m * acc
-        total = total + term
-        if float(np.max(np.abs(term))) < tol * 0.01:
-            small_run += 1
-            if small_run >= 2:
-                return total
-        else:
-            small_run = 0
-    raise ConvergenceError(f"z_small_series needed more than {m_max} terms "
-                           f"at |x| up to {float(np.max(np.abs(xs))):.3g}")
+        acc, slack = np.zeros_like(xs), 0.0
+        for c, e in zip(reversed(poly.coeffs), reversed(poly.err)):
+            acc = acc * logx + c
+            slack = slack * abs_log + (e + abs(c) * rounding)
+        total = total + np.where(m <= stop, xs ** m * acc, 0.0)
+        charge += np.where(m <= stop, abs_x ** m * slack, 0.0)
+    return total, charge
 
 
 # ---------------------------------------------------------------------------

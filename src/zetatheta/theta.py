@@ -53,7 +53,8 @@ def _series_plan(field, k, log_x, tol):
         bounds = c_maj * np.sqrt(n_idx) * \
             steen.z_tail_bound_complex_many(kr1, kr2, abs_y1 * n_idx, arg_y)
         usable = (abs_y1 * n_idx >= 1.5) & (bounds < tol / 10.0)
-        usable[:-1] &= bounds[1:] < bounds[:-1]
+        # falling from i on, or underflowed: every later majorant is an exact 0 too
+        usable[:-1] &= (bounds[1:] < bounds[:-1]) | (bounds[1:] == 0.0)
         for i in np.nonzero(usable[:-1])[0]:
             ratio = min(bounds[i + 1] / max(bounds[i], 1e-300), 0.95)
             tail = bounds[i + 1] / (1.0 - ratio)
@@ -76,7 +77,7 @@ def _s_series_many(field, k, log_xs, tol):
     plans = [_series_plan(field, k, log_x, tol) for log_x in log_xs]
     ns = [np.nonzero(table.values[1:n_stop + 1])[0] + 1 for n_stop, table, _ in plans]
     ys = [fields.kernel_scale(field, k) * cmath.exp(log_x / 2.0) * n for log_x, n in zip(log_xs, ns)]
-    z, charge = steen._kernel_many(k * field.r1, k * field.r2, np.concatenate(ys), 1e-13, shifted=False)
+    z, charge = steen._kernel_many(k * field.r1, k * field.r2, np.concatenate(ys), shifted=False)
     cut = np.cumsum([len(n) for n in ns])[:-1]
     for (n_stop, table, tail), n, zs, qs in zip(plans, ns, np.split(z, cut), np.split(charge, cut)):
         total = 0.0 + 0.0j

@@ -131,9 +131,9 @@ class TestLSeries:
         calls = []
         kernel_many = st._kernel_many
 
-        def spy(r1, r2, xs, tol, shifted):
-            calls.append((r1, r2, xs, tol, shifted))
-            return kernel_many(r1, r2, xs, tol, shifted)
+        def spy(r1, r2, xs, shifted):
+            calls.append((r1, r2, xs, shifted))
+            return kernel_many(r1, r2, xs, shifted)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the head called the one-point kernel")
@@ -142,8 +142,8 @@ class TestLSeries:
         monkeypatch.setattr(st, "z_tilde", refuse)
         value, n0, bound = iv._l_series_parts(field_sqrt5, 1, 2.0)
         assert len(calls) == 1
-        r1, r2, xs, tol, shifted = calls[0]
-        assert (r1, r2, tol, shifted) == (2, 0, 1e-13, True)
+        r1, r2, xs, shifted = calls[0]
+        assert (r1, r2, shifted) == (2, 0, True)
         mu = fd.moebius_coeffs(field_sqrt5, 1, n0).values[1:]
         assert len(xs) == np.count_nonzero(mu) and np.max(np.abs(xs)) > 0.4
         assert 0 < bound < 1e-9

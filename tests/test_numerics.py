@@ -111,6 +111,14 @@ class TestGamma:
                 assert abs(delta) <= error, (z, abs(delta), error)
         assert np.all(nx.loggamma(np.array(points)) == values)
 
+    def test_loggamma_value_does_not_depend_on_its_batch(self):
+        # each value and its error bound alone and in one array with the others, bit for bit
+        points = np.array([0.3 + 0.1j, 6.0, 7.5, -3.2 + 40.0j, 100.0, 6.5 - 2.0j, 1e5 + 3.0j, -30.3 + 0.2j])
+        values, errors = nx._loggamma_and_error(points)
+        for z, value, error in zip(points, values, errors):
+            alone, alone_error = nx._loggamma_and_error(np.array([z]))
+            assert (alone[0], alone_error[0]) == (value, error), z
+
     def test_loggamma_scalar_returns_complex(self):
         assert type(nx.loggamma(-2.5 + 1j)) is complex
         assert type(nx.loggamma(3.0)) is complex

@@ -13,6 +13,8 @@ import _oracles as oracle
 REAL_GRID = [0.5, 1.0, 2.0, 5.0]
 # the kernels (k r1, k r2) of the builtin fields at k = 1, 2
 BUILTIN_KERNELS = [(1, 0), (2, 0), (3, 0), (4, 0), (6, 0), (0, 1), (0, 2), (0, 4)]
+# those and two mixed pairs: the gamma powers whose kernel plans the value snapshot records
+MARGIN_PAIRS = [(1, 0), (2, 0), (4, 0), (0, 1), (0, 2), (3, 0), (6, 0), (0, 4), (2, 1), (1, 1)]
 
 
 class TestSteenV:
@@ -140,7 +142,7 @@ class TestProvenQuadrature:
         xs = self.grid(r1, r2)
         with mpmath.workdps(30):
             refs = [CLOSED_FORMS[(r1, r2)](mpmath, mpmath.mpc(x.real, x.imag)) for x in xs]
-            values, charge = st._kernel_many(r1, r2, xs, 1e-12, shifted=False)
+            values, charge = st._kernel_many(r1, r2, xs, shifted=False)
             for x, v, ch, ref in zip(xs, values, charge, refs):
                 if abs(ref) < 1e-300:             # below the double range: 0
                     assert abs(v) < 1e-300, x
@@ -169,15 +171,12 @@ class TestProvenQuadrature:
         print(f"({r1},{r2}) error/bound over {len(ratios)} entries: median "
               f"{np.median(ratios):.2f}, max {max(ratios):.2f}")
 
-    # the (k r1, k r2) of the builtin fields and two mixed pairs
-    MARGIN_PAIRS = [(1, 0), (2, 0), (4, 0), (0, 1), (0, 2), (3, 0), (6, 0), (0, 4), (2, 1), (1, 1)]
-
     def test_plan_margin_far_from_refusal(self):
         # the plan's proven error against |value|, |x| in [0.41, 1e4] and |Arg x| up to 0.1
         # inside the sector edge: at worst 1.73e-13 measured on a 60 x 41 grid, for
         # (6, 0), so the 1e-11 refusal of _mellin_barnes is far from every input
         worst = 0.0
-        for r1, r2 in self.MARGIN_PAIRS:
+        for r1, r2 in MARGIN_PAIRS:
             edge = min(math.pi * (r1 + 2 * r2) / 4.0 - 0.1, math.pi)
             xs = (np.geomspace(0.41, 1e4, 12)[:, None] * np.exp(1j * np.linspace(-edge, edge, 7))).ravel()
             live, c, T, h, error = st._line_plan(r1, r2, xs)
@@ -196,7 +195,7 @@ class TestProvenQuadrature:
 
         monkeypatch.setattr(st, "_line_plan", coarse)
         with pytest.raises(ConvergenceError) as info:
-            st._kernel_many(1, 0, np.array([1.3, 2.0 + 0.5j]), 1e-12, shifted=False)
+            st._kernel_many(1, 0, np.array([1.3, 2.0 + 0.5j]), shifted=False)
         assert f"Re(s) = {plans[0][1][0]}" in str(info.value)
 
 
@@ -234,7 +233,7 @@ class TestZShifted:
                 b = oracle.kernel_lines(r1, r2, [x], [-0.5], 1e-12, [0.0])[0]
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
                 if x <= 1.0:
-                    c = complex(st.z_small_series_many(r1, r2, [x])[0])
+                    c = complex(st.z_small_series_many(r1, r2, [x])[0][0])
                     assert abs(a - c) < 1e-9 * max(1.0, abs(a))
 
     def test_shift_abscissa_domain(self):
@@ -252,13 +251,31 @@ class TestZShifted:
             assert abs(z - expected) < 1e-12
 
 
+def series_bound(r1, r2, x, order):
+    """B_M of the ascending series after order M: its Mellin-Barnes remainder on Re s = -M - 1/2.
+
+    |x|^(M+1/2) 2^(r1 + r2/2) pi^(r1+r2-1) kappa / ((kappa^2 - theta^2)
+    Gamma(M/2 + 5/4)^r1 Gamma(M + 3/2)^r2), kappa = pi d/4, theta = arg x.
+    """
+    kappa, theta = math.pi * (r1 + 2 * r2) / 4.0, cmath.phase(x)
+    return math.exp((order + 0.5) * math.log(abs(x)) + (r1 + r2 / 2.0) * math.log(2.0)
+                    + (r1 + r2 - 1) * math.log(math.pi) - r1 * math.lgamma(order / 2.0 + 1.25)
+                    - r2 * math.lgamma(order + 1.5)) * kappa / (kappa ** 2 - theta ** 2)
+
+
+def series_stop(r1, r2, x):
+    """The least M with B_M <= eps |x|^m0, m0 = 1 if r2 else 2 the order of the first term."""
+    return next(m for m in range(1, 81)
+                if series_bound(r1, r2, x, m) <= 2.0 ** -52 * abs(x) ** (1 if r2 else 2))
+
+
 class TestKernelMany:
     """The one route rule: ascending series for |x| <= 0.4, a saddle-line quadrature beyond."""
 
     # |x| <= 0.05, 0.05 < |x| <= 0.4 and |x| > 0.4, real and complex inside every sector
     XS = [0.03, 0.02 + 0.01j, 0.2, 0.3 - 0.15j, 0.4, 0.45, 1.3, 2.0 + 0.9j, 0.9 - 0.5j]
 
-    @pytest.mark.parametrize("r1,r2", [(1, 0), (2, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("r1,r2", MARGIN_PAIRS)
     def test_array_equals_one_point_wrappers(self, r1, r2):
         xs = np.array(self.XS)
         tilde = st.z_tilde_many(r1, r2, xs)
@@ -266,9 +283,14 @@ class TestKernelMany:
         for i, x in enumerate(self.XS):
             assert tilde[i] == st.z_tilde(r1, r2, x)
             assert shifted[i] == st.z_shifted(r1, r2, x)
-            # the proven quadrature error: 0 on the series, per entry on a line
+            # the proven error per entry, whatever else the array holds
             assert charge[i] == st.z_shifted_many(r1, r2, [x])[1][0]
-            assert (charge[i] == 0.0) == (abs(x) <= 0.4)
+            assert charge[i] > 0.0
+            if abs(x) <= 0.4:
+                # the series' remainder B_M, plus the coefficient errors and rounding of
+                # the terms summed, which stay below 1e-12 of the value
+                bound = series_bound(r1, r2, x, series_stop(r1, r2, x))
+                assert bound <= charge[i] <= bound + 1e-12 * abs(shifted[i]), (x, charge[i], bound)
 
     def test_sector_checked_before_any_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -323,6 +345,84 @@ class TestKernelMany:
             st.z_shifted_many(0, 0, [1.0])
 
 
+def _shifted_kernel_mp(mpmath, r1, r2, xs, orders=45):
+    """Z_{r1,r2}(x) at the working precision: sum_m x^m P_m(log x) over 45 left poles.
+
+    P_m off the Taylor coefficients of e^p G(-m + e), G = Gamma^r1(s/2) Gamma^r2(s)
+    and p its pole order, by mpmath.taylor (good to about 1e-30 absolute); the
+    terms past order 45 are below 1e-33 at |x| <= 0.4.
+    """
+    def regular(e, m, p):
+        return e ** p * mpmath.gamma((e - m) / 2) ** r1 * mpmath.gamma(e - m) ** r2
+
+    taylor = []
+    for m in range(1, orders + 1):
+        p = r2 + (r1 if m % 2 == 0 else 0)
+        taylor.append((p, mpmath.taylor(lambda e: regular(e, m, p), 0, p - 1, singular=True) if p else []))
+    out = []
+    for x in xs:
+        x = mpmath.mpc(x.real, x.imag)
+        log_x = mpmath.log(x)
+        # Res_{e=0} of e^-p (sum_j c_j e^j) x^{m - e}
+        out.append(mpmath.fsum(
+            x ** m * mpmath.fsum(c[p - 1 - i] * (-log_x) ** i / mpmath.factorial(i) for i in range(p))
+            for m, (p, c) in enumerate(taylor, 1)))
+    return out
+
+
+class TestSeriesRemainder:
+    """The ascending series near 0: each entry stops on its own proven remainder B_M."""
+
+    @pytest.mark.parametrize("r1,r2", MARGIN_PAIRS)
+    def test_charge_bounds_the_error(self, r1, r2):
+        # against 30 digits, at |x| in {0.05, 0.2, 0.4} on the real axis and at +-0.95 of
+        # the sector edge (or of pi, past which x leaves the principal sheet): the charge
+        # is B_M plus the P_m's coefficient errors and rounding
+        mpmath = pytest.importorskip("mpmath")
+        edge = min(math.pi * (r1 + 2 * r2) / 4.0 - 0.1, math.pi)
+        xs = np.array([cmath.rect(a, f * edge) for a in (0.05, 0.2, 0.4) for f in (0.0, 0.95, -0.95)])
+        values, charge = st.z_small_series_many(r1, r2, xs)
+        with mpmath.workdps(30):
+            refs = _shifted_kernel_mp(mpmath, r1, r2, xs)
+            for x, v, ch, ref in zip(xs, values, charge, refs):
+                err = float(abs(mpmath.mpc(v.real, v.imag) - ref))
+                assert err <= ch, (x, err, ch)
+                assert ch >= series_bound(r1, r2, x, series_stop(r1, r2, x))
+
+    @pytest.mark.parametrize("r1,r2", [(1, 0), (0, 2), (2, 1)])
+    def test_one_read_up_to_the_largest_stop(self, r1, r2, monkeypatch):
+        # every order from 1 to the largest stop in one call, and each entry's value
+        # is its own sum to its own stop
+        reads = []
+        left_pole_polynomials = st._left_pole_polynomials
+
+        def spy(r1, r2, m_lo, m_hi):
+            reads.append((m_lo, m_hi))
+            return left_pole_polynomials(r1, r2, m_lo, m_hi)
+        monkeypatch.setattr(st, "_left_pole_polynomials", spy)
+        xs = np.array([0.4, 0.01, 0.2 - 0.1j])
+        values, _ = st.z_small_series_many(r1, r2, xs)
+        stops = [series_stop(r1, r2, x) for x in xs]
+        assert reads == [(1, max(stops))]
+        for x, v, stop in zip(xs, values, stops):
+            reads.clear()
+            assert st.z_small_series_many(r1, r2, [x])[0][0] == v
+            assert reads == [(1, stop)]
+
+    def test_guard(self):
+        # at |x| = 30 no order up to 80 brings B_M of (1, 0) below eps |x|^2
+        with pytest.raises(ConvergenceError):
+            st.z_small_series_many(1, 0, [30.0])
+
+    def test_no_tolerance_knob(self):
+        # the near route stops on its own bound: no kernel function takes a tol
+        import inspect
+        for name, fn in inspect.getmembers(st, inspect.isfunction):
+            if fn.__module__ == st.__name__:
+                assert "tol" not in inspect.signature(fn).parameters, name
+        assert not hasattr(st, "_LEFT_POLE_BLOCK")
+
+
 class TestTailBound:
     @pytest.mark.parametrize("r1,r2", [(1, 0), (0, 1), (2, 0), (3, 0), (1, 1), (2, 1)])
     def test_majorizes_kernel(self, r1, r2):
@@ -350,7 +450,7 @@ class TestTailBound:
             phi = frac * (math.pi * d / 4.0 - 0.15)
             for abs_y in np.geomspace(1.0, 40.0, 12):
                 bound = st.z_tail_bound_complex_many(r1, r2, [abs_y], phi)[0]
-                val = abs(st.z_tilde(r1, r2, cmath.rect(abs_y, phi), tol=1e-14))
+                val = abs(st.z_tilde(r1, r2, cmath.rect(abs_y, phi)))
                 assert val <= bound, (abs_y, phi)
 
     @pytest.mark.parametrize("r1,r2", BUILTIN_KERNELS)
@@ -363,7 +463,7 @@ class TestTailBound:
                 real = st.z_tail_bound(r1, r2, abs_y * math.cos(2.0 * phi / d) ** (d / 2.0))
                 assert bound == pytest.approx(real, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("r1,r2", TestProvenQuadrature.MARGIN_PAIRS)
+    @pytest.mark.parametrize("r1,r2", MARGIN_PAIRS)
     def test_binet_majorant_against_mpmath(self, r1, r2):
         # the majorant reads G(c) as Binet's bound: log Gamma(u) plus a remainder in
         # (0, 1/(12 u)) at u = c/2 and u = c, so c G(c) Y^{-c} <= bound <= that times

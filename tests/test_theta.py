@@ -99,18 +99,27 @@ class TestSeriesPlan:
         calls = []
         kernel_many = st._kernel_many
 
-        def spy(r1, r2, xs, tol, shifted):
-            calls.append((r1, r2, xs, tol, shifted))
-            return kernel_many(r1, r2, xs, tol, shifted)
+        def spy(r1, r2, xs, shifted):
+            calls.append((r1, r2, xs, shifted))
+            return kernel_many(r1, r2, xs, shifted)
         monkeypatch.setattr(st, "_kernel_many", spy)
         total, n_stop, _ = th._s_series_log(field_sqrt5, 1, cmath.log(0.7 + 0.3j), 1e-10)
         assert len(calls) == 1 and n_stop > 1
         # the sequential sum of a(n) Z~(y n) over the nonzero a(n), n <= n_stop, at the
         # series' own y = scale e^{log x/2}: Z~ at cmath.sqrt's y, one ulp away, differs by 7e-15
         y1 = fd.kernel_scale(field_sqrt5, 1) * cmath.exp(cmath.log(0.7 + 0.3j) / 2.0)
-        ref = sum(fd.power_coeffs(field_sqrt5, 1, n_stop)[n] * st.z_tilde(2, 0, y1 * n, tol=1e-13)
+        ref = sum(fd.power_coeffs(field_sqrt5, 1, n_stop)[n] * st.z_tilde(2, 0, y1 * n)
                   for n in range(1, n_stop + 1))
         assert abs(total - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("x", [300.0, 1.0 / 300.0, 333.0])
+    def test_underflowed_majorant_stops(self, field_q, x):
+        # at |x| >= 300 every majorant of the series at x is an exact 0: it stops at once
+        # with a 0 tail, with no larger coefficient table
+        rep = th.check_theta(field_q, 1, x, tol=1e-8)
+        assert rep.residual <= 1e-8
+        n_stop, _, tail = th._series_plan(field_q, 1, cmath.log(max(x, 1.0 / x)), 1e-10)
+        assert (n_stop, tail) == (1, 0.0)
 
     @pytest.mark.parametrize("name", BUILTIN)
     def test_coefficient_majorant_holds(self, name):
@@ -207,8 +216,8 @@ class TestCheckThetaMany:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", BUILTIN)
     def test_equals_scalar_calls(self, name, k):
-        # |x| <= 0.05 and 0.05 < |x| <= 0.4 (the two ascending-series blocks), a complex x
-        # 0.05 inside the sector edge, and |x| > 1, all in one call
+        # |x| <= 0.05 and 0.05 < |x| <= 0.4 on the ascending series, a complex x 0.05
+        # inside the sector edge, and |x| > 1, all in one call
         field = fd.builtin_field(name)
         edge = math.pi * field.degree / 2.0 - 0.25
         xs = [0.04, 0.3, 1.3 * cmath.exp(1j * edge), 2.5, 0.02 + 0.01j, 0.35, 30.0]
@@ -216,6 +225,15 @@ class TestCheckThetaMany:
             one = th.check_theta(field, k, x)
             assert (rep.lhs, rep.rhs, rep.residual, rep.budget) == \
                 (one.lhs, one.rhs, one.residual, one.budget), x
+
+    def test_sheet_does_not_depend_on_its_batch(self, field_zeta5):
+        # zeta5's k = 2 series at x = 0.04 alone and in one kernel call with its 1/x sheet:
+        # every kernel entry, and so the sum and its budget, bit for bit; no log-gamma
+        # value may depend on the other nodes of its call
+        log_x = cmath.log(0.04)
+        alone = next(th._s_series_many(field_zeta5, 2, [log_x], 1e-10))
+        both = next(th._s_series_many(field_zeta5, 2, [log_x, -log_x], 1e-10))
+        assert alone == both
 
     @pytest.mark.parametrize("argv,calls", [
         (("theta-check", "--field", "cubic7", "--k", "2", "--x", "0.04", "--x", "0.7,0.3",

@@ -20,9 +20,10 @@ a datum shows at the datum itself, and the proven error of each zero's
 jet coefficients c_0 .. c_2.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
 it, N0 and the certified bound of l_series, and the largest proven error
-of a kernel line's plan relative to its value per gamma power, so a change
-in a truncation bound, a quadrature charge or a plan's distance from its
-refusal shows even when every checked value stays the same.  log-gamma far
+of a kernel line's plan relative to its value per gamma power, and where
+the kernels' ascending series stops and its charge per gamma power, so a
+change in a truncation bound, a quadrature charge or a plan's distance from
+its refusal shows even when every checked value stays the same.  log-gamma far
 left and at height with its proven error, the rescaled Xi_F at heights
 where xi_F alone underflows, the ordinates and residuals of one zeros-scan
 window per builtin field and the number of Xi calls it makes, the Phi
@@ -268,6 +269,19 @@ def snapshot():
     # drifts toward the 1e-11 refusal of steen._mellin_barnes shows
     for r1, r2 in PLAN_MARGIN_PAIRS:
         _record(out, f"kernel_plan_margin/{r1},{r2}", lambda: _plan_margin(steen, nx, r1, r2))
+    # where the ascending series of each gamma power stops (the last order read off the
+    # left poles) and its charge, at |x| = 0.05 and 0.4 on the real axis and at 0.95 of
+    # the sector edge or of pi, whichever is smaller
+    left_pole_polynomials = steen._left_pole_polynomials
+    for r1, r2 in PLAN_MARGIN_PAIRS:
+        edge = 0.95 * min(math.pi * (r1 + 2 * r2) / 4.0 - 0.1, math.pi)
+        for label, x in ((f"{a}{f}", cmath.rect(a, edge) if f else a) for a in (0.05, 0.4)
+                         for f in ("", f"e^{edge:.4f}i")):
+            reads = []
+            steen._left_pole_polynomials = lambda *args: reads.append(args[3]) or left_pole_polynomials(*args)
+            _record(out, f"series_stop/{r1},{r2}/x={label}", lambda: (
+                lambda z: (max(reads), z[1][0]))(steen.z_small_series_many(r1, r2, [x])))
+    steen._left_pole_polynomials = left_pole_polynomials
     for x, params, c in ((2.0, (5.0,), None), (2.0, (5.0,), -3.0),
                          (0.7, (1.0,), -0.5), (1.5, (2.0, 3.0), None)):
         _record(out, f"steen_v/x={x}/a={params}/c={c}", lambda: oracle.steen_v(x, params, c=c))
