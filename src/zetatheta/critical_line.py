@@ -14,7 +14,9 @@ the whole stack.
 """
 
 import cmath
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -34,18 +36,21 @@ from .errors import (
 def _xi_scaled_many(field, s, log_scale):
     """(e^{log_scale} xi_F(s), its error bound), the scale taken into the gamma prefactor's exponent.
 
-    The bound is |s (s-1)/2| times the prefactor's modulus times zeta_F's
-    error bound (numerics._dedekind_zeta_and_error), plus |value| times the
-    prefactor's relative error, which is its exponent's absolute error: the
-    gamma factor's error bound (numerics._log_gamma_factor_and_error), and
-    8 eps times |log prefactor| + |log_scale| + 1 for the rounding of the
-    exponent and of the products.
+    zeta_F and its error bound are coefficient 0 of the product of the
+    L-factor jets (numerics._l_factor_jets), each bounded at its point.  The
+    bound is |s (s-1)/2| times the prefactor's modulus times zeta_F's, plus
+    |value| times the prefactor's relative error, which is its exponent's
+    absolute error: the gamma factor's error bound
+    (numerics._log_gamma_factor_and_error), and 8 eps times
+    |log prefactor| + |log_scale| + 1 for the rounding of the exponent and of
+    the products.
     """
     s = np.asarray(s, dtype=complex)
     log_prefactor, gamma_error = fields._log_gamma_prefactor_and_error(field, s)
     prefactor = np.exp(log_prefactor + log_scale)
     polynomial = 0.5 * s * (s - 1.0)
-    zeta, zeta_error = numerics._dedekind_zeta_and_error(s, field)
+    jet = functools.reduce(operator.mul, numerics._l_factor_jets(field.characters, s, 1))
+    zeta, zeta_error = (a[:, 0].reshape(s.shape) for a in (jet.coeffs, jet.err))
     vals = polynomial * (prefactor * zeta)
     exponent_error = gamma_error + 8.0 * numerics._EPS * (np.abs(log_prefactor) + np.abs(log_scale) + 1.0)
     return vals, np.abs(polynomial * prefactor) * zeta_error + np.abs(vals) * exponent_error

@@ -2,8 +2,9 @@
 
 Log-gamma on the whole plane (Stirling after the recurrence) with its error
 bound and the gamma factor of Lambda_F in log space, Hurwitz zeta
-(Euler-Maclaurin), Dirichlet L, Dedekind zeta (with its error bound), Taylor
-jets of zeta_F and Gamma whose coefficients carry proven errors, vertical-line
+(Euler-Maclaurin), Taylor jets whose coefficients carry proven errors: of the
+L-factors, from which Dirichlet L, Dedekind zeta, their error bounds and the
+jets of zeta_F are all read, and of Gamma; vertical-line
 quadrature (one trapezoid level over a batch of lines, on the steps and
 windows the caller proves), residue polynomials, and the package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
@@ -15,7 +16,9 @@ are safe to call concurrently.
 
 from dataclasses import dataclass
 import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -175,9 +178,8 @@ def _hurwitz_bounds(s, a_min, shift):
     return majorant, rounding * majorant + remainder
 
 
-# Upper bound on shift * len(a) * points for one _hurwitz_jet call of
-# hurwitz_zeta_many: the head matrix of a bank stays near 1 MiB however many
-# points are evaluated.
+# Upper bound on shift * len(a) * points for one chunk of _hurwitz_jet: the
+# head matrix of a bank stays near 1 MiB however many points are evaluated.
 _HURWITZ_CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -186,8 +188,7 @@ def hurwitz_zeta_many(s, a):
 
     A scalar a gives s.shape; a 1-d array a gives (len(a),) + s.shape.  All
     values share one summation shift, set by the whole s array, and are the
-    constant coefficients of _hurwitz_jet, evaluated in chunks of points, so
-    the result does not depend on the chunk size.
+    constant coefficients of _hurwitz_jet.
     """
     s = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
@@ -196,13 +197,7 @@ def hurwitz_zeta_many(s, a):
         raise DomainError("hurwitz_zeta requires a in (0, 1], as a scalar or a 1-d array")
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("hurwitz zeta pole at s = 1")
-    shift = _hurwitz_shift(s)
-    flat = s.ravel()
-    out = np.empty((len(bank), len(flat)), dtype=complex)
-    chunk = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(bank))))
-    for lo in range(0, len(flat), chunk):
-        out[:, lo:lo + chunk] = _hurwitz_jet(flat[lo:lo + chunk], bank, shift, 1)[..., 0]
-    return out.reshape(a_arr.shape + s.shape)
+    return _hurwitz_jet(s.ravel(), bank, _hurwitz_shift(s), 1)[..., 0].reshape(a_arr.shape + s.shape)
 
 
 def hurwitz_zeta(s, a=1.0):
@@ -225,35 +220,6 @@ def _character_bank(characters):
     return np.array([a / q for q, a in slots]), rows
 
 
-def _l_factors(s, characters):
-    """([L(s, chi) for chi in characters], their error bounds) on an array of s away from s = 1.
-
-    One Hurwitz bank holds zeta_H(s, a/q) for every distinct (q, a) with
-    chi(a) != 0 over all the characters; each L-factor is then
-    q^(-s) * sum_a chi(a) zeta_H(s, a/q), summed in residue order.  Each
-    factor's error is bounded over the whole batch from the bank's bounds
-    (M, E) (_hurwitz_bounds): q^-sigma_lo n_chi (E + eps (q + 6 + S log q) M),
-    n_chi the number of residues with chi(a) != 0 and S the largest |s|,
-    which covers the bank's errors, the sum's rounding and the phase of q^(-s).
-    """
-    a_bank, rows = _character_bank(characters)
-    bank = hurwitz_zeta_many(s, a_bank)
-    factors = []
-    for chi, row in zip(characters, rows):
-        total = np.zeros_like(s)
-        for slot, v in row:
-            total = total + v * bank[slot]
-        factors.append(chi.modulus ** (-s) * total)
-    if not s.size:
-        return factors, [0.0] * len(factors)
-    majorant, error = _hurwitz_bounds(s, float(np.min(a_bank)), _hurwitz_shift(s))
-    sig_lo, size = float(s.real.min()), float(np.abs(s).max())
-    errors = [len(row) * chi.modulus ** -sig_lo
-              * (error + _EPS * (chi.modulus + 6.0 + size * math.log(chi.modulus)) * majorant)
-              for chi, row in zip(characters, rows)]
-    return factors, errors
-
-
 def dirichlet_l(s, chi):
     """L(s, chi) via Hurwitz zeta: q^(-s) * sum_a chi(a) zeta_H(s, a/q).
 
@@ -272,8 +238,9 @@ def dirichlet_l(s, chi):
 
 
 def dirichlet_l_many(s, chi):
-    """Vectorized L(s, chi) over an array of s staying away from s = 1."""
-    return _l_factors(np.asarray(s, dtype=complex), (chi,))[0][0]
+    """Vectorized L(s, chi) over an array of s staying away from s = 1: coefficient 0 of its jet."""
+    s = np.asarray(s, dtype=complex)
+    return _l_factor_jets((chi,), s, 1)[0].coeffs[:, 0].reshape(s.shape)
 
 
 def dedekind_zeta(s, field):
@@ -285,30 +252,10 @@ def dedekind_zeta(s, field):
 
 
 def dedekind_zeta_many(s, field):
-    """Vectorized Dedekind zeta: one Hurwitz bank shared by all L-factors."""
-    return _dedekind_zeta_and_error(s, field)[0]
-
-
-def _dedekind_zeta_and_error(s, field):
-    """(zeta_F on an array of s, a bound on the error of each value).
-
-    The bound is first order: each factor's error bound (_l_factors) times
-    the moduli of the other factors, summed over the factors, plus the
-    product's rounding.
-    """
+    """Vectorized Dedekind zeta: coefficient 0 of the product of the L-factor jets (_l_factor_jets)."""
     s = np.asarray(s, dtype=complex)
-    factors, errors = _l_factors(s, field.characters)
-    out = np.ones_like(s)
-    for factor in factors:
-        out = out * factor
-    moduli = [np.abs(factor) for factor in factors]
-    error = _EPS * len(factors) * np.abs(out)
-    for i, e in enumerate(errors):
-        for j, m in enumerate(moduli):
-            if j != i:
-                e = e * m
-        error = error + e
-    return out, error
+    jet = functools.reduce(operator.mul, _l_factor_jets(field.characters, s, 1))
+    return jet.coeffs[:, 0].reshape(s.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +265,8 @@ def _dedekind_zeta_and_error(s, field):
 def _series_mul(a, b):
     """Cauchy product of coefficient arrays (powers on the last axis), truncated to the shorter."""
     n = min(a.shape[-1], b.shape[-1])
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n,),
-                   dtype=np.result_type(a, b))
-    for j in range(n):
+    out = a[..., :1] * b[..., :n]
+    for j in range(1, n):
         out[..., j:] += a[..., j:j + 1] * b[..., :n - j]
     return out
 
@@ -388,10 +334,14 @@ def _hurwitz_jet(s0, a, shift, count):
     The Euler-Maclaurin sum at this shift with B_2 .. B_24, each term a jet
     in e: (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!,
     1/(s - 1) and the Pochhammer factors.  log(n + a) is taken once per
-    bank.  The head runs along the last, contiguous axis, so numpy sums it
-    pairwise whatever the number of points: a value does not depend on its
-    chunk.
+    bank.  The points are taken in chunks of _HURWITZ_CHUNK_ELEMENTS, and
+    the head runs along the last, contiguous axis, so numpy sums it pairwise
+    whatever the number of points: a value does not depend on its chunk.
     """
+    chunk = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(a))))
+    if len(s0) > chunk:
+        return np.concatenate([_hurwitz_jet(s0[lo:lo + chunk], a, shift, count)
+                               for lo in range(0, len(s0), chunk)], axis=1)
     log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
     term = s0[None, :, None] * log_n
     np.exp(term, out=term)
@@ -417,46 +367,76 @@ def _hurwitz_jet(s0, a, shift, count):
     return head + _series_mul(decay, correction)
 
 
-def dedekind_zeta_jet(field, centres, count):
-    """Jet of zeta_F about every centre: count coefficients, each with a proven error.
+def _l_factor_jets(characters, centres, count):
+    """Jets of L(s, chi) about every centre, one per character: count coefficients with proven errors.
 
-    One Hurwitz jet bank serves all centres and L-factors, at the shift
-    hurwitz_zeta_many would take on the discs |s - s0| <= r = 1/2 (which
-    must miss s = 1).  _hurwitz_bounds bounds the error E of zeta_H(s, a) on
-    them, so by Cauchy coefficient j errs by at most E r^-j.  About s0 = 0
-    the L-factor of an even non-principal character has a trivial zero: its
-    constant coefficient is dropped, so the jet starts at e^r, r the unit rank.
+    One Hurwitz jet bank holds zeta_H(s0 + e, a/q) for every distinct (q, a)
+    with chi(a) != 0 over all the characters; each factor is
+    q^-(s0 + e) sum_a chi(a) zeta_H(s0 + e, a/q), summed in residue order.
+    The bank's shift is hurwitz_zeta_many's for the centres, and with
+    count > 1 for the discs |s - s0| <= r = 1/2, which must miss s = 1.
+    _hurwitz_bounds gives the error E of zeta_H(s, a), a >= 1/q, once per
+    abscissa and modulus, as the head term a^-sigma makes one bound over the
+    batch loose at large sigma.  Coefficient 0 errs by n_chi E at the
+    centres plus the residue sum's rounding n_chi eps sum_a |zeta_H(s0, a/q)|,
+    n_chi the number of residues with chi(a) != 0; by Cauchy coefficient
+    j >= 1 errs by n_chi E r^-j, E over the discs.  q^-(s0 + e) carries its
+    phase's error, eps (6 + |s0| log q) times its moduli.
     """
     s0 = np.asarray(centres, dtype=complex).reshape(-1)
-    radius = 0.5
-    at_zero = int(not np.any(s0))
-    size, near = np.abs(s0), np.abs(s0 - 1.0)
-    if np.any(near <= radius):
-        raise DomainError("a jet's disc about its centre must miss s = 1")
-    # each disc's extremes of Re s, |s| and |s - 1|; one bound per abscissa and modulus,
-    # as the head term a^-sigma, a >= 1/q, makes one over the batch loose at large sigma
-    disc = np.stack([s0 - radius, s0 + radius,
-                     s0 + radius * np.where(size > 0, s0 / np.maximum(size, 1e-300), 1.0),
-                     s0 - radius * (s0 - 1.0) / near], axis=1)
-    a_bank, rows = _character_bank(field.characters)
-    shift = _hurwitz_shift(disc)
-    error = {q: np.empty(len(s0)) for q in {chi.modulus for chi in field.characters}}
+    radius, size, near = 0.5, np.abs(s0), np.abs(s0 - 1.0)
+    points = s0
+    if count > 1:
+        if np.any(near <= radius):
+            raise DomainError("a jet's disc about its centre must miss s = 1")
+        # each disc's extremes of Re s, |s| and |s - 1|
+        points = np.stack([s0 - radius, s0 + radius,
+                           s0 + radius * np.where(size > 0, s0 / np.maximum(size, 1e-300), 1.0),
+                           s0 - radius * (s0 - 1.0) / near], axis=1)
+    elif np.any(near < 1e-12):
+        raise PoleError("L-factor pole at s = 1")
+    shift = _hurwitz_shift(points)
+    powers = np.arange(count)
+    error = {q: np.empty((len(s0), count)) for q in {chi.modulus for chi in characters}}
     for sigma in set(s0.real.tolist()):
         group = s0.real == sigma
         for q, e in error.items():
-            e[group] = _hurwitz_bounds(disc[group].ravel(), 1.0 / q, shift)[1]
-    powers = np.arange(count + at_zero)
-    bank = _hurwitz_jet(s0, a_bank, shift, count + at_zero)
-    out = None
-    for chi, row in zip(field.characters, rows):
-        log_q = math.log(chi.modulus)
-        total = sum(v * bank[slot] for slot, v in row)
+            e[group, 0] = _hurwitz_bounds(s0[group], 1.0 / q, shift)[1]
+            if count > 1:
+                e[group, 1:] = _hurwitz_bounds(points[group].ravel(), 1.0 / q, shift)[1] \
+                    * radius ** -powers[1:]
+    q_jets = {}
+    for q in error.keys() - {1}:                          # 1^-(s0 + e) = 1 is left out
+        log_q = math.log(q)
         q_jet = np.exp(-s0 * log_q)[:, None] * (-log_q) ** powers / np.cumprod(np.maximum(powers, 1))
-        factor = Jet(q_jet, _EPS * (6.0 + size * log_q)[:, None] * np.abs(q_jet)) \
-            * Jet(total, len(row) * error[chi.modulus][:, None] * radius ** -powers)
-        if at_zero and not chi.is_odd and not chi.is_principal:
-            factor = Jet(factor.coeffs[..., 1:], factor.err[..., 1:], 1)
-        out = factor if out is None else out * factor
+        q_jets[q] = Jet(q_jet, _EPS * (6.0 + size * log_q)[:, None] * np.abs(q_jet))
+    a_bank, rows = _character_bank(characters)
+    bank = _hurwitz_jet(s0, a_bank, shift, count)
+    moduli = np.abs(bank[..., 0])
+    jets = []
+    for chi, row in zip(characters, rows):
+        total = sum(v * bank[slot] for slot, v in row)
+        err = len(row) * error[chi.modulus]
+        err[:, 0] += len(row) * _EPS * moduli[[slot for slot, _ in row]].sum(0)
+        jets.append(q_jets[chi.modulus] * Jet(total, err) if chi.modulus > 1 else Jet(total, err))
+    return jets
+
+
+def dedekind_zeta_jet(field, centres, count):
+    """Jet of zeta_F about every centre: count coefficients, each with a proven error.
+
+    The product of the L-factor jets (_l_factor_jets).  About s0 = 0 the
+    L-factor of an even non-principal character has a trivial zero: its
+    constant coefficient is dropped, so the jet starts at e^r, r the unit rank.
+    """
+    s0 = np.asarray(centres, dtype=complex).reshape(-1)
+    at_zero = int(not np.any(s0))
+    factors = _l_factor_jets(field.characters, s0, count + at_zero)
+    if at_zero:
+        factors = [Jet(f.coeffs[..., 1:], f.err[..., 1:], 1)
+                   if not chi.is_odd and not chi.is_principal else f
+                   for chi, f in zip(field.characters, factors)]
+    out = functools.reduce(operator.mul, factors)
     return Jet(out.coeffs[..., :count], out.err[..., :count], out.lowest)
 
 

@@ -182,9 +182,10 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                 assert not re.search(r"def (laurent_coefficients_many|dedekind_zeta_majorant)\b",
                                      text), name
                 # one trapezoid level per line and one Euler-Maclaurin sum: no step
-                # halving, no second Hurwitz path, no error on request
-                assert not re.search(r"\b(nested_trapezoid|_TRAPEZOID_HALVINGS|_hurwitz_core|return_error)\b",
-                                     text), name
+                # halving, no second Hurwitz path, no error on request, and one
+                # L-factor path for values, bounds and jets
+                assert not re.search(r"\b(nested_trapezoid|_TRAPEZOID_HALVINGS|_hurwitz_core|return_error"
+                                     r"|_l_factors|_dedekind_zeta_and_error)\b", text), name
         assert not any(hasattr(nx, n) for n in ("laurent_coefficients", "laurent_coefficients_many",
                                                 "dedekind_zeta_majorant", "LaurentResult"))
         # one proven quadrature level on the closed-form cases: Gamma(s) x^{-s} is the

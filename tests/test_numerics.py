@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -272,48 +274,70 @@ class TestDedekindZeta:
             out = out * q ** (-s) * total
         return out
 
+    @staticmethod
+    def _zeta_jet(field, s):
+        # zeta_F and its bound at each point: the product of the one-coefficient L-factor jets
+        return functools.reduce(operator.mul, nx._l_factor_jets(field.characters, s, 1))
+
     @pytest.mark.parametrize("name", ["Q", "sqrt5", "cubic7", "zeta5", "gauss"])
     def test_shared_bank_matches_per_residue_sums(self, name):
         field = fd.builtin_field(name)
         rng = np.random.RandomState(23)
         ss = rng.uniform(-2.0, 3.0, 40) + 1j * rng.uniform(-100.0, 100.0, 40)
-        ss = np.concatenate([ss, [3.0, -2.0 + 100j, 0.5 - 100j, 2.0 + 0.5j]])
+        ss = np.concatenate([ss, [3.0, -2.0 + 100j, 0.5 - 100j, 2.0 + 0.5j, 0.0, -2.0]])
+        # s = 0 and -2 are trivial zeros of most of the fields, where a relative
+        # check reads only rounding: there the value is checked within its own bound
+        about_zero = (ss == 0.0) | (ss == -2.0)
         # one Hurwitz call per residue over the whole array shares the shift
         # that array sets, as the bank does
         ref = self._hurwitz_product(field, ss, nx.hurwitz_zeta_many)
         vec = nx.dedekind_zeta_many(ss, field)
-        assert np.max(np.abs(vec - ref) / np.abs(ref)) < 1e-13
+        bound = self._zeta_jet(field, ss).err[:, 0]
+        assert np.max(np.abs(vec - ref)[~about_zero] / np.abs(ref[~about_zero])) < 1e-13
+        assert np.all(np.abs(vec - ref)[about_zero] <= bound[about_zero])
         # point by point: the scalar wrapper against scalar hurwitz_zeta
-        for s in ss:
+        for s, near_zero in zip(ss, about_zero):
             ref = self._hurwitz_product(field, s, nx.hurwitz_zeta)
-            assert abs(nx.dedekind_zeta(s, field) - ref) < 1e-13 * abs(ref)
+            allowed = self._zeta_jet(field, [s]).err[0, 0] if near_zero else 1e-13 * abs(ref)
+            assert abs(nx.dedekind_zeta(s, field) - ref) <= allowed, s
 
     @pytest.mark.parametrize("name", ["Q", "sqrt5", "cubic7", "zeta5", "gauss"])
     def test_error_bound_holds_against_mpmath(self, name):
         mpmath = pytest.importorskip("mpmath")
         field = fd.builtin_field(name)
-        for sigma, t in ((0.5, 3.0), (0.5, 141.0), (2.0, 20.0), (-1.5, 20.0)):
+        lines = [(0.5, 3.0), (0.5, 141.0), (2.0, 20.0), (-1.5, 20.0)]
+        if name in ("Q", "zeta5"):
+            lines.append((0.5, 1000.0))
+        for sigma, t in lines:
             ss = sigma + 1j * (t + np.array([0.0, 1.1]))
-            vals, bound = nx.dedekind_zeta_many(ss, field), nx._dedekind_zeta_and_error(ss, field)[1]
+            factors = nx._l_factor_jets(field.characters, ss, 1)
+            zeta = self._zeta_jet(field, ss)
+            vals, bound = zeta.coeffs[:, 0], zeta.err[:, 0]
+            assert np.array_equal(vals, nx.dedekind_zeta_many(ss, field))
             with mpmath.workdps(25):
-                for s, v, b in zip(ss, vals, bound):
-                    ref = complex(mpmath.fprod(
-                        mpmath.dirichlet(s, [chi.value(a) for a in range(chi.modulus)])
-                        for chi in field.characters))
-                    assert abs(v - ref) <= b, (s, abs(v - ref), b)
-                    assert b <= 1e-8 * (1.0 + abs(ref)), (s, b)
+                for i, s in enumerate(ss):
+                    refs = [complex(mpmath.dirichlet(s, [chi.value(a) for a in range(chi.modulus)]))
+                            for chi in field.characters]
+                    for chi, jet, ref in zip(field.characters, factors, refs):
+                        assert abs(jet.coeffs[i, 0] - ref) <= jet.err[i, 0], (s, chi.modulus)
+                    ref = complex(mpmath.fprod(refs))
+                    assert abs(vals[i] - ref) <= bound[i], (s, abs(vals[i] - ref), bound[i])
+                    assert bound[i] <= 1e-8 * (1.0 + abs(ref)), (s, bound[i])
 
-    def test_high_grid_memory_is_bounded(self):
-        # a [0, 1000] line at step 0.2: the unchunked bank would need ~350 MB
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_high_grid_memory_is_bounded(self, count):
+        # a line up to t = 1000 at step 0.2: the unchunked bank would need ~350 MB.
+        # count 2 reads the jet, whose disc about s = 1/2 would reach s = 1, so its line starts at t = 1
         field = fd.builtin_field("cubic7")
-        ss = 0.5 + 1j * np.linspace(0.0, 1000.0, 5001)
+        ss = 0.5 + 1j * np.linspace(count - 1.0, 1000.0, 5001)
         tracemalloc.start()
         try:
-            vals = nx.dedekind_zeta_many(ss, field)
+            vals = nx.dedekind_zeta_jet(field, ss, count).coeffs if count > 1 \
+                else nx.dedekind_zeta_many(ss, field)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert vals.shape == ss.shape and np.all(np.isfinite(vals))
+        assert len(vals) == len(ss) and np.all(np.isfinite(vals))
         assert peak < 64 * 2 ** 20
 
 

@@ -23,7 +23,9 @@ it, N0 and the certified bound of l_series, and the largest proven error
 of a kernel line's plan relative to its value per gamma power, and where
 the kernels' ascending series stops and its charge per gamma power, so a
 change in a truncation bound, a quadrature charge or a plan's distance from
-its refusal shows even when every checked value stays the same.  log-gamma far
+its refusal shows even when every checked value stays the same; so do the
+error bounds of Xi_F up to t = 1000 and of zeta_F at s = 2 + i, read
+through `critical_line._xi_scaled_many`.  log-gamma far
 left and at height with its proven error, the rescaled Xi_F at heights
 where xi_F alone underflows, the ordinates and residuals of one zeros-scan
 window per builtin field and the number of Xi calls it makes, the Phi
@@ -54,6 +56,7 @@ PLAN_MARGIN_PAIRS = ((1, 0), (2, 0), (4, 0), (0, 1), (0, 2), (3, 0), (6, 0), (0,
 # the points of one check_theta_many call per builtin field and k: |x| < 0.05, a
 # complex x and |x| > 1
 THETA_MANY_XS = (0.04, 0.7 + 0.3j, 2.5)
+XI_ERROR_HEIGHTS = (3.5, 14.1, 141.0, 1000.0)
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
@@ -145,6 +148,14 @@ def snapshot():
                     lambda: cl.xi_completed(F, 0.5 + 1j * t))
             _record(out, f"big_xi/{name}/t={t}", lambda: cl.big_xi(F, t))
         _record(out, f"xi_completed/{name}/s=2+1i", lambda: cl.xi_completed(F, 2.0 + 1.0j))
+        # the error bounds the reality check and Phi read: of Xi_F times e^{pi d t/4}, the
+        # scanner's factor, so the bound at t = 1000 does not underflow, and of zeta_F at
+        # s = 2 + i, the xi bound times |zeta_F / xi_F| there
+        for t in XI_ERROR_HEIGHTS:
+            _record(out, f"xi_error/{name}/t={t}", lambda: cl._xi_scaled_many(
+                F, 0.5 + 1j * t, math.pi * F.degree * t / 4.0)[1])
+        _record(out, f"zeta_error/{name}/s=2+1i", lambda: (lambda xi, error: error * abs(
+            nx.dedekind_zeta(2.0 + 1.0j, F) / xi))(*cl._xi_scaled_many(F, 2.0 + 1.0j, 0.0)))
     for name in ("cubic7", "zeta5"):
         _record(out, f"exact_eval_check/{name}", lambda: (
             lambda r: (r.lhs, r.rhs))(theta.exact_eval_check(fields.builtin_field(name))))
