@@ -6,11 +6,11 @@ exponentially rescaled copy of Xi (a positive factor, so the sign pattern is
 untouched) to keep magnitudes in a sane range, brackets every sign change on
 a grid, and refines all brackets by ITP steps in lockstep: each step is one
 array evaluation of Xi at ITP's point and three companion points per bracket
-still open.  The grid values seed the bracket ends, and the cubic through
-four of them a guess of each zero, so a bracket closes in 2 or 3 steps and
-a width-5 scan at the default step makes 4 to 6 Xi calls in all.  The Phi
-integral ties the Xi profile back to the forward theta function, crossing
-the whole stack.
+still open.  The grid values seed the bracket ends, and the degree-9
+interpolant through ten of them a guess of each zero, so a bracket closes in
+one step on a point whose value is its residual, and a width-5 scan at the
+default step makes 2 Xi calls in all.  The Phi integral ties the Xi profile
+back to the forward theta function, crossing the whole stack.
 """
 
 import cmath
@@ -122,14 +122,16 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
     2m min(1, m/w) for a guess that moved by m and a bracket of width w.
     Every point stays at least tol/8 inside its bracket: without the inset,
     a point that lands on the root to about 1e-15 is evaluated again at
-    every step until the projection moves it.
+    every step until the projection moves it.  Returns the ordinates and
+    the |value| read at each: the last bracket's regula falsi point, with
+    NaN, or its end within 3e-13 of that point, with |Xi| there.
     """
     lo, hi, f_lo, f_hi, guess, radius = (np.array(v, dtype=float)
                                          for v in (lo, hi, f_lo, f_hi, guess, radius))
     width = hi - lo
     kappa1 = 0.2 / width
     n_max = np.ceil(np.log2(width / (0.5 * tol))) + 1.0
-    out = np.empty(len(lo))
+    out, value = np.empty(len(lo)), np.full(len(lo), np.nan)
     done = np.zeros(len(lo), dtype=bool)
     step = 0
     live = np.nonzero(width > 0.5 * tol)[0]
@@ -150,7 +152,7 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
         f_points = _xi_rescaled_many(field, unique)[inverse.reshape(points.shape)]
         hit = f_points == 0.0
         ended = hit.any(axis=1)
-        out[live[ended]] = points[ended, np.argmax(hit[ended], axis=1)]
+        out[live[ended]], value[live[ended]] = points[ended, np.argmax(hit[ended], axis=1)], 0.0
         done[live[ended]] = True
         ts = np.column_stack([a, points, b])
         order = np.argsort(ts, axis=1)
@@ -168,8 +170,11 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
         # n_max steps leave at most tol/2 in exact arithmetic; the cap keeps a
         # width that rounding leaves an ulp above it from taking one more
         live = np.nonzero(~done & (hi - lo > 0.5 * tol) & (step < n_max))[0]
-    out[~done] = lo[~done] + (hi - lo)[~done] * (f_lo / (f_lo - f_hi))[~done]
-    return out
+    falsi = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    end, f_end = (np.where(hi - falsi < falsi - lo, x, y) for x, y in ((hi, lo), (f_hi, f_lo)))
+    snap = ~done & (np.abs(end - falsi) <= 3e-13)
+    out[~done], value[snap] = np.where(snap, end, falsi)[~done], np.abs(f_end[snap])
+    return out, value
 
 
 def refine_zeros(field, brackets, tol=_ORDINATE_TOL):
@@ -187,11 +192,11 @@ def refine_zeros(field, brackets, tol=_ORDINATE_TOL):
     falsi point of [a, b] with radius w0/8 (_itp_lockstep).  Two guards:
     every trial point stays at least tol/8 inside its bracket, and a bracket
     stops once it is at most tol/2 wide (or at an exact zero).  It returns
-    the regula falsi point of its last bracket, so the ordinate lies within
-    tol/2 of a sign change, and it takes at most
-    ceil(log2(w0 / (tol/2))) + 1 steps whatever the function; on a smooth Xi
-    it converges superlinearly.  Returns the ordinates as an array, in
-    bracket order.
+    the regula falsi point of its last bracket, or that bracket's end within
+    3e-13 of it, so the ordinate lies within tol/2 of a sign change, and it
+    takes at most ceil(log2(w0 / (tol/2))) + 1 steps whatever the function;
+    on a smooth Xi it converges superlinearly.  Returns the ordinates as an
+    array, in bracket order.
     """
     lo = np.array([float(b[0]) for b in brackets])
     hi = np.array([float(b[1]) for b in brackets])
@@ -210,7 +215,7 @@ def refine_zeros(field, brackets, tol=_ORDINATE_TOL):
     open_ = signs < 0
     lo, hi, f_lo, f_hi = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
     out[open_] = _itp_lockstep(field, lo, hi, f_lo, f_hi, tol,
-                               lo + (hi - lo) * (f_lo / (f_lo - f_hi)), (hi - lo) / 8.0)
+                               lo + (hi - lo) * (f_lo / (f_lo - f_hi)), (hi - lo) / 8.0)[0]
     return out
 
 
@@ -219,40 +224,55 @@ def refine_zero(field, bracket, tol=_ORDINATE_TOL):
     return float(refine_zeros(field, [bracket], tol)[0])
 
 
+def _lagrange_rows(nodes):
+    """Row j: the v^0, v^1, .. coefficients of the Lagrange polynomial of nodes[j], each rounded once."""
+    p, q = np.poly(nodes), np.ones((len(nodes), len(nodes)))
+    for i in range(1, len(nodes)):                  # P(v)/(v - node), highest power first
+        q[:, i] = p[i] + nodes * q[:, i - 1]
+    return q[:, ::-1] / (nodes[:, None] - nodes + np.eye(len(nodes))).prod(axis=1)[:, None]
+
+
+# the degree-9 interpolant through a 10-point window, at v = m - 4.5 for point m, and the
+# degree-7 one through its middle 8 points
+_SEED_WEIGHTS = np.array([_lagrange_rows(np.arange(-4.5, 5.0)),
+                          np.pad(_lagrange_rows(np.arange(-3.5, 4.0)), ((1, 1), (0, 2)))])
+
+
 def _grid_seeds(ts, vals, flips):
     """A guess and a radius for the zero in each sign-change cell [t_i, t_{i+1}] of an even grid.
 
-    The guess is the root in the cell of the cubic through the values at
-    t_{i-1} .. t_{i+2}, by Newton steps from the regula falsi point kept in
-    the cell, and its radius twice the distance to the root of the quadratic
-    through t_i .. t_{i+2}.  A cell at either end of the grid takes the regula
-    falsi point, of radius an eighth of the cell.
+    The guess is the root in the cell of the degree-9 interpolant through the
+    10 grid values t_{i-4} .. t_{i+5}, and its radius twice the distance to
+    the root of the degree-7 one through the middle 8 of them.  Within four
+    points of a grid end the window is the grid's first or last 10 points.
+    Newton steps from the regula falsi point, kept in the cell, find both
+    roots.  A grid of fewer than 10 points seeds the regula falsi point, of
+    radius an eighth of the cell.
     """
     w = ts[flips + 1] - ts[flips]
     u = vals[flips] / (vals[flips] - vals[flips + 1])
-    guess, radius = ts[flips] + w * u, w / 8.0
-    inner = np.nonzero((flips >= 1) & (flips + 2 < len(ts)))[0]
-    y_m, y_0, y_1, y_2 = (vals[flips[inner] + k] for k in (-1, 0, 1, 2))
-    q_2 = 0.5 * (y_0 - 2.0 * y_1 + y_2)
-    # the coefficients of u^0 .. u^3, u = (t - t_i)/w, of the cubic and of the quadratic
-    c = np.array([[y_0, y_0], [(y_1 - y_m / 3.0) - (0.5 * y_0 + y_2 / 6.0), y_1 - y_0 - q_2],
-                  [0.5 * (y_m + y_1) - y_0, q_2], [0.5 * (y_0 - y_1) + (y_2 - y_m) / 6.0, 0.0 * y_0]])
-    v = np.array([u[inner], u[inner]])
-    for _ in range(4):
-        slope = c[1] + v * (2.0 * c[2] + 3.0 * v * c[3])
-        v = np.clip(v - (c[0] + v * (c[1] + v * (c[2] + v * c[3])))
-                    / np.where(slope == 0.0, np.inf, slope), 0.0, 1.0)
-    guess[inner] = ts[flips[inner]] + w[inner] * v[0]
-    radius[inner] = 2.0 * w[inner] * np.abs(v[0] - v[1])
-    return guess, radius
+    if len(ts) < 10:
+        return ts[flips] + w * u, w / 8.0
+    start = np.minimum(np.maximum(flips - 4, 0), len(ts) - 10)
+    y = vals[start[:, None] + np.arange(10)]
+    c = (y[:, None, :, None] * _SEED_WEIGHTS).sum(axis=2)     # (cell, interpolant, power of v)
+    left = (flips - start)[:, None] - 4.5                       # the cell is [left, left + 1] in v
+    v = left + u[:, None]
+    for _ in range(5):
+        powers = v[..., None] ** np.arange(9)
+        slope = (c[..., 1:] * np.arange(1, 10) * powers).sum(axis=-1)
+        step = (c[..., 0] + v * (c[..., 1:] * powers).sum(axis=-1)) / np.where(slope == 0.0, np.inf, slope)
+        v = np.minimum(np.maximum(v - step, left), left + 1.0)
+    return ts[flips] + w * (v[:, 0] - left[:, 0]), 2.0 * w * np.abs(v[:, 0] - v[:, 1])
 
 
 def scan_zeros(field, t_min, t_max, step):
     """Bracket and refine every sign change of Xi_F on [t_min, t_max].
 
     The grid values at the bracket ends seed the ITP steps of refine_zeros,
-    so no end is evaluated twice, and the grid's cubic seeds the guess of
-    each zero (_grid_seeds).
+    so no end is evaluated twice, and the grid's degree-9 interpolants the
+    guess of each zero (_grid_seeds).  A residual is the |rescaled Xi| the
+    steps read at its ordinate; Xi is evaluated only where none was read.
     """
     if not (0 <= t_min < t_max):
         raise ValidationError("need 0 <= t_min < t_max")
@@ -264,16 +284,17 @@ def scan_zeros(field, t_min, t_max, step):
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     brackets = [(float(ts[i]), float(ts[i + 1])) for i in flips]
-    refined = [float(g) for g in _itp_lockstep(field, ts[flips], ts[flips + 1], vals[flips],
-                                               vals[flips + 1], _ORDINATE_TOL,
-                                               *_grid_seeds(ts, vals, flips))]
-    residuals = [float(r) for r in np.abs(_xi_rescaled_many(field, refined))]
+    refined, residuals = _itp_lockstep(field, ts[flips], ts[flips + 1], vals[flips], vals[flips + 1],
+                                       _ORDINATE_TOL, *_grid_seeds(ts, vals, flips))
+    missing = np.isnan(residuals)
+    if missing.any():
+        residuals[missing] = np.abs(_xi_rescaled_many(field, refined[missing]))
     for a, b in zip(refined, refined[1:]):
         if b - a < 2.0 * step:
             warnings.warn(f"zeros at {a:.6f} and {b:.6f} closer than twice the "
                           f"scan step {step}; consider a finer grid", stacklevel=2)
-    return ScanResult(brackets=tuple(brackets), refined=tuple(refined),
-                      residuals=tuple(residuals))
+    return ScanResult(brackets=tuple(brackets), refined=tuple(refined.tolist()),
+                      residuals=tuple(residuals.tolist()))
 
 
 # zeta(3/2), the constant of Rademacher's bound at eta = 1/2; the Phi plan's alias line

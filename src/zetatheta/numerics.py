@@ -178,9 +178,9 @@ def _hurwitz_bounds(s, a_min, shift):
     return majorant, rounding * majorant + remainder
 
 
-# Upper bound on shift * len(a) * points for one chunk of _hurwitz_jet: the
-# head matrix of a bank stays near 1 MiB however many points are evaluated.
-_HURWITZ_CHUNK_ELEMENTS = 2 ** 16
+# Upper bound on shift * len(a) * points for one block of _hurwitz_jet's head
+# sum: its terms stay within 64 KiB however many points are evaluated.
+_HURWITZ_CHUNK_ELEMENTS = 2 ** 12
 
 
 def hurwitz_zeta_many(s, a):
@@ -334,22 +334,20 @@ def _hurwitz_jet(s0, a, shift, count):
     The Euler-Maclaurin sum at this shift with B_2 .. B_24, each term a jet
     in e: (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!,
     1/(s - 1) and the Pochhammer factors.  log(n + a) is taken once per
-    bank.  The points are taken in chunks of _HURWITZ_CHUNK_ELEMENTS, and
-    the head runs along the last, contiguous axis, so numpy sums it pairwise
-    whatever the number of points: a value does not depend on its chunk.
+    bank.  The head is summed in blocks of points of at most
+    _HURWITZ_CHUNK_ELEMENTS terms, along the last, contiguous axis, so numpy
+    sums each row pairwise whatever the number of points: a value does not
+    depend on its block.
     """
-    chunk = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(a))))
-    if len(s0) > chunk:
-        return np.concatenate([_hurwitz_jet(s0[lo:lo + chunk], a, shift, count)
-                               for lo in range(0, len(s0), chunk)], axis=1)
     log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
-    term = s0[None, :, None] * log_n
-    np.exp(term, out=term)
     head = np.empty((len(a), len(s0), count), dtype=complex)
-    for j in range(count):
-        if j:
-            term = term * (log_n / j)
-        head[..., j] = term.sum(axis=2)
+    block = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(a))))
+    for lo in range(0, len(s0), block):
+        term = np.exp(s0[None, lo:lo + block, None] * log_n)
+        for j in range(count):
+            if j:
+                term = term * (log_n / j)
+            head[:, lo:lo + block, j] = term.sum(axis=2)
     powers = np.arange(count)
     base = (shift + a)[:, None, None]
     decay = np.exp(-s0[None, :, None] * np.log(base)) * (-np.log(base)) ** powers \

@@ -19,6 +19,8 @@ from zetatheta.errors import (
 import _oracles as oracle
 
 BUILTIN = ["Q", "sqrt5", "cubic7", "zeta5", "gauss"]
+# one width-5 scan window per builtin field at the default step
+SCAN_WINDOWS = [("Q", 100.0), ("sqrt5", 40.0), ("gauss", 30.0), ("cubic7", 10.0), ("zeta5", 18.0)]
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench", "reference")
 
@@ -223,11 +225,12 @@ class TestScanZeros:
         with pytest.warns(UserWarning):
             cl.scan_zeros(field_sqrt5, 20.5, 23.0, 0.65)
 
-    @pytest.mark.parametrize("name, t_min", [("Q", 100.0), ("sqrt5", 40.0), ("gauss", 30.0),
-                                             ("cubic7", 10.0), ("zeta5", 18.0)])
+    @pytest.mark.parametrize("name, t_min", SCAN_WINDOWS)
     def test_few_xi_calls_per_scan(self, name, t_min, monkeypatch):
-        # one call for the grid, one for the residuals, and in between the
-        # lockstep steps, which the grid's cubic seeds close in 2 or 3
+        # one call for the grid and one lockstep step, which closes a bracket on
+        # its grid seed and reads its residual off that step; a bracket that
+        # does not close at once, or whose ordinate is no evaluated point, may
+        # take one more step and one residual call
         calls = []
         real = cl._xi_rescaled_many
 
@@ -237,7 +240,21 @@ class TestScanZeros:
 
         monkeypatch.setattr(cl, "_xi_rescaled_many", counting)
         res = cl.scan_zeros(fd.builtin_field(name), t_min, t_min + 5.0, 0.02)
-        assert len(res.refined) >= 1 and len(calls) <= 6
+        assert len(res.refined) >= 1 and len(calls) <= 4
+
+    @pytest.mark.parametrize("name, t_min", SCAN_WINDOWS)
+    def test_residuals_are_values_at_the_ordinates(self, name, t_min):
+        # a residual read off a lockstep step is the value at its ordinate; a fresh
+        # one-point call sets its own Hurwitz shift, so the bits may differ, within
+        # the fresh value's proven error bound
+        field = fd.builtin_field(name)
+        res = cl.scan_zeros(field, t_min, t_min + 5.0, 0.02)
+        for g, residual in zip(res.refined, res.residuals):
+            fresh = cl._xi_rescaled_many(field, [g])[0]
+            bound = cl._xi_scaled_many(field, [0.5 + 1j * g], math.pi * field.degree * g / 4.0)[1][0]
+            assert abs(residual - abs(fresh)) <= bound, (g, residual, fresh, bound)
+            ends = cl._xi_rescaled_many(field, [g - 5e-10, g + 5e-10])
+            assert fresh == 0.0 or ends[0] * ends[1] < 0.0, (g, ends)
 
     @pytest.mark.parametrize("name, step", [("Q", 0.05), ("zeta5", 0.0025)])
     def test_ordinates_match_the_reference(self, name, step, riemann_zeros_reference,

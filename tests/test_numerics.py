@@ -626,3 +626,22 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", "import sys, zetatheta; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_checks_leave_numpy_ma_unloaded():
+    # numpy's set routines (setdiff1d and its family) import numpy.ma on first
+    # use, which a forked benchmark op pays in full: no check may reach them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nx.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import contextlib, io, sys\n"
+            "from zetatheta import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in (\n"
+            "        ['zeros-scan', '--field', 'sqrt5', '--range=20,25'],\n"
+            "        ['theta-check', '--field', 'Q', '--x=0.7'],\n"
+            "        ['phi-check', '--field', 'Q', '--z=0.3'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[0, 0, 0] False"

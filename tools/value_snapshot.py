@@ -28,7 +28,8 @@ error bounds of Xi_F up to t = 1000 and of zeta_F at s = 2 + i, read
 through `critical_line._xi_scaled_many`.  log-gamma far
 left and at height with its proven error, the rescaled Xi_F at heights
 where xi_F alone underflows, the ordinates and residuals of one zeros-scan
-window per builtin field and the number of Xi calls it makes, the Phi
+window per builtin field, the number of Xi calls it makes and the number of
+points they evaluate after the grid, the Phi
 identity past |Im z| = pi/2, and the Phi integral's proven plan (window,
 step and error) per builtin field are recorded too.  A value whose
 computation raises is recorded as the exception's type and message.  The
@@ -233,16 +234,18 @@ def snapshot():
         _record(out, f"loggamma/z={z}", lambda: nx.loggamma(z))
         _record(out, f"loggamma_error/z={z}", lambda: nx._loggamma_and_error(z)[1])
     # one width-5 zeros-scan window per field at the default step: the ordinates, then
-    # the residuals, and the number of Xi calls the scan made
+    # the residuals, the number of Xi calls the scan made, and the number of points
+    # those calls evaluated after the grid
     xi_rescaled_many = cl._xi_rescaled_many
     for name, a in SCAN_WINDOWS:
         calls = []
-        cl._xi_rescaled_many = lambda field, ts: calls.append(1) or xi_rescaled_many(field, ts)
+        cl._xi_rescaled_many = lambda field, ts: calls.append(len(ts)) or xi_rescaled_many(field, ts)
         _record(out, f"scan_zeros/{name}/[{a},{a + 5.0}]", lambda: (
             lambda r: r.refined + r.residuals)(
                 cl.scan_zeros(fields.builtin_field(name), a, a + 5.0, 0.02)))
         cl._xi_rescaled_many = xi_rescaled_many
         _record(out, f"scan_xi_calls/{name}", lambda: len(calls))
+        _record(out, f"scan_xi_points/{name}", lambda: sum(calls[1:]))
     # heights where xi_F alone underflows
     for name, t in (("zeta5", 242.0), ("cubic7", 322.0), ("Q", 735.0)):
         _record(out, f"xi_rescaled/{name}/t={t}",
