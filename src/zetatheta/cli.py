@@ -168,7 +168,7 @@ COMMANDS = (
             lambda a: [inverse_theta.hlr_check(x, a.zeros, tol=a.tol) for x in a.points],
             lambda a, x, rep: [_sci(x), _sci(rep.lhs.real), _sci(rep.rhs.real),
                                _sci(rep.residual), str(len(a.zeros))])),
-    ("dgv-check", "Dixit-Gupta-Vatwani identity (Q and quadratic fields)",
+    ("dgv-check", "Dixit-Gupta-Vatwani identity (any field)",
      {"--field": {}, "--x": _REAL_X, "--zeros": {}, "--tol": dict(default=1e-5)},
      _check(["x", "lhs", "rhs", "residual", "zeros"],
             lambda a: [inverse_theta.dgv_check(a.field, x, a.zeros, tol=a.tol) for x in a.points],

@@ -7,9 +7,9 @@ proven coefficient errors: one memoized jet of zeta_F per zero (a zero list
 shares one jet call), those of 1/zeta_F^k at s = 1 + m for the Moebius
 tails, and those at s = 0.  U(1/x) = sqrt(x) U(x) is
 equivalent to the functional equation of 1/zeta_F^k.  The
-Hardy-Littlewood-Ramanujan and Dixit-Gupta-Vatwani identities are its F = Q
-and quadratic-field specializations, each checked through its own formulas;
-the HLR zero term is the DGV zero sum of Q.
+Hardy-Littlewood-Ramanujan (F = Q) and Dixit-Gupta-Vatwani (any F) identities
+are its k = 1 forms, rearranged: their checks read the same L series, R_0
+and zero sum as check_inverse_theta.
 """
 
 import cmath
@@ -117,8 +117,8 @@ def _recentred_coeffs(poly, log_alpha):
             for i in range(len(c))]
 
 
-def _l_series_parts(field, k, x):
-    """(value, N0, certified bound) of L_{F,-k}(x); see l_series."""
+def _l_series_parts(field, k, x, tol=math.inf):
+    """(value, N0, certified bound) of L_{F,-k}(x); see l_series.  A bound above tol/2 raises."""
     fields.require_k(k)
     x = complex(x)
     if x == 0:
@@ -190,6 +190,9 @@ def _l_series_parts(field, k, x):
                 * (1.0 + log_n0) ** (d * k)
     bound = 2.0 * truncation + quad_error + jet_error \
         + 64.0 * numerics._EPS * (float(np.sum(np.abs(head_terms))) + tail_abs)
+    if bound > tol / 2.0:
+        raise ConvergenceError(
+            f"l_series certified remainder {bound:.2e} > {tol / 2:g} at N0 = {n0}")
     return complex(np.sum(head_terms)) + tail, n0, bound
 
 
@@ -206,11 +209,7 @@ def l_series(field, k, x, tol=1e-7):
     the Taylor data, and rounding), and a bound above tol/2 raises
     ConvergenceError.
     """
-    value, n0, bound = _l_series_parts(field, k, x)
-    if bound > tol / 2.0:
-        raise ConvergenceError(
-            f"l_series certified remainder {bound:.2e} > {tol / 2:g} at N0 = {n0}")
-    return value
+    return _l_series_parts(field, k, x, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,57 +296,55 @@ def _lambda_principal_many(field, k, gammas):
                               compute)
 
 
-def _lambda_principal_at_zero(field, k, gamma):
-    """(rho, residue polynomial) of Lambda_F^k at rho = 1/2 + i gamma: one zero of the batch."""
-    return _lambda_principal_many(field, k, [gamma])[0]
+def zero_sum(field, k, x, zeros):
+    """Sum of conjugate-pair residues R_rho(x) + R_conj(rho)(x) over the listed zeros.
 
-
-def r_rho(field, k, x, gamma):
-    """Conjugate-pair residue contribution at rho = 1/2 + i gamma and its mirror.
-
-    Returns R_rho(x) + R_conj(rho)(x); real for real positive x.
+    Returns (sum, magnitude of the last pair); real for real positive x.
+    The principal parts of the whole list come from one jet call
+    (_lambda_principal_many) and the pairs from one numpy pass, summed in
+    ascending gamma, so a longer list's sum is the shorter list's plus the
+    added pairs.
     """
     fields.require_k(k)
     x = complex(x)
     if x == 0:
-        raise DomainError("r_rho undefined at x = 0")
-    rho, poly = _lambda_principal_at_zero(field, k, gamma)
+        raise DomainError("zero_sum undefined at x = 0")
+    parts = _lambda_principal_many(field, k, zeros.gammas)
+    rho = np.array([r for r, _ in parts])
+    coeffs = np.array([poly.coeffs for _, poly in parts])
     logx = cmath.log(x)
-    term = cmath.exp(-rho * logx / 2.0) * poly.eval_log(logx)
+
+    def residues(r, c):
+        poly = np.zeros(len(r), dtype=complex)
+        for j in range(k - 1, -1, -1):
+            poly = poly * logx + c[:, j]
+        return np.exp(-r * logx / 2.0) * poly
+
     # Lambda(conj s) = conj(Lambda(s)), so the principal part at the conjugate
     # zero has conjugated coefficients; for real x > 0 the pair sum is 2 Re.
-    conj_poly = numerics.LogPolynomial(tuple(complex(c).conjugate() for c in poly.coeffs))
-    partner = cmath.exp(-rho.conjugate() * logx / 2.0) * conj_poly.eval_log(logx)
-    return term + partner
+    pairs = residues(rho, coeffs) + residues(rho.conj(), coeffs.conj())
+    return complex(np.cumsum(pairs)[-1]), float(abs(pairs[-1]))
 
 
-def zero_sum(field, k, x, zeros):
-    """Sum of conjugate-pair residues over the listed zeros, ascending gamma.
-
-    Returns (sum, tail_estimate) with the tail estimated by the magnitude of
-    the last included pair.  The principal parts of the whole list come from
-    one jet call, and each r_rho then reads its own.
-    """
-    fields.require_k(k)
-    _lambda_principal_many(field, k, zeros.gammas)
-    total = 0.0 + 0.0j
-    last = 0.0
-    for g in zeros.gammas:
-        pair = r_rho(field, k, x, g)
-        total += pair
-        last = abs(pair)
-    return total, last
+def r_rho(field, k, x, gamma):
+    """R_rho(x) + R_conj(rho)(x) at rho = 1/2 + i gamma: zero_sum over the one zero."""
+    return zero_sum(field, k, x, ZeroList(gammas=(gamma,)))[0]
 
 
 def _u_inverse_parts(field, k, x, zeros, tol):
-    """(U_{F,-k}(x), magnitude of the last zero pair); see u_inverse."""
+    """((L, R_0, (1/2) zero sum) at x, certified bound of L, last zero pair's magnitude).
+
+    U_{F,-k}(x) is the sum of the three terms; see u_inverse.
+    """
     zsum, last = zero_sum(field, k, x, zeros)
-    return l_series(field, k, x, tol=tol) + r0_inverse(field, k, x) + 0.5 * zsum, last
+    value, _, bound = _l_series_parts(field, k, x, tol)
+    return (value, r0_inverse(field, k, x), 0.5 * zsum), bound, last
 
 
 def u_inverse(field, k, x, zeros, tol=1e-7):
     """U_{F,-k}(x) = L_{F,-k}(x) + R_0(x) + (1/2) sum_rho R_rho(x)."""
-    return _u_inverse_parts(field, k, x, zeros, tol)[0]
+    (value, r0, half_zsum), _, _ = _u_inverse_parts(field, k, x, zeros, tol)
+    return value + r0 + half_zsum
 
 
 def check_inverse_theta(field, k, x, zeros, tol=1e-6):
@@ -355,54 +352,42 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
 
     lhs is U(1/x), rhs sqrt(x) U(x), and the residual is relative.  The
     budget's zero_tail_estimate is the larger last-pair magnitude of the
-    two zero sums, and taylor_error the largest proven error of the zero
-    jets' coefficients (zeta_taylor_many).
+    two zero sums, l_series_remainder the certified bounds of the two L
+    series weighted as the sides are, and taylor_error the largest proven
+    error of the zero jets' coefficients (zeta_taylor_many).
     """
     x = complex(x)
     inner = min(tol * 0.25, 1e-7)
-    u_x, tail_x = _u_inverse_parts(field, k, x, zeros, inner)
-    u_inv, tail_inv = _u_inverse_parts(field, k, 1.0 / x, zeros, inner)
-    rhs = cmath.sqrt(x) * u_x
+    (l_x, r0_x, z_x), bound_x, tail_x = _u_inverse_parts(field, k, x, zeros, inner)
+    (l_inv, r0_inv, z_inv), bound_inv, tail_inv = _u_inverse_parts(field, k, 1.0 / x, zeros, inner)
+    u_inv = l_inv + r0_inv + z_inv
+    rhs = cmath.sqrt(x) * (l_x + r0_x + z_x)
     rel = abs(u_inv - rhs) / max(abs(u_inv), abs(rhs), 1e-30)
     return theta.Report(lhs=u_inv, rhs=rhs, residual=rel,
                         budget={"zero_tail_estimate": max(tail_x, tail_inv),
+                                "l_series_remainder": bound_inv + abs(cmath.sqrt(x)) * bound_x,
                                 "taylor_error": _taylor_error(field, zeros.gammas, max(k, 2))})
 
 
 # ---------------------------------------------------------------------------
-# Hardy-Littlewood-Ramanujan identity (F = Q, k = 1 in its classical variables)
+# the k = 1 inverse relation in the Hardy-Littlewood-Ramanujan and
+# Dixit-Gupta-Vatwani forms
 # ---------------------------------------------------------------------------
-
-def _hlr_zero_sum(x, zeros):
-    """(zero term, magnitude of its last included pair); see hlr_zero_term.
-
-    The HLR zero term is the F = Q case of the DGV zero sum, taken at
-    alpha = pi/sqrt(x): the summand alpha^rho Gamma((1-rho)/2)/zeta'(rho) is
-    the same.
-    """
-    total, last = _dgv_zero_sum(fields.builtin_field("Q"), math.pi / math.sqrt(x), zeros)
-    norm = 2.0 * math.sqrt(math.pi)
-    return total / norm, last / norm
-
-
-def hlr_zero_term(x, zeros):
-    """(1/(2 sqrt(pi))) sum over zero pairs of (pi/sqrt(x))^rho Gamma((1-rho)/2)/zeta'(rho)."""
-    return _hlr_zero_sum(x, zeros)[0]
-
 
 def hlr_check(x, zeros, tol=1e-4):
     """Check Eq-style identity: sum mu(n)/n e^{-x/n^2} against its reflected form.
 
+    The inverse relation for F = Q, k = 1 at x/pi, in HLR's normalization.
     Both exponential Moebius sums are exact: since sum mu(n)/n = 0,
     sum mu(n)/n e^{-y/n^2} = (1/2) L_{Q,-1}(y/pi), which l_series sums to
     rounding level.  A certified remainder of the two sums above tol/4
     raises ConvergenceError.  rhs is sqrt(pi/x) times the reflected sum minus
-    the zero term.  At the symmetric point x = pi the two exponential sums
-    cancel termwise and the residual reduces to the zero term's own numerics.
-    The residual is |lhs - rhs|; the budget holds the last zero pair's
-    magnitude (zero_tail_estimate), the certified remainder of the two sums
-    (l_series_remainder) and the largest proven error of the zero jets'
-    coefficients (taylor_error).
+    the zero term, (1/2) zero_sum(Q, 1, x/pi).  At the symmetric point x = pi
+    the two exponential sums cancel termwise and the residual reduces to the
+    zero term's own numerics.  The residual is |lhs - rhs|; the budget holds
+    the last zero pair's weighted magnitude (zero_tail_estimate), the
+    certified remainder of the two sums (l_series_remainder) and the largest
+    proven error of the zero jets' coefficients (taylor_error).
     """
     if x <= 0:
         raise DomainError("hlr_check needs x > 0")
@@ -414,70 +399,37 @@ def hlr_check(x, zeros, tol=1e-4):
         raise ConvergenceError(
             f"hlr_check certified remainder {remainder:.2e} > {tol / 4:g}")
     lhs = 0.5 * direct.real
-    zterm, zero_tail = _hlr_zero_sum(x, zeros)
-    rhs = math.sqrt(math.pi / x) * 0.5 * reflected.real - zterm
+    zsum, last = zero_sum(rational, 1, x / math.pi, zeros)
+    rhs = math.sqrt(math.pi / x) * 0.5 * reflected.real - 0.5 * zsum.real
     return theta.Report(lhs=complex(lhs), rhs=complex(rhs), residual=abs(lhs - rhs),
-                        budget={"zero_tail_estimate": zero_tail,
+                        budget={"zero_tail_estimate": 0.5 * last,
                                 "l_series_remainder": remainder,
                                 "taylor_error": _taylor_error(rational, zeros.gammas, 2)})
 
 
-# ---------------------------------------------------------------------------
-# Dixit-Gupta-Vatwani identity (quadratic fields and Q)
-# ---------------------------------------------------------------------------
-
-def _dgv_r0_polynomial(field):
-    """LogPolynomial P with R_0(alpha) = P(log alpha) in the DGV normalization.
-
-    The residue at s = 0 of Gamma^r1((1-s)/2) Gamma^r2(1-s)/zeta_F(s)
-    alpha^s, from the jets of both about 0.
-    """
-    return numerics.memo(("dgv_r0", field.cache_key), lambda: numerics.jet_residue_polynomial(
-        field.unit_rank, lambda n: numerics.gamma_factor_jet(field.r1, field.r2, [1], -1, n)
-        * numerics.dedekind_zeta_jet(field, [0.0], n).reciprocal(), -1.0))
-
-
-def _dgv_zero_sum(field, alpha, zeros):
-    """sum over pairs of R_rho(alpha) = alpha^rho Gamma-form / zeta_F'(rho).
-
-    Returns (sum, magnitude of the last included pair).  Also the HLR zero
-    term (F = Q).  One zeta_taylor_many call, one log_gamma_factor call and
-    one exponential serve the whole list.
-    """
-    derivative = np.array([jet.coeffs[1] for jet in zeta_taylor_many(field, zeros.gammas, 2)])
-    rho = 0.5 + 1j * np.array(zeros.gammas)
-    log_num = rho * math.log(alpha) + numerics.log_gamma_factor(field.r1, field.r2, 1.0 - rho)
-    pairs = 2.0 * (np.exp(log_num) / derivative).real
-    return float(np.sum(pairs)), abs(float(pairs[-1]))
-
-
 def dgv_check(field, x, zeros, tol=1e-5):
-    """Check the alpha/beta form of the inverse identity for Q or a quadratic field.
+    """Check the alpha/beta form of the inverse relation at k = 1, for any field.
 
-    The left side reuses the kernel machinery (l_series); the right side is
-    built from the DGV residue formulas with zeta_F'(rho) read off zeta_taylor,
-    so the comparison crosses two genuinely different evaluation routes.
-    The residual is |lhs - rhs|; the budget holds zero_tail_estimate and
-    taylor_error, the largest proven error of the zero jets' coefficients.
+    With alpha = c sqrt(x), beta = c/sqrt(x) (c = fields.kernel_scale) and
+    V = R_0 + (1/2) sum_rho R_rho, lhs is sqrt(alpha) L(x) - sqrt(beta) L(1/x)
+    and rhs sqrt(beta) V(1/x) - sqrt(alpha) V(x): U(1/x) = sqrt(x) U(x)
+    times -sqrt(beta), rearranged.  The residual is |lhs - rhs|; the budget
+    holds zero_tail_estimate, l_series_remainder (the two L series' certified
+    bounds) and taylor_error (the largest proven error of the zero jets'
+    coefficients), each weighted as the sides are.
     """
-    if field.degree > 2:
-        raise DomainError("dgv_check covers Q and quadratic fields")
     x = float(x)
     if x <= 0:
         raise DomainError("dgv_check needs x > 0")
     scale = fields.kernel_scale(field)
-    alpha = scale * math.sqrt(x)
-    beta = scale / math.sqrt(x)
+    root_alpha, root_beta = math.sqrt(scale * math.sqrt(x)), math.sqrt(scale / math.sqrt(x))
     inner = min(tol * 0.25, 1e-7)
-    lhs = math.sqrt(alpha) * l_series(field, 1, x, tol=inner) \
-        - math.sqrt(beta) * l_series(field, 1, 1.0 / x, tol=inner)
-    r0p = _dgv_r0_polynomial(field)
-    z_alpha, tail_alpha = _dgv_zero_sum(field, alpha, zeros)
-    z_beta, tail_beta = _dgv_zero_sum(field, beta, zeros)
-    rhs = r0p(alpha) / math.sqrt(alpha) - r0p(beta) / math.sqrt(beta) \
-        + 0.5 * (z_alpha / math.sqrt(alpha) - z_beta / math.sqrt(beta))
-    lhs, rhs = complex(lhs), complex(rhs)
+    (l_x, r0_x, z_x), bound_x, tail_x = _u_inverse_parts(field, 1, x, zeros, inner)
+    (l_inv, r0_inv, z_inv), bound_inv, tail_inv = _u_inverse_parts(field, 1, 1.0 / x, zeros, inner)
+    lhs = complex(root_alpha * l_x - root_beta * l_inv)
+    rhs = complex(root_beta * (r0_inv + z_inv) - root_alpha * (r0_x + z_x))
     return theta.Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
-                        budget={"zero_tail_estimate": 0.5 * max(tail_alpha / math.sqrt(alpha),
-                                                                 tail_beta / math.sqrt(beta)),
+                        budget={"zero_tail_estimate": 0.5 * max(root_alpha * tail_x,
+                                                                 root_beta * tail_inv),
+                                "l_series_remainder": root_alpha * bound_x + root_beta * bound_inv,
                                 "taylor_error": _taylor_error(field, zeros.gammas, 2)})

@@ -12,7 +12,8 @@ data off laurent_coefficients, and r1_theta/r1_inverse run
 residue_polynomial on omega_many/lambda_many (the package's gamma prefactor
 times zeta_F^k or 1/zeta_F(1 - s)^k) at s = 1, where the package
 reads no Laurent data (theta.r0_theta and inverse_theta.r0_inverse read
-jets at s = 0).  steen_v and
+jets at s = 0).  hlr_zero_term is the package's zero sum for Q in
+the Hardy-Littlewood-Ramanujan normalization.  steen_v and
 kernel_lines integrate on lines of their own choosing (any abscissa, the
 line left of the pole at 0 included), checked by step halving
 (halving_line_integral) in place of the kernels' proven plan.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zetatheta import fields, numerics, steen
+from zetatheta import fields, inverse_theta, numerics, steen
 from zetatheta.errors import ConvergenceError, DomainError, PoleError, ValidationError
 
 EULER_GAMMA = 0.5772156649015328606
@@ -299,6 +300,12 @@ def smoothed_mu_exp_sum(x, n_smooth=1_000_000):
     n = np.arange(1, n_smooth + 1, dtype=float)
     w = _smooth_weight(n / n_smooth)
     return float(np.sum(mu[1:] / n * np.exp(-x / (n * n)) * w))
+
+
+def hlr_zero_term(x, zeros):
+    """HLR's zero term (1/(2 sqrt(pi))) sum over zero pairs of (pi/sqrt(x))^rho
+    Gamma((1-rho)/2)/zeta'(rho): half the package's zero sum for Q at x/pi."""
+    return 0.5 * inverse_theta.zero_sum(fields.builtin_field("Q"), 1, x / math.pi, zeros)[0].real
 
 
 def gamma_prefactor_many(field, s, k=1):

@@ -182,6 +182,16 @@ class TestInverseAndIdentityChecks:
                            "--zeros", zeros_file, "--tol", "1e-4")
         assert code == 0
 
+    def test_dgv_zeta5(self, capsys):
+        # the relation is checked in every degree, here a quartic field
+        zeros = os.path.join(os.path.dirname(__file__), "data", "zeta5_zeros_30.txt")
+        code, out, err = run(capsys, "dgv-check", "--field", "zeta5", "--x", "0.25", "--x", "4",
+                             "--zeros", zeros)
+        assert code == 0, err
+        header, rows = rows_of(out)
+        assert header == ["x", "lhs", "rhs", "residual", "zeros"]
+        assert len(rows) == 2 and all(float(row[3]) < 1e-10 for row in rows)
+
     def test_inverse_zeta5(self, capsys):
         zeros = os.path.join(os.path.dirname(__file__), "data", "zeta5_zeros_30.txt")
         code, out, err = run(capsys, "inverse-check", "--field", "zeta5", "--x", "2",

@@ -268,7 +268,8 @@ class TestScanZeros:
     @pytest.mark.parametrize("t_min, t_max, gamma", [(14.125, 19.125, 0), (16.03, 21.03, 1)],
                              ids=["first-cell", "last-cell"])
     def test_zero_in_an_end_cell(self, field_q, riemann_zeros_reference, t_min, t_max, gamma):
-        # no grid value past the cell for the cubic seed: the regula falsi seed
+        # no grid value past the cell on one side: the seed's degree-9 window is the
+        # grid's first or last 10 points
         res = cl.scan_zeros(field_q, t_min, t_max, 0.02)
         assert len(res.refined) == 1
         assert res.brackets[0][0] == t_min or res.brackets[0][1] == t_max

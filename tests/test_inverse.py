@@ -185,7 +185,7 @@ class TestRRho:
     def test_pair_scale(self, field_q, riemann_zeros_reference):
         # one-sided residue magnitude ~ e^{-pi gamma / 4} ~ 1e-5 at the first zero
         g = riemann_zeros_reference.gammas[0]
-        _, poly = iv._lambda_principal_at_zero(field_q, 1, g)
+        _, poly = iv._lambda_principal_many(field_q, 1, [g])[0]
         assert 1e-6 < abs(poly.coeffs[0]) < 1e-4
 
     def test_pair_at_one_is_structurally_tiny(self, field_q, riemann_zeros_reference):
@@ -198,7 +198,7 @@ class TestRRho:
         g = riemann_zeros_reference.gammas[0]
         pair = iv.r_rho(field_q, 2, 4.0, g)
         assert np.isfinite(pair.real) and np.isfinite(pair.imag)
-        _, poly = iv._lambda_principal_at_zero(field_q, 2, g)
+        _, poly = iv._lambda_principal_many(field_q, 2, [g])[0]
         assert poly.degree == 1
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -223,7 +223,7 @@ class TestRRho:
                              for n in range(k)]
                 ref = [complex(power[k - m] * mpmath.mpf(-0.5) ** (m - 1)
                                / mpmath.factorial(m - 1)) for m in range(1, k + 1)]
-            _, poly = iv._lambda_principal_at_zero(field_q, k, g)
+            _, poly = iv._lambda_principal_many(field_q, k, [g])[0]
             for got, want in zip(poly.coeffs, ref):
                 assert abs(got - want) <= 1e-12 * abs(want), (k, g)
 
@@ -348,18 +348,26 @@ class TestZeroRings:
             alone = iv.zeta_taylor_many(field, [g], 2)[0]
             assert np.all(np.abs(alone.coeffs - in_batch.coeffs) <= alone.err + in_batch.err), g
 
-    def test_dgv_zero_sum_is_one_pass_per_list(self, field_q, riemann_zeros_reference,
-                                               monkeypatch):
+    def test_zero_sum_is_one_pass_per_list(self, field_q, riemann_zeros_reference,
+                                           monkeypatch):
+        # the principal parts of the whole list: one prefactor jet, one zeta jet
         calls = []
-        real = nx.log_gamma_factor
+        prefactor_jet, zeta_jet = fd.prefactor_jet, nx.dedekind_zeta_jet
 
-        def counting(r1, r2, s):
-            calls.append(np.size(s))
-            return real(r1, r2, s)
+        def counting_prefactor(field, centres, sign, count):
+            calls.append(("prefactor", len(centres)))
+            return prefactor_jet(field, centres, sign, count)
 
-        monkeypatch.setattr(nx, "log_gamma_factor", counting)
-        iv._dgv_zero_sum(field_q, 1.3, riemann_zeros_reference)
-        assert calls == [len(riemann_zeros_reference)]
+        def counting_zeta(field, centres, count):
+            calls.append(("zeta", len(centres)))
+            return zeta_jet(field, centres, count)
+
+        monkeypatch.setattr(nx, "_MEMO", {})
+        monkeypatch.setattr(fd, "prefactor_jet", counting_prefactor)
+        monkeypatch.setattr(nx, "dedekind_zeta_jet", counting_zeta)
+        iv.zero_sum(field_q, 1, 1.3, riemann_zeros_reference)
+        count = len(riemann_zeros_reference)
+        assert sorted(calls) == [("prefactor", count), ("zeta", count)]
 
     def test_checks_report_the_taylor_error(self, field_q, field_sqrt5, riemann_zeros_reference,
                                             scanned_zeros_sqrt5):
@@ -377,6 +385,26 @@ class TestZeroRings:
             assert rep.budget["taylor_error"] == bound
             assert "contour_alias" not in rep.budget
 
+    def test_checks_report_the_inverse_budget(self, field_q, field_sqrt5,
+                                              riemann_zeros_reference, scanned_zeros_sqrt5):
+        # the inverse relation's three budget terms, in each of its three forms
+        for rep in (iv.check_inverse_theta(field_q, 2, 2.0, riemann_zeros_reference),
+                    iv.hlr_check(2.0, riemann_zeros_reference),
+                    iv.dgv_check(field_sqrt5, 2.0, scanned_zeros_sqrt5)):
+            for name in ("zero_tail_estimate", "taylor_error", "l_series_remainder"):
+                assert 0 < rep.budget[name] < math.inf, name
+
+    def test_l_series_remainder_is_the_weighted_bounds(self, field_sqrt5, scanned_zeros_sqrt5):
+        x = 2.0
+        bound_x, bound_inv = (iv._l_series_parts(field_sqrt5, 1, y)[2] for y in (x, 1.0 / x))
+        inverse = iv.check_inverse_theta(field_sqrt5, 1, x, scanned_zeros_sqrt5)
+        assert inverse.budget["l_series_remainder"] == bound_inv + math.sqrt(x) * bound_x
+        scale = fd.kernel_scale(field_sqrt5)
+        dgv = iv.dgv_check(field_sqrt5, x, scanned_zeros_sqrt5)
+        assert dgv.budget["l_series_remainder"] == pytest.approx(
+            math.sqrt(scale * math.sqrt(x)) * bound_x + math.sqrt(scale / math.sqrt(x)) * bound_inv,
+            rel=1e-15)
+
 
 class TestZeroSum:
     def test_reality(self, field_q, riemann_zeros_reference):
@@ -392,6 +420,20 @@ class TestZeroSum:
         s30, tail30 = iv.zero_sum(field_q, 1, 4.0, riemann_zeros_reference)
         pair16 = abs(iv.r_rho(field_q, 1, 4.0, riemann_zeros_reference.gammas[15]))
         assert abs(s30 - s15) < 20.0 * max(pair16, 1e-30)
+
+    @pytest.mark.parametrize("k,x", [(1, 4.0), (2, 2.0), (1, 0.6 + 0.3j), (2, 0.6 + 0.3j)])
+    def test_one_pass_is_the_pair_loop(self, field_q, riemann_zeros_reference, k, x):
+        # the residue and its mirror, zero by zero, added in ascending gamma
+        logx = cmath.log(x)
+        want, size = 0.0, 0.0
+        for rho, poly in iv._lambda_principal_many(field_q, k, riemann_zeros_reference.gammas):
+            mirror = nx.LogPolynomial(tuple(c.conjugate() for c in poly.coeffs))
+            pair = cmath.exp(-rho * logx / 2.0) * poly.eval_log(logx) \
+                + cmath.exp(-rho.conjugate() * logx / 2.0) * mirror.eval_log(logx)
+            want, size = want + pair, size + abs(pair)
+        total, last = iv.zero_sum(field_q, k, x, riemann_zeros_reference)
+        assert abs(total - want) <= 8 * len(riemann_zeros_reference) * 2.0 ** -52 * size
+        assert last == pytest.approx(abs(pair), rel=1e-15)
 
     def test_empty(self, field_q):
         with pytest.raises(ValidationError):
@@ -470,7 +512,7 @@ class TestHLR:
         # x = pi: the two exponential sums cancel termwise, so the residual
         # equals the standalone zero-term magnitude to near machine precision
         rep = iv.hlr_check(math.pi, riemann_zeros_reference)
-        standalone = abs(iv.hlr_zero_term(math.pi, riemann_zeros_reference))
+        standalone = abs(oracle.hlr_zero_term(math.pi, riemann_zeros_reference))
         assert abs(rep.residual - standalone) < 1e-8
 
     def test_domain(self, riemann_zeros_reference):
@@ -481,7 +523,7 @@ class TestHLR:
         rep = iv.hlr_check(1.0, riemann_zeros_reference)
         assert rep.residual < 1e-9
         assert rep.budget["zero_tail_estimate"] == abs(
-            iv.hlr_zero_term(1.0, iv.ZeroList(gammas=riemann_zeros_reference.gammas[-1:])))
+            oracle.hlr_zero_term(1.0, iv.ZeroList(gammas=riemann_zeros_reference.gammas[-1:])))
         assert rep.budget["l_series_remainder"] <= 1e-4 / 4
         with pytest.raises(ConvergenceError):
             iv.hlr_check(1.0, riemann_zeros_reference, tol=1e-18)
@@ -496,7 +538,7 @@ class TestHLR:
                 rho = 0.5 + 1j * g
                 term = base ** rho * gamma((1.0 - rho) / 2.0) / zeta_derivative(rho)
                 ref += 2.0 * term.real / (2.0 * math.sqrt(math.pi))
-            assert abs(iv.hlr_zero_term(x, riemann_zeros_reference) - ref) <= 1e-13 * abs(ref)
+            assert abs(oracle.hlr_zero_term(x, riemann_zeros_reference) - ref) <= 1e-13 * abs(ref)
 
     def test_empty_zero_list(self, field_sqrt5):
         # without zeros the zero term and its tail estimate would be a silent 0
@@ -538,9 +580,27 @@ class TestDGV:
         rep = iv.dgv_check(field_q, 4.0, riemann_zeros_reference)
         assert rep.residual < 1e-4
 
-    def test_degree_guard(self, field_cubic7, riemann_zeros_reference):
-        with pytest.raises(DomainError):
-            iv.dgv_check(field_cubic7, 4.0, riemann_zeros_reference)
+    @pytest.mark.parametrize("field_name,zeros_name", [
+        ("cubic7", "scanned_zeros_cubic7"),
+        ("zeta5", "zeta5_zeros_reference"),
+    ])
+    def test_beyond_quadratic(self, request, field_name, zeros_name):
+        # the relation holds in every degree: a cubic and a quartic field
+        field = fd.builtin_field(field_name)
+        zeros = request.getfixturevalue(zeros_name)
+        for x in (0.25, 1.7, 4.0):
+            rep = iv.dgv_check(field, x, zeros)
+            assert rep.residual < 1e-8, (field_name, x)
+
+    @pytest.mark.parametrize("x", [2.0, 0.4])
+    def test_residual_is_the_inverse_relation(self, field_sqrt5, scanned_zeros_sqrt5, x):
+        # lhs - rhs = sqrt(alpha) U(x) - sqrt(beta) U(1/x) = -sqrt(beta) (U(1/x) - sqrt(x) U(x))
+        rep = iv.dgv_check(field_sqrt5, x, scanned_zeros_sqrt5)
+        u_x, u_inv = (sum(iv._u_inverse_parts(field_sqrt5, 1, y, scanned_zeros_sqrt5, 1e-7)[0])
+                      for y in (x, 1.0 / x))
+        root_beta = math.sqrt(fd.kernel_scale(field_sqrt5) / math.sqrt(x))
+        want = root_beta * abs(u_inv - math.sqrt(x) * u_x)
+        assert abs(rep.residual - want) <= 1e-13 * max(abs(u_x), abs(u_inv))
 
 
 class TestInverseResidueReflection:

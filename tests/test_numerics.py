@@ -632,6 +632,9 @@ def test_checks_leave_numpy_ma_unloaded():
     # numpy's set routines (setdiff1d and its family) import numpy.ma on first
     # use, which a forked benchmark op pays in full: no check may reach them
     src = os.path.dirname(os.path.dirname(os.path.abspath(nx.__file__)))
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    riemann, zeta5 = (os.path.join(data, name) for name in ("riemann_zeros_30.txt",
+                                                            "zeta5_zeros_30.txt"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import contextlib, io, sys\n"
@@ -640,8 +643,11 @@ def test_checks_leave_numpy_ma_unloaded():
             "    codes = [cli.main(argv) for argv in (\n"
             "        ['zeros-scan', '--field', 'sqrt5', '--range=20,25'],\n"
             "        ['theta-check', '--field', 'Q', '--x=0.7'],\n"
-            "        ['phi-check', '--field', 'Q', '--z=0.3'])]\n"
+            "        ['phi-check', '--field', 'Q', '--z=0.3'],\n"
+            f"        ['inverse-check', '--field', 'Q', '--k=2', '--x=2', '--zeros', {riemann!r}],\n"
+            f"        ['dgv-check', '--field', 'zeta5', '--x=4', '--zeros', {zeta5!r}],\n"
+            f"        ['hlr-check', '--x=1', '--zeros', {riemann!r}])]\n"
             "print(codes, 'numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[0, 0, 0] False"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"

@@ -37,7 +37,8 @@ second form lists each key whose value differs, with its absolute change and its
 so it can serve as a gate.  Zero lists come from this repository's `tests/data` and
 `perfbench/reference`, and gamma, zeta', the theta-side R_1, V and the
 kernel on a line left of 0 from the oracles in its `tests/_oracles.py`,
-whichever source tree is imported.
+whichever source tree is imported; so is HLR's zero term, which that file
+reads off the imported tree's zero sum.
 """
 
 import cmath
@@ -188,12 +189,12 @@ def snapshot():
     for name, zeros in (("Q", zeros_q), ("sqrt5", zeros_sqrt5)):
         F = fields.builtin_field(name)
         alpha, beta = fields.kernel_scale(F) * 2.0, fields.kernel_scale(F) / 2.0
-        # each side is a difference of its alpha and beta terms
+        # each side is a difference of its alpha and beta terms, sqrt(alpha) times
+        # L, R_0 and the half zero sum at x and sqrt(beta) times them at 1/x
         _record(out, f"dgv_check/{name}/x=4", lambda: _sides(iv.dgv_check(F, 4.0, zeros)),
-                lambda: _largest(*(t for a, y in ((alpha, 4.0), (beta, 0.25)) for t in (
-                    math.sqrt(a) * iv.l_series(F, 1, y, tol=1e-7),
-                    iv._dgv_r0_polynomial(F)(a) / math.sqrt(a),
-                    0.5 * iv._dgv_zero_sum(F, a, zeros)[0] / math.sqrt(a)))))
+                lambda: _largest(*(math.sqrt(a) * t for a, y in ((alpha, 4.0), (beta, 0.25))
+                                   for t in (iv.l_series(F, 1, y, tol=1e-7), iv.r0_inverse(F, 1, y),
+                                             0.5 * iv.zero_sum(F, 1, y, zeros)[0]))))
     # the per-zero contour data behind the zero sums and the l_series tails
     for g in zeros_sqrt5.gammas[:5]:
         _record(out, f"dedekind_zeta_prime/sqrt5/gamma={g}",
@@ -209,7 +210,7 @@ def snapshot():
                             ("Q", 2, zeros_q.gammas[:3]), ("zeta5", 1, close_pair)):
         for g in gammas:
             _record(out, f"lambda_principal_at_zero/{name}/k={k}/gamma={g}", lambda: tuple(
-                iv._lambda_principal_at_zero(fields.builtin_field(name), k, g)[1].coeffs))
+                iv._lambda_principal_many(fields.builtin_field(name), k, [g])[0][1].coeffs))
     for m in (1, 2, 3):
         _record(out, f"inverse_zeta_derivatives/Q/k=2/m={m}", lambda: _derivatives(
             iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1]))
@@ -219,10 +220,10 @@ def snapshot():
                 lambda: _largest(0.5 * iv.l_series(fields.builtin_field("Q"), 1, x / math.pi),
                                  0.5 * math.sqrt(math.pi / x)
                                  * iv.l_series(fields.builtin_field("Q"), 1, math.pi / x),
-                                 iv.hlr_zero_term(x, zeros_q)))
+                                 oracle.hlr_zero_term(x, zeros_q)))
     for x in (1.0, 3.7, math.pi):
         # each pair is 2 Re of its summand, the first summand the largest
-        _record(out, f"hlr_zero_term/x={x}", lambda: iv.hlr_zero_term(x, zeros_q),
+        _record(out, f"hlr_zero_term/x={x}", lambda: oracle.hlr_zero_term(x, zeros_q),
                 lambda: _largest(cmath.exp(
                     (0.5 + 1j * zeros_q.gammas[0]) * math.log(math.pi / math.sqrt(x))
                     + nx.loggamma(0.25 - 0.5j * zeros_q.gammas[0]))
