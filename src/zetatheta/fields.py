@@ -4,7 +4,10 @@ A field is the list of Dirichlet characters whose L-functions multiply to
 its zeta function, which gives zeta_F on the whole plane.  This module owns
 character arithmetic, the coefficient tables a(n) / a_k(n) / mu_k(n), the
 residue constant at s=1 and the leading Laurent constant at s=0, and the
-completed-zeta prefactors and their Taylor jets.
+completed-zeta prefactors and their Taylor jets.  One Euler-product sieve
+builds all three tables: each prime p contributes its Euler factor
+P_p(T) = prod_chi (1 - chi(p) T), and c(p^e) is the T^e coefficient of
+P_p^(-k) for a_k or of P_p^k for mu_k.
 """
 
 import cmath
@@ -89,13 +92,10 @@ class DirichletCharacter:
     def value(self, n):
         return self._root_of_unity(self.exponents[n % self.modulus])
 
-    def values_upto(self, n_max):
-        """chi(1..n_max) as a complex array (index 0 unused)."""
+    def values_at(self, ns):
+        """chi(n) for each n of the integer array ns, as a complex array."""
         base = np.array([self._root_of_unity(e) for e in self.exponents])
-        idx = np.arange(n_max + 1) % self.modulus
-        out = base[idx]
-        out[0] = 0
-        return out
+        return base[np.asarray(ns) % self.modulus]
 
     @property
     def is_principal(self):
@@ -323,83 +323,86 @@ class CoefficientTable:
         return int(self.values[n])
 
 
-def dirichlet_convolve(f, g):
-    """(f*g)(n) = sum_{d|n} f(d) g(n/d) on arrays indexed 1..N.
+def _primes_upto(n_max):
+    """The primes p <= n_max, ascending, by Eratosthenes' sieve."""
+    prime = np.ones(n_max + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n_max) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    return np.flatnonzero(prime)
 
-    Divisor pairs split into a strided-slice regime (small f-index, one slice
-    per divisor) and a grouped regime (large f-index, one slice per multiple
-    count), keeping the Python-level call count near N^(2/3) while the
-    element work stays O(N log N).
+
+def _series_power(poly, power, length):
+    """poly(T)^power to T^(length - 1) for an integer list poly with poly[0] = 1, exact.
+
+    Miller's recurrence e c_e = sum_{j <= min(e, deg)} ((power + 1) j - e) poly_j c_{e-j}
+    holds for every integer power, and the division by e is exact.
     """
-    n_max = len(f) - 1
-    out = np.zeros_like(f)
-    q0 = max(1, int(round((2.0 * n_max) ** (1.0 / 3.0))))
-    d_cut = min(n_max, n_max // q0 + 1)
-    for d in range(1, d_cut + 1):
-        fd = f[d]
-        if fd != 0:
-            out[d::d] += fd * g[1:n_max // d + 1]
-    for j in range(1, q0 + 1):
-        lo, hi = d_cut + 1, n_max // j
-        if hi >= lo and g[j] != 0:
-            out[j * lo:j * hi + 1:j] += g[j] * f[lo:hi + 1]
-    return out
+    c = [1]
+    for e in range(1, length):
+        c.append(sum(((power + 1) * j - e) * poly[j] * c[e - j]
+                     for j in range(1, min(e, len(poly) - 1) + 1)) // e)
+    return c
 
 
-def dirichlet_inverse(a):
-    """Dirichlet inverse of a with a(1) = 1, exact in int64.
+def _euler_table(field, power, n_max):
+    """c(n) for n <= n_max, the Dirichlet coefficients of zeta_F^(-power), in int64.
 
-    Doubling blocks keep the recursion order (every inv[m] a block reads is
-    final before the block starts, since m <= n/2) with both index regimes
-    vectorized as in dirichlet_convolve.
+    c is multiplicative and c(p^e) is the T^e coefficient of P_p(T)^power, where
+    P_p(T) = prod_chi (1 - chi(p) T) is the Euler factor at p: power = -k gives
+    a_{F,k} and power = k gives mu_{F,k}.  RoundingDriftError names the prime p
+    where P_p's coefficients drift beyond 1e-6 from integers or, whatever the
+    power, an a_F(p^e) with p^e <= n_max is negative.  A prime p <= sqrt(n_max)
+    multiplies its multiples by c(p^e) in one slice; a larger prime meets only
+    c(p) = power P_p'(0), gathered once per cofactor m.
     """
-    n_max = len(a) - 1
-    inv = np.zeros_like(a)
-    inv[1] = 1
-    done = 1
-    while done < n_max:
-        hi = min(2 * done, n_max)
-        m_cut = max(1, math.isqrt(hi))
-        for m in range(1, m_cut + 1):
-            if inv[m] != 0:
-                d_lo = max(2, done // m + 1)
-                d_hi = hi // m
-                if d_hi >= d_lo:
-                    inv[m * d_lo:m * d_hi + 1:m] -= inv[m] * a[d_lo:d_hi + 1]
-        for d in range(2, hi // (m_cut + 1) + 1):
-            if a[d] != 0:
-                m_lo = max(m_cut + 1, done // d + 1)
-                m_hi = hi // d
-                if m_hi >= m_lo:
-                    inv[d * m_lo:d * m_hi + 1:d] -= a[d] * inv[m_lo:m_hi + 1]
-        done = hi
-    return inv
+    primes = _primes_upto(n_max)
+    poly = np.zeros((len(primes), len(field.characters) + 1), dtype=complex)
+    poly[:, 0] = 1
+    for chi in field.characters:
+        poly[:, 1:] -= chi.values_at(primes)[:, None] * poly[:, :-1]
+    exact = np.round(poly.real)
+    drift = np.abs(poly - exact).max(axis=1)
+    bad = np.flatnonzero(drift > 1e-6)
+    if bad.size:
+        raise RoundingDriftError(f"the Euler factor at p = {primes[bad[0]]} drifted "
+                                 f"{drift[bad[0]]:.2e} from integers")
+    poly = exact.astype(np.int64)
+    vals = np.ones(n_max + 1, dtype=np.int64)
+    vals[0] = 0
+    n_small = int(np.searchsorted(primes, math.isqrt(n_max), side="right"))
+    scratch = np.empty(n_max // 2 + 1, dtype=np.int64)
+    for p, row in zip(primes[:n_small].tolist(), poly[:n_small].tolist()):
+        powers = [p]
+        while powers[-1] * p <= n_max:
+            powers.append(powers[-1] * p)
+        ideal = _series_power(row, -1, len(powers) + 1)
+        if min(ideal) < 0:
+            raise RoundingDriftError(f"negative ideal count at a power of p = {p}")
+        local = ideal if power == -1 else _series_power(row, power, len(powers) + 1)
+        w = scratch[:n_max // p + 1]
+        w[:] = local[1]
+        for e, q in enumerate(powers[:-1], start=2):
+            w[q::q] = local[e]          # the multiples p j with p^(e-1) | j
+        vals[p::p] *= w[1:]
+    large, c_large = primes[n_small:], power * poly[n_small:, 1]
+    if np.any(poly[n_small:, 1] > 0):
+        raise RoundingDriftError(
+            f"negative ideal count at p = {large[np.argmax(poly[n_small:, 1] > 0)]}")
+    # n = m p with p large has m < sqrt(n_max) < p, so c(n) = c(m) c(p) with c(m) final
+    m_max = n_max // (math.isqrt(n_max) + 1)
+    tops = np.searchsorted(large, n_max // np.arange(1, m_max + 1), side="right").tolist()
+    for m, top, c_m in zip(range(1, m_max + 1), tops, vals[1:m_max + 1].tolist()):
+        if c_m:
+            vals[m * large[:top]] = c_m * c_large[:top]
+    return vals
 
 
 def ideal_coeffs(field, n_max):
-    """a_F(n) for n <= n_max: the number of integral ideals of norm n.
-
-    This is the Dirichlet convolution of the character value sequences;
-    imaginary parts must cancel and real parts must land on integers (drift
-    beyond 1e-6 raises RoundingDriftError).
-    """
+    """a_F(n) for n <= n_max, the number of integral ideals of norm n: zeta_F's own coefficients."""
     return numerics.memo(("ideal_coeffs", field.cache_key, n_max),
-                         lambda: _ideal_table(field, n_max))
-
-
-def _ideal_table(field, n_max):
-    acc = field.characters[0].values_upto(n_max)
-    for chi in field.characters[1:]:
-        acc = dirichlet_convolve(acc, chi.values_upto(n_max))
-    drift = max(float(np.max(np.abs(acc[1:].imag))),
-                float(np.max(np.abs(acc[1:].real - np.round(acc[1:].real)))))
-    if drift > 1e-6:
-        raise RoundingDriftError(f"ideal counts drifted {drift:.2e} from integers")
-    vals = np.round(acc.real).astype(np.int64)
-    vals[0] = 0
-    if np.any(vals[1:] < 0):
-        raise RoundingDriftError("negative ideal count")
-    return CoefficientTable(values=vals)
+                         lambda: CoefficientTable(values=_euler_table(field, -1, n_max)))
 
 
 def require_k(k):
@@ -409,25 +412,19 @@ def require_k(k):
 
 
 def power_coeffs(field, k, n_max):
-    """a_{F,k}(n): k-fold Dirichlet self-convolution of a_F."""
+    """a_{F,k}(n) for n <= n_max: the coefficients of zeta_F^k."""
     require_k(k)
     if k == 1:
         return ideal_coeffs(field, n_max)
-
-    def compute():
-        base = ideal_coeffs(field, n_max).values
-        vals = base
-        for _ in range(k - 1):
-            vals = dirichlet_convolve(vals, base)
-        return CoefficientTable(values=vals)
-    return numerics.memo(("power_coeffs", field.cache_key, k, n_max), compute)
+    return numerics.memo(("power_coeffs", field.cache_key, k, n_max),
+                         lambda: CoefficientTable(values=_euler_table(field, -k, n_max)))
 
 
 def moebius_coeffs(field, k, n_max):
-    """mu_{F,k}(n): the Dirichlet inverse of a_{F,k}, i.e. coefficients of 1/zeta_F^k."""
+    """mu_{F,k}(n) for n <= n_max: the coefficients of 1/zeta_F^k, the Dirichlet inverse of a_{F,k}."""
     require_k(k)
-    return numerics.memo(("moebius_coeffs", field.cache_key, k, n_max), lambda: CoefficientTable(
-        values=dirichlet_inverse(power_coeffs(field, k, n_max).values)))
+    return numerics.memo(("moebius_coeffs", field.cache_key, k, n_max),
+                         lambda: CoefficientTable(values=_euler_table(field, k, n_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Most avoid the package's own evaluation routes: zeta from the Hasse series,
 gamma_by_integral from the defining integral, Bessel K from its cosh
 integral, W_1 and W_2 from their direct series, coefficient tables from
-brute-force enumeration, the Moebius sum from a smoothed cutoff.  Slow and
-simple on purpose.  laurent_coefficients(_many) reads Laurent data off
+brute-force enumeration or a plain Dirichlet convolution, the Moebius sum
+from a smoothed cutoff.  Slow and simple on purpose.  laurent_coefficients(_many) reads Laurent data off
 sampled rings of 128 points, each checked against its 64 even ones: the
 reference the package's Taylor jets are compared against.  Some read the package: gamma
 is exp(numerics.loggamma), zeta_derivative reads hurwitz_zeta_many's Taylor
@@ -154,6 +154,16 @@ def brute_dirichlet_inverse(a_vals, n_max):
                 acc += a_vals[d] * inv[n // d]
         inv[n] = -acc
     return inv
+
+
+def dirichlet_convolve(f, g):
+    """(f*g)(n) = sum_{d|n} f(d) g(n/d) on arrays indexed 1..N, one slice per divisor d."""
+    n_max = len(f) - 1
+    out = np.zeros_like(f)
+    for d in range(1, n_max + 1):
+        if f[d] != 0:
+            out[d::d] += f[d] * g[1:n_max // d + 1]
+    return out
 
 
 def _direct_series(total, term, tol, n_max, name):

@@ -5,7 +5,7 @@ import pytest
 
 from zetatheta import fields as fd
 from zetatheta import numerics as nx
-from zetatheta.errors import ParseError, ValidationError
+from zetatheta.errors import ParseError, RoundingDriftError, ValidationError
 
 import _oracles as oracle
 
@@ -171,6 +171,47 @@ class TestIdealCoeffs:
         assert table[113] == 3        # 113 = 1 mod 7
         assert table[2] == 0 and table[8] == 1   # inert prime, cube of its ideal
 
+    def test_non_integer_euler_factor_raises(self):
+        with pytest.raises(RoundingDriftError, match="drifted"):
+            fd.ideal_coeffs(_order5_mod11_field(), 2)
+
+    def test_negative_ideal_count_raises(self, field_cubic7):
+        field = _non_group_field(field_cubic7)
+        for table in (lambda: fd.ideal_coeffs(field, 30), lambda: fd.ideal_coeffs(field, 3),
+                      lambda: fd.moebius_coeffs(field, 2, 30)):
+            with pytest.raises(RoundingDriftError, match="negative ideal count"):
+                table()
+
+    def test_refusals_name_the_prime(self, field_cubic7):
+        # 2 takes a slice of its own at n_max = 30 and is gathered per cofactor at 3
+        with pytest.raises(RoundingDriftError, match=r"p = 2 drifted"):
+            fd.ideal_coeffs(_order5_mod11_field(), 2)
+        for n_max in (30, 3):
+            with pytest.raises(RoundingDriftError, match=r"negative ideal count at .*p = 2$"):
+                fd.ideal_coeffs(_non_group_field(field_cubic7), n_max)
+
+
+def _order5_mod11_field():
+    """{1, chi, conj chi}, chi mod 11 of order 5 with chi(2) = e^{2 pi i/5}: P_2(T) has the
+    non-integer coefficient -(1 + 2 cos(2 pi/5)) at T."""
+    dlog = {pow(2, j, 11): j for j in range(10)}
+    chi = fd.character_from_exponents(11, 5, [dlog[a] % 5 if a < 11 else -1
+                                              for a in range(1, 12)])
+    return fd.make_field_abelian([fd.principal_character(), chi, chi.conjugate()])
+
+
+def _non_group_field(field_cubic7):
+    """{1, psi_5, chi_7, conj chi_7}, not closed under products: a_F(2) would be -1."""
+    chi = field_cubic7.characters[1]
+    return fd.make_field_abelian([fd.principal_character(), fd.kronecker_character(5),
+                                  chi, chi.conjugate()])
+
+
+GRID_FIELDS = ("Q", "sqrt5", "cubic7", "zeta5", "gauss")
+# cubic7's ramified prime 7 takes a slice of its own from n_max = 49 = 7^2 on and is
+# one of the primes gathered per cofactor at n_max = 48
+GRID_SIZES = (1, 2, 6, 48, 49, 128)
+
 
 class TestPowerCoeffs:
     def test_divisor_function(self, field_q):
@@ -200,6 +241,24 @@ class TestPowerCoeffs:
                 assert t[m * n] == t[m] * t[n]
                 done += 1
 
+    def test_against_character_convolution(self):
+        # a_F is the convolution of the character sequences, a_{F,k} its k-fold power
+        for name in GRID_FIELDS:
+            field = fd.builtin_field(name)
+            seqs = [np.array([0j] + [chi.value(n) for n in range(1, 129)])
+                    for chi in field.characters]
+            acc = seqs[0]
+            for seq in seqs[1:]:
+                acc = oracle.dirichlet_convolve(acc, seq)
+            a = np.round(acc.real).astype(np.int64)
+            assert np.max(np.abs(acc - a)) < 1e-9
+            ak = a
+            for k in (1, 2, 3):
+                for n_max in GRID_SIZES:
+                    assert np.array_equal(fd.power_coeffs(field, k, n_max).values,
+                                          ak[:n_max + 1]), (name, k, n_max)
+                ak = oracle.dirichlet_convolve(ak, a)
+
 
 class TestDirichletSieves:
     def test_convolve_matches_enumeration(self):
@@ -209,20 +268,11 @@ class TestDirichletSieves:
             f = rng.randint(-5, 6, n_max + 1).astype(np.int64)
             g = rng.randint(-5, 6, n_max + 1).astype(np.int64)
             f[0] = g[0] = 0
-            out = fd.dirichlet_convolve(f, g)
+            out = oracle.dirichlet_convolve(f, g)
             brute = np.zeros(n_max + 1, dtype=np.int64)
             for n in range(1, n_max + 1):
                 brute[n] = sum(f[d] * g[n // d] for d in range(1, n + 1) if n % d == 0)
             assert np.array_equal(out, brute)
-
-    def test_inverse_round_trips(self):
-        rng = np.random.RandomState(43)
-        for _ in range(6):
-            n_max = int(rng.randint(30, 700))
-            a = rng.randint(-3, 4, n_max + 1).astype(np.int64)
-            a[0], a[1] = 0, 1
-            conv = fd.dirichlet_convolve(a, fd.dirichlet_inverse(a))
-            assert conv[1] == 1 and np.all(conv[2:] == 0)
 
 
 class TestMoebiusCoeffs:
@@ -234,11 +284,15 @@ class TestMoebiusCoeffs:
         mu2 = fd.moebius_coeffs(field_q, 2, 16)
         assert (mu2[2], mu2[4], mu2[8], mu2[16]) == (-2, 1, 0, 0)
 
-    def test_against_brute_inversion(self, field_sqrt5):
-        a = fd.power_coeffs(field_sqrt5, 1, 300).values
-        ref = oracle.brute_dirichlet_inverse(list(a), 300)
-        mine = fd.moebius_coeffs(field_sqrt5, 1, 300)
-        assert list(mine.values[1:]) == ref[1:]
+    def test_against_brute_inversion(self):
+        for name in GRID_FIELDS:
+            field = fd.builtin_field(name)
+            for k in (1, 2, 3):
+                for n_max in GRID_SIZES:
+                    ref = oracle.brute_dirichlet_inverse(
+                        list(fd.power_coeffs(field, k, n_max).values), n_max)
+                    mine = fd.moebius_coeffs(field, k, n_max)
+                    assert list(mine.values[1:]) == ref[1:], (name, k, n_max)
 
     def test_prime_value(self, field_cubic7):
         # at a prime p with a_F(p) = e the inverse of the k-th power is -k e
@@ -251,8 +305,8 @@ class TestMoebiusCoeffs:
     def test_inversion_identity_all_fields(self, field_q, field_sqrt5, field_cubic7):
         for field in (field_q, field_sqrt5, field_cubic7):
             for k in (1, 2, 3):
-                conv = fd.dirichlet_convolve(fd.power_coeffs(field, k, 10000).values,
-                                             fd.moebius_coeffs(field, k, 10000).values)
+                conv = oracle.dirichlet_convolve(fd.power_coeffs(field, k, 10000).values,
+                                                 fd.moebius_coeffs(field, k, 10000).values)
                 assert conv[1] == 1
                 assert np.all(conv[2:] == 0)
 

@@ -13,7 +13,10 @@ keys, and for a check's two sides the largest term they are summed from
 side that is a small difference of large terms does not read rounding as a
 move.  The theta relation is recorded both one x at a time (`check_theta`)
 and for three x in one call of its vector twin (`check_theta_many`).
-Besides the checks' values it records the per-zero Taylor data they sum
+It records each builtin field's coefficient tables a_{F,k} and mu_{F,k},
+k = 1, 2, by the exact integers sum c(n) and sum n c(n) over n <= 2^16, so a
+table change shows at the table itself.  Besides the checks' values it
+records the per-zero Taylor data they sum
 (zeta_F'(rho) off the Taylor jet of zeta_F at a zero, the principal parts
 of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in
 a datum shows at the datum itself, and the proven error of each zero's
@@ -58,6 +61,8 @@ PLAN_MARGIN_PAIRS = ((1, 0), (2, 0), (4, 0), (0, 1), (0, 2), (3, 0), (6, 0), (0,
 # the points of one check_theta_many call per builtin field and k: |x| < 0.05, a
 # complex x and |x| > 1
 THETA_MANY_XS = (0.04, 0.7 + 0.3j, 2.5)
+# the coefficient tables' sums run over n <= TABLE_SIZE
+TABLE_SIZE = 1 << 16
 XI_ERROR_HEIGHTS = (3.5, 14.1, 141.0, 1000.0)
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
@@ -96,6 +101,15 @@ def _largest(*terms):
     return max(abs(complex(t)) for t in terms)
 
 
+def _table_sums(values):
+    """(sum c(n), sum n c(n)) over a table, which must be exact as floats."""
+    import numpy as np
+    sums = (int(values.sum()), int(np.arange(len(values)) @ values))
+    if max(abs(v) for v in sums) >= 2 ** 53:
+        raise OverflowError(f"table sums {sums} are not exact as floats")
+    return tuple(float(v) for v in sums)
+
+
 def _derivatives(data):
     """D[i] = i! c_i off a Taylor jet; data stored as derivatives are returned as they are."""
     if not hasattr(data, "coeffs"):
@@ -129,6 +143,10 @@ def snapshot():
         F = fields.builtin_field(name)
         _record(out, f"C_F/{name}", lambda: fields.laurent_constant(F))
         _record(out, f"H_F/{name}", lambda: fields.residue_constant(F))
+        for kind, table in (("a", fields.power_coeffs), ("mu", fields.moebius_coeffs)):
+            for k in (1, 2):
+                _record(out, f"table_sums/{name}/{kind}/k={k}", lambda: _table_sums(
+                    table(F, k, TABLE_SIZE).values))
         for k in (1, 2):
             for x in (2.0, 0.7 + 0.3j):
                 # W = S - R_0 on both sides, the right one times sqrt(x)
