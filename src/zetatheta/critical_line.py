@@ -40,13 +40,16 @@ def _xi_scaled_many(field, s, log_scale):
     L-factor jets (numerics._l_factor_jets), each bounded at its point.  The
     bound is |s (s-1)/2| times the prefactor's modulus times zeta_F's, plus
     |value| times the prefactor's relative error, which is its exponent's
-    absolute error: the gamma factor's error bound
-    (numerics._log_gamma_factor_and_error), and 8 eps times
-    |log prefactor| + |log_scale| + 1 for the rounding of the exponent and of
-    the products.
+    absolute error: the gamma factor's error bound (coefficient 0 of
+    numerics.log_gamma_factor_jet, whose poles raise DomainError), and 8 eps
+    times |log prefactor| + |log_scale| + 1 for the rounding of the exponent
+    and of the products.
     """
     s = np.asarray(s, dtype=complex)
-    log_prefactor, gamma_error = fields._log_gamma_prefactor_and_error(field, s)
+    gamma, orders = numerics.log_gamma_factor_jet(field.r1, field.r2, s, 1, 1)
+    if np.count_nonzero(orders):
+        raise DomainError("xi_F is not evaluated at a pole of its gamma factor, s = 0, -2, ..")
+    log_prefactor, gamma_error = s * fields.half_log_q(field) + gamma.coeffs[..., 0], gamma.err[..., 0]
     prefactor = np.exp(log_prefactor + log_scale)
     polynomial = 0.5 * s * (s - 1.0)
     jet = functools.reduce(operator.mul, numerics._l_factor_jets(field.characters, s, 1))
@@ -314,8 +317,7 @@ def _log_omega_bound(field, sigma, lo, hi):
     one at hi; past u it falls at least at the rate (d/2) atan(u/sigma) - d e/u.
     """
     d, s_lo, s_hi = field.degree, sigma + 1j * lo, sigma + 1j * hi
-    log_abs_x = -0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** d))
-    return steen._log_integrand_up(field.r1, field.r2, sigma, lo, log_abs_x, 0.0) \
+    return steen._log_integrand_up(field.r1, field.r2, sigma, lo, -fields.half_log_q(field), 0.0) \
         + np.log(3.0 * np.abs((1.0 + s_lo) / (1.0 - s_lo))) + d * math.log(_ZETA_THREE_HALVES) \
         + (0.75 - 0.5 * sigma) * (math.log(field.disc) + d * np.log(np.abs(1.0 + s_hi) / (2.0 * math.pi)))
 

@@ -11,6 +11,7 @@ P_p^(-k) for a_k or of P_p^k for mu_k.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,13 +90,17 @@ class DirichletCharacter:
             return -1 + 0j
         return cmath.exp(2j * math.pi * e / self.order)
 
+    @functools.cached_property
+    def _residues(self):
+        """chi(a) for the residues a = 0 .. q-1, built once per character."""
+        return tuple(self._root_of_unity(e) for e in self.exponents)
+
     def value(self, n):
-        return self._root_of_unity(self.exponents[n % self.modulus])
+        return self._residues[n % self.modulus]
 
     def values_at(self, ns):
         """chi(n) for each n of the integer array ns, as a complex array."""
-        base = np.array([self._root_of_unity(e) for e in self.exponents])
-        return base[np.asarray(ns) % self.modulus]
+        return np.array(self._residues)[np.asarray(ns) % self.modulus]
 
     @property
     def is_principal(self):
@@ -469,18 +474,11 @@ def kernel_scale(field, k=1):
     return 2.0 ** (k * field.r2) * math.pi ** (k * field.degree / 2.0) / field.disc ** (k / 2.0)
 
 
-def _log_gamma_prefactor_and_error(field, s):
-    """(log of (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s) up to 2 pi i, its gamma factor's error)."""
-    q = field.disc / (4.0 ** field.r2 * math.pi ** field.degree)
-    log_gamma, error = numerics._log_gamma_factor_and_error(field.r1, field.r2, s)
-    return 0.5 * s * math.log(q) + log_gamma, error
+def half_log_q(field):
+    """(1/2) log q, q = D/(4^r2 pi^d): the prefactor q^{s/2} is exp(s half_log_q)."""
+    return 0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** field.degree))
 
 
 def prefactor_jet(field, centres, sign, count):
-    """numerics.Jet of the gamma prefactor about each s = s0 + sign e; at s0 = 0 from e^-(r1 + r2)."""
-    s0 = np.asarray(centres, dtype=complex).reshape(-1)
-    half_log_q = 0.5 * math.log(field.disc / (4.0 ** field.r2 * math.pi ** field.degree))
-    exponent = np.zeros((len(s0), count), dtype=complex)
-    exponent[:, 0], exponent[:, 1:2] = s0 * half_log_q, sign * half_log_q
-    return numerics.Jet(exponent, 4.0 * numerics._EPS * np.abs(exponent)).exp() \
-        * numerics.gamma_factor_jet(field.r1, field.r2, s0, sign, count)
+    """numerics.gamma_factor_jet of q^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s) about each s = s0 + sign e."""
+    return numerics.gamma_factor_jet(field.r1, field.r2, centres, sign, count, half_log_q(field))

@@ -291,7 +291,7 @@ def _lambda_principal_many(field, k, gammas):
                          np.array([jet.err[1:k + 1] for jet in taylor]))
         power = (fields.prefactor_jet(field, rhos, 1, k) * h.reciprocal()) ** k
         return [(rho, numerics.residue_log_polynomial(principal, 0.5))
-                for rho, principal in zip(rhos, power.shift(-k).principal())]
+                for rho, principal in zip(rhos, numerics.Jet(power.coeffs, power.err, -k).principal())]
     return numerics.memo_many([("lambda_at_zero", field.cache_key, k, float(g)) for g in gammas],
                               compute)
 

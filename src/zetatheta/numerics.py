@@ -1,10 +1,10 @@
 """Complex-plane special-function backbone.
 
 Log-gamma on the whole plane (Stirling after the recurrence) with its error
-bound and the gamma factor of Lambda_F in log space, Hurwitz zeta
-(Euler-Maclaurin), Taylor jets whose coefficients carry proven errors: of the
-L-factors, from which Dirichlet L, Dedekind zeta, their error bounds and the
-jets of zeta_F are all read, and of Gamma; vertical-line
+bound, Hurwitz zeta (Euler-Maclaurin), Taylor jets whose coefficients carry
+proven errors: of the L-factors, from which Dirichlet L, Dedekind zeta, their
+error bounds and the jets of zeta_F are all read, and of the gamma factor of
+Lambda_F in log space, whose values and Laurent jets are all read; vertical-line
 quadrature (one trapezoid level over a batch of lines, on the steps and
 windows the caller proves), residue polynomials, and the package's one memo.
 Everything downstream (kernels, theta sums, zero scans) is built on the
@@ -71,7 +71,8 @@ def _loggamma_and_error(z):
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).reshape(-1)
     left = z.real < 0.5
-    u = np.where(left, 1.0 - z, z)
+    reflect = left.any()
+    u = np.where(left, 1.0 - z, z) if reflect else z
     size = modulus = np.abs(u)
     n, w, log_q, shift = 0.0, u, 0.0, size < _STIRLING_RADIUS
     if np.any(shift):
@@ -88,7 +89,7 @@ def _loggamma_and_error(z):
     out = (u - 0.5) * (log_w - 1.0) + (_HALF_LOG_TWO_PI - 0.5 - n) - log_q + series * inv
     error = abs(_STIRLING[11]) * sec2 ** 12 / size ** 23 \
         + 8.0 * _EPS * ((modulus + 1.5) * (np.abs(log_w) + 1.0) + n + np.abs(log_q))
-    if np.any(left):
+    if reflect:
         zl = z[left]
         spi = (1j * math.pi) * np.copysign(1.0, zl.imag)    # i s pi
         x = 2.0 * spi * (zl - np.round(zl.real))
@@ -105,20 +106,9 @@ def loggamma(z):
     return out if out.ndim else complex(out)
 
 
-def _log_gamma_factor_and_error(r1, r2, s):
-    """(r1 log Gamma(s/2) + r2 log Gamma(s), a bound on its error), from _loggamma_and_error."""
-    s = np.asarray(s, dtype=complex)
-    out = error = 0.0                                        # r1 + r2 >= 1
-    for power, z in ((r1, s / 2.0), (r2, s)):
-        if power:
-            value, e = _loggamma_and_error(z)
-            out, error = out + power * value, error + power * e
-    return out, error
-
-
 def log_gamma_factor(r1, r2, s):
-    """r1 log Gamma(s/2) + r2 log Gamma(s), the gamma factor of Lambda_F in log space."""
-    return _log_gamma_factor_and_error(r1, r2, s)[0]
+    """r1 log Gamma(s/2) + r2 log Gamma(s) off the poles: coefficient 0 of log_gamma_factor_jet."""
+    return log_gamma_factor_jet(r1, r2, s, 1, 1)[0].coeffs[..., 0]
 
 
 def _hurwitz_shift(s):
@@ -224,7 +214,7 @@ def dirichlet_l(s, chi):
     """L(s, chi) via Hurwitz zeta: q^(-s) * sum_a chi(a) zeta_H(s, a/q).
 
     At s = 1 a non-principal character is evaluated with the digamma closed
-    form; the principal character raises PoleError there.
+    form (psi off log Gamma's jet); the principal character raises PoleError.
     """
     s = complex(s)
     q = chi.modulus
@@ -232,8 +222,8 @@ def dirichlet_l(s, chi):
     if chi.is_principal and at_one:
         raise PoleError("L(s, principal) has a pole at s = 1")
     if at_one:
-        return -complex(np.dot([chi.value(a) for a in range(1, q + 1)],
-                               digamma(np.arange(1, q + 1) / q))) / q
+        a = np.arange(1, q + 1)
+        return -complex(np.dot(chi.values_at(a), _log_gamma_derivatives(a / q + 0j, 2)[0][:, 0])) / q
     return complex(dirichlet_l_many(np.array([s]), chi)[0])
 
 
@@ -322,10 +312,6 @@ class Jet:
             e[..., n] = np.sum(np.arange(1, n + 1) * a[..., 1:n + 1] * e[..., n - 1::-1], axis=-1) / n
         moduli = np.abs(e)
         return Jet(e, _series_mul(moduli, self.err + self._rounding(np.abs(a))) + 2.0 * _EPS * moduli)
-
-    def shift(self, power):
-        """The jet times e^power."""
-        return Jet(self.coeffs, self.err, self.lowest + power)
 
 
 def _hurwitz_jet(s0, a, shift, count):
@@ -438,24 +424,21 @@ def dedekind_zeta_jet(field, centres, count):
     return Jet(out.coeffs[..., :count], out.err[..., :count], out.lowest)
 
 
-def _log_gamma_jet(z, count):
-    """(Jet of log Gamma(z + e), less the log e of a pole; the poles) about every complex z.
+def _log_gamma_derivatives(z, count):
+    """(Coefficients 1 .. count-1 of log Gamma(z + e), less the log e of a pole; their errors) on 1-d z.
 
     Gamma(z + e) = Gamma(w + e)/prod_{i<n} (z + i + e), w = z + n with
-    Re w >= 10: _loggamma_and_error(w), then Stirling's series differentiated
-    term by term, psi(w + e) = log(w + e) - 1/(2(w + e)) - sum_k B_2k/(2k) (w + e)^-2k
-    over B_2 .. B_22, less the jets of log(z + i + e); a factor z + i = 0 is a
-    pole, its 1/e left to the caller.  Errors: _loggamma_and_error's bound in
-    the constant; Stirling's remainder, <= 2^12 |B_24|/(552 (|w| - 1)^23) on
-    |e| <= 1 (DLMF 5.11(ii)), in the others (Cauchy); and (count + 4) eps
-    times the sum of the terms' moduli.
+    Re w >= 10: Stirling's series differentiated term by term, psi(w + e) =
+    log(w + e) - 1/(2(w + e)) - sum_k B_2k/(2k) (w + e)^-2k over B_2 .. B_22,
+    less the jets of log(z + i + e); a factor z + i = 0 is a pole, its log e
+    left to the caller.  Errors: Stirling's remainder, <= 2^12 |B_24|/(552
+    (|w| - 1)^23) on |e| <= 1 (DLMF 5.11(ii)), by Cauchy, and (count + 4)
+    eps times the sum of the terms' moduli.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
     steps = np.ceil(np.maximum(0.0, 10.0 - z.real)).astype(int)
     w = (z + steps)[:, None]
     factors = z[:, None] + np.arange(steps.max())
-    pole = factors == 0                               # z = 0, -1, ..: always within the steps
-    live = (np.arange(steps.max()) < steps[:, None]) & ~pole
+    live = (np.arange(steps.max()) < steps[:, None]) & (factors != 0)
     factors = np.where(live, factors, 1.0)
     i = np.arange(count - 1)[None, :]                # psi's power; log Gamma's is i + 1
     two_k = 2.0 * np.arange(1, len(_BERNOULLI))[:, None, None]
@@ -464,46 +447,62 @@ def _log_gamma_jet(z, count):
              -0.5 * (-1.0) ** i / w ** (i + 1),
              -(_BERNOULLI[:-1, None, None] / two_k * (-1.0) ** i * binom[:, None] / w ** (two_k + i)).sum(0),
              -(live[..., None] * (-1.0) ** i / factors[..., None] ** (i + 1)).sum(1)]
-    const, const_err = _loggamma_and_error(w)
-    const = const - np.log(factors).sum(1, keepdims=True)
     remainder = 2.0 ** 12 * abs(_BERNOULLI[-1]) / (552.0 * (np.abs(w) - 1.0) ** 23)
-    err = np.concatenate([const_err + (steps.max() + 4) * _EPS * np.abs(const),
-                          remainder + (count + 4) * _EPS * sum(np.abs(t) for t in terms) / (i + 1)], 1)
-    return Jet(np.concatenate([const, sum(terms) / (i + 1)], 1), err), pole.any(axis=1)
+    return sum(terms) / (i + 1), remainder + (count + 4) * _EPS * sum(np.abs(t) for t in terms) / (i + 1)
 
 
-def gamma_jet(z, scale, count, power=1):
-    """Laurent jet of Gamma(z + scale e)^power about every complex z, count coefficients.
+def log_gamma_factor_jet(r1, r2, centres, sign, count):
+    """(Jet of r1 log Gamma(s/2) + r2 log Gamma(s) about s = s0 + sign e, less log e at the poles; pole orders).
 
-    The exp of power times _log_gamma_jet.  Where any z is a pole it starts
-    at e^-power, the other entries behind exact 0s.
+    The one place the gamma factor of Lambda_F is formed, on centres of any
+    shape.  Coefficient 0 and its error are _loggamma_and_error's at s0/2
+    and s0; at a pole z = -m, Gamma(z + scale e) = (-1)^m (1 + O(e))/(m!
+    scale e), so it is i pi (m mod 2) - log Gamma(1 - z) - log scale with 8
+    eps times its modulus charged, and the centre's order counts r1 or r2.
+    The others are _log_gamma_derivatives' times the powers of e's scale.
     """
-    log, pole = _log_gamma_jet(z, count)
-    powers = scale ** np.arange(count)
-    coeffs = power * log.coeffs * powers
-    coeffs[:, 0] -= np.where(pole, power * np.log(complex(scale)), 0.0)    # (scale e)^-power
-    jet = Jet(coeffs, power * log.err * np.abs(powers)).exp()
-    if not np.any(pole):
-        return jet
-    moved = ~pole[:, None] & (np.arange(count) >= power)    # a regular entry, behind exact 0s
-    return Jet(*(np.where(moved, np.roll(a, power, 1), a * pole[:, None])
-                 for a in (jet.coeffs, jet.err)), -power)
-
-
-def gamma_factor_jet(r1, r2, centres, sign, count):
-    """Jet of Gamma^r1(s/2) Gamma^r2(s) about s = s0 + sign e, for every centre s0."""
-    s0 = np.asarray(centres, dtype=complex).reshape(-1)
-    out = None
+    s0 = np.asarray(centres, dtype=complex)
+    orders = np.zeros(s0.shape, dtype=int)
+    left = np.count_nonzero(s0.real <= 0.0)
+    coeffs = error = None                                    # r1 + r2 >= 1
     for power, z, scale in ((r1, s0 / 2.0, 0.5 * sign), (r2, s0, float(sign))):
-        if power:
-            jet = gamma_jet(z, scale, count, power)
-            out = jet if out is None else out * jet
-    return out
+        if not power:
+            continue
+        pole = (z.real <= 0.0) & (z == np.round(z.real)) if left else None
+        value, err = _loggamma_and_error(z if pole is None else np.where(pole, 1.0 - z, z))
+        if left:
+            orders += power * pole
+            regular = 1j * math.pi * (-z.real % 2.0) - value - cmath.log(scale)
+            value, err = np.where(pole, regular, value), np.where(pole, err + 8.0 * _EPS * np.abs(regular), err)
+        value, err = value[..., None], err[..., None]
+        if count > 1:
+            higher, higher_err = _log_gamma_derivatives(z.reshape(-1), count)
+            powers = scale ** np.arange(1, count)
+            value = np.concatenate([value, (higher * powers).reshape(z.shape + (-1,))], -1)
+            err = np.concatenate([err, (higher_err * abs(powers)).reshape(z.shape + (-1,))], -1)
+        if power > 1:
+            value, err = power * value, power * err
+        coeffs, error = (value, err) if coeffs is None else (coeffs + value, error + err)
+    return Jet(coeffs, error), orders
 
 
-def digamma(z):
-    """psi(z) on an array of complex z off the poles: coefficient 1 of _log_gamma_jet."""
-    return _log_gamma_jet(z, 2)[0].coeffs[:, 1]
+def gamma_factor_jet(r1, r2, centres, sign, count, log_base=0.0):
+    """Jet of e^(s log_base) Gamma^r1(s/2) Gamma^r2(s) about s = s0 + sign e, for every centre s0.
+
+    One exp of log_gamma_factor_jet plus (s0 + sign e) log_base, charged 4 eps
+    times its moduli, over e^order at each centre: lower orders start behind 0s.
+    """
+    s0 = np.asarray(centres, dtype=complex).reshape(-1)
+    log, orders = log_gamma_factor_jet(r1, r2, s0, sign, count)
+    exponent = np.zeros(log.coeffs.shape, dtype=complex)
+    exponent[:, 0], exponent[:, 1:2] = s0 * log_base, sign * log_base
+    jet = Jet(log.coeffs + exponent, log.err + 4.0 * _EPS * np.abs(exponent)).exp()
+    top = int(orders.max(initial=0))
+    if not top:
+        return jet
+    j = np.arange(count) - (top - orders)[:, None]
+    return Jet(*(np.where(j >= 0, np.take_along_axis(a, np.maximum(j, 0), 1), 0.0)
+                 for a in (jet.coeffs, jet.err)), -top)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ identity plus a Stirling tail (_line_plan), so each value carries its
 proven quadrature error.  The quadrature entries of a kernel array share
 one pass over their nodes.
 Near 0 the ascending series reads the principal parts of the gamma power at
-s = -m off Gamma's Laurent jets (numerics.gamma_factor_jet).
+s = -m off numerics.gamma_factor_jet, one exp of the log jet the integrand reads.
 """
 
 import math

@@ -320,7 +320,9 @@ def hlr_zero_term(x, zeros):
 
 def gamma_prefactor_many(field, s, k=1):
     """[ (D/(4^r2 pi^d))^{s/2} Gamma^{r1}(s/2) Gamma^{r2}(s) ]^k, vectorized."""
-    return np.exp(k * fields._log_gamma_prefactor_and_error(field, s)[0])
+    s = np.asarray(s, dtype=complex)
+    gamma = numerics.log_gamma_factor_jet(field.r1, field.r2, s, 1, 1)[0].coeffs[..., 0]
+    return np.exp(k * (s * fields.half_log_q(field) + gamma))
 
 
 def omega_many(field, s, k=1):

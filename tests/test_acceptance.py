@@ -186,8 +186,12 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                 # L-factor path for values, bounds and jets
                 assert not re.search(r"\b(nested_trapezoid|_TRAPEZOID_HALVINGS|_hurwitz_core|return_error"
                                      r"|_l_factors|_dedekind_zeta_and_error)\b", text), name
+                # one gamma path: values, kernels and jets read log_gamma_factor_jet
+                assert not re.search(r"\bgamma_jet\s*\(|\b(_log_gamma_factor_and_error"
+                                     r"|_log_gamma_prefactor_and_error)\b", text), name
         assert not any(hasattr(nx, n) for n in ("laurent_coefficients", "laurent_coefficients_many",
-                                                "dedekind_zeta_majorant", "LaurentResult"))
+                                                "dedekind_zeta_majorant", "LaurentResult", "gamma_jet",
+                                                "_log_gamma_factor_and_error"))
         # one proven quadrature level on the closed-form cases: Gamma(s) x^{-s} is the
         # (0, 1) kernel e^{-x}, whose saddle line steen._line_plan proves
         for x in (1.0, 2.0):

@@ -9,6 +9,7 @@ from zetatheta import fields as fd
 from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
 from zetatheta.errors import (
+    DomainError,
     LostBracketError,
     RealityViolationError,
     SectorError,
@@ -50,6 +51,12 @@ class TestXiCompleted:
         pref = (5.0 / math.pi ** 2) ** 1.0 * oracle.gamma(1.0).real ** 2
         ref = 0.5 * 2.0 * 1.0 * pref * zeta2
         assert cl.xi_completed(field_sqrt5, 2.0).real == pytest.approx(ref, rel=1e-4)
+
+    def test_poles_of_the_gamma_factor_raise(self, field_q, field_sqrt5):
+        # Xi reads log Gamma's value, which at s/2 = 0, -1, .. is the regular part alone
+        for field, s in ((field_q, 0.0), (field_q, -2.0), (field_sqrt5, -4.0)):
+            with pytest.raises(DomainError):
+                cl.xi_completed(field, s)
 
 
 class TestBigXi:
@@ -132,12 +139,12 @@ class TestRealityCheck:
     def test_wrong_phase_is_refused(self, field_q, monkeypatch):
         # a prefactor off by the phase e^{1e-9 i}: the floor 1e-9 (1 + |Re|)
         # let it pass, the error bound does not
-        real = fd._log_gamma_prefactor_and_error
+        real = nx.log_gamma_factor_jet
 
-        def shifted(field, s):
-            value, error = real(field, s)
-            return value + 1e-9j, error
-        monkeypatch.setattr(fd, "_log_gamma_prefactor_and_error", shifted)
+        def shifted(r1, r2, centres, sign, count):
+            jet, orders = real(r1, r2, centres, sign, count)
+            return nx.Jet(jet.coeffs + 1e-9j, jet.err), orders
+        monkeypatch.setattr(nx, "log_gamma_factor_jet", shifted)
         with pytest.raises(RealityViolationError):
             cl.scan_zeros(field_q, 20.0, 25.0, 0.02)
 

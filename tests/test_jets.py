@@ -89,6 +89,30 @@ def test_zero_data(name):
 
 
 @pytest.mark.parametrize("name", FIELDS)
+def test_prefactor_at_zeros(name):
+    # c_0 .. c_2 of (D/(4^r2 pi^d))^{s/2} Gamma^r1(s/2) Gamma^r2(s), at counts 1 to 3, at the
+    # first zero and at the highest listed one up to t = 236: the data _lambda_principal_many
+    # reads.  The series is exp of the log's, whose coefficients are log Gamma and psi's values.
+    field = fd.builtin_field(name)
+    gammas = iv.load_zeros(os.path.join(REFERENCE, f"{name}.zeros")).gammas
+    for g in (gammas[0], max(g for g in gammas if g < 236.6)):
+        with mpmath.workdps(30):
+            s = mpmath.mpc(0.5, g)
+            log = [s / 2 * mpmath.log(mpmath.mpf(field.disc) / (4 ** field.r2 * mpmath.pi ** field.degree))]
+            log += [log[0] / s, 0]
+            for power, z, scale in ((field.r1, s / 2, mpmath.mpf(0.5)), (field.r2, s, 1)):
+                log = [c + power * scale ** j * mpmath.psi(j - 1, z) / mpmath.factorial(j) if j
+                       else c + power * mpmath.loggamma(z) for j, c in enumerate(log)]
+            want = [mpmath.exp(log[0])]
+            for n in (1, 2):
+                want.append(mpmath.fsum(j * log[j] * want[n - j] for j in range(1, n + 1)) / n)
+        for count in (1, 2, 3):
+            jet = fd.prefactor_jet(field, [0.5 + 1j * g], 1, count)
+            _check(f"prefactor {name} c_0..c_{count - 1} at t = {g}", jet.coeffs[0], jet.err[0],
+                   want[:count])
+
+
+@pytest.mark.parametrize("name", FIELDS)
 @pytest.mark.parametrize("k", [1, 2])
 def test_inverse_zeta_at_one_plus_m(name, k):
     field = fd.builtin_field(name)

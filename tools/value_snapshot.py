@@ -28,9 +28,12 @@ the kernels' ascending series stops and its charge per gamma power, so a
 change in a truncation bound, a quadrature charge or a plan's distance from
 its refusal shows even when every checked value stays the same; so do the
 error bounds of Xi_F up to t = 1000 and of zeta_F at s = 2 + i, read
-through `critical_line._xi_scaled_many`.  log-gamma far
-left and at height with its proven error, the rescaled Xi_F at heights
-where xi_F alone underflows, the ordinates and residuals of one zeros-scan
+through `critical_line._xi_scaled_many`.  The gamma data is recorded at its
+source with its proven errors: `fields.prefactor_jet` about 0, about 1 and
+about each field's first zero, and the left-pole polynomials P_1 .. P_12
+(`steen._left_pole_polynomials`) of every gamma power whose plan is
+recorded.  log-gamma far left and at height with its proven error, the
+rescaled Xi_F at heights where xi_F alone underflows, the ordinates and residuals of one zeros-scan
 window per builtin field, the number of Xi calls it makes and the number of
 points they evaluate after the grid, the Phi
 identity past |Im z| = pi/2, and the Phi integral's proven plan (window,
@@ -63,6 +66,8 @@ PLAN_MARGIN_PAIRS = ((1, 0), (2, 0), (4, 0), (0, 1), (0, 2), (3, 0), (6, 0), (0,
 THETA_MANY_XS = (0.04, 0.7 + 0.3j, 2.5)
 # the coefficient tables' sums run over n <= TABLE_SIZE
 TABLE_SIZE = 1 << 16
+# the coefficients recorded of each prefactor jet
+PREFACTOR_COUNT = 4
 XI_ERROR_HEIGHTS = (3.5, 14.1, 141.0, 1000.0)
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
@@ -315,6 +320,19 @@ def snapshot():
             _record(out, f"series_stop/{r1},{r2}/x={label}", lambda: (
                 lambda z: (max(reads), z[1][0]))(steen.z_small_series_many(r1, r2, [x])))
     steen._left_pole_polynomials = left_pole_polynomials
+    # the gamma data at its source, coefficients then errors: the prefactor's jet about 0
+    # (Laurent, from e^-(r1 + r2)), about 1 from the left and about each field's first zero,
+    # and P_1 .. P_12 of the left poles per gamma power
+    for name in FIELDS:
+        F = fields.builtin_field(name)
+        first = iv.load_zeros(os.path.join(REPO, "perfbench", "reference", f"{name}.zeros")).gammas[0]
+        for label, s0, sign in (("0", 0.0, 1), ("1", 1.0, -1), (f"0.5+{first}i", 0.5 + 1j * first, 1)):
+            _record(out, f"prefactor_jet/{name}/s0={label}/sign={sign}", lambda: (
+                lambda jet: tuple(jet.coeffs[0]) + tuple(jet.err[0]))(
+                    fields.prefactor_jet(F, [s0], sign, PREFACTOR_COUNT)))
+    for r1, r2 in PLAN_MARGIN_PAIRS:
+        for m, poly in enumerate(steen._left_pole_polynomials(r1, r2, 1, 12), 1):
+            _record(out, f"left_pole/{r1},{r2}/m={m}", lambda: poly.coeffs + poly.err)
     for x, params, c in ((2.0, (5.0,), None), (2.0, (5.0,), -3.0),
                          (0.7, (1.0,), -0.5), (1.5, (2.0, 3.0), None)):
         _record(out, f"steen_v/x={x}/a={params}/c={c}", lambda: oracle.steen_v(x, params, c=c))
