@@ -128,7 +128,8 @@ def _theta_row(a, x, rep):
         # boundary form: Re + Im of the kernel sum against 2^r1 C_F
         return ["exact-eval", *_xy(x), _sci(rep.lhs.real + rep.lhs.imag), _sci(rep.rhs),
                 _sci(rep.residual), "boundary-form"]
-    return ["theta", *_xy(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)), _sci(rep.residual), "ok"]
+    return ["theta", *_xy(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)), _sci(rep.residual),
+            "ok" if rep.residual <= a.tol else "fail"]
 
 
 # the options that several subcommands take; the points of a check go to `points`

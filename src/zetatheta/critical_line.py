@@ -41,14 +41,14 @@ def _xi_scaled_many(field, s, log_scale):
     bound is |s (s-1)/2| times the prefactor's modulus times zeta_F's, plus
     |value| times the prefactor's relative error, which is its exponent's
     absolute error: the gamma factor's error bound (coefficient 0 of
-    numerics.log_gamma_factor_jet, whose poles raise DomainError), and 8 eps
-    times |log prefactor| + |log_scale| + 1 for the rounding of the exponent
-    and of the products.
+    numerics.log_gamma_factor_jet), and 8 eps times |log prefactor| +
+    |log_scale| + 1 for the rounding of the exponent and of the products.
+    xi_F is entire: at the gamma factor's poles, s = 0, -2, .., it is read
+    off the Laurent product of (1/2) s (s - 1), fields.prefactor_jet and
+    numerics.dedekind_zeta_jet, with its proven error.
     """
     s = np.asarray(s, dtype=complex)
     gamma, orders = numerics.log_gamma_factor_jet(field.r1, field.r2, s, 1, 1)
-    if np.count_nonzero(orders):
-        raise DomainError("xi_F is not evaluated at a pole of its gamma factor, s = 0, -2, ..")
     log_prefactor, gamma_error = s * fields.half_log_q(field) + gamma.coeffs[..., 0], gamma.err[..., 0]
     prefactor = np.exp(log_prefactor + log_scale)
     polynomial = 0.5 * s * (s - 1.0)
@@ -56,7 +56,17 @@ def _xi_scaled_many(field, s, log_scale):
     zeta, zeta_error = (a[:, 0].reshape(s.shape) for a in (jet.coeffs, jet.err))
     vals = polynomial * (prefactor * zeta)
     exponent_error = gamma_error + 8.0 * numerics._EPS * (np.abs(log_prefactor) + np.abs(log_scale) + 1.0)
-    return vals, np.abs(polynomial * prefactor) * zeta_error + np.abs(vals) * exponent_error
+    error = np.abs(polynomial * prefactor) * zeta_error + np.abs(vals) * exponent_error
+    if np.count_nonzero(orders):
+        pole, count = orders != 0, int(orders.max()) + 1
+        jet = fields.prefactor_jet(field, s[pole], 1, count) * numerics.dedekind_zeta_jet(field, s[pole], count)
+        terms = [(p, -jet.lowest - i) for i, p in enumerate((polynomial[pole], s[pole] - 0.5, 0.5))
+                 if 0 <= -jet.lowest - i < count]
+        scale = np.exp(np.broadcast_to(log_scale, s.shape)[pole])
+        vals[pole] = scale * sum(p * jet.coeffs[:, i] for p, i in terms)
+        error[pole] = np.abs(scale) * sum(np.abs(p) * (jet.err[:, i] + 4.0 * numerics._EPS * np.abs(jet.coeffs[:, i]))
+                                          for p, i in terms)
+    return vals, error
 
 
 def xi_many(field, s):
@@ -117,7 +127,7 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
     kappa2 = 2, n0 = 1 and epsilon = tol/4 (Oliveira & Takahashi, ACM TOMS
     47(1), 2020).  Each step evaluates, per bracket, ITP's point and the
     companion points g - r, g and g + r of a guess g of radius r >= tol/4, all
-    of them in one Xi call over the unique points.  The new bracket is the
+    of them in one Xi call over the distinct points.  The new bracket is the
     narrowest sign change among its ends and these points; ITP's point is
     one of them, so it is no wider than the bracket ITP alone would leave and
     ITP's worst case still holds.  A point where Xi is 0 ends its bracket.
@@ -151,8 +161,10 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
         r_g = np.maximum(radius[live], 0.25 * tol)
         points = np.clip(np.column_stack([x, g - r_g, g, g + r_g]),
                          (a + 0.125 * tol)[:, None], (b - 0.125 * tol)[:, None])
-        unique, inverse = np.unique(points, return_inverse=True)
-        f_points = _xi_rescaled_many(field, unique)[inverse.reshape(points.shape)]
+        first = np.argmax(points[:, :, None] == points[:, None, :], axis=2)     # each point's first copy
+        f_points = np.empty(points.shape)
+        f_points[first == np.arange(4)] = _xi_rescaled_many(field, points[first == np.arange(4)])
+        f_points = np.take_along_axis(f_points, first, axis=1)
         hit = f_points == 0.0
         ended = hit.any(axis=1)
         out[live[ended]], value[live[ended]] = points[ended, np.argmax(hit[ended], axis=1)], 0.0

@@ -350,7 +350,9 @@ def u_inverse(field, k, x, zeros, tol=1e-7):
 def check_inverse_theta(field, k, x, zeros, tol=1e-6):
     """Verify U(1/x) = sqrt(x) U(x) for 1/zeta_F^k.
 
-    lhs is U(1/x), rhs sqrt(x) U(x), and the residual is relative.  The
+    lhs is U(1/x), rhs sqrt(x) U(x), and the residual is |lhs - rhs| over the
+    largest modulus the sides are summed from: |lhs|, |rhs|, |L|, |R_0| and
+    half the zero sum's at 1/x, and sqrt(x) times them at x.  The
     budget's zero_tail_estimate is the larger last-pair magnitude of the
     two zero sums, l_series_remainder the certified bounds of the two L
     series weighted as the sides are, and taylor_error the largest proven
@@ -362,7 +364,8 @@ def check_inverse_theta(field, k, x, zeros, tol=1e-6):
     (l_inv, r0_inv, z_inv), bound_inv, tail_inv = _u_inverse_parts(field, k, 1.0 / x, zeros, inner)
     u_inv = l_inv + r0_inv + z_inv
     rhs = cmath.sqrt(x) * (l_x + r0_x + z_x)
-    rel = abs(u_inv - rhs) / max(abs(u_inv), abs(rhs), 1e-30)
+    rel = abs(u_inv - rhs) / max(abs(u_inv), abs(rhs), *map(abs, (l_inv, r0_inv, z_inv)),
+                                 *(abs(cmath.sqrt(x) * v) for v in (l_x, r0_x, z_x)), 1e-30)
     return theta.Report(lhs=u_inv, rhs=rhs, residual=rel,
                         budget={"zero_tail_estimate": max(tail_x, tail_inv),
                                 "l_series_remainder": bound_inv + abs(cmath.sqrt(x)) * bound_x,

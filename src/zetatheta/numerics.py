@@ -111,66 +111,21 @@ def log_gamma_factor(r1, r2, s):
     return log_gamma_factor_jet(r1, r2, s, 1, 1)[0].coeffs[..., 0]
 
 
-def _hurwitz_shift(s):
-    """The Euler-Maclaurin summation shift hurwitz_zeta_many uses for the whole array s."""
-    im_max = float(np.abs(s.imag).max()) if s.size else 0.0
-    re_min = float(s.real.min()) if s.size else 0.0
+def _hurwitz_shift(s, radius=0.0):
+    """The Euler-Maclaurin summation shift for the whole array s, or for the discs |s - s0| <= radius about it."""
+    im_max = float(np.abs(s.imag).max()) + radius if s.size else 0.0
+    re_min = float(s.real.min()) - radius if s.size else 0.0
     # balance the Euler-Maclaurin remainder (grows with |Im s|) against the
     # cancellation of the head sum for Re(s) < 0 (grows with the shift)
     return int(max(16.0, math.ceil(0.62 * im_max + 8.0 + 2.0 * max(0.0, -re_min))))
 
 
-def _hurwitz_bounds(s, a_min, shift):
-    """(M, E) over a nonempty array s: for every s and every a in [a_min, 1], sum |terms| <= M, error <= E.
-
-    The terms are those _hurwitz_jet sums at this shift N: the head
-    (n + a)^(-s), n < N, and the tail at base = N + a.  Over the batch take
-    sigma in [sigma_lo, sigma_hi] and |s| <= S.  The head's moduli sum to at
-    most max(a_min^-sigma, 1) + max(1, N^-sigma) + int_1^N x^-sigma_lo dx.
-    With |B_2j|/(2j)! <= (pi^2/3) (2 pi)^(-2j) and |(s)_(2j-1)| <=
-    (S + 22)^(2j-1), the Bernoulli terms sum to at most (pi/6) base^-sigma
-    rho / (1 - rho^2), rho = (S + 22) / (2 pi (N + a_min)).  Rounding: each
-    term is a complex power exp(-s log x) whose phase errs by about
-    eps S |log x|, so each is taken to err by at most eps (S (1 + |log a_min|
-    + log(N + 1)) + log2 N + 30) relative, the sums' own rounding included;
-    this part is a model of exp(-s log x) in floating point, checked against
-    mpmath, not proven.
-    Truncation: the remainder after B_24 is at most 4 |(s)_24| (2 pi)^-24
-    base^(-sigma-23) / (sigma + 23) (Johansson, Numer. Algorithms 69 (2015),
-    Thm 1), with |(s)_24| <= (S + 11.5)^24 by the AM-GM inequality.  Both
-    are infinite where rho >= 1 or sigma_lo <= -23.  The bounds are batch
-    wide, like the shift.
-    """
-    order = 2 * len(_BERNOULLI)
-    sig_lo, sig_hi = float(s.real.min()), float(s.real.max())
-    size = float(np.abs(s).max())
-    lo, hi = shift + a_min, shift + 1.0           # the range of base over the bank
-    rho = (size + order - 2.0) / (2.0 * math.pi * lo)
-    if rho >= 1.0 or sig_lo + order - 1.0 <= 0.0:
-        return math.inf, math.inf
-
-    def peak(x):                                  # max of x^-sigma over the batch
-        try:
-            return max(x ** -sig_lo, x ** -sig_hi)
-        except OverflowError:
-            return math.inf
-
-    u = (1.0 - sig_lo) * math.log(shift)
-    head = math.log(shift) * (math.expm1(u) / u if u else 1.0) + max(peak(a_min), 1.0) \
-        + max(1.0, peak(shift))
-    top = max(peak(lo), peak(hi))
-    tail = top * (hi / float(np.abs(s - 1.0).min()) + 0.5
-                  + (math.pi / 6.0) * rho / (1.0 - rho * rho))
-    remainder = 4.0 * hi * top * ((size + 0.5 * order - 0.5) / (2.0 * math.pi * lo)) ** order \
-        / (sig_lo + order - 1.0)
-    majorant = head + tail
-    rounding = _EPS * (size * (1.0 + abs(math.log(a_min)) + math.log(hi)) + math.log2(shift) + 30.0)
-    return majorant, rounding * majorant + remainder
-
-
 # Upper bound on shift * len(a) * points for one block of _hurwitz_jet's head
 # sum: its terms stay within 64 KiB however many points are evaluated.
 _HURWITZ_CHUNK_ELEMENTS = 2 ** 12
+# The disc about each centre on which Cauchy bounds a jet's coefficients j >= 1, and
+# the error of numpy's float64 log, at most, in ulps: glibc's bound for its log.
+_JET_RADIUS, _LOG_ULPS = 0.5, 0.52
 
 
 def hurwitz_zeta_many(s, a):
@@ -187,15 +142,15 @@ def hurwitz_zeta_many(s, a):
         raise DomainError("hurwitz_zeta requires a in (0, 1], as a scalar or a 1-d array")
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("hurwitz zeta pole at s = 1")
-    return _hurwitz_jet(s.ravel(), bank, _hurwitz_shift(s), 1)[..., 0].reshape(a_arr.shape + s.shape)
+    return _hurwitz_jet(s.ravel(), bank, _hurwitz_shift(s), 1)[0][..., 0].reshape(a_arr.shape + s.shape)
 
 
 def hurwitz_zeta(s, a=1.0):
     """zeta_H(s, a) = sum_{n>=0} (n+a)^(-s), continued to all s != 1.
 
     Euler-Maclaurin with B_2 .. B_24 at a shift that grows with |Im s|, so the
-    remainder stays below the rounding at every height (_hurwitz_bounds): Q's
-    zeros at t = 10^4 come out within 3.6e-12.
+    remainder stays below the rounding at every height (_hurwitz_jet bounds
+    both per value): Q's zeros at t = 10^4 come out within 3.6e-12.
     """
     return complex(hurwitz_zeta_many(np.array([complex(s)]), a)[0])
 
@@ -315,15 +270,23 @@ class Jet:
 
 
 def _hurwitz_jet(s0, a, shift, count):
-    """Coefficients e^0 .. e^(count-1) of zeta_H(s0 + e, a), shape (len(a), len(s0), count).
+    """(Coefficients e^0 .. e^(count-1) of zeta_H(s0 + e, a), their proven errors), each (len(a), len(s0), count).
 
-    The Euler-Maclaurin sum at this shift with B_2 .. B_24, each term a jet
+    The Euler-Maclaurin sum at this shift N with B_2 .. B_24, each term a jet
     in e: (n + a)^(-s0-e) = (n + a)^-s0 sum_j (-log(n + a))^j e^j/j!,
-    1/(s - 1) and the Pochhammer factors.  log(n + a) is taken once per
-    bank.  The head is summed in blocks of points of at most
-    _HURWITZ_CHUNK_ELEMENTS terms, along the last, contiguous axis, so numpy
-    sums each row pairwise whatever the number of points: a value does not
-    depend on its block.
+    1/(s - 1) and the Pochhammer factors; the head in blocks of at most
+    _HURWITZ_CHUNK_ELEMENTS terms, each row summed along the contiguous axis.
+    Each error is a running bound (Higham, Accuracy and Stability, 3.3) from
+    the moduli its value sums: a head term x^-s0 (-log x)^j/j!, x = n + a,
+    errs by eps |s0| (d + |log x|/2) times its modulus from its exponent, d
+    eps the error of log x (_LOG_ULPS ulps, a and n + a rounded), plus ulps
+    per exp, product and pairwise-sum rounding; these moduli are summed once
+    per distinct sigma.  The tail is charged from its factors' moduli at the
+    bank's largest base, the Bernoulli terms' majorant being (pi/6) rho/(1 -
+    rho^2) r^-j, rho = (|s0| + r + 11.5)/(2 pi base), r = 0 for j = 0 and
+    _JET_RADIUS (Cauchy on the disc) above; the remainder after B_24 is at
+    most 4 base^(1 - sigma + r) rho^24/(sigma - r + 23) r^-j (Johansson,
+    Numer. Algorithms 69 (2015), Thm 1, with AM-GM for |(s)_24|).
     """
     log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
     head = np.empty((len(a), len(s0), count), dtype=complex)
@@ -335,20 +298,55 @@ def _hurwitz_jet(s0, a, shift, count):
                 term = term * (log_n / j)
             head[:, lo:lo + block, j] = term.sum(axis=2)
     powers = np.arange(count)
+    factorials = np.cumprod(np.maximum(np.arange(count + 1), 1))
     base = (shift + a)[:, None, None]
-    decay = np.exp(-s0[None, :, None] * np.log(base)) * (-np.log(base)) ** powers \
-        / np.cumprod(np.maximum(powers, 1))                  # base^-(s0 + e)
+    log_base = np.log(base)
+    decay = np.exp(-s0[None, :, None] * log_base) * (-log_base) ** powers / factorials[:-1]   # base^-(s0 + e)
     correction = base * (-1.0) ** powers / (s0[:, None] - 1.0) ** (powers + 1)
     correction[..., 0] += 0.5
     poch = np.zeros((len(s0), count + 1), dtype=complex)     # 0, then (s0 + e)_(2j-1)
     poch[:, 1], poch[:, 2:3] = s0, 1.0
     fac = 2.0
+    factors = s0[:, None, None] + np.arange(1.0, 2 * len(_BERNOULLI) - 1)[:, None]    # s0 + i, i >= 1
     for j, b2j in enumerate(_BERNOULLI, start=1):
+        if j > 1:
+            for c in (factors[:, 2 * j - 4], factors[:, 2 * j - 3]):
+                poch[:, 1:] = poch[:, 1:] * c + poch[:, :-1]
+            fac *= (2 * j - 1) * (2 * j)
         correction = correction + (b2j / fac) * poch[:, 1:] * base ** (1.0 - 2 * j)
-        for c in (s0 + (2 * j - 1), s0 + 2 * j):
-            poch[:, 1:] = poch[:, 1:] * c[:, None] + poch[:, :-1]
-        fac *= (2 * j + 1) * (2 * j + 2)
-    return head + _series_mul(decay, correction)
+    # the head's: per distinct sigma, its moduli x^-sigma summed against |log x|^j/j! times
+    # d + |log x|/2, the exponent's error per unit |s0|, and against |log x|^j/j!
+    sigma, size = s0.real, np.abs(s0)
+    sigmas = [sigma.item(0)] if sigma.min() == sigma.max() else sorted(set(sigma.tolist()))
+
+    def moduli_sums(keys):
+        magnitude = np.abs(log_n[:, 0])
+        ulps = (magnitude.view(np.int64) & 0x7FF0000000000000).view(float)      # ulp(log x)/eps
+        drift = _LOG_ULPS * ulps + 0.5 + 0.5 * np.exp(log_n[:, 0]) * a[:, None]
+        terms = np.array([drift + 0.5 * magnitude, np.ones_like(magnitude)])[..., None] * (
+            magnitude[..., None] ** powers / factorials[:-1])
+        return (np.exp(np.array([key[-1] for key in keys])[:, None, None] * log_n[:, 0])[:, None, ..., None]
+                * terms).sum(axis=3)
+    sums = np.array(memo_many([("hurwitz_moduli", a.tobytes(), shift, count, v) for v in sigmas], moduli_sums))
+    sums = sums[0][:, :, None] if len(sigmas) == 1 else sums[np.searchsorted(sigmas, sigma)].transpose(1, 2, 0, 3)
+    roundings = min(shift // 4 + 4, math.ceil(math.log2(shift)) + 14)     # of numpy's pairwise sum
+    error = (_EPS * size)[:, None] * sums[0] + (_EPS * (3.0 + 1.52 * powers + 0.5 * roundings)) * sums[1]
+    error[..., 1:] += _EPS * sums[1][..., :-1]
+    # the tail's and the remainder's, at the bank's base where each modulus is largest
+    lo, hi = shift + float(a.min()), shift + 1.0
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    peak = np.exp(-sigma * log_lo if sigmas[0] >= 0.0 else np.maximum(-sigma * log_lo, -sigma * log_hi))
+    first = np.array([1.0] + [0.0] * (count - 1))
+    radius = _JET_RADIUS * (1.0 - first)
+    pole = hi / np.abs(s0 - 1.0)[:, None] ** (powers + 1)
+    rho = (size[:, None] + radius + 11.5) / (2.0 * math.pi * lo)
+    bernoulli = (math.pi / 6.0) * 2.0 ** powers * rho / np.maximum(1.0 - rho * rho, 1e-300)
+    weight = size * ((_LOG_ULPS + 0.5) * log_hi + 1.0) + 11.0 + 4.5 * (count - 1)
+    tail = _series_mul(peak[:, None] * (log_hi ** powers / factorials[:-1]), weight[:, None] * (
+        pole + bernoulli + 0.5 * first) + (5.5 + 2.0 * powers) * pole + 64.0 * bernoulli)
+    remainder = (4.0 * hi ** (1.0 + radius) * 2.0 ** powers) * peak[:, None] * rho ** 24 \
+        / np.maximum(sigma[:, None] - radius + 23.0, 1e-300)
+    return head + _series_mul(decay, correction), error + (_EPS * tail + remainder)
 
 
 def _l_factor_jets(characters, centres, count):
@@ -358,52 +356,31 @@ def _l_factor_jets(characters, centres, count):
     with chi(a) != 0 over all the characters; each factor is
     q^-(s0 + e) sum_a chi(a) zeta_H(s0 + e, a/q), summed in residue order.
     The bank's shift is hurwitz_zeta_many's for the centres, and with
-    count > 1 for the discs |s - s0| <= r = 1/2, which must miss s = 1.
-    _hurwitz_bounds gives the error E of zeta_H(s, a), a >= 1/q, once per
-    abscissa and modulus, as the head term a^-sigma makes one bound over the
-    batch loose at large sigma.  Coefficient 0 errs by n_chi E at the
-    centres plus the residue sum's rounding n_chi eps sum_a |zeta_H(s0, a/q)|,
-    n_chi the number of residues with chi(a) != 0; by Cauchy coefficient
-    j >= 1 errs by n_chi E r^-j, E over the discs.  q^-(s0 + e) carries its
-    phase's error, eps (6 + |s0| log q) times its moduli.
+    count > 1 for the discs |s - s0| <= _JET_RADIUS, which must miss s = 1.
+    A coefficient errs by its residues' errors (_hurwitz_jet, each built at
+    its point) plus the residue sum's rounding, (n + 2) eps sum_a |zeta_H|, n
+    the most residues a factor sums.  q^-(s0 + e) carries its phase's error,
+    eps (6 + |s0| log q) times its moduli.
     """
     s0 = np.asarray(centres, dtype=complex).reshape(-1)
-    radius, size, near = 0.5, np.abs(s0), np.abs(s0 - 1.0)
-    points = s0
-    if count > 1:
-        if np.any(near <= radius):
-            raise DomainError("a jet's disc about its centre must miss s = 1")
-        # each disc's extremes of Re s, |s| and |s - 1|
-        points = np.stack([s0 - radius, s0 + radius,
-                           s0 + radius * np.where(size > 0, s0 / np.maximum(size, 1e-300), 1.0),
-                           s0 - radius * (s0 - 1.0) / near], axis=1)
-    elif np.any(near < 1e-12):
+    near = np.abs(s0 - 1.0)
+    if count > 1 and np.any(near <= _JET_RADIUS):
+        raise DomainError("a jet's disc about its centre must miss s = 1")
+    if np.any(near < 1e-12):
         raise PoleError("L-factor pole at s = 1")
-    shift = _hurwitz_shift(points)
+    a_bank, rows = _character_bank(characters)
+    bank, error = _hurwitz_jet(s0, a_bank, _hurwitz_shift(s0, _JET_RADIUS if count > 1 else 0.0), count)
     powers = np.arange(count)
-    error = {q: np.empty((len(s0), count)) for q in {chi.modulus for chi in characters}}
-    for sigma in set(s0.real.tolist()):
-        group = s0.real == sigma
-        for q, e in error.items():
-            e[group, 0] = _hurwitz_bounds(s0[group], 1.0 / q, shift)[1]
-            if count > 1:
-                e[group, 1:] = _hurwitz_bounds(points[group].ravel(), 1.0 / q, shift)[1] \
-                    * radius ** -powers[1:]
     q_jets = {}
-    for q in error.keys() - {1}:                          # 1^-(s0 + e) = 1 is left out
+    for q in {chi.modulus for chi in characters} - {1}:   # 1^-(s0 + e) = 1 is left out
         log_q = math.log(q)
         q_jet = np.exp(-s0 * log_q)[:, None] * (-log_q) ** powers / np.cumprod(np.maximum(powers, 1))
-        q_jets[q] = Jet(q_jet, _EPS * (6.0 + size * log_q)[:, None] * np.abs(q_jet))
-    a_bank, rows = _character_bank(characters)
-    bank = _hurwitz_jet(s0, a_bank, shift, count)
-    moduli = np.abs(bank[..., 0])
-    jets = []
-    for chi, row in zip(characters, rows):
-        total = sum(v * bank[slot] for slot, v in row)
-        err = len(row) * error[chi.modulus]
-        err[:, 0] += len(row) * _EPS * moduli[[slot for slot, _ in row]].sum(0)
-        jets.append(q_jets[chi.modulus] * Jet(total, err) if chi.modulus > 1 else Jet(total, err))
-    return jets
+        q_jets[q] = Jet(q_jet, _EPS * (6.0 + np.abs(s0) * log_q)[:, None] * np.abs(q_jet))
+    # each residue's error, and the residue sums' rounding at the most residues a factor sums
+    error = error + (max(map(len, rows)) + 2) * _EPS * np.abs(bank)
+    error = [error[[slot for slot, _ in row]].sum(axis=0) for row in rows]
+    jets = [Jet(sum(v * bank[slot] for slot, v in row), err) for row, err in zip(rows, error)]
+    return [q_jets[chi.modulus] * jet if chi.modulus > 1 else jet for chi, jet in zip(characters, jets)]
 
 
 def dedekind_zeta_jet(field, centres, count):

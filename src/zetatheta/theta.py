@@ -134,7 +134,10 @@ def check_theta_many(field, k, xs, tol=1e-8):
     """Verify W(1/x) = sqrt(x) W(x) per x: lhs W(1/x), rhs sqrt(x) W(x), relative residual.
 
     1/x is log(1/x) = -log x, on the sheet of x; the series at every x and 1/x are one
-    _s_series_many call.  The budget's terms are those of the two series of an x summed.
+    _s_series_many call.  The residual is |lhs - rhs| over the largest modulus the sides
+    are summed from: |lhs|, |rhs|, |S| and |R_0| at 1/x, and sqrt(x) times them at x, so
+    a side near a zero of W does not read rounding as a failure.  The budget's terms are
+    those of the two series of an x summed.
     """
     log_xs = [_log_of(x, "check_theta") for x in xs]
     series = list(_s_series_many(field, k, [s for log_x in log_xs for s in (log_x, -log_x)],
@@ -142,8 +145,10 @@ def check_theta_many(field, k, xs, tol=1e-8):
     r0 = r0_theta_polynomial(field, k)
     reports = []
     for log_x, (s_x, _, budget_x), (s_inv, _, budget_inv) in zip(log_xs, series[::2], series[1::2]):
-        lhs, rhs = s_inv - r0.eval_log(-log_x), cmath.exp(log_x / 2.0) * (s_x - r0.eval_log(log_x))
-        reports.append(Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30),
+        r0_x, r0_inv, root = r0.eval_log(log_x), r0.eval_log(-log_x), abs(cmath.exp(log_x / 2.0))
+        lhs, rhs = s_inv - r0_inv, cmath.exp(log_x / 2.0) * (s_x - r0_x)
+        scale = max(abs(lhs), abs(rhs), abs(s_inv), abs(r0_inv), root * abs(s_x), root * abs(r0_x), 1e-30)
+        reports.append(Report(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / scale,
                               budget={key: budget_x[key] + budget_inv[key] for key in budget_x}))
     return reports
 

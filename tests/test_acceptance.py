@@ -182,10 +182,10 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                 assert not re.search(r"def (laurent_coefficients_many|dedekind_zeta_majorant)\b",
                                      text), name
                 # one trapezoid level per line and one Euler-Maclaurin sum: no step
-                # halving, no second Hurwitz path, no error on request, and one
-                # L-factor path for values, bounds and jets
+                # halving, no second Hurwitz path, no error on request, one
+                # L-factor path for values, bounds and jets, and no batch majorant
                 assert not re.search(r"\b(nested_trapezoid|_TRAPEZOID_HALVINGS|_hurwitz_core|return_error"
-                                     r"|_l_factors|_dedekind_zeta_and_error)\b", text), name
+                                     r"|_l_factors|_dedekind_zeta_and_error|_hurwitz_bounds)\b", text), name
                 # one gamma path: values, kernels and jets read log_gamma_factor_jet
                 assert not re.search(r"\bgamma_jet\s*\(|\b(_log_gamma_factor_and_error"
                                      r"|_log_gamma_prefactor_and_error)\b", text), name

@@ -254,6 +254,16 @@ class TestExitCode:
         code, out, err = run(capsys, *argv, "--tol", str(tol))
         assert code == expected, err
         assert len(rows_of(out)[1]) == 1
+        if argv[0] == "theta-check":
+            # the status cell is the row's verdict; the exact evaluation's names its form
+            status = "boundary-form" if name == "exact_eval_check" else ("ok", "fail")[expected]
+            assert rows_of(out)[1][0][-1] == status
+
+    def test_theta_near_a_zero_of_w(self, capsys):
+        # the sides agree to 5e-14 where W(1/16) = 3.2e-8 sits next to terms of 2.6e-2
+        code, out, err = run(capsys, "theta-check", "--field", "zeta5", "--k", "2", "--x", "16")
+        assert code == 0, out
+        assert rows_of(out)[1][0][-1] == "ok"
 
 
 class TestSignedValues:

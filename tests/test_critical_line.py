@@ -9,8 +9,8 @@ from zetatheta import fields as fd
 from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
 from zetatheta.errors import (
-    DomainError,
     LostBracketError,
+    PoleError,
     RealityViolationError,
     SectorError,
     ValidationError,
@@ -52,11 +52,30 @@ class TestXiCompleted:
         ref = 0.5 * 2.0 * 1.0 * pref * zeta2
         assert cl.xi_completed(field_sqrt5, 2.0).real == pytest.approx(ref, rel=1e-4)
 
-    def test_poles_of_the_gamma_factor_raise(self, field_q, field_sqrt5):
-        # Xi reads log Gamma's value, which at s/2 = 0, -1, .. is the regular part alone
-        for field, s in ((field_q, 0.0), (field_q, -2.0), (field_sqrt5, -4.0)):
-            with pytest.raises(DomainError):
-                cl.xi_completed(field, s)
+    def test_poles_of_the_gamma_factor(self, field_q):
+        # xi_F is entire: at s = 0, -2, .. it is read off the Laurent product of its factors;
+        # xi(0) = xi(1) = 1/2 for Q, and s = 1, the pole of zeta_F, stays refused
+        assert cl.xi_completed(field_q, 0.0) == pytest.approx(0.5, abs=1e-14)
+        with pytest.raises(PoleError):
+            cl.xi_completed(field_q, 1.0)
+
+    @pytest.mark.parametrize("name", ["Q", "sqrt5", "cubic7", "zeta5", "gauss"])
+    def test_at_the_poles_against_mpmath(self, name):
+        # xi_F(s) = xi_F(1 - s), and at 1 - s = 3, 5 no factor has a pole: each value at
+        # s = -2, -4 is within its proven error of that one, at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        field = fd.builtin_field(name)
+        vals, error = cl._xi_scaled_many(field, np.array([-2.0, -4.0]), 0.0)
+        with mpmath.workdps(30):
+            half_log_q = mpmath.log(mpmath.mpf(field.disc) / (4 ** field.r2 * mpmath.pi ** field.degree)) / 2
+            for s, v, e in zip((3, 5), vals, error):
+                s = mpmath.mpf(s)
+                zeta = mpmath.fprod(mpmath.dirichlet(s, [chi.value(a) for a in range(chi.modulus)])
+                                    for chi in field.characters)
+                ref = complex(s * (s - 1) / 2 * mpmath.exp(s * half_log_q) * mpmath.gamma(s / 2) ** field.r1
+                              * mpmath.gamma(s) ** field.r2 * zeta)
+                assert abs(v - ref) <= e, (s, abs(v - ref), e)
+                assert abs(v - ref) <= 1e-6 * abs(ref)
 
 
 class TestBigXi:

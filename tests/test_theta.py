@@ -211,6 +211,14 @@ class TestCheckTheta:
         with pytest.raises(DomainError):
             th.check_theta(field_q, 1, 0.0)
 
+    @pytest.mark.parametrize("x", [16.0, 1.0 / 16.0])
+    def test_near_a_zero_of_w(self, x):
+        # W(1/x) crosses zero at x ~ 16 for zeta5 at k = 2: W(1/16) = 3.2e-8, while the sides
+        # are summed from terms of 2.6e-2, so the residual is relative to those terms
+        rep = th.check_theta(fd.builtin_field("zeta5"), 2, x)
+        assert abs(rep.lhs) < 1e-7 and abs(rep.lhs - rep.rhs) < 1e-12
+        assert rep.residual < 1e-10
+
 
 class TestCheckThetaMany:
     @pytest.mark.parametrize("k", [1, 2])

@@ -19,8 +19,10 @@ table change shows at the table itself.  Besides the checks' values it
 records the per-zero Taylor data they sum
 (zeta_F'(rho) off the Taylor jet of zeta_F at a zero, the principal parts
 of Lambda_F^k built on it, the Taylor data of 1/zeta_F^k), so a change in
-a datum shows at the datum itself, and the proven error of each zero's
-jet coefficients c_0 .. c_2.  It also records where the forward theta
+a datum shows at the datum itself, and the proven errors of each zero's
+jet coefficients c_0 .. c_2, of the Taylor data of 1/zeta_F^2, and of the
+L-factor jets on one batch of mixed heights and at s = 3, so a change in a
+Hurwitz error shows at its source.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
 it, N0 and the certified bound of l_series, and the largest proven error
 of a kernel line's plan relative to its value per gamma power, and where
@@ -69,6 +71,8 @@ TABLE_SIZE = 1 << 16
 # the coefficients recorded of each prefactor jet
 PREFACTOR_COUNT = 4
 XI_ERROR_HEIGHTS = (3.5, 14.1, 141.0, 1000.0)
+# the heights of one batch of L-factor jets on the line, whose errors are recorded
+L_FACTOR_HEIGHTS = (0.0, 14.1, 1000.0)
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
@@ -173,6 +177,9 @@ def snapshot():
                     lambda: cl.xi_completed(F, 0.5 + 1j * t))
             _record(out, f"big_xi/{name}/t={t}", lambda: cl.big_xi(F, t))
         _record(out, f"xi_completed/{name}/s=2+1i", lambda: cl.xi_completed(F, 2.0 + 1.0j))
+        # xi_F is entire: at the poles of its gamma factor too
+        for s in (0.0, -2.0, -4.0):
+            _record(out, f"xi_completed/{name}/s={s}", lambda: cl.xi_completed(F, s))
         # the error bounds the reality check and Phi read: of Xi_F times e^{pi d t/4}, the
         # scanner's factor, so the bound at t = 1000 does not underflow, and of zeta_F at
         # s = 2 + i, the xi bound times |zeta_F / xi_F| there
@@ -237,6 +244,19 @@ def snapshot():
     for m in (1, 2, 3):
         _record(out, f"inverse_zeta_derivatives/Q/k=2/m={m}", lambda: _derivatives(
             iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1]))
+        _record(out, f"inverse_zeta_error/Q/k=2/m={m}", lambda: tuple(
+            iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1].err))
+    # the Hurwitz errors at their source: the coefficient errors of every L-factor jet, one
+    # tuple over the characters, on one batch mixing heights on the line and at s = 3 with
+    # three coefficients
+    for name in FIELDS:
+        characters = fields.builtin_field(name).characters
+        for i, t in enumerate(L_FACTOR_HEIGHTS):
+            _record(out, f"l_factor_error/{name}/t={t}", lambda: tuple(
+                jet.err[i, 0] for jet in nx._l_factor_jets(
+                    characters, [0.5 + 1j * h for h in L_FACTOR_HEIGHTS], 1)))
+        _record(out, f"l_factor_error/{name}/s=3", lambda: tuple(
+            e for jet in nx._l_factor_jets(characters, [3.0], 3) for e in jet.err[0]))
     for x in (1.0, 3.0):
         # the two Moebius series and the zero term
         _record(out, f"hlr_check/x={x}", lambda: _sides(iv.hlr_check(x, zeros_q)),
