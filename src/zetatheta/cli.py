@@ -17,7 +17,6 @@ go to stderr.
 import argparse
 import math
 import os
-import re
 import sys
 
 from . import critical_line, fields, inverse_theta, theta
@@ -215,11 +214,13 @@ def _attach_signed_values(argv):
 
     argparse reads a separate token that starts with '-' and is not a plain
     number (a complex `re,im` pair is not, nor is `-inf`) as an option, not
-    as a value.
+    as a value.  A value is '-' then a decimal digit, '.', or inf or nan in
+    any case.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _NUMERIC and re.match(r"-([\d.]|inf|nan)", tok, re.IGNORECASE):
+        if out and out[-1] in _NUMERIC and tok[:1] == "-" and (
+                tok[1:2].isdecimal() or tok[1:2] == "." or tok[1:4].lower() in ("inf", "nan")):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -1,7 +1,8 @@
-"""Number fields as character lists, plus the arithmetic built on them.
+"""Number fields as tuples of completed L-factors, plus the arithmetic built on them.
 
-A field is the list of Dirichlet characters whose L-functions multiply to
-its zeta function, which gives zeta_F on the whole plane.  This module owns
+A field is the tuple of the Dirichlet L-factors that multiply to its zeta
+function, which gives zeta_F on the whole plane; each holds its primitive
+character, Gamma_R shift, conductor and root number.  This module owns
 character arithmetic, the coefficient tables a(n) / a_k(n) / mu_k(n), the
 residue constant at s=1 and the leading Laurent constant at s=0, and the
 completed-zeta prefactors and their Taylor jets.  One Euler-product sieve
@@ -227,23 +228,49 @@ def parse_character_file(path):
     return chars
 
 
+@dataclass(frozen=True)
+class LFactor:
+    """Lambda(s, chi) = (q/pi)^((s + a)/2) Gamma((s + a)/2) L(s, chi) = root_number Lambda(1 - s, conj chi).
+
+    chi is primitive mod the conductor q, its Gamma_R shift a is 1 if chi is
+    odd and 0 if even, and root_number = tau(chi)/(i^a sqrt q) with the Gauss
+    sum tau(chi) = sum_b chi(b) e^(2 pi i b/q) (Davenport, Multiplicative Number Theory, ch. 9).
+    """
+    character: DirichletCharacter
+    shift: int
+    conductor: int
+    root_number: complex
+
+
+def _l_factor(character):
+    """The LFactor of the primitive character inducing `character`; each Gauss-sum term is one exp."""
+    chi = character.primitive()
+    q, a, turn = chi.modulus, int(chi.is_odd), chi.modulus * chi.order
+    # chi(b) e^(2 pi i b/q) = e^(2 pi i k/turn), k = e q + b m reduced to |k| <= turn/2
+    terms = [cmath.exp(2j * math.pi * ((e * q + b * chi.order + turn // 2) % turn - turn // 2) / turn)
+             for b, e in enumerate(chi.exponents) if e >= 0]
+    tau = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return LFactor(chi, a, q, tau / (1j ** a * math.sqrt(q)))
+
+
 @dataclass(frozen=True, eq=False)
 class FieldDescriptor:
-    """Signature, discriminant and analytic data of a number field."""
-    r1: int
-    r2: int
-    degree: int
-    disc: int
-    characters: tuple
+    """A number field as its completed L-factors, and what is read off them once, when it is built.
+
+    r1 = #{a = 0} - #{a = 1} and r2 = #{a = 1} over the Gamma_R shifts a, the
+    degree is the number of factors, |disc| the product of their conductors
+    (the conductor-discriminant formula), and `characters`, `unit_rank` and
+    the memo's `cache_key` follow.
+    """
+    factors: tuple
     label: str = ""
 
-    @property
-    def unit_rank(self):
-        return self.r1 + self.r2 - 1
-
-    @property
-    def cache_key(self):
-        return (self.r1, self.r2, self.disc, tuple(c.key for c in self.characters))
+    def __post_init__(self):
+        # written to the instance dict, as functools.cached_property does past the frozen __setattr__
+        chars, r2 = tuple(f.character for f in self.factors), sum(f.shift for f in self.factors)
+        r1, disc = len(chars) - 2 * r2, math.prod(f.conductor for f in self.factors)
+        vars(self).update(characters=chars, r1=r1, r2=r2, degree=len(chars), disc=disc, unit_rank=r1 + r2 - 1,
+                          cache_key=(r1, r2, disc, tuple(c.key for c in chars)))
 
     def __repr__(self):
         return (f"FieldDescriptor({self.label or '?'}: d={self.degree}, "
@@ -251,37 +278,25 @@ class FieldDescriptor:
 
 
 def make_field_abelian(characters, label=""):
-    """Assemble a field from its character list.
+    """The field of a character list, one LFactor per character.
 
-    Degree is the list length; the number of odd characters gives r2 and the
-    conductor product gives |disc|.  The list must contain exactly one
-    principal character, be closed under conjugation, and describe a field
-    that is totally real or totally imaginary (any other odd-character count
-    is inconsistent for an abelian field).
+    The list must hold exactly one principal character, be closed under
+    conjugation, and have 0 or d/2 odd characters: an abelian field is
+    totally real or totally imaginary.
     """
-    chars = tuple(c.primitive() for c in characters)
-    if not chars:
+    field = FieldDescriptor(tuple(_l_factor(c) for c in characters), label)
+    if not field.factors:
         raise ValidationError("character list is empty")
-    n_principal = sum(1 for c in chars if c.is_principal)
+    n_principal = sum(1 for c in field.characters if c.is_principal)
     if n_principal != 1:
         raise ValidationError(f"need exactly one principal character, got {n_principal}")
-    keys = sorted(c.key for c in chars)
-    conj_keys = sorted(c.conjugate().key for c in chars)
-    if keys != conj_keys:
+    if sorted(c.key for c in field.characters) != sorted(c.conjugate().key for c in field.characters):
         raise ValidationError("character list is not closed under conjugation")
-    d = len(chars)
-    n_odd = sum(1 for c in chars if c.is_odd)
-    if n_odd != 0 and 2 * n_odd != d:
+    if field.r2 != 0 and 2 * field.r2 != field.degree:
         raise ValidationError(
-            f"odd-character count {n_odd} is inconsistent: an abelian field is "
+            f"odd-character count {field.r2} is inconsistent: an abelian field is "
             f"totally real (0 odd) or totally imaginary (d/2 odd)")
-    r2 = n_odd
-    r1 = d - 2 * r2
-    disc = 1
-    for c in chars:
-        disc *= c.conductor
-    return FieldDescriptor(r1=r1, r2=r2, degree=d, disc=disc,
-                           characters=chars, label=label)
+    return field
 
 
 def _cubic7_characters():
@@ -365,8 +380,8 @@ def _euler_table(field, power, n_max):
     primes = _primes_upto(n_max)
     poly = np.zeros((len(primes), len(field.characters) + 1), dtype=complex)
     poly[:, 0] = 1
-    for chi in field.characters:
-        poly[:, 1:] -= chi.values_at(primes)[:, None] * poly[:, :-1]
+    for factor in field.factors:
+        poly[:, 1:] -= factor.character.values_at(primes)[:, None] * poly[:, :-1]
     exact = np.round(poly.real)
     drift = np.abs(poly - exact).max(axis=1)
     bad = np.flatnonzero(drift > 1e-6)
@@ -442,10 +457,7 @@ def residue_constant(field):
 
 
 def _residue_constant(field):
-    h = 1 + 0j
-    for chi in field.characters:
-        if not chi.is_principal:
-            h *= numerics.dirichlet_l(1.0, chi)
+    h = math.prod(numerics.dirichlet_l(1.0, f.character) for f in field.factors if f.conductor > 1)
     if abs(h.imag) > 1e-9 * abs(h.real):
         raise RoundingDriftError(f"H_F came out non-real: {h}")
     h = float(h.real)

@@ -386,18 +386,17 @@ def _l_factor_jets(characters, centres, count):
 def dedekind_zeta_jet(field, centres, count):
     """Jet of zeta_F about every centre: count coefficients, each with a proven error.
 
-    The product of the L-factor jets (_l_factor_jets).  About s0 = 0 the
-    L-factor of an even non-principal character has a trivial zero: its
+    The product of the L-factor jets (_l_factor_jets).  About s0 = 0 a factor
+    with Gamma_R shift 0 and conductor q > 1 has a trivial zero: its
     constant coefficient is dropped, so the jet starts at e^r, r the unit rank.
     """
     s0 = np.asarray(centres, dtype=complex).reshape(-1)
     at_zero = int(not np.any(s0))
-    factors = _l_factor_jets(field.characters, s0, count + at_zero)
+    jets = _l_factor_jets(field.characters, s0, count + at_zero)
     if at_zero:
-        factors = [Jet(f.coeffs[..., 1:], f.err[..., 1:], 1)
-                   if not chi.is_odd and not chi.is_principal else f
-                   for chi, f in zip(field.characters, factors)]
-    out = functools.reduce(operator.mul, factors)
+        jets = [Jet(jet.coeffs[..., 1:], jet.err[..., 1:], 1) if f.shift == 0 and f.conductor > 1 else jet
+                for f, jet in zip(field.factors, jets)]
+    out = functools.reduce(operator.mul, jets)
     return Jet(out.coeffs[..., :count], out.err[..., :count], out.lowest)
 
 

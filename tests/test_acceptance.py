@@ -8,6 +8,7 @@ is asserted at the stated tolerance instead and passes.
 """
 
 import cmath
+import dataclasses
 import math
 import os
 import re
@@ -192,6 +193,15 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
         assert not any(hasattr(nx, n) for n in ("laurent_coefficients", "laurent_coefficients_many",
                                                 "dedekind_zeta_majorant", "LaurentResult", "gamma_jet",
                                                 "_log_gamma_factor_and_error"))
+        # a field is its L-factor records and label: its signature and discriminant are
+        # read off them, and only fields.py builds one
+        assert [f.name for f in dataclasses.fields(fd.FieldDescriptor)] == ["factors", "label"]
+        repo = os.path.dirname(os.path.dirname(src))
+        for folder in ("src/zetatheta", "tests", "tools"):
+            for name in sorted(os.listdir(os.path.join(repo, folder))):
+                if name.endswith(".py") and name != "fields.py":
+                    with open(os.path.join(repo, folder, name)) as fh:
+                        assert not re.search(r"\bFieldDescriptor\s*\(", fh.read()), name
         # one proven quadrature level on the closed-form cases: Gamma(s) x^{-s} is the
         # (0, 1) kernel e^{-x}, whose saddle line steen._line_plan proves
         for x in (1.0, 2.0):

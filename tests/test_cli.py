@@ -282,6 +282,16 @@ class TestSignedValues:
         assert out == out_eq
         assert len(rows_of(out)[1]) == 1
 
+    # the rule of the regex -([\d.]|inf|nan), in any case, that the string tests replace
+    @pytest.mark.parametrize("tok, attached", [
+        ("-1", True), ("-.5", True), ("-0.5,0.3", True), ("-1e-3", True), ("-inf", True),
+        ("-NaN", True), ("-Infinity", True), ("-x", False), ("--tol", False), ("-", False)])
+    def test_token_table(self, tok, attached):
+        assert bool(re.match(r"-([\d.]|inf|nan)", tok, re.IGNORECASE)) == attached
+        assert cli._attach_signed_values(["--tol", tok]) == (
+            ["--tol=" + tok] if attached else ["--tol", tok])
+        assert not hasattr(cli, "re")
+
 
 class TestParser:
     def test_main_builds_no_parser(self, capsys, monkeypatch):

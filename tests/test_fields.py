@@ -153,6 +153,88 @@ class TestMakeFieldAbelian:
                                    fd.kronecker_character(-4)])
 
 
+BUILTIN_SIGNATURES = {"Q": (1, 0, 1, 1), "sqrt5": (2, 0, 2, 5), "gauss": (0, 1, 2, 4),
+                      "cubic7": (3, 0, 3, 49), "zeta5": (0, 2, 4, 125)}
+# 0 < Re s < 1 off the critical line, where the Hurwitz sums keep their digits
+FUNCTIONAL_EQUATION_POINTS = (0.3 + 2.0j, 0.7 - 5.0j, 0.2 + 14.5j)
+
+
+def _completed_l(factor, chi, s):
+    """(Lambda(s, chi) = (q/pi)^((s + a)/2) Gamma((s + a)/2) L(s, chi) on an array s, its error bound).
+
+    The bound is |prefactor| times L's proven error (numerics._l_factor_jets)
+    plus |Lambda| times the exponent's: log Gamma's proven error and 8 eps
+    times |exponent| + 1 for its rounding and the product's.
+    """
+    jet = nx._l_factor_jets((chi,), s, 1)[0]
+    z = (s + factor.shift) / 2.0
+    log_gamma, log_gamma_error = nx._loggamma_and_error(z)
+    exponent = z * math.log(factor.conductor / math.pi) + log_gamma
+    prefactor = np.exp(exponent)
+    value = prefactor * jet.coeffs[:, 0]
+    return value, np.abs(prefactor) * jet.err[:, 0] + np.abs(value) * (
+        log_gamma_error + 8.0 * nx._EPS * (np.abs(exponent) + 1.0))
+
+
+class TestLFactors:
+    def test_signature_read_off_the_records(self):
+        for name, signature in BUILTIN_SIGNATURES.items():
+            F = fd.builtin_field(name)
+            shifts = [f.shift for f in F.factors]
+            assert (F.r1, F.r2, F.degree, F.disc) == signature, name
+            assert (shifts.count(0) - shifts.count(1), shifts.count(1), len(shifts),
+                    math.prod(f.conductor for f in F.factors)) == signature, name
+            assert F.characters == tuple(f.character for f in F.factors)
+            assert F.unit_rank == F.r1 + F.r2 - 1
+
+    def test_records_of_each_character(self):
+        for name in BUILTIN_SIGNATURES:
+            for f in fd.builtin_field(name).factors:
+                assert f.character == f.character.primitive()
+                assert (f.shift, f.conductor) == (int(f.character.is_odd), f.character.conductor)
+
+    def test_root_numbers_have_modulus_one(self):
+        for name in BUILTIN_SIGNATURES:
+            for f in fd.builtin_field(name).factors:
+                assert abs(abs(f.root_number) - 1.0) <= 4 * nx._EPS, (name, f)
+
+    def test_real_character_has_root_number_one(self):
+        # Gauss: tau(chi) = sqrt(q) for an even real primitive chi, i sqrt(q) for an odd one
+        real = [f for name in BUILTIN_SIGNATURES for f in fd.builtin_field(name).factors
+                if f.character.order <= 2]
+        assert {f.conductor for f in real} == {1, 4, 5}
+        for f in real:
+            assert abs(f.root_number - 1.0) <= 4 * nx._EPS, f
+
+    def test_root_numbers_multiply_to_one(self):
+        # eps(chi) eps(conj chi) = chi(-1) = 1 for the even pairs and the odd ones alike
+        for name in BUILTIN_SIGNATURES:
+            factors = fd.builtin_field(name).factors
+            assert abs(math.prod(f.root_number for f in factors) - 1.0) <= 8 * nx._EPS, name
+        assert abs(fd.builtin_field("cubic7").factors[1].root_number - 1.0) > 0.1
+
+    def test_functional_equation(self):
+        # Lambda(s, chi) = eps Lambda(1 - s, conj chi) within the two sides' proven errors
+        s = np.array(FUNCTIONAL_EQUATION_POINTS)
+        for name in BUILTIN_SIGNATURES:
+            for f in fd.builtin_field(name).factors:
+                lhs, lhs_error = _completed_l(f, f.character, s)
+                rhs, rhs_error = _completed_l(f, f.character.conjugate(), 1.0 - s)
+                gap = np.abs(lhs - f.root_number * rhs)
+                assert np.all(gap <= lhs_error + rhs_error + 8 * nx._EPS * (np.abs(lhs) + np.abs(rhs))), (name, f)
+                assert np.all(gap <= 1e-12 * np.abs(lhs)), (name, f)
+
+    def test_character_file_field_equals_builtin(self, tmp_path):
+        p = tmp_path / "cubic7.chars"
+        p.write_text("char 1 1 0\nchar 7 3 0,2,1,1,2,0,-1\nchar 7 3 0,1,2,2,1,0,-1\n")
+        F, builtin = fd.make_field_abelian(fd.parse_character_file(p), label="file"), fd.builtin_field("cubic7")
+        assert F.cache_key == builtin.cache_key
+        assert F.factors == builtin.factors
+        for k in (1, 2):
+            assert np.array_equal(fd._euler_table(F, -k, 500), fd.power_coeffs(builtin, k, 500).values)
+            assert np.array_equal(fd._euler_table(F, k, 500), fd.moebius_coeffs(builtin, k, 500).values)
+
+
 class TestIdealCoeffs:
     def test_rational_all_ones(self, field_q):
         assert np.all(fd.ideal_coeffs(field_q, 100).values[1:] == 1)

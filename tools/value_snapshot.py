@@ -13,7 +13,8 @@ keys, and for a check's two sides the largest term they are summed from
 side that is a small difference of large terms does not read rounding as a
 move.  The theta relation is recorded both one x at a time (`check_theta`)
 and for three x in one call of its vector twin (`check_theta_many`).
-It records each builtin field's coefficient tables a_{F,k} and mu_{F,k},
+It records each builtin field's L-factors (the Gamma_R shift, conductor
+and root number of each) and its coefficient tables a_{F,k} and mu_{F,k},
 k = 1, 2, by the exact integers sum c(n) and sum n c(n) over n <= 2^16, so a
 table change shows at the table itself.  Besides the checks' values it
 records the per-zero Taylor data they sum
@@ -246,6 +247,12 @@ def snapshot():
             iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1]))
         _record(out, f"inverse_zeta_error/Q/k=2/m={m}", lambda: tuple(
             iv._inverse_zeta_derivatives(fields.builtin_field("Q"), 2, 3, 2)[m - 1].err))
+    # each builtin field's L-factor records at their source: per factor, in the field's order,
+    # its Gamma_R shift, conductor and root number
+    for name in FIELDS:
+        for i, factor in enumerate(fields.builtin_field(name).factors):
+            _record(out, f"l_factor/{name}/{i}", lambda: (
+                factor.shift, factor.conductor, factor.root_number))
     # the Hurwitz errors at their source: the coefficient errors of every L-factor jet, one
     # tuple over the characters, on one batch mixing heights on the line and at s = 3 with
     # three coefficients
