@@ -24,7 +24,6 @@ from .steen import z_shifted, z_tail_bound, z_tilde
 from .theta import (
     Report,
     check_theta,
-    exact_eval_check,
     r0_theta,
     s_series,
     w_theta,

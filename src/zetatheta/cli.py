@@ -113,24 +113,6 @@ def _check(columns, points, row):
     return run
 
 
-def _theta_points(a):
-    """One check_theta_many call for every x != -1; x = -1 is the exact evaluation."""
-    if -1.0 in a.points and a.k != 1:
-        raise ValidationError(f"x = -1 (exact evaluation) needs k = 1, got k = {a.k}")
-    xs = [x for x in a.points if x != -1.0]
-    reports = iter(theta.check_theta_many(a.field, a.k, xs, a.tol) if xs else ())
-    return [theta.exact_eval_check(a.field, a.tol) if x == -1.0 else next(reports) for x in a.points]
-
-
-def _theta_row(a, x, rep):
-    if x == -1.0:
-        # boundary form: Re + Im of the kernel sum against 2^r1 C_F
-        return ["exact-eval", *_xy(x), _sci(rep.lhs.real + rep.lhs.imag), _sci(rep.rhs),
-                _sci(rep.residual), "boundary-form"]
-    return ["theta", *_xy(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)), _sci(rep.residual),
-            "ok" if rep.residual <= a.tol else "fail"]
-
-
 # the options that several subcommands take; the points of a check go to `points`
 OPTIONS = {
     "--field": dict(required=True),
@@ -149,11 +131,11 @@ COMMANDS = (
                                                "(Q, sqrt5, cubic7, zeta5, gauss)")},
      _field_info),
     ("theta-check", "forward theta relation W(1/x) = sqrt(x) W(x)",
-     {"--field": {}, "--k": {},
-      "--x": dict(help="evaluation point; -1 routes to the exact boundary evaluation (k = 1)"),
-      "--tol": dict(default=1e-8)},
+     {"--field": {}, "--k": {}, "--x": {}, "--tol": dict(default=1e-8)},
      _check(["check", "x_re", "x_im", "lhs", "rhs", "residual", "status"],
-            _theta_points, _theta_row)),
+            lambda a: theta.check_theta_many(a.field, a.k, a.points, a.tol),
+            lambda a, x, rep: ["theta", *_xy(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
+                               _sci(rep.residual), "ok" if rep.residual <= a.tol else "fail"])),
     ("inverse-check", "inverse theta relation U(1/x) = sqrt(x) U(x)",
      {"--field": {}, "--k": {}, "--x": {},
       "--zeros": dict(help="zeros file (see zeros-scan --emit)"), "--tol": dict(default=1e-5)},

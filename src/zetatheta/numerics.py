@@ -166,34 +166,32 @@ def _character_bank(characters):
 
 
 def dirichlet_l(s, chi):
-    """L(s, chi) via Hurwitz zeta: q^(-s) * sum_a chi(a) zeta_H(s, a/q).
+    """L(s, chi) via Hurwitz zeta: dirichlet_l_many at one point."""
+    return complex(dirichlet_l_many(np.array([complex(s)]), chi)[0])
+
+
+def dirichlet_l_many(s, chi):
+    """Vectorized L(s, chi): coefficient 0 of its jet, q^(-s) * sum_a chi(a) zeta_H(s, a/q).
 
     At s = 1 a non-principal character is evaluated with the digamma closed
     form (psi off log Gamma's jet); the principal character raises PoleError.
     """
-    s = complex(s)
-    q = chi.modulus
-    at_one = abs(s - 1.0) < 1e-12
-    if chi.is_principal and at_one:
-        raise PoleError("L(s, principal) has a pole at s = 1")
-    if at_one:
-        a = np.arange(1, q + 1)
-        return -complex(np.dot(chi.values_at(a), _log_gamma_derivatives(a / q + 0j, 2)[0][:, 0])) / q
-    return complex(dirichlet_l_many(np.array([s]), chi)[0])
-
-
-def dirichlet_l_many(s, chi):
-    """Vectorized L(s, chi) over an array of s staying away from s = 1: coefficient 0 of its jet."""
     s = np.asarray(s, dtype=complex)
-    return _l_factor_jets((chi,), s, 1)[0].coeffs[:, 0].reshape(s.shape)
+    flat = s.reshape(-1)
+    at_one = (np.abs(flat - 1.0) < 1e-12) & (not chi.is_principal)
+    out = np.empty(flat.shape, dtype=complex)
+    if not np.all(at_one):
+        out[~at_one] = _l_factor_jets((chi,), flat[~at_one], 1)[0].coeffs[:, 0]
+    if np.any(at_one):
+        q = chi.modulus
+        a = np.arange(1, q + 1)
+        out[at_one] = -complex(np.dot(chi.values_at(a), _log_gamma_derivatives(a / q + 0j, 2)[0][:, 0])) / q
+    return out.reshape(s.shape)
 
 
 def dedekind_zeta(s, field):
     """zeta_F(s), the product of its Dirichlet L-factors: dedekind_zeta_many at one point."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("Dedekind zeta pole at s = 1")
-    return complex(dedekind_zeta_many(np.array([s]), field)[0])
+    return complex(dedekind_zeta_many(np.array([complex(s)]), field)[0])
 
 
 def dedekind_zeta_many(s, field):

@@ -137,7 +137,8 @@ def check_theta_many(field, k, xs, tol=1e-8):
     _s_series_many call.  The residual is |lhs - rhs| over the largest modulus the sides
     are summed from: |lhs|, |rhs|, |S| and |R_0| at 1/x, and sqrt(x) times them at x, so
     a side near a zero of W does not read rounding as a failure.  The budget's terms are
-    those of the two series of an x summed.
+    those of the two series of an x summed.  At x = -1, log x = i pi (in the sector for
+    d >= 3), the relation reads conj(W) = i W, that is Re S + Im S = 2^r1 C_F.
     """
     log_xs = [_log_of(x, "check_theta") for x in xs]
     series = list(_s_series_many(field, k, [s for log_x in log_xs for s in (log_x, -log_x)],
@@ -157,23 +158,3 @@ def check_theta(field, k, x, tol=1e-8):
     """check_theta_many at the one point x."""
     return check_theta_many(field, k, [x], tol)[0]
 
-
-def exact_eval_check(field, tol=1e-8):
-    """Evaluation of the kernel sum at x = -1 for degree >= 3 against 2^r1 C_F.
-
-    The two sides come from independent routes: saddle-line quadratures summed
-    against the ideal counts, versus the Laurent constant of zeta_F at s = 0.
-
-    lhs is the kernel sum of a(n) Z~(scale * n * i) on the sheet log x = i pi,
-    rhs is 2^r1 C_F.  The sum itself is genuinely complex: with the principal
-    branch, letting x -> -1 from above in the theta relation gives
-    conj(W(-1)) = i W(-1), so the consequence of the relation is
-    Re(lhs) + Im(lhs) = 2^r1 C_F, and the residual is that boundary form;
-    the flat distance |lhs - rhs| does not vanish.  The budget holds the
-    series' series_tail and kernel_quadrature (see _s_series_many).
-    """
-    if field.degree < 3:
-        raise DomainError("exact evaluation needs a field of degree >= 3")
-    lhs, _, budget = _s_series_log(field, 1, 1j * math.pi, tol)
-    rhs = 2.0 ** field.r1 * fields.laurent_constant(field)
-    return Report(lhs=lhs, rhs=rhs, residual=abs(lhs.real + lhs.imag - rhs), budget=budget)

@@ -76,18 +76,21 @@ def test_criterion_4_quadratic_field(field_sqrt5):
 
 def test_criterion_5_exact_evaluation(field_cubic7):
     with criterion(5, "exact evaluation at x = -1 (boundary-limit form)", 60):
-        rep = th.exact_eval_check(field_cubic7, tol=1e-9)
+        # the relation at log x = i pi, and the boundary form it is equivalent to
+        rep = th.check_theta(field_cubic7, 1, -1, tol=1e-9)
         assert rep.residual < 1e-6
+        s = th.s_series(field_cubic7, 1, -1, tol=1e-9)
+        assert abs(s.real + s.imag - 2.0 ** field_cubic7.r1 * fd.laurent_constant(field_cubic7)) < 1e-6
 
 
 @pytest.mark.xfail(reason="spec/paper defect: the kernel sum at x = -1 is "
                           "genuinely complex (Im ~ 0.095 for cubic7); the theta "
-                          "relation's x -> -1 limit yields Re + Im = 2^r1 C_F, "
+                          "relation at log x = i pi yields Re + Im = 2^r1 C_F, "
                           "which criterion 5 above verifies at 1e-6",
                    strict=True)
 def test_criterion_5_literal_complex_equality(field_cubic7):
-    rep = th.exact_eval_check(field_cubic7, tol=1e-9)
-    assert abs(rep.lhs - rep.rhs) < 1e-6
+    s = th.s_series(field_cubic7, 1, -1, tol=1e-9)
+    assert abs(s - 2.0 ** field_cubic7.r1 * fd.laurent_constant(field_cubic7)) < 1e-6
 
 
 def test_criterion_6_moebius_inversion(field_q, field_sqrt5, field_cubic7):
@@ -190,9 +193,15 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
                 # one gamma path: values, kernels and jets read log_gamma_factor_jet
                 assert not re.search(r"\bgamma_jet\s*\(|\b(_log_gamma_factor_and_error"
                                      r"|_log_gamma_prefactor_and_error)\b", text), name
+                # no exact-evaluation path beside the theta relation at x = -1
+                assert "exact_eval_check" not in text, name
         assert not any(hasattr(nx, n) for n in ("laurent_coefficients", "laurent_coefficients_many",
                                                 "dedekind_zeta_majorant", "LaurentResult", "gamma_jet",
                                                 "_log_gamma_factor_and_error"))
+        # x = -1 is the theta relation on its sheet: the CLI does not single out a
+        # point equal to -1
+        with open(os.path.join(src, "cli.py")) as fh:
+            assert not re.search(r"[=!]=\s*-1\b|-1(\.0)?\s*[=!]=|-1(\.0)?\s+(not\s+)?in\b", fh.read())
         # a field is its L-factor records and label: its signature and discriminant are
         # read off them, and only fields.py builds one
         assert [f.name for f in dataclasses.fields(fd.FieldDescriptor)] == ["factors", "label"]

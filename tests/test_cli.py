@@ -93,18 +93,28 @@ class TestThetaCheck:
         assert float(rows[0][5]) < 1e-10
 
     def test_exact_eval_route(self, capsys):
+        # x = -1 is the relation on the sheet log x = i pi, one theta row like any x
         code, out, _ = run(capsys, "theta-check", "--field", "cubic7", "--x", "-1",
                            "--tol", "1e-6")
         assert code == 0
         header, rows = rows_of(out)
-        assert rows[0][0] == "exact-eval"
-        assert rows[0][6] == "boundary-form"
+        assert len(rows) == 1
+        assert rows[0][0] == "theta"
+        assert rows[0][6] == "ok"
+        assert float(rows[0][5]) <= 1e-12
 
-    def test_exact_eval_needs_k1(self, capsys):
-        code, out, err = run(capsys, "theta-check", "--field", "cubic7", "--k", "2", "--x", "-1")
-        assert code == 2
-        assert out == ""
-        assert "needs k = 1" in err
+    def test_exact_eval_k2_and_sector(self, capsys):
+        for field in ("cubic7", "zeta5"):
+            code, out, err = run(capsys, "theta-check", "--field", field, "--k", "2", "--x", "-1",
+                                 "--tol", "1e-10")
+            assert code == 0, err
+            assert [row[-1] for row in rows_of(out)[1]] == ["ok"]
+        # log x = i pi lies outside the sector |Im log x| < pi d/2 - 0.2 for d <= 2
+        for field in ("Q", "sqrt5"):
+            code, out, err = run(capsys, "theta-check", "--field", field, "--x", "-1")
+            assert code == 2
+            assert out == ""
+            assert "|Arg x| must stay below" in err
 
     def test_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, "theta-check", "--field", "Q", "--x", "0")
@@ -233,7 +243,7 @@ class TestExitCode:
     @pytest.mark.parametrize("factor,expected", [(0.99, 0), (1.01, 1), (float("nan"), 1)])
     @pytest.mark.parametrize("module,name,argv", [
         (th, "check_theta_many", ("theta-check", "--field", "Q", "--x", "2")),
-        (th, "exact_eval_check", ("theta-check", "--field", "cubic7", "--x=-1")),
+        (th, "check_theta_many", ("theta-check", "--field", "cubic7", "--x=-1")),
         (iv, "check_inverse_theta", ("inverse-check", "--field", "Q", "--x", "2", "--zeros")),
         (iv, "hlr_check", ("hlr-check", "--x", "2", "--zeros")),
         (iv, "dgv_check", ("dgv-check", "--field", "Q", "--x", "2", "--zeros")),
@@ -255,9 +265,8 @@ class TestExitCode:
         assert code == expected, err
         assert len(rows_of(out)[1]) == 1
         if argv[0] == "theta-check":
-            # the status cell is the row's verdict; the exact evaluation's names its form
-            status = "boundary-form" if name == "exact_eval_check" else ("ok", "fail")[expected]
-            assert rows_of(out)[1][0][-1] == status
+            # the status cell is the row's verdict, at x = -1 too
+            assert rows_of(out)[1][0][-1] == ("ok", "fail")[expected]
 
     def test_theta_near_a_zero_of_w(self, capsys):
         # the sides agree to 5e-14 where W(1/16) = 3.2e-8 sits next to terms of 2.6e-2

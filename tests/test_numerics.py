@@ -239,6 +239,15 @@ class TestDirichletL:
         direct = sum(chi.value(n) * n ** (-s) for n in range(1, 40000))
         assert abs(nx.dirichlet_l(s, chi) - direct) < 1e-10
 
+    def test_vector_equals_scalar_at_one(self, field_sqrt5):
+        # s = 1 of a non-principal character is the digamma closed form in both
+        chi = next(c for c in field_sqrt5.characters if not c.is_principal)
+        ss = [1.0, 2.0, 0.5 + 14.0j]
+        values = nx.dirichlet_l_many(ss, chi)
+        assert values[0] == nx.dirichlet_l(1.0, chi)
+        for s, v in zip(ss, values, strict=True):
+            assert abs(v - nx.dirichlet_l(s, chi)) <= 1e-13 * abs(v), s
+
 
 class TestDedekindZeta:
     def test_rational_field(self, field_q):

@@ -247,8 +247,8 @@ class TestCheckThetaMany:
         (("theta-check", "--field", "cubic7", "--k", "2", "--x", "0.04", "--x", "0.7,0.3",
           "--x", "2.5"), 1),
         (("phi-check", "--field", "zeta5", "--z", "0.25"), 1),
-        # x = -1 is the exact evaluation's own series, between the rows of the others
-        (("theta-check", "--field", "cubic7", "--x", "2", "--x=-1", "--x", "0.5"), 2),
+        # x = -1 is one more point of the relation, on the sheet log x = i pi
+        (("theta-check", "--field", "cubic7", "--x", "2", "--x=-1", "--x", "0.5"), 1),
     ])
     def test_one_kernel_call_per_op(self, argv, calls, monkeypatch, capsys):
         seen = []
@@ -262,8 +262,7 @@ class TestCheckThetaMany:
         assert len(seen) == calls
         rows = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
         if argv[0] == "theta-check":
-            assert rows == ["exact-eval" if "--x=-1" == a else "theta"
-                            for a in argv if a.startswith("--x")]
+            assert rows == ["theta" for a in argv if a.startswith("--x")]
 
 
 class TestResidueReflection:
@@ -277,30 +276,39 @@ class TestResidueReflection:
                 assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs)), (field.label, k, x)
 
 
+def sum_and_constant(field):
+    """S, the kernel sum on the sheet log x = i pi, and 2^r1 C_F."""
+    return th.s_series(field, 1, -1, tol=1e-9), 2.0 ** field.r1 * fd.laurent_constant(field)
+
+
 class TestExactEvaluation:
+    # at x = -1, log x = i pi, the relation reads conj(W) = i W, which is
+    # Re S + Im S = 2^r1 C_F: the exact evaluation is the relation on its sheet
     def test_degree_guard(self, field_q, field_sqrt5):
         with pytest.raises(DomainError):
-            th.exact_eval_check(field_q)
+            th.check_theta(field_q, 1, -1)
         with pytest.raises(DomainError):
-            th.exact_eval_check(field_sqrt5)
+            th.check_theta(field_sqrt5, 1, -1)
 
     def test_cubic_boundary_form(self, field_cubic7):
-        rep = th.exact_eval_check(field_cubic7, tol=1e-9)
+        rep = th.check_theta(field_cubic7, 1, -1, tol=1e-9)
         assert rep.residual < 1e-6
         assert 0 < rep.budget["series_tail"] < 1e-9 / 2
+        s, constant = sum_and_constant(field_cubic7)
+        assert abs(s.real + s.imag - constant) < 1e-6
 
     def test_quartic_boundary_form(self, field_zeta5):
-        rep = th.exact_eval_check(field_zeta5, tol=1e-9)
-        assert rep.residual < 1e-6
+        assert th.check_theta(field_zeta5, 1, -1, tol=1e-9).residual < 1e-6
+        s, constant = sum_and_constant(field_zeta5)
+        assert abs(s.real + s.imag - constant) < 1e-6
 
     @pytest.mark.xfail(reason="the kernel sum at x = -1 keeps a genuine imaginary "
-                              "part; the theta relation's boundary limit gives "
-                              "Re + Im = 2^r1 C_F, not a flat complex equality "
-                              "(see the exact_eval_check docstring)",
+                              "part; the theta relation at log x = i pi gives "
+                              "Re + Im = 2^r1 C_F, not a flat complex equality",
                        strict=True)
     def test_cubic_literal_equality(self, field_cubic7):
-        rep = th.exact_eval_check(field_cubic7, tol=1e-9)
-        assert abs(rep.lhs - rep.rhs) < 1e-6
+        s, constant = sum_and_constant(field_cubic7)
+        assert abs(s - constant) < 1e-6
 
 
 @pytest.mark.parametrize("name", BUILTIN)
@@ -309,7 +317,7 @@ def test_forward_checks_report_kernel_quadrature(name):
     field = fd.builtin_field(name)
     reports = [(th.check_theta(field, 1, 0.8 + 0.3j), "series_tail")]
     if field.degree >= 3:
-        reports.append((th.exact_eval_check(field), "series_tail"))
+        reports.append((th.check_theta(field, 1, -1), "series_tail"))
     for rep, other in reports:
         quadrature = rep.budget["kernel_quadrature"]
         assert math.isfinite(quadrature) and quadrature >= 0.0

@@ -11,8 +11,9 @@ is the absolute size the value is a rounding error of: |value| for most
 keys, and for a check's two sides the largest term they are summed from
 (the theta series and R_0, the Moebius series, R_0 and the zero sum), so a
 side that is a small difference of large terms does not read rounding as a
-move.  The theta relation is recorded both one x at a time (`check_theta`)
-and for three x in one call of its vector twin (`check_theta_many`).
+move.  The theta relation is recorded both one x at a time (`check_theta`),
+x = -1 on the sheet log x = i pi among them, and for three x in one call of
+its vector twin (`check_theta_many`).
 It records each builtin field's L-factors (the Gamma_R shift, conductor
 and root number of each) and its coefficient tables a_{F,k} and mu_{F,k},
 k = 1, 2, by the exact integers sum c(n) and sum n c(n) over n <= 2^16, so a
@@ -189,9 +190,16 @@ def snapshot():
                 F, 0.5 + 1j * t, math.pi * F.degree * t / 4.0)[1])
         _record(out, f"zeta_error/{name}/s=2+1i", lambda: (lambda xi, error: error * abs(
             nx.dedekind_zeta(2.0 + 1.0j, F) / xi))(*cl._xi_scaled_many(F, 2.0 + 1.0j, 0.0)))
+    # x = -1, log x = i pi, inside the sector for d >= 3: the relation's sides, and the
+    # kernel sum S on that sheet, whose Re S + Im S the relation fixes at 2^r1 C_F
     for name in ("cubic7", "zeta5"):
-        _record(out, f"exact_eval_check/{name}", lambda: (
-            lambda r: (r.lhs, r.rhs))(theta.exact_eval_check(fields.builtin_field(name))))
+        F = fields.builtin_field(name)
+        for k in (1, 2):
+            _record(out, f"check_theta/{name}/k={k}/x=-1",
+                    lambda: _sides(theta.check_theta(F, k, -1)),
+                    lambda: _largest(*(w * f(F, k, -1) for w in (1.0, 1.0j)
+                                       for f in (theta.s_series, theta.r0_theta))))
+        _record(out, f"s_series/{name}/x=-1", lambda: theta.s_series(F, 1, -1))
     # 3/4 of the strip |Im z| < pi d/4 - 0.2 is past |Im z| = pi/2, where x = e^{-2z} leaves
     # the principal sheet
     edge = {name: 0.75j * (math.pi * fields.builtin_field(name).degree / 4.0 - 0.2)
