@@ -81,6 +81,11 @@ class DirichletCharacter:
                 raise ValidationError(f"residue {a} shares a factor with q but is not zeroed")
         if self.exponents[1 % q] != 0:
             raise ValidationError("chi(1) must be 1")
+        units = [a for a, e in enumerate(self.exponents) if e >= 0]
+        for i, a in enumerate(units):
+            for b in units[i:]:
+                if (self.exponents[a] + self.exponents[b] - self.exponents[a * b % q]) % m:
+                    raise ValidationError(f"chi({a}) chi({b}) != chi({a * b % q}): not a character")
 
     def _root_of_unity(self, e):
         if e < 0:
@@ -117,65 +122,32 @@ class DirichletCharacter:
         exps = tuple(e if e <= 0 else m - e for e in self.exponents)
         return DirichletCharacter(self.modulus, m, exps)
 
-    @property
-    def conductor(self):
-        q = self.modulus
-        for f in sorted(_divisors(q)):
-            ok = True
-            for a in range(1, q + 1):
-                if a % f == 1 % f and math.gcd(a, q) == 1 and self.exponents[a % q] != 0:
-                    ok = False
-                    break
-            if ok:
-                return f
-        return q
-
     def primitive(self):
-        """The primitive character mod conductor inducing this one."""
-        f = self.conductor
-        q = self.modulus
-        if f == q:
-            return self._reduced()
-        exps = [-1] * f
-        for a in range(f):
-            if math.gcd(a, f) != 1:
-                continue
-            b = a
-            while math.gcd(b, q) != 1:
-                b += f
-            exps[a] = self.exponents[b % q]
-        return DirichletCharacter(f, self.order, tuple(exps))._reduced()
-
-    def _reduced(self):
-        g = self.order
-        for e in self.exponents:
-            if e > 0:
-                g = math.gcd(g, e)
-        if g == self.order:
-            # principal: order collapses to 1
-            return DirichletCharacter(self.modulus, 1,
-                                      tuple(0 if e == 0 else e for e in self.exponents)) \
-                if all(e <= 0 for e in self.exponents) else self
-        if g == 1:
-            return self
-        exps = tuple(e if e <= 0 else e // g for e in self.exponents)
-        return DirichletCharacter(self.modulus, self.order // g, exps)
+        """The primitive character inducing this one (_primitive_key)."""
+        key = _primitive_key(*self.key)
+        return self if key == self.key else DirichletCharacter(*key)
 
     @property
     def key(self):
         return (self.modulus, self.order, self.exponents)
 
 
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _primitive_key(q, m, exponents):
+    """(conductor, order, exponents) of the primitive character inducing the character mod q, in one pass.
+
+    The conductor is the least divisor f of q on whose classes the values at the units mod q
+    are constant; the order is m reduced by the exponents' gcd (the principal character: 1).
+    """
+    units = [(a, e) for a, e in enumerate(exponents) if e >= 0]
+    for f in (f for f in range(1, q + 1) if q % f == 0):
+        exps = [-1] * f
+        for a, e in units:
+            if exps[a % f] not in (-1, e):
+                break
+            exps[a % f] = e
+        else:
+            g = math.gcd(m, *(max(e, 0) for e in exps))
+            return f, m // g, tuple(e // g for e in exps)   # -1 // g == -1
 
 
 def principal_character(q=1):
@@ -280,22 +252,25 @@ class FieldDescriptor:
 def make_field_abelian(characters, label=""):
     """The field of a character list, one LFactor per character.
 
-    The list must hold exactly one principal character, be closed under
-    conjugation, and have 0 or d/2 odd characters: an abelian field is
-    totally real or totally imaginary.
+    The primitive characters must be distinct and the primitive of every
+    product chi psi must be among them: a finite group of characters, the
+    character group of an abelian field (Washington, Introduction to
+    Cyclotomic Fields, ch. 3).  So the principal character appears once, the
+    list is closed under conjugation, and the odd characters are none or half.
     """
     field = FieldDescriptor(tuple(_l_factor(c) for c in characters), label)
-    if not field.factors:
-        raise ValidationError("character list is empty")
-    n_principal = sum(1 for c in field.characters if c.is_principal)
-    if n_principal != 1:
-        raise ValidationError(f"need exactly one principal character, got {n_principal}")
-    if sorted(c.key for c in field.characters) != sorted(c.conjugate().key for c in field.characters):
-        raise ValidationError("character list is not closed under conjugation")
-    if field.r2 != 0 and 2 * field.r2 != field.degree:
-        raise ValidationError(
-            f"odd-character count {field.r2} is inconsistent: an abelian field is "
-            f"totally real (0 odd) or totally imaginary (d/2 odd)")
+    chars, keys = field.characters, {c.key for c in field.characters}
+    if not chars or len(keys) < len(chars):
+        raise ValidationError(f"the character list {'repeats a character' if chars else 'is empty'}")
+    for i, chi in enumerate(chars):
+        for j, psi in enumerate(chars[i:], start=i):
+            # chi psi mod the lcm of the moduli, with exponents to the lcm of the orders
+            q, m = math.lcm(chi.modulus, psi.modulus), math.lcm(chi.order, psi.order)
+            pairs = ((chi.exponents[a % chi.modulus], psi.exponents[a % psi.modulus]) for a in range(q))
+            exps = tuple(-1 if min(e, f) < 0 else (e * (m // chi.order) + f * (m // psi.order)) % m for e, f in pairs)
+            if _primitive_key(q, m, exps) not in keys:
+                raise ValidationError(f"the characters are not a group: the product of entries "
+                                      f"{i + 1} and {j + 1} is not in the list")
     return field
 
 
@@ -378,7 +353,7 @@ def _euler_table(field, power, n_max):
     c(p) = power P_p'(0), gathered once per cofactor m.
     """
     primes = _primes_upto(n_max)
-    poly = np.zeros((len(primes), len(field.characters) + 1), dtype=complex)
+    poly = np.zeros((len(primes), len(field.factors) + 1), dtype=complex)
     poly[:, 0] = 1
     for factor in field.factors:
         poly[:, 1:] -= factor.character.values_at(primes)[:, None] * poly[:, :-1]

@@ -286,8 +286,10 @@ def _hurwitz_jet(s0, a, shift, count):
     most 4 base^(1 - sigma + r) rho^24/(sigma - r + 23) r^-j (Johansson,
     Numer. Algorithms 69 (2015), Thm 1, with AM-GM for |(s)_24|).
     """
-    log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
     head = np.empty((len(a), len(s0), count), dtype=complex)
+    if not s0.size:
+        return head, np.zeros(head.shape)
+    log_n = -np.log(np.arange(shift, dtype=float)[None, :] + a[:, None])[:, None, :]
     block = max(1, _HURWITZ_CHUNK_ELEMENTS // (shift * max(1, len(a))))
     for lo in range(0, len(s0), block):
         term = np.exp(s0[None, lo:lo + block, None] * log_n)

@@ -75,6 +75,8 @@ def _s_series_many(field, k, log_xs, tol):
     past n_stop, and kernel_quadrature, sum_n |a(n)| times the proven error of Z~(y n).
     """
     plans = [_series_plan(field, k, log_x, tol) for log_x in log_xs]
+    if not plans:
+        return
     ns = [np.nonzero(table.values[1:n_stop + 1])[0] + 1 for n_stop, table, _ in plans]
     ys = [fields.kernel_scale(field, k) * cmath.exp(log_x / 2.0) * n for log_x, n in zip(log_xs, ns)]
     z, charge = steen._kernel_many(k * field.r1, k * field.r2, np.concatenate(ys), shifted=False)

@@ -21,6 +21,7 @@ line left of the pole at 0 included), checked by step halving
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,6 +131,30 @@ def kronecker_ideal_count(d_symbol, n, kron):
         if n % dd == 0:
             total += kron(d_symbol, dd)
     return total
+
+
+def characters_mod(q):
+    """Every Dirichlet character mod q, by brute force, at the order m of the unit group's exponent.
+
+    Each choice of exponents mod m on a greedy generating set of the units is
+    spread over the products of the generators and kept if it is multiplicative.
+    """
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    m = math.lcm(*(next(k for k in range(1, q + 1) if pow(a, k, q) == 1 % q) for a in units))
+    gens, span = [], {1 % q}
+    for u in units:
+        if u not in span:
+            gens.append(u)
+            span = {x * pow(u, j, q) % q for x in span for j in range(q)}
+    chars = []
+    for choice in itertools.product(range(m), repeat=len(gens)):
+        exps = {1 % q: 0}
+        for g, e in zip(gens, choice):
+            exps.update({x * pow(g, j, q) % q: (v + j * e) % m for x, v in list(exps.items()) for j in range(q)})
+        if all(exps[a * b % q] == (exps[a] + exps[b]) % m for a in units for b in units):
+            chars.append(fields.DirichletCharacter(q, m, tuple(exps.get(a, -1) for a in range(q))))
+    assert len(chars) == len(units), (q, len(chars))
+    return chars
 
 
 def brute_dk(k, n):

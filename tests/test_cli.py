@@ -71,6 +71,15 @@ class TestFieldInfo:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("argv", [("field-info",), ("zeros-scan", "--range", "0,10", "--field")])
+    def test_non_group_file_is_refused(self, capsys, tmp_path, argv):
+        # {1, chi_5, chi_8} lacks chi_5 chi_8, of conductor 40: no field has these characters
+        p = tmp_path / "nogroup.chars"
+        p.write_text("char 1 1 0\nchar 5 2 0,1,1,0,-1\nchar 8 2 0,-1,1,-1,1,-1,0,-1\n")
+        code, out, err = run(capsys, *argv, str(p))
+        assert (code, out) == (2, "")
+        assert "not a group" in err
+
     def test_unknown_field(self, capsys):
         code, _, err = run(capsys, "field-info", "nosuchfield")
         assert code == 2

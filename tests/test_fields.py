@@ -1,4 +1,6 @@
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -41,14 +43,14 @@ class TestDirichletCharacter:
         assert chi.modulus == 1
         assert chi.value(17) == 1
         assert chi.is_principal and not chi.is_odd
-        assert chi.conductor == 1
+        assert chi.primitive().modulus == 1
 
     def test_kronecker_mod5(self):
         chi = fd.kronecker_character(5)
         vals = [chi.value(n).real for n in range(1, 6)]
         assert vals == [1, -1, -1, 1, 0]
         assert not chi.is_odd
-        assert chi.conductor == 5
+        assert chi.primitive().modulus == 5
         assert chi.conjugate() == chi
 
     def test_odd_character(self):
@@ -77,7 +79,7 @@ class TestDirichletCharacter:
             else:
                 exps.append(base.exponents[a % 5])
         lifted = fd.DirichletCharacter(10, 2, tuple(exps))
-        assert lifted.conductor == 5
+        assert lifted.primitive().modulus == 5
         assert lifted.primitive() == base
 
     def test_validation(self):
@@ -85,6 +87,22 @@ class TestDirichletCharacter:
             fd.DirichletCharacter(4, 2, (0, 0, 0, 0))   # chi(2) must be 0
         with pytest.raises(ValidationError):
             fd.DirichletCharacter(3, 2, (-1, 1, 0))      # chi(1) != 1
+
+    def test_primitive_by_definition(self):
+        # the conductor is the least f | q with chi(a) = 1 at every unit a = 1 mod f; the
+        # primitive character mod f agrees with chi at the units and has chi's order
+        for q in range(1, 31):
+            units = [a for a in range(q) if math.gcd(a, q) == 1]
+            for base in oracle.characters_mod(q):
+                doubled = fd.DirichletCharacter(q, 2 * base.order, tuple(2 * e if e > 0 else e for e in base.exponents))
+                for chi in (base, doubled):
+                    f = min(f for f in range(1, q + 1) if q % f == 0 and all(
+                        abs(chi.value(a) - 1.0) < 1e-12 for a in units if a % f == 1 % f))
+                    order = min(m for m in range(1, q + 1) if all(abs(chi.value(a) ** m - 1.0) < 1e-9 for a in units))
+                    prim = chi.primitive()
+                    assert (prim.modulus, prim.order) == (f, order), chi
+                    assert all(abs(prim.value(a) - chi.value(a)) < 1e-12 for a in units), chi
+                    assert all(prim.value(a) == 0 for a in range(f) if math.gcd(a, f) > 1), chi
 
 
 class TestCharacterFile:
@@ -114,6 +132,13 @@ class TestCharacterFile:
         p = self.write(tmp_path, "# nothing here\n")
         with pytest.raises(ParseError):
             fd.parse_character_file(p)
+
+    def test_not_multiplicative(self, tmp_path):
+        # chi(2) = -1 and chi(3) = 1 but chi(6) = chi(1) = 1
+        p = self.write(tmp_path, "char 1 1 0\nchar 5 2 0,1,0,0,-1\n")
+        with pytest.raises(ParseError, match="not a character") as err:
+            fd.parse_character_file(p)
+        assert err.value.line == 2
 
 
 class TestMakeFieldAbelian:
@@ -151,6 +176,45 @@ class TestMakeFieldAbelian:
             fd.make_field_abelian([fd.principal_character(),
                                    fd.kronecker_character(5),
                                    fd.kronecker_character(-4)])
+
+    def test_refuses_non_groups(self, field_cubic7):
+        one, chi_5, chi_8, chi_7 = (fd.principal_character(), fd.kronecker_character(5),
+                                    fd.kronecker_character(8), field_cubic7.characters[1])
+        for chars, message in (([one, chi_5, chi_8], "not a group"), ([one, chi_5, chi_5], "repeats"),
+                               ([one, chi_7], "not a group"), ([chi_5], "not a group")):
+            with pytest.raises(ValidationError, match=message):
+                fd.make_field_abelian(chars)
+
+    def test_accepts_exactly_the_subgroups(self):
+        # every subset of the characters mod q (a random 400 and the subgroups of two
+        # generators where there are more than 2^8), in a random order; the subgroups are
+        # the nonempty subsets closed under products, found from the values
+        rng = np.random.RandomState(40)
+        for q in GROUP_MODULI:
+            group = oracle.characters_mod(q)
+            values = np.array([[chi.value(a) for a in range(q)] for chi in group])
+            product = [[int(np.argmin(np.abs(values - u * v).sum(axis=1))) for v in values] for u in values]
+            n = len(group)
+            if n <= 8:
+                subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(2 ** n)]
+            else:
+                subsets = [list(np.flatnonzero(rng.rand(n) < 0.5)) for _ in range(400)]
+                for pair in itertools.combinations(range(n), 2):
+                    span = set(pair)
+                    while not {product[i][j] for i in span for j in span} <= span:
+                        span |= {product[i][j] for i in span for j in span}
+                    subsets.append(sorted(span))
+            for subset in subsets:
+                chars = [group[i] for i in rng.permutation(subset)]
+                if subset and all(product[i][j] in subset for i in subset for j in subset):
+                    assert fd.make_field_abelian(chars).degree == len(subset), (q, subset)
+                else:
+                    with pytest.raises(ValidationError):
+                        fd.make_field_abelian(chars)
+
+
+# the moduli whose whole character groups are searched for subgroups
+GROUP_MODULI = (5, 7, 8, 12, 15, 16, 20, 21, 24)
 
 
 BUILTIN_SIGNATURES = {"Q": (1, 0, 1, 1), "sqrt5": (2, 0, 2, 5), "gauss": (0, 1, 2, 4),
@@ -191,7 +255,7 @@ class TestLFactors:
         for name in BUILTIN_SIGNATURES:
             for f in fd.builtin_field(name).factors:
                 assert f.character == f.character.primitive()
-                assert (f.shift, f.conductor) == (int(f.character.is_odd), f.character.conductor)
+                assert (f.shift, f.conductor) == (int(f.character.is_odd), f.character.primitive().modulus)
 
     def test_root_numbers_have_modulus_one(self):
         for name in BUILTIN_SIGNATURES:
@@ -255,38 +319,42 @@ class TestIdealCoeffs:
 
     def test_non_integer_euler_factor_raises(self):
         with pytest.raises(RoundingDriftError, match="drifted"):
-            fd.ideal_coeffs(_order5_mod11_field(), 2)
+            fd._euler_table(_order5_mod11_factors(), -1, 2)
 
     def test_negative_ideal_count_raises(self, field_cubic7):
-        field = _non_group_field(field_cubic7)
-        for table in (lambda: fd.ideal_coeffs(field, 30), lambda: fd.ideal_coeffs(field, 3),
-                      lambda: fd.moebius_coeffs(field, 2, 30)):
+        field = _non_group_factors(field_cubic7)
+        for table in (lambda: fd._euler_table(field, -1, 30), lambda: fd._euler_table(field, -1, 3),
+                      lambda: fd._euler_table(field, 2, 30)):
             with pytest.raises(RoundingDriftError, match="negative ideal count"):
                 table()
 
     def test_refusals_name_the_prime(self, field_cubic7):
         # 2 takes a slice of its own at n_max = 30 and is gathered per cofactor at 3
         with pytest.raises(RoundingDriftError, match=r"p = 2 drifted"):
-            fd.ideal_coeffs(_order5_mod11_field(), 2)
+            fd._euler_table(_order5_mod11_factors(), -1, 2)
         for n_max in (30, 3):
             with pytest.raises(RoundingDriftError, match=r"negative ideal count at .*p = 2$"):
-                fd.ideal_coeffs(_non_group_field(field_cubic7), n_max)
+                fd._euler_table(_non_group_factors(field_cubic7), -1, n_max)
 
 
-def _order5_mod11_field():
-    """{1, chi, conj chi}, chi mod 11 of order 5 with chi(2) = e^{2 pi i/5}: P_2(T) has the
-    non-integer coefficient -(1 + 2 cos(2 pi/5)) at T."""
+def _factors_of(characters):
+    """A stand-in carrying only the L-factors of a character list that make_field_abelian refuses."""
+    return types.SimpleNamespace(factors=tuple(fd._l_factor(chi) for chi in characters))
+
+
+def _order5_mod11_factors():
+    """{1, chi, conj chi}, chi mod 11 of order 5 with chi(2) = e^{2 pi i/5}, not a group (chi^2 is
+    missing): P_2(T) has the non-integer coefficient -(1 + 2 cos(2 pi/5)) at T."""
     dlog = {pow(2, j, 11): j for j in range(10)}
     chi = fd.character_from_exponents(11, 5, [dlog[a] % 5 if a < 11 else -1
                                               for a in range(1, 12)])
-    return fd.make_field_abelian([fd.principal_character(), chi, chi.conjugate()])
+    return _factors_of([fd.principal_character(), chi, chi.conjugate()])
 
 
-def _non_group_field(field_cubic7):
+def _non_group_factors(field_cubic7):
     """{1, psi_5, chi_7, conj chi_7}, not closed under products: a_F(2) would be -1."""
     chi = field_cubic7.characters[1]
-    return fd.make_field_abelian([fd.principal_character(), fd.kronecker_character(5),
-                                  chi, chi.conjugate()])
+    return _factors_of([fd.principal_character(), fd.kronecker_character(5), chi, chi.conjugate()])
 
 
 GRID_FIELDS = ("Q", "sqrt5", "cubic7", "zeta5", "gauss")

@@ -10,9 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zetatheta import critical_line as cl
 from zetatheta import fields as fd
 from zetatheta import numerics as nx
 from zetatheta import steen as st
+from zetatheta import theta as th
 from zetatheta.errors import (
     ConvergenceError,
     DomainError,
@@ -660,3 +662,21 @@ def test_checks_leave_numpy_ma_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
+
+
+EMPTY_INPUT_CASES = {
+    "hurwitz_zeta_many": lambda F, e: nx.hurwitz_zeta_many(e, 0.5),
+    "hurwitz_zeta_many_bank": lambda F, e: nx.hurwitz_zeta_many(e, np.array([0.25, 0.5])),
+    "dirichlet_l_many": lambda F, e: nx.dirichlet_l_many(e, F.characters[1]),
+    "dedekind_zeta_many": lambda F, e: nx.dedekind_zeta_many(e, F),
+    "dedekind_zeta_jet": lambda F, e: nx.dedekind_zeta_jet(F, e, 2).coeffs,
+    "xi_many": lambda F, e: cl.xi_many(F, e),
+    "z_tilde_many": lambda F, e: st.z_tilde_many(F.r1, F.r2, e),
+    "check_theta_many": lambda F, e: th.check_theta_many(F, 1, e),
+    "refine_zeros": lambda F, e: cl.refine_zeros(F, []),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_INPUT_CASES)
+def test_empty_input_gives_empty_result(name, field_zeta5):
+    assert np.size(EMPTY_INPUT_CASES[name](field_zeta5, np.array([], dtype=complex))) == 0

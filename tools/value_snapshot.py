@@ -43,7 +43,11 @@ points they evaluate after the grid, the Phi
 identity past |Im z| = pi/2, and the Phi integral's proven plan (window,
 step and error) per builtin field are recorded too.  A value whose
 computation raises is recorded as the exception's type and message.  The
-second form lists each key whose value differs, with its absolute change and its scale, and exits 1 when any does,
+primitive characters of imprimitive ones mod 15, 20 and 24 (modulus, order,
+exponents) are recorded, and so are what make_field_abelian makes of lists
+that are not character groups (the degree, or the refusal's type and
+message) and the refusal of an exponent table that is not multiplicative.
+The second form lists each key whose value differs, with its absolute change and its scale, and exits 1 when any does,
 so it can serve as a gate.  Zero lists come from this repository's `tests/data` and
 `perfbench/reference`, and gamma, zeta', the theta-side R_1, V and the
 kernel on a line left of 0 from the oracles in its `tests/_oracles.py`,
@@ -75,6 +79,8 @@ PREFACTOR_COUNT = 4
 XI_ERROR_HEIGHTS = (3.5, 14.1, 141.0, 1000.0)
 # the heights of one batch of L-factor jets on the line, whose errors are recorded
 L_FACTOR_HEIGHTS = (0.0, 14.1, 1000.0)
+# (q, D): the Kronecker character (D/.) lifted to modulus q, whose primitive is recorded
+IMPRIMITIVE_LIFTS = ((15, -3), (15, 5), (20, -4), (20, 5), (24, -3), (24, -4), (24, 8))
 TAIL_BOUND_POINTS = ((1, 0, 0.5, 0.0), (1, 0, 2.5, 0.6), (2, 0, 7.0, -0.9), (0, 1, 3.0, 1.2),
                      (1, 1, 4.0, 0.5), (0, 2, 12.0, 1.3), (6, 0, 30.0, 2.0))
 
@@ -136,6 +142,14 @@ def _plan_margin(steen, nx, r1, r2):
     live, c, T, h, error = steen._line_plan(r1, r2, xs)
     values = np.abs(nx.line_integral_many(steen._kernel_integrand(r1, r2, np.log(xs[live])), c, T, h))
     return float(np.max(error / np.maximum(values, 1e-300)))
+
+
+def _primitive_of_lift(fields, chi, q):
+    """(modulus, order, *exponents) of the primitive character inducing chi lifted to modulus q."""
+    lift = fields.DirichletCharacter(q, chi.order, tuple(
+        chi.exponents[a % chi.modulus] if math.gcd(a, q) == 1 else -1 for a in range(q)))
+    p = lift.primitive()
+    return (p.modulus, p.order) + p.exponents
 
 
 def snapshot():
@@ -261,6 +275,24 @@ def snapshot():
         for i, factor in enumerate(fields.builtin_field(name).factors):
             _record(out, f"l_factor/{name}/{i}", lambda: (
                 factor.shift, factor.conductor, factor.root_number))
+    # the primitive of each imprimitive lift, and of zeta5's quartic character lifted to 15 and 20
+    quartic = fields.builtin_field("zeta5").characters[1]
+    lifts = [(q, f"({d}/.)", fields.kronecker_character(d)) for q, d in IMPRIMITIVE_LIFTS]
+    lifts += [(q, "zeta5[1]", quartic) for q in (15, 20)]
+    for q, label, chi in lifts:
+        _record(out, f"primitive/mod={q}/from={label}", lambda: _primitive_of_lift(fields, chi, q))
+    # lists that are not character groups, and an exponent table that is not multiplicative
+    one, chi_5, chi_7 = (fields.principal_character(), fields.kronecker_character(5),
+                         fields.builtin_field("cubic7").characters[1])
+    dlog = {pow(2, j, 11): j for j in range(10)}
+    chi_11 = fields.character_from_exponents(11, 5, [dlog[a] % 5 if a < 11 else -1 for a in range(1, 12)])
+    for label, chars in (("1,chi5,chi8", [one, chi_5, fields.kronecker_character(8)]),
+                         ("1,chi5,chi5", [one, chi_5, chi_5]), ("1,chi7", [one, chi_7]), ("chi5", [chi_5]),
+                         ("1,chi11,conj", [one, chi_11, chi_11.conjugate()]),
+                         ("1,chi5,chi7,conj", [one, chi_5, chi_7, chi_7.conjugate()])):
+        _record(out, f"make_field_abelian/{label}", lambda: fields.make_field_abelian(chars).degree)
+    _record(out, "character_from_exponents/5,2,[0,1,0,0,-1]",
+            lambda: fields.character_from_exponents(5, 2, [0, 1, 0, 0, -1]).order)
     # the Hurwitz errors at their source: the coefficient errors of every L-factor jet, one
     # tuple over the characters, on one batch mixing heights on the line and at s = 3 with
     # three coefficients
