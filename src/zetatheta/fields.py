@@ -81,11 +81,19 @@ class DirichletCharacter:
                 raise ValidationError(f"residue {a} shares a factor with q but is not zeroed")
         if self.exponents[1 % q] != 0:
             raise ValidationError("chi(1) must be 1")
-        units = [a for a, e in enumerate(self.exponents) if e >= 0]
-        for i, a in enumerate(units):
-            for b in units[i:]:
+        # chi(a b) = chi(a) chi(b) for all units once it holds for each b of a generating
+        # set, by induction on word length; each b taken at least doubles their span
+        units, span = [a for a, e in enumerate(self.exponents) if e >= 0], {1 % q}
+        for b in units:
+            if b in span:
+                continue
+            for a in units:
                 if (self.exponents[a] + self.exponents[b] - self.exponents[a * b % q]) % m:
-                    raise ValidationError(f"chi({a}) chi({b}) != chi({a * b % q}): not a character")
+                    raise ValidationError(f"chi({b}) chi({a}) != chi({a * b % q}): not a character")
+            grown, coset = set(span), span
+            while (coset := {a * b % q for a in coset}).isdisjoint(span):
+                grown |= coset
+            span = grown
 
     def _root_of_unity(self, e):
         if e < 0:

@@ -12,6 +12,7 @@ proven quadrature error.  The quadrature entries of a kernel array share
 one pass over their nodes.
 Near 0 the ascending series reads the principal parts of the gamma power at
 s = -m off numerics.gamma_factor_jet, one exp of the log jet the integrand reads.
+One gamma factor needs neither: Z~ = 2 e^{-x^2} or e^{-x} is read in closed form.
 """
 
 import math
@@ -225,8 +226,15 @@ def _line_plan(r1, r2, xs, rtol=_PLAN_RTOL):
 def _kernel_many(r1, r2, xs, shifted):
     """(Z~_{r1,r2}, or Z = Z~ - Res_0 when `shifted`, on an array; proven error per entry).
 
-    The one route rule of the kernels.  Near 0 (|x| <= 0.4) the ascending series is exact
-    while a vertical line would drown in cancellation; its charge is z_small_series_many's
+    The one route rule of the kernels.  A single gamma factor is read in closed form,
+    Z~ = s e^w or Z = s expm1(w) with (s, w) = (2, -x^2) for (1, 0) and (1, -x) for
+    (0, 1), charged eps s |e^w| (1.5 r1 |w| + 4) or eps (9 |Z| + 1.5 r1 s |w| |e^w|),
+    plus 2^-1070 for a subnormal e^w: x*x rounds within 1.5 eps |x|^2, each part of
+    e^w within 2.5 eps (exp, cos, sin and expm1 within 1 ulp), and Re w < 0 in the
+    sector, so the terms expm1(Re w) cos(Im w) and -2 sin^2(Im w/2) of expm1's real
+    part share a sign or, where cos(Im w) < 0 and so |Re Z| >= 1, sum to at most 3 |Z|.
+    Every other power takes the ascending series near 0 (|x| <= 0.4), exact where a
+    vertical line would drown in cancellation; its charge is z_small_series_many's
     bound.  Further out each entry gets a line integral through the real part of the
     integrand's saddle, so relative accuracy survives into the exponentially small tail.
     One _line_plan sizes every line and one level of nodes is evaluated; an entry whose
@@ -241,6 +249,13 @@ def _kernel_many(r1, r2, xs, shifted):
     if np.any(xs == 0):
         raise DomainError("the kernels are undefined at x = 0")
     _sector_rate(r1, r2, np.angle(xs))
+    if r1 + r2 == 1:
+        # past |x| = 1e150, where x*x would overflow, e^w is 0 anyway
+        scale, x = 2.0 * r1 + r2, np.where(np.abs(xs) < 1e150, xs, 1e150)
+        w = -x * x if r1 else -x
+        z = scale * (np.expm1(w) if shifted else np.exp(w))
+        size = scale * np.exp(w.real) * (1.5 * r1 * np.abs(w) + (0.0 if shifted else 4.0))
+        return z, numerics._EPS * (size + (9.0 * np.abs(z) if shifted else 0.0)) + 2.0 ** -1070
     values, charge = np.zeros_like(xs), np.zeros(xs.shape)
     near = np.abs(xs) <= 0.4
     # Res_0 is read only where an entry needs it

@@ -130,7 +130,8 @@ class TestThetaCheck:
         assert code == 2
 
     def test_impossible_tolerance_fails(self, capsys):
-        code, _, _ = run(capsys, "theta-check", "--field", "Q", "--x", "4",
+        # sqrt5 at x = 4 reads a residual of 7.4e-15 (Q's closed-form kernel reads 0 there)
+        code, _, _ = run(capsys, "theta-check", "--field", "sqrt5", "--x", "4",
                          "--tol", "1e-18")
         assert code == 1
 

@@ -121,6 +121,19 @@ CLOSED_FORMS = {(1, 0): lambda mp, x: 2 * mp.exp(-x * x),
                 (0, 2): lambda mp, x: 2 * mp.besselk(0, 2 * mp.sqrt(x))}
 
 
+def line_route(r1, r2, xs):
+    """(Z~, proven error) off the saddle lines alone, whatever route _kernel_many takes.
+
+    An entry below the underflow cut reads 0 with charge 0, as in _kernel_many.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    values, charge = np.zeros_like(xs), np.zeros(xs.shape)
+    live, c, T, h, error = st._line_plan(r1, r2, xs)
+    values[live] = st._mellin_barnes(st._kernel_integrand(r1, r2, np.log(xs[live])), c, T, h, error)
+    charge[live] = error
+    return values, charge
+
+
 class TestProvenQuadrature:
     """A kernel line's charge is a proven bound: alias terms by Poisson summation, window by Stirling."""
 
@@ -142,7 +155,7 @@ class TestProvenQuadrature:
         xs = self.grid(r1, r2)
         with mpmath.workdps(30):
             refs = [CLOSED_FORMS[(r1, r2)](mpmath, mpmath.mpc(x.real, x.imag)) for x in xs]
-            values, charge = st._kernel_many(r1, r2, xs, shifted=False)
+            values, charge = line_route(r1, r2, xs)
             for x, v, ch, ref in zip(xs, values, charge, refs):
                 if abs(ref) < 1e-300:             # below the double range: 0
                     assert abs(v) < 1e-300, x
@@ -195,7 +208,7 @@ class TestProvenQuadrature:
 
         monkeypatch.setattr(st, "_line_plan", coarse)
         with pytest.raises(ConvergenceError) as info:
-            st._kernel_many(1, 0, np.array([1.3, 2.0 + 0.5j]), shifted=False)
+            st._kernel_many(2, 0, np.array([1.3, 2.0 + 0.5j]), shifted=False)
         assert f"Re(s) = {plans[0][1][0]}" in str(info.value)
 
 
@@ -270,7 +283,8 @@ def series_stop(r1, r2, x):
 
 
 class TestKernelMany:
-    """The one route rule: ascending series for |x| <= 0.4, a saddle-line quadrature beyond."""
+    """The one route rule: a closed form for one gamma factor; else the ascending series
+    for |x| <= 0.4 and a saddle-line quadrature beyond."""
 
     # |x| <= 0.05, 0.05 < |x| <= 0.4 and |x| > 0.4, real and complex inside every sector
     XS = [0.03, 0.02 + 0.01j, 0.2, 0.3 - 0.15j, 0.4, 0.45, 1.3, 2.0 + 0.9j, 0.9 - 0.5j]
@@ -286,7 +300,12 @@ class TestKernelMany:
             # the proven error per entry, whatever else the array holds
             assert charge[i] == st.z_shifted_many(r1, r2, [x])[1][0]
             assert charge[i] > 0.0
-            if abs(x) <= 0.4:
+            if r1 + r2 == 1:
+                # the closed form's rounding charge, eps (9 |Z| + 1.5 r1 s |w| |e^w|) + 2^-1070
+                scale, w = (2.0, -x * x) if r1 else (1.0, -x)
+                closed = 2.0 ** -52 * (9.0 * abs(shifted[i]) + 1.5 * r1 * scale * abs(w) * math.exp(w.real))
+                assert charge[i] == pytest.approx(closed + 2.0 ** -1070, rel=1e-12), (x, charge[i])
+            elif abs(x) <= 0.4:
                 # the series' remainder B_M, plus the coefficient errors and rounding of
                 # the terms summed, which stay below 1e-12 of the value
                 bound = series_bound(r1, r2, x, series_stop(r1, r2, x))
@@ -335,7 +354,7 @@ class TestKernelMany:
             return log_gamma_factor(r1, r2, s)
 
         monkeypatch.setattr(nx, "log_gamma_factor", spy)
-        st.z_tilde_many(r1, r2, np.geomspace(0.45, 30.0, 40) * np.exp(0.3j * np.linspace(-1.0, 1.0, 40)))
+        line_route(r1, r2, np.geomspace(0.45, 30.0, 40) * np.exp(0.3j * np.linspace(-1.0, 1.0, 40)))
         assert sum(nodes) <= most
 
     def test_domain(self):
@@ -343,6 +362,61 @@ class TestKernelMany:
             st.z_tilde_many(1, 0, [1.0, 0.0])
         with pytest.raises(DomainError):
             st.z_shifted_many(0, 0, [1.0])
+
+
+class TestClosedForm:
+    """One gamma factor: Z~_{1,0} = 2 e^{-x^2} and Z~_{0,1} = e^{-x} in closed form, with a proven charge."""
+
+    @staticmethod
+    def grid(r1, r2, abs_x):
+        # |Arg x| up to 0.1 inside the sector edge, where _sector_rate refuses
+        edge = math.pi * (r1 + 2 * r2) / 4.0 - 0.1 - 1e-12
+        return (np.asarray(abs_x)[:, None] * np.exp(1j * np.linspace(-edge, edge, 9))).ravel()
+
+    @pytest.mark.parametrize("r1,r2", [(1, 0), (0, 1)])
+    def test_general_routes_agree(self, r1, r2):
+        # the saddle lines past |x| = 0.4 and the ascending series within it, driven
+        # directly, match the closed form within the sum of both charges; a line's
+        # charge is its quadrature error, and its log-space rounding (3e-13 of |Z~|
+        # here) is TestProvenQuadrature's allowance
+        far = self.grid(r1, r2, np.geomspace(0.45, 20.0, 12))
+        lines, line_charge = line_route(r1, r2, far)
+        closed, closed_charge = st._kernel_many(r1, r2, far, shifted=False)
+        rounding = TestProvenQuadrature.ROUNDING * np.abs(closed)
+        assert np.all(np.abs(lines - closed) <= line_charge + closed_charge + rounding)
+        near = self.grid(r1, r2, np.geomspace(0.01, 0.4, 8))
+        series, series_charge = st.z_small_series_many(r1, r2, near)
+        closed, closed_charge = st._kernel_many(r1, r2, near, shifted=True)
+        assert np.all(np.abs(series - closed) <= series_charge + closed_charge)
+
+    @pytest.mark.parametrize("r1,r2", [(1, 0), (0, 1)])
+    def test_huge_argument(self, r1, r2):
+        # past |x| = 1e150, where x*x would overflow (to inf - inf off the real axis),
+        # e^w is 0: Z~ = 0 and Z = -s, with no floating-point warning
+        xs = np.array([1e200, 1e200 * cmath.exp(0.5j)])
+        assert np.all(st.z_tilde_many(r1, r2, xs) == 0.0)
+        shifted, charge = st.z_shifted_many(r1, r2, xs)
+        assert np.all(shifted == (-2.0 if r1 else -1.0)) and np.all(charge < 1e-14)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("r1,r2", [(1, 0), (0, 1)])
+    def test_charge_bounds_the_error(self, r1, r2, shifted):
+        # against 30 digits on |x| in [1e-3, 30]: Z~ = s e^w, Z = s expm1(w)
+        mpmath = pytest.importorskip("mpmath")
+        xs = self.grid(r1, r2, np.geomspace(1e-3, 30.0, 60))
+        values, charge = st._kernel_many(r1, r2, xs, shifted)
+        ratios = []
+        with mpmath.workdps(30):
+            for x, v, ch in zip(xs, values, charge):
+                x = mpmath.mpc(x.real, x.imag)
+                w = -x * x if r1 else -x
+                ref = (2 if r1 else 1) * (mpmath.expm1(w) if shifted else mpmath.exp(w))
+                err = float(abs(mpmath.mpc(v.real, v.imag) - ref))
+                assert err <= ch, (complex(x), err, ch)
+                if err > 0.0:
+                    ratios.append(ch / err)
+        print(f"({r1},{r2}) shifted={shifted}: median charge/error {np.median(ratios):.1f} "
+              f"over {len(ratios)} of {len(xs)} entries")
 
 
 def _shifted_kernel_mp(mpmath, r1, r2, xs, orders=45):

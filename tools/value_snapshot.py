@@ -28,7 +28,8 @@ Hurwitz error shows at its source.  It also records where the forward theta
 series stops (n_stop and its certified tail) and the kernel majorant behind
 it, N0 and the certified bound of l_series, and the largest proven error
 of a kernel line's plan relative to its value per gamma power, and where
-the kernels' ascending series stops and its charge per gamma power, so a
+the kernels' ascending series stops and its charge per gamma power, and
+the charge of z_shifted for the one-factor powers (1, 0) and (0, 1), so a
 change in a truncation bound, a quadrature charge or a plan's distance from
 its refusal shows even when every checked value stays the same; so do the
 error bounds of Xi_F up to t = 1000 and of zeta_F at s = 2 + i, read
@@ -355,6 +356,11 @@ def snapshot():
     for r1, r2 in ((1, 0), (2, 0)):
         for x in (0.3, 0.45, 1.2 - 0.7j):
             _record(out, f"z_shifted/{r1},{r2}/x={x}", lambda: steen.z_shifted(r1, r2, x))
+    # the charge of the one-factor kernels on the same x, so a change in their charge model shows
+    for r1, r2 in ((1, 0), (0, 1)):
+        for x in (0.3, 0.45, 1.2 - 0.7j):
+            _record(out, f"z_shifted_charge/{r1},{r2}/x={x}",
+                    lambda: steen.z_shifted_many(r1, r2, [x])[1][0])
     for name, k, x in (("Q", 2, 3.0), ("sqrt5", 1, 2.0)):
         _record(out, f"l_series_parts/{name}/k={k}/x={x}",
                 lambda: iv._l_series_parts(fields.builtin_field(name), k, x))
