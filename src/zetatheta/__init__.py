@@ -45,8 +45,6 @@ from .critical_line import (
     ScanResult,
     big_xi,
     phi_identity_check,
-    refine_zero,
-    refine_zeros,
     scan_zeros,
     xi_completed,
 )

@@ -156,7 +156,7 @@ COMMANDS = (
             lambda a: [inverse_theta.dgv_check(a.field, x, a.zeros, tol=a.tol) for x in a.points],
             lambda a, x, rep: [_sci(x), _sci(abs(rep.lhs)), _sci(abs(rep.rhs)),
                                _sci(rep.residual), str(len(a.zeros))])),
-    ("zeros-scan", "sign-change scan of Xi_F on the critical line",
+    ("zeros-scan", "sign-change scan of each L-factor's Hardy Z on the critical line",
      {"--field": {}, "--range": dict(type=_range, required=True, metavar="A,B"),
       "--step": dict(type=_positive, default=0.02),
       "--emit": dict(help="write refined zeros to this file")},

@@ -1,16 +1,14 @@
 """Completed zeta, the real even Xi function, and critical-line zero scanning.
 
-Xi_F(t) = xi_F(1/2 + it) is real and even, so its sign changes locate the
-non-trivial zeros of zeta_F on the critical line.  The scanner works on an
-exponentially rescaled copy of Xi (a positive factor, so the sign pattern is
-untouched) to keep magnitudes in a sane range, brackets every sign change on
-a grid, and refines all brackets by ITP steps in lockstep: each step is one
-array evaluation of Xi at ITP's point and three companion points per bracket
-still open.  The grid values seed the bracket ends, and the degree-9
-interpolant through ten of them a guess of each zero, so a bracket closes in
-one step on a point whose value is its residual, and a width-5 scan at the
-default step makes 2 Xi calls in all.  The Phi integral ties the Xi profile
-back to the forward theta function, crossing the whole stack.
+Xi_F(t) = xi_F(1/2 + it) is real and even.  zeta_F is the product of its
+L-factors, so the scanner finds its zeros on the critical line as the sign
+changes of each factor's real Hardy Z on a grid, and refines all brackets by
+ITP steps in lockstep: one array evaluation of Z per step, at ITP's point
+and three companion points per bracket still open.  The grid values seed the
+bracket ends, and the degree-9 interpolant through ten of them a guess of
+each zero, so a bracket closes in one step on a point whose value is its
+residual; a width-5 scan at the default step makes 2 Z calls in all.  The
+Phi integral ties the Xi profile back to the forward theta function.
 """
 
 import cmath
@@ -26,7 +24,6 @@ from . import fields, numerics, steen, theta
 from .errors import (
     ConvergenceError,
     DomainError,
-    LostBracketError,
     RealityViolationError,
     SectorError,
     ValidationError,
@@ -96,48 +93,76 @@ def _xi_real_many(field, ts, log_scale):
     return vals.real
 
 
-def _xi_rescaled_many(field, ts):
-    """exp(pi d t / 4) * Xi_F(t) on an array of real t, with reality check.
-
-    The factor enters the gamma prefactor's exponent, so nothing underflows at height.
-    """
-    ts = np.asarray(ts, dtype=float)
-    return _xi_real_many(field, ts, math.pi * field.degree * ts / 4.0)
-
-
 def big_xi(field, t):
     """Xi_F(t) = xi_F(1/2 + it); the imaginary part is checked and discarded."""
     return float(_xi_real_many(field, [float(t)], 0.0)[0])
 
 
+def _hardy_z_many(field, ts):
+    """Each L-factor's Hardy Z on a 1-d array of real t: (values, error bounds), a row per field.factors record.
+
+    Z_f(t) = e^{pi t/4} eps^{-1/2} (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi)
+    at s = 1/2 + it, for the factor's shift a, conductor q and root number
+    eps, is real, since Lambda(s, chi) = eps conj Lambda(s, chi) on the line,
+    and e^{pi t/4} keeps it from underflowing.  L comes from one
+    numerics._l_factor_jets call, log Gamma from one
+    numerics.log_gamma_factor_jet call over the shifts 0 .. max a.  The error
+    is |prefactor| times L's bound plus |value| times the gamma error and
+    8 eps (|exponent| + sqrt q), the rounding of the exponent, the product
+    and eps's Gauss sum of q terms.  RealityViolationError where |Im|
+    exceeds the error, naming the factor and t.
+    """
+    ts = np.asarray(ts, dtype=float)
+    s = 0.5 + 1j * ts
+    a, half_log, half_arg, root_q = np.array([
+        (f.shift, 0.5 * math.log(f.conductor / math.pi), 0.5 * cmath.phase(f.root_number), math.sqrt(f.conductor))
+        for f in field.factors]).T[:, :, None]
+    row = a[:, 0].astype(int)           # gamma's row a is log Gamma((s + a)/2), a = 0 or 1
+    gamma = numerics.log_gamma_factor_jet(1, 0, s + np.arange(row.max() + 1)[:, None], 1, 1)[0]
+    exponent = (s + a) * half_log + gamma.coeffs[row, :, 0] + 0.25 * math.pi * ts - 1j * half_arg
+    prefactor = np.exp(exponent)
+    jets = numerics._l_factor_jets(field.characters, s, 1)
+    vals = prefactor * np.array([jet.coeffs[:, 0] for jet in jets])
+    error = np.abs(prefactor) * np.array([jet.err[:, 0] for jet in jets]) \
+        + np.abs(vals) * (gamma.err[row, :, 0] + 8.0 * numerics._EPS * (np.abs(exponent) + root_q))
+    if np.any(np.abs(vals.imag) > error):
+        i, j = np.unravel_index(np.argmax(np.abs(vals.imag) / np.maximum(error, 1e-300)), vals.shape)
+        raise RealityViolationError(
+            f"Z of factor {i} (conductor {field.factors[i].conductor}) has too large an imaginary part "
+            f"at t = {ts[j]}: {vals[i, j]}, error bound {error[i, j]:.3g}")
+    return vals.real, error
+
+
 @dataclass(frozen=True)
 class ScanResult:
-    brackets: tuple          # (t_lo, t_hi) sign-change intervals
-    refined: tuple           # zero ordinates, one per bracket
-    residuals: tuple         # |rescaled Xi| at each refined ordinate
+    brackets: tuple          # (t_lo, t_hi) sign-change intervals of the factor's Z
+    refined: tuple           # zero ordinates, one per bracket, ascending
+    residuals: tuple         # |Z| of the factor that owns the zero, at its ordinate
 
 
 _ORDINATE_TOL = 1e-9
 
 
-def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
-    """Zero ordinates of the rescaled Xi in brackets whose end values f_lo, f_hi differ in sign.
+def _itp_lockstep(field, rows, lo, hi, f_lo, f_hi, tol, guess, radius):
+    """Zeros of Z, each within tol/2 of a sign change, in brackets whose end values f_lo, f_hi differ in sign.
 
-    The lockstep ITP steps of refine_zeros: kappa1 = 0.2/(b0 - a0),
-    kappa2 = 2, n0 = 1 and epsilon = tol/4 (Oliveira & Takahashi, ACM TOMS
-    47(1), 2020).  Each step evaluates, per bracket, ITP's point and the
-    companion points g - r, g and g + r of a guess g of radius r >= tol/4, all
-    of them in one Xi call over the distinct points.  The new bracket is the
-    narrowest sign change among its ends and these points; ITP's point is
-    one of them, so it is no wider than the bracket ITP alone would leave and
-    ITP's worst case still holds.  A point where Xi is 0 ends its bracket.
-    The next guess is the new bracket's regula falsi point, of radius
-    2m min(1, m/w) for a guess that moved by m and a bracket of width w.
-    Every point stays at least tol/8 inside its bracket: without the inset,
-    a point that lands on the root to about 1e-15 is evaluated again at
-    every step until the projection moves it.  Returns the ordinates and
-    the |value| read at each: the last bracket's regula falsi point, with
-    NaN, or its end within 3e-13 of that point, with |Xi| there.
+    Bracket k holds a sign change of row rows[k] of _hardy_z_many.  All take
+    ITP steps in lockstep, kappa1 = 0.2/(b0 - a0), kappa2 = 2, n0 = 1 and
+    epsilon = tol/4 (Oliveira & Takahashi, ACM TOMS 47(1), 2020).  Each step
+    evaluates, per bracket, ITP's point and the companion points g - r, g
+    and g + r of a guess g of radius r >= tol/4, all in one _hardy_z_many
+    call over the distinct points, each read off its bracket's row.  The new
+    bracket is the narrowest sign change among its ends and these points;
+    ITP's point is one of them, so a bracket of width w0 takes at most
+    ceil(log2(w0 / (tol/2))) + 1 steps, ITP's worst case.  A point where Z
+    is 0 ends its bracket.  The next guess is the new bracket's regula falsi
+    point, of radius 2m min(1, m/w) for a guess that moved by m and a
+    bracket of width w.  Every point stays at least tol/8 inside its
+    bracket: without the inset, a point that lands on the root to about
+    1e-15 is evaluated again at every step until the projection moves it.
+    Returns the ordinates and the |value| read at each: the last bracket's
+    regula falsi point, with NaN, or its end within 3e-13 of that point,
+    with |Z| there.
     """
     lo, hi, f_lo, f_hi, guess, radius = (np.array(v, dtype=float)
                                          for v in (lo, hi, f_lo, f_hi, guess, radius))
@@ -162,8 +187,10 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
         points = np.clip(np.column_stack([x, g - r_g, g, g + r_g]),
                          (a + 0.125 * tol)[:, None], (b - 0.125 * tol)[:, None])
         first = np.argmax(points[:, :, None] == points[:, None, :], axis=2)     # each point's first copy
+        fresh = first == np.arange(4)
+        owner = rows[live[np.nonzero(fresh)[0]]]
         f_points = np.empty(points.shape)
-        f_points[first == np.arange(4)] = _xi_rescaled_many(field, points[first == np.arange(4)])
+        f_points[fresh] = _hardy_z_many(field, points[fresh])[0][owner, np.arange(len(owner))]
         f_points = np.take_along_axis(f_points, first, axis=1)
         hit = f_points == 0.0
         ended = hit.any(axis=1)
@@ -174,12 +201,12 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
         ts = np.take_along_axis(ts, order, axis=1)
         fs = np.take_along_axis(np.column_stack([fa, f_points, fb]), order, axis=1)
         change = np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) < 0
-        rows = np.nonzero(~ended)[0]
-        j = np.argmin(np.where(change, ts[:, 1:] - ts[:, :-1], np.inf), axis=1)[rows]
-        i = live[rows]
-        lo[i], hi[i], f_lo[i], f_hi[i] = ts[rows, j], ts[rows, j + 1], fs[rows, j], fs[rows, j + 1]
+        kept = np.nonzero(~ended)[0]
+        j = np.argmin(np.where(change, ts[:, 1:] - ts[:, :-1], np.inf), axis=1)[kept]
+        i = live[kept]
+        lo[i], hi[i], f_lo[i], f_hi[i] = ts[kept, j], ts[kept, j + 1], fs[kept, j], fs[kept, j + 1]
         guess[i] = lo[i] + (hi[i] - lo[i]) * (f_lo[i] / (f_lo[i] - f_hi[i]))
-        move = np.abs(guess[i] - g[rows])
+        move = np.abs(guess[i] - g[kept])
         radius[i] = 2.0 * move * np.minimum(1.0, move / (hi[i] - lo[i]))
         step += 1
         # n_max steps leave at most tol/2 in exact arithmetic; the cap keeps a
@@ -190,53 +217,6 @@ def _itp_lockstep(field, lo, hi, f_lo, f_hi, tol, guess, radius):
     snap = ~done & (np.abs(end - falsi) <= 3e-13)
     out[~done], value[snap] = np.where(snap, end, falsi)[~done], np.abs(f_end[snap])
     return out, value
-
-
-def refine_zeros(field, brackets, tol=_ORDINATE_TOL):
-    """Refine sign-change brackets of the rescaled Xi, all in lockstep, to within tol/2 of a zero.
-
-    The ends of every bracket are evaluated in one Xi call.  A bracket whose
-    end is an exact zero returns that end; LostBracketError names the first
-    bracket with no sign change across it.  The rest take ITP steps
-    (interpolate, truncate, project), each one Xi evaluation over the
-    brackets still open.  A bracket [a, b] of initial width w0 tries its
-    regula falsi point, moved toward the midpoint by 0.2 (b - a)^2 / w0 and
-    then projected close enough to the midpoint that the bracket stays no
-    wider than bisection with one spare step would leave it; beside it each
-    step tries three companion points around a guess, at first the regula
-    falsi point of [a, b] with radius w0/8 (_itp_lockstep).  Two guards:
-    every trial point stays at least tol/8 inside its bracket, and a bracket
-    stops once it is at most tol/2 wide (or at an exact zero).  It returns
-    the regula falsi point of its last bracket, or that bracket's end within
-    3e-13 of it, so the ordinate lies within tol/2 of a sign change, and it
-    takes at most ceil(log2(w0 / (tol/2))) + 1 steps whatever the function;
-    on a smooth Xi it converges superlinearly.  Returns the ordinates as an
-    array, in bracket order.
-    """
-    lo = np.array([float(b[0]) for b in brackets])
-    hi = np.array([float(b[1]) for b in brackets])
-    if not np.all(hi > lo):
-        raise ValidationError("bracket must satisfy t_lo < t_hi")
-    if not len(lo):
-        return lo
-    f_ends = _xi_rescaled_many(field, np.concatenate([lo, hi]))
-    f_lo, f_hi = f_ends[:len(lo)], f_ends[len(lo):]
-    signs = np.sign(f_lo) * np.sign(f_hi)
-    lost = np.nonzero(~(signs <= 0))[0]     # a NaN end is no sign change either
-    if len(lost):
-        i = lost[0]
-        raise LostBracketError(f"no sign change across [{lo[i]}, {hi[i]}]")
-    out = np.where(f_lo == 0.0, lo, hi)
-    open_ = signs < 0
-    lo, hi, f_lo, f_hi = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
-    out[open_] = _itp_lockstep(field, lo, hi, f_lo, f_hi, tol,
-                               lo + (hi - lo) * (f_lo / (f_lo - f_hi)), (hi - lo) / 8.0)[0]
-    return out
-
-
-def refine_zero(field, bracket, tol=_ORDINATE_TOL):
-    """Refine one sign-change bracket of the rescaled Xi to within tol/2 of a zero (refine_zeros)."""
-    return float(refine_zeros(field, [bracket], tol)[0])
 
 
 def _lagrange_rows(nodes):
@@ -253,23 +233,23 @@ _SEED_WEIGHTS = np.array([_lagrange_rows(np.arange(-4.5, 5.0)),
                           np.pad(_lagrange_rows(np.arange(-3.5, 4.0)), ((1, 1), (0, 2)))])
 
 
-def _grid_seeds(ts, vals, flips):
-    """A guess and a radius for the zero in each sign-change cell [t_i, t_{i+1}] of an even grid.
+def _grid_seeds(ts, vals, rows, flips):
+    """A guess and a radius for the zero in each sign-change cell [t_i, t_{i+1}] of row rows[k] of an even grid.
 
     The guess is the root in the cell of the degree-9 interpolant through the
-    10 grid values t_{i-4} .. t_{i+5}, and its radius twice the distance to
-    the root of the degree-7 one through the middle 8 of them.  Within four
-    points of a grid end the window is the grid's first or last 10 points.
-    Newton steps from the regula falsi point, kept in the cell, find both
-    roots.  A grid of fewer than 10 points seeds the regula falsi point, of
-    radius an eighth of the cell.
+    row's 10 grid values t_{i-4} .. t_{i+5}, and its radius twice the
+    distance to the root of the degree-7 one through the middle 8 of them.
+    Within four points of a grid end the window is the grid's first or last
+    10 points.  Newton steps from the regula falsi point, kept in the cell,
+    find both roots.  A grid of fewer than 10 points seeds the regula falsi
+    point, of radius an eighth of the cell.
     """
     w = ts[flips + 1] - ts[flips]
-    u = vals[flips] / (vals[flips] - vals[flips + 1])
+    u = vals[rows, flips] / (vals[rows, flips] - vals[rows, flips + 1])
     if len(ts) < 10:
         return ts[flips] + w * u, w / 8.0
     start = np.minimum(np.maximum(flips - 4, 0), len(ts) - 10)
-    y = vals[start[:, None] + np.arange(10)]
+    y = vals[rows[:, None], start[:, None] + np.arange(10)]
     c = (y[:, None, :, None] * _SEED_WEIGHTS).sum(axis=2)     # (cell, interpolant, power of v)
     left = (flips - start)[:, None] - 4.5                       # the cell is [left, left + 1] in v
     v = left + u[:, None]
@@ -282,12 +262,15 @@ def _grid_seeds(ts, vals, flips):
 
 
 def scan_zeros(field, t_min, t_max, step):
-    """Bracket and refine every sign change of Xi_F on [t_min, t_max].
+    """Bracket and refine every sign change of each L-factor's Z (_hardy_z_many) on [t_min, t_max].
 
-    The grid values at the bracket ends seed the ITP steps of refine_zeros,
-    so no end is evaluated twice, and the grid's degree-9 interpolants the
-    guess of each zero (_grid_seeds).  A residual is the |rescaled Xi| the
-    steps read at its ordinate; Xi is evaluated only where none was read.
+    zeta_F's zeros on the line are its factors', which do not hide each
+    other, and Z_chi(-t) = Z_conj chi(t) covers the negative ordinates.  A
+    grid sign counts only where |Z| exceeds its error bound; ConvergenceError
+    names the factor and t where it does not.  The grid values seed the
+    bracket ends of _itp_lockstep, so no end is evaluated twice, and by
+    their degree-9 interpolants its guesses (_grid_seeds).  A residual is the
+    |Z| the steps read at its ordinate, or a fresh one where none was read.
     """
     if not (0 <= t_min < t_max):
         raise ValidationError("need 0 <= t_min < t_max")
@@ -295,21 +278,27 @@ def scan_zeros(field, t_min, t_max, step):
         raise ValidationError("step must be positive")
     n_pts = int(math.ceil((t_max - t_min) / step)) + 1
     ts = np.linspace(t_min, t_max, n_pts)
-    vals = _xi_rescaled_many(field, ts)
+    vals, error = _hardy_z_many(field, ts)
+    unsure = ~(np.abs(vals) > error)
+    if unsure.any():
+        i, j = np.argwhere(unsure)[0]
+        raise ConvergenceError(f"the sign of factor {i}'s Z at t = {ts[j]} is not proven: "
+                               f"|Z| = {abs(vals[i, j]):.3g}, error bound {error[i, j]:.3g}")
     signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    brackets = [(float(ts[i]), float(ts[i + 1])) for i in flips]
-    refined, residuals = _itp_lockstep(field, ts[flips], ts[flips + 1], vals[flips], vals[flips + 1],
-                                       _ORDINATE_TOL, *_grid_seeds(ts, vals, flips))
-    missing = np.isnan(residuals)
-    if missing.any():
-        residuals[missing] = np.abs(_xi_rescaled_many(field, refined[missing]))
-    for a, b in zip(refined, refined[1:]):
-        if b - a < 2.0 * step:
-            warnings.warn(f"zeros at {a:.6f} and {b:.6f} closer than twice the "
-                          f"scan step {step}; consider a finer grid", stacklevel=2)
-    return ScanResult(brackets=tuple(brackets), refined=tuple(refined.tolist()),
-                      residuals=tuple(residuals.tolist()))
+    rows, flips = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+    refined, residuals = _itp_lockstep(field, rows, ts[flips], ts[flips + 1], vals[rows, flips],
+                                       vals[rows, flips + 1], _ORDINATE_TOL,
+                                       *_grid_seeds(ts, vals, rows, flips))
+    missing = np.nonzero(np.isnan(residuals))[0]
+    if len(missing):
+        fresh = _hardy_z_many(field, refined[missing])[0]
+        residuals[missing] = np.abs(fresh[rows[missing], np.arange(len(missing))])
+    for k in np.nonzero((rows[1:] == rows[:-1]) & (refined[1:] - refined[:-1] < 2.0 * step))[0]:
+        warnings.warn(f"zeros at {refined[k]:.6f} and {refined[k + 1]:.6f} of factor {rows[k]} closer "
+                      f"than twice the scan step {step}; consider a finer grid", stacklevel=2)
+    order = np.argsort(refined)
+    return ScanResult(brackets=tuple((float(ts[i]), float(ts[i + 1])) for i in flips[order]),
+                      refined=tuple(refined[order].tolist()), residuals=tuple(residuals[order].tolist()))
 
 
 # zeta(3/2), the constant of Rademacher's bound at eta = 1/2; the Phi plan's alias line

@@ -53,7 +53,3 @@ class ZeroNotSimpleError(ZetaThetaError):
 
 class RealityViolationError(ZetaThetaError):
     """A provably real quantity came back with a non-negligible imaginary part."""
-
-
-class LostBracketError(ZetaThetaError):
-    """A sign-change bracket stopped bracketing during refinement."""

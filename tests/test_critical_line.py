@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from zetatheta import fields as fd
 from zetatheta import inverse_theta as iv
 from zetatheta import numerics as nx
 from zetatheta.errors import (
-    LostBracketError,
+    ConvergenceError,
     PoleError,
     RealityViolationError,
     SectorError,
@@ -100,10 +101,12 @@ class TestBigXi:
 class TestXiAtHeight:
     @pytest.mark.parametrize("name, t", [("zeta5", 242.0), ("cubic7", 322.0), ("Q", 735.0)])
     def test_rescaled_xi_is_finite_and_nonzero(self, name, t):
-        # xi_F alone underflows to 0 here and e^{pi d t/4} overflows: the
-        # rescale has to happen inside the gamma prefactor's exponent
-        vals = cl._xi_rescaled_many(fd.builtin_field(name), [t])
-        assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
+        # Gamma((s + a)/2) alone underflows to 0 here and e^{pi t/4} overflows: every
+        # factor's Z has to take the rescale inside its prefactor's exponent
+        field = fd.builtin_field(name)
+        vals, error = cl._hardy_z_many(field, [t])
+        assert vals.shape == (field.degree, 1)
+        assert np.all(np.isfinite(vals)) and np.all(vals != 0.0) and np.all(np.isfinite(error))
 
 
 def _xi_rescaled_mpmath(mpmath, field, t):
@@ -129,12 +132,34 @@ class TestRealityCheck:
         field = fd.builtin_field(name)
         ts = t + np.array([0.0, 1e-3, 0.5])
         vals, bound = cl._xi_scaled_many(field, 0.5 + 1j * ts, math.pi * field.degree * ts / 4.0)
-        assert np.array_equal(vals.real, cl._xi_rescaled_many(field, ts))
         with mpmath.workdps(30):
             for ti, v, b in zip(ts, vals, bound):
                 ref, outer = _xi_rescaled_mpmath(mpmath, field, ti)
                 assert abs(v - ref) <= b, (ti, abs(v - ref), b)
                 assert b <= 1e-8 * (outer + abs(ref)), (ti, b)
+
+    @pytest.mark.parametrize("name, t", [("Q", 141.1237074027586), ("Q", 730.42),
+                                         ("sqrt5", 111.87), ("gauss", 84.7317),
+                                         ("cubic7", 46.09), ("zeta5", 241.19)])
+    def test_hardy_z_bound_holds_against_mpmath(self, name, t):
+        # every factor's Z against 30 digits: |value - Z| within the proven bound, which
+        # also holds Z's imaginary part, so eps^{-1/2} is the root that makes Z real
+        mpmath = pytest.importorskip("mpmath")
+        field = fd.builtin_field(name)
+        ts = t + np.array([0.0, 1e-3, 0.5])
+        vals, bound = cl._hardy_z_many(field, ts)
+        with mpmath.workdps(30):
+            for f, row_vals, row_bound in zip(field.factors, vals, bound):
+                chi, q, a = f.character, f.conductor, f.shift
+                tau = mpmath.fsum(chi.value(b) * mpmath.expjpi(mpmath.mpf(2 * b) / q) for b in range(q))
+                eps = tau / (mpmath.mpc(0, 1) ** a * mpmath.sqrt(q))
+                for ti, v, b in zip(ts, row_vals, row_bound):
+                    s = mpmath.mpc(0.5, ti)
+                    outer = mpmath.exp(mpmath.pi * ti / 4) / mpmath.sqrt(eps) \
+                        * (q / mpmath.pi) ** ((s + a) / 2) * mpmath.gamma((s + a) / 2)
+                    ref = complex(outer * mpmath.dirichlet(s, [chi.value(n) for n in range(q)]))
+                    assert abs(v - ref) <= b, (f.conductor, ti, abs(v - ref), b)
+                    assert b <= 1e-8 * (float(abs(outer)) + abs(ref)), (f.conductor, ti, b)
 
     def test_window_that_raised_at_a_trial_point(self, field_q):
         # ITP's trial point t = 141.1237074027586 read Im = 1.002e-9 here,
@@ -247,9 +272,31 @@ class TestScanZeros:
         with pytest.raises(ValidationError):
             cl.scan_zeros(field_q, 0.0, 10.0, -0.1)
 
-    def test_coarse_step_warns(self, field_sqrt5):
-        with pytest.warns(UserWarning):
-            cl.scan_zeros(field_sqrt5, 20.5, 23.0, 0.65)
+    def test_coarse_step_warns(self, field_q):
+        # zeta's zeros 48.005 and 49.774 are closer than twice the step
+        with pytest.warns(UserWarning, match="of factor 0 closer than twice"):
+            res = cl.scan_zeros(field_q, 45.0, 52.0, 1.0)
+        assert len(res.refined) == 2
+
+    def test_zeros_of_two_factors_do_not_warn(self, field_sqrt5):
+        # the window's two zeros belong to zeta and L(s, chi_5): each factor's Z has one
+        # sign change, so the coarse step loses neither
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cl.scan_zeros(field_sqrt5, 20.5, 23.0, 0.65)
+        assert len(res.refined) == 2
+
+    def test_grid_sign_within_its_error_is_refused(self, field_cubic7, monkeypatch):
+        # a grid value whose |Z| does not exceed its error bound has no proven sign
+        real = cl._hardy_z_many
+
+        def inflated(field, ts):
+            vals, error = real(field, ts)
+            return vals, np.where(np.arange(len(field.factors))[:, None] == 1, 1e30, error)
+
+        monkeypatch.setattr(cl, "_hardy_z_many", inflated)
+        with pytest.raises(ConvergenceError, match=r"factor 1's Z at t = 20\.0 "):
+            cl.scan_zeros(field_cubic7, 20.0, 25.0, 0.02)
 
     @pytest.mark.parametrize("name, t_min", SCAN_WINDOWS)
     def test_few_xi_calls_per_scan(self, name, t_min, monkeypatch):
@@ -258,35 +305,40 @@ class TestScanZeros:
         # does not close at once, or whose ordinate is no evaluated point, may
         # take one more step and one residual call
         calls = []
-        real = cl._xi_rescaled_many
+        real = cl._hardy_z_many
 
         def counting(field, ts):
             calls.append(np.size(ts))
             return real(field, ts)
 
-        monkeypatch.setattr(cl, "_xi_rescaled_many", counting)
+        monkeypatch.setattr(cl, "_hardy_z_many", counting)
         res = cl.scan_zeros(fd.builtin_field(name), t_min, t_min + 5.0, 0.02)
-        assert len(res.refined) >= 1 and len(calls) <= 4
+        assert len(res.refined) >= 1 and 2 <= len(calls) <= 4
 
     @pytest.mark.parametrize("name, t_min", SCAN_WINDOWS)
     def test_residuals_are_values_at_the_ordinates(self, name, t_min):
-        # a residual read off a lockstep step is the value at its ordinate; a fresh
-        # one-point call sets its own Hurwitz shift, so the bits may differ, within
-        # the fresh value's proven error bound
+        # a residual read off a lockstep step is the value of its factor's Z at its
+        # ordinate, the factor whose Z changes sign there; a fresh one-point call sets
+        # its own Hurwitz shift, so the bits may differ, within the fresh value's
+        # proven error bound
         field = fd.builtin_field(name)
         res = cl.scan_zeros(field, t_min, t_min + 5.0, 0.02)
         for g, residual in zip(res.refined, res.residuals):
-            fresh = cl._xi_rescaled_many(field, [g])[0]
-            bound = cl._xi_scaled_many(field, [0.5 + 1j * g], math.pi * field.degree * g / 4.0)[1][0]
-            assert abs(residual - abs(fresh)) <= bound, (g, residual, fresh, bound)
-            ends = cl._xi_rescaled_many(field, [g - 5e-10, g + 5e-10])
-            assert fresh == 0.0 or ends[0] * ends[1] < 0.0, (g, ends)
+            fresh, bound = (a[:, 0] for a in cl._hardy_z_many(field, [g]))
+            ends = cl._hardy_z_many(field, [g - 5e-10, g + 5e-10])[0]
+            owner = (fresh == 0.0) | (ends[:, 0] * ends[:, 1] < 0.0)
+            assert np.count_nonzero(owner) == 1, (g, fresh, ends)
+            assert abs(residual - abs(fresh[owner][0])) <= bound[owner][0], (g, residual, fresh, bound)
 
-    @pytest.mark.parametrize("name, step", [("Q", 0.05), ("zeta5", 0.0025)])
-    def test_ordinates_match_the_reference(self, name, step, riemann_zeros_reference,
-                                           zeta5_zeros_reference):
-        # zeta5's zeros at 29.70278 and 29.70791 need a step below half their gap
-        ref = {"Q": riemann_zeros_reference, "zeta5": zeta5_zeros_reference}[name].gammas
+    @pytest.mark.parametrize("name, step", [("Q", 0.05), ("zeta5", 0.0025), ("zeta5", 0.02)])
+    def test_ordinates_match_the_reference(self, name, step, riemann_zeros_reference):
+        # zeta5's 74 zeros on (0, 50] hold the pairs 29.70278/29.70791 and 48.47766/48.47785,
+        # each split across two factors whose Z each change sign once between the two, so
+        # the default step keeps both
+        if name == "Q":
+            ref = riemann_zeros_reference.gammas
+        else:
+            ref = [g for g in iv.load_zeros(os.path.join(REFERENCE, "zeta5.zeros")).gammas if g <= 50.0]
         res = cl.scan_zeros(fd.builtin_field(name), 0.0, ref[-1] + 0.5, step)
         assert len(res.refined) == len(ref)
         assert np.max(np.abs(np.array(res.refined) - ref)) <= 1e-12
@@ -301,6 +353,30 @@ class TestScanZeros:
         assert res.brackets[0][0] == t_min or res.brackets[0][1] == t_max
         assert abs(res.refined[0] - riemann_zeros_reference.gammas[gamma]) <= 1e-12
 
+    @pytest.mark.parametrize("name, t_min, t_max, pair", [
+        ("zeta5", 22.0, 58.0, (29.70278, 29.70791)), ("zeta5", 22.0, 58.0, (48.47766, 48.47785)),
+        ("zeta5", 22.0, 58.0, (51.08775, 51.08999)), ("cubic7", 37.0, 54.0, (46.08677, 46.09610)),
+        ("gauss", 76.0, 93.0, (84.73174, 84.73549)), ("sqrt5", 115.0, 130.0, (124.24284, 124.25682))])
+    def test_close_pair_of_two_factors_is_kept(self, name, t_min, t_max, pair):
+        # pairs the Xi_F grid lost at the default step, each split across two L-factors
+        ref = np.array(iv.load_zeros(os.path.join(REFERENCE, f"{name}.zeros")).gammas)
+        refined = np.array(cl.scan_zeros(fd.builtin_field(name), t_min, t_max, 0.02).refined)
+        for approx in pair:
+            gamma = ref[np.argmin(np.abs(ref - approx))]
+            assert abs(gamma - approx) < 1e-5
+            assert np.min(np.abs(refined - gamma)) <= 1e-12, (approx, gamma)
+
+    def test_close_pair_of_a_dense_factor_is_kept(self):
+        # Q(sqrt 1009): zeta's zero 52.97032 and L(s, chi_1009)'s 52.96730
+        field = fd.make_field_abelian([fd.principal_character(), fd.kronecker_character(1009)])
+        refined = np.array(cl.scan_zeros(field, 50.0, 55.0, 0.02).refined)
+        zeta, l_zero = (refined[np.argmin(np.abs(refined - g))] for g in (52.97032, 52.96730))
+        assert abs(zeta - 52.97032) < 1e-5 and abs(l_zero - 52.96730) < 1e-5
+        ref = np.array(iv.load_zeros(os.path.join(REFERENCE, "Q.zeros")).gammas)
+        assert np.min(np.abs(ref - zeta)) <= 1e-12
+        ends = cl._hardy_z_many(field, [l_zero - 5e-10, l_zero + 5e-10])[0]
+        assert ends[1, 0] * ends[1, 1] < 0.0
+
     def test_every_zero_of_zeta_up_to_1000(self, field_q):
         ref = iv.load_zeros(os.path.join(REFERENCE, "Q.zeros")).gammas
         ref = np.array([g for g in ref if g <= 1000.0])
@@ -312,40 +388,41 @@ class TestScanZeros:
             assert abs(res.refined[n - 1] - float(mpmath.zetazero(n).imag)) <= 1e-12
 
 
+def _lockstep(field, brackets, tol=cl._ORDINATE_TOL):
+    """_itp_lockstep from regula falsi seeds, each bracket on the first row of _hardy_z_many that changes sign across it."""
+    lo, hi = (np.array([b[i] for b in brackets], dtype=float) for i in (0, 1))
+    z_lo, z_hi = cl._hardy_z_many(field, lo)[0], cl._hardy_z_many(field, hi)[0]
+    rows = np.argmax(z_lo * z_hi < 0.0, axis=0)
+    f_lo, f_hi = z_lo[rows, np.arange(len(lo))], z_hi[rows, np.arange(len(lo))]
+    return cl._itp_lockstep(field, rows, lo, hi, f_lo, f_hi, tol,
+                            lo + (hi - lo) * (f_lo / (f_lo - f_hi)), (hi - lo) / 8.0)
+
+
 class TestRefineZero:
     def test_first_zero(self, field_q):
-        g = cl.refine_zero(field_q, (14.1, 14.2))
-        assert abs(g - 14.134725141734693) < 1e-8
+        assert abs(_lockstep(field_q, [(14.1, 14.2)])[0][0] - 14.134725141734693) < 1e-8
 
     def test_second_zero(self, field_q):
-        g = cl.refine_zero(field_q, (20.9, 21.1))
-        assert abs(g - 21.022039638771555) < 1e-8
-
-    def test_non_bracketing(self, field_q):
-        with pytest.raises(LostBracketError):
-            cl.refine_zero(field_q, (2.0, 3.0))
+        assert abs(_lockstep(field_q, [(20.9, 21.1)])[0][0] - 21.022039638771555) < 1e-8
 
 
 class TestRefineZeros:
     def test_lockstep_matches_one_at_a_time(self, field_cubic7):
+        # brackets of all three factors, refined together and one at a time
         brackets = cl.scan_zeros(field_cubic7, 0.0, 30.0, 0.02).brackets
         assert len(brackets) > 10
-        batch = cl.refine_zeros(field_cubic7, brackets)
-        alone = [cl.refine_zero(field_cubic7, br) for br in brackets]
+        batch = _lockstep(field_cubic7, brackets)[0]
+        alone = [_lockstep(field_cubic7, [br])[0][0] for br in brackets]
         assert len(batch) == len(alone)
         assert np.max(np.abs(batch - np.array(alone))) < 1e-12
 
-    def test_lost_bracket_is_named(self, field_q):
-        with pytest.raises(LostBracketError, match=r"\[2\.0, 3\.0\]"):
-            cl.refine_zeros(field_q, [(14.1, 14.2), (2.0, 3.0), (20.9, 21.1)])
-
     def test_exact_zeros_end_early(self, field_q, monkeypatch):
-        # a stand-in Xi that vanishes exactly at t = 1 hits both early exits:
-        # an endpoint that is already a zero, and a trial point that lands on one
-        monkeypatch.setattr(cl, "_xi_rescaled_many",
-                            lambda field, ts: np.asarray(ts, dtype=float) - 1.0)
-        out = cl.refine_zeros(field_q, [(1.0, 2.0), (0.5, 1.0), (0.0, 2.0), (0.3, 1.7)])
-        assert list(out[:3]) == [1.0, 1.0, 1.0]
+        # a stand-in Z that vanishes exactly at t = 1: a trial point that lands on
+        # the zero ends its bracket there, with residual 0
+        monkeypatch.setattr(cl, "_hardy_z_many",
+                            lambda field, ts: (np.asarray(ts, dtype=float)[None] - 1.0, None))
+        out, value = _lockstep(field_q, [(0.5, 1.5), (0.75, 1.25), (0.0, 2.0), (0.3, 1.9)])
+        assert list(out[:3]) == [1.0, 1.0, 1.0] and list(value[:3]) == [0.0, 0.0, 0.0]
         assert abs(out[3] - 1.0) < 1e-9
 
     @pytest.mark.parametrize("kernel", [
@@ -372,13 +449,13 @@ class TestRefineZeros:
             ts = np.asarray(ts, dtype=float)
             seen.extend(ts.tolist())
             calls.append(ts)
-            return kernel(ts - centres[np.searchsorted(lo, ts, side="right") - 1])
+            return kernel(ts - centres[np.searchsorted(lo, ts, side="right") - 1])[None], None
 
-        monkeypatch.setattr(cl, "_xi_rescaled_many", stand_in)
-        out = cl.refine_zeros(field_q, list(zip(lo, lo + widths)), tol)
+        monkeypatch.setattr(cl, "_hardy_z_many", stand_in)
+        out = _lockstep(field_q, list(zip(lo, lo + widths)), tol)[0]
         assert np.all(np.abs(out - centres) <= tol / 2)
         assert len(set(seen)) == len(seen)
-        # the points strictly inside each bracket, per Xi call
+        # the points strictly inside each bracket, per Z call
         inside = np.array([[np.count_nonzero((ts > a) & (ts < a + w)) for a, w in zip(lo, widths)]
                            for ts in calls])
         assert np.all(inside <= 4)
@@ -386,11 +463,8 @@ class TestRefineZeros:
         assert np.all(steps <= np.ceil(np.log2(widths / (tol / 2))) + 1)
 
     def test_empty(self, field_q):
-        assert len(cl.refine_zeros(field_q, [])) == 0
-
-    def test_bad_bracket(self, field_q):
-        with pytest.raises(ValidationError):
-            cl.refine_zeros(field_q, [(14.1, 14.2), (3.0, 2.0)])
+        out, value = _lockstep(field_q, [])
+        assert len(out) == 0 and len(value) == 0
 
 
 def strip_points(field):

@@ -673,7 +673,6 @@ EMPTY_INPUT_CASES = {
     "xi_many": lambda F, e: cl.xi_many(F, e),
     "z_tilde_many": lambda F, e: st.z_tilde_many(F.r1, F.r2, e),
     "check_theta_many": lambda F, e: th.check_theta_many(F, 1, e),
-    "refine_zeros": lambda F, e: cl.refine_zeros(F, []),
 }
 
 

@@ -37,9 +37,9 @@ through `critical_line._xi_scaled_many`.  The gamma data is recorded at its
 source with its proven errors: `fields.prefactor_jet` about 0, about 1 and
 about each field's first zero, and the left-pole polynomials P_1 .. P_12
 (`steen._left_pole_polynomials`) of every gamma power whose plan is
-recorded.  log-gamma far left and at height with its proven error, the
-rescaled Xi_F at heights where xi_F alone underflows, the ordinates and residuals of one zeros-scan
-window per builtin field, the number of Xi calls it makes and the number of
+recorded.  log-gamma far left and at height with its proven error, each
+L-factor's Hardy Z at heights where xi_F alone underflows, the ordinates and residuals of one zeros-scan
+window per builtin field, the number of Z calls it makes and the number of
 points they evaluate after the grid, the Phi
 identity past |Im z| = pi/2, and the Phi integral's proven plan (window,
 step and error) per builtin field are recorded too.  A value whose
@@ -326,22 +326,23 @@ def snapshot():
         _record(out, f"loggamma/z={z}", lambda: nx.loggamma(z))
         _record(out, f"loggamma_error/z={z}", lambda: nx._loggamma_and_error(z)[1])
     # one width-5 zeros-scan window per field at the default step: the ordinates, then
-    # the residuals, the number of Xi calls the scan made, and the number of points
+    # the residuals, the number of Z calls the scan made, and the number of points
     # those calls evaluated after the grid
-    xi_rescaled_many = cl._xi_rescaled_many
+    hardy_z_many = cl._hardy_z_many
     for name, a in SCAN_WINDOWS:
         calls = []
-        cl._xi_rescaled_many = lambda field, ts: calls.append(len(ts)) or xi_rescaled_many(field, ts)
+        cl._hardy_z_many = lambda field, ts: calls.append(len(ts)) or hardy_z_many(field, ts)
         _record(out, f"scan_zeros/{name}/[{a},{a + 5.0}]", lambda: (
             lambda r: r.refined + r.residuals)(
                 cl.scan_zeros(fields.builtin_field(name), a, a + 5.0, 0.02)))
-        cl._xi_rescaled_many = xi_rescaled_many
-        _record(out, f"scan_xi_calls/{name}", lambda: len(calls))
-        _record(out, f"scan_xi_points/{name}", lambda: sum(calls[1:]))
-    # heights where xi_F alone underflows
+        cl._hardy_z_many = hardy_z_many
+        _record(out, f"scan_z_calls/{name}", lambda: len(calls))
+        _record(out, f"scan_z_points/{name}", lambda: sum(calls[1:]))
+    # heights where xi_F alone underflows: each factor's Z
     for name, t in (("zeta5", 242.0), ("cubic7", 322.0), ("Q", 735.0)):
-        _record(out, f"xi_rescaled/{name}/t={t}",
-                lambda: cl._xi_rescaled_many(fields.builtin_field(name), [t])[0])
+        for row in range(fields.builtin_field(name).degree):
+            _record(out, f"hardy_z/{name}/{row}/t={t}",
+                    lambda: cl._hardy_z_many(fields.builtin_field(name), [t])[0][row, 0])
     for s, order in ((-2.0, 1), (0.0, 1), (3.0, 2), (0.5 + 14.134725141734693j, 1)):
         _record(out, f"zeta_derivative/s={s}/order={order}",
                 lambda: oracle.zeta_derivative(s, order))
