@@ -107,8 +107,9 @@ def loggamma(z):
 
 
 def log_gamma_factor(r1, r2, s):
-    """r1 log Gamma(s/2) + r2 log Gamma(s) off the poles: coefficient 0 of log_gamma_factor_jet."""
-    return log_gamma_factor_jet(r1, r2, s, 1, 1)[0].coeffs[..., 0]
+    """(r1 log Gamma(s/2) + r2 log Gamma(s) off the poles, its proven error): coefficient 0 of log_gamma_factor_jet."""
+    jet = log_gamma_factor_jet(r1, r2, s, 1, 1)[0]
+    return jet.coeffs[..., 0], jet.err[..., 0]
 
 
 def _hurwitz_shift(s, radius=0.0):
@@ -492,15 +493,19 @@ _TRAPEZOID_CHUNK_NODES = 4096
 
 
 def line_integral_many(f, abscissae, half_heights, steps):
-    """(1/2 pi i) int f(s, i) ds over each vertical segment i of a batch, by the trapezoid rule.
+    """((1/2 pi i) int f(s, i) ds over each vertical segment i of a batch, each sum's rounding bound).
 
     Segment i is Re(s) = abscissae[i], |Im s| <= half_heights[i], summed on
     the nodes Im s = j steps[i], |j steps[i]| <= half_heights[i]; the caller
     proves the step and window.  `f(s, entry)` gets a 1-d array of points
-    and the entry of each; every call holds whole entries and about
+    and the entry of each, and returns the values and a bound on each
+    value's relative error; every call holds whole entries and about
     _TRAPEZOID_CHUNK_NODES nodes.  Each entry's nodes are summed over their
     own segment in one fixed order, so its value does not depend on the
-    other entries.
+    other entries.  The rounding bound of an entry of n nodes is step/2 pi
+    times the sum of its nodes' moduli, each times its relative bound plus
+    (n + 3) eps: the recursive sum, the product with the step and the
+    division by 2 pi.
     """
     c = np.asarray(abscissae, dtype=float)
     T = np.asarray(half_heights, dtype=float)
@@ -515,17 +520,18 @@ def line_integral_many(f, abscissae, half_heights, steps):
     first = np.ones(len(T), dtype=bool)
     first[1:] = (slot[1:] != slot[:-1]) | big[1:] | big[:-1]
     bounds = np.append(np.flatnonzero(first), len(T))
-    sums = np.empty(len(T), dtype=complex)
+    sums, slack = np.empty(len(T), dtype=complex), np.empty(len(T))
     for a, b in zip(bounds[:-1], bounds[1:]):
         cnt = counts[a:b]
         seg = starts[a:b] - starts[a]
         entry = np.repeat(np.arange(a, b), cnt)
         j = np.arange(seg[-1] + cnt[-1]) - np.repeat(seg + top[a:b], cnt)
-        vals = np.asarray(f(c[entry] + 1j * (j * h[entry]), entry), dtype=complex)
+        vals, err = f(c[entry] + 1j * (j * h[entry]), entry)
         if np.any(~np.isfinite(vals)):
             raise DomainError("integrand returned a non-finite value on the contour")
         sums[a:b] = np.add.reduceat(vals, seg)
-    return h * sums / (2.0 * math.pi)
+        slack[a:b] = np.add.reduceat(np.abs(vals) * (err + (cnt[entry - a] + 3) * _EPS), seg)
+    return h * sums / (2.0 * math.pi), h * slack / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

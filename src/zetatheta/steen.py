@@ -8,11 +8,16 @@ individual gamma factors overflow long before the product does.  Every
 kernel line is one trapezoid level (numerics.line_integral_many) whose
 step and window come from a proven error bound, the trapezoid alias
 identity plus a Stirling tail (_line_plan), so each value carries its
-proven quadrature error.  The quadrature entries of a kernel array share
-one pass over their nodes.
+proven quadrature error, and its rounding in log space is charged node by
+node.  The quadrature entries of a kernel array share one pass over their
+nodes.
 Near 0 the ascending series reads the principal parts of the gamma power at
 s = -m off numerics.gamma_factor_jet, one exp of the log jet the integrand reads.
 One gamma factor needs neither: Z~ = 2 e^{-x^2} or e^{-x} is read in closed form.
+Two need neither either: Koshliakov's Z~_(2,0)(x) = 4 K_0(2x) and Z~_(0,2)(x) =
+2 K_0(2 sqrt x) are read through K_0(z), by its ascending series for |z| <= 2 and
+beyond by the trapezoid rule on K_0(z) = e^{-z} int_0^inf exp(-2 z sinh^2(t/2)) dt,
+whose alias error Trefethen and Weideman's strip bound proves (_bessel_k0_many).
 """
 
 import math
@@ -42,28 +47,44 @@ def _sector_rate(r1, r2, arg_x):
 
 
 def _mellin_barnes(f, c, T, step, error):
-    """(1/2 pi i) int_(c_i) f(s, i) ds for each entry i of a batch of integrands.
+    """((1/2 pi i) int_(c_i) f(s, i) ds for each entry i of a batch of integrands, its rounding bound).
 
     One trapezoid level (numerics.line_integral_many) integrates all entries
-    at once on |Im s| <= T[i] at the step step[i], whose proven error is
-    error[i].  An entry whose error exceeds 1e-11 of its value raises
-    ConvergenceError: the one verdict on whether a Mellin-Barnes integral
-    converged.
+    at once on |Im s| <= T[i] at the step step[i], whose proven quadrature
+    error is error[i].  An entry whose quadrature error exceeds 1e-11 of its
+    value raises ConvergenceError: the one verdict on whether a Mellin-Barnes
+    integral converged.
     """
-    values = numerics.line_integral_many(f, c, T, step)
+    values, rounding = numerics.line_integral_many(f, c, T, step)
     loose = error > 1e-11 * np.maximum(np.abs(values), 1e-250)
     if np.any(loose):
         i = int(np.argmax(loose))
         raise ConvergenceError(f"Mellin-Barnes integral on Re(s) = {c[i]}: proven error "
                                f"{error[i]:.2e} exceeds 1e-11 of |value| = {abs(values[i]):.2e}")
-    return values
+    return values, rounding
 
 
 def _kernel_integrand(r1, r2, log_x):
-    """f(s, entry) = Gamma^r1(s/2) Gamma^r2(s) x_entry^{-s}, assembled in log space."""
+    """f(s, entry) = (Gamma^r1(s/2) Gamma^r2(s) x_entry^{-s} assembled in log space, its relative error bound).
+
+    The exponent g = G(s) - s log x, G the log gamma factor, carries G's proven
+    error, eps (|g| + |G| + 3 |s| |log x|) <= eps (2 |G| + 4 |s| |log x|) for the
+    rounding of the difference, of s log x and of log x, and eps |Im s| (|log x| +
+    d (log(1 + |s|) + 1)) for the rounding of the node Im s = j h: on Re s >= 2 each
+    psi(z) is at most log(1 + |z|) + 2.1, so that bounds |G'(s) - log x|.  e^g adds
+    3 eps.  |G| and |s| are read as |Re| + |Im|, at least as large.
+    """
+    d = r1 + 2 * r2
+    rate = 5.0 * np.abs(log_x) + d
+
     def f(s, entry):
-        lg = numerics.log_gamma_factor(r1, r2, s) - s * log_x[entry]
-        return np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
+        gamma, gamma_err = numerics.log_gamma_factor(r1, r2, s)
+        lg = gamma - s * log_x[entry]
+        values = np.where(lg.real < _LOG_UNDERFLOW, 0.0, np.exp(lg))
+        t = np.abs(s.imag)
+        size = s.real + t
+        return values, gamma_err + numerics._EPS * (
+            2.0 * (np.abs(gamma.real) + np.abs(gamma.imag)) + size * rate[entry] + d * t * np.log1p(size) + 3.0)
     return f
 
 
@@ -223,6 +244,140 @@ def _line_plan(r1, r2, xs, rtol=_PLAN_RTOL):
     return live, c, T, h, error
 
 
+# ---------------------------------------------------------------------------
+# two gamma factors: Koshliakov's kernels through K_0
+# ---------------------------------------------------------------------------
+
+_EULER_GAMMA = 0.5772156649015329
+# terms of K_0's ascending series, which it takes for |z| <= 2
+_BESSEL_TERMS = 14
+# trial strips of the trapezoid rule, in units of pi/2 - |arg z|
+_BESSEL_STRIPS = np.array([1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 3.0 / 4, 7.0 / 8])
+
+
+def _bessel_series(u, lead, lead_err):
+    """(sum_{k>=1} u^k/(k!)^2 (H_k - L) over _BESSEL_TERMS terms, a proven bound on its error), |u| <= 1.
+
+    L = lead, given within lead_err.  Past term K = _BESSEL_TERMS each term is at
+    most |u| (k + 2)/(k + 1)^3 < 1/2 of the one before (H_{k+1} + |L| <= (1 +
+    1/(k+1)) (H_k + |L|)), so the remainder is at most twice term K + 1.  The
+    power p_k = p_{k-1} u/k^2 is within 6 k eps of its modulus (u = x or x*x), H_k
+    within 2 k eps, and the sum of K terms adds K eps of their moduli.
+    """
+    eps, k_top = numerics._EPS, _BESSEL_TERMS
+    total, slack = np.zeros_like(u), np.zeros(u.shape)
+    p, harmonic, abs_lead = np.ones_like(u), 0.0, np.abs(lead)
+    for k in range(1, k_top + 1):
+        p = p * u / (k * k)
+        harmonic += 1.0 / k
+        total = total + p * (harmonic - lead)
+        slack = slack + np.abs(p) * ((harmonic + abs_lead) * (8 * k + k_top + 2) * eps + lead_err)
+    remainder = 2.0 * np.abs(p * u) / (k_top + 1) ** 2 * (harmonic + 1.0 / (k_top + 1) + abs_lead)
+    return total, slack + remainder
+
+
+def _bessel_integrand(z, z_err):
+    """f(s, entry) = (pi exp(-2 z sinh^2(t/2)) at t = Im s, its relative error bound): K_0's trapezoid integrand.
+
+    The exponent e is within eps |e| (|t| + 6) + |e| z_err of its value (the node
+    t = j h, sinh, the square and the product), and exp adds 4 eps.
+    """
+    def f(s, entry):
+        t = s.imag
+        e = -2.0 * z[entry] * np.sinh(0.5 * t) ** 2
+        values = math.pi * np.exp(e)
+        abs_e = np.abs(e)
+        return values, numerics._EPS * (abs_e * (np.abs(t) + 6.0) + 4.0) + abs_e * z_err
+    return f
+
+
+def _bessel_k0_many(z, z_err):
+    """(K_0(z) by the trapezoid rule, a proven bound on its error) for |arg z| < pi/2; z_err bounds z's relative rounding.
+
+    K_0(z) = (e^{-z}/2) int exp(-2 z sinh^2(t/2)) dt over the real line, a step-h
+    sum on t = j h, |j| <= N.  Alias (Trefethen and Weideman, SIAM Rev. 2014, Thm
+    5.1): e^{-z cosh t} is analytic on |Im t| < a, a < pi/2 - |arg z|, where
+    |e^{-z cosh(t + iy)}| <= e^{-w cosh t}, w = |z| cos(|arg z| + a), so the whole
+    line's sum is within 2 K_0(w)/(e^{2 pi a/h} - 1) of K_0(z), K_0(w) <= sqrt(pi/2w)
+    e^{-w}.  Window: cosh t >= cosh T + sinh T (t - T) (convexity), so the dropped
+    nodes sum to at most h e^{-r cosh T}/(e^{r h sinh T} - 1), r = Re z, T = N h.
+    Rounding: the nodes' (_bessel_integrand) and the sum's (line_integral_many), and
+    e^{-z} within (z_err |z| + 3 eps), plus 2^-1072 of the sum for a subnormal e^{-z}.
+    Per entry the strip a is the trial of _BESSEL_STRIPS that allows the largest h
+    with the alias bound at 1e-13/2 of sqrt(pi/2|z|) e^{-r}, the size of |K_0(z)|,
+    and N the least that takes the window below the same; |K_0(z)| <= K_0(r) <=
+    sqrt(pi/2r) e^{-r}, so an entry where that is below the underflow cut is 0,
+    with charge 0 and no node.
+    """
+    values, charge = np.zeros_like(z), np.zeros(z.shape)
+    r, abs_z = z.real, np.abs(z)
+    live = np.flatnonzero(0.5 * np.log(0.5 * math.pi / r) - r >= _LOG_UNDERFLOW)
+    if not len(live):
+        return values, charge
+    z, r, abs_z = z[live], r[live], abs_z[live]
+    phase = np.abs(np.angle(z))
+    log_target = 0.5 * np.log(0.5 * math.pi / abs_z) - r + math.log(0.5 * _PLAN_RTOL)
+    a = (0.5 * math.pi - phase)[:, None] * _BESSEL_STRIPS
+    w = abs_z[:, None] * np.cos(phase[:, None] + a)
+    log_alias = math.log(2.0) + 0.5 * np.log(0.5 * math.pi / w) - w
+    steps = 2.0 * math.pi * a / np.logaddexp(0.0, log_alias - log_target[:, None])
+    pick = np.argmax(steps, axis=1)
+    rows = np.arange(len(live))
+    a, h, log_alias = a[rows, pick], steps[rows, pick], log_alias[rows, pick]
+    # r cosh T >= log(h/target) + max(0, -log(e^{r h sinh T} - 1)), the latter at a shorter T
+    need = np.log(h) - log_target
+    short = np.maximum(np.arccosh(np.maximum(need / r, 1.0)), h)
+    need = need + np.maximum(0.0, -np.log(np.expm1(r * h * np.sinh(short))))
+    n = np.maximum(np.ceil(np.arccosh(np.maximum(need / r, 1.0)) / h), 1.0)
+    last = n * h
+    error = np.exp(log_alias - _log_expm1(2.0 * math.pi * a / h)) \
+        + h * np.exp(-r * np.cosh(last)) / np.expm1(r * h * np.sinh(last))
+    sums, rounding = numerics.line_integral_many(_bessel_integrand(z, z_err), np.zeros(len(live)),
+                                                 last + 0.5 * h, h)
+    decay = np.exp(-z)
+    abs_decay, abs_sums = np.abs(decay), np.abs(sums)
+    values[live] = decay * sums
+    charge[live] = error + abs_decay * (rounding + abs_sums * (z_err * abs_z + 3.0 * numerics._EPS)) \
+        + 2.0 ** -1072 * abs_sums
+    return values, charge
+
+
+def _bessel_kernel_many(r1, xs, shifted):
+    """(Z~ or Z of (r1, r2) = (2, 0) or (0, 2) on an array, proven error per entry); see _kernel_many.
+
+    Z~ = s K_0(z) with (s, z) = (4, 2x) or (2, 2 sqrt x), and Res_0 = -s L,
+    L = log(z/2) + gamma, read off log x or log(x)/2.  For |z| <= 2, that is |x| <= 1,
+    Z = s sum_{k>=1} (z/2)^{2k}/(k!)^2 (H_k - L) with (z/2)^2 = x*x or x exactly
+    (_bessel_series); beyond, K_0 by its trapezoid rule (_bessel_k0_many).  L is
+    within 3 eps (|log(z/2)| + 1), and turning Z~ into Z or back adds s times
+    that and eps of the result.
+    """
+    eps = numerics._EPS
+    scale = 4.0 if r1 else 2.0
+    log_half = np.log(xs) if r1 else 0.5 * np.log(xs)
+    lead = log_half + _EULER_GAMMA
+    lead_err = 3.0 * eps * (np.abs(log_half) + 1.0)
+    values, charge = np.zeros_like(xs), np.zeros(xs.shape)
+    near = np.abs(xs) <= 1.0
+    if np.any(near):
+        u = xs[near] * xs[near] if r1 else xs[near]
+        z, slack = _bessel_series(u, lead[near], lead_err[near])
+        if not shifted:
+            z = z - lead[near]
+            slack = slack + lead_err[near] + eps * np.abs(z)
+        # a subnormal power of u carries an absolute error
+        values[near], charge[near] = scale * z, scale * (slack + 2.0 ** -1068 * (np.abs(lead[near]) + 2.0))
+    far = ~near
+    if np.any(far):
+        x = xs[far]
+        z, slack = _bessel_k0_many(2.0 * x if r1 else 2.0 * np.sqrt(x), 0.0 if r1 else 4.0 * eps)
+        if shifted:
+            z = z + lead[far]
+            slack = slack + lead_err[far] + eps * np.abs(z)
+        values[far], charge[far] = scale * z, scale * slack
+    return values, charge
+
+
 def _kernel_many(r1, r2, xs, shifted):
     """(Z~_{r1,r2}, or Z = Z~ - Res_0 when `shifted`, on an array; proven error per entry).
 
@@ -233,15 +388,25 @@ def _kernel_many(r1, r2, xs, shifted):
     e^w within 2.5 eps (exp, cos, sin and expm1 within 1 ulp), and Re w < 0 in the
     sector, so the terms expm1(Re w) cos(Im w) and -2 sin^2(Im w/2) of expm1's real
     part share a sign or, where cos(Im w) < 0 and so |Re Z| >= 1, sum to at most 3 |Z|.
+    Two factors, (2, 0) and (0, 2), are Z~ = s K_0(z) with (s, z) = (4, 2x) or
+    (2, 2 sqrt x) and Res_0 = -s (log(z/2) + gamma) (_bessel_kernel_many): for |z| <= 2,
+    that is |x| <= 1, the ascending series Z = s sum_{k>=1} (z/2)^{2k}/(k!)^2 (H_k -
+    log(z/2) - gamma), whose coefficients are exact rationals and harmonic numbers, so
+    its charge is a geometric remainder plus rounding (_bessel_series); beyond, K_0's
+    trapezoid rule, charged its proven alias, window and rounding bounds
+    (_bessel_k0_many).  At |z| = 2 and 0.1 inside the sector edge the series' charge
+    is 3e-13 of |Z~| and the trapezoid's 5e-13 to 1.2e-12; at |z| = 2.5 the series'
+    reaches 1.2e-12, so the radius is 2.
     Every other power takes the ascending series near 0 (|x| <= 0.4), exact where a
     vertical line would drown in cancellation; its charge is z_small_series_many's
     bound.  Further out each entry gets a line integral through the real part of the
     integrand's saddle, so relative accuracy survives into the exponentially small tail.
     One _line_plan sizes every line and one level of nodes is evaluated; an entry whose
-    proven error, alias terms plus window, exceeds 1e-11 of its value raises
-    ConvergenceError (_mellin_barnes).  Its charge is that proven error; below the
-    underflow cut it is 0 with no node evaluated (the majorant rounded).  The sector is
-    checked for the whole array before any work.
+    proven quadrature error, alias terms plus window, exceeds 1e-11 of its value raises
+    ConvergenceError (_mellin_barnes).  Its charge is that error plus the rounding bound
+    of its nodes and their sum (_kernel_integrand, numerics.line_integral_many); below
+    the underflow cut it is 0 with no node evaluated (the majorant rounded).  The sector
+    is checked for the whole array before any work.
     """
     xs = np.asarray(xs, dtype=complex)
     if r1 < 0 or r2 < 0 or r1 + r2 == 0:
@@ -256,6 +421,8 @@ def _kernel_many(r1, r2, xs, shifted):
         z = scale * (np.expm1(w) if shifted else np.exp(w))
         size = scale * np.exp(w.real) * (1.5 * r1 * np.abs(w) + (0.0 if shifted else 4.0))
         return z, numerics._EPS * (size + (9.0 * np.abs(z) if shifted else 0.0)) + 2.0 ** -1070
+    if (r1, r2) in ((2, 0), (0, 2)):
+        return _bessel_kernel_many(r1, xs, shifted)
     values, charge = np.zeros_like(xs), np.zeros(xs.shape)
     near = np.abs(xs) <= 0.4
     # Res_0 is read only where an entry needs it
@@ -269,8 +436,9 @@ def _kernel_many(r1, r2, xs, shifted):
         live, c, T, h, error = _line_plan(r1, r2, xs[far])
         z = np.zeros(len(far), dtype=complex)
         if len(live):
-            z[live] = _mellin_barnes(_kernel_integrand(r1, r2, np.log(xs[far[live]])), c, T, h, error)
-            charge[far[live]] = error
+            z[live], rounding = _mellin_barnes(_kernel_integrand(r1, r2, np.log(xs[far[live]])),
+                                               c, T, h, error)
+            charge[far[live]] = error + rounding
         if shifted:
             r0 = _r0_polynomial(r1, r2)
             z = z - [r0(x) for x in xs[far]]

@@ -484,4 +484,5 @@ def kernel_lines(r1, r2, xs, c, tol, t_offset):
     log_x = np.log(xs)
     gap = np.where(c > 0, c, np.minimum(-c, 1.0 + c))
     T, step = halving_plan(c, log_x, r1 + 2 * r2, rate, gap, tol, t_offset)
-    return halving_line_integral(steen._kernel_integrand(r1, r2, log_x), c, T, step)
+    f = steen._kernel_integrand(r1, r2, log_x)
+    return halving_line_integral(lambda s, entry: f(s, entry)[0], c, T, step)

@@ -215,7 +215,7 @@ def test_criterion_11_structural_invariants(field_q, field_sqrt5, field_cubic7):
         # (0, 1) kernel e^{-x}, whose saddle line steen._line_plan proves
         for x in (1.0, 2.0):
             _, c, T, h, error = st._line_plan(0, 1, np.array([complex(x)]))
-            values = nx.line_integral_many(
-                lambda s, entry: oracle.gamma(s) * np.exp(-s * math.log(x)), c, T, h)
+            values, _ = nx.line_integral_many(
+                lambda s, entry: (oracle.gamma(s) * np.exp(-s * math.log(x)), np.zeros(len(s))), c, T, h)
             assert error[0] <= 1e-11 * abs(values[0])
             assert abs(values[0] - math.exp(-x)) <= error[0] + 1e-13 * math.exp(-x)

@@ -7,6 +7,7 @@ import pytest
 from zetatheta import cli
 from zetatheta import critical_line as cl
 from zetatheta import inverse_theta as iv
+from zetatheta import steen as st
 from zetatheta import theta as th
 from zetatheta.errors import ValidationError
 
@@ -246,6 +247,37 @@ class TestPhiCheck:
     def test_imaginary_z(self, capsys):
         code, out, _ = run(capsys, "phi-check", "--field", "sqrt5", "--z", "0,-0.3")
         assert code == 0
+
+
+class TestTwoFactorKernels:
+    """(2, 0) and (0, 2), the kernels of sqrt5 and zeta5 at k = 1 and of Q and gauss at k = 2,
+    are read through K_0: no saddle line is planned and no left-pole series summed."""
+
+    REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "reference")
+
+    def test_no_line_or_series(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a two-factor kernel took a general route")
+        monkeypatch.setattr(st, "_line_plan", refuse)
+        monkeypatch.setattr(st, "z_small_series_many", refuse)
+        xs = ("--x", "0.3", "--x", "2.5", "--x", "0.7,0.3", "--x", "0.05")
+
+        def zeros(field):
+            return ("--zeros", os.path.join(self.REFERENCE, f"{field}-inverse.zeros"))
+
+        runs = [("theta-check", "--field", field, "--k", k, *xs)
+                for field, k in (("sqrt5", "1"), ("Q", "2"), ("gauss", "2"))]
+        runs += [("theta-check", "--field", "zeta5", *xs, "--x=-1"),
+                 ("phi-check", "--field", "sqrt5", "--z", "0.25", "--z", "0.5,0.3"),
+                 ("phi-check", "--field", "zeta5", "--z", "0.25", "--z", "0.5,0.3"),
+                 ("inverse-check", "--field", "sqrt5", "--x", "0.5", "--x", "2", *zeros("sqrt5")),
+                 ("inverse-check", "--field", "Q", "--k", "2", "--x", "0.5", "--x", "2", *zeros("Q")),
+                 ("dgv-check", "--field", "sqrt5", "--x", "0.5", "--x", "2", *zeros("sqrt5")),
+                 ("dgv-check", "--field", "Q", "--x", "0.5", "--x", "2", *zeros("Q"))]
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out, (argv, err)
 
 
 class TestExitCode:

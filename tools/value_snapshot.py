@@ -29,7 +29,8 @@ series stops (n_stop and its certified tail) and the kernel majorant behind
 it, N0 and the certified bound of l_series, and the largest proven error
 of a kernel line's plan relative to its value per gamma power, and where
 the kernels' ascending series stops and its charge per gamma power, and
-the charge of z_shifted for the one-factor powers (1, 0) and (0, 1), so a
+the charge of z_shifted for the one-factor powers (1, 0) and (0, 1) and the
+two-factor powers (2, 0) and (0, 2), so a
 change in a truncation bound, a quadrature charge or a plan's distance from
 its refusal shows even when every checked value stays the same; so do the
 error bounds of Xi_F up to t = 1000 and of zeta_F at s = 2 + i, read
@@ -141,7 +142,7 @@ def _plan_margin(steen, nx, r1, r2):
     edge = min(math.pi * (r1 + 2 * r2) / 4.0 - 0.1, math.pi)
     xs = (np.geomspace(0.41, 1e4, 12)[:, None] * np.exp(1j * np.linspace(-edge, edge, 7))).ravel()
     live, c, T, h, error = steen._line_plan(r1, r2, xs)
-    values = np.abs(nx.line_integral_many(steen._kernel_integrand(r1, r2, np.log(xs[live])), c, T, h))
+    values = np.abs(nx.line_integral_many(steen._kernel_integrand(r1, r2, np.log(xs[live])), c, T, h)[0])
     return float(np.max(error / np.maximum(values, 1e-300)))
 
 
@@ -357,8 +358,9 @@ def snapshot():
     for r1, r2 in ((1, 0), (2, 0)):
         for x in (0.3, 0.45, 1.2 - 0.7j):
             _record(out, f"z_shifted/{r1},{r2}/x={x}", lambda: steen.z_shifted(r1, r2, x))
-    # the charge of the one-factor kernels on the same x, so a change in their charge model shows
-    for r1, r2 in ((1, 0), (0, 1)):
+    # the charge of the one- and two-factor kernels on the same x, so a change in their
+    # charge model shows
+    for r1, r2 in ((1, 0), (0, 1), (2, 0), (0, 2)):
         for x in (0.3, 0.45, 1.2 - 0.7j):
             _record(out, f"z_shifted_charge/{r1},{r2}/x={x}",
                     lambda: steen.z_shifted_many(r1, r2, [x])[1][0])
